@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use vitcod_serve::stats::percentile;
 use vitcod_transport::{HttpClient, Json};
 
 /// A sender that wakes this far past a request's scheduled arrival
@@ -121,15 +122,6 @@ impl LoadReport {
             ("max_latency_s".into(), Json::Number(self.max_s)),
         ])
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Draws the whole arrival schedule up front: offsets (seconds from the
@@ -456,8 +448,8 @@ pub fn run_hostile(addr: SocketAddr, cfg: &HostileConfig) -> HostileReport {
 }
 
 #[cfg(test)]
-// Exact float equality below asserts the empty-percentile sentinel and
-// deterministic replay of seeded schedules.
+// Exact float equality below asserts deterministic replay of seeded
+// schedules.
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
@@ -506,13 +498,5 @@ mod tests {
         );
         // Same seed, same schedule.
         assert_eq!(offsets, arrival_offsets(&cfg));
-    }
-
-    #[test]
-    fn percentile_handles_edges() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert!((percentile(&v, 0.50) - 51.0).abs() < 1e-12);
-        assert!((percentile(&v, 0.999) - 100.0).abs() < 1e-12);
     }
 }

@@ -8,28 +8,15 @@ use vitcod_autograd::LAYERNORM_EPS;
 use vitcod_model::Sample;
 use vitcod_tensor::sparse;
 use vitcod_tensor::{
-    argmax, gelu, int8_gemm, kernels, Backend, Matrix, QuantizedMatrix, QuantizedRows,
+    argmax, gelu, int8_gemm, kernels, Backend, Matrix, PackedGemmWeights, QuantizedMatrix,
+    QuantizedRows,
 };
 
-use crate::compiled::{CompiledLayer, CompiledVit, HeadPlan, Int8Projections};
-use crate::profile::{LayerOps, OpProfile};
-
-/// [`crate::profile::OP_NAMES`] indexes, named for the profiled forward.
-const OP_QKV: usize = 0;
-const OP_SCORES: usize = 1;
-const OP_SOFTMAX: usize = 2;
-const OP_SPMM: usize = 3;
-const OP_OUT_PROJ: usize = 4;
-const OP_FC1: usize = 5;
-const OP_FC2: usize = 6;
-
-/// Runs `f`, charging its wall-clock seconds to `slot`.
-fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
-    let t = Instant::now();
-    let out = f();
-    *slot += t.elapsed().as_secs_f64();
-    out
-}
+use crate::compiled::{CompiledLayer, CompiledVit, HeadPlan};
+use crate::profile::{
+    OpClock, OpProfile, Untimed, WallClock, OP_FC1, OP_FC2, OP_OUT_PROJ, OP_QKV, OP_SCORES,
+    OP_SOFTMAX, OP_SPMM,
+};
 
 /// LayerNorm epsilon, shared with the training tape so the fp32 dense
 /// forward reproduces the tape's logits bit for bit.
@@ -272,7 +259,10 @@ impl Engine {
         self.with_backend(|| {
             let workers = self.batch_workers(samples.len());
             if workers <= 1 {
-                return samples.iter().map(|s| self.predict(&s.tokens)).collect();
+                return samples
+                    .iter()
+                    .map(|s| self.predict(&s.tokens, &mut Untimed))
+                    .collect();
             }
             let inner_budget = (kernels::num_threads() / workers).max(1);
             let per = samples.len().div_ceil(workers);
@@ -288,7 +278,7 @@ impl Engine {
                                 kernels::with_thread_budget(inner_budget, || {
                                     chunk
                                         .iter()
-                                        .map(|s| self.predict(&s.tokens))
+                                        .map(|s| self.predict(&s.tokens, &mut Untimed))
                                         .collect::<Vec<_>>()
                                 })
                             })
@@ -316,18 +306,17 @@ impl Engine {
     ///
     /// Panics if the token shape does not match the compiled model.
     pub fn infer_one(&self, tokens: &Matrix) -> Prediction {
-        self.with_backend(|| self.predict(tokens))
+        self.with_backend(|| self.predict(tokens, &mut Untimed))
     }
 
     /// Classifies a batch **sequentially**, timing every named compute
     /// op of every layer on a monotonic clock (see
     /// [`crate::profile::OP_NAMES`]). This is the sampled-trace slow
-    /// path: no batch fan-out (worker interleaving would corrupt
-    /// wall-clock attribution), and dense fp32 attention takes the
-    /// separable scores → softmax → `S·V` kernel sequence instead of
-    /// the fused multi-head kernel, so logits can differ from
-    /// [`Engine::infer_batch`] by float-rounding noise (identical
-    /// classes in practice, asserted within epsilon by this crate's
+    /// path: neither samples nor attention heads fan out (worker
+    /// interleaving would corrupt wall-clock attribution). It is the
+    /// same forward body as [`Engine::infer_batch`] with a timing hook
+    /// around each op — the same kernel sequence — so the logits are
+    /// bitwise equal to the served ones (asserted by this crate's
     /// tests).
     pub fn infer_batch_profiled(&self, samples: &[Sample]) -> Vec<(Prediction, OpProfile)> {
         self.with_backend(|| {
@@ -372,316 +361,87 @@ impl Engine {
         2.0 * (dense_macs + core_macs) + f.softmax_ops as f64 * kept
     }
 
-    fn predict(&self, tokens: &Matrix) -> Prediction {
-        let logits = self.forward(tokens);
+    fn predict<C: OpClock>(&self, tokens: &Matrix, clock: &mut C) -> Prediction {
+        let logits = self.forward(tokens, clock);
         let class = argmax(&logits).unwrap_or(0);
         Prediction { class, logits }
     }
 
     fn predict_profiled(&self, tokens: &Matrix) -> (Prediction, OpProfile) {
+        let mut clock = WallClock::default();
         let start = Instant::now();
-        let (logits, mut profile) = self.forward_profiled(tokens);
-        profile.total_s = start.elapsed().as_secs_f64();
-        let class = argmax(&logits).unwrap_or(0);
-        (Prediction { class, logits }, profile)
+        let prediction = self.predict(tokens, &mut clock);
+        clock.profile.total_s = start.elapsed().as_secs_f64();
+        (prediction, clock.profile)
     }
 
-    /// The tape-free forward: dispatches to the fp32 path (bit-identical
-    /// to the training tape on dense models) or the int8 serving path
-    /// (packed projection GEMMs over per-layer-cached quantized
-    /// activations).
-    fn forward(&self, tokens: &Matrix) -> Vec<f32> {
+    /// The tape-free forward — the only one: a served and a profiled
+    /// pass differ in `clock` alone, so their logits are bitwise equal.
+    /// The clock times the named ops; LayerNorms, residual adds, the
+    /// stem and the classifier stay unattributed (a layer's op seconds
+    /// sum to strictly less than the forward total), and activation
+    /// quantization is charged to the op that consumes it.
+    ///
+    /// Fp32 mirrors the training tape's kernel sequence exactly (same
+    /// GEMM, bias, LayerNorm, GELU and per-head attention kernels in the
+    /// same order), so the dense path is bit-identical to the tape's
+    /// logits; [`Precision::Int8`] describes what int8 changes.
+    fn forward<C: OpClock>(&self, tokens: &Matrix, clock: &mut C) -> Vec<f32> {
         let cfg = self.model.config();
         assert_eq!(
             tokens.shape(),
             (cfg.tokens, self.model.in_dim()),
             "input token shape mismatch"
         );
-        match (self.precision, self.model.int8_projections()) {
-            (Precision::Int8, Some(packed)) => self.forward_int8(tokens, packed),
-            _ => self.forward_fp32(tokens),
-        }
-    }
-
-    /// The profiled forward: same dispatch as [`Engine::forward`], with
-    /// per-op timing.
-    fn forward_profiled(&self, tokens: &Matrix) -> (Vec<f32>, OpProfile) {
-        let cfg = self.model.config();
-        assert_eq!(
-            tokens.shape(),
-            (cfg.tokens, self.model.in_dim()),
-            "input token shape mismatch"
-        );
-        match (self.precision, self.model.int8_projections()) {
-            (Precision::Int8, Some(packed)) => self.forward_int8_profiled(tokens, packed),
-            _ => self.forward_fp32_profiled(tokens),
-        }
-    }
-
-    /// [`Engine::forward_fp32`] with per-op timing. LayerNorms,
-    /// residual adds, the stem and the classifier stay unattributed, so
-    /// a layer's op seconds sum to strictly less than the forward
-    /// total. Dense attention runs the separable per-head kernels (the
-    /// fused multi-head kernel cannot split scores/softmax/`S·V`), so
-    /// logits carry float-rounding differences vs the fused path.
-    fn forward_fp32_profiled(&self, tokens: &Matrix) -> (Vec<f32>, OpProfile) {
-        let cfg = self.model.config();
         let n = cfg.tokens;
         let dim = cfg.dim;
         let dk = cfg.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut profile = OpProfile::default();
+        let packed = match self.precision {
+            Precision::Int8 => self.model.int8_projections(),
+            Precision::Fp32 => None,
+        };
 
         let embedded = kernels::matmul(tokens, self.model.patch_w());
         let mut x = &kernels::add_bias(&embedded, self.model.patch_b()) + self.model.pos_embed();
 
-        for layer in self.model.layers() {
-            let mut ops = LayerOps::default();
-            let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
-            // The AE round trip feeds directly into attention from the
-            // fused projection, so it is charged to `qkv`.
-            let (q, k, v) = timed(&mut ops.seconds[OP_QKV], || {
-                let qkv = kernels::add_bias(&kernels::matmul(&normed, &layer.w_qkv), &layer.b_qkv);
-                let mut q = qkv.submatrix(0, n, 0, dim);
-                let mut k = qkv.submatrix(0, n, dim, 2 * dim);
-                let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
-                if let Some(ae) = &layer.ae {
-                    q = kernels::head_mix(&kernels::head_mix(&q, &ae.enc_q, dk), &ae.dec_q, dk);
-                    k = kernels::head_mix(&kernels::head_mix(&k, &ae.enc_k, dk), &ae.dec_k, dk);
-                }
-                (q, k, v)
-            });
-
-            let attn = self.attention_profiled(layer, &q, &k, &v, dk, scale, &mut ops);
-            let projected = timed(&mut ops.seconds[OP_OUT_PROJ], || {
-                kernels::add_bias(&kernels::matmul(&attn, &layer.w_out), &layer.b_out)
-            });
-            x = &x + &projected;
-
-            let normed2 = kernels::layernorm_rows(&x, &layer.ln2_gamma, &layer.ln2_beta, LN_EPS);
-            let act = timed(&mut ops.seconds[OP_FC1], || {
-                let h1 = kernels::add_bias(&kernels::matmul(&normed2, &layer.w_fc1), &layer.b_fc1);
-                kernels::map(&h1, gelu)
-            });
-            let h2 = timed(&mut ops.seconds[OP_FC2], || {
-                kernels::add_bias(&kernels::matmul(&act, &layer.w_fc2), &layer.b_fc2)
-            });
-            x = &x + &h2;
-            profile.layers.push(ops);
-        }
-
-        let cls = x.submatrix(0, 1, 0, dim);
-        let (final_gamma, final_beta) = self.model.final_ln();
-        let normed = kernels::layernorm_rows(&cls, final_gamma, final_beta, LN_EPS);
-        let logits = kernels::add_bias(
-            &kernels::matmul(&normed, self.model.head_w()),
-            self.model.head_b(),
-        );
-        (logits.row(0).to_vec(), profile)
-    }
-
-    /// [`Engine::forward_int8`] with per-op timing. Activation
-    /// quantization is charged to the op that consumes it (the layer
-    /// quantize before the fused QKV GEMM to `qkv`, the Q/K quantize to
-    /// `scores`, and so on), mirroring how the fast path amortizes it.
-    fn forward_int8_profiled(
-        &self,
-        tokens: &Matrix,
-        packed: &[Int8Projections],
-    ) -> (Vec<f32>, OpProfile) {
-        let cfg = self.model.config();
-        let n = cfg.tokens;
-        let dim = cfg.dim;
-        let dk = cfg.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut profile = OpProfile::default();
-
-        let embedded = kernels::matmul(tokens, self.model.patch_w());
-        let mut x = &kernels::add_bias(&embedded, self.model.patch_b()) + self.model.pos_embed();
-
-        for (layer, proj) in self.model.layers().iter().zip(packed) {
-            let mut ops = LayerOps::default();
-            let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
-            let (q, k, v) = timed(&mut ops.seconds[OP_QKV], || {
-                let normed8 = QuantizedRows::quantize(&normed);
-                let qkv = int8_gemm(&normed8, &proj.w_qkv, &layer.b_qkv);
-                let mut q = qkv.submatrix(0, n, 0, dim);
-                let mut k = qkv.submatrix(0, n, dim, 2 * dim);
-                let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
-                if let Some(ae) = &layer.ae {
-                    q = kernels::head_mix(&kernels::head_mix(&q, &ae.enc_q, dk), &ae.dec_q, dk);
-                    k = kernels::head_mix(&kernels::head_mix(&k, &ae.enc_k, dk), &ae.dec_k, dk);
-                }
-                (q, k, v)
-            });
-
-            let (q8, k8) = timed(&mut ops.seconds[OP_SCORES], || {
-                (QuantizedRows::quantize(&q), QuantizedRows::quantize(&k))
-            });
-            let attn = self.attention_int8_profiled(layer, &q8, &k8, &v, dk, scale, &mut ops);
-            let projected = timed(&mut ops.seconds[OP_OUT_PROJ], || {
-                let attn8 = QuantizedRows::quantize(&attn);
-                int8_gemm(&attn8, &proj.w_out, &layer.b_out)
-            });
-            x = &x + &projected;
-
-            let normed2 = kernels::layernorm_rows(&x, &layer.ln2_gamma, &layer.ln2_beta, LN_EPS);
-            let act = timed(&mut ops.seconds[OP_FC1], || {
-                let normed2_8 = QuantizedRows::quantize(&normed2);
-                let h1 = int8_gemm(&normed2_8, &proj.w_fc1, &layer.b_fc1);
-                kernels::map(&h1, gelu)
-            });
-            let h2 = timed(&mut ops.seconds[OP_FC2], || {
-                let act8 = QuantizedRows::quantize(&act);
-                int8_gemm(&act8, &proj.w_fc2, &layer.b_fc2)
-            });
-            x = &x + &h2;
-            profile.layers.push(ops);
-        }
-
-        let cls = x.submatrix(0, 1, 0, dim);
-        let (final_gamma, final_beta) = self.model.final_ln();
-        let normed = kernels::layernorm_rows(&cls, final_gamma, final_beta, LN_EPS);
-        let logits = kernels::add_bias(
-            &kernels::matmul(&normed, self.model.head_w()),
-            self.model.head_b(),
-        );
-        (logits.row(0).to_vec(), profile)
-    }
-
-    /// [`Engine::attention`] with per-op timing: heads run sequentially
-    /// through the separable scores → softmax → `S·V` sequence (dense
-    /// heads too — the fused kernel cannot attribute its phases), each
-    /// phase's seconds accumulating across heads into `ops`.
-    #[allow(clippy::too_many_arguments)]
-    fn attention_profiled(
-        &self,
-        layer: &CompiledLayer,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        dk: usize,
-        scale: f32,
-        ops: &mut LayerOps,
-    ) -> Matrix {
-        let n = q.rows();
-        let mut per_head = Vec::with_capacity(layer.heads.len());
-        for (h, plan) in layer.heads.iter().enumerate() {
-            let c0 = h * dk;
-            let qh = q.submatrix(0, n, c0, c0 + dk);
-            let kh = k.submatrix(0, n, c0, c0 + dk);
-            let vh = v.submatrix(0, n, c0, c0 + dk);
-            match plan {
-                HeadPlan::Dense => {
-                    let scores = timed(&mut ops.seconds[OP_SCORES], || {
-                        let raw = kernels::matmul_nt(&qh, &kh);
-                        kernels::map(&raw, |s| s * scale)
-                    });
-                    let probs = timed(&mut ops.seconds[OP_SOFTMAX], || {
-                        kernels::softmax_rows(&scores)
-                    });
-                    per_head.push(timed(&mut ops.seconds[OP_SPMM], || {
-                        kernels::matmul(&probs, &vh)
-                    }));
-                }
-                HeadPlan::Sparse(csc) => {
-                    let scores = timed(&mut ops.seconds[OP_SCORES], || {
-                        sparse::sddmm_k_stationary(&qh, &kh, csc, scale)
-                    });
-                    let probs = timed(&mut ops.seconds[OP_SOFTMAX], || scores.softmax_rows());
-                    per_head.push(timed(&mut ops.seconds[OP_SPMM], || {
-                        sparse::spmm_output_stationary(&probs, &vh)
-                    }));
-                }
-            }
-        }
-        Matrix::hcat(&per_head.iter().collect::<Vec<_>>())
-    }
-
-    /// [`Engine::attention_int8`] with per-op timing; heads run
-    /// sequentially, phases accumulate into `ops` like
-    /// [`Engine::attention_profiled`].
-    #[allow(clippy::too_many_arguments)]
-    fn attention_int8_profiled(
-        &self,
-        layer: &CompiledLayer,
-        q8: &QuantizedRows,
-        k8: &QuantizedRows,
-        v: &Matrix,
-        dk: usize,
-        scale: f32,
-        ops: &mut LayerOps,
-    ) -> Matrix {
-        let n = v.rows();
-        let mut per_head = Vec::with_capacity(layer.heads.len());
-        for (h, plan) in layer.heads.iter().enumerate() {
-            let c0 = h * dk;
-            let vh = v.submatrix(0, n, c0, c0 + dk);
-            match plan {
-                HeadPlan::Dense => {
-                    let scores = timed(&mut ops.seconds[OP_SCORES], || {
-                        q8.scores_nt(k8, c0..c0 + dk, scale)
-                    });
-                    let probs = timed(&mut ops.seconds[OP_SOFTMAX], || {
-                        kernels::softmax_rows(&scores)
-                    });
-                    per_head.push(timed(&mut ops.seconds[OP_SPMM], || {
-                        kernels::matmul(&probs, &vh)
-                    }));
-                }
-                HeadPlan::Sparse(csc) => {
-                    let scores = timed(&mut ops.seconds[OP_SCORES], || {
-                        sparse::sddmm_k_stationary_int8_rows(q8, k8, c0..c0 + dk, csc, scale)
-                    });
-                    let probs = timed(&mut ops.seconds[OP_SOFTMAX], || scores.softmax_rows());
-                    per_head.push(timed(&mut ops.seconds[OP_SPMM], || {
-                        sparse::spmm_output_stationary(&probs, &vh)
-                    }));
-                }
-            }
-        }
-        Matrix::hcat(&per_head.iter().collect::<Vec<_>>())
-    }
-
-    /// Fp32 forward: mirrors the training tape's kernel sequence exactly
-    /// (same GEMM, bias, LayerNorm, GELU and fused attention kernels in
-    /// the same order) so the dense path is bit-identical to the tape's
-    /// logits, while sparse heads take the CSC dataflow instead of dense
-    /// `-inf` masks.
-    fn forward_fp32(&self, tokens: &Matrix) -> Vec<f32> {
-        let cfg = self.model.config();
-        let n = cfg.tokens;
-        let dim = cfg.dim;
-        let dk = cfg.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-
-        let embedded = kernels::matmul(tokens, self.model.patch_w());
-        let mut x = &kernels::add_bias(&embedded, self.model.patch_b()) + self.model.pos_embed();
-
-        for layer in self.model.layers() {
+        for (i, layer) in self.model.layers().iter().enumerate() {
+            let proj = packed.and_then(|p| p.get(i));
             let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
             // Fused QKV: one dim × 3·dim GEMM; each column accumulates in
             // the same order as the three separate projections, so the
-            // fusion changes layout, not numerics.
-            let qkv = kernels::add_bias(&kernels::matmul(&normed, &layer.w_qkv), &layer.b_qkv);
-            let mut q = qkv.submatrix(0, n, 0, dim);
-            let mut k = qkv.submatrix(0, n, dim, 2 * dim);
-            let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
+            // fusion changes layout, not numerics. The AE round trip
+            // feeds directly into attention from the fused projection,
+            // so it is charged to `qkv`; its heads × heads mixers are
+            // tiny and stay fp32, like the paper's AE decoder.
+            let (q, k, v) = clock.time(OP_QKV, || {
+                let w8 = proj.map(|p| &p.w_qkv);
+                let qkv = project(&normed, &layer.w_qkv, w8, &layer.b_qkv);
+                let mut q = qkv.submatrix(0, n, 0, dim);
+                let mut k = qkv.submatrix(0, n, dim, 2 * dim);
+                let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
+                if let Some(ae) = &layer.ae {
+                    q = kernels::head_mix(&kernels::head_mix(&q, &ae.enc_q, dk), &ae.dec_q, dk);
+                    k = kernels::head_mix(&kernels::head_mix(&k, &ae.enc_k, dk), &ae.dec_k, dk);
+                }
+                (q, k, v)
+            });
 
-            if let Some(ae) = &layer.ae {
-                q = kernels::head_mix(&kernels::head_mix(&q, &ae.enc_q, dk), &ae.dec_q, dk);
-                k = kernels::head_mix(&kernels::head_mix(&k, &ae.enc_k, dk), &ae.dec_k, dk);
-            }
-
-            let attn = self.attention(layer, &q, &k, &v, dk, scale);
-            let projected = kernels::add_bias(&kernels::matmul(&attn, &layer.w_out), &layer.b_out);
+            let attn = attention(layer, &q, &k, &v, proj.is_some(), dk, &*clock);
+            let projected = clock.time(OP_OUT_PROJ, || {
+                project(&attn, &layer.w_out, proj.map(|p| &p.w_out), &layer.b_out)
+            });
             x = &x + &projected;
 
             let normed2 = kernels::layernorm_rows(&x, &layer.ln2_gamma, &layer.ln2_beta, LN_EPS);
-            let h1 = kernels::add_bias(&kernels::matmul(&normed2, &layer.w_fc1), &layer.b_fc1);
-            let act = kernels::map(&h1, gelu);
-            let h2 = kernels::add_bias(&kernels::matmul(&act, &layer.w_fc2), &layer.b_fc2);
+            let act = clock.time(OP_FC1, || {
+                let w8 = proj.map(|p| &p.w_fc1);
+                kernels::map(&project(&normed2, &layer.w_fc1, w8, &layer.b_fc1), gelu)
+            });
+            let h2 = clock.time(OP_FC2, || {
+                project(&act, &layer.w_fc2, proj.map(|p| &p.w_fc2), &layer.b_fc2)
+            });
             x = &x + &h2;
+            clock.end_layer();
         }
 
         let cls = x.submatrix(0, 1, 0, dim);
@@ -693,130 +453,78 @@ impl Engine {
         );
         logits.row(0).to_vec()
     }
+}
 
-    /// Int8 forward: the projections (fused QKV, attention output, both
-    /// MLP legs) run the packed i8×i8→i32 GEMM with its fused
-    /// dequantize-and-bias epilogue. Each activation tensor is
-    /// per-row-quantized **once** and reused by every consumer in the
-    /// layer — in particular the fused Q and K are quantized once for
-    /// *all* attention heads, whose per-head views are just column
-    /// windows over the shared quantization. Softmax, GELU, residuals,
-    /// LayerNorm and the 1-row classifier stay fp32.
-    fn forward_int8(&self, tokens: &Matrix, packed: &[Int8Projections]) -> Vec<f32> {
-        let cfg = self.model.config();
-        let n = cfg.tokens;
-        let dim = cfg.dim;
-        let dk = cfg.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-
-        let embedded = kernels::matmul(tokens, self.model.patch_w());
-        let mut x = &kernels::add_bias(&embedded, self.model.patch_b()) + self.model.pos_embed();
-
-        for (layer, proj) in self.model.layers().iter().zip(packed) {
-            let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
-            let normed8 = QuantizedRows::quantize(&normed);
-            // The epilogue adds b_qkv — no separate bias pass.
-            let qkv = int8_gemm(&normed8, &proj.w_qkv, &layer.b_qkv);
-            let mut q = qkv.submatrix(0, n, 0, dim);
-            let mut k = qkv.submatrix(0, n, dim, 2 * dim);
-            let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
-
-            if let Some(ae) = &layer.ae {
-                // The head-mix round trips are tiny (heads × heads
-                // mixers) and stay fp32, like the paper's AE decoder.
-                q = kernels::head_mix(&kernels::head_mix(&q, &ae.enc_q, dk), &ae.dec_q, dk);
-                k = kernels::head_mix(&kernels::head_mix(&k, &ae.enc_k, dk), &ae.dec_k, dk);
-            }
-
-            let q8 = QuantizedRows::quantize(&q);
-            let k8 = QuantizedRows::quantize(&k);
-            let attn = self.attention_int8(layer, &q8, &k8, &v, dk, scale);
-            let attn8 = QuantizedRows::quantize(&attn);
-            let projected = int8_gemm(&attn8, &proj.w_out, &layer.b_out);
-            x = &x + &projected;
-
-            let normed2 = kernels::layernorm_rows(&x, &layer.ln2_gamma, &layer.ln2_beta, LN_EPS);
-            let normed2_8 = QuantizedRows::quantize(&normed2);
-            let h1 = int8_gemm(&normed2_8, &proj.w_fc1, &layer.b_fc1);
-            let act = kernels::map(&h1, gelu);
-            let act8 = QuantizedRows::quantize(&act);
-            let h2 = int8_gemm(&act8, &proj.w_fc2, &layer.b_fc2);
-            x = &x + &h2;
-        }
-
-        let cls = x.submatrix(0, 1, 0, dim);
-        let (final_gamma, final_beta) = self.model.final_ln();
-        let normed = kernels::layernorm_rows(&cls, final_gamma, final_beta, LN_EPS);
-        let logits = kernels::add_bias(
-            &kernels::matmul(&normed, self.model.head_w()),
-            self.model.head_b(),
-        );
-        logits.row(0).to_vec()
+/// One projection site, `x · W + bias`. A site with packed int8 weights
+/// per-row-quantizes `x` and runs the i8×i8→i32 GEMM, whose epilogue
+/// dequantizes and adds the bias — no separate bias pass.
+fn project(x: &Matrix, w: &Matrix, packed: Option<&PackedGemmWeights>, bias: &[f32]) -> Matrix {
+    match packed {
+        Some(w8) => int8_gemm(&QuantizedRows::quantize(x), w8, bias),
+        None => kernels::add_bias(&kernels::matmul(x, w), bias),
     }
+}
 
-    /// One layer's multi-head attention on the fp32 path, routing each
-    /// head through its compiled plan.
-    fn attention(
-        &self,
-        layer: &CompiledLayer,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        dk: usize,
-        scale: f32,
-    ) -> Matrix {
-        let all_dense = layer.heads.iter().all(|h| !h.is_sparse());
-        if all_dense {
-            // Same fused kernel the tape records — bit-identical logits.
-            return kernels::multi_head_attention(q, k, v, dk, scale, &[]).out;
+/// One layer's multi-head attention over head-fused `q`/`k`/`v`: each
+/// head runs scores → softmax → `S·V` on its `dk`-wide column stripe,
+/// the scores kernel chosen by the head's compiled plan and `int8`.
+/// Dense fp32 heads replay what the tape's fused attention records;
+/// sparse heads take the accelerator's SDDMM → sparse-softmax → SpMM
+/// dataflow over their CSC index instead of dense `-inf` masks. Int8
+/// quantizes Q and K once for all heads, charged to `scores`.
+fn attention<C: OpClock>(
+    layer: &CompiledLayer,
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    int8: bool,
+    dk: usize,
+    clock: &C,
+) -> Matrix {
+    let n = q.rows();
+    let heads = layer.heads.len();
+    let scale = 1.0 / (dk as f32).sqrt();
+    let qk8 = int8.then(|| {
+        clock.time(OP_SCORES, || {
+            (QuantizedRows::quantize(q), QuantizedRows::quantize(k))
+        })
+    });
+    let head = |h: usize| {
+        let cols = h * dk..(h + 1) * dk;
+        let stripe = |m: &Matrix| m.submatrix(0, n, cols.start, cols.end);
+        let vh = stripe(v);
+        match &layer.heads[h] {
+            HeadPlan::Dense => {
+                let scores = clock.time(OP_SCORES, || match &qk8 {
+                    Some((q8, k8)) => q8.scores_nt(k8, cols.clone(), scale),
+                    None => {
+                        let mut scores = kernels::matmul_nt(&stripe(q), &stripe(k));
+                        for s in scores.as_mut_slice() {
+                            *s *= scale;
+                        }
+                        scores
+                    }
+                });
+                let probs = clock.time(OP_SOFTMAX, || kernels::softmax_rows(&scores));
+                clock.time(OP_SPMM, || kernels::matmul(&probs, &vh))
+            }
+            HeadPlan::Sparse(csc) => {
+                let scores = clock.time(OP_SCORES, || match &qk8 {
+                    Some((q8, k8)) => {
+                        sparse::sddmm_k_stationary_int8_rows(q8, k8, cols.clone(), csc, scale)
+                    }
+                    None => sparse::sddmm_k_stationary(&stripe(q), &stripe(k), csc, scale),
+                });
+                let probs = clock.time(OP_SOFTMAX, || scores.softmax_rows());
+                clock.time(OP_SPMM, || sparse::spmm_output_stationary(&probs, &vh))
+            }
         }
-        let n = q.rows();
-        let heads = layer.heads.len();
+    };
+    let per_head = if C::FAN_OUT_HEADS {
         // Per-head cost upper bound: the dense path's two n×n×dk GEMMs.
-        let per_head = kernels::par_map_collect(heads, 2 * n * n * dk, |h| {
-            let c0 = h * dk;
-            let qh = q.submatrix(0, n, c0, c0 + dk);
-            let kh = k.submatrix(0, n, c0, c0 + dk);
-            let vh = v.submatrix(0, n, c0, c0 + dk);
-            match &layer.heads[h] {
-                HeadPlan::Dense => kernels::attention_head(&qh, &kh, &vh, scale, None).0,
-                HeadPlan::Sparse(csc) => sparse::attention_head(&qh, &kh, &vh, csc, scale),
-            }
-        });
-        Matrix::hcat(&per_head.iter().collect::<Vec<_>>())
-    }
-
-    /// One layer's multi-head attention on the int8 path, over the
-    /// layer's shared per-row-quantized Q/K: dense heads compute
-    /// i8·i8→i32 scores through [`QuantizedRows::scores_nt`], sparse
-    /// heads run the int8 SDDMM → sparse-softmax → SpMM dataflow. Each
-    /// head reads its column window of the shared quantization — no
-    /// per-head requantization.
-    fn attention_int8(
-        &self,
-        layer: &CompiledLayer,
-        q8: &QuantizedRows,
-        k8: &QuantizedRows,
-        v: &Matrix,
-        dk: usize,
-        scale: f32,
-    ) -> Matrix {
-        let n = v.rows();
-        let heads = layer.heads.len();
-        let per_head = kernels::par_map_collect(heads, 2 * n * n * dk, |h| {
-            let c0 = h * dk;
-            let vh = v.submatrix(0, n, c0, c0 + dk);
-            match &layer.heads[h] {
-                HeadPlan::Dense => {
-                    let scores = q8.scores_nt(k8, c0..c0 + dk, scale);
-                    let probs = kernels::softmax_rows(&scores);
-                    kernels::matmul(&probs, &vh)
-                }
-                HeadPlan::Sparse(csc) => {
-                    sparse::attention_head_int8_rows(q8, k8, c0..c0 + dk, &vh, csc, scale)
-                }
-            }
-        });
-        Matrix::hcat(&per_head.iter().collect::<Vec<_>>())
-    }
+        kernels::par_map_collect(heads, 2 * n * n * dk, head)
+    } else {
+        (0..heads).map(head).collect()
+    };
+    Matrix::hcat(&per_head.iter().collect::<Vec<_>>())
 }

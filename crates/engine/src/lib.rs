@@ -22,7 +22,10 @@
 //!
 //! The fp32 dense path replays exactly the kernel sequence the tape
 //! records, so its logits are bit-identical to the training forward's —
-//! the parity tests in this crate enforce that. [`Precision::Int8`]
+//! the parity tests in this crate enforce that. The profiled pass
+//! ([`Engine::infer_batch_profiled`]) is that same forward body with a
+//! timing hook around each op, so profiled and served logits are bitwise
+//! equal at either precision. [`Precision::Int8`]
 //! quantizes every weight through [`vitcod_tensor::QuantizedMatrix`] and
 //! computes attention scores with i8 operands and i32 accumulation, the
 //! accelerator MAC lines' arithmetic.

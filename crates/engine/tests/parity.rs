@@ -5,16 +5,20 @@
 //! * sparse CSC path: engine logits match the `-inf`-masked dense
 //!   reference within 1e-4 per logit;
 //! * int8: bounded divergence from fp32;
+//! * profiling: profiled logits are **bit-identical** to the served ones
+//!   at every plan × precision, with or without head fan-out;
 //! * batching: worker fan-out preserves order and determinism.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::{ParamStore, Tape};
 use vitcod_core::{PipelineConfig, SplitConquerConfig, ViTCoDPipeline};
-use vitcod_engine::{accuracy, CompileReport, CompiledVit, Engine, Precision};
+use vitcod_engine::{
+    accuracy, CompileReport, CompiledVit, Engine, OpProfile, Precision, Prediction, OP_NAMES,
+};
 use vitcod_model::{
-    AutoEncoderSpec, Sample, SparsityPlan, SyntheticTask, SyntheticTaskConfig, TrainConfig,
-    Trainer, ViTConfig, VisionTransformer,
+    AutoEncoderSpec, Sample, SparsityPlan, StageConfig, SyntheticTask, SyntheticTaskConfig,
+    TrainConfig, Trainer, ViTConfig, VisionTransformer,
 };
 use vitcod_tensor::{kernels, Backend, Initializer, Matrix};
 
@@ -249,58 +253,128 @@ fn pipeline_report_compiles_and_serves_above_chance() {
     );
 }
 
+fn logit_bits(p: &Prediction) -> Vec<u32> {
+    p.logits.iter().map(|l| l.to_bits()).collect()
+}
+
+/// One `LayerOps` per layer, every named op observed, and the attributed
+/// seconds never exceed the forward total.
+fn assert_profile_partitions_time(profile: &OpProfile, depth: usize, case: &str) {
+    assert_eq!(profile.layers.len(), depth);
+    for layer in &profile.layers {
+        for (i, s) in layer.seconds.iter().enumerate() {
+            assert!(*s > 0.0, "{case}: op {} has no time", OP_NAMES[i]);
+        }
+    }
+    assert!(profile.total_s > 0.0);
+    assert!(
+        profile.attributed_s() <= profile.total_s,
+        "{case}: attributed {} > total {}",
+        profile.attributed_s(),
+        profile.total_s
+    );
+    let names: Vec<_> = profile.op_totals().iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, OP_NAMES.to_vec());
+}
+
 #[test]
 fn profiled_forward_matches_fast_path_and_partitions_time() {
-    let (mut vit, store) = tiny_model(9);
-    vit.set_sparsity_plan(local_global_plan(&vit));
-    let compiled = CompiledVit::from_parts(&vit, &store);
-    let depth = vit.config().depth;
+    let (dense, dense_store) = tiny_model(9);
+    let mut sparse = dense.clone();
+    sparse.set_sparsity_plan(local_global_plan(&sparse));
+    let (mut sparse_ae, mut ae_store) = (sparse.clone(), dense_store.clone());
+    sparse_ae.insert_auto_encoder(
+        AutoEncoderSpec::half(sparse_ae.config().heads),
+        &mut ae_store,
+        &mut ChaCha8Rng::seed_from_u64(7),
+    );
+    let depth = dense.config().depth;
     let samples: Vec<Sample> = (0..3)
         .map(|i| Sample {
-            tokens: random_tokens(&vit, 900 + i),
+            tokens: random_tokens(&dense, 900 + i),
             label: 0,
         })
         .collect();
+    for (plan, vit, store) in [
+        ("dense", &dense, &dense_store),
+        ("sparse", &sparse, &dense_store),
+        ("sparse+ae", &sparse_ae, &ae_store),
+    ] {
+        let compiled = CompiledVit::from_parts(vit, store);
+        for precision in [Precision::Fp32, Precision::Int8] {
+            let case = format!("{plan} {precision}");
+            let engine = Engine::builder(compiled.clone())
+                .precision(precision)
+                .build();
+            let fast = engine.infer_batch(&samples);
+            let profiled = engine.infer_batch_profiled(&samples);
+            assert_eq!(profiled.len(), fast.len());
+            for ((p, profile), f) in profiled.iter().zip(&fast) {
+                // One forward body: the thing observed is the thing served.
+                assert_eq!(p.class, f.class, "{case}");
+                assert_eq!(logit_bits(p), logit_bits(f), "{case}");
+                assert_profile_partitions_time(profile, depth, &case);
+            }
+        }
+    }
+}
+
+/// A shape where attention heads really fan out across kernel workers
+/// (`2·n²·dk` = 256 Ki > the 128 Ki per-thread grain): the served logits
+/// must not depend on the thread budget, and the profiled pass — heads in
+/// index order whatever the budget — must still partition its time.
+#[test]
+fn head_fan_out_changes_neither_logits_nor_profile_invariants() {
+    let (tokens, dim, heads, depth) = (64, 64, 2, 2);
+    let cfg = ViTConfig {
+        tokens,
+        dim,
+        heads,
+        depth,
+        stages: vec![StageConfig {
+            tokens,
+            dim,
+            heads,
+            depth,
+        }],
+        ..ViTConfig::deit_tiny().reduced_for_training()
+    };
+    let mut store = ParamStore::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let mut vit = VisionTransformer::new(&cfg, IN_DIM, CLASSES, &mut store, &mut rng);
+    // One sparse and one dense head per layer.
+    let mut plan = local_global_plan(&vit);
+    for layer in &mut plan {
+        layer[1] = None;
+    }
+    vit.set_sparsity_plan(plan);
+    let compiled = CompiledVit::from_parts(&vit, &store);
+    let samples = [Sample {
+        tokens: random_tokens(&vit, 1200),
+        label: 0,
+    }];
     for precision in [Precision::Fp32, Precision::Int8] {
         let engine = Engine::builder(compiled.clone())
             .precision(precision)
             .build();
-        let fast = engine.infer_batch(&samples);
-        let profiled = engine.infer_batch_profiled(&samples);
-        assert_eq!(profiled.len(), fast.len());
-        for ((p, profile), f) in profiled.iter().zip(&fast) {
-            // The profiled forward takes the separable attention
-            // kernels, so logits agree within rounding, not bitwise.
-            let norm = f.logits.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
-            for (a, b) in p.logits.iter().zip(&f.logits) {
-                assert!(
-                    (a - b).abs() / norm < 1e-3,
-                    "{precision:?}: profiled logit {a} vs fast {b}"
-                );
-            }
-            // One LayerOps per layer, every named op observed, and the
-            // attributed seconds never exceed the forward total.
-            assert_eq!(profile.layers.len(), depth);
-            for layer in &profile.layers {
-                for (i, s) in layer.seconds.iter().enumerate() {
-                    assert!(
-                        *s > 0.0,
-                        "{precision:?}: op {} has no time",
-                        vitcod_engine::OP_NAMES[i]
-                    );
-                }
-            }
-            assert!(profile.total_s > 0.0);
-            assert!(
-                profile.attributed_s() <= profile.total_s,
-                "{precision:?}: attributed {} > total {}",
-                profile.attributed_s(),
-                profile.total_s
-            );
-            let totals = profile.op_totals();
-            let names: Vec<_> = totals.iter().map(|(n, _)| *n).collect();
-            assert_eq!(names, vitcod_engine::OP_NAMES.to_vec());
-        }
+        let serial = kernels::with_thread_budget(1, || engine.infer_batch(&samples));
+        let (fanned, profiled) = kernels::with_thread_budget(4, || {
+            (
+                engine.infer_batch(&samples),
+                engine.infer_batch_profiled(&samples),
+            )
+        });
+        assert_eq!(
+            logit_bits(&fanned[0]),
+            logit_bits(&serial[0]),
+            "{precision}"
+        );
+        assert_eq!(
+            logit_bits(&profiled[0].0),
+            logit_bits(&serial[0]),
+            "{precision}"
+        );
+        assert_profile_partitions_time(&profiled[0].1, depth, &format!("fan-out {precision}"));
     }
 }
 

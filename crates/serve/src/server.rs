@@ -387,7 +387,9 @@ impl Client {
     /// meaning no deadline), but the request carries its head-sampling
     /// decision: a sampled request's batch runs the engine's profiled
     /// forward, and its ticket's [`crate::spans::StageReport`] carries a
-    /// compute span with per-layer op children. The transport decides
+    /// compute span with per-layer op children. The prediction is
+    /// bitwise the one an unsampled submit returns: profiling is a
+    /// timing hook on the same forward body. The transport decides
     /// `sampled` from [`Client::sample_trace`] or an explicit
     /// `x-vitcod-trace-id` header.
     ///
@@ -876,7 +878,9 @@ fn serve_batch(shared: &Shared, batch: Batch) {
     let _cancel_guard = CancelOnDrop(&tickets);
     // A batch with any head-sampled request runs the profiled forward
     // (per-layer op timing, samples served sequentially); otherwise the
-    // fast path stays completely stamp-free.
+    // fast path stays completely stamp-free. Both are the engine's one
+    // forward body — the same kernel sequence, with or without a timing
+    // hook — so a traced answer is bitwise the answer served untraced.
     let any_sampled = tickets.iter().any(|(_, _, _, sampled)| *sampled);
     let compute_start = Instant::now();
     let (predictions, profiles): (Vec<Prediction>, Option<Vec<OpProfile>>) = if any_sampled {

@@ -10,7 +10,10 @@
 //! header) additionally carries per-layer children, each partitioned
 //! into the engine's named ops ([`vitcod_engine::OP_NAMES`]); the fast
 //! path stays stamp-free — unsampled requests never run the profiled
-//! forward.
+//! forward. Sampling changes what is recorded, never what is answered:
+//! the profiled forward is the served forward body with a timing hook
+//! around each op (same kernel sequence), so its logits are bitwise
+//! equal.
 //!
 //! Finished trees land in two [`SpanRing`]s (same sharded, counted-
 //! eviction design as [`crate::trace::TraceBuffer`]): every sampled

@@ -511,7 +511,7 @@ impl StatsRecorder {
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -609,6 +609,7 @@ mod tests {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&v, 0.50), 51.0);
         assert_eq!(percentile(&v, 0.99), 99.0);
+        assert_eq!(percentile(&v, 0.999), 100.0);
     }
 
     #[test]

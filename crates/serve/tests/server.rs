@@ -9,7 +9,7 @@ use std::time::Duration;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
-use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision};
+use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision, Prediction};
 use vitcod_model::{Sample, SparsityPlan, ViTConfig, VisionTransformer};
 use vitcod_serve::{
     BatchConfig, KeepReason, ModelRegistry, RequestOutcome, Server, Span, SubmitError, TailConfig,
@@ -671,7 +671,7 @@ fn traced_submits_report_partitioned_span_trees_and_op_stats() {
     let sampled = client
         .submit_traced("m", tokens_for(&model, 1), None, true)
         .unwrap();
-    assert!(sampled.wait_timeout(Duration::from_secs(60)).is_ok());
+    let traced_prediction = sampled.wait_timeout(Duration::from_secs(60)).unwrap();
     let report = sampled.take_stage_report().expect("sampled report");
     assert!(report.queue_wait_s >= 0.0 && report.batch_assembly_s >= 0.0);
     let compute = report.compute.expect("sampled compute span");
@@ -688,11 +688,15 @@ fn traced_submits_report_partitioned_span_trees_and_op_stats() {
         assert!((layer.children_s() - layer.duration_s).abs() < 1e-9);
     }
 
-    let plain = client.submit("m", tokens_for(&model, 2)).unwrap();
-    assert!(plain.wait_timeout(Duration::from_secs(60)).is_ok());
+    // The same tokens, untraced: the thing observed is the thing served.
+    let plain = client.submit("m", tokens_for(&model, 1)).unwrap();
+    let plain_prediction = plain.wait_timeout(Duration::from_secs(60)).unwrap();
     let report = plain.take_stage_report().expect("unsampled report");
     assert!(report.compute.is_none(), "fast path carries no span tree");
     assert!(report.compute_s > 0.0);
+    assert_eq!(traced_prediction.class, plain_prediction.class);
+    let bits = |p: &Prediction| p.logits.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&traced_prediction), bits(&plain_prediction));
 
     let stats = server.stats();
     let m = stats.model("m").unwrap();

@@ -395,7 +395,12 @@ pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(
             .collect();
         let mut out = Vec::with_capacity(n);
         for handle in handles {
-            out.extend(handle.join().expect("kernel worker panicked"));
+            match handle.join() {
+                Ok(items) => out.extend(items),
+                // Re-raise the worker's own panic payload, so a shape
+                // assert inside `f` reaches the caller with its message.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
         out
     })
@@ -1672,5 +1677,17 @@ mod tests {
         let v = par_map_collect(10, 1 << 20, |i| i * i);
         set_num_threads(0);
         assert_eq!(v, (0..10).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_collect_reraises_the_workers_panic_payload() {
+        let result = std::panic::catch_unwind(|| {
+            with_thread_budget(4, || {
+                par_map_collect(4, 1 << 20, |i| assert_ne!(i, 2, "q/k feature dims differ"))
+            })
+        });
+        let payload = result.expect_err("item 2 panics on a spawned worker");
+        let message = payload.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("q/k feature dims differ"), "{message}");
     }
 }
