@@ -211,7 +211,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Scope: public functions of vitcod_tensor::{kernels, sparse, quant} whose\n\
              signature involves `Backend`. Every such entry point must be referenced by\n\
              name somewhere in crates/tensor/tests/ — the backend-agreement property\n\
-             suites are what make \"fp32 bit-identical across Scalar/Blocked/Simd\" a\n\
+             suites are what make \"fp32 bit-identical across Scalar and Fast\" a\n\
              checked contract rather than a hope. Adding a backend-dispatching kernel\n\
              without wiring it into the agreement tests fails this rule."
         }

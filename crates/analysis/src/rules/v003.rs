@@ -1,7 +1,7 @@
 //! V003 — backend-contract coverage.
 //!
-//! The tensor crate's core promise is that `Backend::Scalar`,
-//! `Backend::Blocked` and `Backend::Simd` are bit-identical for fp32.
+//! The tensor crate's core promise is that its two backends,
+//! `Backend::Scalar` and `Backend::Fast`, are bit-identical for fp32.
 //! That promise is only as good as the agreement suites under
 //! `crates/tensor/tests/`: a public kernel entry point that dispatches
 //! on `Backend` but is referenced by no test there ships an unchecked

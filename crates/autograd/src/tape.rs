@@ -3,8 +3,8 @@
 //! All dense inner loops (GEMMs, bias broadcasts, activations, softmax
 //! and LayerNorm forward/backward, head-mixing, attention) are delegated
 //! to [`vitcod_tensor::kernels`], so the tape records *what* is computed
-//! while the kernel layer decides *how* (scalar reference vs blocked
-//! parallel — see [`vitcod_tensor::Backend`]).
+//! while the kernel layer decides *how* (scalar reference vs the fast
+//! tiled, thread-parallel path — see [`vitcod_tensor::Backend`]).
 
 use std::sync::Arc;
 

@@ -75,9 +75,10 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Pins the kernel backend used while this engine runs inference.
-    /// All backends produce bit-identical results (the kernel layer's
-    /// agreement contract); `Scalar` exists for auditing. Defaults to
-    /// the process-wide backend (which honours `VITCOD_BACKEND`).
+    /// There are two, `Fast` and the `Scalar` oracle, and they produce
+    /// bit-identical results (the kernel layer's agreement contract);
+    /// `Scalar` exists for auditing. Defaults to the process-wide
+    /// backend (`Fast`, unless `VITCOD_BACKEND=scalar`).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
         self

@@ -66,7 +66,8 @@ fn local_global_plan(vit: &VisionTransformer) -> SparsityPlan {
 fn fp32_dense_logits_bit_identical_to_tape_on_all_backends() {
     let (vit, store) = tiny_model(1);
     let compiled = CompiledVit::from_parts(&vit, &store);
-    for backend in [Backend::Blocked, Backend::Scalar, Backend::Simd] {
+    let ambient = kernels::backend();
+    for backend in [Backend::Fast, Backend::Scalar] {
         kernels::set_backend(backend);
         let engine = Engine::builder(compiled.clone()).backend(backend).build();
         for seed in 0..4 {
@@ -79,7 +80,7 @@ fn fp32_dense_logits_bit_identical_to_tape_on_all_backends() {
             );
         }
     }
-    kernels::set_backend(Backend::Blocked);
+    kernels::set_backend(ambient);
 }
 
 #[test]
@@ -131,20 +132,15 @@ fn sparse_csc_path_agrees_across_backends_bitwise() {
     vit.set_sparsity_plan(local_global_plan(&vit));
     let compiled = CompiledVit::from_parts(&vit, &store);
     let tokens = random_tokens(&vit, 400);
-    let blocked = Engine::builder(compiled.clone())
-        .backend(Backend::Blocked)
+    let fast = Engine::builder(compiled.clone())
+        .backend(Backend::Fast)
         .build()
         .infer_one(&tokens);
-    let scalar = Engine::builder(compiled.clone())
+    let scalar = Engine::builder(compiled)
         .backend(Backend::Scalar)
         .build()
         .infer_one(&tokens);
-    let simd = Engine::builder(compiled)
-        .backend(Backend::Simd)
-        .build()
-        .infer_one(&tokens);
-    assert_eq!(blocked, scalar);
-    assert_eq!(blocked, simd);
+    assert_eq!(fast, scalar);
 }
 
 #[test]

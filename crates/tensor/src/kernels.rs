@@ -3,40 +3,40 @@
 //! Every dense hot path in the workspace — the autograd tape, the ViT
 //! forward/backward, the functional dataflow checks and the benchmark
 //! harness — routes its inner loops through this module instead of
-//! open-coding them. Kernels come in three selectable backends:
+//! open-coding them. Kernels come in two selectable backends:
 //!
 //! * [`Backend::Scalar`] — textbook reference loops (`i–j–k` dot-product
 //!   GEMM, one row at a time for row-wise ops). Slow, obviously correct,
 //!   and the yardstick the simulator's operation counts are audited
 //!   against.
-//! * [`Backend::Blocked`] — cache-blocked, thread-parallel kernels. GEMMs
-//!   run in `i–k–j` order with the shared `k` dimension tiled into panels
-//!   of [`K_BLOCK`] rows so the right-hand panel stays cache-resident
-//!   while output rows stream; transposed flavours are reduced to the
-//!   same kernel via a tiled transpose. Row-wise ops (softmax, LayerNorm,
-//!   bias, elementwise maps) fan rows out across scoped threads.
-//! * [`Backend::Simd`] — lane-friendly GEMM microkernels built on
-//!   fixed-width `[f32; LANES]` accumulator blocks the compiler
-//!   autovectorizes (no intrinsics, no `unsafe`). When the right-hand
-//!   operand fits in cache, two lane blocks of each output row stay in
-//!   registers across the full `k` reduction; for larger operands the
-//!   kernel falls back to a lane-blocked row sweep. Row-wise ops share
-//!   the Blocked implementation — they are bandwidth-bound and already
-//!   vectorise.
+//! * [`Backend::Fast`] — the default. One GEMM serves `a·b`, `a·bᵀ` and
+//!   `aᵀ·b`: both operands are packed on the fly, straight from whichever
+//!   layout they arrive in, into contiguous `k`-major panels (reused
+//!   per-thread scratch — no stored second copy of anything), and an
+//!   `MR × NR` = 4 × 8 block of outputs is held in register accumulators
+//!   across each `K_BLOCK`-step stretch of the reduction while one packed
+//!   panel of `b` streams past a block of `a` rows. Calls with fewer than
+//!   `MR` output rows (the classifier head) skip the packing and run a
+//!   row-axpy; that choice depends on the shape alone. Plain safe Rust
+//!   the compiler autovectorizes — no intrinsics, no `unsafe`, no FMA.
+//!   Row-wise ops (softmax, LayerNorm, bias, elementwise maps) fan rows
+//!   out across scoped threads.
 //!
 //! # Backend-selection contract
 //!
-//! The process-wide backend defaults to `Blocked`, can be pre-selected
-//! per process via the `VITCOD_BACKEND` environment variable
-//! (`scalar` | `blocked` | `simd`, read once on first use), and can be
-//! switched at runtime with [`set_backend`] (or per call with the
-//! `*_with` variants). **All backends produce bit-identical results**:
+//! The process-wide backend defaults to `Fast`, can be pre-selected per
+//! process via the `VITCOD_BACKEND` environment variable
+//! (`scalar` | `fast`, read once on first use; any other value is reported
+//! on stderr and the default is used), and can be switched at runtime
+//! with [`set_backend`] (or per call with the `*_with` variants). **Both
+//! backends produce bit-identical results**, on non-finite data too (a
+//! NaN answers a NaN; which payload survives is not Rust's to promise):
 //! every kernel accumulates each output element along ascending `k` in a
-//! single dependency chain, so blocking, lane tiling and row-parallelism
-//! reorder *independent* elements only, never the floating-point
-//! reduction itself. Property tests assert exact equality between
-//! backends; new kernels must either preserve the invariant or document
-//! a tolerance.
+//! single dependency chain from `0.0` and skips no term, so packing,
+//! register tiling and row-parallelism reorder *independent* elements
+//! only, never the floating-point reduction itself. Property tests assert
+//! exact equality between backends; new kernels must either preserve the
+//! invariant or document a tolerance.
 //!
 //! Thread fan-out uses `std::thread::scope` (no work-stealing runtime and
 //! no `unsafe`): outputs are split into disjoint `&mut` chunks, one per
@@ -52,24 +52,33 @@ use std::sync::OnceLock;
 use crate::ops::softmax_row;
 use crate::Matrix;
 
-/// Number of `k` rows per cache panel in the blocked GEMM: a panel of the
-/// right-hand operand (`K_BLOCK × n` floats) is reused across every output
-/// row before the next panel is streamed in.
-pub const K_BLOCK: usize = 64;
-
-/// Tile edge for the blocked transpose.
-const TRANSPOSE_TILE: usize = 32;
-
-/// Lane width of the Simd backend's accumulator blocks: eight `f32`
-/// (one 256-bit vector register, or two 128-bit ones on narrower
-/// machines — either way a width the autovectorizer handles).
+/// Lane count the kernels tile for: eight 32-bit values (one 256-bit
+/// vector register, or two 128-bit ones). The fast GEMM's tile is this
+/// wide, and so are the int8 panels of [`crate::PackedGemmWeights`].
 pub const LANES: usize = 8;
 
-/// The Simd GEMM keeps output tiles in registers only while the
-/// right-hand operand is small enough to stay cache-resident across the
-/// row sweep; past this footprint the strided column walk thrashes and
-/// the kernel switches to its lane-blocked row sweep.
-const SIMD_B_RESIDENT_BYTES: usize = 4 << 20;
+/// Output rows per register tile of the fast GEMM. `MR × NR` accumulators
+/// plus one panel step fit the 16 vector registers of baseline x86-64;
+/// taller or wider tiles spill and fall off the vectorizer.
+const MR: usize = 4;
+
+/// Output columns per register tile, and the width of a packed `b` panel.
+const NR: usize = LANES;
+
+/// Copies of each `a` scalar in a packed `a` panel: one 128-bit vector's
+/// worth, the register width of the baseline targets.
+const A_REP: usize = 4;
+
+/// Steps of the `k` reduction the fast GEMM packs and multiplies at a time.
+const K_BLOCK: usize = 128;
+
+/// Output rows per packed block of `a`: each packed `b` panel is reused
+/// by this many rows, and `BLOCK_ROWS × K_BLOCK × A_REP` floats (96 KiB)
+/// is all the `a` scratch a thread ever holds, whatever the shape.
+const BLOCK_ROWS: usize = 12 * MR;
+
+/// Tile edge for the tiled transpose.
+const TRANSPOSE_TILE: usize = 32;
 
 /// Minimum per-thread work (elements touched, or MACs for GEMM-shaped
 /// kernels) before a kernel fans out: a scoped-thread spawn/join costs
@@ -78,17 +87,15 @@ const SIMD_B_RESIDENT_BYTES: usize = 4 << 20;
 const MIN_WORK_PER_THREAD: usize = 128 * 1024;
 
 /// Kernel implementation selector. See the [module docs](self) for the
-/// agreement contract between the three.
+/// agreement contract between the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Textbook reference loops; slow but auditable.
     Scalar,
-    /// Cache-blocked, thread-parallel kernels (the default).
+    /// Packed-panel register-tile GEMM and thread-parallel row-wise
+    /// kernels (the default); bit-identical to `Scalar` by construction.
     #[default]
-    Blocked,
-    /// Lane-tiled autovectorized kernels (`[f32; LANES]` register
-    /// accumulators); bit-identical to the other two by construction.
-    Simd,
+    Fast,
 }
 
 impl std::fmt::Display for Backend {
@@ -98,8 +105,7 @@ impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Backend::Scalar => "scalar",
-            Backend::Blocked => "blocked",
-            Backend::Simd => "simd",
+            Backend::Fast => "fast",
         })
     }
 }
@@ -110,10 +116,9 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(Backend::Scalar),
-            "blocked" => Ok(Backend::Blocked),
-            "simd" => Ok(Backend::Simd),
+            "fast" => Ok(Backend::Fast),
             other => Err(format!(
-                "unknown backend '{other}' (expected scalar | blocked | simd)"
+                "unknown backend '{other}' (expected scalar | fast)"
             )),
         }
     }
@@ -127,16 +132,31 @@ const BACKEND_UNSET: u8 = u8::MAX - 1;
 static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
 
 /// Process-default backend: `VITCOD_BACKEND` if set and valid,
-/// otherwise `Blocked`.
+/// otherwise `Fast` — loudly, if the variable was set to something else.
 fn default_backend() -> Backend {
     static DEFAULT: OnceLock<Backend> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         // vitcod-lint: allow(V004, read once behind a OnceLock at first kernel call; the resolved backend never changes mid-process)
-        std::env::var("VITCOD_BACKEND")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(Backend::Blocked)
+        let (backend, complaint) = resolve_backend(std::env::var("VITCOD_BACKEND").ok().as_deref());
+        if let Some(line) = complaint {
+            eprintln!("{line}");
+        }
+        backend
     })
+}
+
+/// What a `VITCOD_BACKEND` value selects, plus the one stderr line owed
+/// when it names no backend: an audit run with `scaler` must not
+/// silently measure the fast path.
+fn resolve_backend(value: Option<&str>) -> (Backend, Option<String>) {
+    match value.map(str::parse::<Backend>) {
+        None => (Backend::default(), None),
+        Some(Ok(backend)) => (backend, None),
+        Some(Err(err)) => {
+            let used = Backend::default();
+            (used, Some(format!("VITCOD_BACKEND: {err}; using '{used}'")))
+        }
+    }
 }
 
 /// Sentinel for "no thread-local backend override installed".
@@ -164,8 +184,7 @@ pub fn backend() -> Backend {
     };
     match raw {
         0 => Backend::Scalar,
-        1 => Backend::Blocked,
-        2 => Backend::Simd,
+        1 => Backend::Fast,
         _ => default_backend(),
     }
 }
@@ -430,8 +449,7 @@ pub fn matmul_with(backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
     );
     match backend {
         Backend::Scalar => scalar_matmul(a, b),
-        Backend::Blocked => blocked_matmul(a, b),
-        Backend::Simd => simd_matmul(a, b),
+        Backend::Fast => fast_gemm(Operand::rows(a), Operand::cols(b)),
     }
 }
 
@@ -457,11 +475,9 @@ pub fn matmul_nt_with(backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
     );
     match backend {
         Backend::Scalar => scalar_matmul_nt(a, b),
-        // Reduction to the direct kernel: out[i][j] = Σ_k a[i,k]·bᵀ[k,j]
-        // visits k in the same ascending order as the direct dot product,
-        // so the transpose changes layout, not numerics.
-        Backend::Blocked => blocked_matmul(a, &transpose_with(Backend::Blocked, b)),
-        Backend::Simd => simd_matmul(a, &transpose_with(Backend::Simd, b)),
+        // The rows of `b` are the columns of `bᵀ`: the packer reads them
+        // where they lie, so the transpose is never materialised.
+        Backend::Fast => fast_gemm(Operand::rows(a), Operand::rows(b)),
     }
 }
 
@@ -486,8 +502,7 @@ pub fn matmul_tn_with(backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
     );
     match backend {
         Backend::Scalar => scalar_matmul_tn(a, b),
-        Backend::Blocked => blocked_matmul(&transpose_with(Backend::Blocked, a), b),
-        Backend::Simd => simd_matmul(&transpose_with(Backend::Simd, a), b),
+        Backend::Fast => fast_gemm(Operand::cols(a), Operand::cols(b)),
     }
 }
 
@@ -496,7 +511,7 @@ pub fn transpose(a: &Matrix) -> Matrix {
     transpose_with(backend(), a)
 }
 
-/// Transpose on an explicit backend. The blocked flavour walks
+/// Transpose on an explicit backend. The fast flavour walks
 /// [`TRANSPOSE_TILE`]-square tiles so both the source and destination are
 /// touched a cache line at a time, and fans output rows across threads.
 pub fn transpose_with(backend: Backend, a: &Matrix) -> Matrix {
@@ -515,7 +530,7 @@ pub fn transpose_with(backend: Backend, a: &Matrix) -> Matrix {
                 }
             }
         }
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             let src = a.as_slice();
             // Parallel over output row chunks; each output row is a
             // source column, so chunks read disjoint column stripes.
@@ -541,7 +556,7 @@ pub fn transpose_with(backend: Backend, a: &Matrix) -> Matrix {
 
 /// Textbook `i–j–k` GEMM: per-element dot products with a column-strided
 /// walk of `b`. Kept deliberately naive — this is the reference the
-/// blocked kernel (and the simulator's MAC counts) are audited against.
+/// fast kernel (and the simulator's MAC counts) are audited against.
 fn scalar_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, kdim) = a.shape();
     let n = b.cols();
@@ -599,166 +614,186 @@ fn scalar_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Cache-blocked `i–k–j` GEMM, row-parallel over the output.
-///
-/// The shared dimension is tiled into [`K_BLOCK`]-row panels of `b`; for
-/// each panel every output row streams once, with the unit-stride inner
-/// loop `out_row += a_ik · b_row` vectorising cleanly. Because panels are
-/// visited in ascending `k`, each output element still accumulates in the
-/// exact order of the scalar reference (see the module docs).
-fn blocked_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, kdim) = a.shape();
-    let n = b.cols();
+/// One side of a GEMM as the fast kernel reads it: `lanes` vectors of
+/// `depth` elements along the reduction axis, element `kk` of lane `l` at
+/// `data[l * lane_stride + kk * step_stride]`. For the left operand a
+/// lane is an output row, for the right operand an output column. A
+/// row-major matrix is either [`rows`](Self::rows) (each lane contiguous)
+/// or [`cols`](Self::cols) (the lanes of one `k` step contiguous), so the
+/// three transpose flavours are three pairings of the two constructors.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    lanes: usize,
+    depth: usize,
+    lane_stride: usize,
+    step_stride: usize,
+}
+
+impl<'a> Operand<'a> {
+    /// The rows of `m` are the lanes: `a` in `a·b`, `b` in `a·bᵀ`.
+    fn rows(m: &'a Matrix) -> Self {
+        Operand {
+            data: m.as_slice(),
+            lanes: m.rows(),
+            depth: m.cols(),
+            lane_stride: m.cols(),
+            step_stride: 1,
+        }
+    }
+
+    /// The columns of `m` are the lanes: `b` in `a·b`, `a` in `aᵀ·b`.
+    fn cols(m: &'a Matrix) -> Self {
+        Operand {
+            data: m.as_slice(),
+            lanes: m.cols(),
+            depth: m.rows(),
+            lane_stride: 1,
+            step_stride: m.cols(),
+        }
+    }
+
+    fn at(&self, lane: usize, kk: usize) -> f32 {
+        self.data[lane * self.lane_stride + kk * self.step_stride]
+    }
+
+    /// Packs steps `k0..k0 + kc` of lanes `first..first + W` into `panel`
+    /// as `kc × W`, every value stored `REP` times over
+    /// (`panel[(kk * W + l) * REP + r]`) — the layouts [`register_tile`]
+    /// streams. Lanes past the operand's edge repeat its last one; their
+    /// products land in accumulator slots the caller never stores.
+    fn pack<const W: usize, const REP: usize>(
+        &self,
+        first: usize,
+        k0: usize,
+        kc: usize,
+        panel: &mut [f32],
+    ) {
+        let steps = panel[..kc * W * REP].chunks_exact_mut(W * REP);
+        if self.lane_stride == 1 && first + W <= self.lanes {
+            // A full panel of adjacent lanes: each `k` step is one run of
+            // `W` values in the source.
+            for (kk, step) in (k0..).zip(steps) {
+                let src = &self.data[first + kk * self.step_stride..][..W];
+                for (dst, &v) in step.chunks_exact_mut(REP).zip(src) {
+                    dst.fill(v);
+                }
+            }
+            return;
+        }
+        let lanes: [usize; W] = std::array::from_fn(|l| (first + l).min(self.lanes - 1));
+        for (kk, step) in (k0..).zip(steps) {
+            for (dst, lane) in step.chunks_exact_mut(REP).zip(lanes) {
+                dst.fill(self.at(lane, kk));
+            }
+        }
+    }
+}
+
+std::thread_local! {
+    /// Packing scratch of [`fast_gemm`], kept per thread so steady-state
+    /// calls allocate nothing: one block of packed left rows followed by
+    /// one right panel.
+    static GEMM_SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The fast GEMM: `out[i][j] = Σ_k a.lane(i)[k] · b.lane(j)[k]`,
+/// row-parallel over the output. Fewer than `MR` rows in the whole
+/// product is the GEMV case, where packing would cost as much as the
+/// multiply: those take [`axpy_rows`] unpacked, everything else
+/// [`tiled_rows`]. Either way each output element is one ascending-`k`
+/// chain from `0.0` with no term skipped, so results are bit-identical to
+/// the Scalar reference.
+fn fast_gemm(a: Operand, b: Operand) -> Matrix {
+    let (m, kdim, n) = (a.lanes, a.depth, b.lanes);
     let mut out = Matrix::zeros(m, n);
     if m == 0 || n == 0 || kdim == 0 {
         return out;
     }
-    let av = a.as_slice();
-    let bv = b.as_slice();
     // Each output row costs kdim · n MACs, far more than the n elements
     // it holds — weight the fan-out decision accordingly.
     for_each_row_chunk_weighted(out.as_mut_slice(), n, kdim * n, |first_row, chunk| {
-        let chunk_rows = chunk.len() / n;
-        for k0 in (0..kdim).step_by(K_BLOCK) {
-            let k1 = (k0 + K_BLOCK).min(kdim);
-            for ci in 0..chunk_rows {
-                let arow = &av[(first_row + ci) * kdim..(first_row + ci + 1) * kdim];
-                let orow = &mut chunk[ci * n..(ci + 1) * n];
-                for (k, &aik) in arow[k0..k1].iter().enumerate() {
-                    // Exact-zero skip: masked/sparse operands carry many
-                    // structural zeros, and `acc + 0·x` is a bitwise no-op
-                    // for finite data, so parity with Scalar is preserved.
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bv[(k0 + k) * n..(k0 + k + 1) * n];
-                    for (o, &bkj) in orow.iter_mut().zip(brow.iter()) {
-                        *o += aik * bkj;
-                    }
-                }
-            }
-        }
-    });
-    out
-}
-
-/// Lane-tiled GEMM, row-parallel over the output.
-///
-/// Two shapes, chosen by the right-hand operand's footprint:
-///
-/// * **Register tiles** (`b` cache-resident): for each 2·[`LANES`]-wide
-///   column tile, every output row carries two `[f32; LANES]`
-///   accumulator blocks in registers across the *full* `k` reduction —
-///   one load of `a` per scalar, one streamed read of `b` per row, one
-///   store per output element. This is the fast path for the
-///   transformer projection shapes.
-/// * **Row sweep** (`b` larger than [`SIMD_B_RESIDENT_BYTES`]): the
-///   blocked `i–k–j` panel walk with an explicit lane-blocked inner
-///   loop, accumulating into the output row in memory.
-///
-/// Both paths reduce each output element along ascending `k` in a
-/// single dependency chain — no per-panel partial sums are ever folded
-/// together — so results are bit-identical to the Scalar reference.
-/// Unlike [`blocked_matmul`] there is no exact-zero skip: skipping
-/// depends on values, and the tiled loads here are cheaper than the
-/// branch.
-fn simd_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, kdim) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || kdim == 0 {
-        return out;
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let b_resident = kdim * n * std::mem::size_of::<f32>() <= SIMD_B_RESIDENT_BYTES;
-    for_each_row_chunk_weighted(out.as_mut_slice(), n, kdim * n, |first_row, chunk| {
-        if b_resident {
-            simd_register_tiles(av, bv, chunk, first_row, kdim, n);
+        if m < MR {
+            axpy_rows(a, b, first_row, chunk);
         } else {
-            simd_row_sweep(av, bv, chunk, first_row, kdim, n);
+            GEMM_SCRATCH.with_borrow_mut(|s| tiled_rows(a, b, first_row, chunk, s));
         }
     });
     out
 }
 
-/// Register-tile path of [`simd_matmul`]: column-tile outer, row inner,
-/// full-`k` register accumulation.
-fn simd_register_tiles(
-    av: &[f32],
-    bv: &[f32],
-    chunk: &mut [f32],
-    first_row: usize,
-    kdim: usize,
-    n: usize,
-) {
-    let chunk_rows = chunk.len() / n;
-    const TILE: usize = 2 * LANES;
-    let mut j = 0;
-    while j + TILE <= n {
-        for ci in 0..chunk_rows {
-            let arow = &av[(first_row + ci) * kdim..(first_row + ci + 1) * kdim];
-            let mut acc0 = [0.0f32; LANES];
-            let mut acc1 = [0.0f32; LANES];
-            for (kk, &aik) in arow.iter().enumerate() {
-                let brow = &bv[kk * n + j..kk * n + j + TILE];
-                for l in 0..LANES {
-                    acc0[l] += aik * brow[l];
-                }
-                for l in 0..LANES {
-                    acc1[l] += aik * brow[LANES + l];
+/// The packed path of [`fast_gemm`] over one worker's rows: [`BLOCK_ROWS`]
+/// at a time and, inside a block, the reduction [`K_BLOCK`] steps at a
+/// time in ascending order. Each `a` block is packed into `K_BLOCK × MR`
+/// panels; every `NR`-column panel of `b` — packed once per block, reused
+/// by all its rows — then meets each row panel in [`register_tile`], which
+/// picks the outputs up where the previous `k` block stored them (a store
+/// and reload is exact, so the chain is unbroken).
+fn tiled_rows(a: Operand, b: Operand, first_row: usize, chunk: &mut [f32], scratch: &mut Vec<f32>) {
+    let (kdim, n) = (a.depth, b.lanes);
+    scratch.resize(K_BLOCK * (BLOCK_ROWS * A_REP + NR), 0.0);
+    let (a_block, b_panel) = scratch.split_at_mut(K_BLOCK * BLOCK_ROWS * A_REP);
+    for (bi, out_block) in chunk.chunks_mut(BLOCK_ROWS * n).enumerate() {
+        let block_row = first_row + bi * BLOCK_ROWS;
+        let panels = (out_block.len() / n).div_ceil(MR);
+        for k0 in (0..kdim).step_by(K_BLOCK) {
+            let kc = K_BLOCK.min(kdim - k0);
+            let a_block = &mut a_block[..panels * kc * MR * A_REP];
+            for (p, panel) in a_block.chunks_exact_mut(kc * MR * A_REP).enumerate() {
+                a.pack::<MR, A_REP>(block_row + p * MR, k0, kc, panel);
+            }
+            for j0 in (0..n).step_by(NR) {
+                let nr = NR.min(n - j0);
+                b.pack::<NR, 1>(j0, k0, kc, b_panel);
+                let a_panels = a_block.chunks_exact(kc * MR * A_REP);
+                for (a_panel, out_rows) in a_panels.zip(out_block.chunks_mut(MR * n)) {
+                    let mut acc = [[0.0f32; NR]; MR];
+                    for (arow, orow) in acc.iter_mut().zip(out_rows.chunks_exact(n)) {
+                        arow[..nr].copy_from_slice(&orow[j0..j0 + nr]);
+                    }
+                    acc = register_tile(a_panel, &b_panel[..kc * NR], acc);
+                    for (orow, arow) in out_rows.chunks_exact_mut(n).zip(&acc) {
+                        orow[j0..j0 + nr].copy_from_slice(&arow[..nr]);
+                    }
                 }
             }
-            let orow = &mut chunk[ci * n + j..ci * n + j + TILE];
-            orow[..LANES].copy_from_slice(&acc0);
-            orow[LANES..].copy_from_slice(&acc1);
-        }
-        j += TILE;
-    }
-    // Tail columns that do not fill a tile: one full-k scalar chain per
-    // element, still ascending k.
-    for jj in j..n {
-        for ci in 0..chunk_rows {
-            let arow = &av[(first_row + ci) * kdim..(first_row + ci + 1) * kdim];
-            let mut acc = 0.0f32;
-            for (kk, &aik) in arow.iter().enumerate() {
-                acc += aik * bv[kk * n + jj];
-            }
-            chunk[ci * n + jj] = acc;
         }
     }
 }
 
-/// Row-sweep path of [`simd_matmul`]: `i–k–j` panels like the blocked
-/// kernel, with the `j` loop explicitly lane-blocked.
-fn simd_row_sweep(
-    av: &[f32],
-    bv: &[f32],
-    chunk: &mut [f32],
-    first_row: usize,
-    kdim: usize,
-    n: usize,
-) {
-    let chunk_rows = chunk.len() / n;
-    let lanes_end = n - n % LANES;
-    for k0 in (0..kdim).step_by(K_BLOCK) {
-        let k1 = (k0 + K_BLOCK).min(kdim);
-        for ci in 0..chunk_rows {
-            let arow = &av[(first_row + ci) * kdim..(first_row + ci + 1) * kdim];
-            let orow = &mut chunk[ci * n..(ci + 1) * n];
-            for (k, &aik) in arow[k0..k1].iter().enumerate() {
-                let brow = &bv[(k0 + k) * n..(k0 + k + 1) * n];
-                let (olanes, otail) = orow.split_at_mut(lanes_end);
-                for (oblk, bblk) in olanes
-                    .chunks_exact_mut(LANES)
-                    .zip(brow[..lanes_end].chunks_exact(LANES))
-                {
-                    for l in 0..LANES {
-                        oblk[l] += aik * bblk[l];
-                    }
-                }
-                for (o, &bkj) in otail.iter_mut().zip(brow[lanes_end..].iter()) {
+/// The microkernel: an `MR × NR` block of outputs carried in registers
+/// across one block of the `k` reduction. One packed `a` step is `MR`
+/// scalars, each already spread over a vector's worth of slots, so
+/// `acc[r] += a[r] · b` is multiply-add on whole registers with no
+/// broadcast shuffle competing for the arithmetic ports. The fixed-size
+/// inner loops are what the autovectorizer lowers.
+#[inline(always)]
+fn register_tile(a: &[f32], b: &[f32], mut acc: [[f32; NR]; MR]) -> [[f32; NR]; MR] {
+    for (ak, bk) in a.chunks_exact(MR * A_REP).zip(b.chunks_exact(NR)) {
+        for r in 0..MR {
+            for l in 0..NR {
+                acc[r][l] += ak[r * A_REP + l % A_REP] * bk[l];
+            }
+        }
+    }
+    acc
+}
+
+/// GEMV-shaped products (`m < MR`): each output row is the sum over `k`
+/// of `a[i][k] · b[k][..]`, read from the operands where they lie.
+fn axpy_rows(a: Operand, b: Operand, first_row: usize, chunk: &mut [f32]) {
+    let n = b.lanes;
+    for (ci, orow) in chunk.chunks_exact_mut(n).enumerate() {
+        for kk in 0..a.depth {
+            let aik = a.at(first_row + ci, kk);
+            if b.lane_stride == 1 {
+                let brow = &b.data[kk * b.step_stride..][..n];
+                for (o, &bkj) in orow.iter_mut().zip(brow) {
                     *o += aik * bkj;
+                }
+            } else {
+                for (j, o) in orow.iter_mut().enumerate() {
+                    *o += aik * b.at(j, kk);
                 }
             }
         }
@@ -769,7 +804,7 @@ fn simd_row_sweep(
 // Row-wise and elementwise ops
 // ---------------------------------------------------------------------------
 
-/// Row-wise softmax on the ambient backend (row-parallel when blocked).
+/// Row-wise softmax on the ambient backend (row-parallel on `Fast`).
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
     let cols = x.cols();
@@ -779,7 +814,7 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
                 softmax_row(out.row_mut(r));
             }
         }
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             for_each_row_chunk(out.as_mut_slice(), cols, |_, chunk| {
                 for row in chunk.chunks_mut(cols) {
                     softmax_row(row);
@@ -851,7 +886,7 @@ pub fn layernorm_rows(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> Matr
                 normalise(out.row_mut(r));
             }
         }
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             for_each_row_chunk(out.as_mut_slice(), cols, |_, chunk| {
                 for row in chunk.chunks_mut(cols) {
                     normalise(row);
@@ -1045,7 +1080,7 @@ pub fn broadcast_row(row: &Matrix, rows: usize, scale: f32) -> Matrix {
     out
 }
 
-/// Elementwise map (row-parallel when blocked).
+/// Elementwise map (row-parallel on `Fast`).
 pub fn map(x: &Matrix, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
     let mut out = x.clone();
     let cols = x.cols();
@@ -1055,7 +1090,7 @@ pub fn map(x: &Matrix, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
                 *v = f(*v);
             }
         }
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             for_each_row_chunk(out.as_mut_slice(), cols.max(1), |_, chunk| {
                 for v in chunk {
                     *v = f(*v);
@@ -1066,7 +1101,7 @@ pub fn map(x: &Matrix, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
     out
 }
 
-/// Elementwise binary map `f(a[i], b[i])` (row-parallel when blocked).
+/// Elementwise binary map `f(a[i], b[i])` (row-parallel on `Fast`).
 ///
 /// # Panics
 ///
@@ -1082,7 +1117,7 @@ pub fn zip_map(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Ma
                 *v = f(*v, w);
             }
         }
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             for_each_row_chunk(out.as_mut_slice(), cols.max(1), |first_row, chunk| {
                 let base = first_row * cols.max(1);
                 for (i, v) in chunk.iter_mut().enumerate() {
@@ -1393,97 +1428,62 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_bitwise_on_matmul() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (64, 64, 64),
-            (65, 33, 17),
-            (197, 192, 64),
-        ] {
+    fn backends_agree_bitwise_on_all_gemm_flavours() {
+        // A smoke test of the axpy path, ragged tiles and two `k` blocks;
+        // tests/backend_props.rs sweeps every tile edge.
+        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (65, 33, 17), (197, 192, 64)] {
             let a = random(m, k, 1);
             let b = random(k, n, 2);
-            let blocked = matmul_with(Backend::Blocked, &a, &b);
-            let scalar = matmul_with(Backend::Scalar, &a, &b);
-            assert_eq!(blocked, scalar, "shape ({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn backends_agree_bitwise_on_transposed_flavours() {
-        let a = random(33, 48, 3);
-        let b = random(21, 48, 4);
-        assert_eq!(
-            matmul_nt_with(Backend::Blocked, &a, &b),
-            matmul_nt_with(Backend::Scalar, &a, &b)
-        );
-        let c = random(33, 21, 5);
-        assert_eq!(
-            matmul_tn_with(Backend::Blocked, &a, &c),
-            matmul_tn_with(Backend::Scalar, &a, &c)
-        );
-    }
-
-    #[test]
-    fn simd_backend_agrees_bitwise_on_all_gemm_flavours() {
-        // Shapes straddle the lane width: exact multiples of 16, a
-        // sub-lane matrix, and ragged tails.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (64, 64, 64),
-            (65, 33, 17),
-            (197, 192, 64),
-            (9, 40, 23),
-        ] {
-            let a = random(m, k, 21);
-            let b = random(k, n, 22);
             assert_eq!(
-                matmul_with(Backend::Simd, &a, &b),
+                matmul_with(Backend::Fast, &a, &b),
                 matmul_with(Backend::Scalar, &a, &b),
-                "shape ({m},{k},{n})"
+                "nn shape ({m},{k},{n})"
+            );
+            let bt = random(n, k, 3);
+            assert_eq!(
+                matmul_nt_with(Backend::Fast, &a, &bt),
+                matmul_nt_with(Backend::Scalar, &a, &bt),
+                "nt shape ({m},{k},{n})"
+            );
+            let at = random(k, m, 4);
+            assert_eq!(
+                matmul_tn_with(Backend::Fast, &at, &b),
+                matmul_tn_with(Backend::Scalar, &at, &b),
+                "tn shape ({m},{k},{n})"
             );
         }
-        let a = random(33, 48, 23);
-        let b = random(21, 48, 24);
-        assert_eq!(
-            matmul_nt_with(Backend::Simd, &a, &b),
-            matmul_nt_with(Backend::Scalar, &a, &b)
-        );
-        let c = random(33, 21, 25);
-        assert_eq!(
-            matmul_tn_with(Backend::Simd, &a, &c),
-            matmul_tn_with(Backend::Scalar, &a, &c)
-        );
-    }
-
-    #[test]
-    fn simd_row_sweep_path_agrees_bitwise() {
-        // b exceeds SIMD_B_RESIDENT_BYTES (1030² floats ≈ 4.2 MB), so
-        // this exercises the row-sweep fallback, tail included.
-        let dim = 1030;
-        assert!(dim * dim * std::mem::size_of::<f32>() > SIMD_B_RESIDENT_BYTES);
-        let a = random(4, dim, 26);
-        let b = random(dim, dim, 27);
-        assert_eq!(
-            matmul_with(Backend::Simd, &a, &b),
-            matmul_with(Backend::Blocked, &a, &b)
-        );
     }
 
     #[test]
     fn backend_parses_from_str() {
         assert_eq!("scalar".parse(), Ok(Backend::Scalar));
-        assert_eq!(" Blocked ".parse(), Ok(Backend::Blocked));
-        assert_eq!("SIMD".parse(), Ok(Backend::Simd));
-        assert!("avx512".parse::<Backend>().is_err());
+        assert_eq!(" Fast ".parse(), Ok(Backend::Fast));
+        assert_eq!(Backend::Fast.to_string().parse(), Ok(Backend::Fast));
+        // The retired names are not aliases.
+        for retired in ["blocked", "simd", "avx512"] {
+            let err = retired.parse::<Backend>().expect_err(retired);
+            assert!(err.contains("scalar | fast"), "{err}");
+            assert!(err.contains(retired), "{err}");
+        }
+    }
+
+    #[test]
+    fn mistyped_backend_variable_is_reported_not_swallowed() {
+        assert_eq!(resolve_backend(None), (Backend::Fast, None));
+        assert_eq!(resolve_backend(Some("scalar")), (Backend::Scalar, None));
+        let (used, complaint) = resolve_backend(Some("scaler"));
+        assert_eq!(used, Backend::Fast);
+        let line = complaint.expect("an unknown value owes a stderr line");
+        for part in ["'scaler'", "scalar | fast", "using 'fast'"] {
+            assert!(line.contains(part) && !line.contains('\n'), "{line}");
+        }
     }
 
     #[test]
     fn transpose_matches_naive() {
         let a = random(37, 61, 6);
         assert_eq!(
-            transpose_with(Backend::Blocked, &a),
+            transpose_with(Backend::Fast, &a),
             transpose_with(Backend::Scalar, &a)
         );
     }
@@ -1506,11 +1506,11 @@ mod tests {
         let a = random(256, 256, 7);
         let b = random(256, 256, 8);
         let soft_input = random(1024, 512, 9);
-        let sequential = matmul_with(Backend::Blocked, &a, &b);
+        let sequential = matmul_with(Backend::Fast, &a, &b);
         let soft_seq = softmax_rows(&soft_input);
         set_num_threads(4);
         assert_eq!(effective_threads(256, 256 * 256), 4);
-        let parallel = matmul_with(Backend::Blocked, &a, &b);
+        let parallel = matmul_with(Backend::Fast, &a, &b);
         let soft_par = softmax_rows(&soft_input);
         set_num_threads(0);
         assert_eq!(sequential, parallel);

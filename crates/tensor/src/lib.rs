@@ -9,10 +9,10 @@
 //!
 //! The crate is deliberately free of `unsafe` and of external BLAS
 //! dependencies. All dense hot paths route through the [`kernels`]
-//! module, which provides three runtime-selectable backends: a textbook
-//! scalar reference, cache-blocked thread-parallel kernels, and
-//! lane-tiled autovectorized kernels (see [`kernels`] for the blocking
-//! schemes and the backend-agreement contract). Keeping the reference
+//! module, which provides two runtime-selectable backends: a textbook
+//! scalar reference and a packed-panel register-tile fast path (see
+//! [`kernels`] for the tiling scheme and the backend-agreement
+//! contract). Keeping the reference
 //! kernels readable makes the simulator's operation counts auditable
 //! against them. The [`sparse`] module mirrors the dense layer for
 //! CSC-indexed attention (SDDMM, sparse softmax, SpMM) under the same

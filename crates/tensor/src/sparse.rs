@@ -13,13 +13,11 @@
 //!
 //! Every kernel follows the dense layer's agreement contract: the
 //! [`Backend::Scalar`] flavour is a plain sequential reference loop; the
-//! [`Backend::Blocked`] flavour partitions the CSC stream into
-//! column segments (SDDMM), query rows (softmax) or output-row chunks
-//! (SpMM) and fans them across worker threads ([`Backend::Simd`] shares
-//! that partitioning — these walks are index-bound, not lane-bound) —
-//! and **all produce bit-identical values**, because parallelisation
-//! only splits disjoint outputs while each value's accumulation order
-//! is unchanged.
+//! [`Backend::Fast`] flavour partitions the CSC stream into column
+//! segments (SDDMM), query rows (softmax) or output-row chunks (SpMM)
+//! and fans them across worker threads — and **both produce
+//! bit-identical values**, because parallelisation only splits disjoint
+//! outputs while each value's accumulation order is unchanged.
 
 use std::sync::Arc;
 
@@ -402,7 +400,7 @@ impl SparseScores {
         // The row gather is precomputed on the index
         // ([`CscMatrix::row_value_positions`]), so each call only does
         // the normalisation itself. Per-row normalisation fans out
-        // across workers when blocked; with a single worker, rows run in
+        // across workers on `Fast`; with a single worker, rows run in
         // place through one reused scratch buffer (identical arithmetic,
         // no per-row allocation — training tapes at small token counts
         // are dominated by exactly this kind of bookkeeping).
@@ -449,7 +447,7 @@ impl SparseScores {
 /// accumulates across the MAC line (inter-PE accumulation), emitting
 /// attention scores column by column.
 ///
-/// On the blocked backend the CSC columns are partitioned into
+/// On the fast backend the CSC columns are partitioned into
 /// contiguous non-zero-balanced ranges and fanned out across worker
 /// threads, each writing its own disjoint slice of the values buffer
 /// (the software analogue of the accelerator distributing K columns
@@ -596,9 +594,7 @@ pub fn sddmm_k_stationary_int8_with(
     };
     match backend {
         Backend::Scalar => emit(0..index.size(), &mut values),
-        // Integer accumulation is order-exact, so the Simd backend can
-        // share the column-partitioned fan-out unchanged.
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             let col_off = index.column_offsets();
             let (value_bounds, column_starts) = index.column_partition(&col_off);
             kernels::par_segments(&mut values, &value_bounds, |seg, out| {
@@ -664,7 +660,7 @@ pub fn spmm_output_stationary_with(backend: Backend, scores: &SparseScores, v: &
     };
     match backend {
         Backend::Scalar => accumulate(0, out.as_mut_slice()),
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             let work_per_row = cols * (scores.values.len() / n.max(1) + 1);
             kernels::for_each_row_chunk_weighted(out.as_mut_slice(), cols, work_per_row, accumulate)
         }
@@ -748,7 +744,7 @@ pub fn sddmm_k_stationary_int8_rows_with(
     };
     match backend {
         Backend::Scalar => emit(0..index.size(), &mut values),
-        Backend::Blocked | Backend::Simd => {
+        Backend::Fast => {
             let col_off = index.column_offsets();
             let (value_bounds, column_starts) = index.column_partition(&col_off);
             kernels::par_segments(&mut values, &value_bounds, |seg, out| {
@@ -809,7 +805,7 @@ pub fn sddmm_backward(
 /// the precomputed row gather); the K gradient is key-column-parallel
 /// (each worker owns disjoint `gk` rows — CSC columns — and walks each
 /// column's kept rows ascending). Both flavours accumulate every output
-/// element in the same order, so Scalar and Blocked agree bitwise.
+/// element in the same order, so Scalar and Fast agree bitwise.
 pub fn sddmm_backward_with(
     backend: Backend,
     q: &Matrix,
@@ -914,7 +910,7 @@ pub fn sparse_softmax_backward(probs: &SparseScores, dprobs: &SparseScores) -> S
 }
 
 /// [`sparse_softmax_backward`] on an explicit backend (query-row-parallel
-/// when blocked, like the forward).
+/// on `Fast`, like the forward).
 pub fn sparse_softmax_backward_with(
     backend: Backend,
     probs: &SparseScores,
@@ -1158,14 +1154,14 @@ mod tests {
         let (q, k, v) = (random(33, 8, 3), random(33, 8, 4), random(33, 8, 5));
         let index = diag_global(33);
         let scores_s = sddmm_k_stationary_with(Backend::Scalar, &q, &k, &index, 0.3);
-        let scores_b = sddmm_k_stationary_with(Backend::Blocked, &q, &k, &index, 0.3);
+        let scores_b = sddmm_k_stationary_with(Backend::Fast, &q, &k, &index, 0.3);
         assert_eq!(scores_s, scores_b);
         let probs_s = scores_s.softmax_rows_with(Backend::Scalar);
-        let probs_b = scores_b.softmax_rows_with(Backend::Blocked);
+        let probs_b = scores_b.softmax_rows_with(Backend::Fast);
         assert_eq!(probs_s, probs_b);
         assert_eq!(
             spmm_output_stationary_with(Backend::Scalar, &probs_s, &v),
-            spmm_output_stationary_with(Backend::Blocked, &probs_b, &v)
+            spmm_output_stationary_with(Backend::Fast, &probs_b, &v)
         );
     }
 
@@ -1199,7 +1195,7 @@ mod tests {
         let (qi, ki) = (QuantizedMatrix::quantize(&q), QuantizedMatrix::quantize(&k));
         assert_eq!(
             sddmm_k_stationary_int8_with(Backend::Scalar, &qi, &ki, &index, 0.2),
-            sddmm_k_stationary_int8_with(Backend::Blocked, &qi, &ki, &index, 0.2)
+            sddmm_k_stationary_int8_with(Backend::Fast, &qi, &ki, &index, 0.2)
         );
     }
 
@@ -1295,20 +1291,20 @@ mod tests {
         let index = diag_global(n);
         let probs = sddmm_k_stationary(&q, &k, &index, 0.25).softmax_rows();
         let s = attention_head_backward_with(Backend::Scalar, &q, &k, &v, 0.25, &probs, &gout);
-        let b = attention_head_backward_with(Backend::Blocked, &q, &k, &v, 0.25, &probs, &gout);
+        let b = attention_head_backward_with(Backend::Fast, &q, &k, &v, 0.25, &probs, &gout);
         assert_eq!(s.0, b.0, "gq backends disagree");
         assert_eq!(s.1, b.1, "gk backends disagree");
         assert_eq!(s.2, b.2, "gv backends disagree");
         // Granular kernels agree too.
         let dp_s = spmm_backward_with(Backend::Scalar, &probs, &v, &gout);
-        let dp_b = spmm_backward_with(Backend::Blocked, &probs, &v, &gout);
+        let dp_b = spmm_backward_with(Backend::Fast, &probs, &v, &gout);
         assert_eq!(dp_s.0, dp_b.0);
         assert_eq!(dp_s.1, dp_b.1);
         let ds_s = sparse_softmax_backward_with(Backend::Scalar, &probs, &dp_s.0);
-        let ds_b = sparse_softmax_backward_with(Backend::Blocked, &probs, &dp_b.0);
+        let ds_b = sparse_softmax_backward_with(Backend::Fast, &probs, &dp_b.0);
         assert_eq!(ds_s, ds_b);
         let g_s = sddmm_backward_with(Backend::Scalar, &q, &k, &ds_s, 0.25);
-        let g_b = sddmm_backward_with(Backend::Blocked, &q, &k, &ds_b, 0.25);
+        let g_b = sddmm_backward_with(Backend::Fast, &q, &k, &ds_b, 0.25);
         assert_eq!(g_s, g_b);
     }
 

@@ -1,9 +1,9 @@
 //! Property tests of the kernel-backend agreement contract: for every
-//! kernel and every shape — including non-tile-multiple, non-lane-multiple,
-//! single-row and empty edge cases — the `Blocked` parallel backend and
-//! the `Simd` lane-tiled backend must produce results identical to the
-//! `Scalar` reference (every backend preserves the floating-point
-//! reduction order, so agreement is exact, well inside the documented
+//! kernel and every shape — including non-tile-multiple, single-row and
+//! empty edge cases, and operands holding zeros of both signs, infinities
+//! and NaNs — the `Fast` backend must produce results identical to the
+//! `Scalar` reference (both preserve the floating-point reduction order
+//! and skip no term, so agreement is exact, well inside the documented
 //! 1e-5 budget).
 // Backend agreement is a *bit-identical* contract (see ROADMAP): strict
 // float comparison is the assertion these suites exist to make.
@@ -15,18 +15,14 @@ use vitcod_tensor::kernels::{
 };
 use vitcod_tensor::{gelu, Matrix};
 
-/// The backends under test, each compared against the `Scalar` oracle.
-const FAST_BACKENDS: [Backend; 2] = [Backend::Blocked, Backend::Simd];
-
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-3.0f32..3.0, rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
-/// Shapes that stress the blocking schemes: around the 64-element k-panel
-/// boundary, far from any tile multiple, straddling the 8-wide SIMD lane
-/// count (n = 7, 8, 9) and its 16-wide register tile (n = 15, 16, 17),
-/// and degenerate.
+/// Shapes that stress the tiling: far from any tile multiple, straddling
+/// the 4-row tile height (m = 3, 4, 5) and the 8-wide panel (n = 7, 8, 9;
+/// n = 15, 16, 17), below it (the m < 4 axpy path), and degenerate.
 const GEMM_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 64, 1),
@@ -63,11 +59,9 @@ proptest! {
         let a = matrix(m, k).new_value(&mut TestRng::new(seed));
         let b = matrix(k, n).new_value(&mut TestRng::new(seed.wrapping_add(1)));
         let scalar = matmul_with(Backend::Scalar, &a, &b);
-        for backend in FAST_BACKENDS {
-            let fast = matmul_with(backend, &a, &b);
-            prop_assert!(fast == scalar, "{backend:?} shape ({m},{k},{n}) seed {seed}");
-            prop_assert!(fast.max_abs_diff(&scalar) <= 1e-5);
-        }
+        let fast = matmul_with(Backend::Fast, &a, &b);
+        prop_assert!(fast == scalar, "shape ({m},{k},{n}) seed {seed}");
+        prop_assert!(fast.max_abs_diff(&scalar) <= 1e-5);
     }
 
     #[test]
@@ -76,10 +70,8 @@ proptest! {
         let a = matrix(m, k).new_value(&mut TestRng::new(seed));
         let b = matrix(n, k).new_value(&mut TestRng::new(seed.wrapping_add(2)));
         let scalar = matmul_nt_with(Backend::Scalar, &a, &b);
-        for backend in FAST_BACKENDS {
-            let fast = matmul_nt_with(backend, &a, &b);
-            prop_assert!(fast == scalar, "{backend:?} shape ({m},{k},{n}) seed {seed}");
-        }
+        let fast = matmul_nt_with(Backend::Fast, &a, &b);
+        prop_assert!(fast == scalar, "shape ({m},{k},{n}) seed {seed}");
     }
 
     #[test]
@@ -88,30 +80,24 @@ proptest! {
         let a = matrix(k, m).new_value(&mut TestRng::new(seed));
         let b = matrix(k, n).new_value(&mut TestRng::new(seed.wrapping_add(3)));
         let scalar = matmul_tn_with(Backend::Scalar, &a, &b);
-        for backend in FAST_BACKENDS {
-            let fast = matmul_tn_with(backend, &a, &b);
-            prop_assert!(fast == scalar, "{backend:?} shape ({m},{k},{n}) seed {seed}");
-        }
+        let fast = matmul_tn_with(Backend::Fast, &a, &b);
+        prop_assert!(fast == scalar, "shape ({m},{k},{n}) seed {seed}");
     }
 
     #[test]
     fn transpose_backends_agree(rows in 1usize..80, cols in 1usize..80, seed in 0u64..100) {
         let a = matrix(rows, cols).new_value(&mut TestRng::new(seed));
         let scalar = transpose_with(Backend::Scalar, &a);
-        for backend in FAST_BACKENDS {
-            prop_assert_eq!(transpose_with(backend, &a), scalar.clone());
-        }
+        prop_assert_eq!(transpose_with(Backend::Fast, &a), scalar);
     }
 
     #[test]
     fn softmax_backends_agree(rows in 1usize..60, cols in 1usize..40, seed in 0u64..100) {
         let a = matrix(rows, cols).new_value(&mut TestRng::new(seed));
         let scalar = with_backend(Backend::Scalar, || kernels::softmax_rows(&a));
-        for backend in FAST_BACKENDS {
-            let fast = with_backend(backend, || kernels::softmax_rows(&a));
-            prop_assert!(fast == scalar, "{backend:?}");
-            prop_assert!(fast.max_abs_diff(&scalar) <= 1e-5);
-        }
+        let fast = with_backend(Backend::Fast, || kernels::softmax_rows(&a));
+        prop_assert!(fast == scalar);
+        prop_assert!(fast.max_abs_diff(&scalar) <= 1e-5);
     }
 
     #[test]
@@ -121,11 +107,9 @@ proptest! {
         let beta = vec![-0.2f32; cols];
         let scalar =
             with_backend(Backend::Scalar, || kernels::layernorm_rows(&a, &gamma, &beta, 1e-5));
-        for backend in FAST_BACKENDS {
-            let fast =
-                with_backend(backend, || kernels::layernorm_rows(&a, &gamma, &beta, 1e-5));
-            prop_assert!(fast == scalar, "{backend:?}");
-        }
+        let fast =
+            with_backend(Backend::Fast, || kernels::layernorm_rows(&a, &gamma, &beta, 1e-5));
+        prop_assert!(fast == scalar);
     }
 
     #[test]
@@ -134,25 +118,89 @@ proptest! {
         let b = matrix(rows, cols).new_value(&mut TestRng::new(seed.wrapping_add(5)));
         let scalar_map = with_backend(Backend::Scalar, || kernels::map(&a, gelu));
         let scalar_zip = with_backend(Backend::Scalar, || kernels::zip_map(&a, &b, |x, y| x + y));
-        for backend in FAST_BACKENDS {
-            let fast_map = with_backend(backend, || kernels::map(&a, gelu));
-            let fast_zip = with_backend(backend, || kernels::zip_map(&a, &b, |x, y| x + y));
-            prop_assert!(fast_map == scalar_map, "{backend:?} map");
-            prop_assert!(fast_zip == scalar_zip, "{backend:?} zip_map");
-        }
+        let fast_map = with_backend(Backend::Fast, || kernels::map(&a, gelu));
+        let fast_zip = with_backend(Backend::Fast, || kernels::zip_map(&a, &b, |x, y| x + y));
+        prop_assert!(fast_map == scalar_map, "map");
+        prop_assert!(fast_zip == scalar_zip, "zip_map");
     }
 
     #[test]
     fn empty_and_single_row_matmuls(cols in 1usize..20, seed in 0u64..50) {
-        // 0×k · k×n and 1×k · k×n edge cases, per fast backend.
+        // 0×k · k×n and 1×k · k×n edge cases.
         let k = cols;
         let b = matrix(k, 4).new_value(&mut TestRng::new(seed));
         let empty = Matrix::zeros(0, k);
         let single = matrix(1, k).new_value(&mut TestRng::new(seed.wrapping_add(4)));
         let scalar = matmul_with(Backend::Scalar, &single, &b);
-        for backend in FAST_BACKENDS {
-            prop_assert_eq!(matmul_with(backend, &empty, &b).shape(), (0, 4));
-            prop_assert_eq!(matmul_with(backend, &single, &b), scalar.clone());
+        prop_assert_eq!(matmul_with(Backend::Fast, &empty, &b).shape(), (0, 4));
+        prop_assert_eq!(matmul_with(Backend::Fast, &single, &b), scalar);
+    }
+}
+
+/// A seeded operand salted with the values a value-dependent shortcut
+/// gets wrong: exact zeros of both signs throughout, and `head` in its
+/// first two slots — a zero and a NaN on the left, an infinity on the
+/// right, so `0 · inf` meets in `out[0][0]` of every flavour.
+fn spiked(rows: usize, cols: usize, seed: u64, head: [f32; 2]) -> Matrix {
+    let mut m = matrix(rows, cols).new_value(&mut TestRng::new(seed));
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        match i % 11 {
+            3 => *v = 0.0,
+            7 => *v = -0.0,
+            _ => {}
+        }
+    }
+    for (v, h) in m.as_mut_slice().iter_mut().zip(head) {
+        *v = h;
+    }
+    m
+}
+
+/// Equal bit for bit, except that any NaN matches any NaN: which payload
+/// an operation on two NaNs keeps is the one thing Rust leaves open.
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// Every flavour at every tile edge: m around the 4-row tile and below it
+/// (the axpy path), n around the 8-wide panel, k around a cache line, one
+/// past the GEMM's 128-step `k` block and at DeiT's widest, each empty
+/// once — on one worker and on four, where 197 rows split into chunks of
+/// 50, not a multiple of the tile height.
+#[test]
+fn fast_matches_scalar_at_every_tile_edge_on_non_finite_data() {
+    for m in [0, 1, 3, 4, 5, 197] {
+        for n in [0, 1, 7, 8, 9, 10, 197] {
+            for k in [0, 1, 63, 64, 65, 129, 768] {
+                let a = spiked(m, k, 1, [0.0, f32::NAN]);
+                let at = spiked(k, m, 2, [0.0, f32::NAN]);
+                let b = spiked(k, n, 3, [f32::INFINITY, -0.0]);
+                let bt = spiked(n, k, 4, [f32::INFINITY, -0.0]);
+                let want = [
+                    matmul_with(Backend::Scalar, &a, &b),
+                    matmul_nt_with(Backend::Scalar, &a, &bt),
+                    matmul_tn_with(Backend::Scalar, &at, &b),
+                ];
+                if m > 0 && n > 0 && k > 0 {
+                    assert!(want.iter().all(|w| w.get(0, 0).is_nan()), "0 · inf");
+                }
+                for budget in [1, 4] {
+                    let got = kernels::with_thread_budget(budget, || {
+                        [
+                            matmul_with(Backend::Fast, &a, &b),
+                            matmul_nt_with(Backend::Fast, &a, &bt),
+                            matmul_tn_with(Backend::Fast, &at, &b),
+                        ]
+                    });
+                    for (flavour, (g, w)) in ["nn", "nt", "tn"].iter().zip(got.iter().zip(&want)) {
+                        assert!(same_bits(g, w), "{flavour} ({m},{k},{n}) x{budget} threads");
+                    }
+                }
+            }
         }
     }
 }

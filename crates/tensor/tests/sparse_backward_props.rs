@@ -101,18 +101,18 @@ proptest! {
 
         let probs = sddmm_k_stationary(&q, &k, &index, scale).softmax_rows();
         let (dp_s, gv_s) = spmm_backward_with(Backend::Scalar, &probs, &v, &gout);
-        let (dp_b, gv_b) = spmm_backward_with(Backend::Blocked, &probs, &v, &gout);
+        let (dp_b, gv_b) = spmm_backward_with(Backend::Fast, &probs, &v, &gout);
         prop_assert!(dp_s == dp_b && gv_s == gv_b, "spmm backward backends disagree");
         let ds_s = sparse_softmax_backward_with(Backend::Scalar, &probs, &dp_s);
-        let ds_b = sparse_softmax_backward_with(Backend::Blocked, &probs, &dp_b);
+        let ds_b = sparse_softmax_backward_with(Backend::Fast, &probs, &dp_b);
         prop_assert!(ds_s == ds_b, "softmax backward backends disagree");
         let (gq_s, gk_s) = sddmm_backward_with(Backend::Scalar, &q, &k, &ds_s, scale);
-        let (gq_b, gk_b) = sddmm_backward_with(Backend::Blocked, &q, &k, &ds_b, scale);
+        let (gq_b, gk_b) = sddmm_backward_with(Backend::Fast, &q, &k, &ds_b, scale);
         prop_assert!(gq_s == gq_b && gk_s == gk_b, "sddmm backward backends disagree");
         // The composed pass agrees under a forced multi-worker budget too.
-        let seq = attention_head_backward_with(Backend::Blocked, &q, &k, &v, scale, &probs, &gout);
+        let seq = attention_head_backward_with(Backend::Fast, &q, &k, &v, scale, &probs, &gout);
         let par = kernels::with_thread_budget(4, || {
-            attention_head_backward_with(Backend::Blocked, &q, &k, &v, scale, &probs, &gout)
+            attention_head_backward_with(Backend::Fast, &q, &k, &v, scale, &probs, &gout)
         });
         prop_assert!(seq == par, "worker count changed backward values");
     }

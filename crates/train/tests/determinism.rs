@@ -1,6 +1,6 @@
 //! Determinism contract of the batched sparse training step: one full
 //! step's loss and **every** gradient are bit-identical across
-//! `Backend::Scalar` / `Backend::Blocked` and across worker counts
+//! `Backend::Scalar` / `Backend::Fast` and across worker counts
 //! {1, 4}, because every kernel (dense and sparse, forward and backward)
 //! accumulates each output element along one fixed reduction chain.
 
@@ -89,7 +89,7 @@ fn training_step_bit_identical_across_backends_and_workers() {
     let reference = kernels::with_backend_override(Backend::Scalar, || {
         kernels::with_thread_budget(1, || one_step(&vit, &store, &task))
     });
-    for backend in [Backend::Scalar, Backend::Blocked] {
+    for backend in [Backend::Scalar, Backend::Fast] {
         for workers in [1usize, 4] {
             let got = kernels::with_backend_override(backend, || {
                 kernels::with_thread_budget(workers, || one_step(&vit, &store, &task))

@@ -15,7 +15,7 @@ use vitcod_engine::{CompiledVit, Engine, Precision};
 use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_obs::promtext::{check_histogram, Exposition};
 use vitcod_serve::{BatchConfig, ModelRegistry, Server, TailConfig, TracingConfig};
-use vitcod_tensor::Initializer;
+use vitcod_tensor::{Backend, Initializer};
 use vitcod_transport::{
     api::tokens_json, HttpClient, HttpServer, Json, TransportConfig, TRACE_ID_HEADER,
 };
@@ -146,7 +146,13 @@ fn metrics_exposition_parses_and_matches_stats() {
         info[0].labels.get("precision").map(String::as_str),
         Some("int8")
     );
-    assert!(info[0].labels.contains_key("backend"));
+    let backend = info[0].labels.get("backend").map(String::as_str);
+    assert!(
+        [Backend::Scalar, Backend::Fast]
+            .iter()
+            .any(|b| backend == Some(b.to_string().as_str())),
+        "backend label {backend:?} is not a Backend name"
+    );
 
     // End-to-end latency histogram: cumulative, +Inf == count == reqs.
     let count = prom_histogram(
