@@ -57,17 +57,19 @@ use crate::Matrix;
 /// wide, and so are the int8 panels of [`crate::PackedGemmWeights`].
 pub const LANES: usize = 8;
 
-/// Output rows per register tile of the fast GEMM. `MR × NR` accumulators
-/// plus one panel step fit the 16 vector registers of baseline x86-64;
-/// taller or wider tiles spill and fall off the vectorizer.
-const MR: usize = 4;
+/// Output rows per register tile of the fast GEMMs (fp32 here, int8 in
+/// [`crate::quant`]). `MR × NR` accumulators plus one panel step fit the
+/// 16 vector registers of baseline x86-64; taller or wider tiles spill
+/// and fall off the vectorizer.
+pub(crate) const MR: usize = 4;
 
 /// Output columns per register tile, and the width of a packed `b` panel.
 const NR: usize = LANES;
 
-/// Copies of each `a` scalar in a packed `a` panel: one 128-bit vector's
-/// worth, the register width of the baseline targets.
-const A_REP: usize = 4;
+/// Copies of each `a` scalar (each `k`-pair, in the int8 GEMM) in a
+/// packed `a` panel: one 128-bit vector's worth, the register width of
+/// the baseline targets.
+pub(crate) const A_REP: usize = 4;
 
 /// Steps of the `k` reduction the fast GEMM packs and multiplies at a time.
 const K_BLOCK: usize = 128;

@@ -17,15 +17,15 @@
 //!   survive column slicing, so per-head Q/K views reuse the same
 //!   quantization).
 //!
-//! The serving-path projection product is [`int8_gemm`]: a blocked,
-//! packed i8×i8→i32 GEMM over [`PackedGemmWeights`] (weights re-laid
-//! out at compile time into interleaved `k`-pair lane panels, the shape
-//! the autovectorizer turns into paired i16 multiply–accumulate
-//! instructions) with a fused dequantize-and-bias epilogue. Integer
+//! The serving-path projection product is [`int8_gemm`]: a packed
+//! i8×i8→i32 register-tile GEMM over [`PackedGemmWeights`] (weights
+//! re-laid out at compile time into interleaved `k`-pair lane panels,
+//! the operand shape of the paired i16 multiply–accumulate instruction)
+//! with a fused dequantize-and-bias epilogue. Integer
 //! accumulation is exact in any order, so all [`Backend`]s produce
 //! bit-identical results from identical operands.
 
-use crate::kernels::{self, Backend, LANES};
+use crate::kernels::{self, Backend, A_REP, LANES, MR};
 use crate::Matrix;
 
 /// Symmetric per-tensor quantization parameters.
@@ -176,12 +176,14 @@ impl QuantizedMatrix {
     }
 }
 
-/// Largest shared dimension [`int8_gemm`] accepts: every `k`-pair
-/// contributes at most `2 · 127 · 127` to an i32 accumulator, so `k`
-/// this large is provably overflow-free (`⌊2³¹ / 127²⌋ − 1`, floored to
-/// an even pair count). ViT shapes top out at `k = 3072`, five hundred
-/// times below the line.
-pub const MAX_INT8_GEMM_K: usize = 133_140;
+/// Largest shared dimension [`int8_gemm`] accepts: activations are
+/// clamped to ±127 but a weight loaded through
+/// [`QuantizedMatrix::from_raw`] may be `i8::MIN`, so every `k` step
+/// contributes at most `127 · 128` to an i32 accumulator and `k` this
+/// large is provably overflow-free (`⌊(2³¹ − 1) / (127 · 128)⌋` =
+/// 132,104). ViT shapes top out at `k = 3072`, forty times below the
+/// line.
+pub const MAX_INT8_GEMM_K: usize = i32::MAX as usize / (127 * 128);
 
 /// Per-row symmetrically quantized activations, stored pre-widened.
 ///
@@ -331,9 +333,11 @@ impl QuantizedRows {
 /// ```
 ///
 /// so the inner loop reads one contiguous `2·LANES` block per `k`-pair
-/// per panel — the layout the autovectorizer compiles to paired i16
-/// multiply–accumulate. Ragged edges (odd `k`, `n` not a lane multiple)
-/// are zero-padded and contribute nothing. Elements are stored widened
+/// per panel: two 128-bit registers of `(w₀, w₁)` pairs, each of which
+/// the fast kernel's tile multiplies against a register of matching
+/// activation pairs with one `pmaddwd` (four lanes, eight MACs). Ragged
+/// edges (odd `k`, `n` not a lane multiple) are zero-padded and
+/// contribute nothing. Elements are stored widened
 /// to `i16`; [`PackedGemmWeights::bytes`] still accounts one byte per
 /// logical weight, matching what an accelerator (or the artifact)
 /// actually stores.
@@ -429,8 +433,8 @@ impl PackedGemmWeights {
 /// All backends are bit-identical here by construction: integer
 /// accumulation is order-exact and the epilogue expression is shared, so
 /// backend choice affects speed only. [`Backend::Scalar`] runs a naive
-/// reference walk of the packed layout; the other two run the lane-tiled
-/// pair kernel, row-parallel across threads.
+/// reference walk of the packed layout; [`Backend::Fast`] runs the
+/// register-tile pair kernel, row-parallel across threads.
 ///
 /// # Panics
 ///
@@ -493,12 +497,22 @@ fn int8_gemm_reference(
     }
 }
 
-/// Fast arm of [`int8_gemm`]: rows in blocks of [`LANES`] (packed-panel
-/// reuse), two weight panels — `2 · LANES` output columns — per sweep,
-/// `[i32; LANES]` register accumulators, and the interleaved `k`-pair
-/// inner step `acc[l] += a₀·w[2l] + a₁·w[2l+1]` that compiles to paired
-/// i16 multiply–accumulate at the workspace's pinned `x86-64-v2`
-/// target.
+/// `k`-pairs per exactly-accumulated block of [`int8_tile`]. One pair
+/// contributes at most `2 · 127 · 128` in magnitude (activations are
+/// clamped to ±127; a raw weight may be −128), so every partial sum of a
+/// block is an integer no larger than 2²⁴ and f32 holds it exactly.
+const PAIR_BLOCK: usize = 256;
+const _: () = assert!(PAIR_BLOCK * 2 * 127 * 128 <= 1 << 24);
+
+/// `i16`s one activation row contributes to one packed `k`-pair step: the
+/// `(a₀, a₁)` pair repeated [`A_REP`] times, one 128-bit register.
+const PAIR_REP: usize = 2 * A_REP;
+
+/// Fast arm of [`int8_gemm`]: per [`MR`]-row block the activation
+/// `k`-pairs are packed once, then every weight panel meets them in
+/// [`int8_tile`], so each packed weight step is read once per `MR` rows.
+/// Rows past a ragged edge are packed as zeros and their accumulators
+/// dropped: there is one instantiation of the tile.
 fn int8_gemm_panels(
     a: &QuantizedRows,
     w: &PackedGemmWeights,
@@ -506,70 +520,77 @@ fn int8_gemm_panels(
     chunk: &mut [f32],
     first_row: usize,
 ) {
-    let n = w.n;
-    let kp = w.kp;
+    let (n, kp) = (w.n, w.kp);
     let panel_len = kp * 2 * LANES;
-    let chunk_rows = chunk.len() / n;
-    let store = |orow: &mut [f32], j: usize, acc: &[i32; LANES], factor: f32| {
-        for (l, &v) in acc.iter().enumerate() {
-            if j + l >= n {
-                break;
-            }
-            orow[j + l] = v as f32 * factor + bias[j + l];
-        }
-    };
-    let mut i0 = 0;
-    while i0 < chunk_rows {
-        let ib = (chunk_rows - i0).min(LANES);
-        let mut p = 0;
-        while p + 2 <= w.panels {
-            let w0 = &w.data[p * panel_len..(p + 1) * panel_len];
-            let w1 = &w.data[(p + 1) * panel_len..(p + 2) * panel_len];
-            for di in 0..ib {
-                let i = first_row + i0 + di;
-                let arow = a.row_wide(i);
-                let factor = a.row_scale(i) * w.scale;
-                let mut acc0 = [0i32; LANES];
-                let mut acc1 = [0i32; LANES];
-                for pair in 0..kp {
-                    let a0 = arow[2 * pair] as i32;
-                    let a1 = arow[2 * pair + 1] as i32;
-                    let wp0 = &w0[pair * 2 * LANES..(pair + 1) * 2 * LANES];
-                    let wp1 = &w1[pair * 2 * LANES..(pair + 1) * 2 * LANES];
-                    for l in 0..LANES {
-                        acc0[l] += a0 * wp0[2 * l] as i32 + a1 * wp0[2 * l + 1] as i32;
-                    }
-                    for l in 0..LANES {
-                        acc1[l] += a0 * wp1[2 * l] as i32 + a1 * wp1[2 * l + 1] as i32;
+    let mut a_pack = vec![0i16; kp * MR * PAIR_REP];
+    for (bi, out_rows) in chunk.chunks_mut(MR * n).enumerate() {
+        let row0 = first_row + bi * MR;
+        let rows = out_rows.len() / n;
+        for r in 0..MR {
+            let slots = a_pack
+                .chunks_exact_mut(MR * PAIR_REP)
+                .map(|step| &mut step[r * PAIR_REP..(r + 1) * PAIR_REP]);
+            if r < rows {
+                for (slot, pair) in slots.zip(a.row_wide(row0 + r).chunks_exact(2)) {
+                    for rep in slot.chunks_exact_mut(2) {
+                        rep.copy_from_slice(pair);
                     }
                 }
-                let orow = &mut chunk[(i0 + di) * n..(i0 + di + 1) * n];
-                store(orow, p * LANES, &acc0, factor);
-                store(orow, (p + 1) * LANES, &acc1, factor);
+            } else {
+                slots.for_each(|slot| slot.fill(0));
             }
-            p += 2;
         }
-        if p < w.panels {
-            let w0 = &w.data[p * panel_len..(p + 1) * panel_len];
-            for di in 0..ib {
-                let i = first_row + i0 + di;
-                let arow = a.row_wide(i);
-                let factor = a.row_scale(i) * w.scale;
-                let mut acc0 = [0i32; LANES];
-                for pair in 0..kp {
-                    let a0 = arow[2 * pair] as i32;
-                    let a1 = arow[2 * pair + 1] as i32;
-                    let wp0 = &w0[pair * 2 * LANES..(pair + 1) * 2 * LANES];
-                    for l in 0..LANES {
-                        acc0[l] += a0 * wp0[2 * l] as i32 + a1 * wp0[2 * l + 1] as i32;
-                    }
+        for (p, bp) in bias.chunks(LANES).enumerate() {
+            let acc = int8_tile(&a_pack, &w.data[p * panel_len..(p + 1) * panel_len]);
+            let j0 = p * LANES;
+            for (r, orow) in out_rows.chunks_exact_mut(n).enumerate() {
+                let factor = a.row_scale(row0 + r) * w.scale;
+                for ((o, &v), &b) in orow[j0..].iter_mut().zip(&acc[r]).zip(bp) {
+                    *o = v as f32 * factor + b;
                 }
-                let orow = &mut chunk[(i0 + di) * n..(i0 + di + 1) * n];
-                store(orow, p * LANES, &acc0, factor);
             }
         }
-        i0 += ib;
     }
+}
+
+/// The int8 microkernel: an `MR × LANES` block of outputs carried in
+/// registers across the whole `k`-pair walk of one weight panel. One
+/// packed `a` step is `MR` pairs, each spread over a 128-bit register, so
+/// `a₀·w[2l] + a₁·w[2l+1]` over four lanes is a single `pmaddwd` on
+/// whole registers — one instruction per 8 MACs.
+///
+/// Each [`PAIR_BLOCK`] is accumulated in **f32**, which is exact (see
+/// the constant) and is what keeps the loop in that shape: with an `i32`
+/// accumulator the release profile's thin LTO reassociates
+/// `acc + (m₀ + m₁)` into `(acc + m₀) + m₁`, the loop vectorizer then
+/// vectorizes across `k`, and the kernel falls to `pmulld`/`pinsrw` at a
+/// quarter of the rate with every test still green. f32 addition may not
+/// be reassociated, so the release build keeps `pmaddwd`, `cvtdq2ps`,
+/// `addps` per register. Block sums are converted back and totalled in
+/// `i32`; the result is the same integer any other order produces.
+#[inline(always)]
+fn int8_tile(a: &[i16], w: &[i16]) -> [[i32; LANES]; MR] {
+    let mut total = [[0i32; LANES]; MR];
+    let a_blocks = a.chunks(PAIR_BLOCK * MR * PAIR_REP);
+    for (ab, wb) in a_blocks.zip(w.chunks(PAIR_BLOCK * 2 * LANES)) {
+        let mut acc = [[0.0f32; LANES]; MR];
+        let steps = ab.chunks_exact(MR * PAIR_REP);
+        for (ak, wk) in steps.zip(wb.chunks_exact(2 * LANES)) {
+            for r in 0..MR {
+                for l in 0..LANES {
+                    let a0 = ak[r * PAIR_REP + 2 * (l % A_REP)] as i32;
+                    let a1 = ak[r * PAIR_REP + 2 * (l % A_REP) + 1] as i32;
+                    acc[r][l] += (a0 * wk[2 * l] as i32 + a1 * wk[2 * l + 1] as i32) as f32;
+                }
+            }
+        }
+        for (trow, arow) in total.iter_mut().zip(&acc) {
+            for (t, &v) in trow.iter_mut().zip(arow) {
+                *t += v as i32;
+            }
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -4,13 +4,15 @@
 //! seeds, and the packed projection GEMM ([`int8_gemm`]) tracking fp32
 //! within its analytic per-row error bound at real DeiT projection
 //! shapes — plus an exact-integer proof that the i32 accumulator cannot
-//! overflow at the documented worst-case reduction depth.
+//! overflow at the documented worst-case reduction depth, and a sweep of
+//! every tile edge of the fast GEMM against the scalar one, bit for bit,
+//! at the operand values that stress an accumulator most.
 // Backend agreement is a *bit-identical* contract (see ROADMAP): strict
 // float comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
-use vitcod_tensor::kernels::Backend;
+use vitcod_tensor::kernels::{self, Backend};
 use vitcod_tensor::sparse::{sddmm_k_stationary, sddmm_k_stationary_int8, CscMatrix};
 use vitcod_tensor::{
     int8_gemm, int8_gemm_with, Initializer, Matrix, PackedGemmWeights, QuantParams,
@@ -168,31 +170,97 @@ fn int8_gemm_within_analytic_bound_at_deit_shapes() {
     }
 }
 
-/// At the documented worst-case reduction depth [`MAX_INT8_GEMM_K`] with
-/// all operands saturated to ±127, the i32 accumulator lands exactly on
-/// the predicted integer — no wraparound — on both backends, including
-/// the lane-tail columns of a non-multiple-of-8 `n`.
+/// At the documented worst-case reduction depth [`MAX_INT8_GEMM_K`] the
+/// i32 accumulator lands exactly on the predicted integer — no
+/// wraparound — on both backends, including the lane-tail columns of a
+/// non-multiple-of-8 `n`: with all operands saturated to +127, and with
+/// the raw −128 weights only an artifact can carry, whose products are
+/// the largest the kernel can meet.
 #[test]
 fn int8_gemm_i32_accumulator_survives_worst_case_k() {
     let k = MAX_INT8_GEMM_K;
     let n = 9; // exercises the packed panel's zero-padded tail lanes
-    let acc = k as i64 * 127 * 127;
-    assert!(acc <= i32::MAX as i64, "MAX_INT8_GEMM_K itself is unsound");
+    assert!(
+        k as i64 * 127 * 128 <= i32::MAX as i64,
+        "MAX_INT8_GEMM_K itself is unsound"
+    );
 
-    // All-ones operands quantize to exactly +127 with scale 1/127.
-    let a = Matrix::from_vec(1, k, vec![1.0; k]);
-    let w = Matrix::from_vec(k, n, vec![1.0; k * n]);
+    // All-ones activations quantize to exactly +127 with scale 1/127.
+    let a8 = QuantizedRows::quantize(&Matrix::from_vec(1, k, vec![1.0; k]));
     let bias = vec![0.5f32; n];
-    let a8 = QuantizedRows::quantize(&a);
-    let w8 = PackedGemmWeights::pack(&w);
+    for wv in [127i8, i8::MIN] {
+        let w8 = PackedGemmWeights::from_quantized(&filled_weights(k, n, |_| wv));
+        // Same epilogue expression the kernel applies to its accumulator.
+        let acc = (k as i64 * 127 * wv as i64) as i32;
+        let expected = acc as f32 * (a8.row_scale(0) * w8.scale()) + 0.5;
+        for backend in [Backend::Scalar, Backend::Fast] {
+            let out = int8_gemm_with(backend, &a8, &w8, &bias);
+            for (j, &v) in out.row(0).iter().enumerate() {
+                assert_eq!(v > 0.0, wv > 0, "{backend:?}: accumulator wrapped");
+                assert_eq!(v, expected, "{backend:?} col {j}, weights {wv}");
+            }
+        }
+    }
+}
 
-    // Same epilogue expression the kernel applies to its accumulator.
-    let expected = acc as i32 as f32 * (a8.row_scale(0) * w8.scale()) + 0.5;
-    for backend in [Backend::Scalar, Backend::Fast] {
-        let out = int8_gemm_with(backend, &a8, &w8, &bias);
-        for (j, &v) in out.row(0).iter().enumerate() {
-            assert!(v > 0.0, "{backend:?}: accumulator wrapped");
-            assert_eq!(v, expected, "{backend:?} col {j}");
+/// A `k × n` raw weight whose column `j` holds `col(j)` throughout, at a
+/// scale that is not a power of two (the artifact-load constructor: the
+/// only one that admits −128).
+fn filled_weights(k: usize, n: usize, col: impl Fn(usize) -> i8) -> QuantizedMatrix {
+    let data = (0..k * n).map(|i| col(i % n)).collect();
+    QuantizedMatrix::from_raw(k, n, data, QuantParams { scale: 0.013 })
+}
+
+/// `Fast` ≡ `Scalar` at every edge of the int8 tile: m around the 4-row
+/// block, n around the 8-wide panel, k around the pair (odd `k` is
+/// zero-padded), around the 256-pair block the fast kernel accumulates
+/// exactly in f32, across several such blocks and at DeiT's widest, each
+/// empty once — on one worker and on four, where 197 rows split into
+/// chunks of 50, not a multiple of the block height. Three operand sets:
+/// random; saturated ±127 with the sign set per row and per column, so
+/// every output is a full-magnitude sum of either sign; and raw −128
+/// weights, the largest products there are. Those are the values at
+/// which an accumulator that was not exact would first differ.
+#[test]
+fn fast_matches_scalar_at_every_tile_edge_on_saturated_data() {
+    let sign = |i: usize| [1i8, -1][i % 2];
+    for m in [0, 1, 3, 4, 5, 197] {
+        for n in [0, 1, 7, 8, 9, 17, 197] {
+            for k in [0, 1, 2, 511, 512, 513, 1025, 3072] {
+                let seed = (m * 31 + n * 7 + k) as u64;
+                let saturated = Matrix::from_fn(m, k, |i, _| sign(i) as f32);
+                let operands = [
+                    (
+                        "random",
+                        random(m, k, 1.0, seed),
+                        QuantizedMatrix::quantize(&random(k, n, 0.3, seed + 1)),
+                    ),
+                    (
+                        "±127",
+                        saturated.clone(),
+                        filled_weights(k, n, |j| 127 * sign(j)),
+                    ),
+                    ("−128", saturated, filled_weights(k, n, |_| i8::MIN)),
+                ];
+                let bias: Vec<f32> = (0..n).map(|j| (j as f32).cos() * 0.1).collect();
+                for (data, a, w) in operands {
+                    let a8 = QuantizedRows::quantize(&a);
+                    let w8 = PackedGemmWeights::from_quantized(&w);
+                    let want = int8_gemm_with(Backend::Scalar, &a8, &w8, &bias);
+                    for budget in [1, 4] {
+                        let got = kernels::with_thread_budget(budget, || {
+                            int8_gemm_with(Backend::Fast, &a8, &w8, &bias)
+                        });
+                        assert_eq!(got.shape(), want.shape());
+                        let same = got
+                            .as_slice()
+                            .iter()
+                            .zip(want.as_slice())
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "{data} ({m},{k},{n}) x{budget} threads");
+                    }
+                }
+            }
         }
     }
 }
