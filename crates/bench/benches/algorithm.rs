@@ -5,14 +5,18 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
-use vitcod_core::{prune_info, prune_to_sparsity, reorder_global_tokens, CscMatrix};
+use vitcod_core::{
+    compile_model, prune_info, prune_to_sparsity, reorder_global_tokens, CscMatrix, SplitConquer,
+    SplitConquerConfig,
+};
 use vitcod_model::{
     AttentionStats, SyntheticTask, SyntheticTaskConfig, TrainConfig, Trainer, ViTConfig,
     VisionTransformer,
 };
 
 fn bench_split_conquer(c: &mut Criterion) {
-    let stats = AttentionStats::for_model(&ViTConfig::deit_base(), 1);
+    let cfg = ViTConfig::deit_base();
+    let stats = AttentionStats::for_model(&cfg, 1);
     let map = stats.maps[6][6].clone();
     let mut group = c.benchmark_group("split_conquer_197");
     for &s in &[0.6f64, 0.9] {
@@ -28,6 +32,16 @@ fn bench_split_conquer(c: &mut Criterion) {
         b.iter(|| reorder_global_tokens(&mask, None))
     });
     group.bench_function("csc_from_mask", |b| b.iter(|| CscMatrix::from_mask(&mask)));
+    // The unit the benchmark of record's `sim_sweep` times per model:
+    // all 144 heads through Alg. 1, then the compiler over the result.
+    let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9));
+    group.bench_function("apply_deit_base_144_heads", |b| {
+        b.iter(|| sc.apply(&stats.maps))
+    });
+    let heads = sc.apply(&stats.maps);
+    group.bench_function("compile_model_deit_base", |b| {
+        b.iter(|| compile_model(&cfg, &heads, None))
+    });
     group.finish();
 }
 

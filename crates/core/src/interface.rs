@@ -185,15 +185,17 @@ pub fn compile_model(
                         cfg.tokens,
                         "mask size disagrees with model config"
                     );
-                    let w = ph.workload();
-                    let col_nnz = mask.col_nnz();
+                    // One pass over the mask: the per-column counts
+                    // split at `N_gt` give both engines' totals.
+                    let mut denser_col_nnz = mask.col_nnz();
+                    let sparser_col_nnz = denser_col_nnz.split_off(ph.num_global());
                     PhaseWorkload {
-                        tokens: w.tokens,
+                        tokens: cfg.tokens,
                         head_dim: dk,
-                        num_global: w.denser_cols,
-                        denser_nnz: w.denser_nnz,
-                        sparser_nnz: w.sparser_nnz,
-                        sparser_col_nnz: col_nnz[w.denser_cols..].to_vec(),
+                        num_global: ph.num_global(),
+                        denser_nnz: denser_col_nnz.iter().sum(),
+                        sparser_nnz: sparser_col_nnz.iter().sum(),
+                        sparser_col_nnz,
                     }
                 })
                 .collect(),

@@ -67,9 +67,21 @@ impl AttentionMask {
         m
     }
 
+    /// Wraps row-major keep-bits.
+    pub(crate) fn from_bits(n: usize, bits: Vec<bool>) -> Self {
+        assert_eq!(bits.len(), n * n, "keep-bits are not n × n");
+        Self { n, bits }
+    }
+
     /// Token count `n` (the mask is `n × n`).
     pub fn size(&self) -> usize {
         self.n
+    }
+
+    /// The keep-bits one query row at a time.
+    fn rows(&self) -> impl Iterator<Item = &[bool]> {
+        // `max(1)`: an empty mask has no rows, and a zero chunk panics.
+        self.bits.chunks_exact(self.n.max(1))
     }
 
     /// Whether position `(q, k)` is kept.
@@ -119,8 +131,7 @@ impl AttentionMask {
     /// that identifies global tokens.
     pub fn col_nnz(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n];
-        for q in 0..self.n {
-            let row = &self.bits[q * self.n..(q + 1) * self.n];
+        for row in self.rows() {
             for (c, &bit) in counts.iter_mut().zip(row) {
                 if bit {
                     *c += 1;
@@ -132,8 +143,8 @@ impl AttentionMask {
 
     /// Kept count per row.
     pub fn row_nnz(&self) -> Vec<usize> {
-        (0..self.n)
-            .map(|q| (0..self.n).filter(|&k| self.bits[q * self.n + k]).count())
+        self.rows()
+            .map(|row| row.iter().filter(|&&b| b).count())
             .collect()
     }
 
@@ -143,30 +154,29 @@ impl AttentionMask {
     ///
     /// # Panics
     ///
-    /// Panics if `perm.len() != self.size()`.
+    /// Panics if `perm.len() != self.size()` or an entry of `perm` is not
+    /// below `self.size()`.
     pub fn permute_symmetric(&self, perm: &[usize]) -> AttentionMask {
         assert_eq!(perm.len(), self.n, "permutation length mismatch");
-        let mut out = AttentionMask::empty(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if self.is_kept(perm[i], perm[j]) {
-                    out.keep(i, j);
-                }
-            }
+        assert!(
+            perm.iter().all(|&p| p < self.n),
+            "permutation index out of bounds"
+        );
+        // A row gather: output row `i` is input row `perm[i]` read at the
+        // columns `perm` lists.
+        let mut bits = Vec::with_capacity(self.bits.len());
+        for &p in perm {
+            let src = &self.bits[p * self.n..(p + 1) * self.n];
+            bits.extend(perm.iter().map(|&k| src[k]));
         }
-        out
+        Self::from_bits(self.n, bits)
     }
 
     /// Converts to a 0/1 matrix (for the trainable model's
     /// `SparsityPlan` and for element-wise application `m ⊙ A`).
     pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_fn(self.n, self.n, |r, c| {
-            if self.bits[r * self.n + c] {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        let ones = self.bits.iter().map(|&b| if b { 1.0 } else { 0.0 });
+        Matrix::from_vec(self.n, self.n, ones.collect())
     }
 
     /// Element-wise application `m ⊙ A`.
@@ -176,36 +186,40 @@ impl AttentionMask {
     /// Panics if `a` is not `n × n`.
     pub fn apply(&self, a: &Matrix) -> Matrix {
         assert_eq!(a.shape(), (self.n, self.n), "matrix shape mismatch");
-        Matrix::from_fn(self.n, self.n, |r, c| {
-            if self.bits[r * self.n + c] {
-                a.get(r, c)
-            } else {
-                0.0
-            }
-        })
+        let kept = self.bits.iter().zip(a.as_slice());
+        let kept = kept.map(|(&b, &v)| if b { v } else { 0.0 });
+        Matrix::from_vec(self.n, self.n, kept.collect())
     }
 
     /// Fraction of the original attention mass retained under this mask,
     /// given the (row-normalised) averaged map `a` — the "information
     /// quantity" the pruning criterion preserves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not `n × n`.
     pub fn retained_information(&self, a: &Matrix) -> f64 {
+        assert_eq!(a.shape(), (self.n, self.n), "matrix shape mismatch");
         let total: f64 = a.as_slice().iter().map(|&v| v as f64).sum();
         if total == 0.0 {
             return 0.0;
         }
-        let kept: f64 = (0..self.n)
-            .flat_map(|r| (0..self.n).map(move |c| (r, c)))
-            .filter(|&(r, c)| self.is_kept(r, c))
-            .map(|(r, c)| a.get(r, c) as f64)
+        let kept: f64 = self
+            .bits
+            .iter()
+            .zip(a.as_slice())
+            .filter(|&(&b, _)| b)
+            .map(|(_, &v)| v as f64)
             .sum();
         kept / total
     }
 
     /// Iterator over kept `(q, k)` coordinates in row-major order.
     pub fn iter_kept(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.n)
-            .flat_map(move |q| (0..self.n).map(move |k| (q, k)))
-            .filter(move |&(q, k)| self.bits[q * self.n + k])
+        self.rows().enumerate().flat_map(|(q, row)| {
+            let kept = row.iter().enumerate().filter(|&(_, &b)| b);
+            kept.map(move |(k, _)| (q, k))
+        })
     }
 
     /// Counts kept positions inside the column block `k0..k1` (used to
@@ -216,8 +230,8 @@ impl AttentionMask {
     /// Panics if the range exceeds the mask.
     pub fn nnz_in_cols(&self, k0: usize, k1: usize) -> usize {
         assert!(k0 <= k1 && k1 <= self.n, "column range out of bounds");
-        (0..self.n)
-            .map(|q| (k0..k1).filter(|&k| self.bits[q * self.n + k]).count())
+        self.rows()
+            .map(|row| row[k0..k1].iter().filter(|&&b| b).count())
             .sum()
     }
 }

@@ -1,8 +1,18 @@
 //! Pruning with fixed masks (Alg. 1, lines 1–6).
 
+use std::cmp::Ordering;
+
 use vitcod_tensor::Matrix;
 
 use crate::mask::AttentionMask;
+
+/// A NaN has no rank, so neither pruning rule below is defined on a map
+/// that holds one (a diverged finetune produces such maps).
+fn assert_no_nan(a: &Matrix) {
+    // A fold has no early exit, so the scan vectorises.
+    let nan = a.as_slice().iter().fold(false, |nan, v| nan | v.is_nan());
+    assert!(!nan, "attention map contains NaN");
+}
 
 /// Prunes an averaged, row-normalised attention map with the paper's
 /// information-quantity criterion: per query row, keep the largest
@@ -11,11 +21,13 @@ use crate::mask::AttentionMask;
 ///
 /// `theta_p` close to `1.0` keeps almost everything; lower values prune
 /// more aggressively. Each row always keeps at least one position so no
-/// query is left with an empty attention set.
+/// query is left with an empty attention set. Equal scores are taken in
+/// ascending column order.
 ///
 /// # Panics
 ///
-/// Panics if `a` is not square or `theta_p` is outside `(0, 1]`.
+/// Panics if `a` is not square, `theta_p` is outside `(0, 1]`, or `a`
+/// contains a NaN ("attention map contains NaN").
 ///
 /// # Example
 ///
@@ -35,8 +47,10 @@ pub fn prune_info(a: &Matrix, theta_p: f64) -> AttentionMask {
         theta_p > 0.0 && theta_p <= 1.0,
         "theta_p must be in (0, 1], got {theta_p}"
     );
+    assert_no_nan(a);
     let n = a.rows();
     let mut mask = AttentionMask::empty(n);
+    let mut order: Vec<(f32, usize)> = Vec::with_capacity(n);
     for q in 0..n {
         let row = a.row(q);
         let total: f64 = row.iter().map(|&v| v as f64).sum();
@@ -45,18 +59,16 @@ pub fn prune_info(a: &Matrix, theta_p: f64) -> AttentionMask {
             mask.keep(q, q);
             continue;
         }
-        // Argsort(A) in descending order (Alg. 1, line 1).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| {
-            row[j]
-                .partial_cmp(&row[i])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // Argsort(A) in descending order (Alg. 1, line 1). The sort is
+        // stable, which is what orders equal scores by column.
+        order.clear();
+        order.extend(row.iter().copied().zip(0..));
+        order.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
         let mut cum = 0.0f64;
-        for (rank, &k) in order.iter().enumerate() {
+        for &(v, k) in &order {
             mask.keep(q, k);
-            cum += row[k] as f64 / total;
-            if cum >= theta_p && rank + 1 >= 1 {
+            cum += v as f64 / total;
+            if cum >= theta_p {
                 break;
             }
         }
@@ -69,14 +81,26 @@ pub fn prune_info(a: &Matrix, theta_p: f64) -> AttentionMask {
 ///
 /// This is the controlled-sweep variant used for the paper's
 /// {60, 70, 80, 90, 95}% sparsity experiments, where the independent
-/// variable is the sparsity ratio itself rather than `θp`. Each row is
-/// still guaranteed at least one kept position (the row maximum), so the
-/// achieved sparsity can be marginally below the target for extreme
-/// ratios.
+/// variable is the sparsity ratio itself rather than `θp`.
+///
+/// **Selection rule.** Each row first keeps its maximum (the first one,
+/// if the maximum repeats), so no query is left with an empty attention
+/// set and the achieved sparsity can be marginally below the target for
+/// extreme ratios. The rest of the budget, `round((1 − sparsity) · n²)`
+/// less those `n`, goes to the largest of the other `n² − n` scores.
+///
+/// **Tie rule.** When scores equal to the smallest kept one outnumber
+/// the slots left for them, the slots go to those scores in row-major
+/// order. `-0.0` and `+0.0` are equal. This is the set a stable
+/// descending sort of all entries keeps.
+///
+/// **Cost.** `O(n²)` expected time — a selection of the threshold, not a
+/// sort — and one scratch `Vec<f32>` of `n² − n` scores.
 ///
 /// # Panics
 ///
-/// Panics if `a` is not square or `sparsity` is outside `[0, 1)`.
+/// Panics if `a` is not square, `sparsity` is outside `[0, 1)`, or `a`
+/// contains a NaN ("attention map contains NaN").
 ///
 /// # Example
 ///
@@ -94,35 +118,47 @@ pub fn prune_to_sparsity(a: &Matrix, sparsity: f64) -> AttentionMask {
         (0.0..1.0).contains(&sparsity),
         "sparsity must be in [0, 1), got {sparsity}"
     );
+    assert_no_nan(a);
     let n = a.rows();
     let keep_budget = (((n * n) as f64) * (1.0 - sparsity)).round().max(n as f64) as usize;
 
-    // Global descending argsort of all entries.
-    let mut order: Vec<(usize, usize)> = (0..n).flat_map(|q| (0..n).map(move |k| (q, k))).collect();
-    order.sort_by(|&(q1, k1), &(q2, k2)| {
-        a.get(q2, k2)
-            .partial_cmp(&a.get(q1, k1))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    // Each row's maximum is kept whatever its rank; the others compete
+    // for the `extra` slots, and `threshold` is the smallest score that
+    // wins one.
+    let row_max: Vec<usize> = (0..n)
+        .map(|q| q * n + vitcod_tensor::argmax(a.row(q)).unwrap_or(q))
+        .collect();
+    let extra = keep_budget - n;
+    let threshold = if extra == 0 {
+        f32::INFINITY
+    } else {
+        let mut others = Vec::with_capacity(n * n - n);
+        for (q, &best) in row_max.iter().enumerate() {
+            others.extend_from_slice(&a.as_slice()[q * n..best]);
+            others.extend_from_slice(&a.as_slice()[best + 1..(q + 1) * n]);
+        }
+        // `total_cmp` refines the numeric order on NaN-free data, so the
+        // element it selects has the numeric rank asked for; the
+        // comparisons against it below are numeric, which is what ties
+        // -0.0 with +0.0.
+        *others
+            .select_nth_unstable_by(extra - 1, |x, y| y.total_cmp(x))
+            .1
+    };
 
-    let mut mask = AttentionMask::empty(n);
-    // Guarantee each row its maximum first.
-    for q in 0..n {
-        let row = a.row(q);
-        let best = vitcod_tensor::argmax(row).unwrap_or(q);
-        mask.keep(q, best);
-    }
-    let mut kept = mask.nnz();
-    for &(q, k) in &order {
-        if kept >= keep_budget {
+    let mut bits: Vec<bool> = a.as_slice().iter().map(|&v| v > threshold).collect();
+    row_max.iter().for_each(|&i| bits[i] = true);
+    let mut slots = keep_budget - bits.iter().filter(|&&b| b).count();
+    for (bit, v) in bits.iter_mut().zip(a.as_slice()) {
+        if slots == 0 {
             break;
         }
-        if !mask.is_kept(q, k) {
-            mask.keep(q, k);
-            kept += 1;
+        if !*bit && v.partial_cmp(&threshold) == Some(Ordering::Equal) {
+            *bit = true;
+            slots -= 1;
         }
     }
-    mask
+    AttentionMask::from_bits(n, bits)
 }
 
 #[cfg(test)]

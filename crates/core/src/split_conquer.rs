@@ -1,5 +1,6 @@
 //! The combined split-and-conquer transform (Alg. 1) across a full model.
 
+use vitcod_tensor::kernels::par_map_collect;
 use vitcod_tensor::Matrix;
 
 use crate::formats::CscMatrix;
@@ -87,15 +88,13 @@ impl PolarizedHead {
 
     /// Workload split between the two engines.
     pub fn workload(&self) -> WorkloadSplit {
-        let n = self.reorder.mask.size();
-        let ngt = self.reorder.num_global;
-        let denser_nnz = self.reorder.mask.nnz_in_cols(0, ngt);
-        let sparser_nnz = self.reorder.mask.nnz_in_cols(ngt, n);
+        let col_nnz = self.reorder.mask.col_nnz();
+        let (denser, sparser) = col_nnz.split_at(self.reorder.num_global);
         WorkloadSplit {
-            tokens: n,
-            denser_cols: ngt,
-            denser_nnz,
-            sparser_nnz,
+            tokens: self.reorder.mask.size(),
+            denser_cols: self.reorder.num_global,
+            denser_nnz: denser.iter().sum(),
+            sparser_nnz: sparser.iter().sum(),
         }
     }
 }
@@ -199,17 +198,23 @@ impl SplitConquer {
         }
     }
 
-    /// Transforms a `[layer][head]` ensemble of averaged maps.
+    /// Transforms a `[layer][head]` ensemble of averaged maps. Heads are
+    /// independent, so they fan out across the kernel layer's thread
+    /// budget as one flat list; the result does not depend on it.
     pub fn apply(&self, maps: &[Vec<Matrix>]) -> Vec<Vec<PolarizedHead>> {
-        maps.iter()
+        let flat: Vec<(usize, usize, &Matrix)> = maps
+            .iter()
             .enumerate()
-            .map(|(l, heads)| {
-                heads
-                    .iter()
-                    .enumerate()
-                    .map(|(h, m)| self.apply_one(l, h, m))
-                    .collect()
-            })
+            .flat_map(|(l, heads)| heads.iter().enumerate().map(move |(h, m)| (l, h, m)))
+            .collect();
+        let work_per_head = flat.first().map_or(0, |(_, _, m)| m.rows() * m.cols());
+        let mut done = par_map_collect(flat.len(), work_per_head, |i| {
+            let (l, h, m) = flat[i];
+            self.apply_one(l, h, m)
+        })
+        .into_iter();
+        maps.iter()
+            .map(|heads| done.by_ref().take(heads.len()).collect())
             .collect()
     }
 
