@@ -7,13 +7,19 @@
 //! through attention (with *fixed sparse masks*), LayerNorm, GELU MLPs and
 //! the head-dimension auto-encoder. This crate provides exactly that: a
 //! small, dependency-free tape autograd over [`vitcod_tensor::Matrix`]
-//! with fused operators for the expensive composites (masked softmax
-//! attention, LayerNorm, head-mixing used by the auto-encoder).
+//! with fused operators for the expensive composites (attention,
+//! LayerNorm, head-mixing used by the auto-encoder).
 //!
 //! # Design
 //!
 //! * A [`Tape`] records a DAG of [`Op`]s produced during a forward pass;
 //!   [`Tape::backward`] walks it in reverse, accumulating gradients.
+//! * Attention is one op, [`Tape::attention`]: `batch` stacked samples
+//!   (a single sample is a batch of one) × heads, each head following a
+//!   [`HeadExec`] plan fixed ahead of time — dense, dense with a `-inf`
+//!   mask bias, or the truly-sparse CSC dataflow. Its cached
+//!   probabilities are read through [`Tape::try_head_probs`] (borrowed,
+//!   dense heads only) and [`Tape::head_probs_dense`] (owned, any head).
 //! * Trainable parameters live outside the tape in a [`ParamStore`], so a
 //!   fresh tape per training step reuses the same parameters; after
 //!   `backward`, [`Tape::write_grads`] flushes accumulated gradients into

@@ -5,6 +5,13 @@
 //! to [`vitcod_tensor::kernels`], so the tape records *what* is computed
 //! while the kernel layer decides *how* (scalar reference vs the fast
 //! tiled, thread-parallel path — see [`vitcod_tensor::Backend`]).
+//!
+//! There is one attention op, [`Tape::attention`], over `batch`
+//! vertically stacked samples; a single sample is a batch of one. Every
+//! `(sample, head)` task runs `kernels::attention_head{,_backward}` or
+//! their `sparse` counterparts according to the head's [`HeadExec`]
+//! plan, and its probabilities are read back with
+//! [`Tape::try_head_probs`] / [`Tape::head_probs_dense`].
 
 use std::sync::Arc;
 
@@ -23,11 +30,10 @@ pub const LAYERNORM_EPS: f32 = 1e-5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-/// Per-head execution plan of a [`Tape::batched_multi_head_attention`]
-/// node. Plans are `Arc`-shared so a model can build them once (mask
-/// freeze) and every training step's tape references them without
-/// re-materialising an `n × n` bias or recompiling a CSC index per
-/// sample.
+/// Per-head execution plan of a [`Tape::attention`] node. Plans are
+/// `Arc`-shared so a model can build them once (mask freeze) and every
+/// training step's tape references them without re-materialising an
+/// `n × n` bias or recompiling a CSC index per sample.
 #[derive(Debug, Clone)]
 pub enum HeadExec {
     /// Full dense attention.
@@ -96,32 +102,12 @@ enum OpKind {
         normed: Matrix,
         inv_std: Vec<f32>,
     },
-    /// Fused masked softmax attention: `softmax(Q·Kᵀ·scale + maskbias) · V`.
-    /// Caches the probability matrix for the backward pass.
-    MaskedAttention {
-        q: Var,
-        k: Var,
-        v: Var,
-        scale: f32,
-        probs: Matrix,
-    },
-    /// Fused multi-head masked attention over head-fused `n × (h·dk)`
-    /// Q/K/V: heads fan out across worker threads in both passes. Caches
-    /// one probability matrix per head.
-    MultiHeadAttention {
-        q: Var,
-        k: Var,
-        v: Var,
-        dk: usize,
-        scale: f32,
-        probs: Vec<Matrix>,
-    },
-    /// Fused batched multi-head attention over `batch` vertically stacked
+    /// Fused multi-head attention over `batch` vertically stacked
     /// samples of `n` tokens each: `(sample, head)` tasks fan out across
     /// worker threads, each head following its [`HeadExec`] plan (dense,
     /// dense-masked, or the truly-sparse CSC dataflow). Caches one
     /// probability record per task, sample-major.
-    BatchedAttention {
+    Attention {
         q: Var,
         k: Var,
         v: Var,
@@ -162,11 +148,6 @@ enum OpKind {
     /// Mean over rows producing a `1 × c` pooled representation.
     MeanRows {
         a: Var,
-    },
-    /// Single row extracted as `1 × c` (class-token readout).
-    RowSlice {
-        a: Var,
-        r: usize,
     },
     /// Mean softmax cross-entropy between `logits` rows and integer targets;
     /// caches probabilities.
@@ -335,89 +316,13 @@ impl Tape {
         )
     }
 
-    /// Fused masked softmax attention for one head:
-    /// `softmax(q·kᵀ·scale + maskbias) · v`.
-    ///
-    /// `mask_bias`, when provided, is added to the scores before softmax;
-    /// ViTCoD's fixed sparse masks use `0.0` for kept positions and
-    /// `f32::NEG_INFINITY` for pruned ones, which the softmax maps to an
-    /// exact zero probability (and hence an exactly-zero gradient).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q`/`k`/`v` shapes are inconsistent or the mask is not
-    /// `q.rows() × k.rows()`.
-    pub fn masked_attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        scale: f32,
-        mask_bias: Option<&Matrix>,
-    ) -> Var {
-        let qv = &self.nodes[q.0].value;
-        let kv = &self.nodes[k.0].value;
-        let vv = &self.nodes[v.0].value;
-        let (out, probs) = kernels::attention_head(qv, kv, vv, scale, mask_bias);
-        self.push(
-            out,
-            OpKind::MaskedAttention {
-                q,
-                k,
-                v,
-                scale,
-                probs,
-            },
-        )
-    }
-
-    /// Fused multi-head masked attention over head-fused `n × (h·dk)`
-    /// Q/K/V nodes: each of the `q.cols() / dk` heads attends over its
-    /// own `dk`-wide column stripe, with heads fanned out across worker
-    /// threads in both the forward and backward pass (see
-    /// [`vitcod_tensor::kernels::multi_head_attention`]).
-    ///
-    /// `masks[h]`, when present, is the additive bias for head `h`
-    /// (`0.0` kept, `-inf` pruned); pass an empty slice for all-dense
-    /// heads. Per-head probabilities are retrievable through
-    /// [`Self::head_probs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if Q/K/V shapes differ, `q.cols()` is not a multiple of
-    /// `dk`, or `masks` is non-empty but does not cover every head.
-    pub fn multi_head_attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        dk: usize,
-        scale: f32,
-        masks: &[Option<Matrix>],
-    ) -> Var {
-        let qv = &self.nodes[q.0].value;
-        let kv = &self.nodes[k.0].value;
-        let vv = &self.nodes[v.0].value;
-        let fwd = kernels::multi_head_attention(qv, kv, vv, dk, scale, masks);
-        self.push(
-            fwd.out,
-            OpKind::MultiHeadAttention {
-                q,
-                k,
-                v,
-                dk,
-                scale,
-                probs: fwd.probs,
-            },
-        )
-    }
-
-    /// Fused multi-head attention over a whole minibatch: `q`/`k`/`v`
-    /// hold `batch` samples of `n` tokens stacked vertically
-    /// (`(batch·n) × (h·dk)`), and every `(sample, head)` pair attends
-    /// independently inside its own block — one tape node per step
-    /// instead of one per sample, which is what lets a training step
-    /// amortise weight imports and per-op overhead across the batch.
+    /// Fused multi-head attention, the tape's one attention op:
+    /// `q`/`k`/`v` hold `batch` samples of `n` tokens stacked vertically
+    /// (`(batch·n) × (h·dk)`; a single sample is `batch == 1`), and every
+    /// `(sample, head)` pair attends independently inside its own block
+    /// — one tape node per step instead of one per sample, which is what
+    /// lets a training step amortise weight imports and per-op overhead
+    /// across the batch.
     ///
     /// `heads[h]` selects each head's execution plan ([`HeadExec`]):
     /// dense, dense with an additive `-inf` mask bias, or the
@@ -426,6 +331,9 @@ impl Tape {
     /// Tasks fan out across worker threads in both passes; outputs and
     /// gradients are assembled in fixed `(sample, head)` order, so
     /// results are bit-identical regardless of the worker count.
+    /// Per-task probabilities are read back through
+    /// [`Self::try_head_probs`] (borrowed, dense heads) and
+    /// [`Self::head_probs_dense`] (owned, any head).
     ///
     /// # Panics
     ///
@@ -434,7 +342,7 @@ impl Tape {
     /// non-empty but does not cover exactly every head, or a plan's
     /// mask/index size differs from the per-sample token count.
     #[allow(clippy::too_many_arguments)]
-    pub fn batched_multi_head_attention(
+    pub fn attention(
         &mut self,
         q: Var,
         k: Var,
@@ -448,10 +356,10 @@ impl Tape {
         let kv = &self.nodes[k.0].value;
         let vv = &self.nodes[v.0].value;
         let heads = normalize_head_plans(qv, kv, vv, dk, batch, heads);
-        let (out, probs) = batched_attention_forward(qv, kv, vv, dk, scale, batch, &heads);
+        let (out, probs) = attention_forward(qv, kv, vv, dk, scale, batch, &heads);
         self.push(
             out,
-            OpKind::BatchedAttention {
+            OpKind::Attention {
                 q,
                 k,
                 v,
@@ -503,141 +411,83 @@ impl Tape {
         )
     }
 
-    /// Attention probabilities of the most recent [`Self::masked_attention`]
-    /// node `attn`; used to extract averaged attention maps for the
-    /// split-and-conquer algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attn` is not a masked-attention node.
-    pub fn attention_probs(&self, attn: Var) -> &Matrix {
+    /// The cached probability record of task `(sample, head)` of the
+    /// attention node `attn`.
+    fn task_probs(&self, attn: Var, sample: usize, head: usize) -> &HeadProbs {
         match &self.nodes[attn.0].op {
-            OpKind::MaskedAttention { probs, .. } => probs,
-            other => panic!("attention_probs on non-attention node: {other:?}"),
+            OpKind::Attention {
+                batch,
+                heads,
+                probs,
+                ..
+            } => {
+                assert!(
+                    sample < *batch,
+                    "sample {sample} out of range ({batch} samples)"
+                );
+                assert!(
+                    head < heads.len(),
+                    "head {head} out of range ({} heads)",
+                    heads.len()
+                );
+                &probs[sample * heads.len() + head]
+            }
+            other => panic!("attention probabilities of a non-attention node: {other:?}"),
         }
     }
 
-    /// Attention probabilities of head `head` of a
-    /// [`Self::multi_head_attention`] node (also accepts a single-head
-    /// [`Self::masked_attention`] node at `head == 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attn` is not an attention node or `head` is out of
-    /// range.
-    pub fn head_probs(&self, attn: Var, head: usize) -> &Matrix {
-        match &self.nodes[attn.0].op {
-            OpKind::MultiHeadAttention { probs, .. } => probs
-                .get(head)
-                .unwrap_or_else(|| panic!("head {head} out of range ({} heads)", probs.len())),
-            OpKind::MaskedAttention { probs, .. } if head == 0 => probs,
-            OpKind::BatchedAttention {
-                batch: 1, probs, ..
-            } => match probs
-                .get(head)
-                .unwrap_or_else(|| panic!("head {head} out of range ({} heads)", probs.len()))
-            {
-                HeadProbs::Dense(m) => m,
-                HeadProbs::Sparse(_) => {
-                    panic!("head {head} runs the sparse dataflow; use head_probs_dense")
-                }
-            },
-            other => panic!("head_probs on non-attention node: {other:?}"),
-        }
-    }
-
-    /// Borrowed attention probabilities of `(sample, head)` when the
-    /// head's probabilities are cached densely; `None` for heads on the
-    /// sparse dataflow (densify those with [`Self::head_probs_dense`]).
-    /// Lets accumulation loops over dense heads avoid one `n × n` copy
-    /// per head.
+    /// Borrowed attention probabilities of `(sample, head)` of a
+    /// [`Self::attention`] node when the head's probabilities are cached
+    /// densely; `None` for heads on the sparse dataflow (densify those
+    /// with [`Self::head_probs_dense`]). Lets accumulation loops over
+    /// dense heads avoid one `n × n` copy per head.
     ///
     /// # Panics
     ///
     /// Panics if `attn` is not an attention node or `sample`/`head` are
     /// out of range.
     pub fn try_head_probs(&self, attn: Var, sample: usize, head: usize) -> Option<&Matrix> {
-        match &self.nodes[attn.0].op {
-            OpKind::BatchedAttention {
-                batch,
-                heads,
-                probs,
-                ..
-            } => {
-                assert!(
-                    sample < *batch,
-                    "sample {sample} out of range ({batch} samples)"
-                );
-                assert!(head < heads.len(), "head {head} out of range");
-                match &probs[sample * heads.len() + head] {
-                    HeadProbs::Dense(m) => Some(m),
-                    HeadProbs::Sparse(_) => None,
-                }
-            }
-            OpKind::MultiHeadAttention { probs, .. } if sample == 0 => Some(&probs[head]),
-            OpKind::MaskedAttention { probs, .. } if sample == 0 && head == 0 => Some(probs),
-            other => panic!("try_head_probs on incompatible node: {other:?}"),
+        match self.task_probs(attn, sample, head) {
+            HeadProbs::Dense(m) => Some(m),
+            HeadProbs::Sparse(_) => None,
         }
     }
 
-    /// Attention probabilities of `(sample, head)` of a batched attention
-    /// node as an owned dense matrix; sparse heads are densified (zeros
-    /// at pruned positions). Also accepts the single-sample attention ops
-    /// at `sample == 0`.
+    /// Attention probabilities of `(sample, head)` of a
+    /// [`Self::attention`] node as an owned dense matrix; sparse heads
+    /// are densified (zeros at pruned positions).
     ///
     /// # Panics
     ///
     /// Panics if `attn` is not an attention node or `sample`/`head` are
     /// out of range.
     pub fn head_probs_dense(&self, attn: Var, sample: usize, head: usize) -> Matrix {
-        match &self.nodes[attn.0].op {
-            OpKind::BatchedAttention {
-                batch,
-                heads,
-                probs,
-                ..
-            } => {
-                assert!(
-                    sample < *batch,
-                    "sample {sample} out of range ({batch} samples)"
-                );
-                assert!(head < heads.len(), "head {head} out of range");
-                match &probs[sample * heads.len() + head] {
-                    HeadProbs::Dense(m) => m.clone(),
-                    HeadProbs::Sparse(s) => s.to_dense(),
-                }
-            }
-            OpKind::MultiHeadAttention { probs, .. } if sample == 0 => probs[head].clone(),
-            OpKind::MaskedAttention { probs, .. } if sample == 0 && head == 0 => probs.clone(),
-            other => panic!("head_probs_dense on incompatible node: {other:?}"),
+        match self.task_probs(attn, sample, head) {
+            HeadProbs::Dense(m) => m.clone(),
+            HeadProbs::Sparse(s) => s.to_dense(),
         }
     }
 
-    /// Number of stacked samples recorded by an attention node (1 for
-    /// the single-sample ops).
+    /// Number of stacked samples recorded by an attention node.
     ///
     /// # Panics
     ///
     /// Panics if `attn` is not an attention node.
     pub fn attention_batch(&self, attn: Var) -> usize {
         match &self.nodes[attn.0].op {
-            OpKind::BatchedAttention { batch, .. } => *batch,
-            OpKind::MultiHeadAttention { .. } | OpKind::MaskedAttention { .. } => 1,
+            OpKind::Attention { batch, .. } => *batch,
             other => panic!("attention_batch on non-attention node: {other:?}"),
         }
     }
 
-    /// Number of heads recorded by an attention node (1 for the
-    /// single-head op).
+    /// Number of heads recorded by an attention node.
     ///
     /// # Panics
     ///
     /// Panics if `attn` is not an attention node.
     pub fn num_heads(&self, attn: Var) -> usize {
         match &self.nodes[attn.0].op {
-            OpKind::MultiHeadAttention { probs, .. } => probs.len(),
-            OpKind::BatchedAttention { heads, .. } => heads.len(),
-            OpKind::MaskedAttention { .. } => 1,
+            OpKind::Attention { heads, .. } => heads.len(),
             other => panic!("num_heads on non-attention node: {other:?}"),
         }
     }
@@ -689,17 +539,6 @@ impl Tape {
     pub fn mean_rows(&mut self, a: Var) -> Var {
         let out = kernels::mean_rows(&self.nodes[a.0].value);
         self.push(out, OpKind::MeanRows { a })
-    }
-
-    /// Extracts row `r` as a `1 × cols` node (class-token readout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_slice(&mut self, a: Var, r: usize) -> Var {
-        let av = &self.nodes[a.0].value;
-        let value = av.submatrix(r, r + 1, 0, av.cols());
-        self.push(value, OpKind::RowSlice { a, r })
     }
 
     /// Mean softmax cross-entropy of `logits` rows against integer class
@@ -896,49 +735,7 @@ impl Tape {
                     self.add_grad(gamma, ggamma);
                     self.add_grad(beta, gbeta);
                 }
-                OpKind::MaskedAttention {
-                    q,
-                    k,
-                    v,
-                    scale,
-                    probs,
-                } => {
-                    let (q, k, v) = (*q, *k, *v);
-                    let (gq, gk, gv) = kernels::attention_head_backward(
-                        &self.nodes[q.0].value,
-                        &self.nodes[k.0].value,
-                        &self.nodes[v.0].value,
-                        *scale,
-                        probs,
-                        &gout,
-                    );
-                    self.add_grad(q, gq);
-                    self.add_grad(k, gk);
-                    self.add_grad(v, gv);
-                }
-                OpKind::MultiHeadAttention {
-                    q,
-                    k,
-                    v,
-                    dk,
-                    scale,
-                    probs,
-                } => {
-                    let (q, k, v) = (*q, *k, *v);
-                    let (gq, gk, gv) = kernels::multi_head_attention_backward(
-                        &self.nodes[q.0].value,
-                        &self.nodes[k.0].value,
-                        &self.nodes[v.0].value,
-                        *dk,
-                        *scale,
-                        probs,
-                        &gout,
-                    );
-                    self.add_grad(q, gq);
-                    self.add_grad(k, gk);
-                    self.add_grad(v, gv);
-                }
-                OpKind::BatchedAttention {
+                OpKind::Attention {
                     q,
                     k,
                     v,
@@ -949,7 +746,7 @@ impl Tape {
                     probs,
                 } => {
                     let (q, k, v) = (*q, *k, *v);
-                    let (gq, gk, gv) = batched_attention_backward(
+                    let (gq, gk, gv) = attention_backward(
                         &self.nodes[q.0].value,
                         &self.nodes[k.0].value,
                         &self.nodes[v.0].value,
@@ -1028,14 +825,6 @@ impl Tape {
                     let g = kernels::broadcast_row(&gout, rows, 1.0 / rows as f32);
                     self.add_grad(a, g);
                 }
-                &OpKind::RowSlice { a, r } => {
-                    let (rows, cols) = self.nodes[a.0].value.shape();
-                    let mut g = Matrix::zeros(rows, cols);
-                    for c in 0..cols {
-                        g.set(r, c, gout.get(0, c));
-                    }
-                    self.add_grad(a, g);
-                }
                 OpKind::CrossEntropy {
                     logits,
                     targets,
@@ -1081,8 +870,8 @@ impl Tape {
     }
 }
 
-/// Validates a batched attention call's shapes and expands an empty plan
-/// slice to all-dense.
+/// Validates an attention call's shapes and expands an empty plan slice
+/// to all-dense.
 fn normalize_head_plans(
     q: &Matrix,
     k: &Matrix,
@@ -1119,10 +908,10 @@ fn normalize_head_plans(
     heads.to_vec()
 }
 
-/// Forward of the batched attention op: `(sample, head)` tasks fan out
-/// via the kernel layer, then outputs are written into the stacked
-/// result in fixed task order.
-fn batched_attention_forward(
+/// Forward of the attention op: `(sample, head)` tasks fan out via the
+/// kernel layer, then outputs are written into the stacked result in
+/// fixed task order.
+fn attention_forward(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -1170,10 +959,10 @@ fn batched_attention_forward(
     (out, probs)
 }
 
-/// Backward of the batched attention op; tasks fan out like the forward
-/// and the per-block gradients are assembled in fixed task order.
+/// Backward of the attention op; tasks fan out like the forward and the
+/// per-block gradients are assembled in fixed task order.
 #[allow(clippy::too_many_arguments)]
-fn batched_attention_backward(
+fn attention_backward(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -1336,6 +1125,8 @@ mod tests {
         let mut mask = Matrix::zeros(3, 3);
         mask.set(0, 2, f32::NEG_INFINITY);
         mask.set(2, 0, f32::NEG_INFINITY);
+        // One head spanning all four columns.
+        let plan = [HeadExec::Masked(Arc::new(mask))];
         let target = Matrix::zeros(3, 4);
         for id in [q, k, v] {
             gradcheck(
@@ -1345,7 +1136,7 @@ mod tests {
                     let qv = tape.param(store, q);
                     let kv = tape.param(store, k);
                     let vv = tape.param(store, v);
-                    let o = tape.masked_attention(qv, kv, vv, 0.5, Some(&mask));
+                    let o = tape.attention(qv, kv, vv, 4, 0.5, 1, &plan);
                     tape.mse_loss(o, &target)
                 },
                 5e-2,
@@ -1363,8 +1154,10 @@ mod tests {
         let v = tape.constant(Initializer::Normal { std: 1.0 }.sample(4, 8, 9));
         let mut mask = Matrix::zeros(4, 4);
         mask.set(1, 3, f32::NEG_INFINITY);
-        let attn = tape.masked_attention(q, k, v, 0.35, Some(&mask));
-        let p = tape.attention_probs(attn);
+        let attn = tape.attention(q, k, v, 8, 0.35, 1, &[HeadExec::Masked(Arc::new(mask))]);
+        let p = tape
+            .try_head_probs(attn, 0, 0)
+            .expect("masked heads cache dense");
         assert_eq!(p.get(1, 3), 0.0);
         // Every row still sums to one.
         for r in 0..4 {
@@ -1486,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_row_slice_backward() {
+    fn relu_and_single_row_gather_backward() {
         let mut store = ParamStore::new();
         let w = store.register("w", Initializer::Normal { std: 0.9 }.sample(3, 3, 16));
         let x = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.3, 0.1, -0.2]]);
@@ -1499,7 +1292,7 @@ mod tests {
                 let wv = tape.param(store, w);
                 let y = tape.matmul(xv, wv);
                 let a = tape.relu(y);
-                let r0 = tape.row_slice(a, 0);
+                let r0 = tape.gather_rows(a, &[0]);
                 tape.mse_loss(r0, &target)
             },
             3e-2,
@@ -1507,167 +1300,70 @@ mod tests {
     }
 
     #[test]
-    // Head probes replay the same kernel path; equality is bitwise.
+    // The op runs the reference kernels per task; equality is bitwise.
     #[allow(clippy::float_cmp)]
-    fn multi_head_attention_matches_per_head_graph() {
-        let (n, dk, heads) = (5, 3, 2);
-        let mut store = ParamStore::new();
-        let q = store.register(
-            "q",
-            Initializer::Normal { std: 0.8 }.sample(n, heads * dk, 20),
-        );
-        let k = store.register(
-            "k",
-            Initializer::Normal { std: 0.8 }.sample(n, heads * dk, 21),
-        );
-        let v = store.register(
-            "v",
-            Initializer::Normal { std: 0.8 }.sample(n, heads * dk, 22),
-        );
+    fn attention_matches_reference_kernels_bitwise() {
+        let (n, dk, heads, scale) = (5, 3, 2, 0.5);
         let mut mask = Matrix::zeros(n, n);
         mask.set(0, 4, f32::NEG_INFINITY);
         let masks = vec![Some(mask.clone()), None];
-        let target = Matrix::zeros(n, heads * dk);
-
-        // Fused op.
-        let mut fused = Tape::new();
-        let (qv, kv, vv) = (
-            fused.param(&store, q),
-            fused.param(&store, k),
-            fused.param(&store, v),
-        );
-        let attn = fused.multi_head_attention(qv, kv, vv, dk, 0.5, &masks);
-        assert_eq!(fused.num_heads(attn), heads);
-        let loss = fused.mse_loss(attn, &target);
-        fused.backward(loss);
-        store.zero_grads();
-        fused.write_grads(&mut store);
-        let fused_gq = store.grad(q).clone();
-        let fused_out = fused.value(attn).clone();
-        let fused_loss = fused.scalar(loss);
-
-        // Composed per-head graph (slice → attend → concat).
-        let mut composed = Tape::new();
-        let (qv, kv, vv) = (
-            composed.param(&store, q),
-            composed.param(&store, k),
-            composed.param(&store, v),
-        );
-        let mut outs = Vec::new();
-        for (h, mask) in masks.iter().enumerate() {
-            let c0 = h * dk;
-            let qh = composed.slice_cols(qv, c0, c0 + dk);
-            let kh = composed.slice_cols(kv, c0, c0 + dk);
-            let vh = composed.slice_cols(vv, c0, c0 + dk);
-            outs.push(composed.masked_attention(qh, kh, vh, 0.5, mask.as_ref()));
-        }
-        let cat = composed.concat_cols(&outs);
-        let loss2 = composed.mse_loss(cat, &target);
-        composed.backward(loss2);
-        store.zero_grads();
-        composed.write_grads(&mut store);
-
-        assert!(fused_out.max_abs_diff(composed.value(cat)) < 1e-6);
-        assert!((fused_loss - composed.scalar(loss2)).abs() < 1e-7);
-        assert!(fused_gq.max_abs_diff(store.grad(q)) < 1e-6);
-        // Head-probe API agrees with the per-head nodes.
-        assert_eq!(fused.head_probs(attn, 0), composed.attention_probs(outs[0]));
-        assert_eq!(fused.head_probs(attn, 0).get(0, 4), 0.0);
-    }
-
-    #[test]
-    fn batched_attention_batch_one_matches_fused_op() {
-        let (n, dk, heads) = (6, 4, 2);
-        let mut store = ParamStore::new();
-        let q = store.register(
-            "q",
-            Initializer::Normal { std: 0.8 }.sample(n, heads * dk, 30),
-        );
-        let k = store.register(
-            "k",
-            Initializer::Normal { std: 0.8 }.sample(n, heads * dk, 31),
-        );
-        let v = store.register(
-            "v",
-            Initializer::Normal { std: 0.8 }.sample(n, heads * dk, 32),
-        );
-        let mut mask = Matrix::zeros(n, n);
-        mask.set(0, 3, f32::NEG_INFINITY);
-        let masks = vec![Some(mask.clone()), None];
-        let target = Matrix::zeros(n, heads * dk);
-
-        let mut fused = Tape::new();
-        let (qv, kv, vv) = (
-            fused.param(&store, q),
-            fused.param(&store, k),
-            fused.param(&store, v),
-        );
-        let attn = fused.multi_head_attention(qv, kv, vv, dk, 0.5, &masks);
-        let loss = fused.mse_loss(attn, &target);
-        fused.backward(loss);
-        store.zero_grads();
-        fused.write_grads(&mut store);
-        let fused_gq = store.grad(q).clone();
-
         let plans = vec![HeadExec::Masked(Arc::new(mask)), HeadExec::Dense];
-        let mut batched = Tape::new();
-        let (qv, kv, vv) = (
-            batched.param(&store, q),
-            batched.param(&store, k),
-            batched.param(&store, v),
-        );
-        let attn_b = batched.batched_multi_head_attention(qv, kv, vv, dk, 0.5, 1, &plans);
-        assert_eq!(batched.attention_batch(attn_b), 1);
-        assert_eq!(batched.num_heads(attn_b), heads);
-        let loss_b = batched.mse_loss(attn_b, &target);
-        batched.backward(loss_b);
-        store.zero_grads();
-        batched.write_grads(&mut store);
-
-        // The batch-1 batched op runs the exact same per-head kernels, so
-        // values and gradients are bit-identical to the fused op.
-        assert_eq!(fused.value(attn), batched.value(attn_b));
-        assert_eq!(&fused_gq, store.grad(q));
-        assert_eq!(
-            fused.head_probs(attn, 0),
-            &batched.head_probs_dense(attn_b, 0, 0)
-        );
-    }
-
-    #[test]
-    fn batched_attention_blocks_match_per_sample_ops() {
-        let (n, dk, heads, batch) = (5, 3, 2, 3);
-        let rows = batch * n;
-        let q = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 33);
-        let k = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 34);
-        let v = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 35);
-        let mut tape = Tape::new();
-        let (qv, kv, vv) = (
-            tape.constant(q.clone()),
-            tape.constant(k.clone()),
-            tape.constant(v.clone()),
-        );
-        let attn = tape.batched_multi_head_attention(qv, kv, vv, dk, 0.5, batch, &[]);
-        for s in 0..batch {
-            let mut single = Tape::new();
-            let (qs, ks, vs) = (
-                single.constant(q.submatrix(s * n, (s + 1) * n, 0, heads * dk)),
-                single.constant(k.submatrix(s * n, (s + 1) * n, 0, heads * dk)),
-                single.constant(v.submatrix(s * n, (s + 1) * n, 0, heads * dk)),
+        for batch in [1, 3] {
+            let rows = batch * n;
+            let q = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 20);
+            let k = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 21);
+            let v = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 22);
+            let mut tape = Tape::new();
+            let (qv, kv, vv) = (
+                tape.constant(q.clone()),
+                tape.constant(k.clone()),
+                tape.constant(v.clone()),
             );
-            let a = single.multi_head_attention(qs, ks, vs, dk, 0.5, &[]);
-            assert_eq!(
-                tape.value(attn)
-                    .submatrix(s * n, (s + 1) * n, 0, heads * dk),
-                *single.value(a),
-                "sample {s} block differs"
+            let attn = tape.attention(qv, kv, vv, dk, scale, batch, &plans);
+            assert_eq!(tape.attention_batch(attn), batch);
+            assert_eq!(tape.num_heads(attn), heads);
+            let loss = tape.mse_loss(attn, &Matrix::zeros(rows, heads * dk));
+            tape.backward(loss);
+            let gout = tape.grad(attn).expect("attention is on the loss path");
+            let (gq, gk, gv) = (
+                tape.grad(qv).unwrap(),
+                tape.grad(kv).unwrap(),
+                tape.grad(vv).unwrap(),
             );
-            for h in 0..heads {
-                assert_eq!(
-                    tape.head_probs_dense(attn, s, h),
-                    *single.head_probs(a, h),
-                    "sample {s} head {h} probs differ"
+
+            for s in 0..batch {
+                // Values and probabilities: the forward-only fused kernel
+                // on the sample's own rows.
+                let sample = |m: &Matrix| m.submatrix(s * n, (s + 1) * n, 0, heads * dk);
+                let want = kernels::multi_head_attention(
+                    &sample(&q),
+                    &sample(&k),
+                    &sample(&v),
+                    dk,
+                    scale,
+                    &masks,
                 );
+                assert_eq!(sample(tape.value(attn)), want.out, "sample {s} block");
+                for h in 0..heads {
+                    let probs = tape.try_head_probs(attn, s, h).expect("dense cache");
+                    assert_eq!(*probs, want.probs[h], "sample {s} head {h} probs");
+                    assert_eq!(tape.head_probs_dense(attn, s, h), want.probs[h]);
+                    // Gradients: the per-head backward kernel on the
+                    // task's own block of the upstream gradient.
+                    let block = |m: &Matrix| m.submatrix(s * n, (s + 1) * n, h * dk, (h + 1) * dk);
+                    let (wq, wk, wv) = kernels::attention_head_backward(
+                        &block(&q),
+                        &block(&k),
+                        &block(&v),
+                        scale,
+                        &want.probs[h],
+                        &block(gout),
+                    );
+                    assert_eq!(block(gq), wq, "sample {s} head {h} gq");
+                    assert_eq!(block(gk), wk, "sample {s} head {h} gk");
+                    assert_eq!(block(gv), wv, "sample {s} head {h} gv");
+                }
+                assert_eq!(want.probs[0].get(0, 4), 0.0, "pruned position");
             }
         }
     }
@@ -1693,7 +1389,7 @@ mod tests {
                     let kv = tape.param(store, k);
                     let vv = tape.param(store, v);
                     let plans = vec![HeadExec::Sparse(csc.clone())];
-                    let o = tape.batched_multi_head_attention(qv, kv, vv, dk, 0.5, 1, &plans);
+                    let o = tape.attention(qv, kv, vv, dk, 0.5, 1, &plans);
                     tape.mse_loss(o, &target)
                 },
                 5e-2,
@@ -1726,7 +1422,7 @@ mod tests {
                 tape.param(&store, k),
                 tape.param(&store, v),
             );
-            let o = tape.batched_multi_head_attention(qv, kv, vv, dk, 0.5, 1, &plans);
+            let o = tape.attention(qv, kv, vv, dk, 0.5, 1, &plans);
             let loss = tape.mse_loss(o, &target);
             tape.backward(loss);
             (

@@ -78,7 +78,8 @@ proptest! {
             let qv = tape.param(store, w);
             let kv = tape.constant(k.clone());
             let vv = tape.constant(v.clone());
-            let o = tape.masked_attention(qv, kv, vv, 0.5, None);
+            // One dense head spanning all four columns, batch of one.
+            let o = tape.attention(qv, kv, vv, 4, 0.5, 1, &[]);
             tape.mse_loss(o, &Matrix::zeros(4, 4))
         }, 8e-2)?;
     }

@@ -8,8 +8,9 @@
 //! * **batched vs per-sample step throughput** at the trainable
 //!   substrate (DeiT-Tiny's reduced training shape) and 90 % sparsity,
 //!   batch 8: the subsystem's step (one stacked tape, masks frozen to
-//!   CSC) must beat the loop it replaced (one `-inf`-masked tape per
-//!   sample, the pre-`vitcod-train` trainer) by ≥ 1.3× — the batched
+//!   CSC) must beat the loop it replaced (one `-inf`-masked
+//!   batch-of-one tape per sample, the pre-`vitcod-train` trainer) by
+//!   ≥ 1.3× — the batched
 //!   tape amortises weight imports, per-op bookkeeping and backward
 //!   caches across the batch, and the frozen masks drop the dense
 //!   mask-bias arithmetic;
@@ -130,8 +131,12 @@ fn batched_step(
     loss
 }
 
-/// The replaced loop: one tape per sample, gradients accumulated and
-/// rescaled, then the same clip + optimizer step.
+/// The replaced loop: one batch-of-one tape per sample
+/// (`VisionTransformer::forward` is `forward_batch(&[tokens])`, the one
+/// forward there is), gradients accumulated and rescaled, then the same
+/// clip + optimizer step. What it measures against [`batched_step`] is
+/// therefore batch 1 × 8 vs batch 8 × 1 through identical ops, plus the
+/// `-inf` biases vs the frozen CSC plans.
 fn per_sample_step(
     model: &VisionTransformer,
     store: &mut ParamStore,
@@ -243,13 +248,9 @@ fn main() {
     let masks: Vec<Matrix> = (0..heads)
         .map(|h| prune_to_sparsity(&stats.maps[0][h], SPARSITY).to_matrix())
         .collect();
-    let biases: Vec<Arc<Matrix>> = masks
+    let biases: Vec<Matrix> = masks
         .iter()
-        .map(|m| {
-            let mut b = m.clone();
-            b.map_inplace(|kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 });
-            Arc::new(b)
-        })
+        .map(|m| m.map(|kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 }))
         .collect();
     let cscs: Vec<Arc<CscMatrix>> = masks
         .iter()
@@ -262,20 +263,32 @@ fn main() {
     let gout = Initializer::Normal { std: 1.0 }.sample(n, heads * dk, 94);
     let scale = 1.0 / (dk as f32).sqrt();
 
-    let mask_biases: Vec<Option<Matrix>> = biases.iter().map(|b| Some((**b).clone())).collect();
+    // Both sides walk the heads in index order over the same column
+    // stripes; only the per-head kernels differ.
+    let stripe = |m: &Matrix, h: usize| m.submatrix(0, n, h * dk, (h + 1) * dk);
     let masked_attn_s = time_best(5, || {
-        let fwd = kernels::multi_head_attention(&q, &k, &v, dk, scale, &mask_biases);
-        std::hint::black_box(kernels::multi_head_attention_backward(
-            &q, &k, &v, dk, scale, &fwd.probs, &gout,
-        ));
+        for (h, bias) in biases.iter().enumerate() {
+            let (qh, kh, vh, gh) = (
+                stripe(&q, h),
+                stripe(&k, h),
+                stripe(&v, h),
+                stripe(&gout, h),
+            );
+            let (out, probs) = kernels::attention_head(&qh, &kh, &vh, scale, Some(bias));
+            std::hint::black_box(out);
+            std::hint::black_box(kernels::attention_head_backward(
+                &qh, &kh, &vh, scale, &probs, &gh,
+            ));
+        }
     });
     let sparse_attn_s = time_best(5, || {
         for (h, csc) in cscs.iter().enumerate() {
-            let c0 = h * dk;
-            let qh = q.submatrix(0, n, c0, c0 + dk);
-            let kh = k.submatrix(0, n, c0, c0 + dk);
-            let vh = v.submatrix(0, n, c0, c0 + dk);
-            let gh = gout.submatrix(0, n, c0, c0 + dk);
+            let (qh, kh, vh, gh) = (
+                stripe(&q, h),
+                stripe(&k, h),
+                stripe(&v, h),
+                stripe(&gout, h),
+            );
             let probs = sparse::sddmm_k_stationary(&qh, &kh, csc, scale).softmax_rows();
             std::hint::black_box(sparse::spmm_output_stationary(&probs, &vh));
             std::hint::black_box(sparse::attention_head_backward(

@@ -59,9 +59,10 @@ pub struct VitOutput {
     /// (mean over every stacked token row, so batched and per-sample
     /// passes weight it identically).
     pub recon_loss: Option<Var>,
-    /// One fused multi-head attention node per layer; per-head
-    /// probability maps are extracted via [`Tape::head_probs`] (single
-    /// sample) or [`Tape::head_probs_dense`] (any sample).
+    /// One [`Tape::attention`] node per layer; the probability map of a
+    /// `(sample, head)` is read via [`Tape::try_head_probs`] (borrowed,
+    /// `None` for heads on the sparse dataflow) or
+    /// [`Tape::head_probs_dense`] (owned, any head).
     pub attention_nodes: Vec<Var>,
 }
 
@@ -489,76 +490,14 @@ impl VisionTransformer {
     }
 
     /// Runs a forward pass for a single sample of raw tokens
-    /// (`tokens × in_dim`, row 0 being the class-token slot).
+    /// (`tokens × in_dim`, row 0 being the class-token slot): a
+    /// [`Self::forward_batch`] of one.
     ///
     /// # Panics
     ///
     /// Panics if `tokens` does not have the configured shape.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, tokens: &Matrix) -> VitOutput {
-        if self.frozen.is_some() {
-            // Frozen-sparse models route every pass (including
-            // single-sample evaluation) through the batched op so masked
-            // heads run the nnz-scaled dataflow.
-            return self.forward_batch(tape, store, &[tokens]);
-        }
-        assert_eq!(
-            tokens.shape(),
-            (self.cfg.tokens, self.in_dim),
-            "input token shape mismatch"
-        );
-        let dk = self.cfg.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-
-        let x0 = tape.constant(tokens.clone());
-        let embedded = self.patch_embed.forward(tape, store, x0);
-        let pos = tape.param(store, self.pos_embed);
-        let mut x = tape.add(embedded, pos);
-
-        let mut recon_total: Option<Var> = None;
-        let mut attention_nodes = Vec::with_capacity(self.blocks.len());
-
-        for (l, block) in self.blocks.iter().enumerate() {
-            let normed = block.ln1.forward(tape, store, x);
-            let mut q = block.wq.forward(tape, store, normed);
-            let mut k = block.wk.forward(tape, store, normed);
-            let v = block.wv.forward(tape, store, normed);
-
-            if let Some(ae) = &block.ae {
-                let (q2, rq) = apply_ae(tape, store, q, ae.enc_q, ae.dec_q, dk);
-                let (k2, rk) = apply_ae(tape, store, k, ae.enc_k, ae.dec_k, dk);
-                q = q2;
-                k = k2;
-                let layer_recon = tape.weighted_sum(rq, rk, 1.0, 1.0);
-                recon_total = Some(match recon_total {
-                    Some(acc) => tape.weighted_sum(acc, layer_recon, 1.0, 1.0),
-                    None => layer_recon,
-                });
-            }
-
-            // All heads attend in one fused op: the kernel layer fans the
-            // per-head column stripes out across worker threads instead of
-            // recording `heads` separate slice/attend/concat nodes.
-            let masks = self.layer_mask_biases(l);
-            let attn = tape.multi_head_attention(q, k, v, dk, scale, &masks);
-            attention_nodes.push(attn);
-            let projected = block.wo.forward(tape, store, attn);
-            x = tape.add(x, projected);
-
-            let normed2 = block.ln2.forward(tape, store, x);
-            let h1 = block.fc1.forward(tape, store, normed2);
-            let act = tape.gelu(h1);
-            let h2 = block.fc2.forward(tape, store, act);
-            x = tape.add(x, h2);
-        }
-
-        let cls = tape.row_slice(x, 0);
-        let normed = self.final_ln.forward(tape, store, cls);
-        let logits = self.head.forward(tape, store, normed);
-        VitOutput {
-            logits,
-            recon_loss: recon_total,
-            attention_nodes,
-        }
+        self.forward_batch(tape, store, &[tokens])
     }
 
     /// Runs one forward pass over a whole minibatch on a single tape:
@@ -566,10 +505,10 @@ impl VisionTransformer {
     /// layer processes the stack in one set of ops, so weights are
     /// imported once per step (not once per sample) and the per-op
     /// bookkeeping amortises across the batch. Attention runs through
-    /// [`Tape::batched_multi_head_attention`], with `(sample, head)`
-    /// tasks fanned across worker threads; masked heads follow the
-    /// model's execution plans (dense `-inf` biases, or the truly-sparse
-    /// CSC dataflow after [`Self::freeze_sparse_attention`]).
+    /// [`Tape::attention`], with `(sample, head)` tasks fanned across
+    /// worker threads; masked heads follow the model's execution plans
+    /// (dense `-inf` biases, or the truly-sparse CSC dataflow after
+    /// [`Self::freeze_sparse_attention`]).
     ///
     /// Returns logits with one row per sample, in batch order. Losses
     /// built on them (e.g. [`Tape::cross_entropy`] with one target per
@@ -629,7 +568,7 @@ impl VisionTransformer {
             }
 
             let plans = self.layer_head_plans(l);
-            let attn = tape.batched_multi_head_attention(q, k, v, dk, scale, b, &plans);
+            let attn = tape.attention(q, k, v, dk, scale, b, &plans);
             attention_nodes.push(attn);
             let projected = block.wo.forward(tape, store, attn);
             x = tape.add(x, projected);
@@ -676,20 +615,6 @@ impl VisionTransformer {
                 .collect();
         }
         Vec::new()
-    }
-
-    /// Additive mask biases for every head of `layer`, copied out of the
-    /// cache compiled at [`Self::set_sparsity_plan`]; empty when the
-    /// model is fully dense (the fused attention op treats an empty slice
-    /// as "no masks").
-    fn layer_mask_biases(&self, layer: usize) -> Vec<Option<Matrix>> {
-        match &self.mask_biases {
-            None => Vec::new(),
-            Some(biases) => biases[layer]
-                .iter()
-                .map(|b| b.as_ref().map(|bias| (**bias).clone()))
-                .collect(),
-        }
     }
 
     /// Averaged per-head attention maps over `samples`, the statistic the
@@ -783,7 +708,9 @@ mod tests {
         let tokens =
             vitcod_tensor::Initializer::Normal { std: 1.0 }.sample(vit.config().tokens, 8, 7);
         let out = vit.forward(&mut tape, &store, &tokens);
-        let p = tape.head_probs(out.attention_nodes[0], 0);
+        let p = tape
+            .try_head_probs(out.attention_nodes[0], 0, 0)
+            .expect("dense heads cache dense probabilities");
         for r in 0..p.rows() {
             let s: f32 = p.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
@@ -829,7 +756,9 @@ mod tests {
         let mut tape = Tape::new();
         let tokens = vitcod_tensor::Initializer::Normal { std: 1.0 }.sample(n, 8, 11);
         let out = vit.forward(&mut tape, &store, &tokens);
-        let p = tape.head_probs(out.attention_nodes[1], 0);
+        let p = tape
+            .try_head_probs(out.attention_nodes[1], 0, 0)
+            .expect("masked heads cache dense probabilities");
         for r in 0..n {
             for c in 0..n {
                 if r != c && c != 0 {
@@ -880,12 +809,13 @@ mod tests {
         for (s, tokens) in samples.iter().enumerate() {
             let mut single = Tape::new();
             let o = vit.forward(&mut single, &store, tokens);
-            let want = single.value(o.logits);
-            let got = logits.submatrix(s, s + 1, 0, 4);
-            assert!(
-                got.max_abs_diff(want) < 1e-4,
-                "sample {s} logits differ by {}",
-                got.max_abs_diff(want)
+            // Bitwise: every kernel on the path reduces each output row
+            // on its own in ascending-`k` order, so batch composition
+            // cannot move a sample's logits.
+            assert_eq!(
+                logits.submatrix(s, s + 1, 0, 4),
+                *single.value(o.logits),
+                "sample {s} logits depend on batch composition"
             );
         }
     }

@@ -72,6 +72,7 @@
 mod batcher;
 pub mod queue;
 mod registry;
+mod ring;
 mod server;
 pub mod spans;
 pub mod stats;

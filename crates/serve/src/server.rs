@@ -35,13 +35,14 @@ use vitcod_tensor::Matrix;
 use crate::batcher::{Batch, BatchAssembler, BatchConfig, Request};
 use crate::queue::{BoundedQueue, Pop};
 use crate::registry::ModelRegistry;
+use crate::ring::ShardedRing;
 use crate::spans::{
-    compute_span, FinishedTrace, KeepReason, PendingSpan, RequestOutcome, Sampler, Span, SpanRing,
-    StageReport, TailSampler, TracingConfig,
+    compute_span, FinishedTrace, KeepReason, PendingSpan, RequestOutcome, Sampler, Span,
+    StageReport, TailSampler, TracingConfig, SPAN_RING_CAPACITY,
 };
 use crate::stats::{RequestTiming, ServerStats, StatsRecorder};
 use crate::ticket::{RequestError, Ticket, TicketInner};
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
+use crate::trace::{TraceEvent, TraceKind, TRACE_CAPACITY};
 
 /// Error submitting a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,17 +91,17 @@ struct Shared {
     requests: BoundedQueue<Request>,
     batches: BoundedQueue<Batch>,
     stats: StatsRecorder,
-    trace: TraceBuffer,
+    trace: ShardedRing<TraceEvent>,
     /// Request-tracing knobs, fixed at startup.
     tracing: TracingConfig,
     /// Deterministic head sampler driven by the ingress
     /// ([`Client::sample_trace`]).
     sampler: Sampler,
     /// Finished span trees of sampled requests (`GET /v1/traces`).
-    traces: SpanRing,
+    traces: ShardedRing<FinishedTrace>,
     /// Span trees of requests that blew their slow threshold
     /// (`GET /v1/slowlog`).
-    slowlog: SpanRing,
+    slowlog: ShardedRing<FinishedTrace>,
     /// Completion-time retention ([`TracingConfig::tail`]); `None`
     /// keeps the traces ring head-sampled only.
     tail: Option<TailSampler>,
@@ -124,7 +125,7 @@ impl Shared {
             .insert(id.clone(), engine)
             .is_some();
         self.trace
-            .record(TraceKind::Reload, &id, usize::from(replaced));
+            .record_event(TraceKind::Reload, &id, usize::from(replaced));
         replaced
     }
 
@@ -200,11 +201,11 @@ impl Server {
             // only governs batches still in the assembler's rotation).
             batches: BoundedQueue::new(config.workers),
             stats: StatsRecorder::new(),
-            trace: TraceBuffer::new(),
+            trace: ShardedRing::new(TRACE_CAPACITY),
             tracing,
             sampler: Sampler::new(tracing.sample_rate),
-            traces: SpanRing::new(),
-            slowlog: SpanRing::new(),
+            traces: ShardedRing::new(SPAN_RING_CAPACITY),
+            slowlog: ShardedRing::new(SPAN_RING_CAPACITY),
             tail: tracing.tail.map(TailSampler::new),
         });
         let batcher = {
@@ -306,7 +307,7 @@ impl Server {
         if self.batcher.is_some() {
             self.shared
                 .trace
-                .record(TraceKind::Shutdown, "", self.shared.requests.len());
+                .record_event(TraceKind::Shutdown, "", self.shared.requests.len());
         }
         self.shared.requests.close();
         if let Some(h) = self.batcher.take() {
@@ -419,9 +420,11 @@ impl Client {
         let (request, ticket) = self.make_request(model, tokens, None, false)?;
         match self.shared.requests.try_push(request) {
             Ok(()) => {
-                self.shared
-                    .trace
-                    .record(TraceKind::Enqueue, model, self.shared.requests.len());
+                self.shared.trace.record_event(
+                    TraceKind::Enqueue,
+                    model,
+                    self.shared.requests.len(),
+                );
                 Ok(Ticket::new(ticket))
             }
             Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
@@ -443,7 +446,7 @@ impl Client {
             .map_err(|_| SubmitError::Closed)?;
         self.shared
             .trace
-            .record(TraceKind::Enqueue, model, self.shared.requests.len());
+            .record_event(TraceKind::Enqueue, model, self.shared.requests.len());
         Ok(Ticket::new(ticket))
     }
 
@@ -571,7 +574,7 @@ impl Client {
     pub fn record_trace(&self, trace_id: String, model: String, total_s: f64, root: Span) {
         self.shared
             .traces
-            .record(trace_id, model, true, "head", total_s, root);
+            .record_trace(trace_id, model, true, "head", total_s, root);
     }
 
     /// Retains one slow request's span tree in the slowlog ring
@@ -592,7 +595,7 @@ impl Client {
         self.shared.stats.record_slow_request(&model);
         self.shared
             .slowlog
-            .record(trace_id, model, sampled, "slow", total_s, root);
+            .record_trace(trace_id, model, sampled, "slow", total_s, root);
     }
 
     /// Retains one tail-kept request's span tree in the traces ring
@@ -609,7 +612,7 @@ impl Client {
     ) {
         self.shared
             .traces
-            .record(trace_id, model, false, reason.as_str(), total_s, root);
+            .record_trace(trace_id, model, false, reason.as_str(), total_s, root);
     }
 
     /// Whether tail-based retention is configured
@@ -730,7 +733,7 @@ fn run_batcher(shared: &Shared, cfg: &BatchConfig) {
     let dispatch = |batch: Batch| {
         shared
             .trace
-            .record(TraceKind::Dispatch, &batch.model, batch.requests.len());
+            .record_event(TraceKind::Dispatch, &batch.model, batch.requests.len());
         if let Err(batch) = shared.batches.push(batch) {
             for r in batch.requests {
                 r.ticket.cancel();
@@ -788,7 +791,7 @@ fn run_batcher(shared: &Shared, cfg: &BatchConfig) {
             assembler.poll(now);
         }
         for (model, n) in assembler.take_promoted() {
-            shared.trace.record(TraceKind::Promote, &model, n);
+            shared.trace.record_event(TraceKind::Promote, &model, n);
         }
         let expired = assembler.take_expired();
         if !expired.is_empty() {
@@ -797,7 +800,7 @@ fn run_batcher(shared: &Shared, cfg: &BatchConfig) {
                 *per_model.entry(&request.model).or_insert(0) += 1;
             }
             for (model, n) in per_model {
-                shared.trace.record(TraceKind::Expire, model, n);
+                shared.trace.record_event(TraceKind::Expire, model, n);
             }
         }
         for request in expired {

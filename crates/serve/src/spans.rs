@@ -15,12 +15,13 @@
 //! around each op (same kernel sequence), so its logits are bitwise
 //! equal.
 //!
-//! Finished trees land in two [`SpanRing`]s (same sharded, counted-
-//! eviction design as [`crate::trace::TraceBuffer`]): every sampled
-//! request in the traces ring, and any request whose end-to-end latency
-//! exceeded its slow threshold (deadline × 0.5, or the configured
-//! fallback) in the slowlog ring. The ring shard mutexes are leaf
-//! locks: nothing is acquired while one is held.
+//! Finished trees land in two rings (the crate's one sharded,
+//! counted-eviction ring, `ring.rs`, which also holds the event trace
+//! of [`crate::trace`]): every sampled request in the traces ring, and
+//! any request whose end-to-end latency exceeded its slow threshold
+//! (deadline × 0.5, or the configured fallback) in the slowlog ring.
+//! The ring shard mutexes are leaf locks: nothing is acquired while one
+//! is held.
 //!
 //! With [`TracingConfig::tail`] set, retention flips from an
 //! ingress-time coin flip to a completion-time decision: every
@@ -33,19 +34,16 @@
 //! off the fast path is untouched.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use vitcod_engine::{OpProfile, OP_NAMES};
 
+use crate::ring::ShardedRing;
+
 /// Total finished span trees each ring retains across all shards.
 pub const SPAN_RING_CAPACITY: usize = 256;
-
-/// Shards (independent rings) the capacity is split across.
-const SPAN_RING_SHARDS: usize = 8;
 
 /// Head-sampling denominator: rates are fixed-point millionths.
 const SAMPLE_UNIT: u64 = 1_000_000;
@@ -420,36 +418,10 @@ pub struct FinishedTrace {
     pub root: Span,
 }
 
-/// A bounded, sharded ring of [`FinishedTrace`]s: same design as the
-/// event [`crate::trace::TraceBuffer`] — writers pick a shard by thread
-/// id, full shards evict their oldest entry (counted, not hidden), and
-/// reads merge shards in record order. Shard mutexes are leaf locks.
-pub(crate) struct SpanRing {
-    start: Instant,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    shards: Vec<Mutex<VecDeque<FinishedTrace>>>,
-}
-
-impl SpanRing {
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            shards: (0..SPAN_RING_SHARDS)
-                .map(|_| {
-                    Mutex::new(VecDeque::with_capacity(
-                        SPAN_RING_CAPACITY / SPAN_RING_SHARDS,
-                    ))
-                })
-                .collect(),
-        }
-    }
-
+impl ShardedRing<FinishedTrace> {
     /// Retains one finished trace, assigning its ring sequence number
     /// and retention timestamp.
-    pub fn record(
+    pub fn record_trace(
         &self,
         trace_id: String,
         model: String,
@@ -458,57 +430,16 @@ impl SpanRing {
         total_s: f64,
         root: Span,
     ) {
-        let trace = FinishedTrace {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            at_s: self.start.elapsed().as_secs_f64(),
+        self.record(|seq, at_s| FinishedTrace {
+            seq,
+            at_s,
             trace_id,
             model,
             sampled,
             kept,
             total_s,
             root,
-        };
-        let shard_idx = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            (h.finish() as usize) % self.shards.len().max(1)
-        };
-        if let Some(shard) = self.shards.get(shard_idx) {
-            let mut ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            if ring.len() >= SPAN_RING_CAPACITY / SPAN_RING_SHARDS {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(trace);
-        }
-    }
-
-    /// Drains every shard and returns the traces in record order.
-    pub fn take(&self) -> Vec<FinishedTrace> {
-        let mut traces: Vec<FinishedTrace> = Vec::new();
-        for shard in &self.shards {
-            let mut ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            traces.extend(ring.drain(..));
-        }
-        traces.sort_by_key(|t| t.seq);
-        traces
-    }
-
-    /// Copies every shard's traces in record order without draining —
-    /// the `?peek=1` read.
-    pub fn peek(&self) -> Vec<FinishedTrace> {
-        let mut traces: Vec<FinishedTrace> = Vec::new();
-        for shard in &self.shards {
-            let ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            traces.extend(ring.iter().cloned());
-        }
-        traces.sort_by_key(|t| t.seq);
-        traces
-    }
-
-    /// Traces evicted before being drained, since the server started.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        });
     }
 }
 
@@ -659,11 +590,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_records_in_order_peeks_without_draining_and_counts_evictions() {
-        let ring = SpanRing::new();
-        let per_shard = SPAN_RING_CAPACITY / SPAN_RING_SHARDS;
-        for i in 0..per_shard + 5 {
-            ring.record(
+    fn ring_stamps_finished_traces_in_record_order() {
+        let ring = ShardedRing::new(SPAN_RING_CAPACITY);
+        for i in 0..3 {
+            ring.record_trace(
                 format!("t{i}"),
                 "m".into(),
                 false,
@@ -672,13 +602,11 @@ mod tests {
                 trace_root(),
             );
         }
-        let peeked = ring.peek();
-        assert_eq!(peeked.len(), per_shard);
-        assert_eq!(ring.dropped(), 5);
-        assert!(peeked.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Oldest evicted; peek left everything in place for take.
-        assert_eq!(peeked.first().map(|t| t.trace_id.as_str()), Some("t5"));
-        assert_eq!(ring.take(), peeked);
-        assert!(ring.take().is_empty());
+        let traces = ring.take();
+        let ids: Vec<&str> = traces.iter().map(|t| t.trace_id.as_str()).collect();
+        assert_eq!(ids, ["t0", "t1", "t2"]);
+        assert!(traces.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(traces.windows(2).all(|w| w[0].at_s <= w[1].at_s));
+        assert_eq!(traces[0].root, trace_root());
     }
 }

@@ -4,11 +4,10 @@
 //!
 //! Every interesting transition in the serving loop records one
 //! [`TraceEvent`] — enqueue, expiry, pending-set promotion, batch
-//! dispatch, hot reload, shutdown — into a [`TraceBuffer`]: a fixed
-//! number of mutex-guarded shards (writers pick one by thread id, so
-//! concurrent producers, the batcher and the control plane rarely
-//! contend), each a bounded ring that evicts its oldest event when
-//! full. Eviction is **counted, not hidden**
+//! dispatch, hot reload, shutdown — into the crate's one bounded
+//! sharded ring (`ring.rs`, shared with the span rings of
+//! [`crate::spans`]): writers pick a shard by thread id, and a full
+//! shard evicts its oldest event. Eviction is **counted, not hidden**
 //! ([`crate::Client::trace_dropped`], exported as a counter on
 //! `/v1/metrics`), so a drained trace that missed events says so.
 //!
@@ -18,17 +17,10 @@
 //! Memory stays bounded at [`TRACE_CAPACITY`] events regardless of
 //! traffic.
 
-use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+use crate::ring::ShardedRing;
 
 /// Total events the buffer retains across all shards.
 pub const TRACE_CAPACITY: usize = 2048;
-
-/// Shards (independent rings) the capacity is split across.
-const TRACE_SHARDS: usize = 8;
 
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,84 +71,17 @@ pub struct TraceEvent {
     pub n: usize,
 }
 
-/// The bounded, sharded event ring; see the [module docs](self).
-pub(crate) struct TraceBuffer {
-    start: Instant,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    shards: Vec<Mutex<VecDeque<TraceEvent>>>,
-}
-
-impl TraceBuffer {
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            shards: (0..TRACE_SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(TRACE_CAPACITY / TRACE_SHARDS)))
-                .collect(),
-        }
-    }
-
-    /// Seconds since the buffer (= server) was created.
-    pub fn uptime_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Records one event into the calling thread's shard, evicting the
-    /// shard's oldest event when full.
-    pub fn record(&self, kind: TraceKind, model: &str, n: usize) {
-        let event = TraceEvent {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            at_s: self.uptime_s(),
+impl ShardedRing<TraceEvent> {
+    /// Records one event, stamped with its global sequence number and
+    /// the seconds since the server started.
+    pub fn record_event(&self, kind: TraceKind, model: &str, n: usize) {
+        self.record(|seq, at_s| TraceEvent {
+            seq,
+            at_s,
             kind,
             model: model.to_string(),
             n,
-        };
-        let shard_idx = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            (h.finish() as usize) % self.shards.len().max(1)
-        };
-        if let Some(shard) = self.shards.get(shard_idx) {
-            let mut ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            if ring.len() >= TRACE_CAPACITY / TRACE_SHARDS {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(event);
-        }
-    }
-
-    /// Drains every shard and returns the events in record order.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for shard in &self.shards {
-            let mut ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            events.extend(ring.drain(..));
-        }
-        events.sort_by_key(|e| e.seq);
-        events
-    }
-
-    /// Copies every shard's events in record order **without draining**
-    /// — the `?peek=1` read for scraping tools, which must not race a
-    /// human draining the ring.
-    pub fn peek(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for shard in &self.shards {
-            let ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            events.extend(ring.iter().cloned());
-        }
-        events.sort_by_key(|e| e.seq);
-        events
-    }
-
-    /// Events evicted before being drained (ring saturation), since the
-    /// server started.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        });
     }
 }
 
@@ -166,10 +91,10 @@ mod tests {
 
     #[test]
     fn events_drain_in_record_order() {
-        let b = TraceBuffer::new();
-        b.record(TraceKind::Enqueue, "m", 1);
-        b.record(TraceKind::Promote, "m", 4);
-        b.record(TraceKind::Dispatch, "m", 4);
+        let b = ShardedRing::new(TRACE_CAPACITY);
+        b.record_event(TraceKind::Enqueue, "m", 1);
+        b.record_event(TraceKind::Promote, "m", 4);
+        b.record_event(TraceKind::Dispatch, "m", 4);
         let events = b.take();
         assert_eq!(events.len(), 3);
         assert_eq!(
@@ -177,58 +102,7 @@ mod tests {
             [TraceKind::Enqueue, TraceKind::Promote, TraceKind::Dispatch]
         );
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(b.take().is_empty(), "take drains");
+        assert!(events.windows(2).all(|w| w[0].at_s <= w[1].at_s));
         assert_eq!(b.dropped(), 0);
-    }
-
-    #[test]
-    fn peek_is_non_destructive() {
-        let b = TraceBuffer::new();
-        b.record(TraceKind::Enqueue, "m", 1);
-        b.record(TraceKind::Dispatch, "m", 1);
-        let peeked = b.peek();
-        assert_eq!(peeked.len(), 2);
-        assert!(peeked.windows(2).all(|w| w[0].seq < w[1].seq));
-        // A second peek sees the same events; a take still drains them.
-        assert_eq!(b.peek(), peeked);
-        assert_eq!(b.take(), peeked);
-        assert!(b.peek().is_empty());
-    }
-
-    #[test]
-    fn saturation_evicts_oldest_and_counts_drops() {
-        let b = TraceBuffer::new();
-        // All from one thread → one shard → its ring bounds the run.
-        let per_shard = TRACE_CAPACITY / TRACE_SHARDS;
-        for i in 0..per_shard + 10 {
-            b.record(TraceKind::Enqueue, "m", i);
-        }
-        let events = b.take();
-        assert_eq!(events.len(), per_shard);
-        assert_eq!(b.dropped(), 10);
-        // The oldest 10 were evicted, the newest survive.
-        assert_eq!(events.first().map(|e| e.n), Some(10));
-        assert_eq!(events.last().map(|e| e.n), Some(per_shard + 9));
-    }
-
-    #[test]
-    fn concurrent_writers_keep_global_order_consistent() {
-        let b = std::sync::Arc::new(TraceBuffer::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let b = std::sync::Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        b.record(TraceKind::Enqueue, "m", t * 1000 + i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("writer");
-        }
-        let events = b.take();
-        assert_eq!(events.len() as u64 + b.dropped(), 200);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 }

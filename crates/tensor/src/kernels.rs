@@ -1347,6 +1347,13 @@ pub struct MhaForward {
 /// `masks[h]`, when present, is the additive bias for head `h` (`0` kept,
 /// `-inf` pruned); pass an empty slice for all-dense heads.
 ///
+/// Forward only. The tape's one attention op runs [`attention_head`] /
+/// [`attention_head_backward`] per `(sample, head)` itself, so nothing in
+/// the product calls this; it outlives its backward because the
+/// benchmark of record times it as `tensor.attn_dense_s` and the tape
+/// tests compare the op against it. Repoint the probe at the next
+/// `[benchmark]` PR, then delete it.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent, `q.cols()` is not a multiple of
@@ -1382,40 +1389,6 @@ pub fn multi_head_attention(
     let out = Matrix::hcat(&outs);
     let probs = per_head.into_iter().map(|(_, p)| p).collect();
     MhaForward { out, probs }
-}
-
-/// Backward of [`multi_head_attention`]: heads fan out in parallel;
-/// returns `(gq, gk, gv)` in the fused `n × (h·dk)` layout.
-///
-/// # Panics
-///
-/// Panics if shapes disagree with the forward pass.
-pub fn multi_head_attention_backward(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    dk: usize,
-    scale: f32,
-    probs: &[Matrix],
-    gout: &Matrix,
-) -> (Matrix, Matrix, Matrix) {
-    let heads = probs.len();
-    let n = q.rows();
-    assert_eq!(q.cols(), heads * dk, "q cols must equal heads * dk");
-    assert_eq!(gout.shape(), q.shape(), "gout shape mismatch");
-    // Backward runs four n×n×dk GEMMs per head.
-    let per_head = par_map_collect(heads, 4 * n * n * dk, |h| {
-        let c0 = h * dk;
-        let qh = q.submatrix(0, n, c0, c0 + dk);
-        let kh = k.submatrix(0, n, c0, c0 + dk);
-        let vh = v.submatrix(0, n, c0, c0 + dk);
-        let gh = gout.submatrix(0, n, c0, c0 + dk);
-        attention_head_backward(&qh, &kh, &vh, scale, &probs[h], &gh)
-    });
-    let gq = Matrix::hcat(&per_head.iter().map(|(g, _, _)| g).collect::<Vec<_>>());
-    let gk = Matrix::hcat(&per_head.iter().map(|(_, g, _)| g).collect::<Vec<_>>());
-    let gv = Matrix::hcat(&per_head.iter().map(|(_, _, g)| g).collect::<Vec<_>>());
-    (gq, gk, gv)
 }
 
 #[cfg(test)]

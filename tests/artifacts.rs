@@ -93,7 +93,9 @@ fn mask_artifact_reinstalls_into_a_model() {
     // The model still runs and respects the pruned positions.
     let mut tape = vitcod::autograd::Tape::new();
     let out = vit.forward(&mut tape, &store, &task.train[0].tokens);
-    let probs = tape.head_probs(out.attention_nodes[0], 0);
+    let probs = tape
+        .try_head_probs(out.attention_nodes[0], 0, 0)
+        .expect("masked heads cache dense probabilities");
     for q in 0..restored[0][0].size() {
         for k in 0..restored[0][0].size() {
             if !restored[0][0].is_kept(q, k) {
