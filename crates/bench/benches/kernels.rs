@@ -3,7 +3,9 @@
 //! halves, the attention core's `Q·Kᵀ` and `S·V`, a narrow-head `S·V`
 //! and a training weight-gradient `Xᵀ·dY` — in fp32 and, for the
 //! projections and MLP halves, through the packed int8 GEMM, plus the
-//! 1024³ acceptance shape.
+//! 1024³ acceptance shape. A last section times the `*.vitcod` codec
+//! (`save_compiled_vit` / `load_compiled_vit`) on a DeiT-Tiny artifact in
+//! fp32 and int8.
 //!
 //! Run with `cargo bench -p vitcod-bench --bench kernels`; results are
 //! printed and recorded to `BENCH_kernels.json` at the workspace root so
@@ -20,10 +22,17 @@
 //!   GFLOP/s at every shape that has one;
 //! * the int8 GEMM reaches ≥ [`INT8_RATE_FLOOR`] × its own recorded
 //!   Gop/s, a floor no half-rate lowering of its tile can reach;
-//! * Fast beats Scalar ≥ 4× on the 1024³ GEMM.
+//! * Fast beats Scalar ≥ 4× on the 1024³ GEMM;
+//! * the artifact codec writes and reads ≥ [`ARTIFACT_RATE_FLOOR`] × its
+//!   own recorded MB/s, which a per-scalar `String` misses by 2.3–11×.
 
 use std::time::Instant;
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use vitcod_autograd::ParamStore;
+use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Precision};
+use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::{
     matmul_nt_with, matmul_tn_with, matmul_with, num_threads, set_num_threads, softmax_rows,
     Backend,
@@ -53,6 +62,40 @@ const RATE_FLOOR: f64 = 0.9;
 /// half its lanes zeroed, and far above the 9–16 of a `pmulld` lowering.
 /// Both have happened with every test green; this gate is what sees it.
 const INT8_RATE_FLOOR: f64 = 0.75;
+
+/// Share of its own recorded MB/s the `*.vitcod` codec must reach, in
+/// each direction. As for int8, the allowance is the box's spread: the
+/// `format!` / `from_str_radix` codec this one replaced ran at 130 (save)
+/// and 350 (load) MB/s on the fp32 artifact and 65 / 105 on the int8
+/// one, under half of every floor.
+const ARTIFACT_RATE_FLOOR: f64 = 0.75;
+
+/// One artifact the codec section saves and loads, with the recorded
+/// MB/s of artifact text in each direction: the lower of the two
+/// recording runs' best-of-repeats (fp32 save read 728 and 860).
+struct ArtifactCase {
+    name: &'static str,
+    precision: Precision,
+    recorded_save_mbps: f64,
+    recorded_load_mbps: f64,
+}
+
+/// DeiT-Tiny with the benchmark of record's 48 input features and 10
+/// classes, so the fp32 case is its 48,496,814-byte artifact.
+const ARTIFACTS: &[ArtifactCase] = &[
+    ArtifactCase {
+        name: "deit_tiny_fp32",
+        precision: Precision::Fp32,
+        recorded_save_mbps: 728.0,
+        recorded_load_mbps: 1128.0,
+    },
+    ArtifactCase {
+        name: "deit_tiny_int8",
+        precision: Precision::Int8,
+        recorded_save_mbps: 918.0,
+        recorded_load_mbps: 343.0,
+    },
+];
 
 /// Which transpose flavour a shape exercises.
 #[derive(Clone, Copy)]
@@ -340,6 +383,80 @@ fn record_json(r: &Record) -> String {
     format!("    {{{cols}}}")
 }
 
+struct ArtifactRecord {
+    case: &'static ArtifactCase,
+    bytes: usize,
+    save: Timing,
+    load: Timing,
+}
+
+impl ArtifactRecord {
+    /// Best-run rate of a direction, in MB of artifact text per second.
+    fn mbps(&self, timing: &Timing) -> f64 {
+        self.bytes as f64 / timing.best_s / 1e6
+    }
+}
+
+fn bench_artifact(case: &'static ArtifactCase, model: &CompiledVit) -> ArtifactRecord {
+    let text = save_compiled_vit(model, case.precision);
+    let (loaded, precision) = load_compiled_vit(&text).expect("a just-saved artifact loads");
+    assert_eq!(
+        save_compiled_vit(&loaded, precision),
+        text,
+        "{}: save -> load -> save is not byte-identical",
+        case.name
+    );
+    let floor_s = |mbps: f64| text.len() as f64 / (ARTIFACT_RATE_FLOOR * mbps * 1e6);
+    let save = time_repeats(Some(floor_s(case.recorded_save_mbps)), || {
+        std::hint::black_box(save_compiled_vit(model, case.precision));
+    });
+    let load = time_repeats(Some(floor_s(case.recorded_load_mbps)), || {
+        std::hint::black_box(load_compiled_vit(&text).expect("loads"));
+    });
+    let rec = ArtifactRecord {
+        case,
+        bytes: text.len(),
+        save,
+        load,
+    };
+    println!(
+        "{:<16}    {:>10} B  save {:>7.2} ms (median {:>7.2} ± {:.2}) {:>6.0} MB/s  \
+         load {:>7.2} ms (median {:>7.2} ± {:.2}) {:>6.0} MB/s",
+        case.name,
+        rec.bytes,
+        rec.save.best_s * 1e3,
+        rec.save.median_s * 1e3,
+        rec.save.mad_s * 1e3,
+        rec.mbps(&rec.save),
+        rec.load.best_s * 1e3,
+        rec.load.median_s * 1e3,
+        rec.load.mad_s * 1e3,
+        rec.mbps(&rec.load),
+    );
+    rec
+}
+
+fn artifact_json(r: &ArtifactRecord) -> String {
+    let direction = |name: &str, t: &Timing| {
+        format!(
+            "\"{name}_s\": {:.6}, \"{name}_median_s\": {:.6}, \"{name}_mad_s\": {:.6}, \
+             \"{name}_repeats\": {}, \"{name}_mbps\": {:.0}",
+            t.best_s,
+            t.median_s,
+            t.mad_s,
+            t.repeats,
+            r.mbps(t)
+        )
+    };
+    format!(
+        "    {{\"name\": \"{}\", \"bytes\": {}, {}, {}}}",
+        r.case.name,
+        r.bytes,
+        direction("save", &r.save),
+        direction("load", &r.load)
+    )
+}
+
 fn main() {
     // One compute thread, like the benchmark of record and like every
     // recorded rate the gates below are anchored on.
@@ -361,16 +478,30 @@ fn main() {
         softmax.best_s * 1e3
     );
 
+    // The `*.vitcod` codec on the DeiT-Tiny artifact, both precisions.
+    let mut store = ParamStore::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let vit = VisionTransformer::new(&ViTConfig::deit_tiny(), 48, 10, &mut store, &mut rng);
+    let model = CompiledVit::from_parts(&vit, &store);
+    println!();
+    let artifacts: Vec<ArtifactRecord> = ARTIFACTS
+        .iter()
+        .map(|case| bench_artifact(case, &model))
+        .collect();
+
     let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let rows: Vec<String> = records.iter().map(record_json).collect();
+    let artifact_rows: Vec<String> = artifacts.iter().map(artifact_json).collect();
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"threads\": {},\n  \"caveats\": \"1 compute thread on a \
          shared 2-vCPU box that slows every process by 40-50 % for seconds at a time; *_s is the \
          best of the repeats (what the gates compare), median and MAD sit beside it; a scalar run \
-         over 1 s is timed once\",\n  \"gemm\": [\n{}\n  ],\n  \"softmax_rows_197_s\": {:.6}\n}}\n",
+         over 1 s is timed once\",\n  \"gemm\": [\n{}\n  ],\n  \"softmax_rows_197_s\": {:.6},\n  \
+         \"artifact\": [\n{}\n  ]\n}}\n",
         num_threads(),
         rows.join(",\n"),
-        softmax.best_s
+        softmax.best_s,
+        artifact_rows.join(",\n")
     );
     std::fs::write(json_path, json).expect("write BENCH_kernels.json");
     println!("\nrecorded baseline to BENCH_kernels.json");
@@ -390,6 +521,20 @@ fn main() {
             assert!(
                 got >= INT8_RATE_FLOOR * recorded,
                 "{name}: int8 GEMM at {got:.2} Gop/s is below {INT8_RATE_FLOOR} x its recorded {recorded}"
+            );
+        }
+    }
+    for r in &artifacts {
+        let name = r.case.name;
+        for (direction, timing, recorded) in [
+            ("save", &r.save, r.case.recorded_save_mbps),
+            ("load", &r.load, r.case.recorded_load_mbps),
+        ] {
+            let got = r.mbps(timing);
+            assert!(
+                got >= ARTIFACT_RATE_FLOOR * recorded,
+                "{name}: artifact {direction} at {got:.0} MB/s is below {ARTIFACT_RATE_FLOOR} x \
+                 its recorded {recorded}"
             );
         }
     }

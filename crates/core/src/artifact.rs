@@ -26,7 +26,7 @@
 use std::error::Error;
 use std::fmt;
 
-use vitcod_tensor::Matrix;
+use vitcod_tensor::{Matrix, QuantParams, QuantizedMatrix};
 
 use crate::autoencoder::AutoEncoderConfig;
 use crate::formats::CscMatrix;
@@ -420,15 +420,9 @@ pub fn load_masks(text: &str) -> Result<Vec<Vec<crate::AttentionMask>>, ParseArt
 pub enum TensorPayload {
     /// Full-precision values, serialized bit-exactly.
     F32(Matrix),
-    /// Symmetric 8-bit quantized values: `x ≈ scale · q`.
-    I8 {
-        /// Shape as `(rows, cols)`.
-        shape: (usize, usize),
-        /// Real value represented by one integer step (stored bit-exact).
-        scale: f32,
-        /// Row-major i8 payload, `rows · cols` long.
-        data: Vec<i8>,
-    },
+    /// Symmetric 8-bit quantized values, `x ≈ scale · q`: the raw bytes
+    /// and the real value of one integer step.
+    I8(QuantizedMatrix),
 }
 
 impl TensorPayload {
@@ -436,20 +430,7 @@ impl TensorPayload {
     pub fn shape(&self) -> (usize, usize) {
         match self {
             TensorPayload::F32(m) => m.shape(),
-            TensorPayload::I8 { shape, .. } => *shape,
-        }
-    }
-
-    /// The stored values as a dense fp32 matrix (int8 payloads are
-    /// dequantized — exactly the values the serialized bytes represent).
-    pub fn to_matrix(&self) -> Matrix {
-        match self {
-            TensorPayload::F32(m) => m.clone(),
-            TensorPayload::I8 { shape, scale, data } => Matrix::from_vec(
-                shape.0,
-                shape.1,
-                data.iter().map(|&q| q as f32 * scale).collect(),
-            ),
+            TensorPayload::I8(q) => q.shape(),
         }
     }
 }
@@ -490,29 +471,6 @@ pub struct CompiledModelArtifact {
     pub plans: Vec<Vec<HeadPlanRecord>>,
 }
 
-impl CompiledModelArtifact {
-    /// Value of meta key `key`, if present.
-    pub fn meta_value(&self, key: &str) -> Option<&str> {
-        self.meta
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The tensor named `name`, if present.
-    pub fn tensor(&self, name: &str) -> Option<&NamedTensor> {
-        self.tensors.iter().find(|t| t.name == name)
-    }
-
-    /// Whether any tensor is stored as an int8 payload (i.e. the
-    /// artifact was saved from a quantized serving plan).
-    pub fn has_int8_tensors(&self) -> bool {
-        self.tensors
-            .iter()
-            .any(|t| matches!(t.payload, TensorPayload::I8 { .. }))
-    }
-}
-
 /// Serializes a compiled model to the versioned text format.
 ///
 /// Layout (one record per line; tensor payloads span one line per row):
@@ -534,56 +492,57 @@ impl CompiledModelArtifact {
 /// fp32 values round-trip **bit-exactly** (hex bit patterns), which is
 /// what lets a reloaded model reproduce its logits bit for bit. Meta
 /// values round-trip verbatim (backslashes and line breaks are
-/// escaped); meta *keys* must not contain whitespace.
+/// escaped); meta *keys* and tensor names must not contain whitespace.
+///
+/// Payload tokens, and all [`load_compiled`] accepts of them — a token
+/// cut short by corruption is an error, never a different weight:
+///
+/// * **f32** (an i8 tensor's scale too): exactly 8 hex digits — lowercase
+///   here, either case on load — separated by one space (on load: by any
+///   run of ASCII space/tab).
+/// * **i8**: optional `-`, 1–3 ASCII digits, −128..=127, separated by
+///   exactly one `,`. A raw `-128`, which quantization never produces, is
+///   accepted and harmless: `vitcod_tensor::MAX_INT8_GEMM_K` is taken at
+///   |w| = 128, so the int8 GEMM's accumulator cannot overflow on it.
+/// * A row of no values (zero columns) is an empty line, for both kinds.
 ///
 /// # Panics
 ///
-/// Panics if a meta key is empty or contains whitespace — the loader
-/// could not split such a record back losslessly, so writing it would
-/// silently corrupt the artifact.
+/// Panics if a meta key or tensor name is empty or contains whitespace —
+/// the loader could not split such a record back losslessly, so writing
+/// it would silently corrupt the artifact.
 pub fn save_compiled(artifact: &CompiledModelArtifact) -> String {
+    let splittable = |what: &str, s: &str| {
+        assert!(
+            !s.is_empty() && !s.chars().any(char::is_whitespace),
+            "{what} {s:?} must be non-empty and whitespace-free"
+        );
+    };
     let mut out = String::from("vitcod-compiled v1\n");
     for (k, v) in &artifact.meta {
-        assert!(
-            !k.is_empty() && !k.chars().any(char::is_whitespace),
-            "meta key {k:?} must be non-empty and whitespace-free"
-        );
+        splittable("meta key", k);
         out.push_str(&format!("meta {k} {}\n", escape_meta(v)));
     }
+    let (mut row, i8_tokens) = (Vec::new(), i8_tokens());
     for t in &artifact.tensors {
+        splittable("tensor name", &t.name);
+        let (rows, cols) = t.payload.shape();
         match &t.payload {
             TensorPayload::F32(m) => {
-                out.push_str(&format!(
-                    "tensor f32 {} {} {}\n",
-                    t.name,
-                    m.rows(),
-                    m.cols()
-                ));
-                for r in 0..m.rows() {
-                    let row: Vec<String> = m
-                        .row(r)
-                        .iter()
-                        .map(|v| format!("{:08x}", v.to_bits()))
-                        .collect();
-                    out.push_str(&row.join(" "));
-                    out.push('\n');
+                out.push_str(&format!("tensor f32 {} {rows} {cols}\n", t.name));
+                out.reserve(rows * (9 * cols).max(1));
+                for r in 0..rows {
+                    push_row(&mut out, &mut row, m.row(r), hex8_token);
                 }
             }
-            TensorPayload::I8 { shape, scale, data } => {
-                out.push_str(&format!(
-                    "tensor i8 {} {} {} {:08x}\n",
-                    t.name,
-                    shape.0,
-                    shape.1,
-                    scale.to_bits()
-                ));
-                for r in 0..shape.0 {
-                    let row: Vec<String> = data[r * shape.1..(r + 1) * shape.1]
-                        .iter()
-                        .map(|b| b.to_string())
-                        .collect();
-                    out.push_str(&row.join(","));
-                    out.push('\n');
+            TensorPayload::I8(q) => {
+                let scale = q.params().scale.to_bits();
+                out.push_str(&format!("tensor i8 {} {rows} {cols} {scale:08x}\n", t.name));
+                out.reserve(rows * (5 * cols).max(1));
+                for r in 0..rows {
+                    push_row(&mut out, &mut row, q.row_raw(r), |v| {
+                        i8_tokens[usize::from(v as u8)]
+                    });
                 }
             }
         }
@@ -610,6 +569,54 @@ pub fn save_compiled(artifact: &CompiledModelArtifact) -> String {
     out
 }
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends one payload row to `out`. `token` gives a value's token and
+/// separator padded to the fixed width `W`, and the length of the two: the
+/// bytes land in `row` at full width, the cursor moves by the length, and
+/// the last separator becomes the line break. `row` is scratch reused
+/// across rows, UTF-8-checked once per row — no `String` per scalar.
+fn push_row<T: Copy, const W: usize>(
+    out: &mut String,
+    row: &mut Vec<u8>,
+    values: &[T],
+    token: impl Fn(T) -> ([u8; W], usize),
+) {
+    if row.len() < values.len() * W + 1 {
+        row.resize(values.len() * W + 1, 0);
+    }
+    let mut end = 0;
+    for &v in values {
+        let (bytes, len) = token(v);
+        row[end..end + W].copy_from_slice(&bytes);
+        end += len;
+    }
+    let end = end.max(1);
+    row[end - 1] = b'\n';
+    out.push_str(std::str::from_utf8(&row[..end]).expect("payload tokens are ASCII"));
+}
+
+/// The bit pattern of `v` as exactly eight lowercase hex digits, then
+/// the separating space.
+fn hex8_token(v: f32) -> ([u8; 9], usize) {
+    let mut token = [b' '; 9];
+    for (i, digit) in token[..8].iter_mut().enumerate() {
+        *digit = HEX[(v.to_bits() >> (28 - 4 * i)) as usize & 15];
+    }
+    (token, 9)
+}
+
+/// Every i8, indexed by its byte: its decimal token (`-` if negative, one
+/// to three digits) and the separating `,`, with the length of the two.
+fn i8_tokens() -> [([u8; 5], usize); 256] {
+    std::array::from_fn(|byte| {
+        let text = format!("{},", byte as u8 as i8);
+        let mut token = [0; 5];
+        token[..text.len()].copy_from_slice(text.as_bytes());
+        (token, text.len())
+    })
+}
+
 /// Parses a compiled model written by [`save_compiled`].
 ///
 /// # Errors
@@ -619,7 +626,7 @@ pub fn save_compiled(artifact: &CompiledModelArtifact) -> String {
 /// payload widths, or inconsistent plan counts.
 pub fn load_compiled(text: &str) -> Result<CompiledModelArtifact, ParseArtifactError> {
     let err = |line: usize, msg: String| ParseArtifactError::new(line, msg);
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l)).peekable();
+    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
 
     let (ln, header) = lines
         .next()
@@ -677,69 +684,29 @@ pub fn load_compiled(text: &str) -> Result<CompiledModelArtifact, ParseArtifactE
                     .checked_mul(cols)
                     .ok_or_else(|| err(ln, format!("tensor '{name}' size overflows")))?;
                 const MAX_PREALLOC: usize = 1 << 22;
+                let capacity = elems.min(MAX_PREALLOC);
+                let header = (ln, name.as_str());
                 let payload = match kind {
                     "f32" => {
-                        let mut data = Vec::with_capacity(elems.min(MAX_PREALLOC));
-                        for r in 0..rows {
-                            let (rln, row) = lines
-                                .next()
-                                .ok_or_else(|| err(ln, format!("tensor '{name}' truncated")))?;
-                            last_line = rln;
-                            let mut count = 0usize;
-                            for v in row.split_whitespace() {
-                                let bits = u32::from_str_radix(v, 16).map_err(|_| {
-                                    err(rln, format!("malformed f32 bit pattern '{v}'"))
-                                })?;
-                                data.push(f32::from_bits(bits));
-                                count += 1;
-                            }
-                            if count != cols {
-                                return Err(err(
-                                    rln,
-                                    format!("row {r} has {count} values, expected {cols}"),
-                                ));
-                            }
-                        }
+                        let data =
+                            read_rows(&mut lines, header, (rows, cols), capacity, decode_f32_row)?;
                         TensorPayload::F32(Matrix::from_vec(rows, cols, data))
                     }
                     "i8" => {
                         let scale_hex = parts
                             .next()
                             .ok_or_else(|| err(ln, "i8 tensor missing scale".into()))?;
-                        let scale =
-                            f32::from_bits(u32::from_str_radix(scale_hex, 16).map_err(|_| {
-                                err(ln, format!("malformed scale bit pattern '{scale_hex}'"))
-                            })?);
-                        let mut data = Vec::with_capacity(elems.min(MAX_PREALLOC));
-                        for r in 0..rows {
-                            let (rln, row) = lines
-                                .next()
-                                .ok_or_else(|| err(ln, format!("tensor '{name}' truncated")))?;
-                            last_line = rln;
-                            let mut count = 0usize;
-                            for v in row.trim().split(',') {
-                                data.push(
-                                    v.parse::<i8>().map_err(|_| {
-                                        err(rln, format!("malformed i8 value '{v}'"))
-                                    })?,
-                                );
-                                count += 1;
-                            }
-                            if count != cols {
-                                return Err(err(
-                                    rln,
-                                    format!("row {r} has {count} values, expected {cols}"),
-                                ));
-                            }
-                        }
-                        TensorPayload::I8 {
-                            shape: (rows, cols),
-                            scale,
-                            data,
-                        }
+                        let scale = hex8(scale_hex.as_bytes()).ok_or_else(|| {
+                            err(ln, format!("malformed scale bit pattern '{scale_hex}'"))
+                        })?;
+                        let params = QuantParams { scale };
+                        let data =
+                            read_rows(&mut lines, header, (rows, cols), capacity, decode_i8_row)?;
+                        TensorPayload::I8(QuantizedMatrix::from_raw(rows, cols, data, params))
                     }
                     other => return Err(err(ln, format!("unknown tensor kind '{other}'"))),
                 };
+                last_line = ln + rows;
                 artifact.tensors.push(NamedTensor { name, payload });
             }
             "plans" => {
@@ -819,6 +786,112 @@ pub fn load_compiled(text: &str) -> Result<CompiledModelArtifact, ParseArtifactE
         ));
     }
     Ok(artifact)
+}
+
+/// Byte → hex-digit value (either case), `0xFF` for any other byte; the
+/// decimal digits are the entries below 10.
+const DIGIT: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[HEX[d] as usize] = d as u8;
+        table[HEX[d].to_ascii_uppercase() as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// The f32 whose bit pattern exactly eight hex digits spell.
+fn hex8(token: &[u8]) -> Option<f32> {
+    let token: &[u8; 8] = token.try_into().ok()?;
+    let (mut bits, mut seen) = (0u32, 0u8);
+    for &b in token {
+        let d = DIGIT[b as usize];
+        seen |= d;
+        bits = bits << 4 | u32::from(d & 15);
+    }
+    (seen < 16).then_some(f32::from_bits(bits))
+}
+
+/// Reads the `rows` payload lines of the tensor declared by `header`
+/// (line, name), `cols` values each, through `decode_row`.
+fn read_rows<'a, T>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    (ln, name): (usize, &str),
+    (rows, cols): (usize, usize),
+    capacity: usize,
+    decode_row: impl Fn(&str, &mut Vec<T>) -> Result<(), String>,
+) -> Result<Vec<T>, ParseArtifactError> {
+    let err = ParseArtifactError::new;
+    let mut data = Vec::with_capacity(capacity);
+    for r in 0..rows {
+        let (rln, row) = lines
+            .next()
+            .ok_or_else(|| err(ln, format!("tensor '{name}' truncated")))?;
+        let before = data.len();
+        decode_row(row, &mut data).map_err(|msg| err(rln, msg))?;
+        let count = data.len() - before;
+        if count != cols {
+            return Err(err(
+                rln,
+                format!("row {r} has {count} values, expected {cols}"),
+            ));
+        }
+    }
+    Ok(data)
+}
+
+/// Appends the values of one f32 row: [`hex8`] tokens between runs of
+/// ASCII space/tab.
+fn decode_f32_row(row: &str, data: &mut Vec<f32>) -> Result<(), String> {
+    let bytes = row.as_bytes();
+    let is_sep = |b: u8| b == b' ' || b == b'\t';
+    let mut i = 0;
+    while i < bytes.len() {
+        if is_sep(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let end = bytes.len().min(i + 8);
+        match hex8(&bytes[i..end]) {
+            Some(v) if bytes.get(end).is_none_or(|&b| is_sep(b)) => data.push(v),
+            _ => {
+                let token = row[i..].split([' ', '\t']).next().unwrap_or("");
+                return Err(format!("malformed f32 bit pattern '{token}'"));
+            }
+        }
+        i = end;
+    }
+    Ok(())
+}
+
+/// Appends the values of one i8 row: optional `-`, one to three digits,
+/// −128..=127, single `,` between tokens; an empty row holds no value.
+fn decode_i8_row(row: &str, data: &mut Vec<i8>) -> Result<(), String> {
+    let bytes = row.as_bytes();
+    if bytes.last() == Some(&b',') {
+        return Err("malformed i8 value ''".into());
+    }
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        i += usize::from(bytes[i] == b'-');
+        let (first, mut magnitude) = (i, 0i16);
+        while i < bytes.len().min(first + 3) && DIGIT[bytes[i] as usize] < 10 {
+            magnitude = 10 * magnitude + i16::from(DIGIT[bytes[i] as usize]);
+            i += 1;
+        }
+        let ended = i == bytes.len() || bytes[i] == b',';
+        match i8::try_from(if first > start { -magnitude } else { magnitude }) {
+            Ok(v) if i > first && ended => data.push(v),
+            _ => {
+                let token = row[start..].split(',').next().unwrap_or("");
+                return Err(format!("malformed i8 value '{token}'"));
+            }
+        }
+        i += 1;
+    }
+    Ok(())
 }
 
 /// Escapes a meta value onto one line: backslashes, newlines and
@@ -1004,11 +1077,14 @@ mod tests {
                 },
                 NamedTensor {
                     name: "layer0.w_qkv".into(),
-                    payload: TensorPayload::I8 {
-                        shape: (2, 3),
-                        scale: 0.007_843_138,
-                        data: vec![127, -127, 0, 1, -1, 64],
-                    },
+                    payload: TensorPayload::I8(QuantizedMatrix::from_raw(
+                        2,
+                        3,
+                        vec![127, -127, 0, 1, -1, 64],
+                        QuantParams {
+                            scale: 0.007_843_138,
+                        },
+                    )),
                 },
             ],
             plans: vec![
@@ -1030,9 +1106,8 @@ mod tests {
         // Bit-exactness: -0.0 and subnormals survive, and re-saving is
         // byte-identical.
         assert_eq!(save_compiled(&restored), text);
-        assert!(restored.has_int8_tensors());
-        assert_eq!(restored.meta_value("note"), Some("value with spaces"));
-        assert_eq!(restored.tensor("w").unwrap().payload.shape(), (2, 3));
+        assert_eq!(restored.meta[1].1, "value with spaces");
+        assert_eq!(restored.tensors[0].payload.shape(), (2, 3));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!   quantization set are stored as raw i8 bytes plus their bit-exact
 //!   scale; save → load → save reproduces the identical artifact text.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use vitcod_core::{
@@ -25,7 +26,7 @@ use vitcod_core::{
     ParseArtifactError, TensorPayload,
 };
 use vitcod_model::{ModelFamily, StageConfig, ViTConfig};
-use vitcod_tensor::{Matrix, PackedGemmWeights, QuantParams, QuantizedMatrix};
+use vitcod_tensor::{Matrix, PackedGemmWeights, QuantizedMatrix};
 
 use crate::compiled::{CompiledAe, CompiledLayer, CompiledVit, HeadPlan, Int8Projections};
 use crate::Precision;
@@ -81,27 +82,20 @@ pub fn save_compiled_vit(model: &CompiledVit, precision: Precision) -> String {
 /// [`ArtifactError::Schema`] when the record is not a compiled ViT.
 pub fn load_compiled_vit(text: &str) -> Result<(CompiledVit, Precision), ArtifactError> {
     let record = load_compiled(text)?;
-    let model = CompiledVit::from_artifact(&record)?;
-    let precision = match record.meta_value("precision") {
+    let stored = record.meta.iter().find(|(k, _)| k == "precision");
+    let precision = match stored.map(|(_, v)| v.as_str()) {
         Some("int8") => Precision::Int8,
         Some("fp32") | None => Precision::Fp32,
         Some(other) => return Err(schema(format!("unknown precision '{other}'"))),
     };
-    Ok((model, precision))
+    Ok((CompiledVit::from_artifact(record)?, precision))
 }
 
 /// Pushes a weight matrix, quantizing it when `int8` (the engine's
 /// 1-byte-per-weight artifact bytes).
 fn push_weight(tensors: &mut Vec<NamedTensor>, name: String, m: &Matrix, int8: bool) {
     let payload = if int8 {
-        let q = QuantizedMatrix::quantize(m);
-        TensorPayload::I8 {
-            shape: q.shape(),
-            scale: q.params().scale,
-            data: (0..q.shape().0)
-                .flat_map(|r| q.row_raw(r).iter().copied())
-                .collect(),
-        }
+        TensorPayload::I8(QuantizedMatrix::quantize(m))
     } else {
         TensorPayload::F32(m.clone())
     };
@@ -117,58 +111,74 @@ fn push_vec(tensors: &mut Vec<NamedTensor>, name: String, v: &[f32]) {
     });
 }
 
-fn take_matrix(
-    record: &CompiledModelArtifact,
+/// `(name, value)` pairs indexed by name, so a load moves each value
+/// out once instead of scanning for it and cloning it. A repeated name
+/// is an error: a scan would let the first silently shadow the rest.
+fn index_by_name<V>(
+    what: &str,
+    pairs: impl IntoIterator<Item = (String, V)>,
+) -> Result<HashMap<String, V>, ArtifactError> {
+    let mut map = HashMap::new();
+    for (name, value) in pairs {
+        if map.contains_key(&name) {
+            return Err(schema(format!("duplicate {what} '{name}'")));
+        }
+        map.insert(name, value);
+    }
+    Ok(map)
+}
+
+type Tensors = HashMap<String, TensorPayload>;
+
+/// Moves tensor `name` out of the record, checking its shape: its
+/// values as fp32 and, from an int8 payload, the bytes they stand for.
+fn take(
+    tensors: &mut Tensors,
     name: &str,
     shape: (usize, usize),
-) -> Result<Matrix, ArtifactError> {
-    let t = record
-        .tensor(name)
+) -> Result<(Matrix, Option<QuantizedMatrix>), ArtifactError> {
+    let payload = tensors
+        .remove(name)
         .ok_or_else(|| schema(format!("missing tensor '{name}'")))?;
-    if t.payload.shape() != shape {
+    if payload.shape() != shape {
         return Err(schema(format!(
             "tensor '{name}' has shape {:?}, expected {:?}",
-            t.payload.shape(),
+            payload.shape(),
             shape
         )));
     }
-    Ok(t.payload.to_matrix())
+    Ok(match payload {
+        TensorPayload::F32(m) => (m, None),
+        TensorPayload::I8(q) => (q.dequantize(), Some(q)),
+    })
 }
 
-/// Packs an int8 projection payload straight into the serving GEMM
-/// layout. The artifact's i8 bytes and scale are used verbatim — no
-/// dequantize/requantize round-trip — so the packed operand is
-/// byte-identical to what [`CompiledVit::ensure_int8_projections`]
-/// produced at save time. Returns `None` for fp32 payloads.
-fn packed_from_payload(record: &CompiledModelArtifact, name: &str) -> Option<PackedGemmWeights> {
-    match &record.tensor(name)?.payload {
-        TensorPayload::I8 { shape, scale, data } => {
-            let q = QuantizedMatrix::from_raw(
-                shape.0,
-                shape.1,
-                data.clone(),
-                QuantParams { scale: *scale },
-            );
-            Some(PackedGemmWeights::from_quantized(&q))
-        }
-        TensorPayload::F32(_) => None,
-    }
+fn take_vec(tensors: &mut Tensors, name: &str, len: usize) -> Result<Vec<f32>, ArtifactError> {
+    Ok(take(tensors, name, (1, len))?.0.into_vec())
 }
 
-fn take_vec(
-    record: &CompiledModelArtifact,
+/// A projection weight and, from an int8 payload, the same bytes packed
+/// straight into the serving GEMM layout. The artifact's i8 bytes and
+/// scale are used verbatim — no dequantize/requantize round-trip — so
+/// the packed operand is byte-identical to what
+/// [`CompiledVit::ensure_int8_projections`] produced at save time.
+fn take_projection(
+    tensors: &mut Tensors,
     name: &str,
-    len: usize,
-) -> Result<Vec<f32>, ArtifactError> {
-    Ok(take_matrix(record, name, (1, len))?.row(0).to_vec())
+    shape: (usize, usize),
+) -> Result<(Matrix, Option<PackedGemmWeights>), ArtifactError> {
+    let (weight, bytes) = take(tensors, name, shape)?;
+    Ok((
+        weight,
+        bytes.as_ref().map(PackedGemmWeights::from_quantized),
+    ))
 }
 
 fn meta_parse<T: std::str::FromStr>(
-    record: &CompiledModelArtifact,
+    meta: &HashMap<String, String>,
     key: &str,
 ) -> Result<T, ArtifactError> {
-    record
-        .meta_value(key)
+    meta.get(key)
         .ok_or_else(|| schema(format!("missing meta key '{key}'")))?
         .parse::<T>()
         .map_err(|_| schema(format!("malformed meta value for '{key}'")))
@@ -292,40 +302,36 @@ impl CompiledVit {
     }
 
     /// Reconstructs a frozen model from a format record, validating the
-    /// schema (tensor presence, shapes, plan counts) along the way.
+    /// schema (tensor presence, shapes, plan counts, no repeated name)
+    /// along the way. The record is consumed: every tensor moves into
+    /// the model, so a load never holds the weights twice.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Schema`] naming the first inconsistency.
-    pub fn from_artifact(record: &CompiledModelArtifact) -> Result<Self, ArtifactError> {
-        let name = record
-            .meta_value("model")
-            .ok_or_else(|| schema("missing meta key 'model'"))?;
-        let family = match record
-            .meta_value("family")
-            .ok_or_else(|| schema("missing meta key 'family'"))?
-        {
+    pub fn from_artifact(record: CompiledModelArtifact) -> Result<Self, ArtifactError> {
+        let meta = &index_by_name("meta key", record.meta)?;
+        let tensors = &mut index_by_name(
+            "tensor",
+            record.tensors.into_iter().map(|t| (t.name, t.payload)),
+        )?;
+        let family = match meta_parse::<String>(meta, "family")?.as_str() {
             "DeiT" => ModelFamily::DeiT,
             "LeViT" => ModelFamily::LeViT,
             "Strided Transformer" => ModelFamily::Strided,
             other => return Err(schema(format!("unknown model family '{other}'"))),
         };
-        let tokens: usize = meta_parse(record, "tokens")?;
-        let dim: usize = meta_parse(record, "dim")?;
-        let heads: usize = meta_parse(record, "heads")?;
-        let depth: usize = meta_parse(record, "depth")?;
-        let mlp_ratio: usize = meta_parse(record, "mlp_ratio")?;
-        let stem_macs: u64 = meta_parse(record, "stem_macs")?;
-        let sparsity_bits = record
-            .meta_value("paper_sparsity")
-            .ok_or_else(|| schema("missing meta key 'paper_sparsity'"))?;
+        let tokens: usize = meta_parse(meta, "tokens")?;
+        let dim: usize = meta_parse(meta, "dim")?;
+        let heads: usize = meta_parse(meta, "heads")?;
+        let depth: usize = meta_parse(meta, "depth")?;
+        let mlp_ratio: usize = meta_parse(meta, "mlp_ratio")?;
+        let stem_macs: u64 = meta_parse(meta, "stem_macs")?;
         let paper_sparsity = f64::from_bits(
-            u64::from_str_radix(sparsity_bits, 16)
+            u64::from_str_radix(&meta_parse::<String>(meta, "paper_sparsity")?, 16)
                 .map_err(|_| schema("malformed 'paper_sparsity' bit pattern"))?,
         );
-        let stages = record
-            .meta_value("stages")
-            .ok_or_else(|| schema("missing meta key 'stages'"))?
+        let stages = meta_parse::<String>(meta, "stages")?
             .split(';')
             .map(|s| {
                 let fields: Vec<usize> = s
@@ -351,7 +357,7 @@ impl CompiledVit {
             return Err(schema(format!("dim {dim} not divisible by heads {heads}")));
         }
         let cfg = ViTConfig {
-            name: static_name(name),
+            name: static_name(&meta_parse::<String>(meta, "model")?),
             family,
             tokens,
             dim,
@@ -362,8 +368,8 @@ impl CompiledVit {
             stem_macs,
             paper_sparsity,
         };
-        let in_dim: usize = meta_parse(record, "in_dim")?;
-        let num_classes: usize = meta_parse(record, "num_classes")?;
+        let in_dim: usize = meta_parse(meta, "in_dim")?;
+        let num_classes: usize = meta_parse(meta, "num_classes")?;
 
         if record.plans.len() != depth {
             return Err(schema(format!(
@@ -376,9 +382,12 @@ impl CompiledVit {
         let overflow = || schema(format!("dim {dim} x mlp_ratio {mlp_ratio} overflows"));
         let three_dim = dim.checked_mul(3).ok_or_else(overflow)?;
         let hidden = dim.checked_mul(mlp_ratio).ok_or_else(overflow)?;
-        let layers = record
+        // Int8 artifacts carry the projection bytes the serving GEMM
+        // consumes: pack them directly (same bytes, same scales) so a
+        // loaded engine computes exactly what the saved one did.
+        let (layers, int8): (Vec<_>, Vec<_>) = record
             .plans
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(l, plan)| {
                 if plan.len() != heads {
@@ -389,87 +398,79 @@ impl CompiledVit {
                 }
                 let name = |field: &str| format!("layer{l}.{field}");
                 let head_plans = plan
-                    .iter()
+                    .into_iter()
                     .map(|h| match h {
                         HeadPlanRecord::Dense => Ok(HeadPlan::Dense),
-                        HeadPlanRecord::Sparse(csc) => {
-                            if csc.size() != tokens {
-                                return Err(schema(format!(
-                                    "layer {l}: CSC index size {} != tokens {tokens}",
-                                    csc.size()
-                                )));
-                            }
-                            Ok(HeadPlan::Sparse(csc.clone()))
+                        HeadPlanRecord::Sparse(csc) if csc.size() != tokens => {
+                            Err(schema(format!(
+                                "layer {l}: CSC index size {} != tokens {tokens}",
+                                csc.size()
+                            )))
                         }
+                        HeadPlanRecord::Sparse(csc) => Ok(HeadPlan::Sparse(csc)),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 // The AE's compressed width is not in the meta — recover
                 // it from the encoder tensor itself.
-                let ae = if let Some(t) = record.tensor(&name("ae.enc_q")) {
-                    let enc_q = t.payload.to_matrix();
-                    if enc_q.rows() != heads {
-                        return Err(schema(format!(
-                            "layer {l}: ae.enc_q has {} rows for {heads} heads",
-                            enc_q.rows()
-                        )));
-                    }
-                    let compressed = enc_q.cols();
+                let enc_q_shape = tensors.get(&name("ae.enc_q")).map(TensorPayload::shape);
+                let ae = if let Some((_, compressed)) = enc_q_shape {
                     Some(CompiledAe {
-                        enc_q,
-                        dec_q: take_matrix(record, &name("ae.dec_q"), (compressed, heads))?,
-                        enc_k: take_matrix(record, &name("ae.enc_k"), (heads, compressed))?,
-                        dec_k: take_matrix(record, &name("ae.dec_k"), (compressed, heads))?,
+                        enc_q: take(tensors, &name("ae.enc_q"), (heads, compressed))?.0,
+                        dec_q: take(tensors, &name("ae.dec_q"), (compressed, heads))?.0,
+                        enc_k: take(tensors, &name("ae.enc_k"), (heads, compressed))?.0,
+                        dec_k: take(tensors, &name("ae.dec_k"), (compressed, heads))?.0,
                     })
                 } else {
                     None
                 };
-                Ok(CompiledLayer {
-                    ln1_gamma: take_vec(record, &name("ln1_gamma"), dim)?,
-                    ln1_beta: take_vec(record, &name("ln1_beta"), dim)?,
-                    w_qkv: take_matrix(record, &name("w_qkv"), (dim, three_dim))?,
-                    b_qkv: take_vec(record, &name("b_qkv"), three_dim)?,
-                    w_out: take_matrix(record, &name("w_out"), (dim, dim))?,
-                    b_out: take_vec(record, &name("b_out"), dim)?,
-                    ln2_gamma: take_vec(record, &name("ln2_gamma"), dim)?,
-                    ln2_beta: take_vec(record, &name("ln2_beta"), dim)?,
-                    w_fc1: take_matrix(record, &name("w_fc1"), (dim, hidden))?,
-                    b_fc1: take_vec(record, &name("b_fc1"), hidden)?,
-                    w_fc2: take_matrix(record, &name("w_fc2"), (hidden, dim))?,
-                    b_fc2: take_vec(record, &name("b_fc2"), dim)?,
+                let (w_qkv, q_qkv) = take_projection(tensors, &name("w_qkv"), (dim, three_dim))?;
+                let (w_out, q_out) = take_projection(tensors, &name("w_out"), (dim, dim))?;
+                let (w_fc1, q_fc1) = take_projection(tensors, &name("w_fc1"), (dim, hidden))?;
+                let (w_fc2, q_fc2) = take_projection(tensors, &name("w_fc2"), (hidden, dim))?;
+                let layer = CompiledLayer {
+                    ln1_gamma: take_vec(tensors, &name("ln1_gamma"), dim)?,
+                    ln1_beta: take_vec(tensors, &name("ln1_beta"), dim)?,
+                    w_qkv,
+                    b_qkv: take_vec(tensors, &name("b_qkv"), three_dim)?,
+                    w_out,
+                    b_out: take_vec(tensors, &name("b_out"), dim)?,
+                    ln2_gamma: take_vec(tensors, &name("ln2_gamma"), dim)?,
+                    ln2_beta: take_vec(tensors, &name("ln2_beta"), dim)?,
+                    w_fc1,
+                    b_fc1: take_vec(tensors, &name("b_fc1"), hidden)?,
+                    w_fc2,
+                    b_fc2: take_vec(tensors, &name("b_fc2"), dim)?,
                     ae,
                     heads: head_plans,
-                })
+                };
+                let packed = q_qkv.zip(q_out).zip(q_fc1.zip(q_fc2));
+                Ok((
+                    layer,
+                    packed.map(|((w_qkv, w_out), (w_fc1, w_fc2))| Int8Projections {
+                        w_qkv,
+                        w_out,
+                        w_fc1,
+                        w_fc2,
+                    }),
+                ))
             })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        // Int8 artifacts carry the projection bytes the serving GEMM
-        // consumes: pack them directly (same bytes, same scales) so a
-        // loaded engine computes exactly what the saved one did.
-        let int8 = (0..depth)
-            .map(|l| {
-                let name = |field: &str| format!("layer{l}.{field}");
-                Some(Int8Projections {
-                    w_qkv: packed_from_payload(record, &name("w_qkv"))?,
-                    w_out: packed_from_payload(record, &name("w_out"))?,
-                    w_fc1: packed_from_payload(record, &name("w_fc1"))?,
-                    w_fc2: packed_from_payload(record, &name("w_fc2"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>();
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
 
         Ok(CompiledVit {
-            patch_w: take_matrix(record, "patch_w", (in_dim, dim))?,
-            patch_b: take_vec(record, "patch_b", dim)?,
-            pos_embed: take_matrix(record, "pos_embed", (tokens, dim))?,
+            patch_w: take(tensors, "patch_w", (in_dim, dim))?.0,
+            patch_b: take_vec(tensors, "patch_b", dim)?,
+            pos_embed: take(tensors, "pos_embed", (tokens, dim))?.0,
             layers,
-            final_gamma: take_vec(record, "final_gamma", dim)?,
-            final_beta: take_vec(record, "final_beta", dim)?,
-            head_w: take_matrix(record, "head_w", (dim, num_classes))?,
-            head_b: take_vec(record, "head_b", num_classes)?,
+            final_gamma: take_vec(tensors, "final_gamma", dim)?,
+            final_beta: take_vec(tensors, "final_beta", dim)?,
+            head_w: take(tensors, "head_w", (dim, num_classes))?.0,
+            head_b: take_vec(tensors, "head_b", num_classes)?,
             cfg,
             in_dim,
             num_classes,
-            int8,
+            int8: int8.into_iter().collect(),
         })
     }
 

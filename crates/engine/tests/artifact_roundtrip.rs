@@ -4,11 +4,14 @@
 //! int8 payloads — and malformed artifacts must be rejected with the
 //! offending line number.
 
+#[path = "../../core/tests/artifact_oracle/mod.rs"]
+mod artifact_oracle;
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
-use vitcod_core::load_compiled;
+use vitcod_core::{load_compiled, save_compiled};
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Engine, Precision};
 use vitcod_model::{AutoEncoderSpec, Sample, SparsityPlan, ViTConfig, VisionTransformer};
 use vitcod_tensor::{Initializer, Matrix};
@@ -137,25 +140,75 @@ proptest! {
 fn int8_artifact_stores_one_byte_weight_payloads() {
     let model = tiny_model(11, false, false);
     let record = load_compiled(&save_compiled_vit(&model, Precision::Int8)).unwrap();
-    assert!(record.has_int8_tensors());
+    let is_i8 = |name: &str| {
+        let tensor = record.tensors.iter().find(|t| t.name == name).unwrap();
+        matches!(tensor.payload, vitcod_core::TensorPayload::I8(_))
+    };
     // The engine's quantization set is i8; biases/LayerNorm stay f32.
     for name in ["patch_w", "pos_embed", "head_w", "layer0.w_qkv"] {
-        assert!(
-            matches!(
-                record.tensor(name).unwrap().payload,
-                vitcod_core::TensorPayload::I8 { .. }
-            ),
-            "{name} should be quantized"
-        );
+        assert!(is_i8(name), "{name} should be quantized");
     }
     for name in ["patch_b", "layer0.ln1_gamma", "final_beta", "head_b"] {
+        assert!(!is_i8(name), "{name} should stay fp32");
+    }
+}
+
+/// At the real DeiT-Tiny shape (5.4 M scalars, the benchmark of
+/// record's artifact) the byte-loop writer equals the per-scalar
+/// `format!` writer it replaced, in both precisions, and the text
+/// survives load → save unchanged.
+#[test]
+fn deit_tiny_artifact_matches_the_oracle_writer() {
+    let mut store = ParamStore::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let vit = VisionTransformer::new(&ViTConfig::deit_tiny(), 48, 10, &mut store, &mut rng);
+    let model = CompiledVit::from_parts(&vit, &store);
+    for (precision, bytes) in [(Precision::Fp32, 48_496_814), (Precision::Int8, 19_767_427)] {
+        let record = model.to_artifact(precision);
+        let text = save_compiled(&record);
+        // `assert!`, not `assert_eq!`: a failure must not print 48 MB.
         assert!(
-            matches!(
-                record.tensor(name).unwrap().payload,
-                vitcod_core::TensorPayload::F32(_)
-            ),
-            "{name} should stay fp32"
+            text == artifact_oracle::save_compiled_oracle(&record),
+            "{precision:?}: writer and oracle disagree"
         );
+        assert_eq!(text.len(), bytes, "{precision:?}: the v1 format moved");
+        let (loaded, loaded_precision) = load_compiled_vit(&text).unwrap();
+        assert_eq!(loaded_precision, precision);
+        assert!(
+            save_compiled_vit(&loaded, precision) == text,
+            "{precision:?}: save(load(text)) != text"
+        );
+    }
+}
+
+/// A repeated tensor name or meta key is a schema error. Both used to
+/// load, the first record silently shadowing the second.
+#[test]
+fn duplicate_names_are_rejected() {
+    use vitcod_engine::ArtifactError;
+    let good = save_compiled_vit(&tiny_model(6, false, false), Precision::Fp32);
+    let lines: Vec<&str> = good.lines().collect();
+    let patch_b = lines
+        .iter()
+        .position(|l| l.starts_with("tensor f32 patch_b "))
+        .unwrap();
+    let again = |at: usize, len: usize| {
+        let mut doubled = lines[..at + len].to_vec();
+        doubled.extend_from_slice(&lines[at..]);
+        doubled.join("\n")
+    };
+    for (text, message) in [
+        (again(patch_b, 2), "duplicate tensor 'patch_b'"),
+        (again(1, 1), "duplicate meta key 'model'"),
+    ] {
+        assert!(
+            load_compiled(&text).is_ok(),
+            "the format itself is schema-free"
+        );
+        match load_compiled_vit(&text) {
+            Err(ArtifactError::Schema(msg)) => assert_eq!(msg, message),
+            other => panic!("expected {message:?}, got {:?}", other.map(|_| ())),
+        }
     }
 }
 
