@@ -45,4 +45,21 @@ impl Queue {
         let b = self.side.lock().unwrap_or_default_fixture();
         *a + *b
     }
+
+    /// The serve worker's `next_batch` parks on the assembler's condvar
+    /// inside the helper, out of this pass's sight; under an unrelated
+    /// guard it stalls that lock's contenders. Flagged by name.
+    pub fn guard_across_next_batch(&self, shared: &Shared) -> u32 {
+        let side = self.side.lock().unwrap_or_default_fixture();
+        let _ = shared.next_batch();
+        *side
+    }
+
+    /// `wait_until` with some *other* lock's guard as its argument
+    /// still parks under this one. Flagged.
+    pub fn guard_across_foreign_wait_until(&self, cv: &Condvar, other: Guard) -> u32 {
+        let side = self.side.lock().unwrap_or_default_fixture();
+        let _other = wait_until(cv, other, None);
+        *side
+    }
 }

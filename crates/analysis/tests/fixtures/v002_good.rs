@@ -35,6 +35,17 @@ impl Waiter {
         *inner
     }
 
+    /// The hand-off through serve's `wait_until` helper: listed as
+    /// blocking by name, and legitimate exactly like `wait` — the guard
+    /// is an argument. NOT flagged.
+    pub fn helper_handoff(&self, until: Option<std::time::Instant>) -> u32 {
+        let mut inner = self.state.lock().unwrap_or_default_fixture();
+        while *inner == 0 {
+            inner = wait_until(&self.ready, inner, until);
+        }
+        *inner
+    }
+
     /// A temporary guard dies at the end of its statement; the recv on
     /// the next line runs lock-free. NOT flagged.
     pub fn temporary_then_recv(&self, rx: &Receiver<u32>) -> u32 {

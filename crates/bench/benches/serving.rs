@@ -30,7 +30,7 @@
 //!   self-throttling makes its latency percentiles an artifact of the
 //!   harness, not a property of the server.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vitcod_bench::load::{self, LoadConfig, Target};
 
@@ -207,9 +207,8 @@ fn main() {
             registry,
             BatchConfig {
                 max_batch_size: BATCH,
-                max_wait: Duration::from_millis(2),
                 queue_capacity: QUEUE_REQUESTS,
-                workers: 2,
+                ..BatchConfig::default()
             },
         );
         let t = Instant::now();
@@ -282,9 +281,8 @@ fn main() {
             registry,
             BatchConfig {
                 max_batch_size: BATCH,
-                max_wait: Duration::from_millis(2),
                 queue_capacity: QUEUE_REQUESTS,
-                workers: 2,
+                ..BatchConfig::default()
             },
         );
         let http = HttpServer::bind("127.0.0.1:0", server, TransportConfig::default())
@@ -377,9 +375,8 @@ fn main() {
             registry,
             BatchConfig {
                 max_batch_size: BATCH,
-                max_wait: Duration::from_millis(2),
                 queue_capacity: QUEUE_REQUESTS,
-                workers: 2,
+                ..BatchConfig::default()
             },
             tracing,
         );

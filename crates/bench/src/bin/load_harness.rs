@@ -206,13 +206,19 @@ fn main() {
     // traces.json artifact is never empty; the latency-gated scenarios
     // sample lightly, the way production would.
     let sample_rate = if args.scenario == "smoke" { 1.0 } else { 0.05 };
+    // `storm` and `degrade` need requests to outlive a 1 ms deadline on
+    // a model that answers in 0.04 ms: they hold partial batches back
+    // for 5 ms, `max_wait`'s one remaining use here — a deterministic
+    // queueing delay. Every other scenario runs what ships.
+    let max_wait = match args.scenario.as_str() {
+        "storm" | "degrade" => Duration::from_millis(5),
+        _ => BatchConfig::default().max_wait,
+    };
     let server = Server::start_with_tracing(
         registry,
         BatchConfig {
-            max_batch_size: 8,
-            max_wait: Duration::from_millis(5),
-            queue_capacity: 64,
-            workers: 2,
+            max_wait,
+            ..BatchConfig::default()
         },
         TracingConfig {
             sample_rate,
@@ -258,7 +264,8 @@ fn main() {
             (args.requests.unwrap_or(256), steady_rate, deadline_ms, true)
         }
         // Deadline storm: same offered load, but a deadline shorter
-        // than one batcher wait, so queued requests expire en masse.
+        // than the configured `max_wait` hold, so queued requests
+        // expire en masse.
         "storm" => (args.requests.unwrap_or(256), steady_rate, 1, true),
         // Degrade: this is the *recovery* phase; an induced outage (1 ms
         // deadlines) runs first under an in-process burn-rate monitor.

@@ -8,10 +8,14 @@
 //! needs:
 //!
 //! * [`Server`] — owns a **bounded ingress queue** (full ⇒ producers
-//!   block: backpressure, not drops), a **dynamic batch assembler**
-//!   (flush on [`BatchConfig::max_batch_size`] or the oldest request's
-//!   [`BatchConfig::max_wait`] deadline, whichever first) and a worker
-//!   pool draining batches through shared engines;
+//!   block: backpressure, not drops), a **late-binding batch
+//!   assembler** (a model's queued requests are eligible once there are
+//!   [`BatchConfig::max_batch_size`] of them or the oldest has waited
+//!   [`BatchConfig::max_wait`] — zero by default — but a batch is
+//!   closed only when a free worker takes it, so an idle server never
+//!   holds a request back and a busy one fills its batches while they
+//!   wait for a worker anyway) and a worker pool running those batches
+//!   through shared engines;
 //! * [`Client`] — clonable handles with a blocking
 //!   [`Client::classify`], a ticket/poll
 //!   [`Client::submit`]/[`Ticket::try_take`] pair, and deadline-aware
@@ -30,7 +34,7 @@
 //!   batch-fill histogram and per-stage (queue-wait / batch-assembly /
 //!   compute / serialize) latency histograms, queryable at any time;
 //! * [`trace`] — a bounded ring of typed serving events (enqueue,
-//!   expire, promote, dispatch, reload, shutdown) drained via
+//!   expire, dispatch, reload, shutdown) drained via
 //!   [`Server::take_trace`] for debugging deadline storms and reload
 //!   races without a debugger;
 //! * [`spans`] — request-scoped span trees: head-sampled requests run

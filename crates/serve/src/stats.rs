@@ -77,9 +77,9 @@ pub struct RequestTiming {
     /// Enqueue → admitted into the batch assembler (time spent in the
     /// bounded ingress queue).
     pub queue_wait: Duration,
-    /// Admission → compute start (waiting for co-batching in the
-    /// pending set, plus the staged-batch queue in front of the worker
-    /// pool).
+    /// Admission → compute start: the time in the model's queue until
+    /// a free worker took the request's batch — waiting for a worker
+    /// under load, any deliberate `max_wait` hold, and the hand-off.
     pub batch_assembly: Duration,
     /// Compute start → compute end (the engine's `infer_batch`).
     pub compute: Duration,

@@ -8,11 +8,13 @@
 //! once — by [`Ticket::wait`], [`Ticket::wait_timeout`] or the first
 //! successful [`Ticket::try_take`].
 //!
-//! Two terminal states besides `Taken` exist: **cancelled** (the server
-//! shut down abnormally before serving the request) and **timed out**
-//! (the request's deadline passed while it was still waiting for a
-//! batch slot — see [`crate::Client::submit_with_timeout`]). Both
-//! surface as [`RequestError`] from the deadline-aware waits.
+//! Two terminal states besides `Taken` exist: **cancelled** (the request
+//! was lost before it was served — its serving-side `Resolver` was
+//! dropped unresolved, by a panicking thread or an abnormal shutdown)
+//! and **timed out** (the request's deadline passed while it was still
+//! waiting for a batch slot — see
+//! [`crate::Client::submit_with_timeout`]). Both surface as
+//! [`RequestError`] from the deadline-aware waits.
 //!
 //! The state mutex recovers from poisoning (`PoisonError::into_inner`):
 //! every transition is a single assignment of the `State` enum, so a
@@ -119,6 +121,29 @@ impl TicketInner {
             *state = State::TimedOut;
             self.ready.notify_all();
         }
+    }
+}
+
+/// The serving side's handle on a ticket: it rides in the queued request
+/// from submit to completion. Dropping it cancels the ticket, so a
+/// request that is lost on the way — a panicking batcher or worker, a
+/// queue swept at shutdown — resolves its waiter as
+/// [`RequestError::Cancelled`] instead of stranding it
+/// ([`TicketInner::cancel`] is a no-op once the ticket completed or
+/// expired, which is every normal path).
+pub(crate) struct Resolver(pub Arc<TicketInner>);
+
+impl std::ops::Deref for Resolver {
+    type Target = TicketInner;
+
+    fn deref(&self) -> &TicketInner {
+        &self.0
+    }
+}
+
+impl Drop for Resolver {
+    fn drop(&mut self) {
+        self.0.cancel();
     }
 }
 

@@ -3,8 +3,8 @@
 //! debugger.
 //!
 //! Every interesting transition in the serving loop records one
-//! [`TraceEvent`] — enqueue, expiry, pending-set promotion, batch
-//! dispatch, hot reload, shutdown — into the crate's one bounded
+//! [`TraceEvent`] — enqueue, expiry, batch dispatch, hot reload,
+//! shutdown — into the crate's one bounded
 //! sharded ring (`ring.rs`, shared with the span rings of
 //! [`crate::spans`]): writers pick a shard by thread id, and a full
 //! shard evicts its oldest event. Eviction is **counted, not hidden**
@@ -28,11 +28,12 @@ pub enum TraceKind {
     /// A request entered the ingress queue (`n` = queue depth after).
     Enqueue,
     /// Requests expired past their deadline before reaching a batch
-    /// slot (`n` = how many, this batcher cycle).
+    /// slot (`n` = how many, at one look at the clock).
     Expire,
-    /// A pending set was promoted to a ready batch (`n` = batch size).
-    Promote,
-    /// A ready batch was handed to the worker pool (`n` = batch size).
+    /// A free worker closed a batch and took it (`n` = batch size).
+    /// Batches are late-binding — a model's queue keeps absorbing
+    /// arrivals until this instant — so there is no earlier
+    /// "batch formed" event to record.
     Dispatch,
     /// An engine was hot-swapped (`n` = 1 when an engine was replaced,
     /// 0 when the id was newly registered).
@@ -47,7 +48,6 @@ impl TraceKind {
         match self {
             TraceKind::Enqueue => "enqueue",
             TraceKind::Expire => "expire",
-            TraceKind::Promote => "promote",
             TraceKind::Dispatch => "dispatch",
             TraceKind::Reload => "reload",
             TraceKind::Shutdown => "shutdown",
@@ -93,13 +93,13 @@ mod tests {
     fn events_drain_in_record_order() {
         let b = ShardedRing::new(TRACE_CAPACITY);
         b.record_event(TraceKind::Enqueue, "m", 1);
-        b.record_event(TraceKind::Promote, "m", 4);
+        b.record_event(TraceKind::Expire, "m", 1);
         b.record_event(TraceKind::Dispatch, "m", 4);
         let events = b.take();
         assert_eq!(events.len(), 3);
         assert_eq!(
             events.iter().map(|e| e.kind).collect::<Vec<_>>(),
-            [TraceKind::Enqueue, TraceKind::Promote, TraceKind::Dispatch]
+            [TraceKind::Enqueue, TraceKind::Expire, TraceKind::Dispatch]
         );
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(events.windows(2).all(|w| w[0].at_s <= w[1].at_s));

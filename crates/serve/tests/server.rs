@@ -13,7 +13,7 @@ use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision, Predictio
 use vitcod_model::{Sample, SparsityPlan, ViTConfig, VisionTransformer};
 use vitcod_serve::{
     BatchConfig, KeepReason, ModelRegistry, RequestOutcome, Server, Span, SubmitError, TailConfig,
-    TracingConfig,
+    TraceKind, TracingConfig,
 };
 use vitcod_tensor::{Initializer, Matrix};
 
@@ -386,6 +386,112 @@ fn shutdown_drains_accepted_requests() {
         client.classify("m", tokens_for(&model, 99)),
         Err(SubmitError::Closed)
     ));
+}
+
+/// Late binding, end to end: with the default config (`max_wait` 0) and
+/// one worker, a closed loop holding two batches' worth of requests
+/// outstanding is served in full batches — while the worker computes
+/// one batch the next fills in the model's queue, and its membership is
+/// fixed only when the worker comes back for it. A batcher that closes
+/// batches on arrival at wait 0 hands the same traffic out in ones and
+/// twos. Counted from the `dispatch` events, not timed.
+#[test]
+fn default_config_fills_batches_under_a_closed_loop_backlog() {
+    let model = tiny_model(31, false);
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(model.clone()).build())
+        .unwrap();
+    let config = BatchConfig {
+        workers: 1,
+        ..BatchConfig::default()
+    };
+    let max_batch = config.max_batch_size;
+    assert_eq!(config.max_wait, Duration::ZERO, "the shipped default");
+    let server = Server::start(registry, config);
+    let client = server.client();
+
+    let outstanding = 2 * max_batch;
+    let total = 40 * max_batch;
+    let tokens = tokens_for(&model, 7);
+    let mut in_flight = std::collections::VecDeque::with_capacity(outstanding);
+    let mut submitted = 0;
+    // Drained as the run goes: the enqueue events alone would overflow
+    // the submitting thread's shard of the ring.
+    let mut fills: Vec<usize> = Vec::new();
+    loop {
+        while submitted < total && in_flight.len() < outstanding {
+            in_flight.push_back(client.submit("m", tokens.clone()).unwrap());
+            submitted += 1;
+        }
+        let Some(ticket) = in_flight.pop_front() else {
+            break;
+        };
+        assert!(ticket.wait_timeout(Duration::from_secs(60)).is_ok());
+        let events = server.take_trace();
+        fills.extend(
+            events
+                .iter()
+                .filter(|e| e.kind == TraceKind::Dispatch)
+                .map(|e| e.n),
+        );
+    }
+    assert_eq!(server.trace_dropped(), 0, "every dispatch event was read");
+    assert_eq!(fills.iter().sum::<usize>(), total);
+    assert!(
+        fills.iter().all(|&n| n <= max_batch),
+        "a batch exceeded max_batch_size: {fills:?}"
+    );
+    // The first two takes race the first top-up; the last ones drain a
+    // loop that has stopped refilling. Everything between is steady
+    // state: 8 when nothing stalls, and a client thread that loses the
+    // CPU for a while costs a short batch or two, not the mean.
+    let steady = &fills[2..fills.len() - 2];
+    assert!(steady.len() >= 20, "too few batches to judge: {fills:?}");
+    let mean = steady.iter().sum::<usize>() as f64 / steady.len() as f64;
+    assert!(
+        mean >= 0.75 * max_batch as f64,
+        "mean steady-state batch {mean:.2} of {max_batch}: {fills:?}"
+    );
+    server.shutdown();
+}
+
+/// "No limit", spelled as the largest `Duration`, must mean that — not
+/// an `Instant` overflow that panics the batcher thread (`max_wait`) or
+/// the submitting caller (`submit_with_timeout`).
+#[test]
+fn unrepresentable_wait_and_timeout_mean_no_limit() {
+    let model = tiny_model(33, false);
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(model.clone()).build())
+        .unwrap();
+    let server = Server::start(
+        registry,
+        BatchConfig {
+            max_batch_size: 2,
+            max_wait: Duration::MAX, // size trigger only
+            queue_capacity: 16,
+            workers: 1,
+        },
+    );
+    let client = server.client();
+    let first = client
+        .submit_with_timeout("m", tokens_for(&model, 1), Duration::MAX)
+        .unwrap();
+    assert_eq!(
+        first.wait_timeout(Duration::from_millis(50)),
+        Err(vitcod_serve::RequestError::TimedOut),
+        "one request is below the size trigger and no timer runs"
+    );
+    let second = client
+        .submit_with_timeout("m", tokens_for(&model, 2), Duration::MAX)
+        .unwrap();
+    assert!(first.wait_timeout(Duration::from_secs(60)).is_ok());
+    assert!(second.wait_timeout(Duration::from_secs(60)).is_ok());
+    let stats = server.shutdown();
+    let m = stats.model("m").expect("model served");
+    assert_eq!((m.requests, m.batches, m.timed_out), (2, 1, 0));
 }
 
 /// The in-process deadline satellites: `submit_with_timeout` +

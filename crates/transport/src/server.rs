@@ -699,9 +699,9 @@ fn finish_trace(
     }
 }
 
-/// Per-model budget of the deep health probe: generous against batching
-/// waits (`max_wait` flushes) but bounded, so a wedged model degrades
-/// the probe instead of hanging it.
+/// Per-model budget of the deep health probe: generous against a
+/// backlog or a configured `max_wait` hold but bounded, so a wedged
+/// model degrades the probe instead of hanging it.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// `GET /v1/health?deep=1`: runs a one-sample inference per registered

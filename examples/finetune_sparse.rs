@@ -8,8 +8,6 @@
 //! cargo run --example finetune_sparse --release
 //! ```
 
-use std::time::Duration;
-
 use vitcod::engine::{save_compiled_vit, CompiledVit, Engine, Precision};
 use vitcod::model::{SyntheticTask, SyntheticTaskConfig, ViTConfig};
 use vitcod::serve::{BatchConfig, ModelRegistry, Server};
@@ -63,10 +61,8 @@ fn main() {
     let server = Server::start(
         registry,
         BatchConfig {
-            max_batch_size: 8,
-            max_wait: Duration::from_millis(2),
-            queue_capacity: 64,
             workers: 1,
+            ..BatchConfig::default()
         },
     );
     let client = server.client();

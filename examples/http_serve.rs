@@ -8,8 +8,6 @@
 //! cargo run --example http_serve --release
 //! ```
 
-use std::time::Duration;
-
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod::autograd::ParamStore;
@@ -49,10 +47,8 @@ fn main() {
     let server = Server::start(
         registry,
         BatchConfig {
-            max_batch_size: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 32,
-            workers: 2,
+            ..BatchConfig::default()
         },
     );
     let http = HttpServer::bind(

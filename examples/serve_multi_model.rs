@@ -11,8 +11,6 @@
 //! submitting through the bounded queue → dynamic batches → per-model
 //! p50/p99 and batch-fill stats.
 
-use std::time::Duration;
-
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod::autograd::ParamStore;
@@ -72,14 +70,13 @@ fn main() {
         .expect("register dense");
     println!("registry models: {:?}", registry.ids());
 
-    // 3. Serve: bounded queue, batches flushed at 8 requests or 2 ms.
+    // 3. Serve: bounded queue; a free worker takes whatever a model has
+    // queued, at most 8 requests a batch (the defaults).
     let server = Server::start(
         registry,
         BatchConfig {
-            max_batch_size: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 32,
-            workers: 2,
+            ..BatchConfig::default()
         },
     );
 
