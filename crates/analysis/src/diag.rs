@@ -209,7 +209,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "V003" => {
             "V003 — backend-contract coverage.\n\
              Scope: public functions of vitcod_tensor::{kernels, sparse, quant} whose\n\
-             signature involves `Backend`. Every such entry point must be referenced by\n\
+             signature involves `Backend`. `Backend` selects an algorithm only where two\n\
+             exist, so today that is the `*_with` twins of the five two-algorithm ops\n\
+             (matmul, matmul_nt, matmul_tn, transpose, int8_gemm) plus\n\
+             `with_backend_override`; every other kernel has one algorithm and no\n\
+             `Backend` in its signature. Every such entry point must be referenced by\n\
              name somewhere in crates/tensor/tests/ — the backend-agreement property\n\
              suites are what make \"fp32 bit-identical across Scalar and Fast\" a\n\
              checked contract rather than a hope. Adding a backend-dispatching kernel\n\

@@ -6,7 +6,12 @@
 //! `crates/tensor/tests/`: a public kernel entry point that dispatches
 //! on `Backend` but is referenced by no test there ships an unchecked
 //! code path. This rule cross-references every such `pub fn` against
-//! the identifiers appearing in the tensor test files.
+//! the identifiers appearing in the tensor test files. `Backend` picks an
+//! algorithm only where two exist, so what it guards today is the `*_with`
+//! twins of `matmul`, `matmul_nt`, `matmul_tn`, `transpose` and
+//! `int8_gemm` (and `with_backend_override`); a kernel with one algorithm
+//! takes no `Backend` and is covered by the thread-budget agreement
+//! suites instead.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;

@@ -34,7 +34,7 @@ use vitcod_autograd::ParamStore;
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Precision};
 use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::{
-    matmul_nt_with, matmul_tn_with, matmul_with, num_threads, set_num_threads, softmax_rows,
+    matmul_nt_with, matmul_tn_with, matmul_with, num_threads, softmax_rows, with_thread_budget,
     Backend,
 };
 use vitcod_tensor::{
@@ -460,7 +460,10 @@ fn artifact_json(r: &ArtifactRecord) -> String {
 fn main() {
     // One compute thread, like the benchmark of record and like every
     // recorded rate the gates below are anchored on.
-    set_num_threads(1);
+    with_thread_budget(1, run);
+}
+
+fn run() {
     println!(
         "kernel benchmarks: {} worker thread(s), backends checked for bit-identical results\n",
         num_threads()

@@ -8,8 +8,7 @@ use vitcod_autograd::LAYERNORM_EPS;
 use vitcod_model::Sample;
 use vitcod_tensor::sparse;
 use vitcod_tensor::{
-    argmax, gelu, int8_gemm, kernels, Backend, Matrix, PackedGemmWeights, QuantizedMatrix,
-    QuantizedRows,
+    argmax, gelu, int8_gemm, kernels, Matrix, PackedGemmWeights, QuantizedMatrix, QuantizedRows,
 };
 
 use crate::compiled::{CompiledLayer, CompiledVit, HeadPlan};
@@ -68,32 +67,13 @@ pub struct Prediction {
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     compiled: Arc<CompiledVit>,
-    backend: Option<Backend>,
     precision: Precision,
-    workers: usize,
 }
 
 impl EngineBuilder {
-    /// Pins the kernel backend used while this engine runs inference.
-    /// There are two, `Fast` and the `Scalar` oracle, and they produce
-    /// bit-identical results (the kernel layer's agreement contract);
-    /// `Scalar` exists for auditing. Defaults to the process-wide
-    /// backend (`Fast`, unless `VITCOD_BACKEND=scalar`).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Selects the numeric precision (default [`Precision::Fp32`]).
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
-        self
-    }
-
-    /// Number of worker threads batches fan out across (`0`, the
-    /// default, follows the kernel layer's thread budget).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -134,9 +114,7 @@ impl EngineBuilder {
         };
         Engine {
             model,
-            backend: self.backend,
             precision: self.precision,
-            workers: self.workers,
             int8_weight_bytes,
         }
     }
@@ -151,6 +129,15 @@ impl EngineBuilder {
 /// masking). [`Engine::infer_batch`] fans samples across worker
 /// threads; every per-sample forward is independent, so results are
 /// deterministic regardless of the worker count.
+///
+/// The engine holds no kernel settings of its own: it runs on the
+/// calling thread's backend and thread budget (the process defaults
+/// `VITCOD_BACKEND` / `VITCOD_NUM_THREADS` in practice). A caller that
+/// wants a pin scopes it around the call —
+/// `kernels::with_backend_override(Backend::Scalar, ||
+/// engine.infer_batch(..))` audits a model on the reference kernels,
+/// `kernels::with_thread_budget(w, ..)` caps its workers — and neither
+/// changes a logit bit (the kernel layer's agreement contract).
 ///
 /// # Example
 ///
@@ -172,9 +159,7 @@ impl EngineBuilder {
 #[derive(Debug, Clone)]
 pub struct Engine {
     model: Arc<CompiledVit>,
-    backend: Option<Backend>,
     precision: Precision,
-    workers: usize,
     int8_weight_bytes: Option<usize>,
 }
 
@@ -190,9 +175,7 @@ impl Engine {
     pub fn builder_shared(compiled: Arc<CompiledVit>) -> EngineBuilder {
         EngineBuilder {
             compiled,
-            backend: None,
             precision: Precision::Fp32,
-            workers: 0,
         }
     }
 
@@ -213,90 +196,26 @@ impl Engine {
         self.precision
     }
 
-    /// The backend this engine's kernels run on: the pinned one when
-    /// [`EngineBuilder::backend`] was called, otherwise the calling
-    /// thread's current selection (the process default in practice —
-    /// what an observability snapshot should label the model with).
-    pub fn backend(&self) -> Backend {
-        self.backend.unwrap_or_else(kernels::backend)
-    }
-
     /// Bytes the int8 weight artifact occupies (1 per weight scalar);
     /// `None` under fp32.
     pub fn int8_weight_bytes(&self) -> Option<usize> {
         self.int8_weight_bytes
     }
 
-    /// Resolved batch-level worker count for `batch` samples.
-    fn batch_workers(&self, batch: usize) -> usize {
-        let budget = if self.workers > 0 {
-            self.workers
-        } else {
-            kernels::num_threads()
-        };
-        budget.min(batch).max(1)
-    }
-
-    /// Runs `f` with the engine's pinned backend installed as a
-    /// thread-local override (panic-safe, and racing nothing: other
-    /// engines and threads keep their own selection); a no-op when no
-    /// backend was pinned.
-    fn with_backend<T>(&self, f: impl FnOnce() -> T) -> T {
-        match self.backend {
-            Some(b) => kernels::with_backend_override(b, f),
-            None => f(),
-        }
-    }
-
-    /// Classifies a batch of samples, fanning them across worker
-    /// threads. Results are returned in input order.
+    /// Classifies a batch of samples, fanning them across the thread
+    /// budget's workers (each worker's kernels inherit its share of the
+    /// budget, so the two levels never multiply into oversubscription).
+    /// Results are returned in input order.
     ///
-    /// This is a hand-rolled fan-out rather than
-    /// [`kernels::par_map_collect`] because it must honour the explicit
-    /// `workers(..)` override and give each worker a reduced kernel
-    /// thread budget — otherwise the per-sample kernels would multiply
-    /// the batch fan-out into `threads²` oversubscription.
+    /// # Panics
+    ///
+    /// Panics if a sample's token shape does not match the compiled
+    /// model, with that forward's own message whichever worker ran it.
     pub fn infer_batch(&self, samples: &[Sample]) -> Vec<Prediction> {
-        self.with_backend(|| {
-            let workers = self.batch_workers(samples.len());
-            if workers <= 1 {
-                return samples
-                    .iter()
-                    .map(|s| self.predict(&s.tokens, &mut Untimed))
-                    .collect();
-            }
-            let inner_budget = (kernels::num_threads() / workers).max(1);
-            let per = samples.len().div_ceil(workers);
-            // Each worker re-installs the engine's thread-local backend
-            // override (thread-locals do not cross spawns) and a reduced
-            // kernel budget.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = samples
-                    .chunks(per)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            self.with_backend(|| {
-                                kernels::with_thread_budget(inner_budget, || {
-                                    chunk
-                                        .iter()
-                                        .map(|s| self.predict(&s.tokens, &mut Untimed))
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                        })
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(samples.len());
-                for h in handles {
-                    match h.join() {
-                        Ok(chunk) => out.extend(chunk),
-                        // Re-raise the worker's panic payload on the
-                        // caller thread instead of a fresh panic here.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                out
-            })
+        // A forward is far above the kernel layer's per-worker grain, so
+        // the budget and the batch size alone decide the worker count.
+        kernels::par_map_collect(samples.len(), usize::MAX, |i| {
+            self.predict(&samples[i].tokens, &mut Untimed)
         })
     }
 
@@ -307,7 +226,7 @@ impl Engine {
     ///
     /// Panics if the token shape does not match the compiled model.
     pub fn infer_one(&self, tokens: &Matrix) -> Prediction {
-        self.with_backend(|| self.predict(tokens, &mut Untimed))
+        self.predict(tokens, &mut Untimed)
     }
 
     /// Classifies a batch **sequentially**, timing every named compute
@@ -320,12 +239,10 @@ impl Engine {
     /// bitwise equal to the served ones (asserted by this crate's
     /// tests).
     pub fn infer_batch_profiled(&self, samples: &[Sample]) -> Vec<(Prediction, OpProfile)> {
-        self.with_backend(|| {
-            samples
-                .iter()
-                .map(|s| self.predict_profiled(&s.tokens))
-                .collect()
-        })
+        samples
+            .iter()
+            .map(|s| self.predict_profiled(&s.tokens))
+            .collect()
     }
 
     /// [`Engine::infer_batch_profiled`] for one raw token matrix.
@@ -334,7 +251,7 @@ impl Engine {
     ///
     /// Panics if the token shape does not match the compiled model.
     pub fn infer_one_profiled(&self, tokens: &Matrix) -> (Prediction, OpProfile) {
-        self.with_backend(|| self.predict_profiled(tokens))
+        self.predict_profiled(tokens)
     }
 
     /// Approximate arithmetic ops one forward pass performs (1 MAC = 2

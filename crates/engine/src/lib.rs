@@ -13,9 +13,9 @@
 //!   or a pre-compiled CSC index for the accelerator's sparse dataflow.
 //!   [`CompileReport::compile`] produces it straight from a finished
 //!   [`vitcod_core::PipelineReport`].
-//! * [`Engine`] — built via
-//!   `Engine::builder(compiled).backend(..).precision(..).workers(..)`;
-//!   [`Engine::infer_batch`] runs a tape-free forward that fans samples
+//! * [`Engine`] — built via `Engine::builder(compiled).precision(..)`;
+//!   backend and thread budget are the caller's
+//!   ([`vitcod_tensor::kernels`]). [`Engine::infer_batch`] runs a tape-free forward that fans samples
 //!   across worker threads and routes sparse heads through the real
 //!   SDDMM → sparse-softmax → SpMM dataflow from
 //!   [`vitcod_tensor::sparse`] instead of dense `-inf` masking.

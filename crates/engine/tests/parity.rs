@@ -65,22 +65,22 @@ fn local_global_plan(vit: &VisionTransformer) -> SparsityPlan {
 #[test]
 fn fp32_dense_logits_bit_identical_to_tape_on_all_backends() {
     let (vit, store) = tiny_model(1);
-    let compiled = CompiledVit::from_parts(&vit, &store);
-    let ambient = kernels::backend();
+    let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     for backend in [Backend::Fast, Backend::Scalar] {
-        kernels::set_backend(backend);
-        let engine = Engine::builder(compiled.clone()).backend(backend).build();
         for seed in 0..4 {
             let tokens = random_tokens(&vit, 100 + seed);
-            let expected = tape_logits(&vit, &store, &tokens);
-            let got = engine.infer_one(&tokens);
+            let (expected, got) = kernels::with_backend_override(backend, || {
+                (
+                    tape_logits(&vit, &store, &tokens),
+                    engine.infer_one(&tokens),
+                )
+            });
             assert_eq!(
                 got.logits, expected,
                 "{backend:?} logits differ from tape at seed {seed}"
             );
         }
     }
-    kernels::set_backend(ambient);
 }
 
 #[test]
@@ -130,16 +130,10 @@ fn sparse_csc_path_matches_masked_dense_reference() {
 fn sparse_csc_path_agrees_across_backends_bitwise() {
     let (mut vit, store) = tiny_model(4);
     vit.set_sparsity_plan(local_global_plan(&vit));
-    let compiled = CompiledVit::from_parts(&vit, &store);
+    let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     let tokens = random_tokens(&vit, 400);
-    let fast = Engine::builder(compiled.clone())
-        .backend(Backend::Fast)
-        .build()
-        .infer_one(&tokens);
-    let scalar = Engine::builder(compiled)
-        .backend(Backend::Scalar)
-        .build()
-        .infer_one(&tokens);
+    let fast = kernels::with_backend_override(Backend::Fast, || engine.infer_one(&tokens));
+    let scalar = kernels::with_backend_override(Backend::Scalar, || engine.infer_one(&tokens));
     assert_eq!(fast, scalar);
 }
 
@@ -185,7 +179,7 @@ fn weight_vector_scalars(c: &CompiledVit) -> usize {
 #[test]
 fn infer_batch_preserves_order_and_worker_count_does_not_matter() {
     let (vit, store) = tiny_model(6);
-    let compiled = CompiledVit::from_parts(&vit, &store);
+    let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     let samples: Vec<Sample> = (0..9)
         .map(|i| Sample {
             tokens: random_tokens(&vit, 600 + i),
@@ -194,17 +188,58 @@ fn infer_batch_preserves_order_and_worker_count_does_not_matter() {
         .collect();
     let serial: Vec<_> = samples
         .iter()
-        .map(|s| {
-            Engine::builder(compiled.clone())
-                .build()
-                .infer_one(&s.tokens)
-        })
+        .map(|s| engine.infer_one(&s.tokens))
         .collect();
     for workers in [1usize, 2, 4] {
-        let engine = Engine::builder(compiled.clone()).workers(workers).build();
-        let batch = engine.infer_batch(&samples);
+        let batch = kernels::with_thread_budget(workers, || engine.infer_batch(&samples));
         assert_eq!(batch, serial, "workers={workers}");
     }
+}
+
+/// The engine carries no kernel settings: a backend pin and a worker
+/// budget scoped around `infer_batch` reach every sample's forward (the
+/// fan-out hands both to its workers) without changing a logit bit, and a
+/// worker's panic comes back as itself.
+#[test]
+fn scoped_backend_and_budget_reach_every_batch_worker() {
+    let (mut vit, store) = tiny_model(13);
+    // One sparse and one dense head per layer.
+    let mut plan = local_global_plan(&vit);
+    for layer in &mut plan {
+        layer[1] = None;
+    }
+    vit.set_sparsity_plan(plan);
+    let compiled = CompiledVit::from_parts(&vit, &store);
+    let mut samples: Vec<Sample> = (0..8)
+        .map(|i| Sample {
+            tokens: random_tokens(&vit, 1300 + i),
+            label: 0,
+        })
+        .collect();
+    for precision in [Precision::Fp32, Precision::Int8] {
+        let engine = Engine::builder(compiled.clone())
+            .precision(precision)
+            .build();
+        let reference = kernels::with_backend_override(Backend::Fast, || {
+            kernels::with_thread_budget(1, || engine.infer_batch(&samples))
+        });
+        let pinned = kernels::with_backend_override(Backend::Scalar, || {
+            kernels::with_thread_budget(4, || engine.infer_batch(&samples))
+        });
+        assert_eq!(pinned.len(), 8);
+        for (i, (p, r)) in pinned.iter().zip(&reference).enumerate() {
+            assert_eq!(logit_bits(p), logit_bits(r), "{precision} sample {i}");
+        }
+    }
+    // Sample 5 lands on the third of four workers.
+    samples[5].tokens = Matrix::zeros(3, IN_DIM);
+    let engine = Engine::builder(compiled).build();
+    let payload = std::panic::catch_unwind(|| {
+        kernels::with_thread_budget(4, || engine.infer_batch(&samples))
+    })
+    .expect_err("a mis-shaped sample must panic");
+    let message = payload.downcast_ref::<String>().expect("assert message");
+    assert!(message.contains("input token shape mismatch"), "{message}");
 }
 
 #[test]

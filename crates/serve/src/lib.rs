@@ -24,7 +24,7 @@
 //!   resolves as [`RequestError::TimedOut`] instead of occupying queue
 //!   capacity;
 //! * [`ModelRegistry`] — routes requests by model id across several
-//!   compiled models with independent precision/backend settings, and
+//!   compiled models with independent precision settings, and
 //!   loads whole registries from `*.vitcod` artifacts on disk
 //!   ([`ModelRegistry::load_dir`], written by
 //!   [`vitcod_engine::save_compiled_vit`]); engines hot-swap behind a

@@ -1,7 +1,7 @@
 //! The multi-model registry: routes model ids to shared [`Engine`]s.
 //!
 //! Each registered model is an independent engine — its own
-//! [`CompiledVit`], precision and backend — behind one id. Engines are
+//! [`CompiledVit`] and precision — behind one id. Engines are
 //! held in `Arc`s, so the server's worker pool and every client route
 //! to the *same* frozen weight allocation; registering a model never
 //! copies weights, and neither does serving it.
@@ -70,7 +70,7 @@ impl ModelRegistry {
     }
 
     /// Registers `engine` under `id`. Each model's engine keeps its own
-    /// precision/backend settings.
+    /// precision.
     ///
     /// # Errors
     ///

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use vitcod_engine::{Engine, OpProfile, Prediction, OP_COUNT};
 use vitcod_model::Sample;
-use vitcod_tensor::Matrix;
+use vitcod_tensor::{kernels, Matrix};
 
 use crate::batcher::{Batch, BatchAssembler, BatchConfig, Request};
 use crate::queue::{BoundedQueue, Pop};
@@ -161,7 +161,7 @@ impl Shared {
         let engines = self.engines.read().unwrap_or_else(PoisonError::into_inner);
         for m in &mut stats.models {
             if let Some(engine) = engines.get(&m.model) {
-                m.backend = Some(engine.backend().to_string());
+                m.backend = Some(kernels::backend().to_string());
                 m.precision = Some(engine.precision().to_string());
                 if m.compute_batch_s > 0.0 && m.requests > 0 {
                     m.achieved_gops = Some(

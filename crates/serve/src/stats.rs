@@ -263,7 +263,7 @@ struct ModelAccum {
 pub struct ModelStats {
     /// Model id, as registered in the [`crate::ModelRegistry`].
     pub model: String,
-    /// Kernel backend the model's engine runs on (`scalar`/`fast`);
+    /// Kernel backend the serving process runs on (`scalar`/`fast`);
     /// `None` when the model is no longer registered.
     pub backend: Option<String>,
     /// Numeric precision the engine serves at (`fp32`/`int8`); `None`

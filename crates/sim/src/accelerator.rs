@@ -826,11 +826,8 @@ mod tests {
         let s = sim();
         // One worker = the sequential walk; the reduction order is the
         // same either way, so every count must be identical.
-        kernels::set_num_threads(1);
-        let (seq, seq_trace) = s.simulate_attention_traced(&p);
-        kernels::set_num_threads(4);
-        let (par, par_trace) = s.simulate_attention_traced(&p);
-        kernels::set_num_threads(0);
+        let (seq, seq_trace) = kernels::with_thread_budget(1, || s.simulate_attention_traced(&p));
+        let (par, par_trace) = kernels::with_thread_budget(4, || s.simulate_attention_traced(&p));
         assert_eq!(par.total_cycles, seq.total_cycles);
         assert_eq!(par.phases, seq.phases);
         assert_eq!(par.breakdown, seq.breakdown);

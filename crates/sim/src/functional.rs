@@ -14,7 +14,7 @@
 //! operands with i32 accumulation, as the MAC lines do.
 
 pub use vitcod_tensor::sparse::{
-    attention_head, attention_head_int8, sddmm_k_stationary, sddmm_k_stationary_int8,
+    attention_head, attention_head_int8_rows, sddmm_k_stationary, sddmm_k_stationary_int8_rows,
     spmm_output_stationary, SparseScores,
 };
 
@@ -46,7 +46,7 @@ pub fn auto_encoder_round_trip(
 mod tests {
     use super::*;
     use vitcod_core::{prune_to_sparsity, AttentionMask, CscMatrix};
-    use vitcod_tensor::{Initializer, QuantizedMatrix};
+    use vitcod_tensor::{Initializer, QuantizedRows};
 
     fn random_qkv(n: usize, dk: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
         (
@@ -135,9 +135,9 @@ mod tests {
         let mask = diag_global_mask(24);
         let index = CscMatrix::from_mask(&mask);
         let fp = sddmm_k_stationary(&q, &k, &index, 0.2);
-        let qi = QuantizedMatrix::quantize(&q);
-        let ki = QuantizedMatrix::quantize(&k);
-        let i8s = sddmm_k_stationary_int8(&qi, &ki, &index, 0.2);
+        let qi = QuantizedRows::quantize(&q);
+        let ki = QuantizedRows::quantize(&k);
+        let i8s = sddmm_k_stationary_int8_rows(&qi, &ki, 0..32, &index, 0.2);
         let diff = fp.to_dense().max_abs_diff(&i8s.to_dense());
         let norm = fp.to_dense().frobenius_norm().max(1e-6);
         assert!(diff / norm < 0.08, "int8 relative error {}", diff / norm);
@@ -149,10 +149,9 @@ mod tests {
         let map = q.matmul_nt(&k).softmax_rows();
         let mask = prune_to_sparsity(&map, 0.7);
         let index = CscMatrix::from_mask(&mask);
-        let sequential = attention_head(&q, &k, &v, &index, 0.3);
-        kernels::set_num_threads(4);
-        let parallel = attention_head(&q, &k, &v, &index, 0.3);
-        kernels::set_num_threads(0);
+        let run = || attention_head(&q, &k, &v, &index, 0.3);
+        let sequential = kernels::with_thread_budget(1, run);
+        let parallel = kernels::with_thread_budget(4, run);
         assert_eq!(sequential, parallel);
     }
 

@@ -3,12 +3,21 @@
 //! Every dense hot path in the workspace — the autograd tape, the ViT
 //! forward/backward, the functional dataflow checks and the benchmark
 //! harness — routes its inner loops through this module instead of
-//! open-coding them. Kernels come in two selectable backends:
+//! open-coding them.
+//!
+//! # Backend-selection contract
+//!
+//! Two values steer a kernel call, and they are independent.
+//!
+//! **[`Backend`] picks the algorithm** of the five ops that have two:
+//! [`matmul`], [`matmul_nt`], [`matmul_tn`], [`transpose`] and
+//! [`crate::int8_gemm`]. Each has a `*_with` twin taking the backend as an
+//! argument; the ambient entry point reads [`backend()`].
 //!
 //! * [`Backend::Scalar`] — textbook reference loops (`i–j–k` dot-product
-//!   GEMM, one row at a time for row-wise ops). Slow, obviously correct,
-//!   and the yardstick the simulator's operation counts are audited
-//!   against.
+//!   GEMM, element-at-a-time transpose, per-element int8 dot products),
+//!   on the calling thread. Slow, obviously correct, and the yardstick
+//!   the simulator's operation counts are audited against.
 //! * [`Backend::Fast`] — the default. One GEMM serves `a·b`, `a·bᵀ` and
 //!   `aᵀ·b`: both operands are packed on the fly, straight from whichever
 //!   layout they arrive in, into contiguous `k`-major panels (reused
@@ -19,34 +28,40 @@
 //!   `MR` output rows (the classifier head) skip the packing and run a
 //!   row-axpy; that choice depends on the shape alone. Plain safe Rust
 //!   the compiler autovectorizes — no intrinsics, no `unsafe`, no FMA.
-//!   Row-wise ops (softmax, LayerNorm, bias, elementwise maps) fan rows
-//!   out across scoped threads.
 //!
-//! # Backend-selection contract
+//! Every other kernel — softmax, LayerNorm, bias, the elementwise maps,
+//! head mixing and the whole [`crate::sparse`] layer — has one algorithm
+//! and never reads the backend.
 //!
-//! The process-wide backend defaults to `Fast`, can be pre-selected per
-//! process via the `VITCOD_BACKEND` environment variable
-//! (`scalar` | `fast`, read once on first use; any other value is reported
-//! on stderr and the default is used), and can be switched at runtime
-//! with [`set_backend`] (or per call with the `*_with` variants). **Both
-//! backends produce bit-identical results**, on non-finite data too (a
-//! NaN answers a NaN; which payload survives is not Rust's to promise):
+//! **The thread budget picks the fan-out.** [`num_threads`] workers at
+//! most share a kernel's disjoint outputs (rows, CSC column segments,
+//! heads, samples), on either backend; a kernel whose work is too small
+//! to amortise a spawn runs on the calling thread.
+//!
+//! Each value has a process default and one scoped override, nothing
+//! else: the backend is `Fast` unless the `VITCOD_BACKEND` environment
+//! variable says `scalar`, the budget is the machine's available
+//! parallelism unless `VITCOD_NUM_THREADS` gives a positive count (both
+//! read once on first use; a value that does not parse is reported on
+//! stderr and the default is used), and [`with_backend_override`] /
+//! [`with_thread_budget`] replace either for the calling thread and the
+//! workers it fans out to, for the length of one closure.
+//!
+//! **Neither value changes a result bit**, on non-finite data too (a NaN
+//! answers a NaN; which payload survives is not Rust's to promise):
 //! every kernel accumulates each output element along ascending `k` in a
 //! single dependency chain from `0.0` and skips no term, so packing,
-//! register tiling and row-parallelism reorder *independent* elements
-//! only, never the floating-point reduction itself. Property tests assert
-//! exact equality between backends; new kernels must either preserve the
-//! invariant or document a tolerance.
+//! register tiling and the fan-out reorder *independent* elements only,
+//! never the floating-point reduction itself. Property tests assert exact
+//! equality between backends and between budgets; new kernels must either
+//! preserve the invariant or document a tolerance.
 //!
 //! Thread fan-out uses `std::thread::scope` (no work-stealing runtime and
 //! no `unsafe`): outputs are split into disjoint `&mut` chunks, one per
-//! worker. The worker count defaults to the machine's available
-//! parallelism, clamped by [`set_num_threads`] or the
-//! `VITCOD_NUM_THREADS` environment variable, and degrades to plain
-//! sequential execution when a kernel's work is too small to amortise a
-//! spawn.
+//! worker, and each worker inherits the caller's backend override and its
+//! share of the caller's budget.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::ops::softmax_row;
@@ -88,14 +103,15 @@ const TRANSPOSE_TILE: usize = 32;
 /// compute for the fan-out to win.
 const MIN_WORK_PER_THREAD: usize = 128 * 1024;
 
-/// Kernel implementation selector. See the [module docs](self) for the
-/// agreement contract between the two.
+/// Algorithm selector of the five two-algorithm ops (the three GEMM
+/// flavours, the transpose and the int8 GEMM). See the
+/// [module docs](self) for the agreement contract between the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Textbook reference loops; slow but auditable.
     Scalar,
-    /// Packed-panel register-tile GEMM and thread-parallel row-wise
-    /// kernels (the default); bit-identical to `Scalar` by construction.
+    /// Packed-panel register-tile GEMMs and the tiled transpose (the
+    /// default); bit-identical to `Scalar` by construction.
     #[default]
     Fast,
 }
@@ -126,15 +142,9 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Sentinel for "process backend not chosen yet": the first [`backend`]
-/// call resolves it from `VITCOD_BACKEND` (kernels sit on the hot path,
-/// so the environment is consulted once, not per call).
-const BACKEND_UNSET: u8 = u8::MAX - 1;
-
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
 /// Process-default backend: `VITCOD_BACKEND` if set and valid,
 /// otherwise `Fast` — loudly, if the variable was set to something else.
+/// Kernels sit on the hot path, so the environment is consulted once.
 fn default_backend() -> Backend {
     static DEFAULT: OnceLock<Backend> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -161,110 +171,101 @@ fn resolve_backend(value: Option<&str>) -> (Backend, Option<String>) {
     }
 }
 
-/// Sentinel for "no thread-local backend override installed".
-const NO_BACKEND_OVERRIDE: u8 = u8::MAX;
+/// Process-default thread budget: `VITCOD_NUM_THREADS` if set and valid,
+/// otherwise the machine's available parallelism — loudly, if the
+/// variable was set to something else. Consulted once, like the backend.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        // vitcod-lint: allow(V004, read once behind a OnceLock at first kernel call; the resolved thread budget never changes mid-process)
+        let value = std::env::var("VITCOD_NUM_THREADS").ok();
+        let (threads, complaint) = resolve_threads(value.as_deref());
+        if let Some(line) = complaint {
+            eprintln!("{line}");
+        }
+        threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// What a `VITCOD_NUM_THREADS` value selects (`None`: the machine's
+/// available parallelism), plus the one stderr line owed when it is not
+/// a positive count: a run pinned with `one` must not silently fan out
+/// over every core.
+fn resolve_threads(value: Option<&str>) -> (Option<usize>, Option<String>) {
+    let Some(value) = value else {
+        return (None, None);
+    };
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => (Some(n), None),
+        _ => {
+            let line = format!(
+                "VITCOD_NUM_THREADS: expected a positive integer, got '{value}'; \
+                 using the available parallelism"
+            );
+            (None, Some(line))
+        }
+    }
+}
 
 std::thread_local! {
     /// Per-thread backend override installed by [`with_backend_override`].
-    static BACKEND_OVERRIDE: std::cell::Cell<u8> =
-        const { std::cell::Cell::new(NO_BACKEND_OVERRIDE) };
+    static BACKEND_OVERRIDE: Cell<Option<Backend>> = const { Cell::new(None) };
+
+    /// Per-thread budget installed by [`with_thread_budget`]; `0` means
+    /// no override.
+    static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Selects the process-wide kernel backend.
-pub fn set_backend(backend: Backend) {
-    BACKEND.store(backend as u8, Ordering::Relaxed);
+/// Runs `f` with `cell` holding `value`, restoring what it held before
+/// on exit (including panic unwinds).
+fn with_scoped<V: Copy, T>(cell: &Cell<V>, value: V, f: impl FnOnce() -> T) -> T {
+    struct Restore<'a, V: Copy>(&'a Cell<V>, V);
+    impl<V: Copy> Drop for Restore<'_, V> {
+        fn drop(&mut self) {
+            self.0.set(self.1);
+        }
+    }
+    let _restore = Restore(cell, cell.replace(value));
+    f()
 }
 
-/// Currently selected backend: this thread's [`with_backend_override`]
-/// scope if one is active, otherwise the process-wide setting.
+/// The backend the ambient two-algorithm entry points run on: this
+/// thread's [`with_backend_override`] scope if one is active, otherwise
+/// the process default (`VITCOD_BACKEND`, else `Fast`).
 pub fn backend() -> Backend {
-    let local = BACKEND_OVERRIDE.with(|cell| cell.get());
-    let raw = if local != NO_BACKEND_OVERRIDE {
-        local
-    } else {
-        BACKEND.load(Ordering::Relaxed)
-    };
-    match raw {
-        0 => Backend::Scalar,
-        1 => Backend::Fast,
-        _ => default_backend(),
-    }
+    BACKEND_OVERRIDE
+        .with(Cell::get)
+        .unwrap_or_else(default_backend)
 }
 
-/// Runs `f` with `backend` selected *for this thread only*, restoring
-/// the previous selection on exit (including panic unwinds). This is
-/// how callers pin a backend per scope — e.g. a serving engine pinned
-/// to the Scalar reference for auditing — without racing other threads
-/// on the process-wide setting.
+/// Runs `f` with `backend` selected for this thread and the workers its
+/// kernels fan out to, restoring the previous selection on exit
+/// (including panic unwinds). This is how callers pin a backend per
+/// scope — e.g. `with_backend_override(Backend::Scalar, ||
+/// engine.infer_batch(..))` to audit a served model against the
+/// reference — without touching any other thread.
 pub fn with_backend_override<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
-    BACKEND_OVERRIDE.with(|cell| {
-        struct Restore<'a>(&'a std::cell::Cell<u8>, u8);
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.0.set(self.1);
-            }
-        }
-        let _restore = Restore(cell, cell.replace(backend as u8));
-        f()
-    })
+    BACKEND_OVERRIDE.with(|cell| with_scoped(cell, Some(backend), f))
 }
 
-static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    /// Per-thread budget cap installed by [`with_thread_budget`]; `0`
-    /// means no override.
-    static THREAD_BUDGET: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Caps the worker-thread count (`0` restores the automatic default:
-/// `VITCOD_NUM_THREADS` if set, otherwise the machine's available
-/// parallelism).
-pub fn set_num_threads(n: usize) {
-    NUM_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Runs `f` with this thread's kernel worker budget capped at `n`
-/// (`0` removes the cap). Callers that fan work out at a coarser grain
-/// — e.g. a serving engine spreading samples across its own workers —
-/// wrap the per-worker body in this so the inner kernels do not
-/// multiply the outer fan-out into `threads²` oversubscription. The cap
-/// only changes how many workers a kernel spawns, never its values (the
-/// backend-agreement contract).
+/// Runs `f` with this thread's kernel worker budget set to `n` (`0`
+/// removes the override), restoring the previous budget on exit
+/// (including panic unwinds). A fan-out divides the caller's budget among
+/// its workers, so nested kernels cannot multiply it into `threads²`
+/// oversubscription. The budget only changes how many workers a kernel
+/// spawns, never its values (the agreement contract).
 pub fn with_thread_budget<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    THREAD_BUDGET.with(|cell| {
-        struct Restore<'a>(&'a std::cell::Cell<usize>, usize);
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.0.set(self.1);
-            }
-        }
-        let _restore = Restore(cell, cell.replace(n));
-        f()
-    })
+    THREAD_BUDGET.with(|cell| with_scoped(cell, n, f))
 }
 
-/// Resolved worker-thread budget.
+/// Resolved worker-thread budget: this thread's [`with_thread_budget`]
+/// scope if one is active, otherwise the process default
+/// (`VITCOD_NUM_THREADS`, else the machine's available parallelism).
 pub fn num_threads() -> usize {
-    let local = THREAD_BUDGET.with(|cell| cell.get());
-    if local > 0 {
-        return local;
+    match THREAD_BUDGET.with(Cell::get) {
+        0 => default_threads(),
+        local => local,
     }
-    let configured = NUM_THREADS.load(Ordering::Relaxed);
-    if configured > 0 {
-        return configured;
-    }
-    // The env fallback is resolved once: kernels sit on the hot path and
-    // must not take the environment lock per call.
-    static AUTO: OnceLock<usize> = OnceLock::new();
-    *AUTO.get_or_init(|| {
-        // vitcod-lint: allow(V004, read once behind a OnceLock at first kernel call; the resolved thread budget never changes mid-process)
-        std::env::var("VITCOD_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    })
 }
 
 /// Worker count for `items` units of `work_per_item` compute each,
@@ -284,14 +285,14 @@ fn effective_threads(items: usize, work_per_item: usize) -> usize {
 /// the caller's budget divided among `workers` (so nested kernels cannot
 /// re-expand to full machine parallelism — budget is conserved across
 /// fan-out levels) plus the caller's backend override verbatim.
-fn inherited_overrides(workers: usize) -> (usize, u8) {
+fn inherited_overrides(workers: usize) -> (usize, Option<Backend>) {
     let budget = (num_threads() / workers.max(1)).max(1);
-    (budget, BACKEND_OVERRIDE.with(|cell| cell.get()))
+    (budget, BACKEND_OVERRIDE.with(Cell::get))
 }
 
 /// Installs [`inherited_overrides`] state on a fresh scoped worker
 /// thread (no restore needed — the thread ends with `f`).
-fn with_inherited<T>((budget, backend): (usize, u8), f: impl FnOnce() -> T) -> T {
+fn with_inherited<T>((budget, backend): (usize, Option<Backend>), f: impl FnOnce() -> T) -> T {
     THREAD_BUDGET.with(|cell| cell.set(budget));
     BACKEND_OVERRIDE.with(|cell| cell.set(backend));
     f()
@@ -806,24 +807,15 @@ fn axpy_rows(a: Operand, b: Operand, first_row: usize, chunk: &mut [f32]) {
 // Row-wise and elementwise ops
 // ---------------------------------------------------------------------------
 
-/// Row-wise softmax on the ambient backend (row-parallel on `Fast`).
+/// Row-wise softmax (row-parallel).
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
     let cols = x.cols();
-    match backend() {
-        Backend::Scalar => {
-            for r in 0..out.rows() {
-                softmax_row(out.row_mut(r));
-            }
+    for_each_row_chunk(out.as_mut_slice(), cols, |_, chunk| {
+        for row in chunk.chunks_mut(cols) {
+            softmax_row(row);
         }
-        Backend::Fast => {
-            for_each_row_chunk(out.as_mut_slice(), cols, |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    softmax_row(row);
-                }
-            });
-        }
-    }
+    });
     out
 }
 
@@ -860,7 +852,7 @@ pub fn softmax_backward(probs: &Matrix, dp: &Matrix) -> Matrix {
     out
 }
 
-/// Row-wise LayerNorm (inference form) on the ambient backend.
+/// Row-wise LayerNorm, inference form (row-parallel).
 ///
 /// # Panics
 ///
@@ -882,20 +874,11 @@ pub fn layernorm_rows(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> Matr
             *v = (*v - mean) * inv * gamma[i] + beta[i];
         }
     };
-    match backend() {
-        Backend::Scalar => {
-            for r in 0..out.rows() {
-                normalise(out.row_mut(r));
-            }
+    for_each_row_chunk(out.as_mut_slice(), cols, |_, chunk| {
+        for row in chunk.chunks_mut(cols) {
+            normalise(row);
         }
-        Backend::Fast => {
-            for_each_row_chunk(out.as_mut_slice(), cols, |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    normalise(row);
-                }
-            });
-        }
-    }
+    });
     out
 }
 
@@ -1082,52 +1065,33 @@ pub fn broadcast_row(row: &Matrix, rows: usize, scale: f32) -> Matrix {
     out
 }
 
-/// Elementwise map (row-parallel on `Fast`).
+/// Elementwise map (row-parallel).
 pub fn map(x: &Matrix, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
     let mut out = x.clone();
-    let cols = x.cols();
-    match backend() {
-        Backend::Scalar => {
-            for v in out.as_mut_slice() {
-                *v = f(*v);
-            }
+    for_each_row_chunk(out.as_mut_slice(), x.cols().max(1), |_, chunk| {
+        for v in chunk {
+            *v = f(*v);
         }
-        Backend::Fast => {
-            for_each_row_chunk(out.as_mut_slice(), cols.max(1), |_, chunk| {
-                for v in chunk {
-                    *v = f(*v);
-                }
-            });
-        }
-    }
+    });
     out
 }
 
-/// Elementwise binary map `f(a[i], b[i])` (row-parallel on `Fast`).
+/// Elementwise binary map `f(a[i], b[i])` (row-parallel).
 ///
 /// # Panics
 ///
 /// Panics if shapes differ.
 pub fn zip_map(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
     assert_eq!(a.shape(), b.shape(), "zip_map shape mismatch");
-    let cols = a.cols();
+    let cols = a.cols().max(1);
     let mut out = a.clone();
     let bv = b.as_slice();
-    match backend() {
-        Backend::Scalar => {
-            for (v, &w) in out.as_mut_slice().iter_mut().zip(bv) {
-                *v = f(*v, w);
-            }
+    for_each_row_chunk(out.as_mut_slice(), cols, |first_row, chunk| {
+        let base = first_row * cols;
+        for (i, v) in chunk.iter_mut().enumerate() {
+            *v = f(*v, bv[base + i]);
         }
-        Backend::Fast => {
-            for_each_row_chunk(out.as_mut_slice(), cols.max(1), |first_row, chunk| {
-                let base = first_row * cols.max(1);
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = f(*v, bv[base + i]);
-                }
-            });
-        }
-    }
+    });
     out
 }
 
@@ -1455,6 +1419,24 @@ mod tests {
     }
 
     #[test]
+    fn mistyped_thread_budget_variable_is_reported_not_swallowed() {
+        assert_eq!(resolve_threads(None), (None, None));
+        assert_eq!(resolve_threads(Some("4")), (Some(4), None));
+        for bad in ["one", "0", "-1", ""] {
+            let (used, complaint) = resolve_threads(Some(bad));
+            assert_eq!(
+                used, None,
+                "'{bad}' must fall back to the machine's parallelism"
+            );
+            let line = complaint.expect("an unusable value owes a stderr line");
+            let quoted = format!("'{bad}'");
+            for part in [quoted.as_str(), "positive integer", "available parallelism"] {
+                assert!(line.contains(part) && !line.contains('\n'), "{line}");
+            }
+        }
+    }
+
+    #[test]
     fn transpose_matches_naive() {
         let a = random(37, 61, 6);
         assert_eq!(
@@ -1481,24 +1463,25 @@ mod tests {
         let a = random(256, 256, 7);
         let b = random(256, 256, 8);
         let soft_input = random(1024, 512, 9);
-        let sequential = matmul_with(Backend::Fast, &a, &b);
-        let soft_seq = softmax_rows(&soft_input);
-        set_num_threads(4);
-        assert_eq!(effective_threads(256, 256 * 256), 4);
-        let parallel = matmul_with(Backend::Fast, &a, &b);
-        let soft_par = softmax_rows(&soft_input);
-        set_num_threads(0);
+        let run = || {
+            (
+                matmul_with(Backend::Fast, &a, &b),
+                softmax_rows(&soft_input),
+            )
+        };
+        let sequential = with_thread_budget(1, run);
+        let parallel = with_thread_budget(4, || {
+            assert_eq!(effective_threads(256, 256 * 256), 4);
+            run()
+        });
         assert_eq!(sequential, parallel);
-        assert_eq!(soft_seq, soft_par);
     }
 
     #[test]
     fn small_kernels_stay_sequential() {
         // A ViT-scale softmax row block is ~40k elements — below the
         // fan-out threshold, so no threads should spawn for it.
-        set_num_threads(8);
-        let threads = effective_threads(197, 197);
-        set_num_threads(0);
+        let threads = with_thread_budget(8, || effective_threads(197, 197));
         assert_eq!(threads, 1);
     }
 
@@ -1604,8 +1587,6 @@ mod tests {
 
     #[test]
     fn thread_budget_caps_and_restores() {
-        // Thread-local only: no interaction with the global setting, so
-        // this is race-free under the parallel test harness.
         let inside = with_thread_budget(2, || {
             assert_eq!(num_threads(), 2);
             let nested = with_thread_budget(5, num_threads);
@@ -1648,9 +1629,7 @@ mod tests {
 
     #[test]
     fn par_map_collect_preserves_order() {
-        set_num_threads(3);
-        let v = par_map_collect(10, 1 << 20, |i| i * i);
-        set_num_threads(0);
+        let v = with_thread_budget(3, || par_map_collect(10, 1 << 20, |i| i * i));
         assert_eq!(v, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 

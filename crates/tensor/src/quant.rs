@@ -6,8 +6,7 @@
 //! accumulation, dequantized read-out — at two granularities:
 //!
 //! * [`QuantizedMatrix`] — per-tensor scale; the storage format of
-//!   int8 `*.vitcod` artifacts and the operand type of the sparse
-//!   attention SDDMM.
+//!   int8 `*.vitcod` artifacts.
 //! * [`QuantizedRows`] — per-row scales for *activations*: each token
 //!   row is quantized against its own max, which keeps projection error
 //!   tight without calibration, and the row data is stored pre-widened
@@ -143,31 +142,6 @@ impl QuantizedMatrix {
             self.cols,
             self.data.iter().map(|&q| q as f32 * scale).collect(),
         )
-    }
-
-    /// Integer matrix product with i32 accumulation,
-    /// `self · rhsᵀ`, dequantized on read-out — the arithmetic the
-    /// accelerator's MAC lines perform for `S = Q·Kᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions differ.
-    pub fn matmul_nt_dequant(&self, rhs: &QuantizedMatrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "inner dimensions differ");
-        let out_scale = self.params.scale * rhs.params.scale;
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a = self.row_raw(i);
-            for j in 0..rhs.rows {
-                let b = rhs.row_raw(j);
-                let mut acc: i32 = 0;
-                for (x, y) in a.iter().zip(b.iter()) {
-                    acc += (*x as i32) * (*y as i32);
-                }
-                out.set(i, j, acc as f32 * out_scale);
-            }
-        }
-        out
     }
 
     /// Memory footprint in bytes (1 byte per element).
@@ -630,7 +604,7 @@ mod tests {
         let b = Initializer::Normal { std: 0.5 }.sample(8, 32, 3);
         let exact = a.matmul_nt(&b);
         let approx =
-            QuantizedMatrix::quantize(&a).matmul_nt_dequant(&QuantizedMatrix::quantize(&b));
+            QuantizedRows::quantize(&a).scores_nt(&QuantizedRows::quantize(&b), 0..32, 1.0);
         let rel = exact.max_abs_diff(&approx) / exact.frobenius_norm().max(1e-6);
         assert!(rel < 0.05, "relative error {rel}");
     }
@@ -642,11 +616,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inner dimensions")]
+    #[should_panic(expected = "q/k feature dims differ")]
     fn mismatched_matmul_panics() {
-        let a = QuantizedMatrix::quantize(&Matrix::zeros(2, 3));
-        let b = QuantizedMatrix::quantize(&Matrix::zeros(2, 4));
-        a.matmul_nt_dequant(&b);
+        let a = QuantizedRows::quantize(&Matrix::zeros(2, 3));
+        let b = QuantizedRows::quantize(&Matrix::zeros(2, 4));
+        a.scores_nt(&b, 0..3, 1.0);
     }
 
     #[test]

@@ -6,24 +6,25 @@
 //! a fixed [`CscMatrix`] index, a row-wise softmax *in the sparse
 //! domain*, and an output-stationary SpMM that streams the sparse
 //! probabilities through resident output rows. An 8-bit SDDMM variant
-//! runs the same walk on quantized operands with i32 accumulation, as
-//! the accelerator's MAC lines do.
+//! runs the same walk on per-row-quantized operands with i32
+//! accumulation, as the accelerator's MAC lines do.
 //!
-//! # Backend contract
+//! # Agreement contract
 //!
-//! Every kernel follows the dense layer's agreement contract: the
-//! [`Backend::Scalar`] flavour is a plain sequential reference loop; the
-//! [`Backend::Fast`] flavour partitions the CSC stream into column
-//! segments (SDDMM), query rows (softmax) or output-row chunks (SpMM)
-//! and fans them across worker threads — and **both produce
-//! bit-identical values**, because parallelisation only splits disjoint
-//! outputs while each value's accumulation order is unchanged.
+//! Every kernel here has one algorithm; the thread budget
+//! ([`kernels::num_threads`]) alone decides how its disjoint outputs —
+//! CSC column segments (SDDMM), query rows (softmax), output-row chunks
+//! (SpMM and the gradients) — are shared among workers. Where a single
+//! worker can fuse the per-output walks into one pass over the CSC
+//! stream it does, and **every budget produces bit-identical values**,
+//! because the split only separates disjoint outputs while each value's
+//! accumulation order is unchanged.
 
 use std::sync::Arc;
 
-use crate::kernels::{self, Backend};
+use crate::kernels;
 use crate::ops::softmax_row;
-use crate::{Matrix, QuantizedMatrix, QuantizedRows};
+use crate::{Matrix, QuantizedRows};
 
 /// A boolean sparsity pattern over an `n × n` attention map.
 ///
@@ -279,18 +280,6 @@ impl CscMatrix {
         (0..self.n).flat_map(move |k| self.col_rows(k).iter().map(move |&q| (q as usize, k)))
     }
 
-    /// Exclusive prefix sum of per-column non-zero counts: `off[k]` is
-    /// the position of column `k`'s first value in a CSC-ordered values
-    /// buffer.
-    fn column_offsets(&self) -> Vec<usize> {
-        let mut off = Vec::with_capacity(self.n + 1);
-        off.push(0usize);
-        for k in 0..self.n {
-            off.push(off[k] + self.col_nnz(k));
-        }
-        off
-    }
-
     /// Column index of every CSC value position, in value order — the
     /// companion of [`Self::row_value_positions`] the row-major backward
     /// walks need to recover which key column a gathered value belongs
@@ -303,7 +292,7 @@ impl CscMatrix {
     /// equal non-zero count, one per worker thread. Returns
     /// `(value_bounds, column_starts)`, both `segments + 1` long,
     /// suitable for [`kernels::par_segments`].
-    fn column_partition(&self, col_off: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    fn column_partition(&self) -> (Vec<usize>, Vec<usize>) {
         let n = self.n;
         let nnz = self.nnz();
         let threads = kernels::num_threads().max(1);
@@ -311,15 +300,36 @@ impl CscMatrix {
         let mut value_bounds = vec![0usize];
         let mut column_starts = vec![0usize];
         for k in 0..n {
-            let seg_nnz = col_off[k + 1] - value_bounds.last().unwrap();
+            let seg_nnz = self.col_ptr[k + 1] - value_bounds.last().unwrap();
             if seg_nnz >= target && k + 1 < n {
-                value_bounds.push(col_off[k + 1]);
+                value_bounds.push(self.col_ptr[k + 1]);
                 column_starts.push(k + 1);
             }
         }
         value_bounds.push(nnz);
         column_starts.push(n);
         (value_bounds, column_starts)
+    }
+
+    /// The fan-out rule of every K-stationary walk: `emit(columns, out)`
+    /// fills `out`, the CSC-ordered values of `columns`. One worker walks
+    /// the whole stream directly — the partition bookkeeping only pays
+    /// for itself when segments actually fan out; otherwise each worker
+    /// owns one [`Self::column_partition`] range and its disjoint slice
+    /// of `values` (the software analogue of the accelerator distributing
+    /// K columns over MAC lines).
+    fn for_each_column_segment(
+        &self,
+        values: &mut [f32],
+        emit: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
+    ) {
+        if kernels::num_threads() <= 1 {
+            return emit(0..self.n, values);
+        }
+        let (value_bounds, column_starts) = self.column_partition();
+        kernels::par_segments(values, &value_bounds, |seg, out| {
+            emit(column_starts[seg]..column_starts[seg + 1], out)
+        });
     }
 }
 
@@ -385,26 +395,21 @@ impl SparseScores {
         out
     }
 
-    /// Applies a row-wise softmax *in the sparse domain* on the ambient
-    /// backend: each query row's kept scores are normalised among
-    /// themselves, exactly what the engines' softmax units do after a
-    /// complete attention row is available.
+    /// Applies a row-wise softmax *in the sparse domain*: each query
+    /// row's kept scores are normalised among themselves, exactly what
+    /// the engines' softmax units do after a complete attention row is
+    /// available.
     pub fn softmax_rows(&self) -> SparseScores {
-        self.softmax_rows_with(kernels::backend())
-    }
-
-    /// [`Self::softmax_rows`] on an explicit backend.
-    pub fn softmax_rows_with(&self, backend: Backend) -> SparseScores {
         let n = self.index.size();
         let mut values = self.values.clone();
         // The row gather is precomputed on the index
         // ([`CscMatrix::row_value_positions`]), so each call only does
         // the normalisation itself. Per-row normalisation fans out
-        // across workers on `Fast`; with a single worker, rows run in
-        // place through one reused scratch buffer (identical arithmetic,
-        // no per-row allocation — training tapes at small token counts
-        // are dominated by exactly this kind of bookkeeping).
-        if matches!(backend, Backend::Scalar) || kernels::num_threads() <= 1 {
+        // across workers; with a single worker, rows run in place
+        // through one reused scratch buffer (identical arithmetic, no
+        // per-row allocation — training tapes at small token counts are
+        // dominated by exactly this kind of bookkeeping).
+        if kernels::num_threads() <= 1 {
             let mut scratch = Vec::new();
             for r in 0..n {
                 let positions = self.index.row_value_positions(r);
@@ -441,17 +446,14 @@ impl SparseScores {
     }
 }
 
-/// K-stationary SDDMM (paper Fig. 11(b) / Fig. 13(a)) on the ambient
-/// backend: K columns are loaded one at a time; for each kept `(q, k)`
-/// position listed in the CSC index, a `dk`-length dot product
-/// accumulates across the MAC line (inter-PE accumulation), emitting
-/// attention scores column by column.
+/// K-stationary SDDMM (paper Fig. 11(b) / Fig. 13(a)): K columns are
+/// loaded one at a time; for each kept `(q, k)` position listed in the
+/// CSC index, a `dk`-length dot product accumulates across the MAC line
+/// (inter-PE accumulation), emitting attention scores column by column.
 ///
-/// On the fast backend the CSC columns are partitioned into
-/// contiguous non-zero-balanced ranges and fanned out across worker
-/// threads, each writing its own disjoint slice of the values buffer
-/// (the software analogue of the accelerator distributing K columns
-/// over MAC lines).
+/// With more than one worker the CSC columns are partitioned into
+/// contiguous non-zero-balanced ranges, each worker writing its own
+/// disjoint slice of the values buffer.
 ///
 /// `scale` is the `1/sqrt(dk)` attention scaling.
 ///
@@ -460,66 +462,36 @@ impl SparseScores {
 /// Panics if `q`/`k` have different feature dims or the index size
 /// differs from the token count.
 pub fn sddmm_k_stationary(q: &Matrix, k: &Matrix, index: &CscMatrix, scale: f32) -> SparseScores {
-    sddmm_k_stationary_with(kernels::backend(), q, k, index, scale)
-}
-
-/// [`sddmm_k_stationary`] on an explicit backend.
-pub fn sddmm_k_stationary_with(
-    backend: Backend,
-    q: &Matrix,
-    k: &Matrix,
-    index: &CscMatrix,
-    scale: f32,
-) -> SparseScores {
-    let values = sddmm_values(backend, q, k, index, scale);
     SparseScores {
+        values: sddmm_values(q, k, index, scale),
         index: Arc::new(index.clone()),
-        values,
     }
 }
 
-/// [`sddmm_k_stationary`] over an `Arc`-shared index on the ambient
-/// backend: the emitted scores reference the caller's index instead of
-/// copying it — the form the training tape uses, where one frozen index
-/// serves every sample of every step.
+/// [`sddmm_k_stationary`] over an `Arc`-shared index: the emitted scores
+/// reference the caller's index instead of copying it — the form the
+/// training tape uses, where one frozen index serves every sample of
+/// every step.
 pub fn sddmm_k_stationary_shared(
     q: &Matrix,
     k: &Matrix,
     index: &Arc<CscMatrix>,
     scale: f32,
 ) -> SparseScores {
-    sddmm_k_stationary_shared_with(kernels::backend(), q, k, index, scale)
-}
-
-/// [`sddmm_k_stationary_shared`] on an explicit backend.
-pub fn sddmm_k_stationary_shared_with(
-    backend: Backend,
-    q: &Matrix,
-    k: &Matrix,
-    index: &Arc<CscMatrix>,
-    scale: f32,
-) -> SparseScores {
-    let values = sddmm_values(backend, q, k, index, scale);
     SparseScores {
+        values: sddmm_values(q, k, index, scale),
         index: index.clone(),
-        values,
     }
 }
 
 /// The K-stationary SDDMM walk shared by the owned and `Arc`-shared
 /// entry points.
-fn sddmm_values(
-    backend: Backend,
-    q: &Matrix,
-    k: &Matrix,
-    index: &CscMatrix,
-    scale: f32,
-) -> Vec<f32> {
+fn sddmm_values(q: &Matrix, k: &Matrix, index: &CscMatrix, scale: f32) -> Vec<f32> {
     assert_eq!(q.cols(), k.cols(), "q/k feature dims differ");
     assert_eq!(q.rows(), index.size(), "index size must match tokens");
     assert_eq!(k.rows(), index.size(), "index size must match tokens");
     let mut values = vec![0.0f32; index.nnz()];
-    let emit = |cols: std::ops::Range<usize>, out: &mut [f32]| {
+    index.for_each_column_segment(&mut values, |cols, out| {
         let mut pos = 0;
         for col in cols {
             // K column resident; related Q rows stream temporally.
@@ -534,82 +506,11 @@ fn sddmm_values(
                 pos += 1;
             }
         }
-    };
-    // A single worker walks the whole stream directly; the partition
-    // bookkeeping only pays for itself when segments actually fan out.
-    if matches!(backend, Backend::Scalar) || kernels::num_threads() <= 1 {
-        emit(0..index.size(), &mut values);
-    } else {
-        let col_off = index.column_offsets();
-        let (value_bounds, column_starts) = index.column_partition(&col_off);
-        kernels::par_segments(&mut values, &value_bounds, |seg, out| {
-            emit(column_starts[seg]..column_starts[seg + 1], out)
-        });
-    }
+    });
     values
 }
 
-/// 8-bit K-stationary SDDMM: the same walk with i8 operands and i32
-/// accumulation, dequantised at emission — the MAC lines' arithmetic.
-///
-/// # Panics
-///
-/// Panics on shape mismatches as [`sddmm_k_stationary`] does.
-pub fn sddmm_k_stationary_int8(
-    q: &QuantizedMatrix,
-    k: &QuantizedMatrix,
-    index: &CscMatrix,
-    scale: f32,
-) -> SparseScores {
-    sddmm_k_stationary_int8_with(kernels::backend(), q, k, index, scale)
-}
-
-/// [`sddmm_k_stationary_int8`] on an explicit backend.
-pub fn sddmm_k_stationary_int8_with(
-    backend: Backend,
-    q: &QuantizedMatrix,
-    k: &QuantizedMatrix,
-    index: &CscMatrix,
-    scale: f32,
-) -> SparseScores {
-    assert_eq!(q.shape().1, k.shape().1, "q/k feature dims differ");
-    assert_eq!(q.shape().0, index.size(), "index size must match tokens");
-    assert_eq!(k.shape().0, index.size(), "index size must match tokens");
-    let out_scale = q.params().scale * k.params().scale * scale;
-    let mut values = vec![0.0f32; index.nnz()];
-    let emit = |cols: std::ops::Range<usize>, out: &mut [f32]| {
-        let mut pos = 0;
-        for col in cols {
-            let k_vec = k.row_raw(col);
-            for &qi in index.col_rows(col) {
-                let q_vec = q.row_raw(qi as usize);
-                let mut acc: i32 = 0;
-                for (a, b) in q_vec.iter().zip(k_vec.iter()) {
-                    acc += (*a as i32) * (*b as i32);
-                }
-                out[pos] = acc as f32 * out_scale;
-                pos += 1;
-            }
-        }
-    };
-    match backend {
-        Backend::Scalar => emit(0..index.size(), &mut values),
-        Backend::Fast => {
-            let col_off = index.column_offsets();
-            let (value_bounds, column_starts) = index.column_partition(&col_off);
-            kernels::par_segments(&mut values, &value_bounds, |seg, out| {
-                emit(column_starts[seg]..column_starts[seg + 1], out)
-            });
-        }
-    }
-    SparseScores {
-        index: Arc::new(index.clone()),
-        values,
-    }
-}
-
-/// Output-stationary SpMM (paper Fig. 13(b)) on the ambient backend:
-/// output rows `V′[q, :]` stay resident in the PE registers (intra-PE
+/// Output-stationary SpMM (paper Fig. 13(b)): output rows `V′[q, :]` stay resident in the PE registers (intra-PE
 /// accumulation) while the sparse attention probabilities and V rows
 /// stream through; each kept `(q, k)` score accumulates `prob · V[k, :]`
 /// into output row `q`.
@@ -618,11 +519,6 @@ pub fn sddmm_k_stationary_int8_with(
 ///
 /// Panics if shapes disagree with the score index.
 pub fn spmm_output_stationary(scores: &SparseScores, v: &Matrix) -> Matrix {
-    spmm_output_stationary_with(kernels::backend(), scores, v)
-}
-
-/// [`spmm_output_stationary`] on an explicit backend.
-pub fn spmm_output_stationary_with(backend: Backend, scores: &SparseScores, v: &Matrix) -> Matrix {
     let n = scores.index.size();
     assert_eq!(v.rows(), n, "V token count must match index");
     let cols = v.cols();
@@ -636,8 +532,7 @@ pub fn spmm_output_stationary_with(backend: Backend, scores: &SparseScores, v: &
     // probabilities and V rows stream through. Each invocation owns a
     // disjoint output-row window and walks the full CSC stream,
     // accumulating only the (q, k) pairs whose output row it owns — the
-    // index walk is duplicated per worker but the MACs are not. Exact
-    // zeros are skipped in both flavours, keeping them bit-identical.
+    // index walk is duplicated per worker but the MACs are not.
     let accumulate = |first_row: usize, chunk: &mut [f32]| {
         let chunk_rows = chunk.len() / cols;
         let mut pos = 0;
@@ -658,13 +553,8 @@ pub fn spmm_output_stationary_with(backend: Backend, scores: &SparseScores, v: &
             }
         }
     };
-    match backend {
-        Backend::Scalar => accumulate(0, out.as_mut_slice()),
-        Backend::Fast => {
-            let work_per_row = cols * (scores.values.len() / n.max(1) + 1);
-            kernels::for_each_row_chunk_weighted(out.as_mut_slice(), cols, work_per_row, accumulate)
-        }
-    }
+    let work_per_row = cols * (scores.values.len() / n.max(1) + 1);
+    kernels::for_each_row_chunk_weighted(out.as_mut_slice(), cols, work_per_row, accumulate);
     out
 }
 
@@ -677,22 +567,9 @@ pub fn attention_head(q: &Matrix, k: &Matrix, v: &Matrix, index: &CscMatrix, sca
     spmm_output_stationary(&probs, v)
 }
 
-/// [`attention_head`] with an 8-bit SDDMM: the attention scores are
-/// computed from quantized Q/K with i32 accumulation (the MAC lines'
-/// arithmetic); softmax and SpMM run in fp32 on the dequantised scores.
-pub fn attention_head_int8(
-    q: &QuantizedMatrix,
-    k: &QuantizedMatrix,
-    v: &Matrix,
-    index: &CscMatrix,
-    scale: f32,
-) -> Matrix {
-    let scores = sddmm_k_stationary_int8(q, k, index, scale);
-    let probs = scores.softmax_rows();
-    spmm_output_stationary(&probs, v)
-}
-
-/// 8-bit K-stationary SDDMM over per-row-quantized fused activations:
+/// 8-bit K-stationary SDDMM over per-row-quantized fused activations —
+/// the same walk as [`sddmm_k_stationary`] with i8-precision operands and
+/// i32 accumulation, dequantised at emission, the MAC lines' arithmetic:
 /// the serving engine quantizes the full `n × (h·dk)` Q and K tensors
 /// once per layer as [`QuantizedRows`], and each head hands this kernel
 /// its column window. Per-row scales survive the slicing, so no
@@ -709,24 +586,12 @@ pub fn sddmm_k_stationary_int8_rows(
     index: &CscMatrix,
     scale: f32,
 ) -> SparseScores {
-    sddmm_k_stationary_int8_rows_with(kernels::backend(), q, k, cols, index, scale)
-}
-
-/// [`sddmm_k_stationary_int8_rows`] on an explicit backend.
-pub fn sddmm_k_stationary_int8_rows_with(
-    backend: Backend,
-    q: &QuantizedRows,
-    k: &QuantizedRows,
-    cols: std::ops::Range<usize>,
-    index: &CscMatrix,
-    scale: f32,
-) -> SparseScores {
     assert_eq!(q.shape().1, k.shape().1, "q/k feature dims differ");
     assert!(cols.end <= q.shape().1, "column window out of bounds");
     assert_eq!(q.shape().0, index.size(), "index size must match tokens");
     assert_eq!(k.shape().0, index.size(), "index size must match tokens");
     let mut values = vec![0.0f32; index.nnz()];
-    let emit = |columns: std::ops::Range<usize>, out: &mut [f32]| {
+    index.for_each_column_segment(&mut values, |columns, out| {
         let mut pos = 0;
         for col in columns {
             let k_vec = k.row_window_wide(col, cols.clone());
@@ -741,26 +606,17 @@ pub fn sddmm_k_stationary_int8_rows_with(
                 pos += 1;
             }
         }
-    };
-    match backend {
-        Backend::Scalar => emit(0..index.size(), &mut values),
-        Backend::Fast => {
-            let col_off = index.column_offsets();
-            let (value_bounds, column_starts) = index.column_partition(&col_off);
-            kernels::par_segments(&mut values, &value_bounds, |seg, out| {
-                emit(column_starts[seg]..column_starts[seg + 1], out)
-            });
-        }
-    }
+    });
     SparseScores {
         index: Arc::new(index.clone()),
         values,
     }
 }
 
-/// [`attention_head_int8`] over the layer's shared per-row-quantized
-/// Q/K with a head column window: int8 SDDMM → fp32 sparse softmax →
-/// fp32 SpMM.
+/// [`attention_head`] with an 8-bit SDDMM over the layer's shared
+/// per-row-quantized Q/K and a head column window: the scores come from
+/// i32 accumulation (the MAC lines' arithmetic); softmax and SpMM run in
+/// fp32 on the dequantised scores.
 pub fn attention_head_int8_rows(
     q: &QuantizedRows,
     k: &QuantizedRows,
@@ -778,36 +634,26 @@ pub fn attention_head_int8_rows(
 // Backward kernels (sparse training)
 // ---------------------------------------------------------------------------
 
-/// Backward of [`sddmm_k_stationary`] on the ambient backend: given the
-/// upstream gradient `dscores` w.r.t. the emitted sparse scores, returns
-/// `(gq, gk)` — dense gradients for Q and K that only accumulate over the
-/// kept positions, so the pass costs `O(nnz · dk)` instead of `O(n² · dk)`.
+/// Backward of [`sddmm_k_stationary`]: given the upstream gradient
+/// `dscores` w.r.t. the emitted sparse scores, returns `(gq, gk)` — dense
+/// gradients for Q and K that only accumulate over the kept positions, so
+/// the pass costs `O(nnz · dk)` instead of `O(n² · dk)`.
 ///
 /// Per kept `(q, k)`: `gq[q, :] += scale · dS[q,k] · K[k, :]` and
 /// `gk[k, :] += scale · dS[q,k] · Q[q, :]`.
+///
+/// With more than one worker the Q gradient is query-row-parallel (each
+/// worker owns disjoint `gq` rows and walks that row's kept positions in
+/// ascending column order via the precomputed row gather) and the K
+/// gradient key-column-parallel (each worker owns disjoint `gk` rows —
+/// CSC columns — and walks each column's kept rows ascending); a single
+/// worker fuses both into one CSC walk. Every output element accumulates
+/// in the same order either way, so all budgets agree bitwise.
 ///
 /// # Panics
 ///
 /// Panics if `q`/`k` shapes disagree with the score index.
 pub fn sddmm_backward(
-    q: &Matrix,
-    k: &Matrix,
-    dscores: &SparseScores,
-    scale: f32,
-) -> (Matrix, Matrix) {
-    sddmm_backward_with(kernels::backend(), q, k, dscores, scale)
-}
-
-/// [`sddmm_backward`] on an explicit backend.
-///
-/// The Q gradient is query-row-parallel (each worker owns disjoint `gq`
-/// rows and walks that row's kept positions in ascending column order via
-/// the precomputed row gather); the K gradient is key-column-parallel
-/// (each worker owns disjoint `gk` rows — CSC columns — and walks each
-/// column's kept rows ascending). Both flavours accumulate every output
-/// element in the same order, so Scalar and Fast agree bitwise.
-pub fn sddmm_backward_with(
-    backend: Backend,
     q: &Matrix,
     k: &Matrix,
     dscores: &SparseScores,
@@ -825,11 +671,10 @@ pub fn sddmm_backward_with(
 
     let mut gq = Matrix::zeros(n, dk);
     let mut gk = Matrix::zeros(n, dk);
-    if matches!(backend, Backend::Scalar) || kernels::num_threads() <= 1 {
+    if kernels::num_threads() <= 1 {
         // Single fused CSC walk: each gq row still accumulates in
         // ascending column order and each gk row in ascending query
-        // order — exactly the orders of the parallel flavours below, so
-        // the fast path is bit-identical to them.
+        // order — exactly the orders of the partitioned walks below.
         if dk > 0 {
             let mut pos = 0;
             for col in 0..n {
@@ -873,7 +718,7 @@ pub fn sddmm_backward_with(
     };
     kernels::for_each_row_chunk_weighted(gq.as_mut_slice(), dk.max(1), per_row_work, gq_rows);
 
-    let col_off = index.column_offsets();
+    let col_off = &index.col_ptr;
     let gk_rows = |first_col: usize, chunk: &mut [f32]| {
         if dk == 0 {
             return;
@@ -896,26 +741,16 @@ pub fn sddmm_backward_with(
     (gq, gk)
 }
 
-/// Backward of [`SparseScores::softmax_rows`] on the ambient backend:
-/// given the softmaxed probabilities `probs` and the upstream gradient
-/// `dprobs` (both in the same CSC layout), returns the gradient w.r.t.
-/// the pre-softmax scores:
+/// Backward of [`SparseScores::softmax_rows`] (query-row-parallel, like
+/// the forward): given the softmaxed probabilities `probs` and the
+/// upstream gradient `dprobs` (both in the same CSC layout), returns the
+/// gradient w.r.t. the pre-softmax scores:
 /// `dS = P ⊙ (dP − rowsum(dP ⊙ P))`, rows restricted to kept positions.
 ///
 /// # Panics
 ///
 /// Panics if `probs` and `dprobs` disagree in size or non-zero count.
 pub fn sparse_softmax_backward(probs: &SparseScores, dprobs: &SparseScores) -> SparseScores {
-    sparse_softmax_backward_with(kernels::backend(), probs, dprobs)
-}
-
-/// [`sparse_softmax_backward`] on an explicit backend (query-row-parallel
-/// on `Fast`, like the forward).
-pub fn sparse_softmax_backward_with(
-    backend: Backend,
-    probs: &SparseScores,
-    dprobs: &SparseScores,
-) -> SparseScores {
     let index = &probs.index;
     let n = index.size();
     // Arc identity is the O(1) common case (dprobs shares probs' index
@@ -929,7 +764,7 @@ pub fn sparse_softmax_backward_with(
     let pv = &probs.values;
     let dv = &dprobs.values;
     let mut values = vec![0.0f32; probs.nnz()];
-    if matches!(backend, Backend::Scalar) || kernels::num_threads() <= 1 {
+    if kernels::num_threads() <= 1 {
         // Rows partition the values buffer, so a single worker writes
         // each row's results straight into place — no per-row buffers.
         for r in 0..n {
@@ -968,10 +803,9 @@ pub fn sparse_softmax_backward_with(
     }
 }
 
-/// Backward of [`spmm_output_stationary`] on the ambient backend: given
-/// the sparse probabilities `probs`, the value matrix `v` and the
-/// upstream gradient `gout` of the attention output, returns
-/// `(dprobs, gv)`:
+/// Backward of [`spmm_output_stationary`]: given the sparse
+/// probabilities `probs`, the value matrix `v` and the upstream gradient
+/// `gout` of the attention output, returns `(dprobs, gv)`:
 ///
 /// * `dprobs[q, k] = ⟨gout[q, :], v[k, :]⟩` at kept positions — an SDDMM
 ///   over the same CSC index (`O(nnz · dk)`);
@@ -982,16 +816,6 @@ pub fn sparse_softmax_backward_with(
 ///
 /// Panics if shapes disagree with the score index.
 pub fn spmm_backward(probs: &SparseScores, v: &Matrix, gout: &Matrix) -> (SparseScores, Matrix) {
-    spmm_backward_with(kernels::backend(), probs, v, gout)
-}
-
-/// [`spmm_backward`] on an explicit backend.
-pub fn spmm_backward_with(
-    backend: Backend,
-    probs: &SparseScores,
-    v: &Matrix,
-    gout: &Matrix,
-) -> (SparseScores, Matrix) {
     let index = &probs.index;
     let n = index.size();
     assert_eq!(v.rows(), n, "V token count must match index");
@@ -1003,14 +827,14 @@ pub fn spmm_backward_with(
     // probabilities' index instead of copying it.
     let dprobs = SparseScores {
         index: probs.index.clone(),
-        values: sddmm_values(backend, gout, v, index, 1.0),
+        values: sddmm_values(gout, v, index, 1.0),
     };
 
     let mut gv = Matrix::zeros(n, dk);
     let pv = &probs.values;
-    if matches!(backend, Backend::Scalar) || kernels::num_threads() <= 1 {
+    if kernels::num_threads() <= 1 {
         // Single sequential walk of the stream; per-gv-row order is
-        // ascending query like the chunked flavour below.
+        // ascending query like the chunked walk below.
         if dk > 0 {
             let mut pos = 0;
             for col in 0..n {
@@ -1029,7 +853,7 @@ pub fn spmm_backward_with(
         }
         return (dprobs, gv);
     }
-    let col_off = index.column_offsets();
+    let col_off = &index.col_ptr;
     let gv_rows = |first_col: usize, chunk: &mut [f32]| {
         if dk == 0 {
             return;
@@ -1053,11 +877,11 @@ pub fn spmm_backward_with(
     (dprobs, gv)
 }
 
-/// Backward of [`attention_head`] on the ambient backend: given the
-/// cached sparse probabilities of the forward pass and the upstream
-/// gradient `gout`, returns `(gq, gk, gv)`. Every stage scales with
-/// `nnz` instead of `n²` — this is what makes sparse *training* cost
-/// follow the mask density, not just inference.
+/// Backward of [`attention_head`]: given the cached sparse probabilities
+/// of the forward pass and the upstream gradient `gout`, returns
+/// `(gq, gk, gv)`. Every stage scales with `nnz` instead of `n²` — this
+/// is what makes sparse *training* cost follow the mask density, not just
+/// inference.
 pub fn attention_head_backward(
     q: &Matrix,
     k: &Matrix,
@@ -1066,22 +890,9 @@ pub fn attention_head_backward(
     probs: &SparseScores,
     gout: &Matrix,
 ) -> (Matrix, Matrix, Matrix) {
-    attention_head_backward_with(kernels::backend(), q, k, v, scale, probs, gout)
-}
-
-/// [`attention_head_backward`] on an explicit backend.
-pub fn attention_head_backward_with(
-    backend: Backend,
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    scale: f32,
-    probs: &SparseScores,
-    gout: &Matrix,
-) -> (Matrix, Matrix, Matrix) {
-    let (dprobs, gv) = spmm_backward_with(backend, probs, v, gout);
-    let dscores = sparse_softmax_backward_with(backend, probs, &dprobs);
-    let (gq, gk) = sddmm_backward_with(backend, q, k, &dscores, scale);
+    let (dprobs, gv) = spmm_backward(probs, v, gout);
+    let dscores = sparse_softmax_backward(probs, &dprobs);
+    let (gq, gk) = sddmm_backward(q, k, &dscores, scale);
     (gq, gk, gv)
 }
 
@@ -1149,30 +960,32 @@ mod tests {
         }
     }
 
+    /// `f` under a budget of one worker and of four, for the bitwise
+    /// comparisons below.
+    fn at_budgets_1_and_4<T>(f: impl Fn() -> T) -> (T, T) {
+        (
+            kernels::with_thread_budget(1, &f),
+            kernels::with_thread_budget(4, &f),
+        )
+    }
+
     #[test]
-    fn backends_agree_bitwise_on_the_full_dataflow() {
+    fn budgets_agree_bitwise_on_the_full_dataflow() {
         let (q, k, v) = (random(33, 8, 3), random(33, 8, 4), random(33, 8, 5));
         let index = diag_global(33);
-        let scores_s = sddmm_k_stationary_with(Backend::Scalar, &q, &k, &index, 0.3);
-        let scores_b = sddmm_k_stationary_with(Backend::Fast, &q, &k, &index, 0.3);
-        assert_eq!(scores_s, scores_b);
-        let probs_s = scores_s.softmax_rows_with(Backend::Scalar);
-        let probs_b = scores_b.softmax_rows_with(Backend::Fast);
-        assert_eq!(probs_s, probs_b);
-        assert_eq!(
-            spmm_output_stationary_with(Backend::Scalar, &probs_s, &v),
-            spmm_output_stationary_with(Backend::Fast, &probs_b, &v)
-        );
+        let (scores_1, scores_4) = at_budgets_1_and_4(|| sddmm_k_stationary(&q, &k, &index, 0.3));
+        assert_eq!(scores_1, scores_4);
+        let (probs_1, probs_4) = at_budgets_1_and_4(|| scores_1.softmax_rows());
+        assert_eq!(probs_1, probs_4);
+        let (out_1, out_4) = at_budgets_1_and_4(|| spmm_output_stationary(&probs_1, &v));
+        assert_eq!(out_1, out_4);
     }
 
     #[test]
     fn forced_multithread_dataflow_is_identical() {
         let (q, k, v) = (random(40, 8, 6), random(40, 8, 7), random(40, 8, 8));
         let index = diag_global(40);
-        let sequential = attention_head(&q, &k, &v, &index, 0.3);
-        kernels::set_num_threads(4);
-        let parallel = attention_head(&q, &k, &v, &index, 0.3);
-        kernels::set_num_threads(0);
+        let (sequential, parallel) = at_budgets_1_and_4(|| attention_head(&q, &k, &v, &index, 0.3));
         assert_eq!(sequential, parallel);
     }
 
@@ -1189,18 +1002,17 @@ mod tests {
     }
 
     #[test]
-    fn int8_backends_agree_bitwise() {
+    fn int8_budgets_agree_bitwise() {
         let (q, k) = (random(24, 32, 11), random(24, 32, 12));
         let index = diag_global(24);
-        let (qi, ki) = (QuantizedMatrix::quantize(&q), QuantizedMatrix::quantize(&k));
-        assert_eq!(
-            sddmm_k_stationary_int8_with(Backend::Scalar, &qi, &ki, &index, 0.2),
-            sddmm_k_stationary_int8_with(Backend::Fast, &qi, &ki, &index, 0.2)
-        );
+        let (qi, ki) = (QuantizedRows::quantize(&q), QuantizedRows::quantize(&k));
+        let (one, four) =
+            at_budgets_1_and_4(|| sddmm_k_stationary_int8_rows(&qi, &ki, 8..24, &index, 0.2));
+        assert_eq!(one, four);
     }
 
     #[test]
-    fn spmm_rows_without_kept_positions_stay_zero() {
+    fn spmm_rows_lacking_kept_positions_stay_zero() {
         let v = random(8, 4, 13);
         // Only row 3 attends (to columns 1 and 2).
         let index = CscMatrix::from_indicator(8, |q, k| q == 3 && (k == 1 || k == 2));
@@ -1284,28 +1096,24 @@ mod tests {
     }
 
     #[test]
-    fn backward_backends_agree_bitwise() {
+    fn backward_budgets_agree_bitwise() {
         let (n, dk) = (33, 8);
         let (q, k, v) = (random(n, dk, 24), random(n, dk, 25), random(n, dk, 26));
         let gout = random(n, dk, 27);
         let index = diag_global(n);
         let probs = sddmm_k_stationary(&q, &k, &index, 0.25).softmax_rows();
-        let s = attention_head_backward_with(Backend::Scalar, &q, &k, &v, 0.25, &probs, &gout);
-        let b = attention_head_backward_with(Backend::Fast, &q, &k, &v, 0.25, &probs, &gout);
-        assert_eq!(s.0, b.0, "gq backends disagree");
-        assert_eq!(s.1, b.1, "gk backends disagree");
-        assert_eq!(s.2, b.2, "gv backends disagree");
+        let (one, four) =
+            at_budgets_1_and_4(|| attention_head_backward(&q, &k, &v, 0.25, &probs, &gout));
+        assert_eq!(one.0, four.0, "gq budgets disagree");
+        assert_eq!(one.1, four.1, "gk budgets disagree");
+        assert_eq!(one.2, four.2, "gv budgets disagree");
         // Granular kernels agree too.
-        let dp_s = spmm_backward_with(Backend::Scalar, &probs, &v, &gout);
-        let dp_b = spmm_backward_with(Backend::Fast, &probs, &v, &gout);
-        assert_eq!(dp_s.0, dp_b.0);
-        assert_eq!(dp_s.1, dp_b.1);
-        let ds_s = sparse_softmax_backward_with(Backend::Scalar, &probs, &dp_s.0);
-        let ds_b = sparse_softmax_backward_with(Backend::Fast, &probs, &dp_b.0);
-        assert_eq!(ds_s, ds_b);
-        let g_s = sddmm_backward_with(Backend::Scalar, &q, &k, &ds_s, 0.25);
-        let g_b = sddmm_backward_with(Backend::Fast, &q, &k, &ds_b, 0.25);
-        assert_eq!(g_s, g_b);
+        let (dp_1, dp_4) = at_budgets_1_and_4(|| spmm_backward(&probs, &v, &gout));
+        assert_eq!(dp_1, dp_4);
+        let (ds_1, ds_4) = at_budgets_1_and_4(|| sparse_softmax_backward(&probs, &dp_1.0));
+        assert_eq!(ds_1, ds_4);
+        let (g_1, g_4) = at_budgets_1_and_4(|| sddmm_backward(&q, &k, &ds_1, 0.25));
+        assert_eq!(g_1, g_4);
     }
 
     #[test]
@@ -1315,10 +1123,8 @@ mod tests {
         let gout = random(n, dk, 31);
         let index = diag_global(n);
         let probs = sddmm_k_stationary(&q, &k, &index, 0.3).softmax_rows();
-        let sequential = attention_head_backward(&q, &k, &v, 0.3, &probs, &gout);
-        let parallel = kernels::with_thread_budget(4, || {
-            attention_head_backward(&q, &k, &v, 0.3, &probs, &gout)
-        });
+        let (sequential, parallel) =
+            at_budgets_1_and_4(|| attention_head_backward(&q, &k, &v, 0.3, &probs, &gout));
         assert_eq!(sequential, parallel);
     }
 

@@ -1,10 +1,12 @@
-//! Property tests of the kernel-backend agreement contract: for every
-//! kernel and every shape — including non-tile-multiple, single-row and
-//! empty edge cases, and operands holding zeros of both signs, infinities
-//! and NaNs — the `Fast` backend must produce results identical to the
-//! `Scalar` reference (both preserve the floating-point reduction order
-//! and skip no term, so agreement is exact, well inside the documented
-//! 1e-5 budget).
+//! Property tests of the kernel agreement contract: for every GEMM
+//! flavour and the transpose at every shape — including non-tile-multiple,
+//! single-row and empty edge cases, and operands holding zeros of both
+//! signs, infinities and NaNs — the `Fast` backend must produce results
+//! identical to the `Scalar` reference (both preserve the floating-point
+//! reduction order and skip no term, so agreement is exact, well inside
+//! the documented 1e-5 budget); and the row-wise kernels, which have one
+//! algorithm, must return the same bits whether one worker or four share
+//! their rows.
 // Backend agreement is a *bit-identical* contract (see ROADMAP): strict
 // float comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
@@ -40,14 +42,24 @@ const GEMM_SHAPES: &[(usize, usize, usize)] = &[
     (10, 9, 23),
 ];
 
-/// Runs `f` with the process backend set to `b`, restoring the previous
-/// backend afterwards (row-wise kernels read the process default).
-fn with_backend<T>(b: Backend, f: impl FnOnce() -> T) -> T {
-    let prior = kernels::backend();
-    kernels::set_backend(b);
-    let out = f();
-    kernels::set_backend(prior);
-    out
+/// Row-wise shapes: degenerate, ragged, a DeiT activation (all of which
+/// stay on one thread at any budget) and two large enough that a budget
+/// of four really splits the rows, into two chunks and into four.
+const ROW_WISE_SHAPES: &[(usize, usize)] = &[
+    (1, 1),
+    (7, 13),
+    (59, 39),
+    (197, 192),
+    (1024, 160),
+    (1031, 384),
+];
+
+/// `f` under a budget of one worker and under a budget of four.
+fn at_budgets_1_and_4<T>(f: impl Fn() -> T) -> (T, T) {
+    (
+        kernels::with_thread_budget(1, &f),
+        kernels::with_thread_budget(4, &f),
+    )
 }
 
 proptest! {
@@ -92,36 +104,33 @@ proptest! {
     }
 
     #[test]
-    fn softmax_backends_agree(rows in 1usize..60, cols in 1usize..40, seed in 0u64..100) {
+    fn softmax_budgets_agree(shape_idx in 0usize..6, seed in 0u64..100) {
+        let (rows, cols) = ROW_WISE_SHAPES[shape_idx];
         let a = matrix(rows, cols).new_value(&mut TestRng::new(seed));
-        let scalar = with_backend(Backend::Scalar, || kernels::softmax_rows(&a));
-        let fast = with_backend(Backend::Fast, || kernels::softmax_rows(&a));
-        prop_assert!(fast == scalar);
-        prop_assert!(fast.max_abs_diff(&scalar) <= 1e-5);
+        let (one, four) = at_budgets_1_and_4(|| kernels::softmax_rows(&a));
+        prop_assert!(four == one);
     }
 
     #[test]
-    fn layernorm_backends_agree(rows in 1usize..40, cols in 2usize..32, seed in 0u64..100) {
+    fn layernorm_budgets_agree(shape_idx in 0usize..6, seed in 0u64..100) {
+        let (rows, cols) = ROW_WISE_SHAPES[shape_idx];
         let a = matrix(rows, cols).new_value(&mut TestRng::new(seed));
         let gamma = vec![1.3f32; cols];
         let beta = vec![-0.2f32; cols];
-        let scalar =
-            with_backend(Backend::Scalar, || kernels::layernorm_rows(&a, &gamma, &beta, 1e-5));
-        let fast =
-            with_backend(Backend::Fast, || kernels::layernorm_rows(&a, &gamma, &beta, 1e-5));
-        prop_assert!(fast == scalar);
+        let (one, four) =
+            at_budgets_1_and_4(|| kernels::layernorm_rows(&a, &gamma, &beta, 1e-5));
+        prop_assert!(four == one);
     }
 
     #[test]
-    fn elementwise_backends_agree(rows in 1usize..30, cols in 1usize..33, seed in 0u64..100) {
+    fn elementwise_budgets_agree(shape_idx in 0usize..6, seed in 0u64..100) {
+        let (rows, cols) = ROW_WISE_SHAPES[shape_idx];
         let a = matrix(rows, cols).new_value(&mut TestRng::new(seed));
         let b = matrix(rows, cols).new_value(&mut TestRng::new(seed.wrapping_add(5)));
-        let scalar_map = with_backend(Backend::Scalar, || kernels::map(&a, gelu));
-        let scalar_zip = with_backend(Backend::Scalar, || kernels::zip_map(&a, &b, |x, y| x + y));
-        let fast_map = with_backend(Backend::Fast, || kernels::map(&a, gelu));
-        let fast_zip = with_backend(Backend::Fast, || kernels::zip_map(&a, &b, |x, y| x + y));
-        prop_assert!(fast_map == scalar_map, "map");
-        prop_assert!(fast_zip == scalar_zip, "zip_map");
+        let (map_1, map_4) = at_budgets_1_and_4(|| kernels::map(&a, gelu));
+        let (zip_1, zip_4) = at_budgets_1_and_4(|| kernels::zip_map(&a, &b, |x, y| x + y));
+        prop_assert!(map_4 == map_1, "map");
+        prop_assert!(zip_4 == zip_1, "zip_map");
     }
 
     #[test]

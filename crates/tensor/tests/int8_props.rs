@@ -1,7 +1,7 @@
 //! Int8 path coverage: quantize→dequantize error bounds on
-//! [`QuantizedMatrix`], the 8-bit K-stationary SDDMM agreeing with the
-//! fp32 SDDMM within quantization tolerance across random shapes and
-//! seeds, and the packed projection GEMM ([`int8_gemm`]) tracking fp32
+//! [`QuantizedMatrix`], the 8-bit K-stationary SDDMM the engine serves
+//! (per-row scales) agreeing with the fp32 SDDMM within quantization
+//! tolerance across random shapes and seeds, and the packed projection GEMM ([`int8_gemm`]) tracking fp32
 //! within its analytic per-row error bound at real DeiT projection
 //! shapes — plus an exact-integer proof that the i32 accumulator cannot
 //! overflow at the documented worst-case reduction depth, and a sweep of
@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use vitcod_tensor::kernels::{self, Backend};
-use vitcod_tensor::sparse::{sddmm_k_stationary, sddmm_k_stationary_int8, CscMatrix};
+use vitcod_tensor::sparse::{sddmm_k_stationary, sddmm_k_stationary_int8_rows, CscMatrix};
 use vitcod_tensor::{
     int8_gemm, int8_gemm_with, Initializer, Matrix, PackedGemmWeights, QuantParams,
     QuantizedMatrix, QuantizedRows, MAX_INT8_GEMM_K,
@@ -81,14 +81,15 @@ proptest! {
         let k = random(n, dk, 1.0, seed + 7919);
         let index = banded_index(n, band);
         let fp = sddmm_k_stationary(&q, &k, &index, scale);
-        let qi = QuantizedMatrix::quantize(&q);
-        let ki = QuantizedMatrix::quantize(&k);
-        let i8s = sddmm_k_stationary_int8(&qi, &ki, &index, scale);
+        let qi = QuantizedRows::quantize(&q);
+        let ki = QuantizedRows::quantize(&k);
+        let i8s = sddmm_k_stationary_int8_rows(&qi, &ki, 0..dk, &index, scale);
 
         // Per-term bound: |q·k − q̂·k̂| ≤ |q|·εk + |k|·εq + εq·εk with
-        // ε = scale/2, summed over dk terms.
-        let eq = qi.params().scale * 0.5;
-        let ek = ki.params().scale * 0.5;
+        // ε = step/2, summed over dk terms. ε is taken from the whole
+        // tensor's step; a row's own step is never coarser.
+        let eq = QuantParams::fit(&q).scale * 0.5;
+        let ek = QuantParams::fit(&k).scale * 0.5;
         let qmax = q.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let kmax = k.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let bound = dk as f32 * (qmax * ek + kmax * eq + eq * ek) * scale + 1e-5;
@@ -110,9 +111,10 @@ fn int8_sddmm_relative_error_small_at_attention_scale() {
         let k = random(64, 32, 1.0, seed + 1);
         let index = banded_index(64, 2);
         let fp = sddmm_k_stationary(&q, &k, &index, 0.18);
-        let i8s = sddmm_k_stationary_int8(
-            &QuantizedMatrix::quantize(&q),
-            &QuantizedMatrix::quantize(&k),
+        let i8s = sddmm_k_stationary_int8_rows(
+            &QuantizedRows::quantize(&q),
+            &QuantizedRows::quantize(&k),
+            0..32,
             &index,
             0.18,
         );

@@ -4,7 +4,7 @@
 #![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
-use vitcod_tensor::{softmax_row, Matrix, QuantizedMatrix};
+use vitcod_tensor::{softmax_row, Matrix, QuantizedMatrix, QuantizedRows};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-5.0f32..5.0, rows * cols)
@@ -119,8 +119,7 @@ proptest! {
     #[test]
     fn quantized_matmul_tracks_fp32(a in matrix(4, 16), b in matrix(4, 16)) {
         let exact = a.matmul_nt(&b);
-        let approx = QuantizedMatrix::quantize(&a)
-            .matmul_nt_dequant(&QuantizedMatrix::quantize(&b));
+        let approx = QuantizedRows::quantize(&a).scores_nt(&QuantizedRows::quantize(&b), 0..16, 1.0);
         let denom = exact.frobenius_norm().max(1.0);
         prop_assert!(exact.max_abs_diff(&approx) / denom < 0.1);
     }

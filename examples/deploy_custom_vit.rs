@@ -95,10 +95,7 @@ fn main() {
         report.achieved_sparsity * 100.0
     );
     let compiled = report.compile();
-    let engine = Engine::builder(compiled)
-        .precision(Precision::Int8)
-        .workers(2)
-        .build();
+    let engine = Engine::builder(compiled).precision(Precision::Int8).build();
     let predictions = engine.infer_batch(&task.test);
     println!(
         "served {} samples through the int8 engine, accuracy {:.1}%, {} int8 weight bytes",
