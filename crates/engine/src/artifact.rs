@@ -17,6 +17,9 @@
 //! * **int8 saves are byte-exact** — weight matrices on the engine's
 //!   quantization set are stored as raw i8 bytes plus their bit-exact
 //!   scale; save → load → save reproduces the identical artifact text.
+//!   A projection site's bytes load straight into the serving GEMM's
+//!   panels — never through fp32 — and an int8 save writes a packed
+//!   site's bytes back verbatim.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -28,7 +31,7 @@ use vitcod_core::{
 use vitcod_model::{ModelFamily, StageConfig, ViTConfig};
 use vitcod_tensor::{Matrix, PackedGemmWeights, QuantizedMatrix};
 
-use crate::compiled::{CompiledAe, CompiledLayer, CompiledVit, HeadPlan, Int8Projections};
+use crate::compiled::{CompiledAe, CompiledLayer, CompiledVit, HeadPlan, SiteWeight};
 use crate::Precision;
 
 /// Error loading a [`CompiledVit`] from its serialized form.
@@ -73,8 +76,10 @@ pub fn save_compiled_vit(model: &CompiledVit, precision: Precision) -> String {
 }
 
 /// Parses a model written by [`save_compiled_vit`], returning the
-/// reconstructed artifact and the precision it was saved under (int8
-/// payloads dequantize to exactly the values the bytes represent).
+/// reconstructed artifact and the precision it was saved under. An int8
+/// projection payload becomes a packed [`SiteWeight::Int8`] site, bytes
+/// and scale verbatim; every other int8 payload dequantizes to exactly
+/// the values its bytes represent.
 ///
 /// # Errors
 ///
@@ -98,6 +103,18 @@ fn push_weight(tensors: &mut Vec<NamedTensor>, name: String, m: &Matrix, int8: b
         TensorPayload::I8(QuantizedMatrix::quantize(m))
     } else {
         TensorPayload::F32(m.clone())
+    };
+    tensors.push(NamedTensor { name, payload });
+}
+
+/// Pushes a projection site. A packed site's bytes and scale go out
+/// verbatim under `int8` (and as the values they stand for otherwise):
+/// save → load → save is byte-identical by construction.
+fn push_site(tensors: &mut Vec<NamedTensor>, name: String, w: &SiteWeight, int8: bool) {
+    let payload = match w {
+        SiteWeight::Fp32(m) => return push_weight(tensors, name, m, int8),
+        SiteWeight::Int8(p) if int8 => TensorPayload::I8(p.to_quantized()),
+        SiteWeight::Int8(p) => TensorPayload::F32(p.to_quantized().dequantize()),
     };
     tensors.push(NamedTensor { name, payload });
 }
@@ -130,13 +147,12 @@ fn index_by_name<V>(
 
 type Tensors = HashMap<String, TensorPayload>;
 
-/// Moves tensor `name` out of the record, checking its shape: its
-/// values as fp32 and, from an int8 payload, the bytes they stand for.
-fn take(
+/// Moves tensor `name` out of the record, checking its shape.
+fn take_payload(
     tensors: &mut Tensors,
     name: &str,
     shape: (usize, usize),
-) -> Result<(Matrix, Option<QuantizedMatrix>), ArtifactError> {
+) -> Result<TensorPayload, ArtifactError> {
     let payload = tensors
         .remove(name)
         .ok_or_else(|| schema(format!("missing tensor '{name}'")))?;
@@ -147,31 +163,35 @@ fn take(
             shape
         )));
     }
-    Ok(match payload {
-        TensorPayload::F32(m) => (m, None),
-        TensorPayload::I8(q) => (q.dequantize(), Some(q)),
+    Ok(payload)
+}
+
+/// Tensor `name` as the fp32 values it holds or, from an int8 payload,
+/// the values its bytes stand for.
+fn take(tensors: &mut Tensors, name: &str, shape: (usize, usize)) -> Result<Matrix, ArtifactError> {
+    Ok(match take_payload(tensors, name, shape)? {
+        TensorPayload::F32(m) => m,
+        TensorPayload::I8(q) => q.dequantize(),
     })
 }
 
 fn take_vec(tensors: &mut Tensors, name: &str, len: usize) -> Result<Vec<f32>, ArtifactError> {
-    Ok(take(tensors, name, (1, len))?.0.into_vec())
+    Ok(take(tensors, name, (1, len))?.into_vec())
 }
 
-/// A projection weight and, from an int8 payload, the same bytes packed
-/// straight into the serving GEMM layout. The artifact's i8 bytes and
-/// scale are used verbatim — no dequantize/requantize round-trip — so
-/// the packed operand is byte-identical to what
-/// [`CompiledVit::ensure_int8_projections`] produced at save time.
-fn take_projection(
+/// A projection site in the form its payload is read in. An int8
+/// payload is packed straight into the serving GEMM layout — the
+/// artifact's bytes and scale verbatim, no fp32 copy made — so the site
+/// is identical to the one an int8 build packed before the save.
+fn take_site(
     tensors: &mut Tensors,
     name: &str,
     shape: (usize, usize),
-) -> Result<(Matrix, Option<PackedGemmWeights>), ArtifactError> {
-    let (weight, bytes) = take(tensors, name, shape)?;
-    Ok((
-        weight,
-        bytes.as_ref().map(PackedGemmWeights::from_quantized),
-    ))
+) -> Result<SiteWeight, ArtifactError> {
+    Ok(match take_payload(tensors, name, shape)? {
+        TensorPayload::F32(m) => SiteWeight::Fp32(m),
+        TensorPayload::I8(q) => SiteWeight::Int8(PackedGemmWeights::from_quantized(&q)),
+    })
 }
 
 fn meta_parse<T: std::str::FromStr>(
@@ -217,7 +237,9 @@ fn static_name(name: &str) -> &'static str {
 impl CompiledVit {
     /// Lowers the frozen model into the schema-free format record.
     /// Under [`Precision::Int8`], the weight matrices the int8 engine
-    /// quantizes are stored as i8 payloads; everything else stays fp32.
+    /// quantizes are stored as i8 payloads (a packed site's own bytes,
+    /// verbatim); everything else stays fp32. Under [`Precision::Fp32`]
+    /// a packed site is written as the values its bytes stand for.
     pub fn to_artifact(&self, precision: Precision) -> CompiledModelArtifact {
         let int8 = precision == Precision::Int8;
         let cfg = &self.cfg;
@@ -257,15 +279,15 @@ impl CompiledVit {
             let name = |field: &str| format!("layer{l}.{field}");
             push_vec(&mut tensors, name("ln1_gamma"), &layer.ln1_gamma);
             push_vec(&mut tensors, name("ln1_beta"), &layer.ln1_beta);
-            push_weight(&mut tensors, name("w_qkv"), &layer.w_qkv, int8);
+            push_site(&mut tensors, name("w_qkv"), &layer.w_qkv, int8);
             push_vec(&mut tensors, name("b_qkv"), &layer.b_qkv);
-            push_weight(&mut tensors, name("w_out"), &layer.w_out, int8);
+            push_site(&mut tensors, name("w_out"), &layer.w_out, int8);
             push_vec(&mut tensors, name("b_out"), &layer.b_out);
             push_vec(&mut tensors, name("ln2_gamma"), &layer.ln2_gamma);
             push_vec(&mut tensors, name("ln2_beta"), &layer.ln2_beta);
-            push_weight(&mut tensors, name("w_fc1"), &layer.w_fc1, int8);
+            push_site(&mut tensors, name("w_fc1"), &layer.w_fc1, int8);
             push_vec(&mut tensors, name("b_fc1"), &layer.b_fc1);
-            push_weight(&mut tensors, name("w_fc2"), &layer.w_fc2, int8);
+            push_site(&mut tensors, name("w_fc2"), &layer.w_fc2, int8);
             push_vec(&mut tensors, name("b_fc2"), &layer.b_fc2);
             if let Some(ae) = &layer.ae {
                 push_weight(&mut tensors, name("ae.enc_q"), &ae.enc_q, int8);
@@ -382,10 +404,7 @@ impl CompiledVit {
         let overflow = || schema(format!("dim {dim} x mlp_ratio {mlp_ratio} overflows"));
         let three_dim = dim.checked_mul(3).ok_or_else(overflow)?;
         let hidden = dim.checked_mul(mlp_ratio).ok_or_else(overflow)?;
-        // Int8 artifacts carry the projection bytes the serving GEMM
-        // consumes: pack them directly (same bytes, same scales) so a
-        // loaded engine computes exactly what the saved one did.
-        let (layers, int8): (Vec<_>, Vec<_>) = record
+        let layers = record
             .plans
             .into_iter()
             .enumerate()
@@ -415,62 +434,45 @@ impl CompiledVit {
                 let enc_q_shape = tensors.get(&name("ae.enc_q")).map(TensorPayload::shape);
                 let ae = if let Some((_, compressed)) = enc_q_shape {
                     Some(CompiledAe {
-                        enc_q: take(tensors, &name("ae.enc_q"), (heads, compressed))?.0,
-                        dec_q: take(tensors, &name("ae.dec_q"), (compressed, heads))?.0,
-                        enc_k: take(tensors, &name("ae.enc_k"), (heads, compressed))?.0,
-                        dec_k: take(tensors, &name("ae.dec_k"), (compressed, heads))?.0,
+                        enc_q: take(tensors, &name("ae.enc_q"), (heads, compressed))?,
+                        dec_q: take(tensors, &name("ae.dec_q"), (compressed, heads))?,
+                        enc_k: take(tensors, &name("ae.enc_k"), (heads, compressed))?,
+                        dec_k: take(tensors, &name("ae.dec_k"), (compressed, heads))?,
                     })
                 } else {
                     None
                 };
-                let (w_qkv, q_qkv) = take_projection(tensors, &name("w_qkv"), (dim, three_dim))?;
-                let (w_out, q_out) = take_projection(tensors, &name("w_out"), (dim, dim))?;
-                let (w_fc1, q_fc1) = take_projection(tensors, &name("w_fc1"), (dim, hidden))?;
-                let (w_fc2, q_fc2) = take_projection(tensors, &name("w_fc2"), (hidden, dim))?;
-                let layer = CompiledLayer {
+                Ok(CompiledLayer {
                     ln1_gamma: take_vec(tensors, &name("ln1_gamma"), dim)?,
                     ln1_beta: take_vec(tensors, &name("ln1_beta"), dim)?,
-                    w_qkv,
+                    w_qkv: take_site(tensors, &name("w_qkv"), (dim, three_dim))?,
                     b_qkv: take_vec(tensors, &name("b_qkv"), three_dim)?,
-                    w_out,
+                    w_out: take_site(tensors, &name("w_out"), (dim, dim))?,
                     b_out: take_vec(tensors, &name("b_out"), dim)?,
                     ln2_gamma: take_vec(tensors, &name("ln2_gamma"), dim)?,
                     ln2_beta: take_vec(tensors, &name("ln2_beta"), dim)?,
-                    w_fc1,
+                    w_fc1: take_site(tensors, &name("w_fc1"), (dim, hidden))?,
                     b_fc1: take_vec(tensors, &name("b_fc1"), hidden)?,
-                    w_fc2,
+                    w_fc2: take_site(tensors, &name("w_fc2"), (hidden, dim))?,
                     b_fc2: take_vec(tensors, &name("b_fc2"), dim)?,
                     ae,
                     heads: head_plans,
-                };
-                let packed = q_qkv.zip(q_out).zip(q_fc1.zip(q_fc2));
-                Ok((
-                    layer,
-                    packed.map(|((w_qkv, w_out), (w_fc1, w_fc2))| Int8Projections {
-                        w_qkv,
-                        w_out,
-                        w_fc1,
-                        w_fc2,
-                    }),
-                ))
+                })
             })
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .unzip();
+            .collect::<Result<Vec<_>, _>>()?;
 
         Ok(CompiledVit {
-            patch_w: take(tensors, "patch_w", (in_dim, dim))?.0,
+            patch_w: take(tensors, "patch_w", (in_dim, dim))?,
             patch_b: take_vec(tensors, "patch_b", dim)?,
-            pos_embed: take(tensors, "pos_embed", (tokens, dim))?.0,
+            pos_embed: take(tensors, "pos_embed", (tokens, dim))?,
             layers,
             final_gamma: take_vec(tensors, "final_gamma", dim)?,
             final_beta: take_vec(tensors, "final_beta", dim)?,
-            head_w: take(tensors, "head_w", (dim, num_classes))?.0,
+            head_w: take(tensors, "head_w", (dim, num_classes))?,
             head_b: take_vec(tensors, "head_b", num_classes)?,
             cfg,
             in_dim,
             num_classes,
-            int8: int8.into_iter().collect(),
         })
     }
 

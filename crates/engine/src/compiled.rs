@@ -8,14 +8,25 @@
 //! pre-built [`CscMatrix`] index, the same artifact the accelerator's
 //! sparser engine pre-loads. Compilation happens once; the artifact is
 //! immutable and shared by every worker of an [`crate::Engine`].
+//!
+//! Each of a layer's four projection sites holds **one** weight, a
+//! [`SiteWeight`] in the form its precision reads: the fp32 [`Matrix`]
+//! (4 B per weight) or the int8 GEMM's packed panels (1 B per weight on
+//! disk, 2 B resident as `i16` multiply–accumulate pairs) — never both.
+//! An int8 artifact loads straight into panels and an int8 engine build
+//! turns each fp32 site into panels and frees the matrix, so an int8
+//! model is the smaller one in memory as well as on disk.
 
 use vitcod_autograd::ParamStore;
 use vitcod_core::{CscMatrix, PipelineReport, PolarizedHead};
 use vitcod_model::{Sample, Trainer, ViTConfig, VisionTransformer};
-use vitcod_tensor::{Matrix, PackedGemmWeights};
+use vitcod_tensor::kernels::LANES;
+use vitcod_tensor::{Matrix, PackedGemmWeights, QuantizedMatrix};
+
+use crate::Precision;
 
 /// Per-head execution plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HeadPlan {
     /// Full `n × n` attention on the dense kernel path.
     Dense,
@@ -33,7 +44,7 @@ impl HeadPlan {
 
 /// Frozen auto-encoder weights of one layer (encode → decode for Q and
 /// K, exactly the round trip the finetuned forward applies).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledAe {
     /// Q encoder, `heads × compressed_heads`.
     pub enc_q: Matrix,
@@ -45,25 +56,56 @@ pub struct CompiledAe {
     pub dec_k: Matrix,
 }
 
-/// One layer's projection weights packed for the int8 GEMM
-/// ([`vitcod_tensor::int8_gemm`]): quantized per-tensor and re-laid out
-/// into the interleaved `k`-pair lane panels the kernel consumes.
-/// Packed once — at artifact compile or load — and shared read-only by
-/// every engine worker, so serving never re-packs per batch.
-#[derive(Debug, Clone)]
-pub struct Int8Projections {
-    /// Fused QKV projection, `dim × 3·dim`, packed.
-    pub w_qkv: PackedGemmWeights,
-    /// Attention output projection, `dim × dim`, packed.
-    pub w_out: PackedGemmWeights,
-    /// MLP expansion, `dim × mlp·dim`, packed.
-    pub w_fc1: PackedGemmWeights,
-    /// MLP contraction, `mlp·dim × dim`, packed.
-    pub w_fc2: PackedGemmWeights,
+/// The weight of one projection site (`x · W + bias`), held in the one
+/// form the site's precision reads.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SiteWeight {
+    /// The fp32 matrix the fp32 GEMM reads.
+    Fp32(Matrix),
+    /// Quantized per-tensor and packed for [`vitcod_tensor::int8_gemm`]
+    /// — once, at artifact load or engine build — and shared read-only
+    /// by every engine worker, so serving never re-packs per batch.
+    Int8(PackedGemmWeights),
+}
+
+impl SiteWeight {
+    /// Weight scalars at the site (`k · n`), whichever form holds them.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            SiteWeight::Fp32(m) => m.len(),
+            SiteWeight::Int8(p) => p.bytes(),
+        }
+    }
+
+    /// Bytes of the buffer the site holds: 4 per fp32 scalar, 2 per
+    /// packed `i16` (the panels' zero pads — `k` to a pair, `n` to a
+    /// lane multiple — included).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match self {
+            SiteWeight::Fp32(m) => 4 * m.len(),
+            SiteWeight::Int8(p) => {
+                let (k, n) = p.shape();
+                2 * k.next_multiple_of(2) * n.next_multiple_of(LANES)
+            }
+        }
+    }
+
+    /// The site in the form `precision` reads, if that is not the form
+    /// it holds. Fp32 → int8 quantizes and packs; int8 → fp32 yields
+    /// exactly the values the bytes stand for.
+    fn lowered(&self, precision: Precision) -> Option<SiteWeight> {
+        Some(match (self, precision) {
+            (SiteWeight::Fp32(m), Precision::Int8) => SiteWeight::Int8(PackedGemmWeights::pack(m)),
+            (SiteWeight::Int8(p), Precision::Fp32) => {
+                SiteWeight::Fp32(p.to_quantized().dequantize())
+            }
+            _ => return None,
+        })
+    }
 }
 
 /// One transformer block's frozen weights in inference layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledLayer {
     /// Pre-attention LayerNorm gamma.
     pub ln1_gamma: Vec<f32>,
@@ -71,11 +113,11 @@ pub struct CompiledLayer {
     pub ln1_beta: Vec<f32>,
     /// Fused QKV projection, `dim × 3·dim` (`[Wq | Wk | Wv]`): one GEMM
     /// per layer instead of three, with bit-identical columns.
-    pub w_qkv: Matrix,
+    pub w_qkv: SiteWeight,
     /// Fused QKV bias, length `3·dim`.
     pub b_qkv: Vec<f32>,
     /// Attention output projection, `dim × dim`.
-    pub w_out: Matrix,
+    pub w_out: SiteWeight,
     /// Output-projection bias.
     pub b_out: Vec<f32>,
     /// Pre-MLP LayerNorm gamma.
@@ -83,11 +125,11 @@ pub struct CompiledLayer {
     /// Pre-MLP LayerNorm beta.
     pub ln2_beta: Vec<f32>,
     /// MLP expansion weights, `dim × mlp·dim`.
-    pub w_fc1: Matrix,
+    pub w_fc1: SiteWeight,
     /// MLP expansion bias.
     pub b_fc1: Vec<f32>,
     /// MLP contraction weights, `mlp·dim × dim`.
-    pub w_fc2: Matrix,
+    pub w_fc2: SiteWeight,
     /// MLP contraction bias.
     pub b_fc2: Vec<f32>,
     /// Frozen auto-encoder round-trip weights, if installed.
@@ -101,7 +143,7 @@ pub struct CompiledLayer {
 /// Build one with [`CompiledVit::from_trainer`] (or
 /// [`crate::CompileReport::compile`] on a finished
 /// [`PipelineReport`]), then serve it through [`crate::Engine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledVit {
     pub(crate) cfg: ViTConfig,
     pub(crate) in_dim: usize,
@@ -114,10 +156,6 @@ pub struct CompiledVit {
     pub(crate) final_beta: Vec<f32>,
     pub(crate) head_w: Matrix,
     pub(crate) head_b: Vec<f32>,
-    /// Per-layer packed int8 projection weights; populated lazily by
-    /// [`CompiledVit::ensure_int8_projections`] or directly from an int8
-    /// artifact's payloads (identical bytes, no requantization).
-    pub(crate) int8: Option<Vec<Int8Projections>>,
 }
 
 fn row_vec(store: &ParamStore, id: vitcod_autograd::ParamId) -> Vec<f32> {
@@ -176,15 +214,15 @@ impl CompiledVit {
                 CompiledLayer {
                     ln1_gamma: row_vec(store, b.ln1.gamma()),
                     ln1_beta: row_vec(store, b.ln1.beta()),
-                    w_qkv: Matrix::hcat(&[wq, wk, wv]),
+                    w_qkv: SiteWeight::Fp32(Matrix::hcat(&[wq, wk, wv])),
                     b_qkv,
-                    w_out: store.value(b.wo.weight()).clone(),
+                    w_out: SiteWeight::Fp32(store.value(b.wo.weight()).clone()),
                     b_out: row_vec(store, b.wo.bias()),
                     ln2_gamma: row_vec(store, b.ln2.gamma()),
                     ln2_beta: row_vec(store, b.ln2.beta()),
-                    w_fc1: store.value(b.fc1.weight()).clone(),
+                    w_fc1: SiteWeight::Fp32(store.value(b.fc1.weight()).clone()),
                     b_fc1: row_vec(store, b.fc1.bias()),
-                    w_fc2: store.value(b.fc2.weight()).clone(),
+                    w_fc2: SiteWeight::Fp32(store.value(b.fc2.weight()).clone()),
                     b_fc2: row_vec(store, b.fc2.bias()),
                     ae: b.ae.map(|ae| CompiledAe {
                         enc_q: store.value(ae.enc_q).clone(),
@@ -208,7 +246,6 @@ impl CompiledVit {
             head_w: store.value(model.classifier().weight()).clone(),
             head_b: row_vec(store, model.classifier().bias()),
             cfg,
-            int8: None,
         }
     }
 
@@ -298,9 +335,24 @@ impl CompiledVit {
         }
     }
 
-    /// Total frozen weight scalars (fp32 elements).
+    /// Total frozen weight scalars. A projection site counts `k · n` by
+    /// shape, so an fp32-held and an int8-held model read the same.
     pub fn num_weight_scalars(&self) -> usize {
-        let mut n = self.patch_w.len()
+        self.weigh(SiteWeight::len, 1)
+    }
+
+    /// Bytes of every weight buffer the model holds: 4 per fp32 scalar,
+    /// 2 per packed `i16` of an int8 site (zero pads included). The
+    /// number `/proc` cannot give a test: an int8-held model is about
+    /// half an fp32-held one.
+    pub fn resident_weight_bytes(&self) -> usize {
+        self.weigh(SiteWeight::resident_bytes, 4)
+    }
+
+    /// `site` summed over the projection sites plus `per_scalar` for
+    /// each scalar of every other (fp32) buffer.
+    fn weigh(&self, site: impl Fn(&SiteWeight) -> usize, per_scalar: usize) -> usize {
+        let mut scalars = self.patch_w.len()
             + self.patch_b.len()
             + self.pos_embed.len()
             + self.final_gamma.len()
@@ -308,98 +360,60 @@ impl CompiledVit {
             + self.head_w.len()
             + self.head_b.len();
         for l in &self.layers {
-            n += l.w_qkv.len()
-                + l.b_qkv.len()
-                + l.w_out.len()
+            scalars += l.b_qkv.len()
                 + l.b_out.len()
-                + l.w_fc1.len()
                 + l.b_fc1.len()
-                + l.w_fc2.len()
                 + l.b_fc2.len()
                 + l.ln1_gamma.len()
                 + l.ln1_beta.len()
                 + l.ln2_gamma.len()
                 + l.ln2_beta.len();
             if let Some(ae) = &l.ae {
-                n += ae.enc_q.len() + ae.dec_q.len() + ae.enc_k.len() + ae.dec_k.len();
+                scalars += ae.enc_q.len() + ae.dec_q.len() + ae.enc_k.len() + ae.dec_k.len();
             }
         }
-        n
+        self.sites().map(site).sum::<usize>() + per_scalar * scalars
     }
 
-    pub(crate) fn patch_w(&self) -> &Matrix {
-        &self.patch_w
+    /// Every projection site, layer by layer.
+    pub(crate) fn sites(&self) -> impl Iterator<Item = &SiteWeight> {
+        self.layers
+            .iter()
+            .flat_map(|l| [&l.w_qkv, &l.w_out, &l.w_fc1, &l.w_fc2])
     }
 
-    pub(crate) fn patch_b(&self) -> &[f32] {
-        &self.patch_b
-    }
-
-    pub(crate) fn pos_embed(&self) -> &Matrix {
-        &self.pos_embed
-    }
-
-    pub(crate) fn layers(&self) -> &[CompiledLayer] {
-        &self.layers
-    }
-
-    pub(crate) fn final_ln(&self) -> (&[f32], &[f32]) {
-        (&self.final_gamma, &self.final_beta)
-    }
-
-    pub(crate) fn head_w(&self) -> &Matrix {
-        &self.head_w
-    }
-
-    pub(crate) fn head_b(&self) -> &[f32] {
-        &self.head_b
-    }
-
-    /// Packs each layer's projection weights for the int8 GEMM if not
-    /// already present. Packing quantizes the *current* fp32 weights —
-    /// call this before any lossy weight transform so the packed bytes
-    /// match what [`crate::save_compiled_vit`] would store.
-    pub(crate) fn ensure_int8_projections(&mut self) {
-        if self.int8.is_some() {
-            return;
-        }
-        self.int8 = Some(
-            self.layers
-                .iter()
-                .map(|l| Int8Projections {
-                    w_qkv: PackedGemmWeights::pack(&l.w_qkv),
-                    w_out: PackedGemmWeights::pack(&l.w_out),
-                    w_fc1: PackedGemmWeights::pack(&l.w_fc1),
-                    w_fc2: PackedGemmWeights::pack(&l.w_fc2),
-                })
-                .collect(),
-        );
-    }
-
-    pub(crate) fn int8_projections(&self) -> Option<&[Int8Projections]> {
-        self.int8.as_deref()
-    }
-
-    /// Applies `f` to every weight matrix in place — projections, MLPs,
-    /// AE mixers and the positional embedding; biases and LayerNorm
-    /// parameters are vectors and stay untouched. The engine's int8
-    /// build round-trips all of these through quantization.
-    pub(crate) fn map_weights(&mut self, mut f: impl FnMut(&mut Matrix)) {
-        f(&mut self.patch_w);
-        f(&mut self.pos_embed);
-        f(&mut self.head_w);
+    /// Puts the model in the form an engine of `precision` reads, in
+    /// place, and returns the weight-matrix scalars it visited (one byte
+    /// each in an int8 artifact). Every projection site is lowered one
+    /// at a time, its old form freed before the next is touched, so at
+    /// most one site is ever held twice. Under int8 the matrices the
+    /// forward still reads as fp32 — patch embedding, positional
+    /// embedding, classifier and the AE mixers — are round-tripped
+    /// through quantization: the values an int8 artifact carries.
+    pub(crate) fn lower(&mut self, precision: Precision) -> usize {
+        let round_trip = |w: &mut Matrix| {
+            if precision == Precision::Int8 {
+                *w = QuantizedMatrix::quantize(w).dequantize();
+            }
+            w.len()
+        };
+        let mut scalars = round_trip(&mut self.patch_w)
+            + round_trip(&mut self.pos_embed)
+            + round_trip(&mut self.head_w);
         for l in &mut self.layers {
-            f(&mut l.w_qkv);
-            f(&mut l.w_out);
-            f(&mut l.w_fc1);
-            f(&mut l.w_fc2);
             if let Some(ae) = &mut l.ae {
-                f(&mut ae.enc_q);
-                f(&mut ae.dec_q);
-                f(&mut ae.enc_k);
-                f(&mut ae.dec_k);
+                let mixers = [&mut ae.enc_q, &mut ae.dec_q, &mut ae.enc_k, &mut ae.dec_k];
+                scalars += mixers.map(round_trip).iter().sum::<usize>();
+            }
+            for site in [&mut l.w_qkv, &mut l.w_out, &mut l.w_fc1, &mut l.w_fc2] {
+                // The assignment frees the form the site held.
+                if let Some(lowered) = site.lowered(precision) {
+                    *site = lowered;
+                }
+                scalars += site.len();
             }
         }
+        scalars
     }
 }
 

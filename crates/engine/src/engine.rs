@@ -7,11 +7,9 @@ use std::time::Instant;
 use vitcod_autograd::LAYERNORM_EPS;
 use vitcod_model::Sample;
 use vitcod_tensor::sparse;
-use vitcod_tensor::{
-    argmax, gelu, int8_gemm, kernels, Matrix, PackedGemmWeights, QuantizedMatrix, QuantizedRows,
-};
+use vitcod_tensor::{argmax, gelu, int8_gemm, kernels, Matrix, QuantizedRows};
 
-use crate::compiled::{CompiledLayer, CompiledVit, HeadPlan};
+use crate::compiled::{CompiledLayer, CompiledVit, HeadPlan, SiteWeight};
 use crate::profile::{
     OpClock, OpProfile, Untimed, WallClock, OP_FC1, OP_FC2, OP_OUT_PROJ, OP_QKV, OP_SCORES,
     OP_SOFTMAX, OP_SPMM,
@@ -29,11 +27,15 @@ pub enum Precision {
     #[default]
     Fp32,
     /// 8-bit weights, 8-bit projection GEMMs and 8-bit attention
-    /// scores. Every weight matrix is round-tripped through symmetric
-    /// per-tensor quantization at build time (the values an int8
-    /// artifact would carry); the fused-QKV, attention-output and MLP
-    /// projections then run the packed i8×i8→i32 GEMM
-    /// ([`vitcod_tensor::int8_gemm`]) against per-row-quantized
+    /// scores. The four projection sites of a layer — fused QKV,
+    /// attention output, both MLP matrices — are quantized per tensor,
+    /// packed for the i8×i8→i32 GEMM ([`vitcod_tensor::int8_gemm`]) and
+    /// held **only** packed (2 B per weight resident; the fp32 matrix
+    /// is freed at build or never made at load). The matrices the
+    /// forward still reads as fp32 — patch embedding, positional
+    /// embedding, classifier, AE mixers — are round-tripped through
+    /// the same quantization at build time: the values an int8
+    /// artifact carries. The projections run against per-row-quantized
     /// activations, each activation tensor quantized **once per layer**
     /// and shared by every consumer — attention Q/K included, since
     /// per-row scales survive per-head column slicing. Attention scores
@@ -77,44 +79,37 @@ impl EngineBuilder {
         self
     }
 
-    /// Finalises the engine. For [`Precision::Int8`] this is where the
-    /// weights are quantized: each matrix is round-tripped through
-    /// [`QuantizedMatrix`] so the engine computes on exactly the values
-    /// the 1-byte-per-weight artifact represents, and the projection
-    /// weights are packed for the int8 GEMM (unless the artifact loader
-    /// already installed packed payloads — then those identical bytes
-    /// are kept).
+    /// Finalises the engine: every projection site ends up holding the
+    /// one form of its weight `precision` reads (see
+    /// [`crate::SiteWeight`]).
     ///
-    /// An fp32 build never copies the weights: the engine shares the
-    /// builder's `Arc`'d artifact, so any number of engines (and any
-    /// number of serving workers behind them) hold the same frozen
-    /// scalars. An int8 build clones the artifact exactly once to hold
-    /// the quantized values.
+    /// An fp32 build over fp32 sites never copies the weights: the
+    /// engine shares the builder's `Arc`'d artifact, so any number of
+    /// engines (and any number of serving workers behind them) hold the
+    /// same frozen scalars. An [`Precision::Int8`] build is where
+    /// weights are quantized — sites still fp32 are packed for the int8
+    /// GEMM one at a time, each matrix freed before the next is packed
+    /// (sites loaded from an int8 artifact are already packed and keep
+    /// those identical bytes), so the engine never holds a projection
+    /// twice. An fp32 build over an int8 artifact dequantizes its sites
+    /// the same way. A uniquely owned artifact (what [`Engine::builder`]
+    /// makes) is converted in place; a shared one is left untouched and
+    /// the engine converts its own clone of it.
     pub fn build(self) -> Engine {
-        let (model, int8_weight_bytes) = match self.precision {
-            Precision::Fp32 => (self.compiled, None),
-            Precision::Int8 => {
-                let mut compiled = self.compiled;
-                // Quantize in place when the Arc is uniquely owned (the
-                // common builder(owned) path); clone only when another
-                // engine actually shares the fp32 artifact. Projections
-                // are packed *before* the dequantize round-trip so the
-                // packed bytes come from the pristine weights — the same
-                // bytes an int8 artifact stores.
-                let mut bytes = 0usize;
-                let m = Arc::make_mut(&mut compiled);
-                m.ensure_int8_projections();
-                m.map_weights(|w| {
-                    let q = QuantizedMatrix::quantize(w);
-                    bytes += q.bytes();
-                    *w = q.dequantize();
-                });
-                (compiled, Some(bytes))
-            }
-        };
+        let precision = self.precision;
+        let int8 = precision == Precision::Int8;
+        let mut model = self.compiled;
+        let mut int8_weight_bytes = None;
+        if int8 || model.sites().any(|s| matches!(s, SiteWeight::Int8(_))) {
+            let mut owned =
+                Arc::try_unwrap(model).unwrap_or_else(|shared| CompiledVit::clone(&shared));
+            let scalars = owned.lower(precision);
+            int8_weight_bytes = int8.then_some(scalars);
+            model = Arc::new(owned);
+        }
         Engine {
             model,
-            precision: self.precision,
+            precision,
             int8_weight_bytes,
         }
     }
@@ -171,7 +166,10 @@ impl Engine {
 
     /// Starts building an engine over an already-shared artifact: several
     /// engines built from clones of the same `Arc` serve the same weight
-    /// scalars without copying them (fp32 builds keep the `Arc` as is).
+    /// scalars without copying them. That holds for fp32 builds over
+    /// fp32-held sites, which keep the `Arc` as is; a build that has to
+    /// convert a site — int8 over fp32 sites, or fp32 over an artifact
+    /// loaded from int8 — works on the engine's own copy, one per engine.
     pub fn builder_shared(compiled: Arc<CompiledVit>) -> EngineBuilder {
         EngineBuilder {
             compiled,
@@ -262,12 +260,8 @@ impl Engine {
     pub fn approx_ops_per_sample(&self) -> f64 {
         let cfg = self.model.config();
         let f = cfg.flops();
-        let total_heads = self
-            .model
-            .layers()
-            .iter()
-            .map(|l| l.heads.len())
-            .sum::<usize>();
+        let layers = &self.model.layers;
+        let total_heads = layers.iter().map(|l| l.heads.len()).sum::<usize>();
         let kept = if total_heads == 0 {
             1.0
         } else {
@@ -314,16 +308,12 @@ impl Engine {
         let n = cfg.tokens;
         let dim = cfg.dim;
         let dk = cfg.head_dim();
-        let packed = match self.precision {
-            Precision::Int8 => self.model.int8_projections(),
-            Precision::Fp32 => None,
-        };
+        let int8 = self.precision == Precision::Int8;
 
-        let embedded = kernels::matmul(tokens, self.model.patch_w());
-        let mut x = &kernels::add_bias(&embedded, self.model.patch_b()) + self.model.pos_embed();
+        let embedded = kernels::matmul(tokens, &self.model.patch_w);
+        let mut x = &kernels::add_bias(&embedded, &self.model.patch_b) + &self.model.pos_embed;
 
-        for (i, layer) in self.model.layers().iter().enumerate() {
-            let proj = packed.and_then(|p| p.get(i));
+        for layer in &self.model.layers {
             let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
             // Fused QKV: one dim × 3·dim GEMM; each column accumulates in
             // the same order as the three separate projections, so the
@@ -332,8 +322,7 @@ impl Engine {
             // so it is charged to `qkv`; its heads × heads mixers are
             // tiny and stay fp32, like the paper's AE decoder.
             let (q, k, v) = clock.time(OP_QKV, || {
-                let w8 = proj.map(|p| &p.w_qkv);
-                let qkv = project(&normed, &layer.w_qkv, w8, &layer.b_qkv);
+                let qkv = project(&normed, &layer.w_qkv, &layer.b_qkv);
                 let mut q = qkv.submatrix(0, n, 0, dim);
                 let mut k = qkv.submatrix(0, n, dim, 2 * dim);
                 let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
@@ -344,30 +333,25 @@ impl Engine {
                 (q, k, v)
             });
 
-            let attn = attention(layer, &q, &k, &v, proj.is_some(), dk, &*clock);
-            let projected = clock.time(OP_OUT_PROJ, || {
-                project(&attn, &layer.w_out, proj.map(|p| &p.w_out), &layer.b_out)
-            });
+            let attn = attention(layer, &q, &k, &v, int8, dk, &*clock);
+            let projected = clock.time(OP_OUT_PROJ, || project(&attn, &layer.w_out, &layer.b_out));
             x = &x + &projected;
 
             let normed2 = kernels::layernorm_rows(&x, &layer.ln2_gamma, &layer.ln2_beta, LN_EPS);
             let act = clock.time(OP_FC1, || {
-                let w8 = proj.map(|p| &p.w_fc1);
-                kernels::map(&project(&normed2, &layer.w_fc1, w8, &layer.b_fc1), gelu)
+                kernels::map(&project(&normed2, &layer.w_fc1, &layer.b_fc1), gelu)
             });
-            let h2 = clock.time(OP_FC2, || {
-                project(&act, &layer.w_fc2, proj.map(|p| &p.w_fc2), &layer.b_fc2)
-            });
+            let h2 = clock.time(OP_FC2, || project(&act, &layer.w_fc2, &layer.b_fc2));
             x = &x + &h2;
             clock.end_layer();
         }
 
         let cls = x.submatrix(0, 1, 0, dim);
-        let (final_gamma, final_beta) = self.model.final_ln();
+        let (final_gamma, final_beta) = (&self.model.final_gamma, &self.model.final_beta);
         let normed = kernels::layernorm_rows(&cls, final_gamma, final_beta, LN_EPS);
         let logits = kernels::add_bias(
-            &kernels::matmul(&normed, self.model.head_w()),
-            self.model.head_b(),
+            &kernels::matmul(&normed, &self.model.head_w),
+            &self.model.head_b,
         );
         logits.row(0).to_vec()
     }
@@ -376,10 +360,10 @@ impl Engine {
 /// One projection site, `x · W + bias`. A site with packed int8 weights
 /// per-row-quantizes `x` and runs the i8×i8→i32 GEMM, whose epilogue
 /// dequantizes and adds the bias — no separate bias pass.
-fn project(x: &Matrix, w: &Matrix, packed: Option<&PackedGemmWeights>, bias: &[f32]) -> Matrix {
-    match packed {
-        Some(w8) => int8_gemm(&QuantizedRows::quantize(x), w8, bias),
-        None => kernels::add_bias(&kernels::matmul(x, w), bias),
+fn project(x: &Matrix, w: &SiteWeight, bias: &[f32]) -> Matrix {
+    match w {
+        SiteWeight::Int8(w8) => int8_gemm(&QuantizedRows::quantize(x), w8, bias),
+        SiteWeight::Fp32(w) => kernels::add_bias(&kernels::matmul(x, w), bias),
     }
 }
 

@@ -25,10 +25,13 @@
 //! the parity tests in this crate enforce that. The profiled pass
 //! ([`Engine::infer_batch_profiled`]) is that same forward body with a
 //! timing hook around each op, so profiled and served logits are bitwise
-//! equal at either precision. [`Precision::Int8`]
-//! quantizes every weight through [`vitcod_tensor::QuantizedMatrix`] and
-//! computes attention scores with i8 operands and i32 accumulation, the
-//! accelerator MAC lines' arithmetic.
+//! equal at either precision. [`Precision::Int8`] holds each projection
+//! site only as packed int8 panels (a [`SiteWeight`] is one weight, fp32
+//! *or* packed: 4 B per weight resident under fp32, 2 B under int8),
+//! round-trips the few matrices the forward reads as fp32 through
+//! [`vitcod_tensor::QuantizedMatrix`], and computes attention scores
+//! with i8 operands and i32 accumulation, the accelerator MAC lines'
+//! arithmetic.
 
 #![forbid(unsafe_code)]
 // The serving path must not panic (vitcod-lint V001); clippy enforces
@@ -44,7 +47,7 @@ pub mod profile;
 
 pub use artifact::{load_compiled_vit, save_compiled_vit, ArtifactError};
 pub use compiled::{
-    accuracy, CompileReport, CompiledAe, CompiledLayer, CompiledVit, HeadPlan, Int8Projections,
+    accuracy, CompileReport, CompiledAe, CompiledLayer, CompiledVit, HeadPlan, SiteWeight,
 };
 pub use engine::{Engine, EngineBuilder, Precision, Prediction};
 pub use profile::{LayerOps, OpProfile, OP_COUNT, OP_NAMES};

@@ -293,10 +293,91 @@ fn shared_artifact_is_never_copied_by_fp32_engines() {
     // 4 engines + the local handle + the transient in `ptr_eq` checks:
     // strong count proves no engine cloned the artifact.
     assert_eq!(Arc::strong_count(&compiled), 5);
-    // Int8 is the documented exception: it must clone exactly once to
-    // hold quantized values.
+    // An int8 build over the shared artifact lowers its own clone: the
+    // artifact is untouched (still all fp32, same count), no engine's
+    // handle moved, and the fp32 engines answer as before.
     let int8 = Engine::builder_shared(Arc::clone(&compiled))
         .precision(Precision::Int8)
         .build();
-    assert!(!Arc::ptr_eq(&int8.compiled_arc(), &compiled));
+    assert_eq!(Arc::strong_count(&compiled), 5);
+    assert_eq!(compiled.num_weight_scalars(), scalars);
+    assert_eq!(compiled.resident_weight_bytes(), 4 * scalars);
+    for e in &engines {
+        assert_eq!(e.infer_batch(&samples), baseline);
+    }
+    // The int8 engine's own model counts the same scalars and holds no
+    // fp32 projection site: it is the model an owned int8 build makes.
+    let owned = Engine::builder(CompiledVit::clone(&compiled))
+        .precision(Precision::Int8)
+        .build();
+    assert_eq!(int8.compiled().num_weight_scalars(), scalars);
+    assert!(int8.compiled().resident_weight_bytes() < 4 * scalars);
+    assert!(int8.compiled() == owned.compiled());
+    assert_eq!(int8.infer_batch(&samples), owned.infer_batch(&samples));
+}
+
+/// Each projection site holds one weight, in the form its precision
+/// reads: at the DeiT-Tiny shape an int8 model — built from fp32 or
+/// loaded from its own save — is about half the fp32-held one, where
+/// holding the dequantized twin beside the panels made it 1.5×.
+#[test]
+fn deit_tiny_int8_model_holds_half_the_bytes_of_fp32() {
+    let mut store = ParamStore::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let vit = VisionTransformer::new(&ViTConfig::deit_tiny(), 48, 10, &mut store, &mut rng);
+    let fp32 = CompiledVit::from_parts(&vit, &store);
+    let scalars = fp32.num_weight_scalars();
+    assert_eq!(fp32.resident_weight_bytes(), 4 * scalars);
+
+    let (loaded, _) = load_compiled_vit(&save_compiled_vit(&fp32, Precision::Int8)).unwrap();
+    let built = Engine::builder(fp32).precision(Precision::Int8).build();
+    let built = built.compiled();
+    assert_eq!(built.num_weight_scalars(), scalars);
+    assert_eq!(loaded.num_weight_scalars(), scalars);
+    assert_eq!(
+        loaded.resident_weight_bytes(),
+        built.resident_weight_bytes()
+    );
+    let ratio = built.resident_weight_bytes() as f64 / (4 * scalars) as f64;
+    assert!(ratio <= 0.55, "int8-held / fp32-held = {ratio}");
+    // Same packed sites, same round-tripped fp32 tensors: the load of an
+    // int8 save is the model the int8 build serves.
+    let reloaded = Engine::builder(loaded).precision(Precision::Int8).build();
+    assert!(reloaded.compiled() == built);
+}
+
+/// An int8 artifact served at fp32 computes on exactly the values its
+/// bytes stand for: the engine's logits equal those of an fp32 engine
+/// over the record with every i8 payload `dequantize()`d, and an fp32
+/// re-save of the loaded model writes those same tensors.
+#[test]
+fn int8_artifact_serves_and_saves_at_fp32_as_its_dequantized_values() {
+    use vitcod_core::TensorPayload;
+    let text = save_compiled_vit(&tiny_model(21, true, true), Precision::Int8);
+    let mut record = load_compiled(&text).unwrap();
+    for t in &mut record.tensors {
+        if let TensorPayload::I8(q) = &t.payload {
+            t.payload = TensorPayload::F32(q.dequantize());
+        }
+    }
+    let (loaded, _) = load_compiled_vit(&text).unwrap();
+    let resaved = loaded.to_artifact(Precision::Fp32);
+    assert_eq!(resaved.tensors.len(), record.tensors.len());
+    for (got, want) in resaved.tensors.iter().zip(&record.tensors) {
+        assert_eq!(got.name, want.name);
+        assert!(got.payload == want.payload, "tensor {}", got.name);
+    }
+
+    let samples = batch(loaded.config().tokens, 9100, 2);
+    let dequantized = CompiledVit::from_artifact(record).unwrap();
+    let want = Engine::builder(dequantized).build().infer_batch(&samples);
+    // Owned and shared builds both dequantize the packed sites once.
+    let shared = std::sync::Arc::new(loaded.clone());
+    let got_shared = Engine::builder_shared(std::sync::Arc::clone(&shared)).build();
+    assert_eq!(got_shared.infer_batch(&samples), want);
+    assert!(
+        shared.as_ref() == &loaded,
+        "a shared artifact is not rewritten"
+    );
+    assert_eq!(Engine::builder(loaded).build().infer_batch(&samples), want);
 }

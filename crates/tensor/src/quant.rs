@@ -376,6 +376,16 @@ impl PackedGemmWeights {
         }
     }
 
+    /// The `i8` bytes and scale these panels were packed from: the exact
+    /// inverse of [`PackedGemmWeights::from_quantized`] (the artifact-save
+    /// path of a model that holds its projections only packed).
+    pub fn to_quantized(&self) -> QuantizedMatrix {
+        let data = (0..self.k)
+            .flat_map(|kk| (0..self.n).map(move |j| self.get_wide(kk, j) as i8))
+            .collect();
+        QuantizedMatrix::from_raw(self.k, self.n, data, QuantParams { scale: self.scale })
+    }
+
     /// Logical shape `(k, n)` of the packed weight.
     pub fn shape(&self) -> (usize, usize) {
         (self.k, self.n)

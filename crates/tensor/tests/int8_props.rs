@@ -101,6 +101,31 @@ proptest! {
         );
         prop_assert_eq!(fp.nnz(), i8s.nnz());
     }
+
+    /// Packing is lossless: `to_quantized ∘ from_quantized` is the
+    /// identity on raw bytes and scale (odd `k`, ragged `n`, `k = 0`,
+    /// `n = 0` and a raw −128 included), and `from_quantized ∘
+    /// to_quantized` is the identity on panels, zero pads included —
+    /// what lets a model hold a projection only packed and still save
+    /// the bytes it loaded.
+    #[test]
+    fn packing_round_trips_bytes_and_panels(
+        k in 0usize..20,
+        n in 0usize..20,
+        seed in 0u64..1000,
+        scale in 0.001f32..2.0,
+    ) {
+        // Any i8 value; zeros become −128 so the raw minimum, which only
+        // a loaded payload can hold, occurs at every size.
+        let data = (0..k * n)
+            .map(|i| (i as u64 * 37 + seed * 101) as u8 as i8)
+            .map(|v| if v == 0 { i8::MIN } else { v })
+            .collect();
+        let q = QuantizedMatrix::from_raw(k, n, data, QuantParams { scale });
+        let packed = PackedGemmWeights::from_quantized(&q);
+        prop_assert_eq!(&packed.to_quantized(), &q);
+        prop_assert_eq!(&PackedGemmWeights::from_quantized(&packed.to_quantized()), &packed);
+    }
 }
 
 #[test]
