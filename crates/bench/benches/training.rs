@@ -1,16 +1,18 @@
-//! Training-path benchmark: what the `vitcod-train` subsystem buys over
-//! the per-sample, dense-`-inf`-masked loop it replaced.
+//! Training-path benchmark: what the pipeline's Step 2 finetune step
+//! (batched tape, masks frozen to CSC) buys over the per-sample,
+//! dense-`-inf`-masked loop it replaced.
 //!
 //! Run with `cargo bench -p vitcod-bench --bench training`; results are
 //! printed and recorded to `BENCH_training.json` at the workspace root.
-//! Three measurements, each with a gate:
+//! Every time is the best of [`vitcod_bench::timing::time_repeats`]'
+//! runs, with the median, MAD and repeat count recorded beside it.
+//! Three measurements, each with a gate on the best-of ratio:
 //!
 //! * **batched vs per-sample step throughput** at the trainable
 //!   substrate (DeiT-Tiny's reduced training shape) and 90 % sparsity,
-//!   batch 8: the subsystem's step (one stacked tape, masks frozen to
+//!   batch 8: `Trainer::train`'s step (one stacked tape, masks frozen to
 //!   CSC) must beat the loop it replaced (one `-inf`-masked
-//!   batch-of-one tape per sample, the pre-`vitcod-train` trainer) by
-//!   ≥ 1.3× — the batched
+//!   batch-of-one tape per sample) by ≥ 1.3× — the batched
 //!   tape amortises weight imports, per-op bookkeeping and backward
 //!   caches across the batch, and the frozen masks drop the dense
 //!   mask-bias arithmetic;
@@ -25,11 +27,11 @@
 //!   end-to-end margin is structural but small).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::{Adam, Optimizer, ParamStore, Tape};
+use vitcod_bench::timing::{time_repeats, Timing};
 use vitcod_core::prune_to_sparsity;
 use vitcod_model::{
     AttentionStats, Sample, SparsityPlan, TrainConfig, ViTConfig, VisionTransformer,
@@ -43,17 +45,14 @@ const BATCHED_GATE: f64 = 1.3;
 const ATTENTION_GATE: f64 = 1.2;
 const FULL_STEP_GATE: f64 = 1.0;
 
-/// Times `f` over `runs` invocations (after one warm-up) and returns the
-/// best observed seconds per invocation.
-fn time_best(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+/// `"{column}_s"` (best), median, MAD and repeats of one timed column,
+/// as JSON fields.
+fn columns(column: &str, t: &Timing) -> String {
+    format!(
+        "\"{column}_s\": {:.6}, \"{column}_median_s\": {:.6}, \"{column}_mad_s\": {:.6}, \
+         \"{column}_repeats\": {}",
+        t.best_s, t.median_s, t.mad_s, t.repeats
+    )
 }
 
 /// Builds a model at `cfg` with a 90 % sparsity plan installed (from the
@@ -197,7 +196,7 @@ fn main() {
 
     let mut ps_store = store.clone();
     let mut ps_opt = Adam::new(train_cfg.lr);
-    let per_sample_s = time_best(20, || {
+    let per_sample = time_repeats(None, || {
         std::hint::black_box(per_sample_step(
             &masked_substrate,
             &mut ps_store,
@@ -208,7 +207,7 @@ fn main() {
     });
     let mut b_store = store.clone();
     let mut b_opt = Adam::new(train_cfg.lr);
-    let batched_s = time_best(20, || {
+    let batched = time_repeats(None, || {
         std::hint::black_box(batched_step(
             &frozen_substrate,
             &mut b_store,
@@ -217,7 +216,7 @@ fn main() {
             train_cfg.clip_norm,
         ));
     });
-    let batched_speedup = per_sample_s / batched_s;
+    let batched_speedup = per_sample.best_s / batched.best_s;
     println!(
         "substrate ({} tokens, {} dim, {} heads x {} layers) @ {:.0}% sparse, batch {BATCH}:",
         substrate.tokens,
@@ -228,13 +227,13 @@ fn main() {
     );
     println!(
         "  per-sample -inf-masked step (replaced loop) {:>8.3} ms  ({:.1} samples/s)",
-        per_sample_s * 1e3,
-        BATCH as f64 / per_sample_s
+        per_sample.best_s * 1e3,
+        BATCH as f64 / per_sample.best_s
     );
     println!(
-        "  batched frozen-sparse step (vitcod-train)   {:>8.3} ms  ({:.1} samples/s)  -> {batched_speedup:.2}x\n",
-        batched_s * 1e3,
-        BATCH as f64 / batched_s
+        "  batched frozen-sparse step (Trainer::train) {:>8.3} ms  ({:.1} samples/s)  -> {batched_speedup:.2}x\n",
+        batched.best_s * 1e3,
+        BATCH as f64 / batched.best_s
     );
 
     // ------------------------------------------------------------------
@@ -266,7 +265,7 @@ fn main() {
     // Both sides walk the heads in index order over the same column
     // stripes; only the per-head kernels differ.
     let stripe = |m: &Matrix, h: usize| m.submatrix(0, n, h * dk, (h + 1) * dk);
-    let masked_attn_s = time_best(5, || {
+    let masked_attn = time_repeats(None, || {
         for (h, bias) in biases.iter().enumerate() {
             let (qh, kh, vh, gh) = (
                 stripe(&q, h),
@@ -281,7 +280,7 @@ fn main() {
             ));
         }
     });
-    let sparse_attn_s = time_best(5, || {
+    let sparse_attn = time_repeats(None, || {
         for (h, csc) in cscs.iter().enumerate() {
             let (qh, kh, vh, gh) = (
                 stripe(&q, h),
@@ -296,15 +295,15 @@ fn main() {
             ));
         }
     });
-    let attention_speedup = masked_attn_s / sparse_attn_s;
+    let attention_speedup = masked_attn.best_s / sparse_attn.best_s;
     println!(
         "attention step ({n} tokens x {heads} heads, dk {dk}, {:.1}% actual sparsity):",
         (1.0 - nnz as f64 / (heads * n * n) as f64) * 100.0
     );
-    println!("  dense -inf masked {:>8.3} ms", masked_attn_s * 1e3);
+    println!("  dense -inf masked {:>8.3} ms", masked_attn.best_s * 1e3);
     println!(
         "  sparse CSC        {:>8.3} ms  -> {attention_speedup:.2}x\n",
-        sparse_attn_s * 1e3
+        sparse_attn.best_s * 1e3
     );
 
     // ------------------------------------------------------------------
@@ -317,7 +316,7 @@ fn main() {
     let (masked_model, masked_store) = sparse_model(&full, full_in_dim, 10, false, false);
     let mut m_store = masked_store.clone();
     let mut m_opt = Adam::new(train_cfg.lr);
-    let masked_step_s = time_best(3, || {
+    let masked_step = time_repeats(None, || {
         std::hint::black_box(batched_step(
             &masked_model,
             &mut m_store,
@@ -329,7 +328,7 @@ fn main() {
     let (frozen_model, frozen_store) = sparse_model(&full, full_in_dim, 10, false, true);
     let mut f_store = frozen_store.clone();
     let mut f_opt = Adam::new(train_cfg.lr);
-    let sparse_step_s = time_best(3, || {
+    let sparse_step = time_repeats(None, || {
         std::hint::black_box(batched_step(
             &frozen_model,
             &mut f_store,
@@ -338,15 +337,15 @@ fn main() {
             train_cfg.clip_norm,
         ));
     });
-    let full_step_speedup = masked_step_s / sparse_step_s;
+    let full_step_speedup = masked_step.best_s / sparse_step.best_s;
     println!(
         "full finetune step (DeiT-Tiny, {n} tokens, {} dim):",
         full.dim
     );
-    println!("  dense -inf masked {:>8.1} ms", masked_step_s * 1e3);
+    println!("  dense -inf masked {:>8.1} ms", masked_step.best_s * 1e3);
     println!(
         "  sparse CSC        {:>8.1} ms  -> {full_step_speedup:.2}x\n",
-        sparse_step_s * 1e3
+        sparse_step.best_s * 1e3
     );
 
     // ------------------------------------------------------------------
@@ -354,17 +353,23 @@ fn main() {
     // ------------------------------------------------------------------
     let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_training.json");
     let json = format!(
-        "{{\n  \"bench\": \"training\",\n  \"threads\": {},\n  \"batch\": {BATCH},\n  \
-         \"sparsity\": {SPARSITY},\n  \"batched\": {{\"shape\": \"substrate {st} tokens x {sd} dim\", \
-         \"per_sample_step_s\": {per_sample_s:.6}, \"batched_step_s\": {batched_s:.6}, \
+        "{{\n  \"bench\": \"training\",\n  \"threads\": {},\n  \"caveats\": \"1 compute thread on \
+         a shared 2-vCPU box that slows every process by 40-50 % for seconds at a time; *_s is the \
+         best of the repeats (what the speedups and gates compare), median and MAD sit beside \
+         it\",\n  \"batch\": {BATCH},\n  \"sparsity\": {SPARSITY},\n  \
+         \"batched\": {{\"shape\": \"substrate {st} tokens x {sd} dim\", {}, {}, \
          \"speedup\": {batched_speedup:.3}, \"gate\": {BATCHED_GATE}}},\n  \
-         \"attention_step\": {{\"shape\": \"{n} tokens x {heads} heads x dk {dk}\", \
-         \"masked_s\": {masked_attn_s:.6}, \"sparse_s\": {sparse_attn_s:.6}, \
+         \"attention_step\": {{\"shape\": \"{n} tokens x {heads} heads x dk {dk}\", {}, {}, \
          \"speedup\": {attention_speedup:.3}, \"gate\": {ATTENTION_GATE}}},\n  \
-         \"full_step\": {{\"shape\": \"DeiT-Tiny {n} tokens x {fd} dim\", \
-         \"masked_s\": {masked_step_s:.6}, \"sparse_s\": {sparse_step_s:.6}, \
+         \"full_step\": {{\"shape\": \"DeiT-Tiny {n} tokens x {fd} dim\", {}, {}, \
          \"speedup\": {full_step_speedup:.3}, \"gate\": {FULL_STEP_GATE}}}\n}}\n",
         kernels::num_threads(),
+        columns("per_sample_step", &per_sample),
+        columns("batched_step", &batched),
+        columns("masked", &masked_attn),
+        columns("sparse", &sparse_attn),
+        columns("masked", &masked_step),
+        columns("sparse", &sparse_step),
         st = substrate.tokens,
         sd = substrate.dim,
         fd = full.dim,

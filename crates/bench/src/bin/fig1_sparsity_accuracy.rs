@@ -10,13 +10,8 @@
 //! dynamic sparse attention, reproduced here as the published trend
 //! since no NLP training stack is in scope).
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use vitcod_autograd::ParamStore;
-use vitcod_core::{SplitConquer, SplitConquerConfig};
-use vitcod_model::{
-    SyntheticTask, SyntheticTaskConfig, TrainConfig, Trainer, ViTConfig, VisionTransformer,
-};
+use vitcod_core::{PipelineConfig, SplitConquerConfig, ViTCoDPipeline};
+use vitcod_model::{SyntheticTask, SyntheticTaskConfig, TrainConfig, ViTConfig};
 
 fn main() {
     let task = SyntheticTask::generate(SyntheticTaskConfig::default());
@@ -30,46 +25,39 @@ fn main() {
         }
         .reduced_for_training();
 
-        // "Pretrained" dense model (seed varied per model).
-        let mut store = ParamStore::new();
-        let seed = 0xF161 ^ name.len() as u64;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let vit = VisionTransformer::new(
-            &base_cfg,
-            task.config.in_dim,
-            task.config.num_classes,
-            &mut store,
-            &mut rng,
-        );
-        let mut base = Trainer::new(vit, store);
-        base.train(
-            &task,
-            &TrainConfig {
+        // "Pretrained" dense model (seed varied per model): the pipeline
+        // with both steps skipped.
+        let finetune = TrainConfig {
+            epochs: 6,
+            lr: 1e-3,
+            ..Default::default()
+        };
+        let dense = ViTCoDPipeline::new(PipelineConfig {
+            model: base_cfg,
+            pretrain: TrainConfig {
                 epochs: 14,
                 ..Default::default()
             },
-        );
-        let dense_acc = base.evaluate(&task.test);
+            finetune,
+            auto_encoder: None,
+            split_conquer: None,
+            seed: 0xF161 ^ name.len() as u64,
+        })
+        .run(&task);
+        let (base, dense_acc) = (dense.trainer, dense.dense_accuracy);
         println!(
             "{name} (reduced twin) — dense accuracy {:.1}%",
             dense_acc * 100.0
         );
         println!("  {:>9} {:>10} {:>9}", "sparsity", "accuracy", "drop");
 
-        let maps = base.averaged_attention_maps(&task);
         for &s in &sparsities {
-            let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(s));
-            let heads = sc.apply(&maps);
-            let plan = SplitConquer::to_sparsity_plan(&heads);
             let mut finetuned = base.clone();
-            finetuned.model_mut().set_sparsity_plan(plan);
-            finetuned.train(
+            ViTCoDPipeline::finetune_sparse(
+                &mut finetuned,
                 &task,
-                &TrainConfig {
-                    epochs: 6,
-                    lr: 1e-3,
-                    ..Default::default()
-                },
+                SplitConquerConfig::with_sparsity(s),
+                &finetune,
             );
             let acc = finetuned.evaluate(&task.test);
             println!(

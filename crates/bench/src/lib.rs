@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod load;
+pub mod timing;
 
 use vitcod_core::{
     compile_model, AcceleratorProgram, AutoEncoderConfig, PolarizedHead, SplitConquer,

@@ -19,9 +19,10 @@
 //!   accelerator's sparser engine pre-loads;
 //! * [`AutoEncoderConfig`] — the data-movement accounting of the
 //!   learnable Q/K auto-encoder (Sec. IV-C);
-//! * [`ViTCoDPipeline`] — the unified two-step pipeline (Fig. 10): insert
-//!   AE modules → finetune → split-and-conquer → finetune, driving the
-//!   trainable substrate from [`vitcod_model`];
+//! * [`ViTCoDPipeline`] — the unified two-step pipeline (Fig. 10) and
+//!   its only driver: insert AE modules → finetune → split-and-conquer →
+//!   freeze the masks to CSC → finetune on the sparse dataflow, driving
+//!   the trainable substrate from [`vitcod_model`];
 //! * [`compile_model`] — the network-parser + hardware-compiler interface
 //!   (Fig. 14) that lowers a sparsified model into the per-layer
 //!   [`AcceleratorProgram`] consumed by the simulator;

@@ -2,11 +2,13 @@
 //!
 //! Input: a pretrained ViT. Step 1: insert auto-encoder modules and
 //! finetune. Step 2: run split-and-conquer on the averaged attention
-//! maps, fix the resulting sparse masks, and finetune again to restore
-//! accuracy. The pipeline here drives the trainable substrate from
-//! [`vitcod_model`] on a synthetic task (the documented ImageNet
-//! substitution) and reports every intermediate the paper's algorithm
-//! figures need.
+//! maps, fix the resulting sparse masks — here that means freezing them
+//! to the per-head CSC indexes the accelerator pre-loads, so the
+//! finetune runs the SDDMM → sparse-softmax → SpMM dataflow forward and
+//! backward — and finetune again to restore accuracy. The pipeline here
+//! drives the trainable substrate from [`vitcod_model`] on a synthetic
+//! task (the documented ImageNet substitution) and reports every
+//! intermediate the paper's algorithm figures need.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -120,7 +122,7 @@ impl ViTCoDPipeline {
     }
 
     /// Executes: pretrain → (insert AE, finetune) → (split-and-conquer,
-    /// finetune).
+    /// freeze the masks to CSC, finetune).
     pub fn run(&self, task: &SyntheticTask) -> PipelineReport {
         let cfg = &self.config;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -145,18 +147,12 @@ impl ViTCoDPipeline {
             trainer.train(task, &cfg.finetune)
         });
 
-        // Step 2: split-and-conquer on averaged maps, finetune.
-        let mut polarized = Vec::new();
-        let mut achieved_sparsity = 0.0;
-        let sparse_trajectory = cfg.split_conquer.map(|sc_cfg| {
-            let maps = trainer.averaged_attention_maps(task);
-            let sc = SplitConquer::new(sc_cfg);
-            polarized = sc.apply(&maps);
-            achieved_sparsity = SplitConquer::mean_sparsity(&polarized);
-            let plan = SplitConquer::to_sparsity_plan(&polarized);
-            trainer.model_mut().set_sparsity_plan(plan);
-            trainer.train(task, &cfg.finetune)
-        });
+        // Step 2: split-and-conquer on averaged maps, freeze, finetune.
+        let (polarized, sparse_trajectory) = cfg
+            .split_conquer
+            .map(|sc_cfg| Self::finetune_sparse(&mut trainer, task, sc_cfg, &cfg.finetune))
+            .unzip();
+        let polarized = polarized.unwrap_or_default();
 
         let final_accuracy = trainer.evaluate(&task.test);
         PipelineReport {
@@ -165,10 +161,33 @@ impl ViTCoDPipeline {
             ae_trajectory,
             sparse_trajectory,
             final_accuracy,
-            achieved_sparsity,
+            achieved_sparsity: SplitConquer::mean_sparsity(&polarized),
             polarized,
             trainer,
         }
+    }
+
+    /// Step 2 of Fig. 10 on an already-warm `trainer`: split-and-conquer
+    /// on its averaged attention maps, install the masks and freeze them
+    /// to per-head CSC indexes
+    /// ([`VisionTransformer::freeze_sparse_attention`]), then finetune —
+    /// every masked head runs the sparse dataflow in the forward and the
+    /// backward pass, so a step's attention cost follows the mask
+    /// density instead of `n²`. Returns the split-and-conquer output per
+    /// `[layer][head]` and the finetune trajectory.
+    pub fn finetune_sparse(
+        trainer: &mut Trainer,
+        task: &SyntheticTask,
+        split_conquer: SplitConquerConfig,
+        finetune: &TrainConfig,
+    ) -> (Vec<Vec<PolarizedHead>>, Trajectory) {
+        let maps = trainer.averaged_attention_maps(task);
+        let polarized = SplitConquer::new(split_conquer).apply(&maps);
+        let model = trainer.model_mut();
+        model.set_sparsity_plan(SplitConquer::to_sparsity_plan(&polarized));
+        model.freeze_sparse_attention();
+        let trajectory = trainer.train(task, finetune);
+        (polarized, trajectory)
     }
 }
 
@@ -219,6 +238,7 @@ mod tests {
         );
         assert!(!report.polarized.is_empty());
         assert!(report.trainer.model().has_masks());
+        assert!(report.trainer.model().has_frozen_sparse());
         assert!(report.trainer.model().has_auto_encoder());
     }
 
@@ -238,7 +258,59 @@ mod tests {
         let task = quick_task();
         let report = ViTCoDPipeline::new(quick_cfg(false, true)).run(&task);
         assert!(report.trainer.model().has_masks());
+        assert!(report.trainer.model().has_frozen_sparse());
         assert!(!report.trainer.model().has_auto_encoder());
         assert!(report.achieved_sparsity > 0.7);
+    }
+
+    /// The dense `-inf`-biased attention is the oracle of the frozen CSC
+    /// dataflow: under one plan and one schedule the two finetunes agree
+    /// to the bit, in every epoch's loss and every parameter.
+    #[test]
+    fn frozen_finetune_is_bit_identical_to_the_masked_oracle() {
+        let task = quick_task();
+        let mut masked = ViTCoDPipeline::new(quick_cfg(false, false))
+            .run(&task)
+            .trainer;
+        let maps = masked.averaged_attention_maps(&task);
+        let polarized = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9)).apply(&maps);
+        masked
+            .model_mut()
+            .set_sparsity_plan(SplitConquer::to_sparsity_plan(&polarized));
+        let mut frozen = masked.clone();
+        let heads = masked.model().config().depth * masked.model().config().heads;
+        assert_eq!(frozen.model_mut().freeze_sparse_attention(), heads);
+        assert!(!masked.model().has_frozen_sparse());
+
+        let finetune = quick_cfg(false, true).finetune;
+        let masked_trajectory = masked.train(&task, &finetune);
+        let frozen_trajectory = frozen.train(&task, &finetune);
+        assert_eq!(frozen_trajectory.epochs.len(), 3);
+        for (m, f) in masked_trajectory
+            .epochs
+            .iter()
+            .zip(&frozen_trajectory.epochs)
+        {
+            assert_eq!(
+                m.train_loss.to_bits(),
+                f.train_loss.to_bits(),
+                "epoch {}: masked {} vs frozen {}",
+                m.epoch,
+                m.train_loss,
+                f.train_loss
+            );
+        }
+        for id in masked.store().ids() {
+            let bits = |store: &ParamStore| -> Vec<u32> {
+                let values = store.value(id).as_slice();
+                values.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(masked.store()),
+                bits(frozen.store()),
+                "parameter {} differs",
+                masked.store().name(id)
+            );
+        }
     }
 }

@@ -475,19 +475,4 @@ impl CompiledVit {
             num_classes,
         })
     }
-
-    /// Saves this model as fp32 text ([`save_compiled_vit`] shorthand).
-    pub fn save(&self) -> String {
-        save_compiled_vit(self, Precision::Fp32)
-    }
-
-    /// Loads a model saved by [`CompiledVit::save`] /
-    /// [`save_compiled_vit`], discarding the stored precision tag.
-    ///
-    /// # Errors
-    ///
-    /// See [`load_compiled_vit`].
-    pub fn load(text: &str) -> Result<Self, ArtifactError> {
-        load_compiled_vit(text).map(|(model, _)| model)
-    }
 }

@@ -18,8 +18,8 @@
 //! model is the smaller one in memory as well as on disk.
 
 use vitcod_autograd::ParamStore;
-use vitcod_core::{CscMatrix, PipelineReport, PolarizedHead};
-use vitcod_model::{Sample, Trainer, ViTConfig, VisionTransformer};
+use vitcod_core::CscMatrix;
+use vitcod_model::{Sample, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::LANES;
 use vitcod_tensor::{Matrix, PackedGemmWeights, QuantizedMatrix};
 
@@ -140,9 +140,10 @@ pub struct CompiledLayer {
 
 /// A Vision Transformer frozen for inference.
 ///
-/// Build one with [`CompiledVit::from_trainer`] (or
-/// [`crate::CompileReport::compile`] on a finished
-/// [`PipelineReport`]), then serve it through [`crate::Engine`].
+/// Build one with [`CompiledVit::from_parts`] — after a finished
+/// [`vitcod_core::ViTCoDPipeline`] run that is
+/// `CompiledVit::from_parts(report.trainer.model(), report.trainer.store())`
+/// — then serve it through [`crate::Engine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledVit {
     pub(crate) cfg: ViTConfig,
@@ -169,41 +170,20 @@ impl CompiledVit {
     /// (each 0/1 mask is compiled to a CSC index); heads without a mask
     /// stay dense.
     pub fn from_parts(model: &VisionTransformer, store: &ParamStore) -> Self {
-        let plans = Self::plans_from_model(model);
-        Self::from_parts_with_plans(model, store, plans)
-    }
-
-    /// Consumes a [`Trainer`] and freezes its model — the natural hand-off
-    /// point from training to serving.
-    pub fn from_trainer(trainer: Trainer) -> Self {
-        let (model, store) = trainer.into_parts();
-        Self::from_parts(&model, &store)
-    }
-
-    /// Freezes `model` with explicit per-`[layer][head]` plans (used by
-    /// the pipeline compiler, which derives CSC indexes straight from its
-    /// [`PolarizedHead`]s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plans` does not cover every `(layer, head)` or a CSC
-    /// index size differs from the token count.
-    pub fn from_parts_with_plans(
-        model: &VisionTransformer,
-        store: &ParamStore,
-        plans: Vec<Vec<HeadPlan>>,
-    ) -> Self {
         let cfg = model.config().clone();
-        assert_eq!(plans.len(), cfg.depth, "plans must cover all layers");
+        let plan = model.sparsity_plan();
         let layers = (0..cfg.depth)
-            .zip(plans)
-            .map(|(l, heads)| {
-                assert_eq!(heads.len(), cfg.heads, "layer {l} must cover all heads");
-                for h in &heads {
-                    if let HeadPlan::Sparse(csc) = h {
-                        assert_eq!(csc.size(), cfg.tokens, "CSC size must match tokens");
-                    }
-                }
+            .map(|l| {
+                let heads = (0..cfg.heads)
+                    .map(|h| match plan.and_then(|p| p[l][h].as_ref()) {
+                        Some(m) => {
+                            HeadPlan::Sparse(CscMatrix::from_indicator(cfg.tokens, |q, k| {
+                                m.get(q, k) != 0.0
+                            }))
+                        }
+                        None => HeadPlan::Dense,
+                    })
+                    .collect();
                 let b = model.block_modules(l);
                 let wq = store.value(b.wq.weight());
                 let wk = store.value(b.wk.weight());
@@ -247,47 +227,6 @@ impl CompiledVit {
             head_b: row_vec(store, model.classifier().bias()),
             cfg,
         }
-    }
-
-    /// Per-head plans from a model's installed sparsity plan (dense
-    /// everywhere when no plan is installed).
-    fn plans_from_model(model: &VisionTransformer) -> Vec<Vec<HeadPlan>> {
-        let cfg = model.config();
-        let n = cfg.tokens;
-        (0..cfg.depth)
-            .map(|l| {
-                (0..cfg.heads)
-                    .map(|h| {
-                        match model
-                            .sparsity_plan()
-                            .and_then(|p| p.get(l))
-                            .and_then(|layer| layer.get(h))
-                            .and_then(|m| m.as_ref())
-                        {
-                            Some(m) => HeadPlan::Sparse(CscMatrix::from_indicator(n, |q, k| {
-                                m.get(q, k) != 0.0
-                            })),
-                            None => HeadPlan::Dense,
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Per-head plans from split-and-conquer output: each head's pruned
-    /// mask (original token order — what finetuning used) becomes its CSC
-    /// index.
-    pub fn plans_from_polarized(polarized: &[Vec<PolarizedHead>]) -> Vec<Vec<HeadPlan>> {
-        polarized
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|h| HeadPlan::Sparse(CscMatrix::from_mask(&h.pruned)))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Model configuration the artifact was compiled from.
@@ -414,26 +353,6 @@ impl CompiledVit {
             }
         }
         scalars
-    }
-}
-
-/// Extension trait turning a finished training pipeline into the serving
-/// artifact: `report.compile()` is the boundary between the two worlds.
-pub trait CompileReport {
-    /// Freezes the pipeline's finetuned model into a [`CompiledVit`],
-    /// compiling each polarized head's pruned mask to a CSC index.
-    fn compile(self) -> CompiledVit;
-}
-
-impl CompileReport for PipelineReport {
-    fn compile(self) -> CompiledVit {
-        let (model, store) = self.trainer.into_parts();
-        if self.polarized.is_empty() {
-            CompiledVit::from_parts(&model, &store)
-        } else {
-            let plans = CompiledVit::plans_from_polarized(&self.polarized);
-            CompiledVit::from_parts_with_plans(&model, &store, plans)
-        }
     }
 }
 

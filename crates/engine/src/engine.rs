@@ -138,14 +138,15 @@ impl EngineBuilder {
 ///
 /// ```no_run
 /// use vitcod_core::{PipelineConfig, ViTCoDPipeline};
-/// use vitcod_engine::{CompileReport, Engine, Precision};
+/// use vitcod_engine::{CompiledVit, Engine, Precision};
 /// use vitcod_model::{SyntheticTask, SyntheticTaskConfig, ViTConfig};
 ///
 /// let task = SyntheticTask::generate(SyntheticTaskConfig::default());
 /// let cfg = PipelineConfig::paper_default(
 ///     ViTConfig::deit_tiny().reduced_for_training());
 /// let report = ViTCoDPipeline::new(cfg).run(&task);
-/// let engine = Engine::builder(report.compile())
+/// let compiled = CompiledVit::from_parts(report.trainer.model(), report.trainer.store());
+/// let engine = Engine::builder(compiled)
 ///     .precision(Precision::Fp32)
 ///     .build();
 /// let predictions = engine.infer_batch(&task.test);

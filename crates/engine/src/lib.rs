@@ -11,8 +11,9 @@
 //!   [`vitcod_model::Trainer`] into inference layout (per-layer fused
 //!   QKV projections) plus one [`HeadPlan`] per attention head: dense,
 //!   or a pre-compiled CSC index for the accelerator's sparse dataflow.
-//!   [`CompileReport::compile`] produces it straight from a finished
-//!   [`vitcod_core::PipelineReport`].
+//!   [`CompiledVit::from_parts`] is the one compile seam: after a
+//!   [`vitcod_core::ViTCoDPipeline`] run it indexes the very masks
+//!   Step 2 froze to CSC and finetuned on.
 //! * [`Engine`] — built via `Engine::builder(compiled).precision(..)`;
 //!   backend and thread budget are the caller's
 //!   ([`vitcod_tensor::kernels`]). [`Engine::infer_batch`] runs a tape-free forward that fans samples
@@ -46,8 +47,6 @@ mod engine;
 pub mod profile;
 
 pub use artifact::{load_compiled_vit, save_compiled_vit, ArtifactError};
-pub use compiled::{
-    accuracy, CompileReport, CompiledAe, CompiledLayer, CompiledVit, HeadPlan, SiteWeight,
-};
+pub use compiled::{accuracy, CompiledAe, CompiledLayer, CompiledVit, HeadPlan, SiteWeight};
 pub use engine::{Engine, EngineBuilder, Precision, Prediction};
 pub use profile::{LayerOps, OpProfile, OP_COUNT, OP_NAMES};

@@ -14,11 +14,12 @@ use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::{ParamStore, Tape};
 use vitcod_core::{PipelineConfig, SplitConquerConfig, ViTCoDPipeline};
 use vitcod_engine::{
-    accuracy, CompileReport, CompiledVit, Engine, OpProfile, Precision, Prediction, OP_NAMES,
+    accuracy, load_compiled_vit, save_compiled_vit, CompiledVit, Engine, OpProfile, Precision,
+    Prediction, OP_NAMES,
 };
 use vitcod_model::{
     AutoEncoderSpec, Sample, SparsityPlan, StageConfig, SyntheticTask, SyntheticTaskConfig,
-    TrainConfig, Trainer, ViTConfig, VisionTransformer,
+    TrainConfig, ViTConfig, VisionTransformer,
 };
 use vitcod_tensor::{kernels, Backend, Initializer, Matrix};
 
@@ -262,18 +263,41 @@ fn pipeline_report_compiles_and_serves_above_chance() {
             lr: 1e-3,
             ..Default::default()
         },
-        model,
+        model: model.clone(),
         seed: 11,
     };
     let report = ViTCoDPipeline::new(cfg).run(&task);
     let tape_accuracy = report.final_accuracy;
-    let compiled = report.compile();
-    assert!(compiled.num_sparse_heads() > 0);
-    let engine = Engine::builder(compiled).build();
+    let trainer = &report.trainer;
+    // Step 2 finetuned on the CSC indexes the engine will serve.
+    assert!(trainer.model().has_frozen_sparse());
+    let compiled = CompiledVit::from_parts(trainer.model(), trainer.store());
+    assert_eq!(compiled.num_sparse_heads(), model.depth * model.heads);
+    let engine = Engine::builder(compiled.clone()).build();
     let predictions = engine.infer_batch(&task.test);
+
+    // The on-disk round trip keeps the plans and serves the same bits.
+    let text = save_compiled_vit(&compiled, Precision::Fp32);
+    let (loaded, _) = load_compiled_vit(&text).expect("artifact parses");
+    assert_eq!(loaded.num_sparse_heads(), compiled.num_sparse_heads());
+    let reloaded = Engine::builder(loaded).build().infer_batch(&task.test);
+    assert_eq!(predictions, reloaded, "reloaded engine is not bit-exact");
+
+    // The finetuned weights flow unchanged into serving: the engine
+    // agrees with the trainer's frozen-sparse tape forward per logit.
+    for (i, sample) in task.test.iter().take(4).enumerate() {
+        let expected = tape_logits(trainer.model(), trainer.store(), &sample.tokens);
+        for (c, (&tape, &served)) in expected.iter().zip(&predictions[i].logits).enumerate() {
+            assert!(
+                (tape - served).abs() < 1e-4,
+                "sample {i} logit {c}: tape {tape} vs engine {served}"
+            );
+        }
+    }
+
     let engine_accuracy = accuracy(&predictions, &task.test);
-    // The engine's sparse forward and the tape's -inf-masked evaluation
-    // agree to 1e-4 per logit, so accuracies are essentially equal.
+    // The engine's and the tape's sparse forwards agree to 1e-4 per
+    // logit, so accuracies are essentially equal.
     assert!(
         (engine_accuracy - tape_accuracy).abs() <= 1.5 / task.test.len() as f32,
         "engine {engine_accuracy} vs tape {tape_accuracy}"
@@ -425,17 +449,4 @@ fn approx_ops_per_sample_tracks_sparsity() {
     let f = vit.config().flops();
     let floor = dense_ops - 2.0 * f.attention_core() as f64 - f.softmax_ops as f64;
     assert!(sparse_ops >= floor);
-}
-
-#[test]
-fn from_trainer_equals_from_parts() {
-    let (vit, store) = tiny_model(8);
-    let a = CompiledVit::from_parts(&vit, &store);
-    let trainer = Trainer::new(vit.clone(), store);
-    let b = CompiledVit::from_trainer(trainer);
-    let tokens = random_tokens(&vit, 800);
-    assert_eq!(
-        Engine::builder(a).build().infer_one(&tokens),
-        Engine::builder(b).build().infer_one(&tokens)
-    );
 }

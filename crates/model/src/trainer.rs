@@ -18,7 +18,8 @@ pub struct TrainConfig {
     pub min_lr: f32,
     /// Decoupled weight decay.
     pub weight_decay: f32,
-    /// Gradient-accumulation batch size.
+    /// Minibatch size: this many samples are stacked into each step's
+    /// one batched tape. Must be at least 1.
     pub batch_size: usize,
     /// Weight of the AE reconstruction loss in the total loss (Eq. 2).
     pub recon_weight: f32,
@@ -139,11 +140,6 @@ impl Trainer {
         &mut self.store
     }
 
-    /// Consumes the trainer, returning the model and store.
-    pub fn into_parts(self) -> (VisionTransformer, ParamStore) {
-        (self.model, self.store)
-    }
-
     /// Installs ViTCoD auto-encoder modules into the wrapped model
     /// (borrow-splitting convenience over
     /// [`VisionTransformer::insert_auto_encoder`]).
@@ -163,12 +159,16 @@ impl Trainer {
     /// per-element reduction order, the step's loss and gradients are
     /// bit-identical across backends and worker counts.
     ///
-    /// Optimizer steps always consume batch-**mean** gradients. (The
-    /// replaced per-sample loop only rescaled the summed gradients when
-    /// `clip_norm` was set; with `clip_norm: None` it stepped on the
-    /// batch *sum*, so learning rates tuned against that unclipped
-    /// configuration are effectively multiplied by `batch_size` here.)
+    /// Optimizer steps always consume batch-**mean** gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.batch_size` is 0.
     pub fn train(&mut self, task: &SyntheticTask, cfg: &TrainConfig) -> Trajectory {
+        assert!(
+            cfg.batch_size >= 1,
+            "TrainConfig::batch_size must be at least 1"
+        );
         let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
         let mut trajectory = Trajectory::default();
         let steps_per_epoch = task.train.len().div_ceil(cfg.batch_size).max(1);
@@ -322,6 +322,17 @@ mod tests {
             "best accuracy {} not above chance",
             traj.best_accuracy()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig::batch_size must be at least 1")]
+    fn zero_batch_size_is_rejected_by_name() {
+        let task = small_task();
+        let cfg = TrainConfig {
+            batch_size: 0,
+            ..Default::default()
+        };
+        make_trainer(&task, 4).train(&task, &cfg);
     }
 
     #[test]

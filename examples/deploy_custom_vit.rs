@@ -15,7 +15,7 @@ use vitcod::core::{
     compile_model, AutoEncoderConfig, PipelineConfig, SplitConquer, SplitConquerConfig,
     ViTCoDPipeline,
 };
-use vitcod::engine::{accuracy, CompileReport, Engine, Precision};
+use vitcod::engine::{accuracy, CompiledVit, Engine, Precision};
 use vitcod::model::{
     AttentionStats, ModelFamily, StageConfig, SyntheticTask, SyntheticTaskConfig, TrainConfig,
     ViTConfig,
@@ -94,7 +94,7 @@ fn main() {
         report.final_accuracy * 100.0,
         report.achieved_sparsity * 100.0
     );
-    let compiled = report.compile();
+    let compiled = CompiledVit::from_parts(report.trainer.model(), report.trainer.store());
     let engine = Engine::builder(compiled).precision(Precision::Int8).build();
     let predictions = engine.infer_batch(&task.test);
     println!(

@@ -12,14 +12,15 @@ use vitcod::core::{
     compile_model, AutoEncoderConfig, PipelineConfig, SplitConquer, SplitConquerConfig,
     ViTCoDPipeline,
 };
-use vitcod::engine::{accuracy, CompileReport, Engine, Precision};
+use vitcod::engine::{accuracy, CompiledVit, Engine, Precision};
 use vitcod::model::{SyntheticTask, SyntheticTaskConfig, TrainConfig, ViTConfig};
 use vitcod::sim::{AcceleratorConfig, ViTCoDAccelerator};
 
 fn main() {
     // 1. Train: run the paper's pipeline (pretrain → insert AE, finetune
-    //    → split-and-conquer, finetune) on a synthetic task with a
-    //    reduced DeiT-Tiny twin, so the example finishes in seconds.
+    //    → split-and-conquer, freeze the masks to CSC, finetune) on a
+    //    synthetic task with a reduced DeiT-Tiny twin, so the example
+    //    finishes in seconds.
     let task = SyntheticTask::generate(SyntheticTaskConfig::default());
     let model = ViTConfig::deit_tiny().reduced_for_training();
     let mut cfg = PipelineConfig::paper_default(model.clone());
@@ -54,9 +55,9 @@ fn main() {
     let dense_heads = SplitConquer::new(SplitConquerConfig::with_sparsity(0.0)).apply(&maps);
     let dense_prog = compile_model(&model, &dense_heads, None);
 
-    // 3. Compile: freeze the finetuned weights and per-head CSC indexes
-    //    into the serve-many artifact.
-    let compiled = report.compile();
+    // 3. Compile: freeze the finetuned weights and the per-head CSC
+    //    indexes Step 2 trained on into the serve-many artifact.
+    let compiled = CompiledVit::from_parts(report.trainer.model(), report.trainer.store());
     println!(
         "compiled artifact: {} weight scalars, {} sparse heads, {:.1}% mean attention sparsity",
         compiled.num_weight_scalars(),

@@ -1,8 +1,8 @@
 //! The full ViTCoD algorithm pipeline (paper Fig. 10) on a trainable
 //! model: pretrain a small ViT on a synthetic vision task, insert the
-//! learnable Q/K auto-encoder and finetune, then apply split-and-conquer
-//! and finetune again — verifying the accuracy survives 90 % attention
-//! sparsity.
+//! learnable Q/K auto-encoder and finetune, then apply split-and-conquer,
+//! freeze the masks to CSC indexes and finetune again on the sparse
+//! dataflow — verifying the accuracy survives 90 % attention sparsity.
 //!
 //! Run with: `cargo run --example train_sparse_vit --release`
 
@@ -34,7 +34,9 @@ fn main() {
         ..Default::default()
     };
 
-    println!("\nrunning: pretrain -> insert AE + finetune -> split&conquer + finetune ...");
+    println!(
+        "\nrunning: pretrain -> insert AE + finetune -> split&conquer + freeze + finetune ..."
+    );
     let report = ViTCoDPipeline::new(cfg).run(&task);
 
     println!("\nresults:");

@@ -9,17 +9,16 @@
 //! * [`model`] — ViT configurations, FLOPs accounting, the trainable
 //!   substrate and synthetic tasks;
 //! * [`core`] — the ViTCoD algorithm (split-and-conquer, auto-encoder
-//!   accounting, formats, pipeline, compiler interface);
+//!   accounting, formats, compiler interface) and its one driver,
+//!   [`core::ViTCoDPipeline`]: pretrain → insert AE, finetune →
+//!   split-and-conquer, freeze the masks to CSC, finetune on the
+//!   nnz-scaled sparse forward and backward kernels;
 //! * [`sim`] — the cycle-level accelerator simulator, functional
 //!   dataflow executors, schedules, buffers, energy/area/roofline;
 //! * [`engine`] — compile-once / serve-many inference: frozen
 //!   [`engine::CompiledVit`] artifacts (with bit-exact on-disk
 //!   save/load) and the batched, tape-free [`engine::Engine`] with
 //!   truly-sparse attention;
-//! * [`train`] — the sparse-aware training subsystem:
-//!   [`train::SparseFinetuner`] owns the polarize → prune →
-//!   sparse-finetune → compile loop, with batched single-tape training
-//!   steps and nnz-scaled sparse attention backward kernels;
 //! * [`serve`] — the serving layer: [`serve::Server`]'s bounded request
 //!   queue with dynamic batching (request deadlines, round-robin
 //!   per-model fairness, hot engine reload), the multi-model
@@ -59,5 +58,4 @@ pub use vitcod_model as model;
 pub use vitcod_serve as serve;
 pub use vitcod_sim as sim;
 pub use vitcod_tensor as tensor;
-pub use vitcod_train as train;
 pub use vitcod_transport as transport;
