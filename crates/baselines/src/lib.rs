@@ -17,7 +17,9 @@
 //!   hardware configurations and areas for fair comparisons".
 //!
 //! All baselines emit [`vitcod_sim::SimReport`]s so speedups and energy
-//! ratios compose directly with the ViTCoD simulator's output.
+//! ratios compose directly with the ViTCoD simulator's output. How they
+//! are composed — model set, sparsity, GPU pairing, aggregate — is
+//! [`protocol`]'s, and nobody else's, to say.
 //!
 //! # Example
 //!
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod platforms;
+pub mod protocol;
 mod sanger;
 mod spatten;
 

@@ -37,6 +37,7 @@ use vitcod_bench::load::{self, LoadConfig, Target};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
+use vitcod_baselines::protocol::WORKLOAD_SEED;
 use vitcod_core::prune_to_sparsity;
 use vitcod_engine::{CompiledVit, Engine, Precision};
 use vitcod_model::{AttentionStats, Sample, SparsityPlan, ViTConfig, VisionTransformer};
@@ -126,7 +127,7 @@ fn main() {
     let mut model = VisionTransformer::new(&cfg, IN_DIM, CLASSES, &mut store, &mut rng);
     let dense = CompiledVit::from_parts(&model, &store);
 
-    let stats = AttentionStats::for_model(&cfg, vitcod_bench::WORKLOAD_SEED);
+    let stats = AttentionStats::for_model(&cfg, WORKLOAD_SEED);
     let plan: SparsityPlan = stats
         .maps
         .iter()

@@ -31,6 +31,7 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::{Adam, Optimizer, ParamStore, Tape};
+use vitcod_baselines::protocol::WORKLOAD_SEED;
 use vitcod_bench::timing::{time_repeats, Timing};
 use vitcod_core::prune_to_sparsity;
 use vitcod_model::{
@@ -75,7 +76,7 @@ fn sparse_model(
             &mut rng,
         );
     }
-    let stats = AttentionStats::for_model(cfg, vitcod_bench::WORKLOAD_SEED);
+    let stats = AttentionStats::for_model(cfg, WORKLOAD_SEED);
     let plan: SparsityPlan = (0..cfg.depth)
         .map(|l| {
             (0..cfg.heads)
@@ -243,7 +244,7 @@ fn main() {
     // ------------------------------------------------------------------
     let full = ViTConfig::deit_tiny();
     let (n, dk, heads) = (full.tokens, full.head_dim(), full.heads);
-    let stats = AttentionStats::for_model(&full, vitcod_bench::WORKLOAD_SEED);
+    let stats = AttentionStats::for_model(&full, WORKLOAD_SEED);
     let masks: Vec<Matrix> = (0..heads)
         .map(|h| prune_to_sparsity(&stats.maps[0][h], SPARSITY).to_matrix())
         .collect();

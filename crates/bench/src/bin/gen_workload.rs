@@ -11,11 +11,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use vitcod_core::{
-    compile_model, mask_grid_to_pgm, save_program, AutoEncoderConfig, SplitConquer,
-    SplitConquerConfig,
-};
-use vitcod_model::{AttentionStats, ViTConfig};
+use vitcod_baselines::protocol::{Protocol, WORKLOAD_SEED};
+use vitcod_core::{mask_grid_to_pgm, save_program};
+use vitcod_model::ViTConfig;
 
 fn model_by_name(name: &str) -> Option<ViTConfig> {
     ViTConfig::all_paper_models()
@@ -44,14 +42,9 @@ fn main() {
     );
     fs::create_dir_all(&out_dir).expect("create output directory");
 
-    let stats = AttentionStats::for_model(&model, vitcod_bench::WORKLOAD_SEED);
-    let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(sparsity));
-    let polarized = sc.apply(&stats.maps);
-    let program = compile_model(
-        &model,
-        &polarized,
-        Some(AutoEncoderConfig::half(model.heads)),
-    );
+    let protocol = Protocol::new(WORKLOAD_SEED);
+    let polarized = protocol.polarize(&model, sparsity);
+    let program = protocol.program(&model, sparsity, true);
 
     // 1. The compiled program artifact.
     let program_path = out_dir.join("program.vitcod");
