@@ -199,11 +199,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `.read()`, `.write()`; scope-tracked through `let` bindings, `drop(guard)`\n\
              and end-of-statement temporaries) and flags: (a) a guard held across a\n\
              blocking call — recv/recv_timeout/wait/wait_timeout/accept/connect/sleep/\n\
-             join/pop_until and buffer I/O (`.read(buf)`, `.write_all(..)`, `.flush()`),\n\
+             join and buffer I/O (`.read(buf)`, `.write_all(..)`, `.flush()`),\n\
              except the condvar handoff where the guard itself is an argument; (b) cycles\n\
              in the inter-lock order graph (lock B acquired while holding A adds edge\n\
              A->B; any cycle is a potential deadlock). The analysis is intra-procedural:\n\
-             helpers that block internally (e.g. `BoundedQueue::push`) are listed\n\
+             helpers that block internally (`next_batch`, `wait_until`) are listed\n\
              explicitly. Run with --lock-graph to print the graph."
         }
         "V003" => {

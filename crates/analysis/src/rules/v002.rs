@@ -6,8 +6,8 @@
 //!
 //! 1. **Guards across blocking calls.** A `MutexGuard`/`RwLock` guard
 //!    held while the thread parks (`recv`, `wait_timeout` on *another*
-//!    lock's condvar, `accept`, socket I/O, `sleep`, `pop_until`,
-//!    `next_batch`, `wait_until`, …)
+//!    lock's condvar, `accept`, socket I/O, `sleep`, `next_batch`,
+//!    `wait_until`, …)
 //!    stalls every other thread contending for that lock — the classic
 //!    serving-tail-latency bug. The condvar handoff (`cv.wait(guard)`)
 //!    is the one legitimate shape and is recognized by the guard
@@ -37,13 +37,12 @@ const ACQUIRERS: [&str; 3] = ["lock", "read", "write"];
 /// Calls that park the thread. `read`/`write`/`join` are contextual:
 /// with arguments they are buffer I/O (blocking), with zero arguments
 /// `read`/`write` are lock acquisitions and `join` is thread join
-/// (blocking) vs `Path::join` (not). `pop_until` (`BoundedQueue`),
-/// `next_batch` (the serve worker's wait on the assembler) and
-/// `wait_until` (serve's condvar hand-off with an optional alarm; like
-/// `wait`, legitimate only with the guard as an argument) are this
-/// workspace's own parking helpers: the pass does not look inside
-/// callees, so they are listed by name.
-const BLOCKING: [&str; 15] = [
+/// (blocking) vs `Path::join` (not). `next_batch` (the serve worker's
+/// wait on the assembler) and `wait_until` (serve's condvar hand-off
+/// with an optional alarm; like `wait`, legitimate only with the guard
+/// as an argument) are this workspace's own parking helpers: the pass
+/// does not look inside callees, so they are listed by name.
+const BLOCKING: [&str; 14] = [
     "recv",
     "recv_timeout",
     "recv_deadline",
@@ -54,7 +53,6 @@ const BLOCKING: [&str; 15] = [
     "accept",
     "connect",
     "sleep",
-    "pop_until",
     "next_batch",
     "wait_until",
     "read_to_end",

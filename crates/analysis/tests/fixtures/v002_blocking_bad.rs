@@ -62,4 +62,13 @@ impl Queue {
         let _other = wait_until(cv, other, None);
         *side
     }
+
+    /// The submitter's park on `space` done wrong: the wait is handed
+    /// some other lock's guard, so the assembler's stays held while the
+    /// thread is parked and no worker can take to free a slot. Flagged.
+    pub fn park_on_space_under_assembler_guard(&self, space: &Condvar, gate: Guard) -> u32 {
+        let assembler = self.state.lock().unwrap_or_default_fixture();
+        let _gate = space.wait(gate).unwrap_or_default_fixture();
+        *assembler
+    }
 }

@@ -8,6 +8,7 @@ use std::sync::{Condvar, Mutex};
 pub struct Waiter {
     state: Mutex<u32>,
     ready: Condvar,
+    space: Condvar,
 }
 
 impl Waiter {
@@ -44,6 +45,19 @@ impl Waiter {
             inner = wait_until(&self.ready, inner, until);
         }
         *inner
+    }
+
+    /// The serve submitter's park on a full server: the assembler's
+    /// guard rides into `space.wait`, comes back, and is dropped before
+    /// the worker is notified. NOT flagged.
+    pub fn submitter_parks_on_space(&self, capacity: u32) {
+        let mut inner = self.state.lock().unwrap_or_default_fixture();
+        while *inner >= capacity {
+            inner = self.space.wait(inner).unwrap_or_default_fixture();
+        }
+        *inner += 1;
+        drop(inner);
+        self.ready.notify_one();
     }
 
     /// A temporary guard dies at the end of its statement; the recv on

@@ -44,7 +44,7 @@ fn lock_graph_is_acyclic_with_known_nodes() {
     );
     // The serve web's real locks all register as nodes.
     for lock in [
-        "queue.inner",
+        "server.assembler",
         "ticket.state",
         "stats.inner",
         "server.engines",

@@ -1,5 +1,5 @@
 //! Open-loop SLO load harness: drives the full serving stack (engine →
-//! queue → batcher → HTTP transport) over loopback with scheduled
+//! assembler ⇄ workers → HTTP transport) over loopback with scheduled
 //! arrivals, then drains `/v1/metrics` and `/v1/trace` and writes
 //! everything to disk.
 //!

@@ -21,9 +21,8 @@
 //!
 //! * **Request deadlines** — a request carrying a deadline
 //!   ([`crate::Client::submit_with_timeout`]) never occupies a batch
-//!   slot past it: expired requests are pruned whenever the clock is
-//!   advanced ([`BatchAssembler::poll`], and first thing in every
-//!   `take`) and surfaced via [`BatchAssembler::take_expired`] so the
+//!   slot past it: expired requests are pruned first thing in every
+//!   `take` and surfaced via [`BatchAssembler::take_expired`] so the
 //!   server can resolve their tickets as timed out.
 //! * **Round-robin fairness** — `take` serves the first eligible FIFO
 //!   in the rotation and moves it to the back, so a hot model with a
@@ -35,8 +34,8 @@
 //!
 //! The assembler is pure bookkeeping — no threads, no clocks of its own
 //! (callers pass `Instant`s) — which is what makes its semantics
-//! unit-testable. The server puts it behind one mutex: the batcher
-//! thread offers and expires, the workers take.
+//! unit-testable. The server puts it behind one mutex: submitting
+//! threads offer, the workers take and expire.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -65,8 +64,8 @@ pub struct BatchConfig {
     /// `Engine::infer_batch` is k forwards). A wait too long to
     /// represent (`Duration::MAX`) means "size trigger only".
     pub max_wait: Duration,
-    /// Bound of the ingress request queue; producers block (not drop)
-    /// when it is full. The assembler buffers at most as many again.
+    /// The one bound on requests accepted and not yet taken by a
+    /// worker; producers block (not drop) when it is reached.
     pub queue_capacity: usize,
     /// Worker threads taking batches and running them through the
     /// engines.
@@ -103,9 +102,10 @@ pub(crate) struct Request {
     pub engine: Arc<Engine>,
     pub enqueued: Instant,
     /// When the assembler admitted the request (stamped by
-    /// [`BatchAssembler::offer`]); `enqueued → admitted` is the
-    /// queue-wait stage of the request's latency breakdown.
-    pub admitted: Option<Instant>,
+    /// [`BatchAssembler::offer`]); `enqueued → admitted` — the time the
+    /// submitter spent parked on a full server — is the queue-wait
+    /// stage of the request's latency breakdown.
+    pub admitted: Instant,
     /// Expiry deadline; past it the request resolves as timed out
     /// instead of occupying a batch slot. `None` waits indefinitely.
     pub deadline: Option<Instant>,
@@ -170,7 +170,7 @@ impl BatchAssembler {
             self.expired.push(request);
             return;
         }
-        request.admitted = Some(now);
+        request.admitted = now;
         match self
             .lanes
             .iter_mut()
@@ -189,7 +189,7 @@ impl BatchAssembler {
     /// wait too long to represent, which never comes due.
     fn due(&self, lane: &Lane) -> Option<Instant> {
         let oldest = lane.requests.front()?;
-        oldest.admitted?.checked_add(self.max_wait)
+        oldest.admitted.checked_add(self.max_wait)
     }
 
     fn eligible(&self, lane: &Lane, now: Instant) -> bool {
@@ -226,8 +226,8 @@ impl BatchAssembler {
         self.lanes.iter().filter_map(|l| self.due(l)).min()
     }
 
-    /// Earliest request expiry — what the batcher thread sleeps toward;
-    /// `None` when no buffered request carries a deadline.
+    /// Earliest request expiry — the other moment a free worker sleeps
+    /// toward; `None` when no buffered request carries a deadline.
     pub fn next_deadline(&self) -> Option<Instant> {
         self.lanes
             .iter()
@@ -258,14 +258,20 @@ impl BatchAssembler {
         self.flushing = true;
     }
 
+    /// Whether the shutdown flush has been requested: the server
+    /// refuses every later submission, so what is buffered only drains.
+    pub fn flushing(&self) -> bool {
+        self.flushing
+    }
+
     /// Whether the shutdown flush has been requested and every request
     /// has been taken: nothing will ever be handed out again.
     pub fn drained(&self) -> bool {
         self.flushing && self.lanes.is_empty()
     }
 
-    /// Requests currently buffered — the batcher bounds this to keep
-    /// backpressure at the ingress queue meaningful.
+    /// Requests accepted and not yet taken — what the server bounds by
+    /// [`BatchConfig::queue_capacity`] and reports as its queue depth.
     pub fn buffered(&self) -> usize {
         self.lanes.iter().map(|l| l.requests.len()).sum()
     }
@@ -309,7 +315,7 @@ mod tests {
             ticket: Resolver(TicketInner::new()),
             engine: Arc::clone(engine),
             enqueued: now,
-            admitted: None,
+            admitted: now,
             deadline: None,
             sampled: false,
         }
@@ -538,8 +544,7 @@ mod tests {
         // One short-deadline request, one without.
         a.offer(deadlined("m", &engine, t0, Duration::from_millis(10)), t0);
         a.offer(request("m", &engine, t0), t0);
-        // The request deadline is what the batcher must sleep toward,
-        // the lane's wait what a free worker does.
+        // A free worker sleeps toward the earlier of the two.
         assert_eq!(a.next_deadline(), Some(t0 + Duration::from_millis(10)));
         assert_eq!(a.next_due(), Some(t0 + Duration::from_millis(100)));
         a.poll(t0 + Duration::from_millis(20));
@@ -557,8 +562,8 @@ mod tests {
     }
 
     /// A take prunes by itself: a worker that asks after a deadline has
-    /// passed, before the batcher's clock got to it, is not handed the
-    /// expired request — and an expiry can cost a lane its size trigger.
+    /// passed is not handed the expired request — and an expiry can
+    /// cost a lane its size trigger.
     #[test]
     fn take_prunes_before_it_judges_eligibility() {
         let engine = test_engine();

@@ -7,15 +7,17 @@
 //! around it — the layer the ROADMAP's "heavy concurrent traffic" story
 //! needs:
 //!
-//! * [`Server`] — owns a **bounded ingress queue** (full ⇒ producers
-//!   block: backpressure, not drops), a **late-binding batch
-//!   assembler** (a model's queued requests are eligible once there are
+//! * [`Server`] — owns a **bounded late-binding batch assembler**
+//!   that submitting threads offer into themselves (at most
+//!   [`BatchConfig::queue_capacity`] requests accepted and not yet
+//!   taken; full ⇒ producers block: backpressure, not drops; a model's
+//!   queued requests are eligible once there are
 //!   [`BatchConfig::max_batch_size`] of them or the oldest has waited
 //!   [`BatchConfig::max_wait`] — zero by default — but a batch is
 //!   closed only when a free worker takes it, so an idle server never
 //!   holds a request back and a busy one fills its batches while they
-//!   wait for a worker anyway) and a worker pool running those batches
-//!   through shared engines;
+//!   wait for a worker anyway) and a worker pool — the only threads it
+//!   spawns — running those batches through shared engines;
 //! * [`Client`] — clonable handles with a blocking
 //!   [`Client::classify`], a ticket/poll
 //!   [`Client::submit`]/[`Ticket::try_take`] pair, and deadline-aware
@@ -74,7 +76,6 @@
 #![warn(missing_docs)]
 
 mod batcher;
-pub mod queue;
 mod registry;
 mod ring;
 mod server;

@@ -2,7 +2,7 @@
 //! ([`crate::trace`]), `/v1/traces` and the slowlog ([`crate::spans`]).
 //!
 //! A fixed number of mutex-guarded shards — writers pick one by thread
-//! id, so concurrent producers, the batcher and the control plane
+//! id, so concurrent producers, the workers and the control plane
 //! rarely contend — each a bounded ring that evicts its oldest entry
 //! when full. Eviction is **counted, not hidden**. Reads merge the
 //! shards in record order: a global atomic sequence number orders

@@ -1,12 +1,10 @@
-//! The serving loop: ingress queue → batcher thread → assembler ⇄ worker
-//! pool.
+//! The serving loop: submitters → assembler ⇄ worker pool.
 //!
 //! ```text
-//!  Client::submit ──▶ BoundedQueue (backpressure) ──▶ batcher thread
-//!                                                     │ absorb · expire on time
-//!                                                     ▼
+//!  Client::submit ── offer (parks while queue_capacity are buffered) ──┐
+//!                                                                      ▼
 //!                                       per-model FIFOs (one mutex) ◀── take ── N workers
-//!                                       eligible: max_batch_size          │ Engine::infer_batch
+//!                                       eligible: max_batch_size          │ expire · Engine::infer_batch
 //!                                       queued or oldest waited max_wait  ▼
 //!                                                                tickets resolve, stats record
 //! ```
@@ -23,14 +21,16 @@
 //! in — lanes are taken **round-robin across models**, and a hot
 //! model's backlog cannot starve a light one.
 //!
-//! The batcher thread keeps only what needs a clock. It moves requests
-//! from the ingress queue into the assembler (never more than
-//! [`BatchConfig::queue_capacity`] buffered there, so a flooding
-//! producer still meets backpressure), and it sleeps toward the
-//! earliest request deadline, so deadlined requests resolve as timed
-//! out the moment they expire even while every worker is busy. A free
-//! worker holding a partial set back for a non-zero `max_wait` sleeps
-//! toward that moment itself.
+//! A request crosses two thread hand-offs: the submitting thread puts
+//! it into the assembler itself (parking while
+//! [`BatchConfig::queue_capacity`] requests are accepted and not yet
+//! taken, so a flooding producer meets backpressure), and the worker
+//! that ran it resolves its ticket. What needs a clock is done by the
+//! threads that have one: a free worker sleeps toward the earlier of
+//! the moment a held-back partial set comes due and the earliest
+//! request deadline, so on a server with a free worker a deadlined
+//! request resolves as timed out the moment it expires; while every
+//! worker is busy it is pruned by the next take.
 //!
 //! Workers share the registry's `Arc`'d engines — serving never copies
 //! weights — and the engine behind a model id can be hot-swapped at any
@@ -48,7 +48,6 @@ use vitcod_model::Sample;
 use vitcod_tensor::{kernels, Matrix};
 
 use crate::batcher::{Batch, BatchAssembler, BatchConfig, Request};
-use crate::queue::{BoundedQueue, Pop};
 use crate::registry::ModelRegistry;
 use crate::ring::ShardedRing;
 use crate::spans::{
@@ -103,16 +102,19 @@ struct Shared {
     /// Requests hold the `Arc` they resolved at submit time, so a swap
     /// never affects work already accepted.
     engines: RwLock<BTreeMap<String, Arc<Engine>>>,
-    requests: BoundedQueue<Request>,
-    /// Requests admitted and not yet taken by a worker. The batcher
-    /// offers and expires, the workers take; nobody computes, waits on
-    /// the ingress queue or takes another lock while holding it.
+    /// Requests accepted and not yet taken by a worker. Submitters
+    /// offer, the workers take and expire; nobody computes or takes
+    /// another lock while holding it.
     assembler: Mutex<BatchAssembler>,
+    /// [`BatchConfig::queue_capacity`]: submitters park on `space`
+    /// while the assembler buffers this many.
+    queue_capacity: usize,
     /// Where free workers park: notified on every offer, on every take
     /// that leaves requests behind, and at the shutdown flush.
     work: Condvar,
-    /// Where the batcher parks while the assembler is at capacity:
-    /// notified on every take.
+    /// Where submitters park while the assembler is at capacity:
+    /// notified whenever a worker takes or expires requests, and at
+    /// the shutdown flush.
     space: Condvar,
     stats: StatsRecorder,
     trace: ShardedRing<TraceEvent>,
@@ -192,31 +194,49 @@ impl Shared {
 
     /// Parks the calling worker until a batch is its to run, and closes
     /// that batch: its membership is whatever the lane holds at this
-    /// instant. Also hands back the requests the assembler has pruned
-    /// past their deadline, for the caller to resolve. A `None` batch
-    /// means the server has shut down and everything it accepted has
-    /// been taken.
-    fn next_batch(&self) -> (Option<Batch>, Vec<Request>) {
+    /// instant. Requests the assembler has pruned past their deadline
+    /// are resolved on the way, with the lock released. `None` means
+    /// the server has shut down and everything it accepted has been
+    /// taken.
+    fn next_batch(&self) -> Option<Batch> {
         let mut assembler = self
             .assembler
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
             let batch = assembler.take(Instant::now());
-            if batch.is_some() || assembler.drained() {
-                let expired = assembler.take_expired();
-                let more = assembler.buffered() > 0;
-                drop(assembler);
-                if more {
-                    // More may be eligible, or come due before this
-                    // worker is back: pass the watch on.
-                    self.work.notify_one();
-                }
-                self.space.notify_one();
-                return (batch, expired);
+            let expired = assembler.take_expired();
+            let done = batch.is_some() || assembler.drained();
+            if !done && expired.is_empty() {
+                // Nothing eligible: sleep toward the moment a held-back
+                // set comes due or a request expires, whichever is
+                // first.
+                let wake = assembler
+                    .next_due()
+                    .into_iter()
+                    .chain(assembler.next_deadline())
+                    .min();
+                assembler = wait_until(&self.work, assembler, wake);
+                continue;
             }
-            let due = assembler.next_due();
-            assembler = wait_until(&self.work, assembler, due);
+            let more = assembler.buffered() > 0;
+            drop(assembler);
+            if more {
+                // More may be eligible, or come due before this
+                // worker is back: pass the watch on.
+                self.work.notify_one();
+            }
+            // Up to a batch of slots came free: every parked submitter
+            // may fit.
+            self.space.notify_all();
+            self.expire(expired);
+            if done {
+                return batch;
+            }
+            assembler = self
+                .assembler
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -243,19 +263,18 @@ fn wait_until<'a, T>(
 /// The serving front end; see the [module](self) and
 /// [crate docs](crate).
 ///
-/// Dropping the server (or calling [`Server::shutdown`]) closes the
-/// queue, drains every already-accepted request, and joins the threads
-/// — accepted work is never dropped.
+/// Dropping the server (or calling [`Server::shutdown`]) refuses new
+/// submissions, drains every already-accepted request, and joins the
+/// workers — accepted work is never dropped.
 pub struct Server {
     shared: Arc<Shared>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Starts a server over `registry` with `config`'s batching and
-    /// queueing parameters, spawning the batcher thread and
-    /// [`BatchConfig::workers`] worker threads.
+    /// queueing parameters, spawning [`BatchConfig::workers`] worker
+    /// threads and nothing else.
     ///
     /// # Panics
     ///
@@ -281,8 +300,8 @@ impl Server {
         let config = config.validated();
         let shared = Arc::new(Shared {
             engines: RwLock::new(registry.into_engines()),
-            requests: BoundedQueue::new(config.queue_capacity),
             assembler: Mutex::new(BatchAssembler::new(config.max_batch_size, config.max_wait)),
+            queue_capacity: config.queue_capacity,
             work: Condvar::new(),
             space: Condvar::new(),
             stats: StatsRecorder::new(),
@@ -293,14 +312,6 @@ impl Server {
             slowlog: ShardedRing::new(SPAN_RING_CAPACITY),
             tail: tracing.tail.map(TailSampler::new),
         });
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("vitcod-serve-batcher".into())
-                .spawn(move || run_batcher(&shared, config.queue_capacity))
-                // vitcod-lint: allow(V001, spawn fails only on OS thread exhaustion at startup; start() documents that it panics)
-                .expect("spawn batcher")
-        };
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -311,11 +322,7 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        Server {
-            shared,
-            batcher: Some(batcher),
-            workers,
-        }
+        Server { shared, workers }
     }
 
     /// A cheap, clonable submission handle.
@@ -323,11 +330,6 @@ impl Server {
         Client {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Registered model ids, sorted.
-    pub fn model_ids(&self) -> Vec<String> {
-        self.shared.model_ids()
     }
 
     /// Hot-swaps the engine behind `id` (or registers a new id) without
@@ -344,11 +346,6 @@ impl Server {
         self.shared.stats_snapshot()
     }
 
-    /// Seconds since the server started.
-    pub fn uptime_s(&self) -> f64 {
-        self.shared.trace.uptime_s()
-    }
-
     /// Drains and returns the event-trace ring; see [`crate::trace`].
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         self.shared.trace.take()
@@ -359,25 +356,9 @@ impl Server {
         self.shared.trace.dropped()
     }
 
-    /// The tracing configuration the server was started with.
-    pub fn tracing(&self) -> TracingConfig {
-        self.shared.tracing
-    }
-
-    /// Drains and returns the sampled span-tree ring; see
-    /// [`crate::spans`].
-    pub fn take_traces(&self) -> Vec<FinishedTrace> {
-        self.shared.traces.take()
-    }
-
     /// Drains and returns the slow-request ring; see [`crate::spans`].
     pub fn take_slowlog(&self) -> Vec<FinishedTrace> {
         self.shared.slowlog.take()
-    }
-
-    /// Requests currently waiting in the ingress queue.
-    pub fn queued_requests(&self) -> usize {
-        self.shared.requests.len()
     }
 
     /// Stops accepting requests, drains everything already accepted,
@@ -388,37 +369,35 @@ impl Server {
     }
 
     fn join_threads(&mut self) {
-        if self.batcher.is_some() {
-            self.shared
-                .trace
-                .record_event(TraceKind::Shutdown, "", self.shared.requests.len());
+        if self.workers.is_empty() {
+            return;
         }
-        self.shared.requests.close();
-        if let Some(h) = self.batcher.take() {
-            // Never panic out of Drop (it would abort mid-unwind).
-            if h.join().is_err() {
-                eprintln!("vitcod-serve: batcher thread panicked");
-            }
-        }
-        // The batcher has absorbed all it ever will. Accepted work is
-        // never dropped: every lane becomes eligible, the workers take
-        // until nothing is left, then leave.
+        // Accepted work is never dropped: from here on submitters are
+        // refused, every lane is eligible, and the workers take until
+        // nothing is left, then leave.
+        let queued = {
+            let mut assembler = self
+                .shared
+                .assembler
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            assembler.flush_all();
+            assembler.buffered()
+        };
         self.shared
-            .assembler
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .flush_all();
+            .trace
+            .record_event(TraceKind::Shutdown, "", queued);
         self.shared.work.notify_all();
+        self.shared.space.notify_all();
         for h in self.workers.drain(..) {
+            // Never panic out of Drop (it would abort mid-unwind).
             if h.join().is_err() {
                 eprintln!("vitcod-serve: worker thread panicked");
             }
         }
-        // Normally the ingress queue and the assembler are both empty
-        // here. If a thread died instead, drop whatever it stranded:
-        // a dropped request cancels its ticket, so no client ever hangs
-        // in `Ticket::wait`.
-        drop(self.shared.requests.drain_now());
+        // Normally the assembler is empty here. If a worker died
+        // instead, drop whatever it stranded: a dropped request cancels
+        // its ticket, so no client ever hangs in `Ticket::wait`.
         let stranded = self
             .shared
             .assembler
@@ -447,21 +426,26 @@ pub struct Client {
 
 impl Client {
     /// Enqueues one classification request for `model` and returns its
-    /// [`Ticket`] immediately. Blocks (backpressure) while the bounded
-    /// request queue is full.
+    /// [`Ticket`] immediately. Blocks (backpressure) while
+    /// [`BatchConfig::queue_capacity`] requests are accepted and not
+    /// yet taken by a worker.
     ///
     /// # Errors
     ///
     /// Unknown model id, token-shape mismatch, or a shut-down server.
     pub fn submit(&self, model: &str, tokens: Matrix) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, None, false)
+        self.enqueue(model, tokens, None, false, true)
     }
 
     /// Like [`Client::submit`], but the request carries a deadline: if
-    /// `timeout` elapses before the request reaches a batch slot, the
-    /// batcher expires it — it stops occupying queue capacity and its
-    /// ticket resolves as [`RequestError::TimedOut`]. A request that
-    /// made it into a batch before the deadline is served normally.
+    /// `timeout` elapses before the request reaches a batch slot it is
+    /// expired — it stops occupying queue capacity and its ticket
+    /// resolves as [`RequestError::TimedOut`]. A request that made it
+    /// into a batch before the deadline is served normally. Expiry
+    /// runs on the workers' clocks: a free worker expires the request
+    /// the moment its deadline passes; while every worker is busy, the
+    /// next take does — the ticket then resolves at most one in-flight
+    /// batch late (bound the wait itself with [`Client::wait_timeout`]).
     ///
     /// # Errors
     ///
@@ -472,7 +456,7 @@ impl Client {
         tokens: Matrix,
         timeout: Duration,
     ) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, Some(timeout), false)
+        self.enqueue(model, tokens, Some(timeout), false, true)
     }
 
     /// Like [`Client::submit_with_timeout`] (with `timeout: None`
@@ -495,7 +479,7 @@ impl Client {
         timeout: Option<Duration>,
         sampled: bool,
     ) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, timeout, sampled)
+        self.enqueue(model, tokens, timeout, sampled, true)
     }
 
     /// Like [`Client::submit`] but never blocks: a full queue returns
@@ -507,37 +491,43 @@ impl Client {
     ///
     /// As [`Client::submit`], plus [`SubmitError::QueueFull`].
     pub fn try_submit(&self, model: &str, tokens: Matrix) -> Result<Ticket, SubmitError> {
-        use crate::queue::TryPushError;
-        let (request, ticket) = self.make_request(model, tokens, None, false)?;
-        match self.shared.requests.try_push(request) {
-            Ok(()) => {
-                self.shared.trace.record_event(
-                    TraceKind::Enqueue,
-                    model,
-                    self.shared.requests.len(),
-                );
-                Ok(Ticket::new(ticket))
-            }
-            Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(_)) => Err(SubmitError::Closed),
-        }
+        self.enqueue(model, tokens, None, false, false)
     }
 
+    /// The one way in: validates, then offers the request into the
+    /// assembler under its mutex, parking on `space` (`block`) or
+    /// giving up (`!block`) while the server is at capacity.
     fn enqueue(
         &self,
         model: &str,
         tokens: Matrix,
         timeout: Option<Duration>,
         sampled: bool,
+        block: bool,
     ) -> Result<Ticket, SubmitError> {
         let (request, ticket) = self.make_request(model, tokens, timeout, sampled)?;
-        self.shared
-            .requests
-            .push(request)
-            .map_err(|_| SubmitError::Closed)?;
-        self.shared
-            .trace
-            .record_event(TraceKind::Enqueue, model, self.shared.requests.len());
+        let shared = &*self.shared;
+        let mut assembler = shared
+            .assembler
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if assembler.flushing() {
+                return Err(SubmitError::Closed);
+            }
+            if assembler.buffered() < shared.queue_capacity {
+                break;
+            }
+            if !block {
+                return Err(SubmitError::QueueFull);
+            }
+            assembler = wait_until(&shared.space, assembler, None);
+        }
+        assembler.offer(request, Instant::now());
+        let queued = assembler.buffered();
+        drop(assembler);
+        shared.work.notify_one();
+        shared.trace.record_event(TraceKind::Enqueue, model, queued);
         Ok(Ticket::new(ticket))
     }
 
@@ -572,7 +562,8 @@ impl Client {
             ticket: Resolver(Arc::clone(&ticket)),
             engine,
             enqueued,
-            admitted: None,
+            // Restamped by `BatchAssembler::offer`.
+            admitted: enqueued,
             // A timeout too long to represent is no deadline at all.
             deadline: timeout.and_then(|t| enqueued.checked_add(t)),
             sampled,
@@ -600,7 +591,7 @@ impl Client {
     /// # Errors
     ///
     /// [`RequestError::TimedOut`] when the budget elapses (the ticket
-    /// stays valid for a later wait) or the batcher expired the request
+    /// stays valid for a later wait) or the request expired
     /// server-side; [`RequestError::Cancelled`] when it will never
     /// resolve.
     pub fn wait_timeout(&self, ticket: &Ticket, dur: Duration) -> Result<Prediction, RequestError> {
@@ -811,65 +802,29 @@ impl Client {
         self.shared.trace.peek()
     }
 
-    /// Requests currently waiting in the ingress queue.
+    /// Requests accepted and not yet taken by a worker (at most
+    /// [`BatchConfig::queue_capacity`]).
     pub fn queued_requests(&self) -> usize {
-        self.shared.requests.len()
-    }
-}
-
-fn run_batcher(shared: &Shared, capacity: usize) {
-    loop {
-        let mut assembler = shared
+        self.shared
             .assembler
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        assembler.poll(Instant::now());
-        let expired = assembler.take_expired();
-        if !expired.is_empty() {
-            drop(assembler);
-            shared.expire(expired);
-            continue;
-        }
-        let wake = assembler.next_deadline();
-        if assembler.buffered() >= capacity {
-            // No room (a backlog, or many models none at its trigger
-            // yet): stop absorbing, so the ingress queue fills and
-            // producers feel backpressure, until a worker takes a batch
-            // or the next expiry is due.
-            drop(wait_until(&shared.space, assembler, wake));
-            continue;
-        }
-        drop(assembler);
-        match shared.requests.pop_until(wake) {
-            Pop::Item(request) => {
-                shared
-                    .assembler
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .offer(request, Instant::now());
-                shared.work.notify_one();
-            }
-            Pop::TimedOut => {}
-            // Closed and drained: `Server::join_threads` flushes.
-            Pop::Closed => return,
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .buffered()
     }
 }
 
 fn run_worker(shared: &Shared) {
     loop {
-        let (batch, expired) = shared.next_batch();
-        shared.expire(expired);
-        let Some(batch) = batch else { return };
-        // On an idle server this worker was woken by the batcher, woken
-        // by the submitting thread, and a kernel that stacks a wake-up
-        // chain on the waker's CPU has preempted that thread inside
-        // `submit`; the forward about to start would keep it there for
-        // a scheduler slice. Offer it the CPU first. (Measured on a
-        // 2-vCPU box, 16 req/s open loop: the submitter's runqueue wait
-        // falls from 3.7 ms to 10 µs a request when the box is quiet
-        // and from ≈ 3.3 to ≈ 2 ms in its worst phases — a mitigation,
-        // not a guarantee; the request itself is unaffected either way.)
+        let Some(batch) = shared.next_batch() else {
+            return;
+        };
+        // On an idle server this worker was woken by the submitting
+        // thread, and a kernel that runs the wakee on the waker's CPU
+        // has preempted that thread inside `submit`; offer it the CPU
+        // before the forward takes it for a scheduler slice. (Ten
+        // alternating pairs on a 2-vCPU box, 16 req/s open loop: mean
+        // time in `submit` 28–36 µs in every run with the yield,
+        // 29–103 µs, median 42, without; the request pays ≈ 9 µs.)
         std::thread::yield_now();
         shared
             .trace
@@ -918,20 +873,15 @@ fn serve_batch(shared: &Shared, batch: Batch) {
     };
     let compute_end = Instant::now();
     // Every request in the batch shares the compute window; the earlier
-    // stages come from its own stamps. A request without an admission
-    // stamp (never routed through the assembler) charges its whole wait
-    // to the queue.
+    // stages come from its own stamps.
     let compute = compute_end.saturating_duration_since(compute_start);
     let timings: Vec<RequestTiming> = tickets
         .iter()
-        .map(|(_, enqueued, admitted, _)| {
-            let admitted = admitted.unwrap_or(compute_start);
-            RequestTiming {
-                total: compute_end.saturating_duration_since(*enqueued),
-                queue_wait: admitted.saturating_duration_since(*enqueued),
-                batch_assembly: compute_start.saturating_duration_since(admitted),
-                compute,
-            }
+        .map(|(_, enqueued, admitted, _)| RequestTiming {
+            total: compute_end.saturating_duration_since(*enqueued),
+            queue_wait: admitted.saturating_duration_since(*enqueued),
+            batch_assembly: compute_start.saturating_duration_since(*admitted),
+            compute,
         })
         .collect();
     // Stats first, tickets second: a client unblocked by its ticket must

@@ -74,8 +74,8 @@ fn bucket_index(s: f64) -> usize {
 pub struct RequestTiming {
     /// End-to-end: enqueue → prediction ready.
     pub total: Duration,
-    /// Enqueue → admitted into the batch assembler (time spent in the
-    /// bounded ingress queue).
+    /// Enqueue → admitted into the batch assembler (time the submitter
+    /// spent parked on a full server; the lock hand-off otherwise).
     pub queue_wait: Duration,
     /// Admission → compute start: the time in the model's queue until
     /// a free worker took the request's batch — waiting for a worker
@@ -352,8 +352,8 @@ impl ServerStats {
 }
 
 /// The accumulator behind [`crate::Server::stats`]: workers record
-/// batches, the batcher records timeouts, the transport records
-/// serialize durations, anyone snapshots. Public so harnesses and tests
+/// batches and timeouts, the transport records serialize durations,
+/// anyone snapshots. Public so harnesses and tests
 /// can drive it directly; a [`crate::Server`] owns one internally.
 #[derive(Default)]
 pub struct StatsRecorder {

@@ -33,7 +33,7 @@ use crate::spans::StageReport;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestError {
     /// The deadline passed before a prediction arrived — either the
-    /// caller's wait budget ran out, or the batcher expired the request
+    /// caller's wait budget ran out, or a worker expired the request
     /// server-side (it never occupied a batch slot past its deadline).
     TimedOut,
     /// The request will never resolve: the server shut down abnormally
@@ -98,7 +98,7 @@ impl TicketInner {
         match *state {
             State::Pending => *state = State::Ready(prediction),
             State::TimedOut | State::Cancelled => return,
-            // vitcod-lint: allow(V001, double-completion is a batcher bug; the contract is to fail loudly in the offending worker)
+            // vitcod-lint: allow(V001, double-completion is a serve-loop bug; the contract is to fail loudly in the offending worker)
             State::Ready(_) | State::Taken => panic!("ticket completed twice"),
         }
         self.ready.notify_all();
@@ -126,8 +126,8 @@ impl TicketInner {
 
 /// The serving side's handle on a ticket: it rides in the queued request
 /// from submit to completion. Dropping it cancels the ticket, so a
-/// request that is lost on the way — a panicking batcher or worker, a
-/// queue swept at shutdown — resolves its waiter as
+/// request that is lost on the way — a panicking worker, an assembler
+/// swept at shutdown — resolves its waiter as
 /// [`RequestError::Cancelled`] instead of stranding it
 /// ([`TicketInner::cancel`] is a no-op once the ticket completed or
 /// expired, which is every normal path).
@@ -238,7 +238,7 @@ impl Ticket {
     /// # Errors
     ///
     /// [`RequestError::TimedOut`] when `dur` elapses first or the
-    /// batcher expired the request server-side;
+    /// request expired server-side;
     /// [`RequestError::Cancelled`] when the server shut down before
     /// serving it (or the prediction was already taken). A local
     /// timeout leaves the ticket intact: a later wait can still take a

@@ -25,7 +25,8 @@ pub const TRACE_CAPACITY: usize = 2048;
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// A request entered the ingress queue (`n` = queue depth after).
+    /// A request was accepted (`n` = requests accepted and not yet
+    /// taken by a worker, this one included).
     Enqueue,
     /// Requests expired past their deadline before reaching a batch
     /// slot (`n` = how many, at one look at the clock).
@@ -38,7 +39,8 @@ pub enum TraceKind {
     /// An engine was hot-swapped (`n` = 1 when an engine was replaced,
     /// 0 when the id was newly registered).
     Reload,
-    /// The server began shutting down (`n` = requests still queued).
+    /// The server began shutting down (`n` = requests accepted and not
+    /// yet taken by a worker, all of which are still served).
     Shutdown,
 }
 

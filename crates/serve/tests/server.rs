@@ -1,5 +1,6 @@
 //! Serving-layer acceptance tests: dynamic batching semantics,
-//! backpressure, exactly-once tickets, multi-model routing, and the
+//! backpressure (one bound, one depth gauge), exactly-once tickets,
+//! multi-model routing, and the
 //! end-to-end disk → registry → server → bit-identical-predictions
 //! guarantee.
 
@@ -253,6 +254,155 @@ fn bounded_queue_applies_backpressure_and_every_ticket_resolves_exactly_once() {
     );
 }
 
+/// A server whose pool is held back: no timer, and a size trigger no
+/// test reaches, so what is submitted stays accepted-and-not-taken
+/// until the shutdown flush.
+fn held_back_server(model: &CompiledVit, queue_capacity: usize) -> Server {
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(model.clone()).build())
+        .unwrap();
+    Server::start(
+        registry,
+        BatchConfig {
+            max_batch_size: 64,
+            max_wait: Duration::MAX,
+            queue_capacity,
+            workers: 1,
+        },
+    )
+}
+
+/// The depth gauge means "accepted and not yet taken by a worker" at
+/// every place it is read: `Client::queued_requests`, the `enqueue`
+/// and `shutdown` trace events, `/v1/health` and `vitcod_queue_depth`
+/// on the wire. (With a relay thread between the submitters and the
+/// assembler all of them read the relay's buffer: zero, once drained.)
+#[test]
+fn queue_depth_counts_requests_accepted_and_not_yet_taken() {
+    use vitcod_transport::{HttpClient, HttpServer, TransportConfig};
+
+    let model = tiny_model(37, false);
+    let server = held_back_server(&model, 16);
+    let client = server.client();
+    let tickets: Vec<_> = (0..5)
+        .map(|i| client.submit("m", tokens_for(&model, i)).unwrap())
+        .collect();
+    assert_eq!(client.queued_requests(), 5);
+    let depth_of = |kind: TraceKind| -> Vec<usize> {
+        let events = client.take_trace();
+        events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.n)
+            .collect()
+    };
+    assert_eq!(depth_of(TraceKind::Enqueue), [1, 2, 3, 4, 5]);
+
+    let http = HttpServer::bind("127.0.0.1:0", server, TransportConfig::default()).unwrap();
+    let mut wire = HttpClient::connect(http.local_addr()).unwrap();
+    let metrics = wire.get("/v1/metrics").unwrap();
+    assert!(
+        metrics.body_str().contains("\nvitcod_queue_depth 5\n"),
+        "{}",
+        metrics.body_str()
+    );
+    let health = wire.get("/v1/health").unwrap().json().unwrap();
+    assert_eq!(health.get("queued").unwrap().as_u64(), Some(5));
+    drop(wire);
+
+    let stats = http.shutdown();
+    assert_eq!(depth_of(TraceKind::Shutdown), [5]);
+    assert_eq!(stats.total_requests(), 5);
+    assert_eq!(client.queued_requests(), 0);
+    for t in tickets {
+        assert!(t.try_take().is_some(), "accepted request must be served");
+    }
+}
+
+/// `queue_capacity` is the one bound on requests accepted and not yet
+/// taken: the request after it is refused (`try_submit`) or parks
+/// (`submit`), and a submitter parked when shutdown begins is turned
+/// away while everything accepted before it is served.
+#[test]
+fn queue_capacity_is_the_one_bound_and_shutdown_refuses_a_parked_submitter() {
+    let model = tiny_model(39, false);
+    let server = held_back_server(&model, 4);
+    let client = server.client();
+    let accepted: Vec<_> = (0..4)
+        .map(|i| client.try_submit("m", tokens_for(&model, i)).unwrap())
+        .collect();
+    assert!(matches!(
+        client.try_submit("m", tokens_for(&model, 4)),
+        Err(SubmitError::QueueFull)
+    ));
+    assert_eq!(client.queued_requests(), 4);
+
+    let parked = {
+        let client = client.clone();
+        let tokens = tokens_for(&model, 5);
+        std::thread::spawn(move || client.submit("m", tokens))
+    };
+    // The producer must be parked on the full server, not dropping.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!parked.is_finished(), "submit must block while full");
+    assert_eq!(client.queued_requests(), 4);
+
+    let stats = server.shutdown();
+    assert!(matches!(parked.join().unwrap(), Err(SubmitError::Closed)));
+    assert_eq!(stats.total_requests(), 4);
+    for t in accepted {
+        assert!(t.try_take().is_some(), "accepted request must be served");
+    }
+}
+
+/// A take frees capacity: a refused `try_submit` then succeeds, and a
+/// `submit` parked on the full server returns with a ticket that is
+/// served.
+#[test]
+fn a_take_admits_refused_and_parked_submitters() {
+    let model = tiny_model(41, false);
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(model.clone()).build())
+        .unwrap();
+    let server = Server::start(
+        registry,
+        BatchConfig {
+            max_batch_size: 64,
+            // Long enough to fill the server and park a producer first.
+            max_wait: Duration::from_secs(1),
+            queue_capacity: 4,
+            workers: 1,
+        },
+    );
+    let client = server.client();
+    let first: Vec<_> = (0..4)
+        .map(|i| client.try_submit("m", tokens_for(&model, i)).unwrap())
+        .collect();
+    assert!(matches!(
+        client.try_submit("m", tokens_for(&model, 4)),
+        Err(SubmitError::QueueFull)
+    ));
+    let parked = {
+        let client = client.clone();
+        let tokens = tokens_for(&model, 5);
+        std::thread::spawn(move || client.submit("m", tokens))
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!parked.is_finished(), "submit must block while full");
+
+    // The lane comes due, the worker takes all four, four slots free.
+    for t in first {
+        assert!(t.wait_timeout(Duration::from_secs(60)).is_ok());
+    }
+    let late = parked.join().unwrap().expect("admitted after the take");
+    assert!(late.wait_timeout(Duration::from_secs(60)).is_ok());
+    let retry = client.try_submit("m", tokens_for(&model, 4)).unwrap();
+    assert!(retry.wait_timeout(Duration::from_secs(60)).is_ok());
+    assert_eq!(server.shutdown().total_requests(), 6);
+}
+
 #[test]
 fn registry_routes_models_independently_and_rejects_bad_submissions() {
     let fp32_model = tiny_model(11, false);
@@ -457,7 +607,7 @@ fn default_config_fills_batches_under_a_closed_loop_backlog() {
 }
 
 /// "No limit", spelled as the largest `Duration`, must mean that — not
-/// an `Instant` overflow that panics the batcher thread (`max_wait`) or
+/// an `Instant` overflow that panics a worker (`max_wait`) or
 /// the submitting caller (`submit_with_timeout`).
 #[test]
 fn unrepresentable_wait_and_timeout_mean_no_limit() {
@@ -520,7 +670,7 @@ fn deadlines_expire_in_process_requests_instead_of_blocking_forever() {
     let client = server.client();
 
     // Without the new API this wait would block toward the 30s flush;
-    // with it, the batcher expires the request at its 50ms deadline.
+    // with it, the free worker expires the request at its 50ms deadline.
     let t = std::time::Instant::now();
     let ticket = client
         .submit_with_timeout("m", tokens_for(&model, 1), Duration::from_millis(50))

@@ -5,8 +5,9 @@
 //! The build environment is offline, so everything is hand-rolled on
 //! `std::net`: an incremental [`http`] parser with hard header/body
 //! caps, a [`json`] codec with a nesting limit and lossless `f32`
-//! number round-trips, a [`router`], and a connection-handler pool
-//! ([`HttpServer`]) sitting directly on [`vitcod_serve::Client`].
+//! number round-trips, a [`router`], and a handler pool
+//! ([`HttpServer`]) whose threads accept their own connections and sit
+//! directly on [`vitcod_serve::Client`].
 //!
 //! # Endpoints
 //!
@@ -30,8 +31,8 @@
 //!
 //! Wire-level `timeout_ms` becomes a real per-request deadline: the
 //! serving layer's batch assembler expires requests past it (they
-//! resolve `504` instead of occupying batch slots), and the batcher
-//! drains models round-robin so one hot model cannot starve the rest.
+//! resolve `504` instead of occupying batch slots), and its workers
+//! take models round-robin so one hot model cannot starve the rest.
 //! `reload` hot-swaps a `*.vitcod` artifact behind the registry without
 //! dropping in-flight requests — they finish on the weights they were
 //! submitted against. Wire reloads are an opt-in: they require

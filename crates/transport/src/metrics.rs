@@ -128,8 +128,8 @@ pub struct RingDrops {
 }
 
 /// Renders the full exposition body from a stats snapshot plus the
-/// live values the snapshot does not carry (ingress queue depth and
-/// the ring eviction counters).
+/// live values the snapshot does not carry (requests accepted and not
+/// yet taken, and the ring eviction counters).
 pub fn render(stats: &ServerStats, queued: usize, drops: RingDrops) -> String {
     let mut out = String::with_capacity(4096);
 
@@ -145,7 +145,7 @@ pub fn render(stats: &ServerStats, queued: usize, drops: RingDrops) -> String {
         &mut out,
         "vitcod_queue_depth",
         "gauge",
-        "Requests waiting in the bounded ingress queue.",
+        "Requests accepted and not yet taken by a worker.",
     );
     let _ = writeln!(out, "vitcod_queue_depth {queued}");
 

@@ -1,14 +1,18 @@
-//! The network front end: a `TcpListener` accept loop feeding a
-//! handler-thread pool, each handler speaking keep-alive HTTP/1.1 over
-//! its connection and driving the serving layer through a
-//! [`vitcod_serve::Client`].
+//! The network front end: a handler-thread pool sharing one
+//! `TcpListener`, each handler accepting its own connections, speaking
+//! keep-alive HTTP/1.1 over them and driving the serving layer through
+//! a [`vitcod_serve::Client`].
 //!
 //! ```text
-//!  accept thread ──▶ BoundedQueue<TcpStream> ──▶ handler pool
-//!                                                │ parse → route → Client::submit → wait
-//!                                                ▼
-//!                                        vitcod_serve::Server (queue → batcher → engines)
+//!  TcpListener ◀── accept ── handler pool (connections beyond it wait in the listen backlog)
+//!                            │ parse → route → Client::submit → wait
+//!                            ▼
+//!                    vitcod_serve::Server (assembler ⇄ workers → engines)
 //! ```
+//!
+//! A wire request crosses two thread hand-offs: the handler that
+//! accepted its connection offers it to the serving layer, and the
+//! worker that ran it wakes that handler back up.
 //!
 //! **Graceful shutdown** ([`HttpServer::shutdown`]) runs front to back:
 //! stop accepting connections, let handlers finish the requests already
@@ -24,7 +28,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vitcod_engine::{load_compiled_vit, Engine};
-use vitcod_serve::queue::{BoundedQueue, Pop};
 use vitcod_serve::{
     Client, RequestError, RequestOutcome, Server, ServerStats, Span, StageReport, SubmitError,
     Ticket,
@@ -66,9 +69,9 @@ fn next_trace_id() -> String {
 /// Transport tuning knobs; see [`HttpServer::bind`].
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
-    /// Handler threads serving connections (each runs one connection at
-    /// a time; accepted connections beyond the pool wait in a bounded
-    /// queue).
+    /// Handler threads serving connections (each accepts and runs one
+    /// connection at a time; connections beyond the pool wait in the
+    /// kernel's listen backlog).
     pub handler_threads: usize,
     /// HTTP parser caps (header section and `Content-Length`).
     pub limits: Limits,
@@ -110,7 +113,11 @@ struct TransportShared {
     client: Client,
     config: TransportConfig,
     shutting_down: AtomicBool,
-    conns: BoundedQueue<TcpStream>,
+    /// Shared by the handler pool: an idle handler parks in `accept()`.
+    /// Closed with the last `Arc`, after the handlers have left, which
+    /// resets the connections still in the listen backlog — never read
+    /// from, so a reset is the correct refusal signal.
+    listener: TcpListener,
 }
 
 /// The HTTP front end over a [`vitcod_serve::Server`]; see the
@@ -119,7 +126,6 @@ pub struct HttpServer {
     shared: Arc<TransportShared>,
     server: Option<Server>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
     handlers: Vec<JoinHandle<()>>,
 }
 
@@ -146,18 +152,10 @@ impl HttpServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(TransportShared {
             client: server.client(),
-            conns: BoundedQueue::new(config.handler_threads * 2),
             config,
             shutting_down: AtomicBool::new(false),
+            listener,
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("vitcod-transport-accept".into())
-                .spawn(move || run_acceptor(&shared, &listener))
-                // vitcod-lint: allow(V001, spawn fails only on OS thread exhaustion at startup; bind() is the setup path)
-                .expect("spawn acceptor")
-        };
         let handlers = (0..shared.config.handler_threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -172,7 +170,6 @@ impl HttpServer {
             shared,
             server: Some(server),
             addr,
-            acceptor: Some(acceptor),
             handlers,
         })
     }
@@ -202,29 +199,23 @@ impl HttpServer {
 
     fn stop_transport(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a wake-up connection; it re-checks
-        // the flag before handing anything to the pool.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            if h.join().is_err() {
-                eprintln!("vitcod-transport: acceptor thread panicked");
-            }
+        // A handler inside a connection polls the flag; one parked in
+        // `accept()` needs a wake-up connection, and takes at most one
+        // before it sees the flag.
+        for _ in &self.handlers {
+            let _ = TcpStream::connect(self.addr);
         }
-        self.shared.conns.close();
         for h in self.handlers.drain(..) {
             if h.join().is_err() {
                 eprintln!("vitcod-transport: handler thread panicked");
             }
         }
-        // Connections still queued were never read from; dropping them
-        // resets the socket, which is the correct refusal signal.
-        drop(self.shared.conns.drain_now());
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.handlers.is_empty() {
+        if !self.handlers.is_empty() {
             self.stop_transport();
         }
         // Dropping the inner `Server` (if shutdown() did not take it)
@@ -232,37 +223,16 @@ impl Drop for HttpServer {
     }
 }
 
-fn run_acceptor(shared: &TransportShared, listener: &TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                if shared.conns.push(stream).is_err() {
-                    return;
-                }
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Transient accept errors (EMFILE, aborted handshakes)
-                // must not kill the front door.
-                std::thread::sleep(POLL_INTERVAL);
-            }
-        }
-    }
-}
-
 fn run_handler(shared: &TransportShared) {
-    loop {
-        match shared.conns.pop_until(None) {
-            Pop::Item(stream) => handle_connection(shared, stream),
-            Pop::Closed => return,
-            // `pop_until(None)` never times out; tolerate it anyway
-            // rather than giving the pool a panic path.
-            Pop::TimedOut => continue,
+    while !shared.shutting_down.load(Ordering::SeqCst) {
+        match shared.listener.accept() {
+            // Accepted after the flag went up (the wake-up connection,
+            // or a client racing it), a connection is closed unread by
+            // `handle_connection`'s own check of the flag.
+            Ok((stream, _)) => handle_connection(shared, stream),
+            // Transient accept errors (EMFILE, aborted handshakes)
+            // must not kill the front door.
+            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }
@@ -400,8 +370,8 @@ fn dispatch(
         }
         Ok(Route::Health) => {
             // `?deep=1`: readiness, not just liveness — run one real
-            // inference per registered model through the full queue →
-            // batcher → engine path.
+            // inference per registered model through the full
+            // assembler → worker → engine path.
             if request.query.split('&').any(|kv| kv == "deep=1") {
                 json(deep_health(shared))
             } else {
@@ -512,7 +482,7 @@ fn classify(
         .map(Duration::from_millis)
         .or(shared.config.default_timeout);
     // Submit every sample before waiting on any: the serving layer sees
-    // the whole burst at once, so the dynamic batcher can co-batch it.
+    // the whole burst at once, so the assembler can co-batch it.
     let mut tickets: Vec<Ticket> = Vec::with_capacity(payload.items.len());
     for tokens in payload.items {
         match shared.client.submit_traced(model, tokens, timeout, sampled) {
@@ -778,8 +748,8 @@ fn wait_for(
         }
         None => loop {
             // Genuinely indefinite, in slices. The request was
-            // submitted without a deadline, so the batcher can never
-            // expire it server-side: a `TimedOut` here can only mean
+            // submitted without a deadline, so it can never expire
+            // server-side: a `TimedOut` here can only mean
             // this local slice elapsed, and looping is safe.
             match shared.client.wait_timeout(ticket, Duration::from_secs(60)) {
                 Err(RequestError::TimedOut) => continue,

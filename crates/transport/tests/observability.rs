@@ -659,7 +659,7 @@ fn tail_retention_keeps_slow_requests_over_the_wire() {
 }
 
 /// `GET /v1/health?deep=1` runs a one-sample inference probe per
-/// registered model through the real queue → batcher → engine path;
+/// registered model through the real assembler → worker → engine path;
 /// the shallow form stays cheap and probe-free.
 #[test]
 fn deep_health_probes_every_model() {

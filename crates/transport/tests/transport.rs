@@ -1,7 +1,8 @@
 //! End-to-end loopback tests for the HTTP transport: bit-identical
 //! predictions through the socket, wire-level deadlines, round-robin
 //! fairness under a flooding model, hot artifact reload with in-flight
-//! requests, graceful shutdown, and status-code mapping.
+//! requests, graceful shutdown (idle and busy handler pools), the listen
+//! backlog as the overflow queue, and status-code mapping.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -492,6 +493,87 @@ fn shutdown_completes_wire_requests_then_refuses_connections() {
         Ok(mut c) => c.get("/healthz").is_err(),
     };
     assert!(refused, "shutdown server must not accept new work");
+}
+
+/// A transport over one idle tiny model with `handler_threads` handlers.
+fn start_http_with_handlers(handler_threads: usize) -> HttpServer {
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(tiny_model(63, false)).build())
+        .unwrap();
+    HttpServer::bind(
+        "127.0.0.1:0",
+        Server::start(registry, BatchConfig::default()),
+        TransportConfig {
+            handler_threads,
+            idle_timeout: Duration::from_secs(5),
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind loopback")
+}
+
+/// Shutdown reaches every handler wherever it is parked: in `accept()`
+/// (one wake-up connection each) or inside a keep-alive connection (the
+/// read poll sees the flag).
+#[test]
+fn shutdown_is_prompt_with_handlers_idle_and_with_handlers_on_connections() {
+    let http = start_http_with_handlers(4);
+    let t = Instant::now();
+    http.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "idle pool took {:?}",
+        t.elapsed()
+    );
+
+    let http = start_http_with_handlers(2);
+    let mut held: Vec<HttpClient> = (0..2)
+        .map(|_| HttpClient::connect(http.local_addr()).unwrap())
+        .collect();
+    for c in &mut held {
+        // Answered, so a handler is inside this connection.
+        assert_eq!(c.get("/healthz").unwrap().status, 200);
+    }
+    let t = Instant::now();
+    http.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "busy pool took {:?}",
+        t.elapsed()
+    );
+}
+
+/// Connections beyond the pool wait in the kernel's listen backlog: a
+/// third connection's request sits unanswered while two keep-alive
+/// connections hold both handlers, and is answered as soon as one of
+/// them closes.
+#[test]
+fn connection_beyond_the_pool_is_served_when_a_handler_frees_up() {
+    let http = start_http_with_handlers(2);
+    let addr = http.local_addr();
+    let mut first = HttpClient::connect(addr).unwrap();
+    let mut second = HttpClient::connect(addr).unwrap();
+    assert_eq!(first.get("/healthz").unwrap().status, 200);
+    assert_eq!(second.get("/healthz").unwrap().status, 200);
+
+    let third = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).expect("the backlog accepts the connect");
+        client.get("/healthz").unwrap().status
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!third.is_finished(), "both handlers are taken");
+
+    let t = Instant::now();
+    drop(first);
+    assert_eq!(third.join().unwrap(), 200);
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "freed handler took {:?} to pick the waiting connection up",
+        t.elapsed()
+    );
+    drop(second);
+    http.shutdown();
 }
 
 /// Status-code mapping for well-formed requests that cannot be served.

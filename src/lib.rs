@@ -19,8 +19,9 @@
 //!   [`engine::CompiledVit`] artifacts (with bit-exact on-disk
 //!   save/load) and the batched, tape-free [`engine::Engine`] with
 //!   truly-sparse attention;
-//! * [`serve`] — the serving layer: [`serve::Server`]'s bounded request
-//!   queue with dynamic batching (request deadlines, round-robin
+//! * [`serve`] — the serving layer: [`serve::Server`]'s bounded batch
+//!   assembler, offered into by the submitting threads and taken from
+//!   by a worker pool (dynamic batching, request deadlines, round-robin
 //!   per-model fairness, hot engine reload), the multi-model
 //!   [`serve::ModelRegistry`] (loadable from disk), and per-model
 //!   latency/throughput statistics;
