@@ -22,7 +22,9 @@
 //!   `aᵀ·b`: both operands are packed on the fly, straight from whichever
 //!   layout they arrive in, into contiguous `k`-major panels (reused
 //!   per-thread scratch — no stored second copy of anything), and an
-//!   `MR × NR` = 4 × 8 block of outputs is held in register accumulators
+//!   `MR × NR` block of outputs (4 × 16 where the target has 256-bit
+//!   vectors, 4 × 8 at 128 bits; fixed at compile time, see
+//!   `VECTOR_BYTES`) is held in register accumulators
 //!   across each `K_BLOCK`-step stretch of the reduction while one packed
 //!   panel of `b` streams past a block of `a` rows. Calls with fewer than
 //!   `MR` output rows (the classifier head) skip the packing and run a
@@ -67,32 +69,74 @@ use std::sync::OnceLock;
 use crate::ops::softmax_row;
 use crate::Matrix;
 
-/// Lane count the kernels tile for: eight 32-bit values (one 256-bit
-/// vector register, or two 128-bit ones). The fast GEMM's tile is this
-/// wide, and so are the int8 panels of [`crate::PackedGemmWeights`].
+/// Lane count of the int8 panels of [`crate::PackedGemmWeights`]: eight
+/// 32-bit accumulators (one 256-bit vector register, or two 128-bit
+/// ones). Fixed whatever the target, so packed weights, and what an
+/// engine holds of them, are the same bytes on every build.
 pub const LANES: usize = 8;
 
+/// Bytes in one vector register of the compile target: 32 (a `ymm`)
+/// where AVX2 is enabled — the `x86-64-v3` baseline `.cargo/config.toml`
+/// sets — and 16 (an `xmm`, a NEON `q`) everywhere else. The register
+/// tiles of both fast GEMMs take their widths from it; nothing about
+/// them is decided at run time.
+pub(crate) const VECTOR_BYTES: usize = if cfg!(target_feature = "avx2") {
+    32
+} else {
+    16
+};
+
+/// `f32` (or `i32`) lanes in one vector register.
+pub(crate) const F32_PER_VECTOR: usize = VECTOR_BYTES / 4;
+
+/// Vector registers a register tile may occupy: x86-64 has 16 at either
+/// width (AVX-512's 32 are not targeted), and 16 is a safe bound for
+/// AArch64's 32.
+pub(crate) const VECTOR_REGISTERS: usize = 16;
+
 /// Output rows per register tile of the fast GEMMs (fp32 here, int8 in
-/// [`crate::quant`]). `MR × NR` accumulators plus one panel step fit the
-/// 16 vector registers of baseline x86-64; taller or wider tiles spill
-/// and fall off the vectorizer.
+/// [`crate::quant`]).
 pub(crate) const MR: usize = 4;
 
-/// Output columns per register tile, and the width of a packed `b` panel.
-const NR: usize = LANES;
+/// Output columns per register tile, and the width of a packed `b` panel:
+/// two vector registers per tile row, so 4 × 8 on a 128-bit target and
+/// 4 × 16 on a 256-bit one.
+const NR: usize = 2 * F32_PER_VECTOR;
 
-/// Copies of each `a` scalar (each `k`-pair, in the int8 GEMM) in a
-/// packed `a` panel: one 128-bit vector's worth, the register width of
-/// the baseline targets.
-pub(crate) const A_REP: usize = 4;
+/// Copies of each `a` scalar in a packed `a` panel, chosen by
+/// measurement. At 256 bits one: AVX's `vbroadcastss` reads it straight
+/// from memory on a load port, and the tile ran ≈ 10 % faster than with
+/// a register's worth of copies. SSE has no broadcast from memory, so at
+/// 128 bits each scalar is stored a register's worth of times and a tile
+/// step loads it whole, with no shuffle competing for the arithmetic
+/// ports.
+const A_REP: usize = if VECTOR_BYTES == 32 {
+    1
+} else {
+    F32_PER_VECTOR
+};
+
+// The `MR × NR` accumulators and one `b` panel step leave a register of
+// the file free for the `a` value; a taller or wider tile spills and
+// falls off the vectorizer.
+const _: () = assert!(MR * NR / F32_PER_VECTOR + NR / F32_PER_VECTOR < VECTOR_REGISTERS);
 
 /// Steps of the `k` reduction the fast GEMM packs and multiplies at a time.
 const K_BLOCK: usize = 128;
 
-/// Output rows per packed block of `a`: each packed `b` panel is reused
-/// by this many rows, and `BLOCK_ROWS × K_BLOCK × A_REP` floats (96 KiB)
-/// is all the `a` scratch a thread ever holds, whatever the shape.
-const BLOCK_ROWS: usize = 12 * MR;
+/// Floats of packing scratch a thread holds for the fast GEMM, whatever
+/// the shape: one block of packed `a` rows plus one `b` panel, 100 KiB.
+/// Held at that size at either width because the scratch is a
+/// long-lived heap block per thread: at 32 KiB the allocator placed it
+/// where it split a freed region, and a DeiT-Tiny int8 set-up's peak RSS
+/// rose by 12.6 MB.
+const SCRATCH_FLOATS: usize = 25 * 1024;
+
+/// Output rows per packed block of `a`: what [`SCRATCH_FLOATS`] leaves
+/// after one `b` panel at this [`A_REP`] — 48 at 128 bits, 184 at 256 —
+/// so each packed `b` panel is reused by this many rows.
+const BLOCK_ROWS: usize = (SCRATCH_FLOATS / K_BLOCK - NR) / A_REP;
+const _: () = assert!(BLOCK_ROWS.is_multiple_of(MR));
 
 /// Tile edge for the tiled transpose.
 const TRANSPOSE_TILE: usize = 32;
@@ -734,7 +778,7 @@ fn fast_gemm(a: Operand, b: Operand) -> Matrix {
 /// and reload is exact, so the chain is unbroken).
 fn tiled_rows(a: Operand, b: Operand, first_row: usize, chunk: &mut [f32], scratch: &mut Vec<f32>) {
     let (kdim, n) = (a.depth, b.lanes);
-    scratch.resize(K_BLOCK * (BLOCK_ROWS * A_REP + NR), 0.0);
+    scratch.resize(SCRATCH_FLOATS, 0.0);
     let (a_block, b_panel) = scratch.split_at_mut(K_BLOCK * BLOCK_ROWS * A_REP);
     for (bi, out_block) in chunk.chunks_mut(BLOCK_ROWS * n).enumerate() {
         let block_row = first_row + bi * BLOCK_ROWS;
@@ -766,11 +810,12 @@ fn tiled_rows(a: Operand, b: Operand, first_row: usize, chunk: &mut [f32], scrat
 
 /// The microkernel: an `MR × NR` block of outputs carried in registers
 /// across one block of the `k` reduction. One packed `a` step is `MR`
-/// scalars, each already spread over a vector's worth of slots, so
-/// `acc[r] += a[r] · b` is multiply-add on whole registers with no
-/// broadcast shuffle competing for the arithmetic ports. The fixed-size
-/// inner loops are what the autovectorizer lowers.
+/// scalars, each stored [`A_REP`] times, so `acc[r] += a[r] · b` is a
+/// multiply and an add on whole registers (two per tile row) fed by one
+/// broadcast load or one plain load. The fixed-size inner loops are what
+/// the autovectorizer lowers.
 #[inline(always)]
+#[allow(clippy::modulo_one)] // `A_REP` is 1 at 256 bits.
 fn register_tile(a: &[f32], b: &[f32], mut acc: [[f32; NR]; MR]) -> [[f32; NR]; MR] {
     for (ak, bk) in a.chunks_exact(MR * A_REP).zip(b.chunks_exact(NR)) {
         for r in 0..MR {

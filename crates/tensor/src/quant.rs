@@ -24,7 +24,7 @@
 //! accumulation is exact in any order, so all [`Backend`]s produce
 //! bit-identical results from identical operands.
 
-use crate::kernels::{self, Backend, A_REP, LANES, MR};
+use crate::kernels::{self, Backend, F32_PER_VECTOR, LANES, MR, VECTOR_BYTES, VECTOR_REGISTERS};
 use crate::Matrix;
 
 /// Symmetric per-tensor quantization parameters.
@@ -307,9 +307,11 @@ impl QuantizedRows {
 /// ```
 ///
 /// so the inner loop reads one contiguous `2·LANES` block per `k`-pair
-/// per panel: two 128-bit registers of `(w₀, w₁)` pairs, each of which
-/// the fast kernel's tile multiplies against a register of matching
-/// activation pairs with one `pmaddwd` (four lanes, eight MACs). Ragged
+/// per panel — 32 bytes of `(w₀, w₁)` pairs, one 256-bit register or two
+/// 128-bit ones — which the fast kernel's tile multiplies against
+/// registers of matching activation pairs with one `pmaddwd` per register
+/// (16 MACs on a `ymm`, 8 on an `xmm`). The layout is the same whatever
+/// the target's vector width. Ragged
 /// edges (odd `k`, `n` not a lane multiple) are zero-padded and
 /// contribute nothing. Elements are stored widened
 /// to `i16`; [`PackedGemmWeights::bytes`] still accounts one byte per
@@ -489,8 +491,20 @@ const PAIR_BLOCK: usize = 256;
 const _: () = assert!(PAIR_BLOCK * 2 * 127 * 128 <= 1 << 24);
 
 /// `i16`s one activation row contributes to one packed `k`-pair step: the
-/// `(a₀, a₁)` pair repeated [`A_REP`] times, one 128-bit register.
-const PAIR_REP: usize = 2 * A_REP;
+/// `(a₀, a₁)` pair repeated to fill one vector register (16 `i16` at 256
+/// bits, 8 at 128), so `pmaddwd` against the weight step needs no
+/// shuffle. Its own constant, not the fp32 GEMM's `a` repeat: the integer
+/// tile leaves `pmaddwd` for `pmulld` unless the pair fills a register.
+const PAIR_REP: usize = VECTOR_BYTES / 2;
+
+// A tile row's weight lanes cover whole activation registers.
+const _: () = assert!(LANES.is_multiple_of(PAIR_REP / 2));
+
+// The `MR × LANES` f32 block accumulators, one packed weight step, one
+// activation register and one `pmaddwd` product fit the vector register
+// file (12 of 16 at 128 bits, 7 at 256).
+const _: () =
+    assert!(MR * LANES / F32_PER_VECTOR + 4 * LANES / VECTOR_BYTES + 2 <= VECTOR_REGISTERS);
 
 /// Fast arm of [`int8_gemm`]: per [`MR`]-row block the activation
 /// `k`-pairs are packed once, then every weight panel meets them in
@@ -539,9 +553,10 @@ fn int8_gemm_panels(
 
 /// The int8 microkernel: an `MR × LANES` block of outputs carried in
 /// registers across the whole `k`-pair walk of one weight panel. One
-/// packed `a` step is `MR` pairs, each spread over a 128-bit register, so
-/// `a₀·w[2l] + a₁·w[2l+1]` over four lanes is a single `pmaddwd` on
-/// whole registers — one instruction per 8 MACs.
+/// packed `a` step is `MR` pairs, each spread over a vector register
+/// ([`PAIR_REP`]), so `a₀·w[2l] + a₁·w[2l+1]` over a register's lanes is
+/// a single `pmaddwd` on whole registers — one instruction per 16 MACs at
+/// 256 bits (`vpmaddwd` on `ymm`), per 8 at 128.
 ///
 /// Each [`PAIR_BLOCK`] is accumulated in **f32**, which is exact (see
 /// the constant) and is what keeps the loop in that shape: with an `i32`
@@ -562,8 +577,8 @@ fn int8_tile(a: &[i16], w: &[i16]) -> [[i32; LANES]; MR] {
         for (ak, wk) in steps.zip(wb.chunks_exact(2 * LANES)) {
             for r in 0..MR {
                 for l in 0..LANES {
-                    let a0 = ak[r * PAIR_REP + 2 * (l % A_REP)] as i32;
-                    let a1 = ak[r * PAIR_REP + 2 * (l % A_REP) + 1] as i32;
+                    let a0 = ak[r * PAIR_REP + 2 * (l % (PAIR_REP / 2))] as i32;
+                    let a1 = ak[r * PAIR_REP + 2 * (l % (PAIR_REP / 2)) + 1] as i32;
                     acc[r][l] += (a0 * wk[2 * l] as i32 + a1 * wk[2 * l + 1] as i32) as f32;
                 }
             }

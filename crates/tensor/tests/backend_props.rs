@@ -176,14 +176,15 @@ fn same_bits(a: &Matrix, b: &Matrix) -> bool {
 }
 
 /// Every flavour at every tile edge: m around the 4-row tile and below it
-/// (the axpy path), n around the 8-wide panel, k around a cache line, one
+/// (the axpy path), n around the panel at either target width (8 wide at
+/// 128 bits, 16 at 256) and its double, k around a cache line, one
 /// past the GEMM's 128-step `k` block and at DeiT's widest, each empty
 /// once — on one worker and on four, where 197 rows split into chunks of
 /// 50, not a multiple of the tile height.
 #[test]
 fn fast_matches_scalar_at_every_tile_edge_on_non_finite_data() {
     for m in [0, 1, 3, 4, 5, 197] {
-        for n in [0, 1, 7, 8, 9, 10, 197] {
+        for n in [0, 1, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 197] {
             for k in [0, 1, 63, 64, 65, 129, 768] {
                 let a = spiked(m, k, 1, [0.0, f32::NAN]);
                 let at = spiked(k, m, 2, [0.0, f32::NAN]);

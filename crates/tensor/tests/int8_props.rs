@@ -239,10 +239,10 @@ fn filled_weights(k: usize, n: usize, col: impl Fn(usize) -> i8) -> QuantizedMat
 }
 
 /// `Fast` ≡ `Scalar` at every edge of the int8 tile: m around the 4-row
-/// block, n around the 8-wide panel, k around the pair (odd `k` is
-/// zero-padded), around the 256-pair block the fast kernel accumulates
-/// exactly in f32, across several such blocks and at DeiT's widest, each
-/// empty once — on one worker and on four, where 197 rows split into
+/// block, n around one, two and four 8-wide panels, k around the pair
+/// (odd `k` is zero-padded), around the 256-pair block the fast kernel
+/// accumulates exactly in f32, across several such blocks and at DeiT's
+/// widest, each empty once — on one worker and on four, where 197 rows split into
 /// chunks of 50, not a multiple of the block height. Three operand sets:
 /// random; saturated ±127 with the sign set per row and per column, so
 /// every output is a full-magnitude sum of either sign; and raw −128
@@ -252,7 +252,7 @@ fn filled_weights(k: usize, n: usize, col: impl Fn(usize) -> i8) -> QuantizedMat
 fn fast_matches_scalar_at_every_tile_edge_on_saturated_data() {
     let sign = |i: usize| [1i8, -1][i % 2];
     for m in [0, 1, 3, 4, 5, 197] {
-        for n in [0, 1, 7, 8, 9, 17, 197] {
+        for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 197] {
             for k in [0, 1, 2, 511, 512, 513, 1025, 3072] {
                 let seed = (m * 31 + n * 7 + k) as u64;
                 let saturated = Matrix::from_fn(m, k, |i, _| sign(i) as f32);
