@@ -447,9 +447,9 @@ impl Protocol {
         r.rows
     }
 
-    /// Raw core-attention latencies of every platform at 90 %, and the
-    /// headline they produce. Not a paper artifact: the view to read
-    /// when a modelling constant is in question.
+    /// Raw core-attention latencies of every platform at 90 %, the
+    /// inputs of `fig15a`'s headline. Not a paper artifact: the view to
+    /// read when a modelling constant is in question.
     pub fn calibrate(&self) -> Vec<Row> {
         let mut r = Rows::new("calibrate");
         for m in &ViTConfig::classification_models() {
@@ -465,7 +465,6 @@ impl Protocol {
                 ("Sanger attention latency", sanger * 1e6, 1, "us"),
             ]);
         }
-        r.rows.extend(self.headline("calibrate"));
         r.rows
     }
 

@@ -1,6 +1,6 @@
 //! Open-loop SLO load harness: drives the full serving stack (engine →
 //! assembler ⇄ workers → HTTP transport) over loopback with scheduled
-//! arrivals, then drains `/v1/metrics` and `/v1/trace` and writes
+//! arrivals, then drains `/v1/metrics` and `/v1/traces` and writes
 //! everything to disk.
 //!
 //! ```text
@@ -19,8 +19,8 @@
 //! * `storm`  — a deadline storm: the same offered rate but a 1 ms
 //!   deadline, so requests expire en masse; gates that the server
 //!   keeps answering (no connection errors, `/healthz` stays 200),
-//!   that the trace recorded the expiries, and that the slow-request
-//!   log retained span trees for the blown deadlines.
+//!   that `vitcod_timeouts_total` counted the expiries, and that
+//!   `/v1/traces` kept their span trees as `error`.
 //! * `slowloris` — a hostile-connection mix (trickled headers,
 //!   half-open connects, never-read clients) riding alongside steady
 //!   traffic; gates that the transport sheds every hostile connection
@@ -29,9 +29,9 @@
 //!   monitor: an induced outage (1 ms deadlines → mass expiry) followed
 //!   by clean recovery traffic. Gates that the availability alert walks
 //!   `pending → firing → resolved` as load recedes, that the recovery
-//!   phase still meets the SLO, and that `/v1/traces` holds tail-kept
-//!   (not head-sampled) span trees from the outage; writes the
-//!   transition log to `alerts.json`.
+//!   phase still meets the SLO, and that `/v1/traces` kept the
+//!   outage's expired (not head-sampled) requests as `error`; writes
+//!   the transition log to `alerts.json`.
 //! * `smoke`  — a few hundred requests at a low rate plus an
 //!   `/v1/metrics` format check; the CI workflow runs this one (with
 //!   `--hold-s` so the `vitcod-obs` monitor binary can scrape the live
@@ -39,11 +39,10 @@
 //!
 //! Every scenario writes `report.json` (arrival process, counts,
 //! latency percentiles, final `/v1/stats` snapshot), `metrics.txt`
-//! (the Prometheus exposition), `trace.json` (the drained event
-//! ring), `traces.json` (sampled span trees), `slowlog.json` (the
-//! slow-request forensics ring) and `addr.txt` (the bound loopback
-//! address, written before load starts so an external monitor can
-//! attach) into `--out`.
+//! (the Prometheus exposition), `traces.json` (the kept span trees:
+//! failed, slow or head-sampled requests) and `addr.txt` (the bound
+//! loopback address, written before load starts so an external monitor
+//! can attach) into `--out`.
 //!
 //! The model is the reduced DeiT-Tiny training shape, so the harness
 //! exercises the full stack in seconds even on one CPU; the
@@ -62,8 +61,10 @@ use vitcod_autograd::ParamStore;
 use vitcod_bench::load::{self, HostileConfig, LoadConfig, Target};
 use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision, Prediction};
 use vitcod_model::{Sample, ViTConfig, VisionTransformer};
-use vitcod_obs::{fetch_metrics, AlertState, Objective, SloConfig, SloTracker, Transition};
-use vitcod_serve::{BatchConfig, ModelRegistry, Server, TailConfig, TracingConfig};
+use vitcod_obs::{
+    fetch_metrics, AlertState, Exposition, Objective, SloConfig, SloTracker, Transition,
+};
+use vitcod_serve::{BatchConfig, ModelRegistry, Server, TracingConfig};
 use vitcod_tensor::{Initializer, Matrix};
 use vitcod_transport::{api, HttpClient, HttpServer, Json, TransportConfig};
 
@@ -223,12 +224,6 @@ fn main() {
         TracingConfig {
             sample_rate,
             slow_threshold: None,
-            // Tail retention on in every scenario: the serving bench
-            // gates its cost at ≤1% of p99, so the harness runs the
-            // production configuration, and degrade/storm rely on it to
-            // retain span trees for expired (never head-sampled)
-            // requests.
-            tail: Some(TailConfig::default()),
         },
     );
     let mut transport_config = TransportConfig::default();
@@ -389,8 +384,8 @@ fn main() {
 
     // Degrade phase 1: the same offered load, but with deadlines shorter
     // than one batcher wait — requests expire en masse and burn the
-    // availability budget. These requests are not head-sampled; the tail
-    // sampler must retain their span trees.
+    // availability budget. Few of these requests are head-sampled; the
+    // keep rule must retain their span trees as `error`.
     let induce = (args.scenario == "degrade").then(|| {
         let storm_cfg = LoadConfig {
             rate,
@@ -436,16 +431,13 @@ fn main() {
     // Drain observability endpoints over the wire BEFORE shutdown, then
     // take the final stats snapshot for the report.
     let metrics_body = fetch(addr, "/v1/metrics");
-    let trace_body = fetch(addr, "/v1/trace");
     let traces_body = fetch(addr, "/v1/traces");
-    let slowlog_body = fetch(addr, "/v1/slowlog");
     let health_body = fetch(addr, "/healthz");
     let stats = http.shutdown();
 
     std::fs::write(args.out.join("metrics.txt"), &metrics_body).expect("write metrics.txt");
-    std::fs::write(args.out.join("trace.json"), &trace_body).expect("write trace.json");
     std::fs::write(args.out.join("traces.json"), &traces_body).expect("write traces.json");
-    std::fs::write(args.out.join("slowlog.json"), &slowlog_body).expect("write slowlog.json");
+    let metrics = Exposition::parse(&metrics_body).expect("/v1/metrics is valid exposition");
     let mut report_fields = vec![
         ("scenario".into(), Json::String(args.scenario.clone())),
         ("service_time_s".into(), Json::Number(s1)),
@@ -504,7 +496,7 @@ fn main() {
         println!("hot reloads under load: {swaps}");
     }
     println!(
-        "wrote report.json, metrics.txt, trace.json to {}",
+        "wrote report.json, metrics.txt, traces.json to {}",
         args.out.display()
     );
 
@@ -526,18 +518,13 @@ fn main() {
             // shed load via deadlines, not errors, and say so.
             assert!(report.timed_out > 0, "storm produced no deadline expiries");
             assert!(
-                trace_body.contains("\"expire\""),
-                "trace recorded no expire events"
+                metrics.sum("vitcod_timeouts_total", &[]) > 0.0,
+                "vitcod_timeouts_total counted no expiries"
             );
+            // Every expiry is kept, as `error`, whatever the sampler said.
             assert!(
-                metrics_body.contains("vitcod_timeouts_total"),
-                "metrics missing the timeout counter"
-            );
-            // Blown deadlines are exactly what the slow-request log is
-            // for: every expiry blew well past deadline/2.
-            assert!(
-                slowlog_body.contains("\"request\""),
-                "storm retained no span trees in the slowlog"
+                traces_body.contains("\"kept\":\"error\""),
+                "storm kept no expired span trees"
             );
         }
         "degrade" => {
@@ -574,17 +561,15 @@ fn main() {
                 seq.contains(&(AlertState::Firing, AlertState::Resolved)),
                 "availability alert never resolved after recovery: {seq:?}"
             );
-            // The outage's requests were not head-sampled (5% rate), so
-            // the span trees in /v1/traces must be tail keeps: errored
-            // expiries and deadline/2 slow completions.
+            // The outage's requests were mostly not head-sampled (5%
+            // rate); the keep rule must have kept their expiries anyway.
             assert!(
                 traces_body.contains("\"sampled\":false"),
-                "traces hold no tail-kept (unsampled) span trees"
+                "traces hold no unsampled span trees"
             );
             assert!(
-                traces_body.contains("\"kept\":\"error\"")
-                    || traces_body.contains("\"kept\":\"slow\""),
-                "traces hold no slow/errored tail keeps from the outage"
+                traces_body.contains("\"kept\":\"error\""),
+                "traces hold no expired requests from the outage"
             );
         }
         _ => {
@@ -618,8 +603,8 @@ fn main() {
             assert!(metrics_body.contains(needle), "metrics missing '{needle}'");
         }
         assert!(
-            trace_body.contains("\"enqueue\"") && trace_body.contains("\"dispatch\""),
-            "trace missing enqueue/dispatch events"
+            metrics.sum("vitcod_batches_total", &[]) > 0.0,
+            "vitcod_batches_total counted no batches"
         );
         // Everything is head-sampled in the smoke run, so the span ring
         // must hold trees whose compute subtrees name the per-layer ops

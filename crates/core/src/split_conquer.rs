@@ -121,15 +121,6 @@ impl WorkloadSplit {
         self.tokens * self.denser_cols
     }
 
-    /// Fraction of total kept work that lands on the denser engine.
-    pub fn denser_fraction(&self) -> f64 {
-        let total = self.denser_nnz + self.sparser_nnz;
-        if total == 0 {
-            return 0.0;
-        }
-        self.denser_nnz as f64 / total as f64
-    }
-
     /// Suggested PE split: PEs given to the denser engine out of
     /// `total_pes`, proportional to its dense-computed workload versus
     /// the sparser engine's nnz workload, with both engines always

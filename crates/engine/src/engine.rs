@@ -244,15 +244,6 @@ impl Engine {
             .collect()
     }
 
-    /// [`Engine::infer_batch_profiled`] for one raw token matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token shape does not match the compiled model.
-    pub fn infer_one_profiled(&self, tokens: &Matrix) -> (Prediction, OpProfile) {
-        self.predict_profiled(tokens)
-    }
-
     /// Approximate arithmetic ops one forward pass performs (1 MAC = 2
     /// ops, softmax = 1 op per kept attention entry), with the
     /// quadratic `Q·Kᵀ`/`S·V` core and softmax discounted by the

@@ -98,7 +98,6 @@ pub struct SyntheticTask {
     /// Test samples.
     pub test: Vec<Sample>,
     prototypes: Vec<Vec<f32>>,
-    salient: Vec<usize>,
 }
 
 impl SyntheticTask {
@@ -137,7 +136,6 @@ impl SyntheticTask {
             train,
             test,
             prototypes,
-            salient,
         }
     }
 
@@ -149,11 +147,6 @@ impl SyntheticTask {
     /// The class-prototype directions (for analysis/tests).
     pub fn prototypes(&self) -> &[Vec<f32>] {
         &self.prototypes
-    }
-
-    /// The fixed salient patch positions anchors are drawn from.
-    pub fn salient_positions(&self) -> &[usize] {
-        &self.salient
     }
 }
 

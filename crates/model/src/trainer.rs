@@ -135,11 +135,6 @@ impl Trainer {
         &self.store
     }
 
-    /// Mutable access to the parameter store.
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
     /// Installs ViTCoD auto-encoder modules into the wrapped model
     /// (borrow-splitting convenience over
     /// [`VisionTransformer::insert_auto_encoder`]).

@@ -35,17 +35,13 @@
 //! * [`ServerStats`] — per-model p50/p99/p999 latency, throughput, the
 //!   batch-fill histogram and per-stage (queue-wait / batch-assembly /
 //!   compute / serialize) latency histograms, queryable at any time;
-//! * [`trace`] — a bounded ring of typed serving events (enqueue,
-//!   expire, dispatch, reload, shutdown) drained via
-//!   [`Server::take_trace`] for debugging deadline storms and reload
-//!   races without a debugger;
 //! * [`spans`] — request-scoped span trees: head-sampled requests run
 //!   the engine's profiled forward (`compute → layer{i} → {qkv, scores,
-//!   softmax, spmm, out_proj, fc1, fc2}`), finished trees land in
-//!   bounded rings behind `GET /v1/traces` (sampled) and
-//!   `GET /v1/slowlog` (requests past their slow threshold), and every
-//!   served ticket carries a [`spans::StageReport`] the transport
-//!   assembles into the `request` span.
+//!   softmax, spmm, out_proj, fc1, fc2}`), every served ticket carries a
+//!   [`spans::StageReport`] the transport assembles into the `request`
+//!   span, and [`Client::record_finished`] keeps each failed, slow or
+//!   head-sampled request's tree once in the bounded ring behind
+//!   `GET /v1/traces`.
 //!
 //! Batching never changes values: every per-sample forward is
 //! independent, so a prediction served through the queue is
@@ -82,18 +78,16 @@ mod server;
 pub mod spans;
 pub mod stats;
 mod ticket;
-pub mod trace;
 
 pub use batcher::BatchConfig;
 pub use registry::{ModelRegistry, RegistryError, ARTIFACT_EXTENSION};
 pub use server::{Client, Server, SubmitError};
 pub use spans::{
-    compute_span, FinishedTrace, KeepReason, PendingSpan, RequestOutcome, Span, StageReport,
-    TailConfig, TracingConfig, SPAN_RING_CAPACITY,
+    compute_span, FinishedTrace, KeepReason, RequestOutcome, Span, StageReport, TracingConfig,
+    SPAN_RING_CAPACITY,
 };
 pub use stats::{
     HistogramSnapshot, ModelStats, RequestTiming, ServerStats, StageStats, StatsRecorder,
     MAX_LATENCY_SAMPLES,
 };
 pub use ticket::{RequestError, Ticket};
-pub use trace::{TraceEvent, TraceKind, TRACE_CAPACITY};

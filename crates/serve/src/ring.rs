@@ -1,9 +1,8 @@
-//! The bounded, sharded ring behind the event trace
-//! ([`crate::trace`]), `/v1/traces` and the slowlog ([`crate::spans`]).
+//! The bounded, sharded ring behind `/v1/traces` ([`crate::spans`]).
 //!
 //! A fixed number of mutex-guarded shards — writers pick one by thread
-//! id, so concurrent producers, the workers and the control plane
-//! rarely contend — each a bounded ring that evicts its oldest entry
+//! id, so concurrent transport handlers rarely contend — each a
+//! bounded ring that evicts its oldest entry
 //! when full. Eviction is **counted, not hidden**. Reads merge the
 //! shards in record order: a global atomic sequence number orders
 //! entries across shards. The shard mutexes are leaf locks: nothing is

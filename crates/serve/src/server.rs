@@ -51,12 +51,11 @@ use crate::batcher::{Batch, BatchAssembler, BatchConfig, Request};
 use crate::registry::ModelRegistry;
 use crate::ring::ShardedRing;
 use crate::spans::{
-    compute_span, FinishedTrace, KeepReason, PendingSpan, RequestOutcome, Sampler, Span,
-    StageReport, TailSampler, TracingConfig, SPAN_RING_CAPACITY,
+    compute_span, FinishedTrace, KeepReason, RequestOutcome, Sampler, Span, StageReport,
+    TracingConfig, SPAN_RING_CAPACITY,
 };
 use crate::stats::{RequestTiming, ServerStats, StatsRecorder};
 use crate::ticket::{RequestError, Resolver, Ticket, TicketInner};
-use crate::trace::{TraceEvent, TraceKind, TRACE_CAPACITY};
 
 /// Error submitting a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,20 +116,13 @@ struct Shared {
     /// the shutdown flush.
     space: Condvar,
     stats: StatsRecorder,
-    trace: ShardedRing<TraceEvent>,
     /// Request-tracing knobs, fixed at startup.
     tracing: TracingConfig,
     /// Deterministic head sampler driven by the ingress
     /// ([`Client::sample_trace`]).
     sampler: Sampler,
-    /// Finished span trees of sampled requests (`GET /v1/traces`).
+    /// Finished span trees the keep rule kept (`GET /v1/traces`).
     traces: ShardedRing<FinishedTrace>,
-    /// Span trees of requests that blew their slow threshold
-    /// (`GET /v1/slowlog`).
-    slowlog: ShardedRing<FinishedTrace>,
-    /// Completion-time retention ([`TracingConfig::tail`]); `None`
-    /// keeps the traces ring head-sampled only.
-    tail: Option<TailSampler>,
 }
 
 impl Shared {
@@ -144,22 +136,18 @@ impl Shared {
     }
 
     fn reload(&self, id: String, engine: Arc<Engine>) -> bool {
-        let replaced = self
-            .engines
+        self.engines
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(id.clone(), engine)
-            .is_some();
-        self.trace
-            .record_event(TraceKind::Reload, &id, usize::from(replaced));
-        replaced
+            .insert(id, engine)
+            .is_some()
     }
 
     /// Recorder snapshot enriched with registry labels and the
     /// achieved-Gop/s gauge: the stats mutex is released before the
     /// engines read lock is taken (no nesting, no lock-order edge).
     fn stats_snapshot(&self) -> ServerStats {
-        let mut stats = self.stats.snapshot(self.trace.uptime_s());
+        let mut stats = self.stats.snapshot(self.traces.uptime_s());
         let engines = self.engines.read().unwrap_or_else(PoisonError::into_inner);
         for m in &mut stats.models {
             if let Some(engine) = engines.get(&m.model) {
@@ -179,13 +167,6 @@ impl Shared {
 
     /// Resolves requests pruned past their deadline as timed out.
     fn expire(&self, expired: Vec<Request>) {
-        let mut per_model: BTreeMap<&str, usize> = BTreeMap::new();
-        for request in &expired {
-            *per_model.entry(&request.model).or_insert(0) += 1;
-        }
-        for (model, n) in per_model {
-            self.trace.record_event(TraceKind::Expire, model, n);
-        }
         for request in expired {
             self.stats.record_timeout(&request.model);
             request.ticket.expire();
@@ -285,7 +266,7 @@ impl Server {
 
     /// Like [`Server::start`], but with request tracing configured: a
     /// head-sampling rate (sampled requests run the engine's profiled
-    /// forward and retain a per-layer span tree) and a fallback slowlog
+    /// forward and retain a per-layer span tree) and a fallback slow
     /// threshold for deadline-less requests. [`Server::start`] installs
     /// [`TracingConfig::default`] — rate 0, the fast path stamp-free.
     ///
@@ -305,12 +286,9 @@ impl Server {
             work: Condvar::new(),
             space: Condvar::new(),
             stats: StatsRecorder::new(),
-            trace: ShardedRing::new(TRACE_CAPACITY),
             tracing,
             sampler: Sampler::new(tracing.sample_rate),
             traces: ShardedRing::new(SPAN_RING_CAPACITY),
-            slowlog: ShardedRing::new(SPAN_RING_CAPACITY),
-            tail: tracing.tail.map(TailSampler::new),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -346,21 +324,6 @@ impl Server {
         self.shared.stats_snapshot()
     }
 
-    /// Drains and returns the event-trace ring; see [`crate::trace`].
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.shared.trace.take()
-    }
-
-    /// Trace events evicted before being drained (ring saturation).
-    pub fn trace_dropped(&self) -> u64 {
-        self.shared.trace.dropped()
-    }
-
-    /// Drains and returns the slow-request ring; see [`crate::spans`].
-    pub fn take_slowlog(&self) -> Vec<FinishedTrace> {
-        self.shared.slowlog.take()
-    }
-
     /// Stops accepting requests, drains everything already accepted,
     /// joins the threads, and returns the final statistics.
     pub fn shutdown(mut self) -> ServerStats {
@@ -375,18 +338,11 @@ impl Server {
         // Accepted work is never dropped: from here on submitters are
         // refused, every lane is eligible, and the workers take until
         // nothing is left, then leave.
-        let queued = {
-            let mut assembler = self
-                .shared
-                .assembler
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            assembler.flush_all();
-            assembler.buffered()
-        };
         self.shared
-            .trace
-            .record_event(TraceKind::Shutdown, "", queued);
+            .assembler
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .flush_all();
         self.shared.work.notify_all();
         self.shared.space.notify_all();
         for h in self.workers.drain(..) {
@@ -524,10 +480,8 @@ impl Client {
             assembler = wait_until(&shared.space, assembler, None);
         }
         assembler.offer(request, Instant::now());
-        let queued = assembler.buffered();
         drop(assembler);
         shared.work.notify_one();
-        shared.trace.record_event(TraceKind::Enqueue, model, queued);
         Ok(Ticket::new(ticket))
     }
 
@@ -615,7 +569,7 @@ impl Client {
 
     /// Seconds since the server started.
     pub fn uptime_s(&self) -> f64 {
-        self.shared.trace.uptime_s()
+        self.shared.traces.uptime_s()
     }
 
     /// Records one serialize-stage observation for `model`.
@@ -628,21 +582,6 @@ impl Client {
         self.shared.stats.record_serialize(model, took);
     }
 
-    /// Drains and returns the event-trace ring; see [`crate::trace`].
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.shared.trace.take()
-    }
-
-    /// Trace events evicted before being drained (ring saturation).
-    pub fn trace_dropped(&self) -> u64 {
-        self.shared.trace.dropped()
-    }
-
-    /// The tracing configuration the server was started with.
-    pub fn tracing(&self) -> TracingConfig {
-        self.shared.tracing
-    }
-
     /// Whether the next ingress request is head-sampled. Advances the
     /// deterministic sampler — call exactly once per wire request, at
     /// ingress (an explicit `x-vitcod-trace-id` header forces sampling
@@ -651,104 +590,38 @@ impl Client {
         self.shared.sampler.sample()
     }
 
-    /// Retains one finished sampled request's span tree in the traces
-    /// ring (`GET /v1/traces`). Called by the transport after the
-    /// response is written, when the end-to-end total is known.
-    pub fn record_trace(&self, trace_id: String, model: String, total_s: f64, root: Span) {
-        self.shared
-            .traces
-            .record_trace(trace_id, model, true, "head", total_s, root);
-    }
-
-    /// Retains one slow request's span tree in the slowlog ring
-    /// (`GET /v1/slowlog`): the transport calls this when the
-    /// end-to-end latency exceeded
-    /// [`TracingConfig::slow_threshold_for`] the request's deadline.
-    /// Also bumps the model's `slow` counter (the
-    /// `vitcod_slow_requests_total` scrape family), so slow rates are
-    /// computable without draining the ring.
-    pub fn record_slow(
+    /// Records one finished wire request, called by the transport once
+    /// its response is written: `root` is the `request` span, whose
+    /// duration is the end-to-end latency. A request past
+    /// [`TracingConfig::slow_threshold_for`] its deadline bumps the
+    /// model's `slow` counter (the `vitcod_slow_requests_total` scrape
+    /// family). The tree is then kept in the traces ring
+    /// (`GET /v1/traces`) at most once, for the first [`KeepReason`]
+    /// that holds — `Error` (failed or expired), `Slow`, `Head`
+    /// (`sampled`) — and the reason is returned; any other request is
+    /// dropped here.
+    pub fn record_finished(
         &self,
         trace_id: String,
-        model: String,
+        model: &str,
         sampled: bool,
-        total_s: f64,
-        root: Span,
-    ) {
-        self.shared.stats.record_slow_request(&model);
-        self.shared
-            .slowlog
-            .record_trace(trace_id, model, sampled, "slow", total_s, root);
-    }
-
-    /// Retains one tail-kept request's span tree in the traces ring
-    /// (`GET /v1/traces`), labelled with its [`KeepReason`]. Tail-kept
-    /// traces are `sampled: false` — their compute span is a stage
-    /// leaf, not a profiled per-layer tree.
-    pub fn record_tail(
-        &self,
-        trace_id: String,
-        model: String,
-        total_s: f64,
-        root: Span,
-        reason: KeepReason,
-    ) {
-        self.shared
-            .traces
-            .record_trace(trace_id, model, false, reason.as_str(), total_s, root);
-    }
-
-    /// Whether tail-based retention is configured
-    /// ([`TracingConfig::tail`]).
-    pub fn tail_enabled(&self) -> bool {
-        self.shared.tail.is_some()
-    }
-
-    /// Registers an in-flight request with the tail sampler's pending
-    /// buffer. `None` when the tail is off or the buffer is full
-    /// (counted via [`Client::tail_pending_dropped`]); the request
-    /// stays eligible for the slow/error keeps either way.
-    pub fn tail_register(&self, trace_id: &str, model: &str) -> Option<u64> {
-        self.shared
-            .tail
-            .as_ref()
-            .and_then(|t| t.register(trace_id, model))
-    }
-
-    /// Completes a request against the tail sampler: unregisters its
-    /// pending entry and returns the keep decision (`None` when the
-    /// trace is dropped, or already retained by head sampling).
-    pub fn tail_complete(
-        &self,
-        key: Option<u64>,
-        sampled: bool,
-        slow: bool,
         outcome: RequestOutcome,
+        deadline: Option<Duration>,
+        root: Span,
     ) -> Option<KeepReason> {
+        let slow = self
+            .shared
+            .tracing
+            .slow_threshold_for(deadline)
+            .is_some_and(|t| root.duration_s > t.as_secs_f64());
+        if slow {
+            self.shared.stats.record_slow_request(model);
+        }
+        let kept = KeepReason::of(sampled, slow, outcome)?;
         self.shared
-            .tail
-            .as_ref()
-            .and_then(|t| t.complete(key, sampled, slow, outcome))
-    }
-
-    /// Snapshot of the tail sampler's in-flight pending buffer (empty
-    /// when the tail is off).
-    pub fn tail_pending(&self) -> Vec<PendingSpan> {
-        self.shared
-            .tail
-            .as_ref()
-            .map(TailSampler::pending)
-            .unwrap_or_default()
-    }
-
-    /// Requests that skipped tail registration on a full pending
-    /// buffer.
-    pub fn tail_pending_dropped(&self) -> u64 {
-        self.shared
-            .tail
-            .as_ref()
-            .map(TailSampler::pending_dropped)
-            .unwrap_or(0)
+            .traces
+            .record_trace(trace_id, model.to_string(), sampled, kept, root);
+        Some(kept)
     }
 
     /// The compiled token-matrix shape `(tokens, in_dim)` the model
@@ -766,40 +639,19 @@ impl Client {
             })
     }
 
-    /// Drains and returns the sampled span-tree ring in record order.
+    /// Drains and returns the kept span trees in record order.
     pub fn take_traces(&self) -> Vec<FinishedTrace> {
         self.shared.traces.take()
     }
 
-    /// Copies the sampled span-tree ring without draining (`?peek=1`).
+    /// Copies the kept span trees without draining (`?peek=1`).
     pub fn peek_traces(&self) -> Vec<FinishedTrace> {
         self.shared.traces.peek()
     }
 
-    /// Sampled traces evicted before being drained (ring saturation).
+    /// Kept span trees evicted before being drained (ring saturation).
     pub fn traces_dropped(&self) -> u64 {
         self.shared.traces.dropped()
-    }
-
-    /// Drains and returns the slow-request ring in record order.
-    pub fn take_slowlog(&self) -> Vec<FinishedTrace> {
-        self.shared.slowlog.take()
-    }
-
-    /// Copies the slow-request ring without draining (`?peek=1`).
-    pub fn peek_slowlog(&self) -> Vec<FinishedTrace> {
-        self.shared.slowlog.peek()
-    }
-
-    /// Slow-request traces evicted before being drained.
-    pub fn slowlog_dropped(&self) -> u64 {
-        self.shared.slowlog.dropped()
-    }
-
-    /// Copies the event-trace ring without draining (`?peek=1`); see
-    /// [`crate::trace`].
-    pub fn peek_trace(&self) -> Vec<TraceEvent> {
-        self.shared.trace.peek()
     }
 
     /// Requests accepted and not yet taken by a worker (at most
@@ -826,9 +678,6 @@ fn run_worker(shared: &Shared) {
         // time in `submit` 28–36 µs in every run with the yield,
         // 29–103 µs, median 42, without; the request pays ≈ 9 µs.)
         std::thread::yield_now();
-        shared
-            .trace
-            .record_event(TraceKind::Dispatch, &batch.model, batch.requests.len());
         // A panicking batch (an engine assert slipping past submit-time
         // validation) must not kill the worker: the unwind drops the
         // batch's requests, which cancels their tickets, and the pool

@@ -278,10 +278,9 @@ pub struct ModelStats {
     /// counted in `requests` or the latency percentiles.
     pub timed_out: u64,
     /// Requests whose end-to-end latency exceeded their slow threshold
-    /// (the slowlog admissions counter, monotonic — the
-    /// `vitcod_slow_requests_total` scrape family). Unlike the slowlog
-    /// ring itself this is never drained, so slow rates stay computable
-    /// from scrapes alone.
+    /// (monotonic — the `vitcod_slow_requests_total` scrape family).
+    /// Every slow request counts, kept in `/v1/traces` or not, so slow
+    /// rates stay computable from scrapes alone.
     pub slow: u64,
     /// Median end-to-end request latency (enqueue → prediction), in
     /// seconds; 0 when no request finished yet.
@@ -373,8 +372,7 @@ impl StatsRecorder {
         inner.entry(model.to_string()).or_default().timed_out += 1;
     }
 
-    /// Records one request that exceeded its slow threshold (admitted
-    /// to the slowlog ring).
+    /// Records one request that exceeded its slow threshold.
     pub fn record_slow_request(&self, model: &str) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.entry(model.to_string()).or_default().slow += 1;

@@ -191,18 +191,6 @@ impl Ticket {
             .take()
     }
 
-    /// Whether the prediction has arrived and has not been taken yet.
-    pub fn is_ready(&self) -> bool {
-        matches!(
-            *self
-                .inner
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-            State::Ready(_)
-        )
-    }
-
     /// Blocks until the prediction arrives and takes it. Returns `None`
     /// if the request will never resolve — server shutdown, a
     /// server-side deadline expiry, or a prediction already taken via

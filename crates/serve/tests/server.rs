@@ -13,8 +13,8 @@ use vitcod_autograd::ParamStore;
 use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision, Prediction};
 use vitcod_model::{Sample, SparsityPlan, ViTConfig, VisionTransformer};
 use vitcod_serve::{
-    BatchConfig, KeepReason, ModelRegistry, RequestOutcome, Server, Span, SubmitError, TailConfig,
-    TraceKind, TracingConfig,
+    BatchConfig, KeepReason, ModelRegistry, RequestOutcome, Server, Span, SubmitError,
+    TracingConfig,
 };
 use vitcod_tensor::{Initializer, Matrix};
 
@@ -274,9 +274,8 @@ fn held_back_server(model: &CompiledVit, queue_capacity: usize) -> Server {
 }
 
 /// The depth gauge means "accepted and not yet taken by a worker" at
-/// every place it is read: `Client::queued_requests`, the `enqueue`
-/// and `shutdown` trace events, `/v1/health` and `vitcod_queue_depth`
-/// on the wire. (With a relay thread between the submitters and the
+/// every place it is read: `Client::queued_requests`, `/v1/health` and
+/// `vitcod_queue_depth` on the wire. (With a relay thread between the submitters and the
 /// assembler all of them read the relay's buffer: zero, once drained.)
 #[test]
 fn queue_depth_counts_requests_accepted_and_not_yet_taken() {
@@ -289,15 +288,6 @@ fn queue_depth_counts_requests_accepted_and_not_yet_taken() {
         .map(|i| client.submit("m", tokens_for(&model, i)).unwrap())
         .collect();
     assert_eq!(client.queued_requests(), 5);
-    let depth_of = |kind: TraceKind| -> Vec<usize> {
-        let events = client.take_trace();
-        events
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.n)
-            .collect()
-    };
-    assert_eq!(depth_of(TraceKind::Enqueue), [1, 2, 3, 4, 5]);
 
     let http = HttpServer::bind("127.0.0.1:0", server, TransportConfig::default()).unwrap();
     let mut wire = HttpClient::connect(http.local_addr()).unwrap();
@@ -312,7 +302,6 @@ fn queue_depth_counts_requests_accepted_and_not_yet_taken() {
     drop(wire);
 
     let stats = http.shutdown();
-    assert_eq!(depth_of(TraceKind::Shutdown), [5]);
     assert_eq!(stats.total_requests(), 5);
     assert_eq!(client.queued_requests(), 0);
     for t in tickets {
@@ -544,7 +533,7 @@ fn shutdown_drains_accepted_requests() {
 /// one batch the next fills in the model's queue, and its membership is
 /// fixed only when the worker comes back for it. A batcher that closes
 /// batches on arrival at wait 0 hands the same traffic out in ones and
-/// twos. Counted from the `dispatch` events, not timed.
+/// twos. Counted from the batch-fill histogram, not timed.
 #[test]
 fn default_config_fills_batches_under_a_closed_loop_backlog() {
     let model = tiny_model(31, false);
@@ -566,8 +555,9 @@ fn default_config_fills_batches_under_a_closed_loop_backlog() {
     let tokens = tokens_for(&model, 7);
     let mut in_flight = std::collections::VecDeque::with_capacity(outstanding);
     let mut submitted = 0;
-    // Drained as the run goes: the enqueue events alone would overflow
-    // the submitting thread's shard of the ring.
+    // Read as the run goes: the batches the histogram gained since the
+    // last look, so `fills` keeps (nearly) the order batches closed in.
+    let mut seen: Vec<u64> = Vec::new();
     let mut fills: Vec<usize> = Vec::new();
     loop {
         while submitted < total && in_flight.len() < outstanding {
@@ -578,15 +568,17 @@ fn default_config_fills_batches_under_a_closed_loop_backlog() {
             break;
         };
         assert!(ticket.wait_timeout(Duration::from_secs(60)).is_ok());
-        let events = server.take_trace();
-        fills.extend(
-            events
-                .iter()
-                .filter(|e| e.kind == TraceKind::Dispatch)
-                .map(|e| e.n),
-        );
+        let now = server.stats().model("m").unwrap().batch_fill.clone();
+        for (k, &count) in now.iter().enumerate() {
+            let new = count - seen.get(k).copied().unwrap_or(0);
+            fills.extend(std::iter::repeat_n(k + 1, new as usize));
+        }
+        seen = now;
     }
-    assert_eq!(server.trace_dropped(), 0, "every dispatch event was read");
+    assert_eq!(
+        fills.len() as u64,
+        server.stats().model("m").unwrap().batches
+    );
     assert_eq!(fills.iter().sum::<usize>(), total);
     assert!(
         fills.iter().all(|&n| n <= max_batch),
@@ -898,7 +890,8 @@ fn stage_histograms_partition_the_end_to_end_latency() {
 /// Head-sampled requests report a compute span tree that exactly
 /// partitions into per-layer op leaves; unsampled requests report only
 /// stage totals; per-op histograms and the achieved-Gop/s gauge land in
-/// the stats; and the span rings round-trip with a non-destructive peek.
+/// the stats; and a slow tree round-trips through the traces ring with a
+/// non-destructive peek.
 #[test]
 fn traced_submits_report_partitioned_span_trees_and_op_stats() {
     let model = tiny_model(21, true);
@@ -918,7 +911,6 @@ fn traced_submits_report_partitioned_span_trees_and_op_stats() {
         TracingConfig {
             sample_rate: 1.0,
             slow_threshold: None,
-            tail: None,
         },
     );
     let client = server.client();
@@ -961,31 +953,34 @@ fn traced_submits_report_partitioned_span_trees_and_op_stats() {
     assert!(m.achieved_gops.expect("gauge enriched from the engine") > 0.0);
     assert!(m.compute_batch_s > 0.0);
 
-    // Ring round trip: record → peek (non-destructive) → take (drains).
-    client.record_trace("t-1".into(), "m".into(), 0.5, Span::leaf("request", 0.5));
-    client.record_slow(
+    // Ring round trip: a sampled request past half its 1 s deadline is
+    // kept once, as slow → peek (non-destructive) → take (drains).
+    let kept = client.record_finished(
         "t-1".into(),
-        "m".into(),
+        "m",
         true,
-        0.6,
+        RequestOutcome::Ok,
+        Some(Duration::from_secs(1)),
         Span::leaf("request", 0.6),
     );
-    assert_eq!(client.peek_traces().len(), 1);
-    assert_eq!(client.take_traces().len(), 1);
+    assert_eq!(kept, Some(KeepReason::Slow));
+    let peeked = client.peek_traces();
+    assert_eq!(peeked.len(), 1);
+    assert_eq!(peeked[0].kept, KeepReason::Slow);
+    assert_eq!(client.take_traces(), peeked);
     assert!(client.take_traces().is_empty());
-    assert_eq!(client.peek_slowlog().len(), 1);
-    assert_eq!(server.take_slowlog().len(), 1);
-    assert_eq!(client.traces_dropped() + client.slowlog_dropped(), 0);
+    assert_eq!(client.traces_dropped(), 0);
+    assert_eq!(server.stats().model("m").unwrap().slow, 1);
     server.shutdown();
 }
 
-/// Tail mode through the `Client` API: off by default (register/complete
-/// are no-ops), on it tracks the pending buffer, keeps by completion
-/// outcome, and `record_tail` lands in the traces ring with `sampled:
-/// false` and the keep reason — the "tail-kept, not head-sampled"
-/// distinction `/v1/traces` consumers rely on.
+/// The keep rule, every row of sampled × slow × outcome on a plain
+/// `Server::start`: `error` if the request failed or expired, else
+/// `slow` past half its deadline, else `head` if sampled, else nothing —
+/// and each request lands in `/v1/traces` at most once. Every slow
+/// request counts in `slow`, kept as slow or not.
 #[test]
-fn tail_retention_tracks_pending_and_labels_kept_traces() {
+fn keep_rule_records_each_request_at_most_once() {
     let model = tiny_model(23, false);
     let mut registry = ModelRegistry::new();
     registry
@@ -993,60 +988,47 @@ fn tail_retention_tracks_pending_and_labels_kept_traces() {
         .unwrap();
     let server = Server::start(registry, BatchConfig::default());
     let client = server.client();
-    assert!(!client.tail_enabled(), "Server::start leaves the tail off");
-    assert_eq!(client.tail_register("t-0", "m"), None);
-    assert_eq!(
-        client.tail_complete(None, false, true, RequestOutcome::Ok),
-        None,
-        "tail off: even slow completions are not tail-kept"
-    );
-    drop(server);
-
-    let model = tiny_model(23, false);
-    let mut registry = ModelRegistry::new();
-    registry
-        .register("m", Engine::builder(model).build())
-        .unwrap();
-    let server = Server::start_with_tracing(
-        registry,
-        BatchConfig::default(),
-        TracingConfig {
-            sample_rate: 0.0,
-            slow_threshold: None,
-            tail: Some(TailConfig {
-                reservoir: 1,
-                seed: 9,
-                pending_capacity: 2,
-            }),
-        },
-    );
-    let client = server.client();
-    assert!(client.tail_enabled());
     assert_eq!(client.model_shape("m").map(|(_, d)| d), Some(IN_DIM));
     assert_eq!(client.model_shape("nope"), None);
-    let k0 = client.tail_register("t-0", "m");
-    let k1 = client.tail_register("t-1", "m");
-    assert!(k0.is_some() && k1.is_some());
-    assert!(client.tail_register("t-2", "m").is_none(), "buffer full");
-    assert_eq!(client.tail_pending().len(), 2);
-    assert_eq!(client.tail_pending_dropped(), 1);
-    // First completion: reservoir of 1 always keeps completion #1.
-    let kept = client.tail_complete(k0, false, false, RequestOutcome::Ok);
-    assert_eq!(kept, Some(KeepReason::Reservoir));
-    client.record_tail(
-        "t-0".into(),
-        "m".into(),
-        0.4,
-        Span::leaf("request", 0.4),
-        KeepReason::Reservoir,
-    );
-    // Expired completions are always kept.
-    let kept = client.tail_complete(k1, false, false, RequestOutcome::Expired);
-    assert_eq!(kept, Some(KeepReason::Error));
-    assert!(client.tail_pending().is_empty());
-    let traces = client.take_traces();
-    assert_eq!(traces.len(), 1);
-    assert!(!traces[0].sampled);
-    assert_eq!(traces[0].kept, "reservoir");
+    let deadline = Some(Duration::from_secs(1));
+    let mut slow_rows = 0;
+    for sampled in [false, true] {
+        for slow in [false, true] {
+            for outcome in [
+                RequestOutcome::Ok,
+                RequestOutcome::Expired,
+                RequestOutcome::Failed,
+            ] {
+                let want = match (outcome, slow, sampled) {
+                    (RequestOutcome::Ok, false, false) => None,
+                    (RequestOutcome::Ok, false, true) => Some(KeepReason::Head),
+                    (RequestOutcome::Ok, true, _) => Some(KeepReason::Slow),
+                    _ => Some(KeepReason::Error),
+                };
+                let row = format!("sampled {sampled}, slow {slow}, {outcome:?}");
+                let total_s = if slow { 0.6 } else { 0.4 };
+                let got = client.record_finished(
+                    row.clone(),
+                    "m",
+                    sampled,
+                    outcome,
+                    deadline,
+                    Span::leaf("request", total_s),
+                );
+                assert_eq!(got, want, "{row}");
+                let traces = client.take_traces();
+                assert_eq!(traces.len(), usize::from(want.is_some()), "{row}");
+                if let Some(t) = traces.first() {
+                    assert_eq!(Some(t.kept), want, "{row}");
+                    assert_eq!(t.trace_id, row);
+                    assert_eq!(t.sampled, sampled, "{row}");
+                    assert_eq!(t.model, "m");
+                }
+                slow_rows += u64::from(slow);
+            }
+        }
+    }
+    assert_eq!(server.stats().model("m").unwrap().slow, slow_rows);
+    assert_eq!(client.traces_dropped(), 0);
     server.shutdown();
 }

@@ -20,7 +20,7 @@
 use std::fmt;
 
 use vitcod_engine::Prediction;
-use vitcod_serve::{FinishedTrace, HistogramSnapshot, ModelStats, ServerStats, Span, TraceEvent};
+use vitcod_serve::{FinishedTrace, HistogramSnapshot, ModelStats, ServerStats, Span};
 use vitcod_tensor::Matrix;
 
 use crate::json::Json;
@@ -304,31 +304,6 @@ pub fn deep_health_json(
     ])
 }
 
-/// Encodes the `GET /v1/trace` body: the drained event ring plus the
-/// ring's lifetime eviction counter.
-pub fn trace_json(events: &[TraceEvent], dropped: u64) -> Json {
-    Json::Object(vec![
-        (
-            "events".into(),
-            Json::Array(
-                events
-                    .iter()
-                    .map(|e| {
-                        Json::Object(vec![
-                            ("seq".into(), Json::Number(e.seq as f64)),
-                            ("at_s".into(), Json::Number(e.at_s)),
-                            ("kind".into(), Json::String(e.kind.as_str().into())),
-                            ("model".into(), Json::String(e.model.clone())),
-                            ("n".into(), Json::Number(e.n as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("dropped".into(), Json::Number(dropped as f64)),
-    ])
-}
-
 /// Encodes one span-tree node recursively: name, duration, children.
 pub fn span_json(span: &Span) -> Json {
     Json::Object(vec![
@@ -341,9 +316,8 @@ pub fn span_json(span: &Span) -> Json {
     ])
 }
 
-/// Encodes a drained (or peeked) span-tree ring — the shared body shape
-/// of `GET /v1/traces` and `GET /v1/slowlog`: the retained trees in
-/// record order plus the ring's lifetime eviction counter.
+/// Encodes the `GET /v1/traces` body: the drained (or peeked) kept
+/// trees in record order plus the ring's lifetime eviction counter.
 pub fn traces_json(traces: &[FinishedTrace], dropped: u64) -> Json {
     Json::Object(vec![
         (
@@ -358,7 +332,7 @@ pub fn traces_json(traces: &[FinishedTrace], dropped: u64) -> Json {
                             ("trace_id".into(), Json::String(t.trace_id.clone())),
                             ("model".into(), Json::String(t.model.clone())),
                             ("sampled".into(), Json::Bool(t.sampled)),
-                            ("kept".into(), Json::String(t.kept.into())),
+                            ("kept".into(), Json::String(t.kept.as_str().into())),
                             ("total_s".into(), Json::Number(t.total_s)),
                             ("root".into(), span_json(&t.root)),
                         ])

@@ -16,18 +16,17 @@
 //! | POST   | `/v1/models/{id}/classify` | `{"tokens": [[…]], "timeout_ms"?}` or `{"batch": [{"tokens": …}, …]}` |
 //! | GET    | `/v1/stats`                | —                                  |
 //! | GET    | `/v1/metrics`              | — (Prometheus text exposition)     |
-//! | GET    | `/v1/trace`                | — (drains the event-trace ring)    |
-//! | GET    | `/v1/traces`               | — (drains sampled span trees)      |
-//! | GET    | `/v1/slowlog`              | — (drains the slow-request log)    |
+//! | GET    | `/v1/traces`               | — (drains kept span trees)         |
 //! | GET    | `/healthz`                 | —                                  |
 //! | GET    | `/v1/health`               | — (`?deep=1` runs a one-sample inference probe per model) |
 //! | POST   | `/v1/models/{id}/reload`   | `{"path": "models/m.vitcod"}`      |
 //!
-//! The three ring endpoints (`/v1/trace`, `/v1/traces`, `/v1/slowlog`)
-//! accept `?peek=1` to read without draining. A classify request may
-//! carry an `x-vitcod-trace-id` header; that id is used verbatim and
-//! forces the request through the span sampler, so its full span tree
-//! (per-layer compute ops included) lands in `/v1/traces`.
+//! `/v1/traces` holds each failed, slow or head-sampled request's span
+//! tree once, labelled `kept: "error" | "slow" | "head"`, and accepts
+//! `?peek=1` to read without draining. A classify request may carry an
+//! `x-vitcod-trace-id` header; that id is used verbatim and forces the
+//! request through the span sampler, so its full span tree (per-layer
+//! compute ops included) lands in `/v1/traces`.
 //!
 //! Wire-level `timeout_ms` becomes a real per-request deadline: the
 //! serving layer's batch assembler expires requests past it (they

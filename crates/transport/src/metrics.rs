@@ -14,9 +14,7 @@
 //! |--------|------|--------|
 //! | `vitcod_uptime_seconds` | gauge | — |
 //! | `vitcod_queue_depth` | gauge | — |
-//! | `vitcod_trace_dropped_total` | counter | — |
 //! | `vitcod_traces_dropped_total` | counter | — |
-//! | `vitcod_slowlog_dropped_total` | counter | — |
 //! | `vitcod_requests_total` | counter | `model` |
 //! | `vitcod_timeouts_total` | counter | `model` |
 //! | `vitcod_slow_requests_total` | counter | `model` |
@@ -33,7 +31,7 @@
 //! only — per-op seconds are summed over layers before they reach the
 //! histogram, so the series count per model is bounded at the engine's
 //! seven named ops regardless of model depth. Per-layer detail lives
-//! exclusively in sampled span trees (`GET /v1/traces`), never in the
+//! exclusively in kept span trees (`GET /v1/traces`), never in the
 //! exposition.
 
 use std::fmt::Write as _;
@@ -116,21 +114,10 @@ fn fill_histogram(out: &mut String, name: &str, labels: &str, fills: &[u64]) {
     let _ = writeln!(out, "{name}_count{{{labels}}} {cum}");
 }
 
-/// The three ring-eviction counters the snapshot does not carry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RingDrops {
-    /// Event-trace ring evictions (`/v1/trace`).
-    pub trace: u64,
-    /// Sampled span-tree ring evictions (`/v1/traces`).
-    pub traces: u64,
-    /// Slow-request ring evictions (`/v1/slowlog`).
-    pub slowlog: u64,
-}
-
 /// Renders the full exposition body from a stats snapshot plus the
 /// live values the snapshot does not carry (requests accepted and not
-/// yet taken, and the ring eviction counters).
-pub fn render(stats: &ServerStats, queued: usize, drops: RingDrops) -> String {
+/// yet taken, and the traces ring's eviction counter).
+pub fn render(stats: &ServerStats, queued: usize, traces_dropped: u64) -> String {
     let mut out = String::with_capacity(4096);
 
     header(
@@ -151,27 +138,11 @@ pub fn render(stats: &ServerStats, queued: usize, drops: RingDrops) -> String {
 
     header(
         &mut out,
-        "vitcod_trace_dropped_total",
-        "counter",
-        "Trace events evicted from the ring before being drained.",
-    );
-    let _ = writeln!(out, "vitcod_trace_dropped_total {}", drops.trace);
-
-    header(
-        &mut out,
         "vitcod_traces_dropped_total",
         "counter",
-        "Sampled span trees evicted from the traces ring before being drained.",
+        "Kept span trees evicted from the traces ring before being drained.",
     );
-    let _ = writeln!(out, "vitcod_traces_dropped_total {}", drops.traces);
-
-    header(
-        &mut out,
-        "vitcod_slowlog_dropped_total",
-        "counter",
-        "Slow-request traces evicted from the slowlog ring before being drained.",
-    );
-    let _ = writeln!(out, "vitcod_slowlog_dropped_total {}", drops.slowlog);
+    let _ = writeln!(out, "vitcod_traces_dropped_total {traces_dropped}");
 
     header(
         &mut out,
@@ -207,7 +178,7 @@ pub fn render(stats: &ServerStats, queued: usize, drops: RingDrops) -> String {
         &mut out,
         "vitcod_slow_requests_total",
         "counter",
-        "Requests whose end-to-end latency exceeded their slow threshold (slowlog admissions).",
+        "Requests whose end-to-end latency exceeded their slow threshold.",
     );
     for m in &stats.models {
         let _ = writeln!(
@@ -376,23 +347,13 @@ mod tests {
         stats
     }
 
-    fn drops() -> RingDrops {
-        RingDrops {
-            trace: 7,
-            traces: 2,
-            slowlog: 1,
-        }
-    }
-
     #[test]
     fn exposition_carries_every_family() {
-        let body = render(&sample_stats(), 3, drops());
+        let body = render(&sample_stats(), 3, 2);
         for family in [
             "vitcod_uptime_seconds",
             "vitcod_queue_depth",
-            "vitcod_trace_dropped_total",
             "vitcod_traces_dropped_total",
-            "vitcod_slowlog_dropped_total",
             "vitcod_requests_total",
             "vitcod_timeouts_total",
             "vitcod_slow_requests_total",
@@ -412,15 +373,14 @@ mod tests {
         }
         assert!(body.contains("vitcod_queue_depth 3"));
         assert!(body.contains("vitcod_slow_requests_total{model=\"deit\\\"tiny\"} 2"));
-        assert!(body.contains("vitcod_trace_dropped_total 7"));
         assert!(body.contains("vitcod_traces_dropped_total 2"));
-        assert!(body.contains("vitcod_slowlog_dropped_total 1"));
+        assert_eq!(body.matches("# TYPE ").count(), 14, "one line per family");
         assert!(body.contains("vitcod_uptime_seconds 12.5"));
     }
 
     #[test]
     fn op_series_stay_bounded_at_the_named_ops_and_gauge_renders() {
-        let body = render(&sample_stats(), 0, RingDrops::default());
+        let body = render(&sample_stats(), 0, 0);
         for op in vitcod_engine::OP_NAMES {
             assert!(
                 body.contains(&format!("op=\"{op}\"")),
@@ -437,14 +397,14 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let body = render(&sample_stats(), 0, RingDrops::default());
+        let body = render(&sample_stats(), 0, 0);
         assert!(body.contains(r#"model="deit\"tiny""#), "{body}");
         assert!(!body.contains("model=\"deit\"tiny\""));
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_and_close_at_inf() {
-        let body = render(&sample_stats(), 0, RingDrops::default());
+        let body = render(&sample_stats(), 0, 0);
         // Each histogram's +Inf bucket equals its _count.
         let mut last_counts: Vec<(String, u64)> = Vec::new();
         for line in body.lines() {
@@ -484,7 +444,7 @@ mod tests {
 
     #[test]
     fn stage_series_cover_all_four_stages() {
-        let body = render(&sample_stats(), 0, RingDrops::default());
+        let body = render(&sample_stats(), 0, 0);
         for stage in ["queue_wait", "batch_assembly", "compute", "serialize"] {
             assert!(
                 body.contains(&format!("stage=\"{stage}\"")),

@@ -6,14 +6,11 @@
 //! | GET    | `/v1/health`                  | same; `?deep=1` probes      |
 //! | GET    | `/v1/stats`                   | serving statistics snapshot |
 //! | GET    | `/v1/metrics`                 | Prometheus text exposition  |
-//! | GET    | `/v1/trace`                   | drain the event-trace ring  |
-//! | GET    | `/v1/traces`                  | drain sampled span trees    |
-//! | GET    | `/v1/slowlog`                 | drain the slow-request log  |
+//! | GET    | `/v1/traces`                  | drain kept span trees       |
 //! | POST   | `/v1/models/{id}/classify`    | classify (single or batch)  |
 //! | POST   | `/v1/models/{id}/reload`      | hot-swap the model artifact |
 //!
-//! The three ring endpoints accept `?peek=1` for a non-destructive
-//! read.
+//! `/v1/traces` accepts `?peek=1` for a non-destructive read.
 
 /// A resolved endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,12 +22,8 @@ pub enum Route {
     Stats,
     /// `GET /v1/metrics`.
     Metrics,
-    /// `GET /v1/trace`.
-    Trace,
     /// `GET /v1/traces`.
     Traces,
-    /// `GET /v1/slowlog`.
-    Slowlog,
     /// `POST /v1/models/{id}/classify`.
     Classify {
         /// The model id from the path.
@@ -88,23 +81,9 @@ pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
                 Err(RouteError::MethodNotAllowed)
             }
         }
-        "/v1/trace" => {
-            if method == "GET" {
-                Ok(Route::Trace)
-            } else {
-                Err(RouteError::MethodNotAllowed)
-            }
-        }
         "/v1/traces" => {
             if method == "GET" {
                 Ok(Route::Traces)
-            } else {
-                Err(RouteError::MethodNotAllowed)
-            }
-        }
-        "/v1/slowlog" => {
-            if method == "GET" {
-                Ok(Route::Slowlog)
             } else {
                 Err(RouteError::MethodNotAllowed)
             }
@@ -135,9 +114,7 @@ mod tests {
         assert_eq!(route("GET", "/v1/health"), Ok(Route::Health));
         assert_eq!(route("GET", "/v1/stats"), Ok(Route::Stats));
         assert_eq!(route("GET", "/v1/metrics"), Ok(Route::Metrics));
-        assert_eq!(route("GET", "/v1/trace"), Ok(Route::Trace));
         assert_eq!(route("GET", "/v1/traces"), Ok(Route::Traces));
-        assert_eq!(route("GET", "/v1/slowlog"), Ok(Route::Slowlog));
         assert_eq!(
             route("POST", "/v1/models/deit-tiny/classify"),
             Ok(Route::Classify {
@@ -162,22 +139,16 @@ mod tests {
             Err(RouteError::MethodNotAllowed)
         );
         assert_eq!(
-            route("POST", "/v1/trace"),
-            Err(RouteError::MethodNotAllowed)
-        );
-        assert_eq!(
             route("POST", "/v1/traces"),
-            Err(RouteError::MethodNotAllowed)
-        );
-        assert_eq!(
-            route("POST", "/v1/slowlog"),
             Err(RouteError::MethodNotAllowed)
         );
         assert_eq!(
             route("GET", "/v1/models/m/classify"),
             Err(RouteError::MethodNotAllowed)
         );
-        assert_eq!(route("GET", "/nope"), Err(RouteError::NotFound));
+        for gone in ["/nope", "/v1/trace", "/v1/slowlog"] {
+            assert_eq!(route("GET", gone), Err(RouteError::NotFound), "{gone}");
+        }
         assert_eq!(
             route("POST", "/v1/models//classify"),
             Err(RouteError::NotFound)

@@ -361,8 +361,6 @@ fn dispatch(
     ingress: Instant,
 ) -> (u16, &'static str, String) {
     let json = |(status, body): (u16, String)| (status, JSON_TYPE, body);
-    // `?peek=1` on the ring endpoints: non-destructive read.
-    let peek = request.query.split('&').any(|kv| kv == "peek=1");
     match route(&request.method, &request.path) {
         Err(RouteError::NotFound) => json((404, api::error_json("no such endpoint"))),
         Err(RouteError::MethodNotAllowed) => {
@@ -389,39 +387,18 @@ fn dispatch(
             let body = metrics::render(
                 &stats,
                 shared.client.queued_requests(),
-                metrics::RingDrops {
-                    trace: shared.client.trace_dropped(),
-                    traces: shared.client.traces_dropped(),
-                    slowlog: shared.client.slowlog_dropped(),
-                },
+                shared.client.traces_dropped(),
             );
             (200, metrics::CONTENT_TYPE, body)
         }
-        Ok(Route::Trace) => {
-            let events = if peek {
-                shared.client.peek_trace()
-            } else {
-                shared.client.take_trace()
-            };
-            let body = api::trace_json(&events, shared.client.trace_dropped());
-            json((200, body.to_string()))
-        }
         Ok(Route::Traces) => {
-            let traces = if peek {
+            // `?peek=1`: non-destructive read.
+            let traces = if request.query.split('&').any(|kv| kv == "peek=1") {
                 shared.client.peek_traces()
             } else {
                 shared.client.take_traces()
             };
             let body = api::traces_json(&traces, shared.client.traces_dropped());
-            json((200, body.to_string()))
-        }
-        Ok(Route::Slowlog) => {
-            let traces = if peek {
-                shared.client.peek_slowlog()
-            } else {
-                shared.client.take_slowlog()
-            };
-            let body = api::traces_json(&traces, shared.client.slowlog_dropped());
             json((200, body.to_string()))
         }
         Ok(Route::Classify { model }) => json(match parse_body(request) {
@@ -471,10 +448,6 @@ fn classify(
     let header_id = request.header(TRACE_ID_HEADER).map(str::to_string);
     let sampled = header_id.is_some() || shared.client.sample_trace();
     let trace_id = header_id.unwrap_or_else(next_trace_id);
-    // Tail mode: every in-flight request registers in the bounded
-    // pending buffer; the keep decision happens in `finish_trace`, at
-    // completion. A no-op (`None`) with the tail off or the buffer full.
-    let tail_key = shared.client.tail_register(&trace_id, model);
     // The parse span: first byte on the wire to a validated payload.
     let parse_s = ingress.elapsed().as_secs_f64();
     let timeout = payload
@@ -499,7 +472,6 @@ fn classify(
                     TraceFinish {
                         trace_id: trace_id.clone(),
                         sampled,
-                        tail_key,
                         outcome: RequestOutcome::Failed,
                         ingress,
                         parse_s,
@@ -531,7 +503,6 @@ fn classify(
                     TraceFinish {
                         trace_id: trace_id.clone(),
                         sampled,
-                        tail_key,
                         outcome: RequestOutcome::Failed,
                         ingress,
                         parse_s,
@@ -544,8 +515,8 @@ fn classify(
     }
     // The span tree reports the first sample's stage timings: a batch
     // body is one wire request, its samples co-batch, and their stage
-    // stamps are near-identical — one tree per trace id keeps the rings
-    // and their JSON bounded.
+    // stamps are near-identical — one tree per trace id keeps the ring
+    // and its JSON bounded.
     let report = tickets.first().and_then(Ticket::take_stage_report);
     let outcome = if timed_out > 0 {
         RequestOutcome::Expired
@@ -555,7 +526,6 @@ fn classify(
     let finish = |serialize_s: f64| TraceFinish {
         trace_id: trace_id.clone(),
         sampled,
-        tail_key,
         outcome,
         ingress,
         parse_s,
@@ -590,25 +560,17 @@ fn classify(
 struct TraceFinish {
     trace_id: String,
     sampled: bool,
-    /// The request's tail pending-buffer key, when tail mode registered
-    /// it at ingress.
-    tail_key: Option<u64>,
-    /// How the request ended, for the tail sampler's errored/expired
-    /// keep rule.
+    /// How the request ended, for the keep rule's `error` keep.
     outcome: RequestOutcome,
     ingress: Instant,
     parse_s: f64,
     serialize_s: f64,
 }
 
-/// Assembles the `request` span tree and retains it: in the traces ring
-/// when the request was head-sampled, in the slowlog ring when its
-/// end-to-end latency exceeded the slow threshold (deadline × 0.5, or
-/// the configured fallback). With tail mode on
-/// ([`vitcod_serve::TracingConfig::tail`]) the traces ring additionally
-/// keeps slow, errored/expired and reservoir-selected requests, decided
-/// here — at completion, when the end-to-end total is known. Ordinary
-/// fast-path requests return without touching any ring.
+/// Assembles the `request` span tree and hands it to the serving
+/// layer's keep rule ([`vitcod_serve::Client::record_finished`]), which
+/// keeps it at most once: failed or expired, past the slow threshold
+/// (deadline × 0.5, or the configured fallback), or head-sampled.
 fn finish_trace(
     shared: &TransportShared,
     model: &str,
@@ -616,21 +578,6 @@ fn finish_trace(
     report: Option<StageReport>,
     f: TraceFinish,
 ) {
-    let total_s = f.ingress.elapsed().as_secs_f64();
-    let slow = shared
-        .client
-        .tracing()
-        .slow_threshold_for(timeout)
-        .is_some_and(|t| total_s > t.as_secs_f64());
-    // Completion-time keep decision; also unregisters the pending
-    // entry. `None` whenever the tail is off, so the default path is
-    // exactly the head-sampling semantics.
-    let tail_keep = shared
-        .client
-        .tail_complete(f.tail_key, f.sampled, slow, f.outcome);
-    if !f.sampled && !slow && tail_keep.is_none() {
-        return;
-    }
     // A request that expired before serving has no report; its stage
     // leaves read zero and the gap under `request` is the wait.
     let report = report.unwrap_or_default();
@@ -639,7 +586,7 @@ fn finish_trace(
         .unwrap_or_else(|| Span::leaf("compute", report.compute_s));
     let root = Span::with_children(
         "request",
-        total_s,
+        f.ingress.elapsed().as_secs_f64(),
         vec![
             Span::leaf("parse", f.parse_s),
             Span::leaf("queue", report.queue_wait_s),
@@ -648,25 +595,9 @@ fn finish_trace(
             Span::leaf("serialize", f.serialize_s),
         ],
     );
-    if f.sampled {
-        shared
-            .client
-            .record_trace(f.trace_id.clone(), model.to_string(), total_s, root.clone());
-    }
-    if slow {
-        shared.client.record_slow(
-            f.trace_id.clone(),
-            model.to_string(),
-            f.sampled,
-            total_s,
-            root.clone(),
-        );
-    }
-    if let Some(reason) = tail_keep {
-        shared
-            .client
-            .record_tail(f.trace_id, model.to_string(), total_s, root, reason);
-    }
+    shared
+        .client
+        .record_finished(f.trace_id, model, f.sampled, f.outcome, timeout, root);
 }
 
 /// Per-model budget of the deep health probe: generous against a
@@ -679,8 +610,8 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
 /// readiness. Any failed probe turns the status to `degraded` and the
 /// response to 503 — the shape a load balancer's readiness check wants.
 /// Probe requests are real requests: they count in the model's stats
-/// (and are never head-sampled or tail-registered, so they cannot crowd
-/// the trace rings).
+/// (and are never head-sampled or recorded, so they cannot crowd the
+/// traces ring).
 fn deep_health(shared: &TransportShared) -> (u16, String) {
     let models = shared.client.model_ids();
     let probes: Vec<api::ModelProbe> = models

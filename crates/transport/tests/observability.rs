@@ -1,10 +1,11 @@
 //! Loopback e2e for the observability surface: `/v1/metrics` is valid
 //! Prometheus text exposition (parsed through `vitcod_obs::promtext` —
 //! the same parser the monitor binary ships — and cross-checked
-//! against `/v1/stats`, per the acceptance criterion), `/v1/trace`
-//! drains typed events, `/v1/health?deep=1` runs per-model inference
-//! probes, and `/healthz` + `/v1/stats` report uptime and per-model
-//! backend/precision/stage breakdowns.
+//! against `/v1/stats`, per the acceptance criterion), `/v1/traces`
+//! keeps each failed, slow or head-sampled request's span tree once,
+//! `/v1/health?deep=1` runs per-model inference probes, and `/healthz` +
+//! `/v1/stats` report uptime and per-model backend/precision/stage
+//! breakdowns.
 
 use std::time::Duration;
 
@@ -14,7 +15,7 @@ use vitcod_autograd::ParamStore;
 use vitcod_engine::{CompiledVit, Engine, Precision};
 use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_obs::promtext::{check_histogram, Exposition};
-use vitcod_serve::{BatchConfig, ModelRegistry, Server, TailConfig, TracingConfig};
+use vitcod_serve::{BatchConfig, ModelRegistry, Server, TracingConfig};
 use vitcod_tensor::{Backend, Initializer};
 use vitcod_transport::{
     api::tokens_json, HttpClient, HttpServer, Json, TransportConfig, TRACE_ID_HEADER,
@@ -243,64 +244,6 @@ fn stats_report_backend_precision_stages_and_uptime() {
     http.shutdown();
 }
 
-#[test]
-fn trace_endpoint_drains_typed_events() {
-    let model = tiny_model(13);
-    let mut registry = ModelRegistry::new();
-    registry
-        .register("m", Engine::builder(model.clone()).build())
-        .unwrap();
-    let http = HttpServer::bind(
-        "127.0.0.1:0",
-        Server::start(registry, BatchConfig::default()),
-        TransportConfig {
-            idle_timeout: Duration::from_secs(5),
-            ..TransportConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    let mut client = HttpClient::connect(http.local_addr()).unwrap();
-    for i in 0..3 {
-        let resp = client
-            .post("/v1/models/m/classify", &classify_body(&model, 20 + i))
-            .unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
-    }
-
-    let trace = client.get("/v1/trace").unwrap().json().unwrap();
-    assert_eq!(trace.get("dropped").unwrap().as_u64(), Some(0));
-    let events = trace.get("events").unwrap().as_array().unwrap().to_vec();
-    assert!(!events.is_empty());
-    let mut kinds = Vec::new();
-    let mut last_seq = 0u64;
-    for (i, e) in events.iter().enumerate() {
-        let seq = e.get("seq").unwrap().as_u64().unwrap();
-        if i > 0 {
-            assert!(seq > last_seq, "trace must drain in sequence order");
-        }
-        last_seq = seq;
-        assert!(e.get("at_s").unwrap().as_f64().unwrap() >= 0.0);
-        kinds.push(e.get("kind").unwrap().as_str().unwrap().to_string());
-        if e.get("model").unwrap().as_str().is_some() {
-            assert_eq!(e.get("model").unwrap().as_str(), Some("m"));
-        }
-    }
-    assert!(kinds.iter().any(|k| k == "enqueue"), "kinds: {kinds:?}");
-    assert!(kinds.iter().any(|k| k == "dispatch"), "kinds: {kinds:?}");
-
-    // The drain is destructive: a second read starts empty (modulo any
-    // events the server emitted between the two reads).
-    let again = client.get("/v1/trace").unwrap().json().unwrap();
-    let again = again.get("events").unwrap().as_array().unwrap().to_vec();
-    for e in &again {
-        assert!(
-            e.get("seq").unwrap().as_u64().unwrap() > last_seq,
-            "drained events must not reappear"
-        );
-    }
-    http.shutdown();
-}
-
 /// Walks a span tree in its JSON shape.
 fn span_name(span: &Json) -> String {
     span.get("name").unwrap().as_str().unwrap().to_string()
@@ -335,7 +278,6 @@ fn trace_id_header_yields_partitioned_span_tree_and_op_metrics() {
         TracingConfig {
             sample_rate: 0.0,
             slow_threshold: None,
-            tail: None,
         },
     );
     let http = HttpServer::bind(
@@ -443,10 +385,11 @@ fn trace_id_header_yields_partitioned_span_tree_and_op_metrics() {
 }
 
 /// Slow-request forensics without sampling: with a tiny configured
-/// threshold every request is "slow", so its span tree is retained in
-/// the slowlog ring even though head sampling never selected it.
+/// threshold every request is slow, so `/v1/traces` keeps its span tree
+/// as `kept: "slow"` even though head sampling never selected it, and
+/// the scrape-only slow counter advances.
 #[test]
-fn slowlog_retains_unsampled_requests_past_threshold() {
+fn traces_keep_unsampled_requests_past_slow_threshold() {
     let model = tiny_model(22);
     let mut registry = ModelRegistry::new();
     registry
@@ -458,7 +401,6 @@ fn slowlog_retains_unsampled_requests_past_threshold() {
         TracingConfig {
             sample_rate: 0.0,
             slow_threshold: Some(Duration::from_nanos(1)),
-            tail: None,
         },
     );
     let http = HttpServer::bind(
@@ -476,20 +418,19 @@ fn slowlog_retains_unsampled_requests_past_threshold() {
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
 
-    // Nothing was head-sampled, so /v1/traces stays empty…
-    let traces = client.get("/v1/traces?peek=1").unwrap().json().unwrap();
-    assert!(traces.get("traces").unwrap().as_array().unwrap().is_empty());
-    // …but the slowlog kept the whole tree. Peek first, then drain.
-    let peeked = client.get("/v1/slowlog?peek=1").unwrap().json().unwrap();
+    // Nothing was head-sampled, but the slow tree was kept. Peek first,
+    // then drain.
+    let peeked = client.get("/v1/traces?peek=1").unwrap().json().unwrap();
     assert_eq!(
         peeked.get("traces").unwrap().as_array().unwrap().len(),
         1,
         "peek must not drain"
     );
-    let slow = client.get("/v1/slowlog").unwrap().json().unwrap();
+    let slow = client.get("/v1/traces").unwrap().json().unwrap();
     let entries = slow.get("traces").unwrap().as_array().unwrap().to_vec();
     assert_eq!(entries.len(), 1);
     let e = &entries[0];
+    assert_eq!(e.get("kept").unwrap().as_str(), Some("slow"));
     assert_eq!(e.get("sampled").unwrap().as_bool(), Some(false));
     let root = e.get("root").unwrap().clone();
     assert_eq!(span_name(&root), "request");
@@ -498,8 +439,13 @@ fn slowlog_retains_unsampled_requests_past_threshold() {
     assert_eq!(span_name(&stages[3]), "compute");
     assert!(span_children(&stages[3]).is_empty());
     assert!(span_duration(&stages[3]) > 0.0);
-    let again = client.get("/v1/slowlog").unwrap().json().unwrap();
+    let again = client.get("/v1/traces").unwrap().json().unwrap();
     assert!(again.get("traces").unwrap().as_array().unwrap().is_empty());
+    let prom = parse_prom(&client.get("/v1/metrics").unwrap().body_str());
+    assert!(
+        (prom_one(&prom, "vitcod_slow_requests_total", &[("model", "m")]) - 1.0).abs() < 0.5,
+        "slow-rate SLOs must be computable by scrape alone"
+    );
     http.shutdown();
 }
 
@@ -535,7 +481,6 @@ fn metrics_scrape_races_hot_model_reload() {
         TracingConfig {
             sample_rate: 1.0,
             slow_threshold: None,
-            tail: None,
         },
     );
     let http = HttpServer::bind(
@@ -594,29 +539,25 @@ fn metrics_scrape_races_hot_model_reload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Tail-based retention over the wire: with head sampling off and a
-/// tiny slow threshold, an ordinary request (no trace header) is kept
-/// at completion time — `/v1/traces` carries it labelled
-/// `kept: "slow"` with `sampled: false`, and the scrape-only slow
-/// counter advances in `/v1/metrics`.
+/// The keep rule over the wire on a plain `Server::start` (sampling
+/// off, no fallback threshold): an ordinary request is not kept, an
+/// expired one is kept once as `error` (it is also slow: it outlived
+/// half its deadline), and a trace-id-forced one as `head`.
 #[test]
-fn tail_retention_keeps_slow_requests_over_the_wire() {
+fn default_server_keeps_expired_and_forced_requests_once() {
     let model = tiny_model(25);
     let mut registry = ModelRegistry::new();
     registry
         .register("m", Engine::builder(model.clone()).build())
         .unwrap();
-    let server = Server::start_with_tracing(
+    // A lone request waits 10 s for a partner; a pair runs at once.
+    let server = Server::start(
         registry,
-        BatchConfig::default(),
-        TracingConfig {
-            sample_rate: 0.0,
-            slow_threshold: Some(Duration::from_nanos(1)),
-            tail: Some(TailConfig {
-                reservoir: 0, // only slow/errored keeps — deterministic
-                seed: 7,
-                pending_capacity: 64,
-            }),
+        BatchConfig {
+            max_batch_size: 2,
+            max_wait: Duration::from_secs(10),
+            queue_capacity: 64,
+            workers: 1,
         },
     );
     let http = HttpServer::bind(
@@ -629,32 +570,52 @@ fn tail_retention_keeps_slow_requests_over_the_wire() {
     )
     .expect("bind loopback");
     let mut client = HttpClient::connect(http.local_addr()).unwrap();
+    let item = |seed| {
+        tokens_json(&Initializer::Normal { std: 1.0 }.sample(model.config().tokens, IN_DIM, seed))
+    };
+    let pair = Json::Object(vec![(
+        "batch".into(),
+        Json::Array(vec![
+            Json::Object(vec![("tokens".into(), item(61))]),
+            Json::Object(vec![("tokens".into(), item(62))]),
+        ]),
+    )])
+    .to_string();
+    let lone = Json::Object(vec![
+        ("tokens".into(), item(63)),
+        ("timeout_ms".into(), Json::Number(40.0)),
+    ])
+    .to_string();
+
+    let resp = client.post("/v1/models/m/classify", &pair).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let resp = client.post("/v1/models/m/classify", &lone).unwrap();
+    assert_eq!(resp.status, 504, "{}", resp.body_str());
     let resp = client
-        .post("/v1/models/m/classify", &classify_body(&model, 60))
+        .post_with_header("/v1/models/m/classify", &pair, (TRACE_ID_HEADER, "forced"))
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
 
     let drained = client.get("/v1/traces").unwrap().json().unwrap();
     let traces = drained.get("traces").unwrap().as_array().unwrap().to_vec();
-    assert_eq!(traces.len(), 1, "tail keep must land in /v1/traces");
-    let t = &traces[0];
-    assert_eq!(
-        t.get("sampled").unwrap().as_bool(),
-        Some(false),
-        "tail-kept, not head-sampled"
-    );
-    assert_eq!(t.get("kept").unwrap().as_str(), Some("slow"));
-    let root = t.get("root").unwrap().clone();
-    assert_eq!(span_name(&root), "request");
-
-    // The slowlog kept it too, and the scrape-only counter advanced.
-    let slow = client.get("/v1/slowlog?peek=1").unwrap().json().unwrap();
-    assert_eq!(slow.get("traces").unwrap().as_array().unwrap().len(), 1);
+    let kept: Vec<(&str, bool)> = traces
+        .iter()
+        .map(|t| {
+            (
+                t.get("kept").unwrap().as_str().unwrap(),
+                t.get("sampled").unwrap().as_bool().unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(kept, [("error", false), ("head", true)]);
+    assert_eq!(traces[1].get("trace_id").unwrap().as_str(), Some("forced"));
+    assert_eq!(span_name(traces[0].get("root").unwrap()), "request");
     let prom = parse_prom(&client.get("/v1/metrics").unwrap().body_str());
     assert!(
         (prom_one(&prom, "vitcod_slow_requests_total", &[("model", "m")]) - 1.0).abs() < 0.5,
-        "slow-rate SLOs must be computable by scrape alone"
+        "the expired request counts as slow"
     );
+    assert!(prom_one(&prom, "vitcod_traces_dropped_total", &[]).abs() < 0.5);
     http.shutdown();
 }
 
