@@ -3,7 +3,8 @@
 //! halves, the attention core's `Q·Kᵀ` and `S·V`, a narrow-head `S·V`
 //! and a training weight-gradient `Xᵀ·dY` — in fp32 and, for the
 //! projections and MLP halves, through the packed int8 GEMM, plus the
-//! 1024³ acceptance shape. A last section times the `*.vitcod` codec
+//! 1024³ acceptance shape, and the per-row activation quantization that
+//! feeds every int8 projection. A last section times the `*.vitcod` codec
 //! (`save_compiled_vit` / `load_compiled_vit`) on a DeiT-Tiny artifact in
 //! fp32 and int8.
 //!
@@ -22,6 +23,9 @@
 //!   GFLOP/s at every shape that has one;
 //! * the int8 GEMM reaches ≥ [`INT8_RATE_FLOOR`] × its own recorded
 //!   Gop/s, a floor no half-rate lowering of its tile can reach;
+//! * `QuantizedRows::quantize` runs at ≥ [`QUANTIZE_RATE_FLOOR`] × its
+//!   recorded elements per ns, which a lane-by-lane float-to-int
+//!   conversion misses by 4×;
 //! * Fast beats Scalar ≥ 4× on the 1024³ GEMM;
 //! * the artifact codec writes and reads ≥ [`ARTIFACT_RATE_FLOOR`] × its
 //!   own recorded MB/s, which a per-scalar `String` misses by 2.3–11×.
@@ -51,14 +55,30 @@ const RATE_FLOOR: f64 = 0.9;
 /// is the code that set the record, so the allowance is the box's whole
 /// run-to-run spread — and no more. The rates are recorded from an
 /// `x86-64-v3` build (`"target_cpu"` in `BENCH_kernels.json`), where the
-/// floors (28–40 Gop/s) sit 1.9–2.7× above the 14–15 Gop/s of the
+/// floors (42–55 Gop/s) sit 2.8–3.9× above the 14–15 Gop/s of the
 /// `pmulld` loop a v3 build of the old hard-coded 128-bit tile compiles
 /// to, and above the 22 Gop/s a 128-bit `pmaddwd` with half its lanes
 /// zeroed once reached. Both have happened with every test green; this
-/// gate is what sees them. A tile that keeps `pmaddwd` but only 128 bits
-/// wide (35–39 Gop/s, what a v2 build runs) is inside the box's spread:
-/// the verify skill's `objdump` check is its guard.
+/// gate is what sees them. A tile only 128 bits wide (35–39 Gop/s before
+/// the block sums lost their per-lane `as i32`, not re-measured since)
+/// and that per-lane conversion coming back (48–51 Gop/s) sit at or
+/// inside the floors: the verify skill's `objdump` check is their guard.
 const INT8_RATE_FLOOR: f64 = 0.75;
+
+/// Share of its own recorded rate `QuantizedRows::quantize` must reach at
+/// [`QUANTIZE_SHAPE`]. The allowance is the box's spread, as for int8: the
+/// saturating `as i16` it replaced compiled to per-lane `vcvttss2si` at
+/// 1.6–2.0 ns per element, and every test passes either way.
+const QUANTIZE_RATE_FLOOR: f64 = 0.75;
+
+/// The quantized activation timed: `fc2`'s 197 × 768 input, the largest
+/// one a DeiT-Tiny layer quantizes.
+const QUANTIZE_SHAPE: (usize, usize) = (197, 768);
+
+/// Recorded ns per element of `QuantizedRows::quantize` at
+/// [`QUANTIZE_SHAPE`] (the highest best-of-repeats of three `x86-64-v3`
+/// recording runs).
+const RECORDED_QUANTIZE_NS_PER_ELEM: f64 = 0.513;
 
 /// Share of its own recorded MB/s the `*.vitcod` codec must reach, in
 /// each direction. As for int8, the allowance is the box's spread: the
@@ -144,8 +164,9 @@ struct Shape {
     /// recorded with those backends; `None` for shapes added since.
     recorded_gflops: Option<f64>,
     /// Recorded packed-int8 Gop/s at this shape (the lowest best-of-repeats
-    /// of five `x86-64-v3` recording runs, which read 37.7–63.0); `Some`
-    /// also means the int8 column is timed.
+    /// of three `x86-64-v3` recording runs, which read 56.1–74.4 once `k`
+    /// was walked in L1-sized blocks and the block sums converted without
+    /// a per-lane `as`); `Some` also means the int8 column is timed.
     recorded_int8_gops: Option<f64>,
 }
 
@@ -184,11 +205,11 @@ const fn int8_shape(name: &'static str, m: usize, k: usize, n: usize, int8_gops:
 }
 
 const SHAPES: &[Shape] = &[
-    projection("deit_tiny_proj", 192, 28.91, 42.05),
-    projection("deit_small_proj", 384, 21.65, 53.82),
-    projection("deit_base_proj", 768, 18.02, 37.73),
-    int8_shape("deit_tiny_fc1", 197, 192, 768, 45.06),
-    int8_shape("deit_tiny_fc2", 197, 768, 192, 44.04),
+    projection("deit_tiny_proj", 192, 28.91, 56.06),
+    projection("deit_small_proj", 384, 21.65, 70.47),
+    projection("deit_base_proj", 768, 18.02, 73.94),
+    int8_shape("deit_tiny_fc1", 197, 192, 768, 71.95),
+    int8_shape("deit_tiny_fc2", 197, 768, 192, 59.06),
     shape("attn_scores_nt", Flavour::Nt, 197, 64, 197),
     shape("attn_sv", Flavour::Nn, 197, 197, 64),
     shape("attn_sv_narrow", Flavour::Nn, 197, 197, 8),
@@ -433,6 +454,20 @@ fn run() {
         softmax.best_s * 1e3
     );
 
+    let (q_rows, q_cols) = QUANTIZE_SHAPE;
+    let x = Initializer::Normal { std: 1.0 }.sample(q_rows, q_cols, 4);
+    let elems = x.len() as f64;
+    let quantize_floor_ns = RECORDED_QUANTIZE_NS_PER_ELEM / QUANTIZE_RATE_FLOOR;
+    let quantize = time_repeats(Some(quantize_floor_ns * 1e-9 * elems), || {
+        std::hint::black_box(QuantizedRows::quantize(&x));
+    });
+    let quantize_ns = quantize.best_s / elems * 1e9;
+    println!(
+        "{:<16}    ({q_rows:>4}x{q_cols:>4})       fast {:>8.3} ms  {quantize_ns:.3} ns/elem",
+        "quantize_rows",
+        quantize.best_s * 1e3
+    );
+
     // The `*.vitcod` codec on the DeiT-Tiny artifact, both precisions.
     let mut store = ParamStore::new();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -453,11 +488,19 @@ fn run() {
          shared 2-vCPU box that slows every process by 40-50 % for seconds at a time; *_s is the \
          best of the repeats (what the gates compare), median and MAD sit beside it; a scalar run \
          over 1 s is timed once\",\n  \"gemm\": [\n{}\n  ],\n  \"softmax_rows_197_s\": {:.6},\n  \
-         \"artifact\": [\n{}\n  ]\n}}\n",
+         \"quantize_rows\": {{\"rows\": {}, \"cols\": {}, \"s\": {:.6}, \"median_s\": {:.6}, \
+         \"mad_s\": {:.6}, \"repeats\": {}, \"ns_per_elem\": {:.3}}},\n  \"artifact\": [\n{}\n  ]\n}}\n",
         num_threads(),
         target_cpu(),
         rows.join(",\n"),
         softmax.best_s,
+        q_rows,
+        q_cols,
+        quantize.best_s,
+        quantize.median_s,
+        quantize.mad_s,
+        quantize.repeats,
+        quantize_ns,
         artifact_rows.join(",\n")
     );
     std::fs::write(json_path, json).expect("write BENCH_kernels.json");
@@ -481,6 +524,11 @@ fn run() {
             );
         }
     }
+    assert!(
+        quantize_ns <= quantize_floor_ns,
+        "quantize_rows: {quantize_ns:.3} ns/elem is slower than {QUANTIZE_RATE_FLOOR} x its \
+         recorded rate ({RECORDED_QUANTIZE_NS_PER_ELEM} ns/elem)"
+    );
     for r in &artifacts {
         let name = r.case.name;
         for (direction, timing, recorded) in [

@@ -402,7 +402,11 @@ impl Matrix {
             c0 <= c1 && c1 <= self.cols,
             "col range {c0}..{c1} out of bounds"
         );
-        Matrix::from_fn(r1 - r0, c1 - c0, |r, c| self.get(r0 + r, c0 + c))
+        let mut data = Vec::with_capacity((r1 - r0) * (c1 - c0));
+        for r in r0..r1 {
+            data.extend_from_slice(&self.row(r)[c0..c1]);
+        }
+        Matrix::from_vec(r1 - r0, c1 - c0, data)
     }
 
     /// Concatenates matrices horizontally (along columns).
@@ -472,7 +476,12 @@ impl Matrix {
     /// Panics if `perm.len() != self.cols()` or an index is out of bounds.
     pub fn permute_cols(&self, perm: &[usize]) -> Matrix {
         assert_eq!(perm.len(), self.cols, "permutation length mismatch");
-        Matrix::from_fn(self.rows, self.cols, |r, c| self.get(r, perm[c]))
+        let mut data = Vec::with_capacity(self.data.len());
+        for r in 0..self.rows {
+            let row = self.row(r);
+            data.extend(perm.iter().map(|&p| row[p]));
+        }
+        Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Sum of all elements.
@@ -646,6 +655,26 @@ mod tests {
             a.permute_cols(&[1, 0]),
             Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]])
         );
+    }
+
+    #[test]
+    fn row_slice_copies_match_the_get_formula_on_a_ragged_shape() {
+        let a = Matrix::from_fn(7, 13, |r, c| (r * 13 + c) as f32 * 0.5 - 3.0);
+        let s = a.submatrix(2, 7, 3, 11);
+        assert_eq!(s, Matrix::from_fn(5, 8, |r, c| a.get(2 + r, 3 + c)));
+        assert_eq!(a.submatrix(4, 4, 0, 13).shape(), (0, 13));
+        assert_eq!(a.submatrix(0, 7, 5, 5).shape(), (7, 0));
+        let perm = [12, 0, 5, 5, 11, 1, 2, 3, 4, 6, 7, 8, 9];
+        assert_eq!(
+            a.permute_cols(&perm),
+            Matrix::from_fn(7, 13, |r, c| a.get(r, perm[c]))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn permute_cols_rejects_an_out_of_range_index() {
+        Matrix::zeros(2, 2).permute_cols(&[0, 2]);
     }
 
     #[test]

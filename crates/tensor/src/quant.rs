@@ -180,7 +180,11 @@ pub struct QuantizedRows {
 }
 
 impl QuantizedRows {
-    /// Quantizes `m` row-wise with fitted symmetric per-row scales.
+    /// Quantizes `m` row-wise with fitted symmetric per-row scales: each
+    /// element is `(v / scale).round().clamp(-127.0, 127.0) as i16`, bit
+    /// for bit, but converted without the saturating cast (see
+    /// `quantize_lane`), which x86 lowers one lane at a time; the row
+    /// loop stays in vector registers and runs at memory speed.
     pub fn quantize(m: &Matrix) -> Self {
         let (rows, cols) = m.shape();
         let padded = cols + cols % 2;
@@ -193,7 +197,7 @@ impl QuantizedRows {
             scales[r] = scale;
             let dst = &mut data[r * padded..r * padded + cols];
             for (d, &v) in dst.iter_mut().zip(src.iter()) {
-                *d = (v / scale).round().clamp(-127.0, 127.0) as i16;
+                *d = quantize_lane(v, scale);
             }
         }
         Self {
@@ -294,6 +298,29 @@ impl QuantizedRows {
         });
         out
     }
+}
+
+/// `(v / scale).round().clamp(-127.0, 127.0) as i16` without the
+/// saturating `as`, which x86 lowers lane by lane (`vmaxss`, `vminss`,
+/// `vcvttss2si` per element). The clamped value is an integer in
+/// [−127, 127] or NaN; NaN goes to 0, as `as` sends it, and
+/// [`small_int_to_i32`] converts the rest. Every step is a plain vector
+/// op.
+#[inline(always)]
+fn quantize_lane(v: f32, scale: f32) -> i16 {
+    let y = (v / scale).round().clamp(-127.0, 127.0);
+    small_int_to_i32(if y.is_nan() { 0.0 } else { y }) as i16
+}
+
+/// 1.5 · 2²³: the floats within 2²² of it have an ulp of exactly 1.
+const EXACT_INT_MAGIC: f32 = 12_582_912.0;
+
+/// `y as i32` for an integer-valued `y` below 2²² in magnitude, in plain
+/// vector ops: `y + 1.5·2²³` is exact and its encoding is the magic's
+/// plus `y`. Rust's saturating `as` compiles to per-lane scalar code.
+#[inline(always)]
+fn small_int_to_i32(y: f32) -> i32 {
+    (y + EXACT_INT_MAGIC).to_bits() as i32 - EXACT_INT_MAGIC.to_bits() as i32
 }
 
 /// Projection weights packed for [`int8_gemm`] at compile time.
@@ -483,12 +510,17 @@ fn int8_gemm_reference(
     }
 }
 
-/// `k`-pairs per exactly-accumulated block of [`int8_tile`]. One pair
-/// contributes at most `2 · 127 · 128` in magnitude (activations are
-/// clamped to ±127; a raw weight may be −128), so every partial sum of a
-/// block is an integer no larger than 2²⁴ and f32 holds it exactly.
-const PAIR_BLOCK: usize = 256;
-const _: () = assert!(PAIR_BLOCK * 2 * 127 * 128 <= 1 << 24);
+/// `k`-pairs per block of [`int8_gemm_panels`]' walk, and per
+/// exactly-accumulated block of [`int8_tile`]. One pair contributes at
+/// most `2 · 127 · 128` in magnitude (activations are clamped to ±127; a
+/// raw weight may be −128), so every partial sum of a block is an integer
+/// below 2²²: f32 holds it exactly and [`small_int_to_i32`] converts it
+/// back. The size is set by L1d: one block of `MR` packed activation rows
+/// is 16 KiB at 256 bits (8 at 128), which leaves a 32–48 KiB L1d room
+/// for the weight panels streaming past it. A pack over all of `k = 768`
+/// (48 KiB) ran `fc2` at 40 Gop/s against 47–51 for the other shapes.
+const PAIR_BLOCK: usize = 128;
+const _: () = assert!(PAIR_BLOCK * 2 * 127 * 128 < 1 << 22);
 
 /// `i16`s one activation row contributes to one packed `k`-pair step: the
 /// `(a₀, a₁)` pair repeated to fill one vector register (16 `i16` at 256
@@ -506,11 +538,14 @@ const _: () = assert!(LANES.is_multiple_of(PAIR_REP / 2));
 const _: () =
     assert!(MR * LANES / F32_PER_VECTOR + 4 * LANES / VECTOR_BYTES + 2 <= VECTOR_REGISTERS);
 
-/// Fast arm of [`int8_gemm`]: per [`MR`]-row block the activation
-/// `k`-pairs are packed once, then every weight panel meets them in
-/// [`int8_tile`], so each packed weight step is read once per `MR` rows.
-/// Rows past a ragged edge are packed as zeros and their accumulators
-/// dropped: there is one instantiation of the tile.
+/// Fast arm of [`int8_gemm`]. Per [`MR`]-row block, `k` is walked one
+/// [`PAIR_BLOCK`] of pairs at a time: the block's activation pairs are
+/// packed, every weight panel meets them in [`int8_tile`] (so each packed
+/// weight step is read once per `MR` rows), and each panel's block sum is
+/// added into an `MR × LANES` `i32` total per panel. After the last block
+/// the dequantize-and-bias epilogue runs once per panel. Rows past a
+/// ragged edge are packed as zeros and their totals dropped: there is one
+/// instantiation of the tile.
 fn int8_gemm_panels(
     a: &QuantizedRows,
     w: &PackedGemmWeights,
@@ -520,26 +555,37 @@ fn int8_gemm_panels(
 ) {
     let (n, kp) = (w.n, w.kp);
     let panel_len = kp * 2 * LANES;
-    let mut a_pack = vec![0i16; kp * MR * PAIR_REP];
+    let mut a_pack = vec![0i16; PAIR_BLOCK.min(kp) * MR * PAIR_REP];
+    let mut totals = vec![[[0i32; LANES]; MR]; w.panels];
     for (bi, out_rows) in chunk.chunks_mut(MR * n).enumerate() {
         let row0 = first_row + bi * MR;
         let rows = out_rows.len() / n;
-        for r in 0..MR {
-            let slots = a_pack
-                .chunks_exact_mut(MR * PAIR_REP)
-                .map(|step| &mut step[r * PAIR_REP..(r + 1) * PAIR_REP]);
-            if r < rows {
-                for (slot, pair) in slots.zip(a.row_wide(row0 + r).chunks_exact(2)) {
-                    for rep in slot.chunks_exact_mut(2) {
-                        rep.copy_from_slice(pair);
+        totals.fill([[0; LANES]; MR]);
+        for k0 in (0..kp).step_by(PAIR_BLOCK) {
+            let pairs = PAIR_BLOCK.min(kp - k0);
+            let block = &mut a_pack[..pairs * MR * PAIR_REP];
+            for r in 0..MR {
+                let slots = block
+                    .chunks_exact_mut(MR * PAIR_REP)
+                    .map(|step| &mut step[r * PAIR_REP..(r + 1) * PAIR_REP]);
+                if r < rows {
+                    let row = &a.row_wide(row0 + r)[2 * k0..2 * (k0 + pairs)];
+                    for (slot, pair) in slots.zip(row.chunks_exact(2)) {
+                        for rep in slot.chunks_exact_mut(2) {
+                            rep.copy_from_slice(pair);
+                        }
                     }
+                } else {
+                    slots.for_each(|slot| slot.fill(0));
                 }
-            } else {
-                slots.for_each(|slot| slot.fill(0));
+            }
+            let block = &*block;
+            for (p, total) in totals.iter_mut().enumerate() {
+                let w0 = p * panel_len + k0 * 2 * LANES;
+                int8_tile(block, &w.data[w0..w0 + pairs * 2 * LANES], total);
             }
         }
-        for (p, bp) in bias.chunks(LANES).enumerate() {
-            let acc = int8_tile(&a_pack, &w.data[p * panel_len..(p + 1) * panel_len]);
+        for ((p, bp), acc) in bias.chunks(LANES).enumerate().zip(&totals) {
             let j0 = p * LANES;
             for (r, orow) in out_rows.chunks_exact_mut(n).enumerate() {
                 let factor = a.row_scale(row0 + r) * w.scale;
@@ -552,44 +598,42 @@ fn int8_gemm_panels(
 }
 
 /// The int8 microkernel: an `MR × LANES` block of outputs carried in
-/// registers across the whole `k`-pair walk of one weight panel. One
-/// packed `a` step is `MR` pairs, each spread over a vector register
-/// ([`PAIR_REP`]), so `a₀·w[2l] + a₁·w[2l+1]` over a register's lanes is
-/// a single `pmaddwd` on whole registers — one instruction per 16 MACs at
-/// 256 bits (`vpmaddwd` on `ymm`), per 8 at 128.
+/// registers across one [`PAIR_BLOCK`] of a weight panel's `k`-pairs,
+/// then added into `total`. One packed `a` step is `MR` pairs, each
+/// spread over a vector register ([`PAIR_REP`]), so
+/// `a₀·w[2l] + a₁·w[2l+1]` over a register's lanes is a single `pmaddwd`
+/// on whole registers — one instruction per 16 MACs at 256 bits
+/// (`vpmaddwd` on `ymm`), per 8 at 128.
 ///
-/// Each [`PAIR_BLOCK`] is accumulated in **f32**, which is exact (see
-/// the constant) and is what keeps the loop in that shape: with an `i32`
-/// accumulator the release profile's thin LTO reassociates
+/// The block is accumulated in **f32**, which is exact (see
+/// [`PAIR_BLOCK`]) and is what keeps the loop in that shape: with an
+/// `i32` accumulator the release profile's thin LTO reassociates
 /// `acc + (m₀ + m₁)` into `(acc + m₀) + m₁`, the loop vectorizer then
 /// vectorizes across `k`, and the kernel falls to `pmulld`/`pinsrw` at a
 /// quarter of the rate with every test still green. f32 addition may not
 /// be reassociated, so the release build keeps `pmaddwd`, `cvtdq2ps`,
-/// `addps` per register. Block sums are converted back and totalled in
-/// `i32`; the result is the same integer any other order produces.
+/// `addps` per register. The block sum is converted back (by
+/// [`small_int_to_i32`], not a per-lane `as`) and totalled in `i32`; the
+/// result is the same integer any other order produces.
 #[inline(always)]
-fn int8_tile(a: &[i16], w: &[i16]) -> [[i32; LANES]; MR] {
-    let mut total = [[0i32; LANES]; MR];
-    let a_blocks = a.chunks(PAIR_BLOCK * MR * PAIR_REP);
-    for (ab, wb) in a_blocks.zip(w.chunks(PAIR_BLOCK * 2 * LANES)) {
-        let mut acc = [[0.0f32; LANES]; MR];
-        let steps = ab.chunks_exact(MR * PAIR_REP);
-        for (ak, wk) in steps.zip(wb.chunks_exact(2 * LANES)) {
-            for r in 0..MR {
-                for l in 0..LANES {
-                    let a0 = ak[r * PAIR_REP + 2 * (l % (PAIR_REP / 2))] as i32;
-                    let a1 = ak[r * PAIR_REP + 2 * (l % (PAIR_REP / 2)) + 1] as i32;
-                    acc[r][l] += (a0 * wk[2 * l] as i32 + a1 * wk[2 * l + 1] as i32) as f32;
-                }
-            }
-        }
-        for (trow, arow) in total.iter_mut().zip(&acc) {
-            for (t, &v) in trow.iter_mut().zip(arow) {
-                *t += v as i32;
+fn int8_tile(a: &[i16], w: &[i16], total: &mut [[i32; LANES]; MR]) {
+    debug_assert!(w.len() <= PAIR_BLOCK * 2 * LANES);
+    let mut acc = [[0.0f32; LANES]; MR];
+    let steps = a.chunks_exact(MR * PAIR_REP);
+    for (ak, wk) in steps.zip(w.chunks_exact(2 * LANES)) {
+        for r in 0..MR {
+            for l in 0..LANES {
+                let a0 = ak[r * PAIR_REP + 2 * (l % (PAIR_REP / 2))] as i32;
+                let a1 = ak[r * PAIR_REP + 2 * (l % (PAIR_REP / 2)) + 1] as i32;
+                acc[r][l] += (a0 * wk[2 * l] as i32 + a1 * wk[2 * l + 1] as i32) as f32;
             }
         }
     }
-    total
+    for (trow, arow) in total.iter_mut().zip(&acc) {
+        for (t, &v) in trow.iter_mut().zip(arow) {
+            *t += small_int_to_i32(v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -693,6 +737,12 @@ mod tests {
             (16, 32, 16),
             (9, 17, 33),
             (197, 64, 48),
+            // Past one `PAIR_BLOCK`: six full blocks, a ragged last block
+            // at odd `k`, and one pair past a block edge, with `n` off the
+            // lane grid and `m` off the `MR` grid.
+            (197, 768, 192),
+            (9, 1031, 33),
+            (5, 257, 8),
         ] {
             let a = Initializer::Normal { std: 1.0 }.sample(m, k, 6);
             let wf = Initializer::Normal { std: 0.3 }.sample(k, n, 7);
@@ -715,6 +765,70 @@ mod tests {
                     assert_eq!(scalar.get(i, j), want, "({i},{j}) of ({m},{k},{n})");
                 }
             }
+        }
+    }
+
+    /// The conversion `quantize_lane` replaces, kept as its oracle.
+    fn quantize_lane_oracle(v: f32, scale: f32) -> i16 {
+        (v / scale).round().clamp(-127.0, 127.0) as i16
+    }
+
+    #[test]
+    fn quantize_lane_is_bit_identical_to_the_saturating_cast() {
+        let mut inputs: Vec<f32> = (-200_000..=200_000).map(|i| i as f32 * 1e-3).collect();
+        for payload in [
+            0x7fc0_0000u32,
+            0x7fc0_0001,
+            0x7fa0_0000,
+            0xffc0_0000,
+            0xff80_0001,
+        ] {
+            inputs.push(f32::from_bits(payload));
+        }
+        for v in [f32::INFINITY, 0.0, 0.5, 1.5, 126.5, 127.49, 1e30, 1e-30] {
+            inputs.extend([v, -v]);
+        }
+        for scale in [1.0, 0.013, f32::INFINITY, 1e-30] {
+            for &v in &inputs {
+                assert_eq!(
+                    quantize_lane(v, scale),
+                    quantize_lane_oracle(v, scale),
+                    "v = {v:e} ({:#010x}), scale = {scale:e}",
+                    v.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn small_int_to_i32_is_exact_below_two_to_the_22() {
+        let edge = (1 << 22) - 1;
+        for i in (-edge..=edge).step_by(997).chain([-edge, -1, 0, 1, edge]) {
+            assert_eq!(small_int_to_i32(i as f32), i);
+        }
+        assert_eq!(small_int_to_i32(-0.0), 0);
+    }
+
+    #[test]
+    fn quantize_rows_matches_the_oracle_on_zero_nan_and_infinite_rows() {
+        let m = Matrix::from_rows(&[
+            &[0.0, -0.0, 0.0],
+            &[f32::NAN, 1.0, -2.5],
+            &[f32::INFINITY, 3.0, -1.0],
+            &[f32::NEG_INFINITY, f32::NAN, 0.25],
+            &[0.3, -127.0, 64.4],
+        ]);
+        let q = QuantizedRows::quantize(&m);
+        assert_eq!(q.row_scale(0), 1.0);
+        for r in 0..m.rows() {
+            let scale = q.row_scale(r);
+            let want: Vec<i16> = m
+                .row(r)
+                .iter()
+                .map(|&v| quantize_lane_oracle(v, scale))
+                .collect();
+            assert_eq!(&q.row_wide(r)[..3], &want[..], "row {r}");
+            assert_eq!(q.row_wide(r)[3], 0, "row {r}: pad");
         }
     }
 
