@@ -26,14 +26,18 @@
 //! | `buffer_report` | Sec. V-B SRAM residency |
 //! | `calibrate` | raw latencies behind Fig. 15(a); not a paper artifact |
 //!
-//! The other binaries (`load_harness`, `rss_phases`, `gen_workload`)
-//! and the three benches measure the host-side system. This library
-//! hosts what they share.
+//! The host-side system is measured by the benchmark of record
+//! (`benchmark/`, its own package); this crate keeps only what that
+//! harness does not: the kernel bench (`benches/kernels.rs`, per-kernel
+//! floors recorded to `BENCH_kernels.json`), `rss_phases` (which
+//! allocation sets `peak_rss_mb`) and `gen_workload`. Serving latency,
+//! throughput and the request-path stages are the benchmark of record's
+//! `serve_*` and `wire_probe` workloads; behaviour under hostile or
+//! failing traffic is tested in `crates/transport/tests`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod load;
 pub mod timing;
 
 /// Renders an attention mask down-sampled to an `out × out` ASCII

@@ -3,9 +3,12 @@
 //! bad UTF-8, hostile JSON nesting — every one must come back as a
 //! clean `400` with a JSON error body, with allocation bounded by the
 //! parser caps (an oversized body is rejected from the head alone,
-//! before a body byte is read).
+//! before a body byte is read). The slow-loris cases close it: a
+//! trickled header, a connection that never sends a byte and a client
+//! that never reads its answer are each shed, and the handler they held
+//! serves the next client.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -15,13 +18,25 @@ use vitcod_autograd::ParamStore;
 use vitcod_engine::{CompiledVit, Engine};
 use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_serve::{BatchConfig, ModelRegistry, Server};
-use vitcod_transport::{http, HttpClient, HttpServer, TransportConfig};
+use vitcod_tensor::Initializer;
+use vitcod_transport::{api::tokens_json, http, HttpClient, HttpServer, Json, TransportConfig};
+
+/// Input features of the served model.
+const IN_DIM: usize = 8;
 
 fn start_http() -> HttpServer {
+    start_http_with(TransportConfig {
+        idle_timeout: Duration::from_secs(2),
+        ..TransportConfig::default()
+    })
+}
+
+/// The reduced DeiT-Tiny as model `m` behind a transport with `config`.
+fn start_http_with(config: TransportConfig) -> HttpServer {
     let cfg = ViTConfig::deit_tiny().reduced_for_training();
     let mut store = ParamStore::new();
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let vit = VisionTransformer::new(&cfg, 8, 4, &mut store, &mut rng);
+    let vit = VisionTransformer::new(&cfg, IN_DIM, 4, &mut store, &mut rng);
     let mut registry = ModelRegistry::new();
     registry
         .register(
@@ -30,15 +45,55 @@ fn start_http() -> HttpServer {
         )
         .unwrap();
     let server = Server::start(registry, BatchConfig::default());
-    HttpServer::bind(
-        "127.0.0.1:0",
-        server,
-        TransportConfig {
-            idle_timeout: Duration::from_secs(2),
-            ..TransportConfig::default()
-        },
-    )
-    .unwrap()
+    HttpServer::bind("127.0.0.1:0", server, config).unwrap()
+}
+
+/// One handler and a short idle budget: a connection that pins the
+/// handler past `idle_timeout` locks every other client out.
+fn one_handler_idling_out_at(idle_timeout: Duration) -> HttpServer {
+    start_http_with(TransportConfig {
+        handler_threads: 1,
+        idle_timeout,
+        ..TransportConfig::default()
+    })
+}
+
+/// `GET /healthz` on a fresh connection whose read gives up after 5 s,
+/// so a handler that is never freed fails the test instead of hanging it.
+fn healthz_status(server: &HttpServer) -> u16 {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: fresh\r\n\r\n")
+        .unwrap();
+    http::read_response(&mut stream)
+        .expect("a fresh client must be served within 5 s")
+        .status
+}
+
+/// Reads until the server closes `stream` (EOF or reset), returning the
+/// bytes it sent first; panics if it is still open after 5 s.
+fn read_until_closed(stream: &mut TcpStream) -> Vec<u8> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut got = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return got,
+            Ok(n) => got.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                panic!("the server kept the connection open for 5 s")
+            }
+            Err(_) => return got, // reset: shed all the same
+        }
+    }
 }
 
 /// Sends raw bytes, half-closes the write side, and reads the response.
@@ -178,29 +233,11 @@ fn hostile_json_is_a_400_not_a_stack_overflow() {
 fn slow_loris_headers_are_shed_at_the_request_deadline() {
     // Trickling one header byte per poll keeps `idle_timeout` reset
     // forever; the per-request deadline must shed the connection anyway.
-    let server = {
-        let cfg = ViTConfig::deit_tiny().reduced_for_training();
-        let mut store = ParamStore::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let vit = VisionTransformer::new(&cfg, 8, 4, &mut store, &mut rng);
-        let mut registry = ModelRegistry::new();
-        registry
-            .register(
-                "m",
-                Engine::builder(CompiledVit::from_parts(&vit, &store)).build(),
-            )
-            .unwrap();
-        HttpServer::bind(
-            "127.0.0.1:0",
-            Server::start(registry, BatchConfig::default()),
-            TransportConfig {
-                idle_timeout: Duration::from_secs(10),
-                request_deadline: Duration::from_millis(300),
-                ..TransportConfig::default()
-            },
-        )
-        .unwrap()
-    };
+    let server = start_http_with(TransportConfig {
+        idle_timeout: Duration::from_secs(10),
+        request_deadline: Duration::from_millis(300),
+        ..TransportConfig::default()
+    });
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
         .write_all(b"POST /v1/models/m/classify HTTP/1.1\r\nX-Slow: ")
@@ -239,5 +276,66 @@ fn slow_loris_headers_are_shed_at_the_request_deadline() {
     // A well-behaved client on a fresh connection is unaffected.
     let mut ok = HttpClient::connect(server.local_addr()).unwrap();
     assert_eq!(ok.get("/healthz").unwrap().status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn half_open_connections_are_closed_at_the_idle_timeout() {
+    // A connection that never sends a byte has no request to time out;
+    // the idle budget alone must close it and free the only handler.
+    let server = one_handler_idling_out_at(Duration::from_millis(300));
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    let t = Instant::now();
+    let sent = read_until_closed(&mut silent);
+    assert!(
+        sent.is_empty(),
+        "a silent connection is closed, not answered"
+    );
+    assert!(
+        t.elapsed() >= Duration::from_millis(250),
+        "closed before the idle timeout: {:?}",
+        t.elapsed()
+    );
+    assert_eq!(healthz_status(&server), 200);
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_its_answer_is_shed() {
+    // The answer lands in the socket's send buffer, so the handler is
+    // not stuck writing; the deaf client then idles out like any other.
+    let server = one_handler_idling_out_at(Duration::from_millis(300));
+    let tokens = Initializer::Normal { std: 1.0 }.sample(
+        ViTConfig::deit_tiny().reduced_for_training().tokens,
+        IN_DIM,
+        9,
+    );
+    let body = Json::Object(vec![("tokens".into(), tokens_json(&tokens))]).to_string();
+    let mut deaf = TcpStream::connect(server.local_addr()).unwrap();
+    deaf.write_all(
+        format!(
+            "POST /v1/models/m/classify HTTP/1.1\r\nHost: deaf\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    // With one handler, the fresh client is served only once the deaf
+    // connection has let it go.
+    let t = Instant::now();
+    assert_eq!(healthz_status(&server), 200);
+    assert!(
+        t.elapsed() >= Duration::from_millis(250),
+        "the deaf connection was dropped before its idle timeout: {:?}",
+        t.elapsed()
+    );
+    // It was shed after its classify was answered, not instead of it.
+    let sent = read_until_closed(&mut deaf);
+    assert!(
+        sent.starts_with(b"HTTP/1.1 200"),
+        "{}",
+        String::from_utf8_lossy(&sent)
+    );
     server.shutdown();
 }

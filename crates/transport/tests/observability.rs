@@ -3,9 +3,10 @@
 //! the same parser the monitor binary ships — and cross-checked
 //! against `/v1/stats`, per the acceptance criterion), `/v1/traces`
 //! keeps each failed, slow or head-sampled request's span tree once,
-//! `/v1/health?deep=1` runs per-model inference probes, and `/healthz` +
+//! `/v1/health?deep=1` runs per-model inference probes, `/healthz` +
 //! `/v1/stats` report uptime and per-model backend/precision/stage
-//! breakdowns.
+//! breakdowns, and the `vitcod-obs` burn-rate alert walks an outage and
+//! its recovery from live scrapes.
 
 use std::time::Duration;
 
@@ -15,6 +16,7 @@ use vitcod_autograd::ParamStore;
 use vitcod_engine::{CompiledVit, Engine, Precision};
 use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_obs::promtext::{check_histogram, Exposition};
+use vitcod_obs::{AlertState, Objective, Scraper, SloConfig, SloTracker};
 use vitcod_serve::{BatchConfig, ModelRegistry, Server, TracingConfig};
 use vitcod_tensor::{Backend, Initializer};
 use vitcod_transport::{
@@ -187,6 +189,14 @@ fn metrics_exposition_parses_and_matches_stats() {
         assert!(
             (prom_one(&prom, "vitcod_requests_total", &[("model", &id)]) - json_reqs).abs() < 0.5,
             "{id}: /v1/metrics and /v1/stats disagree on requests"
+        );
+        let json_batches = m.get("batches").unwrap().as_u64().unwrap();
+        assert!(json_batches > 0, "{id}: served requests ran in no batch");
+        assert!(
+            (prom_one(&prom, "vitcod_batches_total", &[("model", &id)]) - json_batches as f64)
+                .abs()
+                < 0.5,
+            "{id}: /v1/metrics and /v1/stats disagree on batches"
         );
     }
     http.shutdown();
@@ -675,5 +685,149 @@ fn deep_health_probes_every_model() {
             "each model served exactly its probe"
         );
     }
+    http.shutdown();
+}
+
+/// The monitor's loop against a live server, on a virtual clock: each
+/// step sends a burst, scrapes `/v1/metrics` through `vitcod_obs`'s
+/// `Scraper`, and feeds `vitcod_requests_total` (good) and
+/// `vitcod_timeouts_total` (bad) to an availability `SloTracker` stamped
+/// with the step number, as the `vitcod-obs` binary does with wall time.
+/// An outage of expiring requests must walk the alert to `firing`, clean
+/// traffic must walk it to `resolved`, and `/v1/traces` must hold the
+/// outage's expired trees although none was head-sampled.
+#[test]
+fn burn_rate_alert_fires_on_expiries_and_resolves_on_recovery() {
+    /// Requests per step.
+    const BURST: usize = 4;
+    /// Steps a phase may take to reach its state before the test fails.
+    const MAX_STEPS: usize = 8;
+    let model = tiny_model(27);
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(model.clone()).build())
+        .unwrap();
+    // A lone request is held 50 ms for partners: one with a 1 ms
+    // `timeout_ms` expires inside the hold every time, one without a
+    // deadline runs when the hold ends.
+    let server = Server::start(
+        registry,
+        BatchConfig {
+            max_batch_size: 64,
+            max_wait: Duration::from_millis(50),
+            queue_capacity: 64,
+            workers: 1,
+        },
+    );
+    let http = HttpServer::bind(
+        "127.0.0.1:0",
+        server,
+        TransportConfig {
+            idle_timeout: Duration::from_secs(5),
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = HttpClient::connect(http.local_addr()).unwrap();
+    let scraper = Scraper::new(vec![http.local_addr().to_string()]);
+    // Windows in steps: the fast one spans two bursts, the slow one six.
+    let mut tracker = SloTracker::new(SloConfig {
+        name: "availability".into(),
+        objective: Objective::Availability,
+        error_budget: 0.01,
+        fast_window_s: 2.0,
+        slow_window_s: 6.0,
+        fast_burn: 10.0,
+        slow_burn: 2.0,
+    });
+    let expiring = Json::Object(vec![
+        (
+            "tokens".into(),
+            tokens_json(&Initializer::Normal { std: 1.0 }.sample(
+                model.config().tokens,
+                IN_DIM,
+                70,
+            )),
+        ),
+        ("timeout_ms".into(), Json::Number(1.0)),
+    ])
+    .to_string();
+    let clean = classify_body(&model, 71);
+
+    let mut t = 0.0;
+    let mut step = |body: Option<(&str, u16)>, tracker: &mut SloTracker| {
+        if let Some((body, status)) = body {
+            for _ in 0..BURST {
+                let resp = client.post("/v1/models/m/classify", body).unwrap();
+                assert_eq!(resp.status, status, "{}", resp.body_str());
+            }
+        }
+        t += 1.0;
+        let scrape = scraper
+            .poll(t)
+            .pop()
+            .expect("one result per endpoint")
+            .unwrap_or_else(|(endpoint, e)| panic!("scrape {endpoint}: {e}"));
+        let exp = &scrape.exposition;
+        tracker.observe(
+            scrape.t_s,
+            exp.sum("vitcod_requests_total", &[]),
+            exp.sum("vitcod_timeouts_total", &[]),
+        );
+        tracker.eval(scrape.t_s);
+    };
+
+    // A quiet scrape, then healthy traffic: nothing arms.
+    step(None, &mut tracker);
+    for _ in 0..2 {
+        step(Some((&clean, 200)), &mut tracker);
+    }
+    assert_eq!(tracker.state(), AlertState::Inactive);
+    for _ in 0..MAX_STEPS {
+        step(Some((&expiring, 504)), &mut tracker);
+        if tracker.state() == AlertState::Firing {
+            break;
+        }
+    }
+    assert_eq!(
+        tracker.state(),
+        AlertState::Firing,
+        "{:?}",
+        tracker.transitions()
+    );
+    for _ in 0..MAX_STEPS {
+        step(Some((&clean, 200)), &mut tracker);
+        if tracker.state() == AlertState::Resolved {
+            break;
+        }
+    }
+    let walk: Vec<(AlertState, AlertState)> = tracker
+        .transitions()
+        .iter()
+        .map(|x| (x.from, x.to))
+        .collect();
+    assert_eq!(
+        walk,
+        [
+            (AlertState::Inactive, AlertState::Pending),
+            (AlertState::Pending, AlertState::Firing),
+            (AlertState::Firing, AlertState::Resolved),
+        ],
+        "{:?}",
+        tracker.transitions()
+    );
+
+    // A default server samples nothing, yet keeps every expiry's tree.
+    let drained = client.get("/v1/traces").unwrap().json().unwrap();
+    let traces = drained.get("traces").unwrap().as_array().unwrap().to_vec();
+    assert!(
+        traces
+            .iter()
+            .any(|tr| tr.get("kept").unwrap().as_str() == Some("error")),
+        "no expired request's span tree was kept"
+    );
+    assert!(traces
+        .iter()
+        .all(|tr| tr.get("sampled").unwrap().as_bool() == Some(false)));
     http.shutdown();
 }
