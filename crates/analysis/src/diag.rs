@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 /// Every rule id `vitcod-lint` can emit, including the directive
 /// hygiene pseudo-rule `V000`.
-pub const RULE_IDS: [&str; 7] = ["V000", "V001", "V002", "V003", "V004", "V005", "V006"];
+pub const RULE_IDS: [&str; 6] = ["V000", "V001", "V002", "V004", "V005", "V006"];
 
 /// One finding, printed as `file:line: [V00x] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,19 +205,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              A->B; any cycle is a potential deadlock). The analysis is intra-procedural:\n\
              helpers that block internally (`next_batch`, `wait_until`) are listed\n\
              explicitly. Run with --lock-graph to print the graph."
-        }
-        "V003" => {
-            "V003 — backend-contract coverage.\n\
-             Scope: public functions of vitcod_tensor::{kernels, sparse, quant} whose\n\
-             signature involves `Backend`. `Backend` selects an algorithm only where two\n\
-             exist, so today that is the `*_with` twins of the four two-algorithm ops\n\
-             (matmul, matmul_nt, matmul_tn, int8_gemm) plus\n\
-             `with_backend_override`; every other kernel has one algorithm and no\n\
-             `Backend` in its signature. Every such entry point must be referenced by\n\
-             name somewhere in crates/tensor/tests/ — the backend-agreement property\n\
-             suites are what make \"fp32 bit-identical across Scalar and Fast\" a\n\
-             checked contract rather than a hope. Adding a backend-dispatching kernel\n\
-             without wiring it into the agreement tests fails this rule."
         }
         "V004" => {
             "V004 — determinism hygiene.\n\

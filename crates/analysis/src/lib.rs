@@ -10,7 +10,6 @@
 //! |------|----------|
 //! | V001 | serving library code never panics |
 //! | V002 | lock discipline: no guard held across a blocking call, no lock-order cycles |
-//! | V003 | every public Backend-dispatching kernel is covered by an agreement test |
 //! | V004 | determinism hygiene: no float `==`, no wall clock/env in kernels |
 //! | V005 | `#![forbid(unsafe_code)]` everywhere, zero `unsafe` tokens |
 //! | V006 | every library `pub` item is named by some non-test code |

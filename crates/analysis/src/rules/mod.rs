@@ -1,15 +1,14 @@
 //! The project-specific rule set; one module per rule.
 //!
 //! Rules receive the full workspace (every [`SourceFile`]) so that
-//! cross-file rules (V003's test cross-reference, V002's global cycle
-//! check) and per-file rules share one entry point.
+//! cross-file rules (V002's global cycle check, V006's caller search)
+//! and per-file rules share one entry point.
 
 use crate::diag::{Diagnostic, LockGraph};
 use crate::source::SourceFile;
 
 pub mod v001;
 pub mod v002;
-pub mod v003;
 pub mod v004;
 pub mod v005;
 pub mod v006;
@@ -24,7 +23,6 @@ pub fn run_all(files: &[SourceFile]) -> (Vec<Vec<Diagnostic>>, LockGraph) {
         v005::check_file(file, &mut per_file[i]);
     }
     let graph = v002::check(files, &mut per_file);
-    v003::check(files, &mut per_file);
     v006::check(files, &mut per_file);
     (per_file, graph)
 }

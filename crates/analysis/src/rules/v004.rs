@@ -10,8 +10,7 @@
 //! * **(b)** no `Instant::now()` and no environment reads in
 //!   `vitcod-tensor` library code — kernels are pure functions of
 //!   their inputs. One-time cached process configuration
-//!   (`VITCOD_BACKEND`, `VITCOD_NUM_THREADS`) is allowed with a stated
-//!   invariant.
+//!   (`VITCOD_NUM_THREADS`) is allowed with a stated invariant.
 //! * **(c)** no `.sum()` / `.product()` at the end of a `par_*` chain —
 //!   parallel float reduction order varies with worker count.
 

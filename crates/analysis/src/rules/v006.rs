@@ -2,7 +2,7 @@
 //!
 //! A `pub` item in a library crate's `src/` that nothing outside tests
 //! names is either dead or a test helper in the wrong place. The check
-//! is by name, like V003: an item is alive when some non-test token
+//! is by name: an item is alive when some non-test token
 //! anywhere in the workspace (or in the frozen benchmark harness, read
 //! as [`FileKind::CallerOnly`]) spells its identifier. Three kinds of
 //! mention are not callers: a `use` / `pub use` path (a re-export

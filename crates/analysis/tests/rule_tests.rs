@@ -97,60 +97,6 @@ fn v002_correct_lock_discipline_is_clean() {
 }
 
 #[test]
-fn v003_requires_backend_entry_points_to_be_tested() {
-    let lib_text = "pub fn covered(b: Backend) -> u32 { 1 }\n\
-                    pub fn uncovered(b: Backend) -> u32 { 2 }\n\
-                    pub fn no_backend(x: u32) -> u32 { x }\n\
-                    fn private_helper(b: Backend) -> u32 { 3 }\n";
-    let lib = SourceFile::new(
-        "crates/tensor/src/kernels.rs",
-        "vitcod-tensor",
-        FileKind::Lib,
-        false,
-        lib_text,
-    );
-    let tests = SourceFile::new(
-        "crates/tensor/tests/agreement.rs",
-        "vitcod-tensor",
-        FileKind::TestCode,
-        false,
-        "fn t() { covered(Backend::Scalar); }\n",
-    );
-    let report = analyze_files(&[lib, tests]);
-    assert_eq!(count(&report, "V003"), 1, "{:#?}", report.diagnostics);
-    let v003 = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "V003")
-        .unwrap();
-    assert!(v003.message.contains("uncovered"));
-
-    // Without the test file, both public Backend fns are flagged.
-    let lib = SourceFile::new(
-        "crates/tensor/src/kernels.rs",
-        "vitcod-tensor",
-        FileKind::Lib,
-        false,
-        lib_text,
-    );
-    let report = analyze_files(&[lib]);
-    assert_eq!(count(&report, "V003"), 2);
-}
-
-#[test]
-fn v003_ignores_modules_outside_the_covered_set() {
-    let lib = SourceFile::new(
-        "crates/tensor/src/layout.rs",
-        "vitcod-tensor",
-        FileKind::Lib,
-        false,
-        "pub fn helper(b: Backend) -> u32 { 1 }\n",
-    );
-    let report = analyze_files(&[lib]);
-    assert_eq!(count(&report, "V003"), 0, "{:#?}", report.diagnostics);
-}
-
-#[test]
 fn v004_catches_determinism_hazards() {
     let file = SourceFile::new(
         "crates/tensor/src/determinism_fix.rs",

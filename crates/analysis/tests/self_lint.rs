@@ -1,6 +1,6 @@
 //! The analyzer's strongest test: the workspace it ships in passes its
 //! own `--deny-all` bar. Any PR that introduces a panic path in the
-//! serve web, an untested Backend kernel, or a lock-order inversion
+//! serve web, a dead public item, or a lock-order inversion
 //! fails this test locally, not just in the CI lint leg.
 
 use std::path::PathBuf;

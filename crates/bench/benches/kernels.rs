@@ -1,7 +1,8 @@
-//! Kernel-layer benchmark: the Scalar reference vs the Fast backend on
-//! the GEMM shapes a DeiT layer actually runs — projections, both MLP
-//! halves, the attention core's `Q·Kᵀ` and `S·V`, a narrow-head `S·V`
-//! and a training weight-gradient `Xᵀ·dY` — in fp32 and, for the
+//! Kernel-layer benchmark: the GEMMs against their textbook oracles
+//! (`kernels::reference`, `int8_gemm_reference`) on the GEMM shapes a
+//! DeiT layer actually runs — projections, both MLP halves, the
+//! attention core's `Q·Kᵀ` and `S·V`, a narrow-head `S·V` and a
+//! training weight-gradient `Xᵀ·dY` — in fp32 and, for the
 //! projections and MLP halves, through the packed int8 GEMM, plus the
 //! 1024³ acceptance shape, the per-row activation quantization that
 //! feeds every int8 projection, and one layer's attention training step
@@ -13,9 +14,8 @@
 //! Run with `cargo bench -p vitcod-bench --bench kernels`; results are
 //! printed and recorded to `BENCH_kernels.json` at the workspace root so
 //! later PRs have a perf trajectory to compare against. Every shape is
-//! first checked bit-identical between the two backends (and the int8
-//! GEMM between its reference and panel paths), enforcing the agreement
-//! contract at benchmark scale.
+//! first checked bit-identical to its oracle (fp32 and int8), enforcing
+//! the agreement contract at benchmark scale.
 //!
 //! Gates are absolute, anchored on rates recorded on this box, not on
 //! fp32-vs-int8 ratios (which a faster kernel on either side flips for a
@@ -28,7 +28,7 @@
 //! * `QuantizedRows::quantize` runs at ≥ [`QUANTIZE_RATE_FLOOR`] × its
 //!   recorded elements per ns, which a lane-by-lane float-to-int
 //!   conversion misses by 4×;
-//! * Fast beats Scalar ≥ 4× on the 1024³ GEMM;
+//! * the GEMM beats its scalar oracle ≥ 4× on the 1024³ GEMM;
 //! * the sparse attention training step beats the dense `-inf`-masked one
 //!   by ≥ [`ATTENTION_TRAINING_GATE`]× at DeiT-Tiny and 90 % sparsity —
 //!   the paper's claim that sparse attention cost follows the mask, held
@@ -47,12 +47,12 @@ use vitcod_core::prune_to_sparsity;
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Precision};
 use vitcod_model::{AttentionStats, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::{
-    attention_head, attention_head_backward, matmul_nt_with, matmul_tn_with, matmul_with,
-    num_threads, softmax_rows, with_thread_budget, Backend,
+    attention_head, attention_head_backward, matmul, matmul_nt, matmul_tn, num_threads, reference,
+    softmax_rows, with_thread_budget,
 };
 use vitcod_tensor::sparse::{self, CscMatrix};
 use vitcod_tensor::{
-    int8_gemm, int8_gemm_with, Initializer, Matrix, PackedGemmWeights, QuantizedRows,
+    int8_gemm, int8_gemm_reference, Initializer, Matrix, PackedGemmWeights, QuantizedRows,
 };
 
 /// Share of the recorded max(Blocked, Simd) rate Fast must reach. At the
@@ -167,11 +167,20 @@ impl Flavour {
         }
     }
 
-    fn run(self, backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
+    fn run(self, a: &Matrix, b: &Matrix) -> Matrix {
         match self {
-            Flavour::Nn => matmul_with(backend, a, b),
-            Flavour::Nt => matmul_nt_with(backend, a, b),
-            Flavour::Tn => matmul_tn_with(backend, a, b),
+            Flavour::Nn => matmul(a, b),
+            Flavour::Nt => matmul_nt(a, b),
+            Flavour::Tn => matmul_tn(a, b),
+        }
+    }
+
+    /// This flavour's scalar oracle.
+    fn reference(self, a: &Matrix, b: &Matrix) -> Matrix {
+        match self {
+            Flavour::Nn => reference::matmul(a, b),
+            Flavour::Nt => reference::matmul_nt(a, b),
+            Flavour::Tn => reference::matmul_tn(a, b),
         }
     }
 }
@@ -273,24 +282,24 @@ fn bench_gemm(shape: &'static Shape) -> Record {
     } = *shape;
     let (a, b) = flavour.operands(m, k, n);
     assert_eq!(
-        flavour.run(Backend::Fast, &a, &b),
-        flavour.run(Backend::Scalar, &a, &b),
-        "{name}: Fast disagrees with Scalar at ({m},{k},{n})"
+        flavour.run(&a, &b),
+        flavour.reference(&a, &b),
+        "{name}: the GEMM disagrees with its oracle at ({m},{k},{n})"
     );
     let floor_s = |gops: f64, share: f64| shape.ops() / (share * gops * 1e9);
     let fast_floor = shape.recorded_gflops.map(|g| floor_s(g, RATE_FLOOR));
     let fast = time_repeats(fast_floor, || {
-        std::hint::black_box(flavour.run(Backend::Fast, &a, &b));
+        std::hint::black_box(flavour.run(&a, &b));
     });
     let scalar = time_repeats(None, || {
-        std::hint::black_box(flavour.run(Backend::Scalar, &a, &b));
+        std::hint::black_box(flavour.reference(&a, &b));
     });
     let int8 = shape.recorded_int8_gops.map(|recorded| {
         let a8 = QuantizedRows::quantize(&a);
         let b8 = PackedGemmWeights::pack(&b);
         let bias = vec![0.0f32; n];
         assert_eq!(
-            int8_gemm_with(Backend::Scalar, &a8, &b8, &bias),
+            int8_gemm_reference(&a8, &b8, &bias),
             int8_gemm(&a8, &b8, &bias),
             "{name}: int8 reference and panel paths disagree"
         );
@@ -572,7 +581,7 @@ fn main() {
 
 fn run() {
     println!(
-        "kernel benchmarks: {} worker thread(s), {}, backends checked for bit-identical results\n",
+        "kernel benchmarks: {} worker thread(s), {}, GEMMs checked bit-identical to their oracles\n",
         num_threads(),
         target_cpu()
     );
@@ -694,7 +703,7 @@ fn run() {
         .expect("the acceptance shape is in SHAPES");
     assert!(
         big.speedup() >= 4.0,
-        "the fast backend must beat the scalar reference by >= 4x on the 1024^3 GEMM (got {:.1}x)",
+        "the GEMM must beat its scalar oracle by >= 4x on the 1024^3 GEMM (got {:.1}x)",
         big.speedup()
     );
 }

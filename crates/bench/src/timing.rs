@@ -4,8 +4,8 @@
 use std::time::Instant;
 
 /// Fewest timed runs per column (after one warm-up), except where a
-/// single run already takes over a second (the kernel bench's Scalar
-/// 1024³ product).
+/// single run already takes over a second (the kernel bench's scalar
+/// oracle on the 1024³ product).
 const REPEATS: usize = 5;
 
 /// Runs keep coming until this much time is spent on a column, so the

@@ -1,8 +1,8 @@
 //! Determinism contract of the batched sparse training step: one full
-//! step's loss and **every** gradient are bit-identical across
-//! `Backend::Scalar` / `Backend::Fast` and across worker counts
-//! {1, 4}, because every kernel (dense and sparse, forward and backward)
-//! accumulates each output element along one fixed reduction chain.
+//! step's loss and **every** gradient are bit-identical across runs and
+//! across worker counts {1, 4}, because every kernel (dense and sparse,
+//! forward and backward) accumulates each output element along one fixed
+//! reduction chain.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -11,7 +11,7 @@ use vitcod_core::prune_to_sparsity;
 use vitcod_model::{
     AutoEncoderSpec, SparsityPlan, SyntheticTask, SyntheticTaskConfig, ViTConfig, VisionTransformer,
 };
-use vitcod_tensor::kernels::{self, Backend};
+use vitcod_tensor::kernels;
 use vitcod_tensor::Matrix;
 
 /// Builds a frozen-sparse model (AE installed, 90 % masks compiled to
@@ -84,22 +84,12 @@ fn assert_bit_identical(a: &(f32, Vec<Matrix>), b: &(f32, Vec<Matrix>), label: &
 }
 
 #[test]
-fn training_step_bit_identical_across_backends_and_workers() {
+fn training_step_bit_identical_across_workers() {
     let (vit, store, task) = sparse_setup();
-    let reference = kernels::with_backend_override(Backend::Scalar, || {
-        kernels::with_thread_budget(1, || one_step(&vit, &store, &task))
-    });
-    for backend in [Backend::Scalar, Backend::Fast] {
-        for workers in [1usize, 4] {
-            let got = kernels::with_backend_override(backend, || {
-                kernels::with_thread_budget(workers, || one_step(&vit, &store, &task))
-            });
-            assert_bit_identical(
-                &reference,
-                &got,
-                &format!("backend {backend:?}, {workers} workers"),
-            );
-        }
+    let reference = kernels::with_thread_budget(1, || one_step(&vit, &store, &task));
+    for workers in [1usize, 4] {
+        let got = kernels::with_thread_budget(workers, || one_step(&vit, &store, &task));
+        assert_bit_identical(&reference, &got, &format!("{workers} workers"));
     }
 }
 

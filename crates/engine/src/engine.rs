@@ -126,13 +126,11 @@ impl EngineBuilder {
 /// deterministic regardless of the worker count.
 ///
 /// The engine holds no kernel settings of its own: it runs on the
-/// calling thread's backend and thread budget (the process defaults
-/// `VITCOD_BACKEND` / `VITCOD_NUM_THREADS` in practice). A caller that
-/// wants a pin scopes it around the call —
-/// `kernels::with_backend_override(Backend::Scalar, ||
-/// engine.infer_batch(..))` audits a model on the reference kernels,
-/// `kernels::with_thread_budget(w, ..)` caps its workers — and neither
-/// changes a logit bit (the kernel layer's agreement contract).
+/// calling thread's thread budget (the process default
+/// `VITCOD_NUM_THREADS` in practice). A caller that wants a cap scopes
+/// it around the call — `kernels::with_thread_budget(w, ||
+/// engine.infer_batch(..))` — and that changes no logit bit (the kernel
+/// layer's agreement contract).
 ///
 /// # Example
 ///

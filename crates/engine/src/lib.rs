@@ -15,7 +15,7 @@
 //!   [`vitcod_core::ViTCoDPipeline`] run it indexes the very masks
 //!   Step 2 froze to CSC and finetuned on.
 //! * [`Engine`] — built via `Engine::builder(compiled).precision(..)`;
-//!   backend and thread budget are the caller's
+//!   the thread budget is the caller's
 //!   ([`vitcod_tensor::kernels`]). [`Engine::infer_batch`] runs a tape-free forward that fans samples
 //!   across worker threads and routes sparse heads through the real
 //!   SDDMM → sparse-softmax → SpMM dataflow from

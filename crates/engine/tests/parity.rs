@@ -1,9 +1,10 @@
 //! Acceptance parity tests for the serving engine.
 //!
 //! * fp32 dense: engine logits are **bit-identical** to the training
-//!   tape's forward, on both kernel backends;
+//!   tape's forward;
 //! * sparse CSC path: engine logits match the `-inf`-masked dense
-//!   reference within 1e-4 per logit;
+//!   reference within 1e-4 per logit, and are bit-identical at thread
+//!   budgets 1 and 4;
 //! * int8: bounded divergence from fp32;
 //! * profiling: profiled logits are **bit-identical** to the served ones
 //!   at every plan × precision, with or without head fan-out;
@@ -21,7 +22,7 @@ use vitcod_model::{
     AutoEncoderSpec, Sample, SparsityPlan, StageConfig, SyntheticTask, SyntheticTaskConfig,
     TrainConfig, ViTConfig, VisionTransformer,
 };
-use vitcod_tensor::{kernels, Backend, Initializer, Matrix};
+use vitcod_tensor::{kernels, Initializer, Matrix};
 
 const IN_DIM: usize = 8;
 const CLASSES: usize = 4;
@@ -64,23 +65,16 @@ fn local_global_plan(vit: &VisionTransformer) -> SparsityPlan {
 }
 
 #[test]
-fn fp32_dense_logits_bit_identical_to_tape_on_all_backends() {
+fn fp32_dense_logits_bit_identical_to_tape() {
     let (vit, store) = tiny_model(1);
     let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
-    for backend in [Backend::Fast, Backend::Scalar] {
-        for seed in 0..4 {
-            let tokens = random_tokens(&vit, 100 + seed);
-            let (expected, got) = kernels::with_backend_override(backend, || {
-                (
-                    tape_logits(&vit, &store, &tokens),
-                    engine.infer_one(&tokens),
-                )
-            });
-            assert_eq!(
-                got.logits, expected,
-                "{backend:?} logits differ from tape at seed {seed}"
-            );
-        }
+    for seed in 0..4 {
+        let tokens = random_tokens(&vit, 100 + seed);
+        assert_eq!(
+            engine.infer_one(&tokens).logits,
+            tape_logits(&vit, &store, &tokens),
+            "logits differ from tape at seed {seed}"
+        );
     }
 }
 
@@ -128,14 +122,14 @@ fn sparse_csc_path_matches_masked_dense_reference() {
 }
 
 #[test]
-fn sparse_csc_path_agrees_across_backends_bitwise() {
+fn sparse_csc_path_agrees_across_budgets_bitwise() {
     let (mut vit, store) = tiny_model(4);
     vit.set_sparsity_plan(local_global_plan(&vit));
     let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     let tokens = random_tokens(&vit, 400);
-    let fast = kernels::with_backend_override(Backend::Fast, || engine.infer_one(&tokens));
-    let scalar = kernels::with_backend_override(Backend::Scalar, || engine.infer_one(&tokens));
-    assert_eq!(fast, scalar);
+    let one = kernels::with_thread_budget(1, || engine.infer_one(&tokens));
+    let four = kernels::with_thread_budget(4, || engine.infer_one(&tokens));
+    assert_eq!(one, four);
 }
 
 #[test]
@@ -197,12 +191,12 @@ fn infer_batch_preserves_order_and_worker_count_does_not_matter() {
     }
 }
 
-/// The engine carries no kernel settings: a backend pin and a worker
-/// budget scoped around `infer_batch` reach every sample's forward (the
-/// fan-out hands both to its workers) without changing a logit bit, and a
-/// worker's panic comes back as itself.
+/// The engine carries no kernel settings: a worker budget scoped around
+/// `infer_batch` reaches every sample's forward (the fan-out hands its
+/// share to each worker) without changing a logit bit, and a worker's
+/// panic comes back as itself.
 #[test]
-fn scoped_backend_and_budget_reach_every_batch_worker() {
+fn scoped_budget_reaches_every_batch_worker() {
     let (mut vit, store) = tiny_model(13);
     // One sparse and one dense head per layer.
     let mut plan = local_global_plan(&vit);
@@ -221,12 +215,8 @@ fn scoped_backend_and_budget_reach_every_batch_worker() {
         let engine = Engine::builder(compiled.clone())
             .precision(precision)
             .build();
-        let reference = kernels::with_backend_override(Backend::Fast, || {
-            kernels::with_thread_budget(1, || engine.infer_batch(&samples))
-        });
-        let pinned = kernels::with_backend_override(Backend::Scalar, || {
-            kernels::with_thread_budget(4, || engine.infer_batch(&samples))
-        });
+        let reference = kernels::with_thread_budget(1, || engine.infer_batch(&samples));
+        let pinned = kernels::with_thread_budget(4, || engine.infer_batch(&samples));
         assert_eq!(pinned.len(), 8);
         for (i, (p, r)) in pinned.iter().zip(&reference).enumerate() {
             assert_eq!(logit_bits(p), logit_bits(r), "{precision} sample {i}");

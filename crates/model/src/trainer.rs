@@ -144,7 +144,7 @@ impl Trainer {
     /// over the batch on the tape, so the flushed gradients are batch
     /// means directly — and because every kernel keeps a fixed
     /// per-element reduction order, the step's loss and gradients are
-    /// bit-identical across backends and worker counts.
+    /// bit-identical across worker counts.
     ///
     /// Optimizer steps always consume batch-**mean** gradients.
     ///

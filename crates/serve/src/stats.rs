@@ -252,9 +252,6 @@ struct ModelAccum {
 pub struct ModelStats {
     /// Model id, as registered in the [`crate::ModelRegistry`].
     pub model: String,
-    /// Kernel backend the serving process runs on (`scalar`/`fast`);
-    /// `None` when the model is no longer registered.
-    pub backend: Option<String>,
     /// Numeric precision the engine serves at (`fp32`/`int8`); `None`
     /// when the model is no longer registered.
     pub precision: Option<String>,
@@ -448,7 +445,6 @@ impl StatsRecorder {
                     .sum();
                 ModelStats {
                     model: model.clone(),
-                    backend: None,
                     precision: None,
                     requests: a.requests,
                     batches: a.batches,

@@ -5,63 +5,53 @@
 //! harness — routes its inner loops through this module instead of
 //! open-coding them.
 //!
-//! # Backend-selection contract
+//! # One algorithm per op, one setting
 //!
-//! Two values steer a kernel call, and they are independent.
+//! Every op has one production algorithm. The three GEMM flavours,
+//! [`matmul`], [`matmul_nt`] and [`matmul_tn`], share one packed-panel
+//! GEMM: both operands are packed on the fly, straight from whichever
+//! layout they arrive in, into contiguous `k`-major panels (reused
+//! per-thread scratch — no stored second copy of anything), and an
+//! `MR × NR` block of outputs (4 × 16 where the target has 256-bit
+//! vectors, 4 × 8 at 128 bits; fixed at compile time, see
+//! `VECTOR_BYTES`) is held in register accumulators across each
+//! `K_BLOCK`-step stretch of the reduction while one packed panel of `b`
+//! streams past a block of `a` rows. Calls with fewer than `MR` output
+//! rows (the classifier head) skip the packing and run a row-axpy; that
+//! choice depends on the shape alone. Plain safe Rust the compiler
+//! autovectorizes — no intrinsics, no `unsafe`, no FMA.
 //!
-//! **[`Backend`] picks the algorithm** of the four ops that have two:
-//! [`matmul`], [`matmul_nt`], [`matmul_tn`] and [`crate::int8_gemm`].
-//! Each has a `*_with` twin taking the backend as an argument; the
-//! ambient entry point reads [`backend()`].
+//! The textbook loops they are audited against live on as named test
+//! oracles, called by nothing on a serving or training path:
+//! [`reference::matmul`], [`reference::matmul_nt`] and
+//! [`reference::matmul_tn`] (`i–j–k` dot products), and
+//! [`crate::int8_gemm_reference`] for [`crate::int8_gemm`]. They are
+//! slow, obviously correct, and the yardstick the simulator's operation
+//! counts are audited against.
 //!
-//! * [`Backend::Scalar`] — textbook reference loops (`i–j–k` dot-product
-//!   GEMM, per-element int8 dot products),
-//!   on the calling thread. Slow, obviously correct, and the yardstick
-//!   the simulator's operation counts are audited against.
-//! * [`Backend::Fast`] — the default. One GEMM serves `a·b`, `a·bᵀ` and
-//!   `aᵀ·b`: both operands are packed on the fly, straight from whichever
-//!   layout they arrive in, into contiguous `k`-major panels (reused
-//!   per-thread scratch — no stored second copy of anything), and an
-//!   `MR × NR` block of outputs (4 × 16 where the target has 256-bit
-//!   vectors, 4 × 8 at 128 bits; fixed at compile time, see
-//!   `VECTOR_BYTES`) is held in register accumulators
-//!   across each `K_BLOCK`-step stretch of the reduction while one packed
-//!   panel of `b` streams past a block of `a` rows. Calls with fewer than
-//!   `MR` output rows (the classifier head) skip the packing and run a
-//!   row-axpy; that choice depends on the shape alone. Plain safe Rust
-//!   the compiler autovectorizes — no intrinsics, no `unsafe`, no FMA.
-//!
-//! Every other kernel — softmax, LayerNorm, bias, the elementwise maps,
-//! head mixing and the whole [`crate::sparse`] layer — has one algorithm
-//! and never reads the backend.
-//!
-//! **The thread budget picks the fan-out.** [`num_threads`] workers at
+//! **The thread budget is the one setting.** [`num_threads`] workers at
 //! most share a kernel's disjoint outputs (rows, CSC column segments,
-//! heads, samples), on either backend; a kernel whose work is too small
-//! to amortise a spawn runs on the calling thread.
+//! heads, samples); a kernel whose work is too small to amortise a spawn
+//! runs on the calling thread. The budget is the machine's available
+//! parallelism unless `VITCOD_NUM_THREADS` gives a positive count (read
+//! once on first use; a value that does not parse is reported on stderr
+//! and the default is used), and [`with_thread_budget`] replaces it for
+//! the calling thread and the workers it fans out to, for the length of
+//! one closure.
 //!
-//! Each value has a process default and one scoped override, nothing
-//! else: the backend is `Fast` unless the `VITCOD_BACKEND` environment
-//! variable says `scalar`, the budget is the machine's available
-//! parallelism unless `VITCOD_NUM_THREADS` gives a positive count (both
-//! read once on first use; a value that does not parse is reported on
-//! stderr and the default is used), and [`with_backend_override`] /
-//! [`with_thread_budget`] replace either for the calling thread and the
-//! workers it fans out to, for the length of one closure.
-//!
-//! **Neither value changes a result bit**, on non-finite data too (a NaN
+//! **The budget never changes a result bit**, and neither does the
+//! choice between an op and its oracle, on non-finite data too (a NaN
 //! answers a NaN; which payload survives is not Rust's to promise):
 //! every kernel accumulates each output element along ascending `k` in a
 //! single dependency chain from `0.0` and skips no term, so packing,
 //! register tiling and the fan-out reorder *independent* elements only,
 //! never the floating-point reduction itself. Property tests assert exact
-//! equality between backends and between budgets; new kernels must either
-//! preserve the invariant or document a tolerance.
+//! equality against the oracles and between budgets; new kernels must
+//! either preserve the invariant or document a tolerance.
 //!
 //! Thread fan-out uses `std::thread::scope` (no work-stealing runtime and
 //! no `unsafe`): outputs are split into disjoint `&mut` chunks, one per
-//! worker, and each worker inherits the caller's backend override and its
-//! share of the caller's budget.
+//! worker, and each worker inherits its share of the caller's budget.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -144,77 +134,10 @@ const _: () = assert!(BLOCK_ROWS.is_multiple_of(MR));
 /// compute for the fan-out to win.
 const MIN_WORK_PER_THREAD: usize = 128 * 1024;
 
-/// Algorithm selector of the four two-algorithm ops (the three GEMM
-/// flavours and the int8 GEMM). See the
-/// [module docs](self) for the agreement contract between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Textbook reference loops; slow but auditable.
-    Scalar,
-    /// Packed-panel register-tile GEMMs (the default); bit-identical to
-    /// `Scalar` by construction.
-    #[default]
-    Fast,
-}
-
-impl std::fmt::Display for Backend {
-    /// Lower-case name, the inverse of [`FromStr`](std::str::FromStr) —
-    /// what `VITCOD_BACKEND` accepts and what observability labels
-    /// (`/v1/metrics`, `/v1/stats`) report.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Scalar => "scalar",
-            Backend::Fast => "fast",
-        })
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Ok(Backend::Scalar),
-            "fast" => Ok(Backend::Fast),
-            other => Err(format!(
-                "unknown backend '{other}' (expected scalar | fast)"
-            )),
-        }
-    }
-}
-
-/// Process-default backend: `VITCOD_BACKEND` if set and valid,
-/// otherwise `Fast` — loudly, if the variable was set to something else.
-/// Kernels sit on the hot path, so the environment is consulted once.
-fn default_backend() -> Backend {
-    static DEFAULT: OnceLock<Backend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        // vitcod-lint: allow(V004, read once behind a OnceLock at first kernel call; the resolved backend never changes mid-process)
-        let (backend, complaint) = resolve_backend(std::env::var("VITCOD_BACKEND").ok().as_deref());
-        if let Some(line) = complaint {
-            eprintln!("{line}");
-        }
-        backend
-    })
-}
-
-/// What a `VITCOD_BACKEND` value selects, plus the one stderr line owed
-/// when it names no backend: an audit run with `scaler` must not
-/// silently measure the fast path.
-fn resolve_backend(value: Option<&str>) -> (Backend, Option<String>) {
-    match value.map(str::parse::<Backend>) {
-        None => (Backend::default(), None),
-        Some(Ok(backend)) => (backend, None),
-        Some(Err(err)) => {
-            let used = Backend::default();
-            (used, Some(format!("VITCOD_BACKEND: {err}; using '{used}'")))
-        }
-    }
-}
-
 /// Process-default thread budget: `VITCOD_NUM_THREADS` if set and valid,
 /// otherwise the machine's available parallelism — loudly, if the
-/// variable was set to something else. Consulted once, like the backend.
+/// variable was set to something else. Kernels sit on the hot path, so
+/// the environment is consulted once.
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -249,45 +172,16 @@ fn resolve_threads(value: Option<&str>) -> (Option<usize>, Option<String>) {
 }
 
 std::thread_local! {
-    /// Per-thread backend override installed by [`with_backend_override`].
-    static BACKEND_OVERRIDE: Cell<Option<Backend>> = const { Cell::new(None) };
-
     /// Per-thread budget installed by [`with_thread_budget`]; `0` means
     /// no override.
     static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Runs `f` with `cell` holding `value`, restoring what it held before
-/// on exit (including panic unwinds).
-fn with_scoped<V: Copy, T>(cell: &Cell<V>, value: V, f: impl FnOnce() -> T) -> T {
-    struct Restore<'a, V: Copy>(&'a Cell<V>, V);
-    impl<V: Copy> Drop for Restore<'_, V> {
-        fn drop(&mut self) {
-            self.0.set(self.1);
-        }
-    }
-    let _restore = Restore(cell, cell.replace(value));
-    f()
-}
-
-/// The backend the ambient two-algorithm entry points run on: this
-/// thread's [`with_backend_override`] scope if one is active, otherwise
-/// the process default (`VITCOD_BACKEND`, else `Fast`).
-pub fn backend() -> Backend {
-    BACKEND_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(default_backend)
-}
-
-/// Runs `f` with `backend` selected for this thread and the workers its
-/// kernels fan out to, restoring the previous selection on exit
-/// (including panic unwinds). This is how callers pin a backend per
-/// scope — e.g. `with_backend_override(Backend::Scalar, ||
-/// engine.infer_batch(..))` to audit a served model against the
-/// reference — without touching any other thread.
-// vitcod-lint: allow(V006, the scoped scalar-oracle pin the agreement suites audit `Fast` with (V003))
-pub fn with_backend_override<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
-    BACKEND_OVERRIDE.with(|cell| with_scoped(cell, Some(backend), f))
+/// The kernel path the benchmark of record names in its environment
+/// line. There is one, so this is a constant; ROADMAP item 2 deletes it
+/// together with the harness's call.
+pub fn backend() -> &'static str {
+    "fast"
 }
 
 /// Runs `f` with this thread's kernel worker budget set to `n` (`0`
@@ -297,7 +191,14 @@ pub fn with_backend_override<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
 /// oversubscription. The budget only changes how many workers a kernel
 /// spawns, never its values (the agreement contract).
 pub fn with_thread_budget<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    THREAD_BUDGET.with(|cell| with_scoped(cell, n, f))
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_BUDGET.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(THREAD_BUDGET.with(|cell| cell.replace(n)));
+    f()
 }
 
 /// Resolved worker-thread budget: this thread's [`with_thread_budget`]
@@ -323,20 +224,18 @@ fn effective_threads(items: usize, work_per_item: usize) -> usize {
         .max(1)
 }
 
-/// Thread-local state a parallel driver hands to the workers it spawns:
-/// the caller's budget divided among `workers` (so nested kernels cannot
+/// The budget a parallel driver hands to each of the `workers` it
+/// spawns: the caller's, divided among them, so nested kernels cannot
 /// re-expand to full machine parallelism — budget is conserved across
-/// fan-out levels) plus the caller's backend override verbatim.
-fn inherited_overrides(workers: usize) -> (usize, Option<Backend>) {
-    let budget = (num_threads() / workers.max(1)).max(1);
-    (budget, BACKEND_OVERRIDE.with(Cell::get))
+/// fan-out levels.
+fn inherited_budget(workers: usize) -> usize {
+    (num_threads() / workers.max(1)).max(1)
 }
 
-/// Installs [`inherited_overrides`] state on a fresh scoped worker
-/// thread (no restore needed — the thread ends with `f`).
-fn with_inherited<T>((budget, backend): (usize, Option<Backend>), f: impl FnOnce() -> T) -> T {
+/// Installs an [`inherited_budget`] on a fresh scoped worker thread (no
+/// restore needed — the thread ends with `f`).
+fn with_inherited<T>(budget: usize, f: impl FnOnce() -> T) -> T {
     THREAD_BUDGET.with(|cell| cell.set(budget));
-    BACKEND_OVERRIDE.with(|cell| cell.set(backend));
     f()
 }
 
@@ -384,11 +283,11 @@ pub fn for_each_row_chunk_weighted<T: Send>(
         return;
     }
     let rows_per = rows.div_ceil(threads);
-    let ov = inherited_overrides(threads);
+    let budget = inherited_budget(threads);
     std::thread::scope(|scope| {
         for (i, chunk) in data.chunks_mut(rows_per * cols).enumerate() {
             let f = &f;
-            scope.spawn(move || with_inherited(ov, || f(i * rows_per, chunk)));
+            scope.spawn(move || with_inherited(budget, || f(i * rows_per, chunk)));
         }
     });
 }
@@ -420,14 +319,14 @@ pub fn par_segments<T: Send>(data: &mut [T], bounds: &[usize], f: impl Fn(usize,
         }
         return;
     }
-    let ov = inherited_overrides(segments);
+    let budget = inherited_budget(segments);
     std::thread::scope(|scope| {
         let mut rest = data;
         let mut offset = 0;
         for (i, w) in bounds.windows(2).enumerate() {
             let (seg, tail) = rest.split_at_mut(w[1] - offset);
             let f = &f;
-            scope.spawn(move || with_inherited(ov, || f(i, seg)));
+            scope.spawn(move || with_inherited(budget, || f(i, seg)));
             rest = tail;
             offset = w[1];
         }
@@ -448,13 +347,13 @@ pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(
         return (0..n).map(f).collect();
     }
     let per = n.div_ceil(threads);
-    let ov = inherited_overrides(threads);
+    let budget = inherited_budget(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let f = &f;
                 let range = t * per..((t + 1) * per).min(n);
-                scope.spawn(move || with_inherited(ov, || range.map(f).collect::<Vec<T>>()))
+                scope.spawn(move || with_inherited(budget, || range.map(f).collect::<Vec<T>>()))
             })
             .collect();
         let mut out = Vec::with_capacity(n);
@@ -474,141 +373,122 @@ pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(
 // GEMM flavours
 // ---------------------------------------------------------------------------
 
-/// Matrix product `a · b` on the ambient backend.
+/// Matrix product `a · b`.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_with(backend(), a, b)
+    assert_inner("matmul", a.cols(), b.rows(), a, b);
+    fast_gemm(Operand::rows(a), Operand::cols(b))
 }
 
-/// Matrix product `a · b` on an explicit backend.
-pub fn matmul_with(backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul inner dimensions differ: {:?} vs {:?}",
-        a.shape(),
-        b.shape()
-    );
-    match backend {
-        Backend::Scalar => scalar_matmul(a, b),
-        Backend::Fast => fast_gemm(Operand::rows(a), Operand::cols(b)),
-    }
-}
-
-/// Matrix product with a transposed right-hand side, `a · bᵀ`, on the
-/// ambient backend. This is attention's `S = Q · Kᵀ` layout: both
-/// operands token-major.
+/// Matrix product with a transposed right-hand side, `a · bᵀ`. This is
+/// attention's `S = Q · Kᵀ` layout: both operands token-major.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.cols()`.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_nt_with(backend(), a, b)
+    assert_inner("matmul_nt", a.cols(), b.cols(), a, b);
+    // The rows of `b` are the columns of `bᵀ`: the packer reads them
+    // where they lie, so the transpose is never materialised.
+    fast_gemm(Operand::rows(a), Operand::rows(b))
 }
 
-/// `a · bᵀ` on an explicit backend.
-pub fn matmul_nt_with(backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_nt inner dimensions differ: {:?} vs {:?}",
-        a.shape(),
-        b.shape()
-    );
-    match backend {
-        Backend::Scalar => scalar_matmul_nt(a, b),
-        // The rows of `b` are the columns of `bᵀ`: the packer reads them
-        // where they lie, so the transpose is never materialised.
-        Backend::Fast => fast_gemm(Operand::rows(a), Operand::rows(b)),
-    }
-}
-
-/// Matrix product with a transposed left-hand side, `aᵀ · b`, on the
-/// ambient backend.
+/// Matrix product with a transposed left-hand side, `aᵀ · b`.
 ///
 /// # Panics
 ///
 /// Panics if `a.rows() != b.rows()`.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_tn_with(backend(), a, b)
+    assert_inner("matmul_tn", a.rows(), b.rows(), a, b);
+    fast_gemm(Operand::cols(a), Operand::cols(b))
 }
 
-/// `aᵀ · b` on an explicit backend.
-pub fn matmul_tn_with(backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
+fn assert_inner(op: &str, a_inner: usize, b_inner: usize, a: &Matrix, b: &Matrix) {
     assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_tn inner dimensions differ: {:?} vs {:?}",
+        a_inner,
+        b_inner,
+        "{op} inner dimensions differ: {:?} vs {:?}",
         a.shape(),
         b.shape()
     );
-    match backend {
-        Backend::Scalar => scalar_matmul_tn(a, b),
-        Backend::Fast => fast_gemm(Operand::cols(a), Operand::cols(b)),
-    }
 }
 
-/// Textbook `i–j–k` GEMM: per-element dot products with a column-strided
-/// walk of `b`. Kept deliberately naive — this is the reference the
-/// fast kernel (and the simulator's MAC counts) are audited against.
-fn scalar_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, kdim) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let ov = out.as_mut_slice();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..kdim {
-                acc += av[i * kdim + k] * bv[k * n + j];
-            }
-            ov[i * n + j] = acc;
-        }
-    }
-    out
-}
+/// The test oracles of the three GEMM flavours: textbook `i–j–k` loops,
+/// per-element dot products with a column-strided walk where the layout
+/// asks for one. Kept deliberately naive — this is the reference the
+/// fast kernel (and the simulator's MAC counts) are audited against, by
+/// the agreement suites and the kernel bench; nothing on a serving or
+/// training path calls it. Same signatures and panics as the production
+/// ops.
+pub mod reference {
+    use super::assert_inner;
+    use crate::Matrix;
 
-fn scalar_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, kdim) = a.shape();
-    let n = b.rows();
-    let mut out = Matrix::zeros(m, n);
-    let ov = out.as_mut_slice();
-    for i in 0..m {
-        let arow = a.row(i);
-        for j in 0..n {
-            let brow = b.row(j);
-            let mut acc = 0.0f32;
-            for k in 0..kdim {
-                acc += arow[k] * brow[k];
+    /// Reference `a · b`.
+    pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_inner("matmul", a.cols(), b.rows(), a, b);
+        let (m, kdim) = a.shape();
+        let n = b.cols();
+        let mut out = Matrix::zeros(m, n);
+        let av = a.as_slice();
+        let bv = b.as_slice();
+        let ov = out.as_mut_slice();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for k in 0..kdim {
+                    acc += av[i * kdim + k] * bv[k * n + j];
+                }
+                ov[i * n + j] = acc;
             }
-            ov[i * n + j] = acc;
         }
+        out
     }
-    out
-}
 
-fn scalar_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-    let (kdim, m) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let ov = out.as_mut_slice();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..kdim {
-                acc += av[k * m + i] * bv[k * n + j];
+    /// Reference `a · bᵀ`.
+    pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_inner("matmul_nt", a.cols(), b.cols(), a, b);
+        let (m, kdim) = a.shape();
+        let n = b.rows();
+        let mut out = Matrix::zeros(m, n);
+        let ov = out.as_mut_slice();
+        for i in 0..m {
+            let arow = a.row(i);
+            for j in 0..n {
+                let brow = b.row(j);
+                let mut acc = 0.0f32;
+                for k in 0..kdim {
+                    acc += arow[k] * brow[k];
+                }
+                ov[i * n + j] = acc;
             }
-            ov[i * n + j] = acc;
         }
+        out
     }
-    out
+
+    /// Reference `aᵀ · b`.
+    pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_inner("matmul_tn", a.rows(), b.rows(), a, b);
+        let (kdim, m) = a.shape();
+        let n = b.cols();
+        let mut out = Matrix::zeros(m, n);
+        let av = a.as_slice();
+        let bv = b.as_slice();
+        let ov = out.as_mut_slice();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for k in 0..kdim {
+                    acc += av[k * m + i] * bv[k * n + j];
+                }
+                ov[i * n + j] = acc;
+            }
+        }
+        out
+    }
 }
 
 /// One side of a GEMM as the fast kernel reads it: `lanes` vectors of
@@ -1362,54 +1242,29 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_bitwise_on_all_gemm_flavours() {
+    fn gemm_flavours_match_their_oracles_bitwise() {
         // A smoke test of the axpy path, ragged tiles and two `k` blocks;
         // tests/backend_props.rs sweeps every tile edge.
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (65, 33, 17), (197, 192, 64)] {
             let a = random(m, k, 1);
             let b = random(k, n, 2);
             assert_eq!(
-                matmul_with(Backend::Fast, &a, &b),
-                matmul_with(Backend::Scalar, &a, &b),
+                matmul(&a, &b),
+                reference::matmul(&a, &b),
                 "nn shape ({m},{k},{n})"
             );
             let bt = random(n, k, 3);
             assert_eq!(
-                matmul_nt_with(Backend::Fast, &a, &bt),
-                matmul_nt_with(Backend::Scalar, &a, &bt),
+                matmul_nt(&a, &bt),
+                reference::matmul_nt(&a, &bt),
                 "nt shape ({m},{k},{n})"
             );
             let at = random(k, m, 4);
             assert_eq!(
-                matmul_tn_with(Backend::Fast, &at, &b),
-                matmul_tn_with(Backend::Scalar, &at, &b),
+                matmul_tn(&at, &b),
+                reference::matmul_tn(&at, &b),
                 "tn shape ({m},{k},{n})"
             );
-        }
-    }
-
-    #[test]
-    fn backend_parses_from_str() {
-        assert_eq!("scalar".parse(), Ok(Backend::Scalar));
-        assert_eq!(" Fast ".parse(), Ok(Backend::Fast));
-        assert_eq!(Backend::Fast.to_string().parse(), Ok(Backend::Fast));
-        // The retired names are not aliases.
-        for retired in ["blocked", "simd", "avx512"] {
-            let err = retired.parse::<Backend>().expect_err(retired);
-            assert!(err.contains("scalar | fast"), "{err}");
-            assert!(err.contains(retired), "{err}");
-        }
-    }
-
-    #[test]
-    fn mistyped_backend_variable_is_reported_not_swallowed() {
-        assert_eq!(resolve_backend(None), (Backend::Fast, None));
-        assert_eq!(resolve_backend(Some("scalar")), (Backend::Scalar, None));
-        let (used, complaint) = resolve_backend(Some("scaler"));
-        assert_eq!(used, Backend::Fast);
-        let line = complaint.expect("an unknown value owes a stderr line");
-        for part in ["'scaler'", "scalar | fast", "using 'fast'"] {
-            assert!(line.contains(part) && !line.contains('\n'), "{line}");
         }
     }
 
@@ -1448,12 +1303,7 @@ mod tests {
         let a = random(256, 256, 7);
         let b = random(256, 256, 8);
         let soft_input = random(1024, 512, 9);
-        let run = || {
-            (
-                matmul_with(Backend::Fast, &a, &b),
-                softmax_rows(&soft_input),
-            )
-        };
+        let run = || (matmul(&a, &b), softmax_rows(&soft_input));
         let sequential = with_thread_budget(1, run);
         let parallel = with_thread_budget(4, || {
             assert_eq!(effective_threads(256, 256 * 256), 4);
@@ -1583,33 +1433,25 @@ mod tests {
     }
 
     #[test]
-    fn nested_fanout_inherits_divided_budget_and_backend() {
+    fn nested_fanout_inherits_divided_budget() {
         // 4 items of heavy work under a budget of 4 → 4 workers, each
-        // inheriting a budget of 4/4 = 1 and the caller's backend
-        // override, so nested kernels can neither oversubscribe nor
-        // escape a pinned backend.
-        let seen = with_backend_override(Backend::Scalar, || {
-            with_thread_budget(4, || {
-                par_map_collect(4, 1 << 20, |_| (num_threads(), backend()))
-            })
-        });
-        assert_eq!(seen.len(), 4);
-        for (budget, b) in seen {
-            assert_eq!(budget, 1, "worker budget not divided");
-            assert_eq!(b, Backend::Scalar, "backend override not inherited");
-        }
+        // inheriting a budget of 4/4 = 1, so nested kernels cannot
+        // oversubscribe.
+        let seen = with_thread_budget(4, || par_map_collect(4, 1 << 20, |_| num_threads()));
+        assert_eq!(seen, vec![1; 4], "worker budget not divided");
     }
 
     #[test]
-    fn backend_override_scopes_and_survives_panics() {
-        let ambient = backend();
-        let inside = with_backend_override(Backend::Scalar, backend);
-        assert_eq!(inside, Backend::Scalar);
-        assert_eq!(backend(), ambient, "override must restore on exit");
-        let result =
-            std::panic::catch_unwind(|| with_backend_override(Backend::Scalar, || panic!("boom")));
+    fn thread_budget_scopes_and_survives_panics() {
+        let ambient = num_threads();
+        let result = std::panic::catch_unwind(|| {
+            with_thread_budget(ambient + 3, || {
+                assert_eq!(num_threads(), ambient + 3);
+                panic!("boom")
+            })
+        });
         assert!(result.is_err());
-        assert_eq!(backend(), ambient, "override must restore on panic");
+        assert_eq!(num_threads(), ambient, "budget must restore on panic");
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //!
 //! The crate is deliberately free of `unsafe` and of external BLAS
 //! dependencies. All dense hot paths route through the [`kernels`]
-//! module, which provides two runtime-selectable backends: a textbook
-//! scalar reference and a packed-panel register-tile fast path (see
-//! [`kernels`] for the tiling scheme and the backend-agreement
-//! contract). Keeping the reference
-//! kernels readable makes the simulator's operation counts auditable
-//! against them. The [`sparse`] module mirrors the dense layer for
+//! module, which has one algorithm per op — the GEMMs a packed-panel
+//! register-tile path — and keeps the textbook loops as named test
+//! oracles ([`kernels::reference`], [`int8_gemm_reference`]) that the
+//! fast paths are bit-identical to (see [`kernels`] for the tiling
+//! scheme and the agreement contract). Keeping the reference kernels
+//! readable makes the simulator's operation counts auditable against
+//! them. The [`sparse`] module mirrors the dense layer for
 //! CSC-indexed attention (SDDMM, sparse softmax, SpMM) under the same
 //! contract, and [`int8_gemm`] over [`PackedGemmWeights`] /
 //! [`QuantizedRows`] supplies the serving path's quantized projection
@@ -46,11 +47,10 @@ mod stats;
 
 pub use error::ShapeError;
 pub use init::{Initializer, SeedableRngExt};
-pub use kernels::Backend;
 pub use matrix::Matrix;
 pub use ops::{gelu, gelu_grad, softmax_row};
 pub use quant::{
-    int8_gemm, int8_gemm_with, PackedGemmWeights, QuantParams, QuantizedMatrix, QuantizedRows,
+    int8_gemm, int8_gemm_reference, PackedGemmWeights, QuantParams, QuantizedMatrix, QuantizedRows,
     MAX_INT8_GEMM_K,
 };
 pub use sparse::{CscMatrix, SparseScores, SparsityPattern};

@@ -21,10 +21,11 @@
 //! re-laid out at compile time into interleaved `k`-pair lane panels,
 //! the operand shape of the paired i16 multiply–accumulate instruction)
 //! with a fused dequantize-and-bias epilogue. Integer
-//! accumulation is exact in any order, so all [`Backend`]s produce
-//! bit-identical results from identical operands.
+//! accumulation is exact in any order, so it and its naive test oracle,
+//! [`int8_gemm_reference`], produce bit-identical results from identical
+//! operands.
 
-use crate::kernels::{self, Backend, F32_PER_VECTOR, LANES, MR, VECTOR_BYTES, VECTOR_REGISTERS};
+use crate::kernels::{self, F32_PER_VECTOR, LANES, MR, VECTOR_BYTES, VECTOR_REGISTERS};
 use crate::Matrix;
 
 /// Symmetric per-tensor quantization parameters.
@@ -439,65 +440,50 @@ impl PackedGemmWeights {
     }
 }
 
-/// Int8 projection GEMM on the ambient backend: `dequant(a · w) + bias`
-/// with i8-precision operands, i32 accumulation and a fused epilogue
-/// `out[i][j] = acc · (a.scale(i) · w.scale()) + bias[j]`.
-///
-/// All backends are bit-identical here by construction: integer
-/// accumulation is order-exact and the epilogue expression is shared, so
-/// backend choice affects speed only. [`Backend::Scalar`] runs a naive
-/// reference walk of the packed layout; [`Backend::Fast`] runs the
+/// Int8 projection GEMM: `dequant(a · w) + bias` with i8-precision
+/// operands, i32 accumulation and a fused epilogue
+/// `out[i][j] = acc · (a.scale(i) · w.scale()) + bias[j]`, run as the
 /// register-tile pair kernel, row-parallel across threads.
+///
+/// Bit-identical to [`int8_gemm_reference`] by construction: integer
+/// accumulation is order-exact and the epilogue expression is shared.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != w.k` or `bias.len() != w.n`.
 pub fn int8_gemm(a: &QuantizedRows, w: &PackedGemmWeights, bias: &[f32]) -> Matrix {
-    int8_gemm_with(kernels::backend(), a, w, bias)
-}
-
-/// [`int8_gemm`] on an explicit backend.
-pub fn int8_gemm_with(
-    backend: Backend,
-    a: &QuantizedRows,
-    w: &PackedGemmWeights,
-    bias: &[f32],
-) -> Matrix {
-    let (m, k) = a.shape();
-    assert_eq!(k, w.k, "int8_gemm inner dimensions differ");
-    assert_eq!(bias.len(), w.n, "bias length mismatch");
-    let n = w.n;
+    let (m, k, n) = int8_gemm_shape(a, w, bias);
     let mut out = Matrix::zeros(m, n);
     if m == 0 || n == 0 {
         return out;
     }
-    match backend {
-        Backend::Scalar => int8_gemm_reference(a, w, bias, out.as_mut_slice(), 0),
-        Backend::Fast => {
-            kernels::for_each_row_chunk_weighted(
-                out.as_mut_slice(),
-                n,
-                k * n,
-                |first_row, chunk| int8_gemm_panels(a, w, bias, chunk, first_row),
-            );
-        }
-    }
+    kernels::for_each_row_chunk_weighted(out.as_mut_slice(), n, k * n, |first_row, chunk| {
+        int8_gemm_panels(a, w, bias, chunk, first_row)
+    });
     out
 }
 
-/// Reference arm of [`int8_gemm`]: per-element dot products read
-/// straight through the packed layout.
-fn int8_gemm_reference(
+/// `(m, k, n)` of an int8 GEMM, after the checks it and its oracle share.
+fn int8_gemm_shape(
     a: &QuantizedRows,
     w: &PackedGemmWeights,
     bias: &[f32],
-    chunk: &mut [f32],
-    first_row: usize,
-) {
-    let (k, n) = (w.k, w.n);
-    let chunk_rows = chunk.len() / n;
-    for ci in 0..chunk_rows {
-        let i = first_row + ci;
+) -> (usize, usize, usize) {
+    let (m, k) = a.shape();
+    assert_eq!(k, w.k, "int8_gemm inner dimensions differ");
+    assert_eq!(bias.len(), w.n, "bias length mismatch");
+    (m, k, w.n)
+}
+
+/// The test oracle of [`int8_gemm`]: per-element dot products read
+/// straight through the packed layout, on the calling thread. Nothing on
+/// a serving path calls it; the agreement suites and the kernel bench
+/// check the fast kernel against it. Same signature and panics.
+pub fn int8_gemm_reference(a: &QuantizedRows, w: &PackedGemmWeights, bias: &[f32]) -> Matrix {
+    let (m, k, n) = int8_gemm_shape(a, w, bias);
+    let mut out = Matrix::zeros(m, n);
+    let chunk = out.as_mut_slice();
+    for i in 0..m {
         let arow = a.row_wide(i);
         let factor = a.row_scale(i) * w.scale;
         for j in 0..n {
@@ -505,9 +491,10 @@ fn int8_gemm_reference(
             for (kk, &av) in arow[..k].iter().enumerate() {
                 acc += av as i32 * w.get_wide(kk, j) as i32;
             }
-            chunk[ci * n + j] = acc as f32 * factor + bias[j];
+            chunk[i * n + j] = acc as f32 * factor + bias[j];
         }
     }
+    out
 }
 
 /// `k`-pairs per block of [`int8_gemm_panels`]' walk, and per
@@ -730,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn int8_gemm_backends_bit_identical_and_match_naive() {
+    fn int8_gemm_matches_its_oracle_and_the_naive_product() {
         for &(m, k, n) in &[
             (1, 1, 1),
             (5, 11, 21),
@@ -750,8 +737,8 @@ mod tests {
             let aq = QuantizedRows::quantize(&a);
             let w = PackedGemmWeights::pack(&wf);
             let wq = QuantizedMatrix::quantize(&wf);
-            let scalar = int8_gemm_with(Backend::Scalar, &aq, &w, &bias);
-            let fast = int8_gemm_with(Backend::Fast, &aq, &w, &bias);
+            let scalar = int8_gemm_reference(&aq, &w, &bias);
+            let fast = int8_gemm(&aq, &w, &bias);
             assert_eq!(scalar, fast, "shape ({m},{k},{n})");
             // Naive oracle straight off the unpacked quantized operands.
             for i in 0..m {

@@ -1,13 +1,12 @@
-//! The fan-out agreement suite, plus the scoped backend override.
+//! The fan-out agreement suite.
 //!
-//! The sparse kernels have one algorithm each and take no [`Backend`];
-//! what varies is how the thread budget shares their outputs among
-//! workers, and — for the SDDMM walks, the sparse softmax and the three
-//! gradients — whether one worker fuses the per-output walks into a
-//! single pass over the CSC stream. Every kernel must return the same
-//! bits under a budget of 1 (the fused bodies) and of 4 (the partitioned
-//! ones; shapes this small keep them on one thread, except the
-//! column-segment driver, which really spawns).
+//! The sparse kernels have one algorithm each; what varies is how the
+//! thread budget shares their outputs among workers, and — for the SDDMM
+//! walks, the sparse softmax and the three gradients — whether one worker
+//! fuses the per-output walks into a single pass over the CSC stream. Every
+//! kernel must return the same bits under a budget of 1 (the fused bodies)
+//! and of 4 (the partitioned ones; shapes this small keep them on one
+//! thread, except the column-segment driver, which really spawns).
 // Agreement is a *bit-identical* contract (see ROADMAP): strict float
 // comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
@@ -15,9 +14,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vitcod_tensor::kernels::{
-    self, matmul_with, with_backend_override, with_thread_budget, Backend,
-};
+use vitcod_tensor::kernels::with_thread_budget;
 use vitcod_tensor::sparse::{
     attention_head_backward, sddmm_backward, sddmm_k_stationary, sddmm_k_stationary_int8_rows,
     sddmm_k_stationary_shared, sparse_softmax_backward, spmm_backward, spmm_output_stationary,
@@ -171,31 +168,4 @@ proptest! {
         prop_assert!(all_1 == all_4, "worker count changed backward values");
     }
 
-    #[test]
-    fn with_backend_override_scopes_and_restores(seed in 0u64..200) {
-        let a = random(5, 7, seed);
-        let b = random(7, 3, seed.wrapping_add(1));
-        let prior = kernels::backend();
-        for backend in [Backend::Scalar, Backend::Fast] {
-            // Inside the closure, the ambient-backend kernels must
-            // behave exactly like the explicit `_with` dispatch.
-            let (seen, out) = with_backend_override(backend, || {
-                (kernels::backend(), kernels::matmul(&a, &b))
-            });
-            prop_assert_eq!(seen, backend);
-            prop_assert!(out == matmul_with(backend, &a, &b));
-            // The override must not leak out of its scope.
-            prop_assert_eq!(kernels::backend(), prior);
-        }
-        // Nested overrides restore the outer override, not the default.
-        let (outer, inner) = match prior {
-            Backend::Scalar => (Backend::Fast, Backend::Scalar),
-            Backend::Fast => (Backend::Scalar, Backend::Fast),
-        };
-        let nested = with_backend_override(outer, || {
-            with_backend_override(inner, kernels::backend);
-            kernels::backend()
-        });
-        prop_assert_eq!(nested, outer);
-    }
 }

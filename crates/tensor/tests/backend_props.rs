@@ -1,18 +1,19 @@
 //! Property tests of the kernel agreement contract: for every GEMM
 //! flavour at every shape — including non-tile-multiple,
 //! single-row and empty edge cases, and operands holding zeros of both
-//! signs, infinities and NaNs — the `Fast` backend must produce results
-//! identical to the `Scalar` reference (both preserve the floating-point
-//! reduction order and skip no term, so agreement is exact, well inside
-//! the documented 1e-5 budget); and the row-wise kernels, which have one
-//! algorithm, must return the same bits whether one worker or four share
+//! signs, infinities and NaNs, and every shape a DeiT-Tiny forward or
+//! training step runs — the production GEMM must produce results
+//! identical to its named oracle in [`kernels::reference`] (both preserve
+//! the floating-point reduction order and skip no term, so agreement is
+//! exact, well inside the documented 1e-5 budget); and the row-wise
+//! kernels must return the same bits whether one worker or four share
 //! their rows.
-// Backend agreement is a *bit-identical* contract (see ROADMAP): strict
-// float comparison is the assertion these suites exist to make.
+// Agreement is a *bit-identical* contract (see ROADMAP): strict float
+// comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
-use vitcod_tensor::kernels::{self, matmul_nt_with, matmul_tn_with, matmul_with, Backend};
+use vitcod_tensor::kernels::{self, matmul, matmul_nt, matmul_tn, reference};
 use vitcod_tensor::{gelu, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -64,33 +65,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn matmul_backends_agree(shape_idx in 0usize..14, seed in 0u64..1000) {
+    fn matmul_matches_its_oracle(shape_idx in 0usize..14, seed in 0u64..1000) {
         let (m, k, n) = GEMM_SHAPES[shape_idx];
         let a = matrix(m, k).new_value(&mut TestRng::new(seed));
         let b = matrix(k, n).new_value(&mut TestRng::new(seed.wrapping_add(1)));
-        let scalar = matmul_with(Backend::Scalar, &a, &b);
-        let fast = matmul_with(Backend::Fast, &a, &b);
+        let scalar = reference::matmul(&a, &b);
+        let fast = matmul(&a, &b);
         prop_assert!(fast == scalar, "shape ({m},{k},{n}) seed {seed}");
         prop_assert!(fast.max_abs_diff(&scalar) <= 1e-5);
     }
 
     #[test]
-    fn matmul_nt_backends_agree(shape_idx in 0usize..14, seed in 0u64..1000) {
+    fn matmul_nt_matches_its_oracle(shape_idx in 0usize..14, seed in 0u64..1000) {
         let (m, k, n) = GEMM_SHAPES[shape_idx];
         let a = matrix(m, k).new_value(&mut TestRng::new(seed));
         let b = matrix(n, k).new_value(&mut TestRng::new(seed.wrapping_add(2)));
-        let scalar = matmul_nt_with(Backend::Scalar, &a, &b);
-        let fast = matmul_nt_with(Backend::Fast, &a, &b);
+        let scalar = reference::matmul_nt(&a, &b);
+        let fast = matmul_nt(&a, &b);
         prop_assert!(fast == scalar, "shape ({m},{k},{n}) seed {seed}");
     }
 
     #[test]
-    fn matmul_tn_backends_agree(shape_idx in 0usize..14, seed in 0u64..1000) {
+    fn matmul_tn_matches_its_oracle(shape_idx in 0usize..14, seed in 0u64..1000) {
         let (m, k, n) = GEMM_SHAPES[shape_idx];
         let a = matrix(k, m).new_value(&mut TestRng::new(seed));
         let b = matrix(k, n).new_value(&mut TestRng::new(seed.wrapping_add(3)));
-        let scalar = matmul_tn_with(Backend::Scalar, &a, &b);
-        let fast = matmul_tn_with(Backend::Fast, &a, &b);
+        let scalar = reference::matmul_tn(&a, &b);
+        let fast = matmul_tn(&a, &b);
         prop_assert!(fast == scalar, "shape ({m},{k},{n}) seed {seed}");
     }
 
@@ -131,9 +132,9 @@ proptest! {
         let b = matrix(k, 4).new_value(&mut TestRng::new(seed));
         let empty = Matrix::zeros(0, k);
         let single = matrix(1, k).new_value(&mut TestRng::new(seed.wrapping_add(4)));
-        let scalar = matmul_with(Backend::Scalar, &single, &b);
-        prop_assert_eq!(matmul_with(Backend::Fast, &empty, &b).shape(), (0, 4));
-        prop_assert_eq!(matmul_with(Backend::Fast, &single, &b), scalar);
+        let scalar = reference::matmul(&single, &b);
+        prop_assert_eq!(matmul(&empty, &b).shape(), (0, 4));
+        prop_assert_eq!(matmul(&single, &b), scalar);
     }
 }
 
@@ -173,7 +174,7 @@ fn same_bits(a: &Matrix, b: &Matrix) -> bool {
 /// once — on one worker and on four, where 197 rows split into chunks of
 /// 50, not a multiple of the tile height.
 #[test]
-fn fast_matches_scalar_at_every_tile_edge_on_non_finite_data() {
+fn gemms_match_their_oracles_at_every_tile_edge_on_non_finite_data() {
     for m in [0, 1, 3, 4, 5, 197] {
         for n in [0, 1, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 197] {
             for k in [0, 1, 63, 64, 65, 129, 768] {
@@ -182,20 +183,16 @@ fn fast_matches_scalar_at_every_tile_edge_on_non_finite_data() {
                 let b = spiked(k, n, 3, [f32::INFINITY, -0.0]);
                 let bt = spiked(n, k, 4, [f32::INFINITY, -0.0]);
                 let want = [
-                    matmul_with(Backend::Scalar, &a, &b),
-                    matmul_nt_with(Backend::Scalar, &a, &bt),
-                    matmul_tn_with(Backend::Scalar, &at, &b),
+                    reference::matmul(&a, &b),
+                    reference::matmul_nt(&a, &bt),
+                    reference::matmul_tn(&at, &b),
                 ];
                 if m > 0 && n > 0 && k > 0 {
                     assert!(want.iter().all(|w| w.get(0, 0).is_nan()), "0 · inf");
                 }
                 for budget in [1, 4] {
                     let got = kernels::with_thread_budget(budget, || {
-                        [
-                            matmul_with(Backend::Fast, &a, &b),
-                            matmul_nt_with(Backend::Fast, &a, &bt),
-                            matmul_tn_with(Backend::Fast, &at, &b),
-                        ]
+                        [matmul(&a, &b), matmul_nt(&a, &bt), matmul_tn(&at, &b)]
                     });
                     for (flavour, (g, w)) in ["nn", "nt", "tn"].iter().zip(got.iter().zip(&want)) {
                         assert!(same_bits(g, w), "{flavour} ({m},{k},{n}) x{budget} threads");
@@ -203,5 +200,43 @@ fn fast_matches_scalar_at_every_tile_edge_on_non_finite_data() {
                 }
             }
         }
+    }
+}
+
+/// `(name, flavour, m, k, n)` of every GEMM a DeiT-Tiny (197 tokens,
+/// dim 192, 3 heads of 64, MLP 768) runs in the engine's forward and the
+/// tape's training step, plus the narrow 8-wide head `S·V`.
+const DEIT_TINY_GEMMS: &[(&str, &str, usize, usize, usize)] = &[
+    ("patch_embed", "nn", 197, 48, 192),
+    ("qkv", "nn", 197, 192, 576),
+    ("scores", "nt", 197, 64, 197),
+    ("attn_sv", "nn", 197, 197, 64),
+    ("attn_sv_narrow", "nn", 197, 197, 8),
+    ("out_proj", "nn", 197, 192, 192),
+    ("fc1", "nn", 197, 192, 768),
+    ("fc2", "nn", 197, 768, 192),
+    ("classifier", "nn", 1, 192, 10),
+    // dX = dY·Wᵀ of fc1, and dW = Xᵀ·dY of fc1 over a two-sample batch.
+    ("fc1_dx_nt", "nt", 197, 768, 192),
+    ("train_dw_tn", "tn", 192, 394, 768),
+];
+
+/// Each production GEMM equals its oracle bit for bit at the shapes a
+/// whole DeiT-Tiny model runs, so a model's logits and gradients are
+/// those of the textbook loops, one kernel call at a time.
+#[test]
+fn gemms_match_their_oracles_at_deit_tiny_shapes() {
+    for (i, &(name, flavour, m, k, n)) in DEIT_TINY_GEMMS.iter().enumerate() {
+        let seed = 100 + 2 * i as u64;
+        let (a_rows, a_cols) = if flavour == "tn" { (k, m) } else { (m, k) };
+        let (b_rows, b_cols) = if flavour == "nt" { (n, k) } else { (k, n) };
+        let a = spiked(a_rows, a_cols, seed, [0.5, -0.0]);
+        let b = spiked(b_rows, b_cols, seed + 1, [1.0, 2.0]);
+        let (got, want) = match flavour {
+            "nn" => (matmul(&a, &b), reference::matmul(&a, &b)),
+            "nt" => (matmul_nt(&a, &b), reference::matmul_nt(&a, &b)),
+            _ => (matmul_tn(&a, &b), reference::matmul_tn(&a, &b)),
+        };
+        assert!(same_bits(&got, &want), "{name} {flavour} ({m},{k},{n})");
     }
 }

@@ -5,17 +5,18 @@
 //! within its analytic per-row error bound at real DeiT projection
 //! shapes — plus an exact-integer proof that the i32 accumulator cannot
 //! overflow at the documented worst-case reduction depth, and a sweep of
-//! every tile edge of the fast GEMM against the scalar one, bit for bit,
-//! at the operand values that stress an accumulator most.
-// Backend agreement is a *bit-identical* contract (see ROADMAP): strict
-// float comparison is the assertion these suites exist to make.
+//! every tile edge of the GEMM, and of every projection shape a DeiT-Tiny
+//! runs, against its oracle [`int8_gemm_reference`], bit for bit, at the
+//! operand values that stress an accumulator most.
+// Agreement is a *bit-identical* contract (see ROADMAP): strict float
+// comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
-use vitcod_tensor::kernels::{self, Backend};
+use vitcod_tensor::kernels;
 use vitcod_tensor::sparse::{sddmm_k_stationary, sddmm_k_stationary_int8_rows, CscMatrix};
 use vitcod_tensor::{
-    int8_gemm, int8_gemm_with, Initializer, Matrix, PackedGemmWeights, QuantParams,
+    int8_gemm, int8_gemm_reference, Initializer, Matrix, PackedGemmWeights, QuantParams,
     QuantizedMatrix, QuantizedRows, MAX_INT8_GEMM_K,
 };
 
@@ -165,7 +166,7 @@ const DEIT_PROJ_SHAPES: &[(&str, usize, usize)] = &[
 /// step, εa per activation row), plus a small slack for the f32
 /// epilogue's own rounding.
 #[test]
-fn int8_gemm_within_analytic_bound_at_deit_shapes() {
+fn int8_gemm_inside_analytic_bound_at_deit_shapes() {
     for &(name, k, n) in DEIT_PROJ_SHAPES {
         let m = 8;
         let a = random(m, k, 1.0, 0xD0 + k as u64);
@@ -197,12 +198,12 @@ fn int8_gemm_within_analytic_bound_at_deit_shapes() {
     }
 }
 
-/// At the documented worst-case reduction depth [`MAX_INT8_GEMM_K`] the
-/// i32 accumulator lands exactly on the predicted integer — no
-/// wraparound — on both backends, including the lane-tail columns of a
-/// non-multiple-of-8 `n`: with all operands saturated to +127, and with
-/// the raw −128 weights only an artifact can carry, whose products are
-/// the largest the kernel can meet.
+/// At the documented worst-case reduction depth [`MAX_INT8_GEMM_K`] the i32
+/// accumulator lands exactly on the predicted integer — no wraparound — in
+/// the GEMM and its oracle, including the lane-tail columns of a
+/// non-multiple-of-8 `n`: with all operands saturated to +127, and with the
+/// raw −128 weights only an artifact can carry, whose products are the
+/// largest the kernel can meet.
 #[test]
 fn int8_gemm_i32_accumulator_survives_worst_case_k() {
     let k = MAX_INT8_GEMM_K;
@@ -220,11 +221,13 @@ fn int8_gemm_i32_accumulator_survives_worst_case_k() {
         // Same epilogue expression the kernel applies to its accumulator.
         let acc = (k as i64 * 127 * wv as i64) as i32;
         let expected = acc as f32 * (a8.row_scale(0) * w8.scale()) + 0.5;
-        for backend in [Backend::Scalar, Backend::Fast] {
-            let out = int8_gemm_with(backend, &a8, &w8, &bias);
+        for (path, out) in [
+            ("reference", int8_gemm_reference(&a8, &w8, &bias)),
+            ("fast", int8_gemm(&a8, &w8, &bias)),
+        ] {
             for (j, &v) in out.row(0).iter().enumerate() {
-                assert_eq!(v > 0.0, wv > 0, "{backend:?}: accumulator wrapped");
-                assert_eq!(v, expected, "{backend:?} col {j}, weights {wv}");
+                assert_eq!(v > 0.0, wv > 0, "{path}: accumulator wrapped");
+                assert_eq!(v, expected, "{path} col {j}, weights {wv}");
             }
         }
     }
@@ -238,18 +241,18 @@ fn filled_weights(k: usize, n: usize, col: impl Fn(usize) -> i8) -> QuantizedMat
     QuantizedMatrix::from_raw(k, n, data, QuantParams { scale: 0.013 })
 }
 
-/// `Fast` ≡ `Scalar` at every edge of the int8 tile: m around the 4-row
-/// block, n around one, two and four 8-wide panels, k around the pair
-/// (odd `k` is zero-padded), around the 256-pair block the fast kernel
-/// accumulates exactly in f32, across several such blocks and at DeiT's
-/// widest, each empty once — on one worker and on four, where 197 rows split into
-/// chunks of 50, not a multiple of the block height. Three operand sets:
-/// random; saturated ±127 with the sign set per row and per column, so
-/// every output is a full-magnitude sum of either sign; and raw −128
-/// weights, the largest products there are. Those are the values at
+/// [`int8_gemm`] ≡ [`int8_gemm_reference`] at every edge of the int8 tile:
+/// m around the 4-row block, n around one, two and four 8-wide panels, k
+/// around the pair (odd `k` is zero-padded), around the 256-pair block the
+/// fast kernel accumulates exactly in f32, across several such blocks and
+/// at DeiT's widest, each empty once — on one worker and on four, where 197
+/// rows split into chunks of 50, not a multiple of the block height. Three
+/// operand sets: random; saturated ±127 with the sign set per row and per
+/// column, so every output is a full-magnitude sum of either sign; and raw
+/// −128 weights, the largest products there are. Those are the values at
 /// which an accumulator that was not exact would first differ.
 #[test]
-fn fast_matches_scalar_at_every_tile_edge_on_saturated_data() {
+fn int8_gemm_matches_its_oracle_at_every_tile_edge_on_saturated_data() {
     let sign = |i: usize| [1i8, -1][i % 2];
     for m in [0, 1, 3, 4, 5, 197] {
         for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 197] {
@@ -273,11 +276,10 @@ fn fast_matches_scalar_at_every_tile_edge_on_saturated_data() {
                 for (data, a, w) in operands {
                     let a8 = QuantizedRows::quantize(&a);
                     let w8 = PackedGemmWeights::from_quantized(&w);
-                    let want = int8_gemm_with(Backend::Scalar, &a8, &w8, &bias);
+                    let want = int8_gemm_reference(&a8, &w8, &bias);
                     for budget in [1, 4] {
-                        let got = kernels::with_thread_budget(budget, || {
-                            int8_gemm_with(Backend::Fast, &a8, &w8, &bias)
-                        });
+                        let got =
+                            kernels::with_thread_budget(budget, || int8_gemm(&a8, &w8, &bias));
                         assert_eq!(got.shape(), want.shape());
                         let same = got
                             .as_slice()
@@ -289,5 +291,31 @@ fn fast_matches_scalar_at_every_tile_edge_on_saturated_data() {
                 }
             }
         }
+    }
+}
+
+/// `(name, m, k, n)` of every int8 GEMM a DeiT-Tiny (197 tokens, dim 192,
+/// MLP 768) runs: the four projections of each layer.
+const DEIT_TINY_INT8_GEMMS: &[(&str, usize, usize, usize)] = &[
+    ("qkv", 197, 192, 576),
+    ("out_proj", 197, 192, 192),
+    ("fc1", 197, 192, 768),
+    ("fc2", 197, 768, 192),
+];
+
+/// [`int8_gemm`] ≡ [`int8_gemm_reference`] bit for bit at the shapes a
+/// whole int8 DeiT-Tiny runs, so its projections are the oracle's, one
+/// kernel call at a time.
+#[test]
+fn int8_gemm_matches_its_oracle_at_deit_tiny_shapes() {
+    for &(name, m, k, n) in DEIT_TINY_INT8_GEMMS {
+        let a8 = QuantizedRows::quantize(&random(m, k, 1.0, 0x51 + k as u64));
+        let w8 = PackedGemmWeights::pack(&random(k, n, 0.05, 0x52 + n as u64));
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32).sin() * 0.1).collect();
+        assert_eq!(
+            int8_gemm(&a8, &w8, &bias),
+            int8_gemm_reference(&a8, &w8, &bias),
+            "{name} ({m},{k},{n})"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Property-based tests of the tensor kernels.
-// Backend agreement is a *bit-identical* contract (see ROADMAP): strict
+// Kernel agreement is a *bit-identical* contract (see ROADMAP): strict
 // float comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
 

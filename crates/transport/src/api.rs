@@ -178,7 +178,6 @@ fn model_stats_json(m: &ModelStats) -> Json {
     };
     Json::Object(vec![
         ("model".into(), Json::String(m.model.clone())),
-        ("backend".into(), opt_str(&m.backend)),
         ("precision".into(), opt_str(&m.precision)),
         ("requests".into(), Json::Number(m.requests as f64)),
         ("batches".into(), Json::Number(m.batches as f64)),

@@ -19,7 +19,7 @@
 //! | `vitcod_timeouts_total` | counter | `model` |
 //! | `vitcod_slow_requests_total` | counter | `model` |
 //! | `vitcod_batches_total` | counter | `model` |
-//! | `vitcod_model_info` | gauge | `model`, `backend`, `precision` |
+//! | `vitcod_model_info` | gauge | `model`, `precision` |
 //! | `vitcod_latency_samples_truncated` | gauge | `model` |
 //! | `vitcod_batch_fill` | histogram | `model` |
 //! | `vitcod_request_latency_seconds` | histogram | `model` |
@@ -208,14 +208,13 @@ pub fn render(stats: &ServerStats, queued: usize, traces_dropped: u64) -> String
         &mut out,
         "vitcod_model_info",
         "gauge",
-        "Registered backend/precision per model (value is always 1).",
+        "Registered precision per model (value is always 1).",
     );
     for m in &stats.models {
         let _ = writeln!(
             out,
-            "vitcod_model_info{{model=\"{}\",backend=\"{}\",precision=\"{}\"}} 1",
+            "vitcod_model_info{{model=\"{}\",precision=\"{}\"}} 1",
             escape_label(&m.model),
-            escape_label(m.backend.as_deref().unwrap_or("unknown")),
             escape_label(m.precision.as_deref().unwrap_or("unknown")),
         );
     }

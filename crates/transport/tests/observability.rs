@@ -4,7 +4,7 @@
 //! against `/v1/stats`, per the acceptance criterion), `/v1/traces`
 //! keeps each failed, slow or head-sampled request's span tree once,
 //! `/v1/health?deep=1` runs per-model inference probes, `/healthz` +
-//! `/v1/stats` report uptime and per-model backend/precision/stage
+//! `/v1/stats` report uptime and per-model precision/stage
 //! breakdowns, and the `vitcod-obs` burn-rate alert walks an outage and
 //! its recovery from live scrapes.
 
@@ -18,7 +18,7 @@ use vitcod_model::{ViTConfig, VisionTransformer};
 use vitcod_obs::promtext::{check_histogram, Exposition};
 use vitcod_obs::{AlertState, Objective, Scraper, SloConfig, SloTracker};
 use vitcod_serve::{BatchConfig, ModelRegistry, Server, TracingConfig};
-use vitcod_tensor::{Backend, Initializer};
+use vitcod_tensor::Initializer;
 use vitcod_transport::{
     api::tokens_json, HttpClient, HttpServer, Json, TransportConfig, TRACE_ID_HEADER,
 };
@@ -142,20 +142,17 @@ fn metrics_exposition_parses_and_matches_stats() {
     assert!(prom_one(&prom, "vitcod_uptime_seconds", &[]) > 0.0);
     assert!(prom_one(&prom, "vitcod_queue_depth", &[]) >= 0.0);
 
-    // Backend/precision surface as model_info labels.
+    // Precision surfaces as a model_info label, and model_info carries
+    // no other label: the kernels have one path, so there is nothing
+    // else to report.
     let info = prom.with("vitcod_model_info", &[("model", "tiny-int8")]);
     assert_eq!(info.len(), 1);
     assert_eq!(
         info[0].labels.get("precision").map(String::as_str),
         Some("int8")
     );
-    let backend = info[0].labels.get("backend").map(String::as_str);
-    assert!(
-        [Backend::Scalar, Backend::Fast]
-            .iter()
-            .any(|b| backend == Some(b.to_string().as_str())),
-        "backend label {backend:?} is not a Backend name"
-    );
+    let names: Vec<&str> = info[0].labels.keys().map(String::as_str).collect();
+    assert_eq!(names, ["model", "precision"], "vitcod_model_info labels");
 
     // End-to-end latency histogram: cumulative, +Inf == count == reqs.
     let count = prom_histogram(
@@ -203,7 +200,7 @@ fn metrics_exposition_parses_and_matches_stats() {
 }
 
 #[test]
-fn stats_report_backend_precision_stages_and_uptime() {
+fn stats_report_precision_stages_and_uptime() {
     let model = tiny_model(12);
     let mut registry = ModelRegistry::new();
     registry
@@ -237,7 +234,7 @@ fn stats_report_backend_precision_stages_and_uptime() {
     assert!(stats.get("uptime_s").unwrap().as_f64().unwrap() > 0.0);
     let m = stats.get("models").unwrap().as_array().unwrap()[0].clone();
     assert_eq!(m.get("precision").unwrap().as_str(), Some("int8"));
-    assert!(m.get("backend").unwrap().as_str().is_some());
+    assert!(m.get("backend").is_none(), "/v1/stats has no backend key");
     assert!(m.get("p999_latency_s").unwrap().as_f64().unwrap() > 0.0);
     assert_eq!(
         m.get("latency_samples_truncated").unwrap().as_bool(),
