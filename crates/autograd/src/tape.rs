@@ -30,10 +30,11 @@ pub const LAYERNORM_EPS: f32 = 1e-5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-/// Per-head execution plan of a [`Tape::attention`] node. Plans are
-/// `Arc`-shared so a model can build them once (mask freeze) and every
-/// training step's tape references them without re-materialising an
-/// `n × n` bias or recompiling a CSC index per sample.
+/// Per-head execution plan of a [`Tape::attention`] node. Plans share
+/// their data (an `Arc`'d bias; a [`CscMatrix`], whose clone is `O(1)`)
+/// so a model can build them once (mask freeze) and every training
+/// step's tape references them without re-materialising an `n × n` bias
+/// or copying a CSC index per sample.
 #[derive(Debug, Clone)]
 pub enum HeadExec {
     /// Full dense attention.
@@ -44,7 +45,7 @@ pub enum HeadExec {
     /// Truly-sparse attention over a fixed CSC index: the head runs the
     /// accelerator's SDDMM → sparse-softmax → SpMM dataflow in both
     /// passes, so its training cost scales with `nnz` instead of `n²`.
-    Sparse(Arc<CscMatrix>),
+    Sparse(CscMatrix),
 }
 
 /// Cached forward probabilities of one `(sample, head)` attention task.
@@ -842,9 +843,9 @@ fn attention_forward(
                 (out, HeadProbs::Dense(probs))
             }
             HeadExec::Sparse(csc) => {
-                // The shared-index entry point: every sample of every
-                // step references the model's frozen index by Arc.
-                let scores = sparse::sddmm_k_stationary_shared(&qh, &kh, csc, scale);
+                // Every sample of every step shares the model's frozen
+                // index vectors.
+                let scores = sparse::sddmm_k_stationary(&qh, &kh, csc, scale);
                 let probs = scores.softmax_rows();
                 let out = sparse::spmm_output_stationary(&probs, &vh);
                 (out, HeadProbs::Sparse(probs))
@@ -1270,7 +1271,7 @@ mod tests {
         // tape on a tiny head (satellite of the sparse-backward work).
         let n = 4;
         let dk = 3;
-        let csc = Arc::new(CscMatrix::from_indicator(n, |q, k| q == k || k == 0));
+        let csc = CscMatrix::from_indicator(n, |q, k| q == k || k == 0);
         let mut store = ParamStore::new();
         let q = store.register("q", Initializer::Normal { std: 0.7 }.sample(n, dk, 40));
         let k = store.register("k", Initializer::Normal { std: 0.7 }.sample(n, dk, 41));
@@ -1297,7 +1298,7 @@ mod tests {
     fn sparse_head_grads_match_masked_head_grads() {
         let (n, dk) = (8, 4);
         let keep = |q: usize, k: usize| q == k || k == 0 || (q + k).is_multiple_of(3);
-        let csc = Arc::new(CscMatrix::from_indicator(n, keep));
+        let csc = CscMatrix::from_indicator(n, keep);
         let mut bias = Matrix::zeros(n, n);
         for r in 0..n {
             for c in 0..n {

@@ -36,8 +36,6 @@
 //! * the artifact codec writes and reads ≥ [`ARTIFACT_RATE_FLOOR`] × its
 //!   own recorded MB/s, which a per-scalar `String` misses by 2.3–11×.
 
-use std::sync::Arc;
-
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
@@ -463,9 +461,9 @@ fn bench_attention_training() -> AttentionTraining {
         .iter()
         .map(|m| m.map(|kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 }))
         .collect();
-    let cscs: Vec<Arc<CscMatrix>> = masks
+    let cscs: Vec<CscMatrix> = masks
         .iter()
-        .map(|m| Arc::new(CscMatrix::from_indicator(n, |q, k| m.get(q, k) != 0.0)))
+        .map(|m| CscMatrix::from_indicator(n, |q, k| m.get(q, k) != 0.0))
         .collect();
     let nnz: usize = cscs.iter().map(|c| c.nnz()).sum();
     let sample = |seed| Initializer::Normal { std: 1.0 }.sample(n, heads * dk, seed);
@@ -489,7 +487,7 @@ fn bench_attention_training() -> AttentionTraining {
     let sparse = time_repeats(Some(masked.best_s / ATTENTION_TRAINING_GATE), || {
         for (h, csc) in cscs.iter().enumerate() {
             let (qh, kh, vh, gh) = stripes(h);
-            let probs = sparse::sddmm_k_stationary_shared(&qh, &kh, csc, scale).softmax_rows();
+            let probs = sparse::sddmm_k_stationary(&qh, &kh, csc, scale).softmax_rows();
             std::hint::black_box(sparse::spmm_output_stationary(&probs, &vh));
             std::hint::black_box(sparse::attention_head_backward(
                 &qh, &kh, &vh, scale, &probs, &gh,

@@ -168,7 +168,7 @@ pub struct VisionTransformer {
     /// CSC indexes compiled from `masks` by
     /// [`Self::freeze_sparse_attention`], `[layer][head]`; when present,
     /// masked heads run the truly-sparse dataflow in forward passes.
-    frozen: Option<Vec<Vec<Option<Arc<CscMatrix>>>>>,
+    frozen: Option<Vec<Vec<Option<CscMatrix>>>>,
     ae_spec: Option<AutoEncoderSpec>,
 }
 
@@ -460,9 +460,7 @@ impl VisionTransformer {
                     .map(|m| {
                         m.as_ref().map(|mask| {
                             sparse_heads += 1;
-                            Arc::new(CscMatrix::from_indicator(mask.rows(), |q, k| {
-                                mask.get(q, k) != 0.0
-                            }))
+                            CscMatrix::from_indicator(mask.rows(), |q, k| mask.get(q, k) != 0.0)
                         })
                     })
                     .collect()

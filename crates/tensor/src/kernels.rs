@@ -30,7 +30,7 @@
 //! counts are audited against.
 //!
 //! **The thread budget is the one setting.** [`num_threads`] workers at
-//! most share a kernel's disjoint outputs (rows, CSC column segments,
+//! most share a kernel's disjoint outputs (rows, CSC column runs,
 //! heads, samples); a kernel whose work is too small to amortise a spawn
 //! runs on the calling thread. The budget is the machine's available
 //! parallelism unless `VITCOD_NUM_THREADS` gives a positive count (read
@@ -54,6 +54,7 @@
 //! worker, and each worker inherits its share of the caller's budget.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::ops::softmax_row;
@@ -211,15 +212,11 @@ pub fn num_threads() -> usize {
     }
 }
 
-/// Worker count for `items` units of `work_per_item` compute each,
-/// capped so every worker gets at least [`MIN_WORK_PER_THREAD`].
-fn effective_threads(items: usize, work_per_item: usize) -> usize {
-    if items == 0 {
-        return 1;
-    }
-    let total_work = items.saturating_mul(work_per_item.max(1));
+/// Worker count for `items` units of `work` compute in total, capped so
+/// every worker gets at least [`MIN_WORK_PER_THREAD`] and none is idle.
+fn effective_threads(items: usize, work: usize) -> usize {
     num_threads()
-        .min(total_work / MIN_WORK_PER_THREAD + 1)
+        .min(work / MIN_WORK_PER_THREAD + 1)
         .min(items)
         .max(1)
 }
@@ -261,7 +258,9 @@ pub fn for_each_row_chunk<T: Send>(
 }
 
 /// [`for_each_row_chunk`] with an explicit per-row work estimate
-/// (elements touched or MACs), used to decide the fan-out.
+/// (elements touched or MACs), used to decide the fan-out: the rows are
+/// the units of the kernel layer's one ragged fan-out, `cols` elements
+/// each.
 pub fn for_each_row_chunk_weighted<T: Send>(
     data: &mut [T],
     cols: usize,
@@ -277,58 +276,65 @@ pub fn for_each_row_chunk_weighted<T: Send>(
         "buffer is not row-major of width cols"
     );
     let rows = data.len() / cols;
-    let threads = effective_threads(rows, work_per_row);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let rows_per = rows.div_ceil(threads);
-    let budget = inherited_budget(threads);
-    std::thread::scope(|scope| {
-        for (i, chunk) in data.chunks_mut(rows_per * cols).enumerate() {
-            let f = &f;
-            scope.spawn(move || with_inherited(budget, || f(i * rows_per, chunk)));
-        }
-    });
+    let work = rows.saturating_mul(work_per_row);
+    for_each_unit_run(
+        data,
+        rows,
+        |r| r * cols,
+        work,
+        |run_rows, chunk| f(run_rows.start, chunk),
+    );
 }
 
-/// Splits `data` at the ascending `bounds` (which must start at `0` and
-/// end at `data.len()`) and runs `f(segment_index, segment)` for each
-/// piece, in parallel when there is more than one worker available.
+/// Runs `f(units, run)` over contiguous runs of whole units of `data`,
+/// one run per worker, in parallel when `work` warrants it.
 ///
-/// This is the driver for CSC-ordered workloads: the caller partitions a
-/// values buffer at column boundaries and each worker owns a disjoint
-/// column range.
-pub fn par_segments<T: Send>(data: &mut [T], bounds: &[usize], f: impl Fn(usize, &mut [T]) + Sync) {
-    assert!(bounds.len() >= 2, "need at least one segment");
-    assert_eq!(*bounds.first().unwrap(), 0, "bounds must start at 0");
+/// Unit `u` owns `data[offset(u)..offset(u + 1)]`: `offset` ascends from
+/// `offset(0) == 0` to `offset(units) == data.len()` — CSC column
+/// pointers, row pointers, or `u · cols` for a row-major matrix — and a
+/// unit may be empty. `work` estimates the whole call's compute
+/// (elements touched, or MACs) and alone decides how many workers share
+/// it; each run then closes at the first unit boundary at least
+/// `data.len() / workers` elements (rounded up) past its start, so the
+/// runs balance by element count whatever the units' sizes. Under the
+/// grain, `f(0..units, data)` runs once on the calling thread. The split
+/// only decides which worker fills which units, so a kernel whose units
+/// do not read each other's outputs returns the same bits at every
+/// budget.
+pub(crate) fn for_each_unit_run<T: Send>(
+    data: &mut [T],
+    units: usize,
+    offset: impl Fn(usize) -> usize,
+    work: usize,
+    f: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    assert_eq!(offset(0), 0, "unit offsets must start at 0");
     assert_eq!(
-        *bounds.last().unwrap(),
+        offset(units),
         data.len(),
-        "bounds must end at data.len()"
+        "unit offsets must end at data.len()"
     );
-    let segments = bounds.len() - 1;
-    if segments == 1 || num_threads() <= 1 {
-        let mut rest = data;
-        let mut offset = 0;
-        for (i, w) in bounds.windows(2).enumerate() {
-            let (seg, tail) = rest.split_at_mut(w[1] - offset);
-            f(i, seg);
-            rest = tail;
-            offset = w[1];
-        }
+    let threads = effective_threads(units, work);
+    if threads <= 1 {
+        f(0..units, data);
         return;
     }
-    let budget = inherited_budget(segments);
+    let target = data.len().div_ceil(threads).max(1);
+    let budget = inherited_budget(threads);
     std::thread::scope(|scope| {
+        let f = &f;
         let mut rest = data;
-        let mut offset = 0;
-        for (i, w) in bounds.windows(2).enumerate() {
-            let (seg, tail) = rest.split_at_mut(w[1] - offset);
-            let f = &f;
-            scope.spawn(move || with_inherited(budget, || f(i, seg)));
+        let (mut first, mut start, mut spawned) = (0, 0, 0);
+        for u in 1..=units {
+            let end = offset(u);
+            if u < units && (end - start < target || spawned + 1 == threads) {
+                continue;
+            }
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
             rest = tail;
-            offset = w[1];
+            let range = first..u;
+            scope.spawn(move || with_inherited(budget, || f(range, run)));
+            (first, start, spawned) = (u, end, spawned + 1);
         }
     });
 }
@@ -342,7 +348,7 @@ pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(
     work_per_item: usize,
     f: F,
 ) -> Vec<T> {
-    let threads = effective_threads(n, work_per_item);
+    let threads = effective_threads(n, n.saturating_mul(work_per_item.max(1)));
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
@@ -1234,6 +1240,8 @@ pub fn multi_head_attention(
 // Exact float equality below asserts bit-identical kernel replay.
 #[allow(clippy::float_cmp)]
 mod tests {
+    use std::thread::{self, ThreadId};
+
     use super::*;
     use crate::Initializer;
 
@@ -1306,7 +1314,7 @@ mod tests {
         let run = || (matmul(&a, &b), softmax_rows(&soft_input));
         let sequential = with_thread_budget(1, run);
         let parallel = with_thread_budget(4, || {
-            assert_eq!(effective_threads(256, 256 * 256), 4);
+            assert_eq!(effective_threads(256, 256 * 256 * 256), 4);
             run()
         });
         assert_eq!(sequential, parallel);
@@ -1316,7 +1324,7 @@ mod tests {
     fn small_kernels_stay_sequential() {
         // A ViT-scale softmax row block is ~40k elements — below the
         // fan-out threshold, so no threads should spawn for it.
-        let threads = with_thread_budget(8, || effective_threads(197, 197));
+        let threads = with_thread_budget(8, || effective_threads(197, 197 * 197));
         assert_eq!(threads, 1);
     }
 
@@ -1409,15 +1417,140 @@ mod tests {
         assert_eq!(fused.probs[1].get(2, 5), 0.0, "masked position");
     }
 
-    #[test]
-    fn par_segments_covers_every_segment() {
-        let mut data: Vec<u32> = vec![0; 10];
-        par_segments(&mut data, &[0, 3, 3, 7, 10], |i, seg| {
-            for v in seg {
-                *v = i as u32 + 1;
-            }
+    /// The runs one [`for_each_unit_run`] call handed to `f`, each with
+    /// the thread that ran it.
+    type Runs = Vec<(Range<usize>, ThreadId)>;
+
+    /// Runs [`for_each_unit_run`] over `sizes`-long units under `budget`,
+    /// writing each unit's id into its own elements, and returns the
+    /// buffer, the runs in unit order and the calling thread.
+    fn unit_runs(sizes: &[usize], budget: usize, work: usize) -> (Vec<usize>, Runs, ThreadId) {
+        let mut offsets = vec![0];
+        for s in sizes {
+            offsets.push(offsets.last().unwrap() + s);
+        }
+        let mut data = vec![usize::MAX; *offsets.last().unwrap()];
+        let runs = std::sync::Mutex::new(Vec::new());
+        with_thread_budget(budget, || {
+            for_each_unit_run(
+                &mut data,
+                sizes.len(),
+                |u| offsets[u],
+                work,
+                |units, run| {
+                    let base = offsets[units.start];
+                    assert_eq!(
+                        run.len(),
+                        offsets[units.end] - base,
+                        "run is its units' slice"
+                    );
+                    for u in units.clone() {
+                        for x in &mut run[offsets[u] - base..offsets[u + 1] - base] {
+                            assert_eq!(*x, usize::MAX, "element written twice");
+                            *x = u;
+                        }
+                    }
+                    runs.lock().unwrap().push((units, thread::current().id()));
+                },
+            )
         });
-        assert_eq!(data, vec![1, 1, 1, 3, 3, 3, 3, 4, 4, 4]);
+        let mut runs = runs.into_inner().unwrap();
+        runs.sort_by_key(|(units, _)| units.start);
+        (data, runs, thread::current().id())
+    }
+
+    /// The unit ids [`unit_runs`] must leave behind.
+    fn owners(sizes: &[usize]) -> Vec<usize> {
+        (0..sizes.len())
+            .flat_map(|u| std::iter::repeat_n(u, sizes[u]))
+            .collect()
+    }
+
+    /// The runs tile `0..units` in order, each unit in exactly one.
+    fn assert_tiles(runs: &Runs, units: usize) {
+        let mut next = 0;
+        for (range, _) in runs {
+            assert_eq!(range.start, next, "runs must tile the units: {runs:?}");
+            assert!(range.end > range.start, "empty run: {runs:?}");
+            next = range.end;
+        }
+        assert_eq!(next, units, "runs must cover every unit: {runs:?}");
+    }
+
+    #[test]
+    fn unit_runs_visit_every_unit_once_with_its_own_slice() {
+        let sizes = [3, 0, 4, 0, 0, 2, 5, 1, 0, 7, 2, 2];
+        for budget in [1, 2, 3, 4, 7] {
+            let (data, runs, caller) = unit_runs(&sizes, budget, usize::MAX);
+            assert_eq!(data, owners(&sizes), "budget {budget}");
+            assert_tiles(&runs, sizes.len());
+            assert!(runs.len() <= budget, "budget {budget}: {runs:?}");
+            if budget > 1 {
+                assert!(runs.len() > 1, "budget {budget} must fan out: {runs:?}");
+                assert!(
+                    runs.iter().all(|(_, id)| *id != caller),
+                    "runs go to workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unit_runs_balance_by_elements_not_units() {
+        // One heavy unit then many light ones: two workers split after
+        // the heavy unit, not at the middle unit.
+        let sizes = [12, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+        let (data, runs, _) = unit_runs(&sizes, 2, usize::MAX);
+        assert_eq!(data, owners(&sizes));
+        assert_eq!(
+            runs.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>(),
+            vec![0..1, 1..13]
+        );
+    }
+
+    #[test]
+    fn unit_runs_handle_empty_units() {
+        for budget in [1, 4] {
+            // Every unit empty: one call covers them all.
+            let (data, runs, _) = unit_runs(&[0, 0, 0, 0, 0], budget, usize::MAX);
+            assert!(data.is_empty());
+            assert_tiles(&runs, 5);
+            // No units at all.
+            let (data, runs, _) = unit_runs(&[], budget, usize::MAX);
+            assert!(data.is_empty());
+            assert_eq!(runs.len(), 1, "{runs:?}");
+            assert_eq!(runs[0].0, 0..0);
+            // Empty units at both ends and in a row stay inside runs.
+            let sizes = [0, 0, 5, 0, 0, 0, 5, 0];
+            let (data, runs, _) = unit_runs(&sizes, budget, usize::MAX);
+            assert_eq!(data, owners(&sizes));
+            assert_tiles(&runs, sizes.len());
+        }
+    }
+
+    #[test]
+    fn unit_runs_under_the_grain_stay_on_the_calling_thread() {
+        let sizes = [4, 0, 3, 9, 1];
+        let (data, runs, caller) = unit_runs(&sizes, 4, MIN_WORK_PER_THREAD - 1);
+        assert_eq!(data, owners(&sizes));
+        assert_eq!(runs.len(), 1, "{runs:?}");
+        assert_eq!(runs[0].0, 0..sizes.len());
+        assert_eq!(runs[0].1, caller, "work under the grain must not spawn");
+    }
+
+    #[test]
+    fn unit_runs_with_a_budget_above_the_unit_count() {
+        // Budget 7 over 3 units: at most one worker per unit.
+        let sizes = [2, 5, 1];
+        let (data, runs, _) = unit_runs(&sizes, 7, usize::MAX);
+        assert_eq!(data, owners(&sizes));
+        assert_tiles(&runs, sizes.len());
+        assert!(runs.len() <= 3, "{runs:?}");
+        // A single unit never splits.
+        let (data, runs, caller) = unit_runs(&[6], 7, usize::MAX);
+        assert_eq!(data, owners(&[6]));
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].1, caller, "one unit runs on the calling thread");
     }
 
     #[test]
@@ -1427,7 +1560,7 @@ mod tests {
             let nested = with_thread_budget(5, num_threads);
             assert_eq!(nested, 5);
             assert_eq!(num_threads(), 2, "nested cap must restore");
-            effective_threads(1024, 1 << 20)
+            effective_threads(1024, 1024 << 20)
         });
         assert_eq!(inside, 2);
     }

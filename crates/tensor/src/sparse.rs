@@ -11,14 +11,15 @@
 //!
 //! # Agreement contract
 //!
-//! Every kernel here has one algorithm; the thread budget
-//! ([`kernels::num_threads`]) alone decides how its disjoint outputs —
-//! CSC column segments (SDDMM), query rows (softmax), output-row chunks
-//! (SpMM and the gradients) — are shared among workers. Where a single
-//! worker can fuse the per-output walks into one pass over the CSC
-//! stream it does, and **every budget produces bit-identical values**,
-//! because the split only separates disjoint outputs while each value's
-//! accumulation order is unchanged.
+//! Every kernel here has one body, and the same walk runs at every
+//! thread budget, as the accelerator's schedule runs at any PE count.
+//! The kernel layer's fan-outs (`kernels::for_each_unit_run` and
+//! [`kernels::for_each_row_chunk_weighted`]) decide only how many
+//! workers share a kernel's disjoint outputs — CSC column runs (SDDMM),
+//! query-row runs (the two row softmaxes), output-row chunks (SpMM and
+//! the gradients) — so **every budget produces bit-identical values**:
+//! each output element accumulates along the same ascending chain
+//! whichever worker holds it.
 
 use std::sync::Arc;
 
@@ -46,6 +47,11 @@ pub trait SparsityPattern {
 /// CSC column enumerates exactly the Q rows that pair with the
 /// currently-resident K vector.
 ///
+/// The index vectors sit behind one [`Arc`], so a clone is `O(1)`: a
+/// fixed mask's index is built once and shared by every score,
+/// probability and gradient buffer of its head, every sample of a batch
+/// and every call.
+///
 /// # Example
 ///
 /// ```
@@ -59,13 +65,19 @@ pub trait SparsityPattern {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CscMatrix {
     n: usize,
+    vectors: Arc<CscVectors>,
+}
+
+/// The immutable vectors of a [`CscMatrix`].
+#[derive(Debug, PartialEq, Eq)]
+struct CscVectors {
     col_ptr: Vec<usize>,
     row_idx: Vec<u32>,
     // Row-major companion, precomputed once: for each query row, the
     // positions its values occupy in the CSC-ordered values buffer
-    // (ascending column order). This is the gather the sparse softmax
-    // needs per call; deriving it here keeps the serving hot path free
-    // of per-inference index rebuilds.
+    // (ascending column order). This is the gather the row walks need
+    // per call; deriving it here keeps the serving hot path free of
+    // per-inference index rebuilds.
     row_ptr: Vec<usize>,
     row_pos: Vec<u32>,
     // Column index of every CSC value position (the inverse of the
@@ -157,11 +169,13 @@ impl CscMatrix {
         }
         Self {
             n,
-            col_ptr,
-            row_idx,
-            row_ptr,
-            row_pos,
-            col_of,
+            vectors: Arc::new(CscVectors {
+                col_ptr,
+                row_idx,
+                row_ptr,
+                row_pos,
+                col_of,
+            }),
         }
     }
 
@@ -233,7 +247,7 @@ impl CscMatrix {
 
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
-        self.row_idx.len()
+        self.vectors.row_idx.len()
     }
 
     /// Row indices of column `k`, ascending.
@@ -245,9 +259,8 @@ impl CscMatrix {
         assert!(k < self.n, "column {k} out of bounds");
         // Casting back and forth keeps the storage compact (u32 covers
         // any realistic token count) while the API stays usize-friendly.
-        let lo = self.col_ptr[k];
-        let hi = self.col_ptr[k + 1];
-        &self.row_idx[lo..hi]
+        let v = &*self.vectors;
+        &v.row_idx[v.col_ptr[k]..v.col_ptr[k + 1]]
     }
 
     /// Non-zero count of column `k`.
@@ -264,14 +277,15 @@ impl CscMatrix {
     /// Panics if `q >= self.size()`.
     pub fn row_value_positions(&self, q: usize) -> &[u32] {
         assert!(q < self.n, "row {q} out of bounds");
-        &self.row_pos[self.row_ptr[q]..self.row_ptr[q + 1]]
+        let v = &*self.vectors;
+        &v.row_pos[v.row_ptr[q]..v.row_ptr[q + 1]]
     }
 
     /// Size of the index structure in bytes: `(n + 1)` column pointers
     /// (4 B each) plus one 4-byte row index per non-zero. This is what
     /// the accelerator's 20 KB index buffer must hold per tile.
     pub fn index_bytes(&self) -> usize {
-        (self.col_ptr.len() + self.row_idx.len()) * 4
+        (self.vectors.col_ptr.len() + self.nnz()) * 4
     }
 
     /// Iterates the kept `(q, k)` positions in column-major (CSC value)
@@ -285,64 +299,47 @@ impl CscMatrix {
     /// walks need to recover which key column a gathered value belongs
     /// to. Precomputed at construction.
     fn value_columns(&self) -> &[u32] {
-        &self.col_of
+        &self.vectors.col_of
     }
 
-    /// Partitions the CSC columns into contiguous ranges of roughly
-    /// equal non-zero count, one per worker thread. Returns
-    /// `(value_bounds, column_starts)`, both `segments + 1` long,
-    /// suitable for [`kernels::par_segments`].
-    fn column_partition(&self) -> (Vec<usize>, Vec<usize>) {
-        let n = self.n;
-        let nnz = self.nnz();
-        let threads = kernels::num_threads().max(1);
-        let target = nnz.div_ceil(threads).max(1);
-        let mut value_bounds = vec![0usize];
-        let mut column_starts = vec![0usize];
-        for k in 0..n {
-            let seg_nnz = self.col_ptr[k + 1] - value_bounds.last().unwrap();
-            if seg_nnz >= target && k + 1 < n {
-                value_bounds.push(self.col_ptr[k + 1]);
-                column_starts.push(k + 1);
-            }
+    /// The query-row walk of the two row softmaxes: `row(positions, out)`
+    /// fills `out` with one query row's results, where `positions` are
+    /// that row's CSC value positions in ascending column order. Rows are
+    /// filled in a row-major buffer (runs of whole rows, balanced by
+    /// non-zeros, fan out by `work`) and scattered back to CSC order; no
+    /// row allocates.
+    fn map_rows(&self, work: usize, row: impl Fn(&[u32], &mut [f32]) + Sync) -> Vec<f32> {
+        let CscVectors {
+            row_ptr, row_pos, ..
+        } = &*self.vectors;
+        let mut by_row = vec![0.0f32; self.nnz()];
+        kernels::for_each_unit_run(
+            &mut by_row,
+            self.n,
+            |r| row_ptr[r],
+            work,
+            |rows, run| {
+                let base = row_ptr[rows.start];
+                for r in rows {
+                    let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+                    row(&row_pos[lo..hi], &mut run[lo - base..hi - base]);
+                }
+            },
+        );
+        let mut values = vec![0.0f32; by_row.len()];
+        for (&v, &p) in by_row.iter().zip(row_pos.iter()) {
+            values[p as usize] = v;
         }
-        value_bounds.push(nnz);
-        column_starts.push(n);
-        (value_bounds, column_starts)
-    }
-
-    /// The fan-out rule of every K-stationary walk: `emit(columns, out)`
-    /// fills `out`, the CSC-ordered values of `columns`. One worker walks
-    /// the whole stream directly — the partition bookkeeping only pays
-    /// for itself when segments actually fan out; otherwise each worker
-    /// owns one [`Self::column_partition`] range and its disjoint slice
-    /// of `values` (the software analogue of the accelerator distributing
-    /// K columns over MAC lines).
-    fn for_each_column_segment(
-        &self,
-        values: &mut [f32],
-        emit: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
-    ) {
-        if kernels::num_threads() <= 1 {
-            return emit(0..self.n, values);
-        }
-        let (value_bounds, column_starts) = self.column_partition();
-        kernels::par_segments(values, &value_bounds, |seg, out| {
-            emit(column_starts[seg]..column_starts[seg + 1], out)
-        });
+        values
     }
 }
 
 /// Sparse attention scores in CSC layout: one value per kept `(q, k)`
-/// position, column-major, aligned with a [`CscMatrix`] index.
-///
-/// The index is held behind an [`Arc`]: a fixed attention mask is shared
-/// by every score/probability/gradient buffer of a head — and by every
-/// sample of a training batch — so the kernels pass the index by
-/// reference count instead of copying `O(nnz)` structure per call.
+/// position, column-major, aligned with a [`CscMatrix`] index (shared,
+/// not copied: a [`CscMatrix`] clone is `O(1)`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseScores {
-    index: Arc<CscMatrix>,
+    index: CscMatrix,
     values: Vec<f32>,
 }
 
@@ -353,15 +350,6 @@ impl SparseScores {
     ///
     /// Panics if `values.len() != index.nnz()`.
     pub fn new(index: CscMatrix, values: Vec<f32>) -> Self {
-        Self::new_shared(Arc::new(index), values)
-    }
-
-    /// [`Self::new`] over an already-shared index (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != index.nnz()`.
-    pub fn new_shared(index: Arc<CscMatrix>, values: Vec<f32>) -> Self {
         assert_eq!(values.len(), index.nnz(), "one value per kept position");
         Self { index, values }
     }
@@ -398,47 +386,16 @@ impl SparseScores {
     /// Applies a row-wise softmax *in the sparse domain*: each query
     /// row's kept scores are normalised among themselves, exactly what
     /// the engines' softmax units do after a complete attention row is
-    /// available.
+    /// available. Each row is gathered through the precomputed row
+    /// positions ([`CscMatrix::row_value_positions`]) and normalised in
+    /// place.
     pub fn softmax_rows(&self) -> SparseScores {
-        let n = self.index.size();
-        let mut values = self.values.clone();
-        // The row gather is precomputed on the index
-        // ([`CscMatrix::row_value_positions`]), so each call only does
-        // the normalisation itself. Per-row normalisation fans out
-        // across workers; with a single worker, rows run in place
-        // through one reused scratch buffer (identical arithmetic, no
-        // per-row allocation — training tapes at small token counts are
-        // dominated by exactly this kind of bookkeeping).
-        if kernels::num_threads() <= 1 {
-            let mut scratch = Vec::new();
-            for r in 0..n {
-                let positions = self.index.row_value_positions(r);
-                scratch.clear();
-                scratch.extend(positions.iter().map(|&p| self.values[p as usize]));
-                softmax_row(&mut scratch);
-                for (&p, &v) in positions.iter().zip(scratch.iter()) {
-                    values[p as usize] = v;
-                }
+        let values = self.index.map_rows(self.nnz(), |positions, row| {
+            for (v, &p) in row.iter_mut().zip(positions) {
+                *v = self.values[p as usize];
             }
-        } else {
-            let normalise = |r: usize| {
-                let mut row: Vec<f32> = self
-                    .index
-                    .row_value_positions(r)
-                    .iter()
-                    .map(|&p| self.values[p as usize])
-                    .collect();
-                softmax_row(&mut row);
-                row
-            };
-            let work_per_row = self.values.len() / n.max(1) + 1;
-            let softmaxed = kernels::par_map_collect(n, work_per_row, normalise);
-            for (r, row) in softmaxed.into_iter().enumerate() {
-                for (&p, v) in self.index.row_value_positions(r).iter().zip(row) {
-                    values[p as usize] = v;
-                }
-            }
-        }
+            softmax_row(row);
+        });
         SparseScores {
             index: self.index.clone(),
             values,
@@ -451,9 +408,10 @@ impl SparseScores {
 /// CSC index, a `dk`-length dot product accumulates across the MAC line
 /// (inter-PE accumulation), emitting attention scores column by column.
 ///
-/// With more than one worker the CSC columns are partitioned into
-/// contiguous non-zero-balanced ranges, each worker writing its own
-/// disjoint slice of the values buffer.
+/// The CSC columns are shared among workers as contiguous
+/// non-zero-balanced runs, each worker writing its own disjoint slice of
+/// the values buffer (the software analogue of the accelerator
+/// distributing K columns over MAC lines).
 ///
 /// `scale` is the `1/sqrt(dk)` attention scaling.
 ///
@@ -462,52 +420,37 @@ impl SparseScores {
 /// Panics if `q`/`k` have different feature dims or the index size
 /// differs from the token count.
 pub fn sddmm_k_stationary(q: &Matrix, k: &Matrix, index: &CscMatrix, scale: f32) -> SparseScores {
-    SparseScores {
-        values: sddmm_values(q, k, index, scale),
-        index: Arc::new(index.clone()),
-    }
-}
-
-/// [`sddmm_k_stationary`] over an `Arc`-shared index: the emitted scores
-/// reference the caller's index instead of copying it — the form the
-/// training tape uses, where one frozen index serves every sample of
-/// every step.
-pub fn sddmm_k_stationary_shared(
-    q: &Matrix,
-    k: &Matrix,
-    index: &Arc<CscMatrix>,
-    scale: f32,
-) -> SparseScores {
-    SparseScores {
-        values: sddmm_values(q, k, index, scale),
-        index: index.clone(),
-    }
-}
-
-/// The K-stationary SDDMM walk shared by the owned and `Arc`-shared
-/// entry points.
-fn sddmm_values(q: &Matrix, k: &Matrix, index: &CscMatrix, scale: f32) -> Vec<f32> {
     assert_eq!(q.cols(), k.cols(), "q/k feature dims differ");
     assert_eq!(q.rows(), index.size(), "index size must match tokens");
     assert_eq!(k.rows(), index.size(), "index size must match tokens");
     let mut values = vec![0.0f32; index.nnz()];
-    index.for_each_column_segment(&mut values, |cols, out| {
-        let mut pos = 0;
-        for col in cols {
-            // K column resident; related Q rows stream temporally.
-            let k_vec = k.row(col);
-            for &qi in index.col_rows(col) {
-                let q_vec = q.row(qi as usize);
-                let mut acc = 0.0f32;
-                for (a, b) in q_vec.iter().zip(k_vec.iter()) {
-                    acc += a * b;
+    let (col_ptr, work) = (&index.vectors.col_ptr, index.nnz() * q.cols());
+    kernels::for_each_unit_run(
+        &mut values,
+        index.n,
+        |c| col_ptr[c],
+        work,
+        |cols, out| {
+            let mut pos = 0;
+            for col in cols {
+                // K column resident; related Q rows stream temporally.
+                let k_vec = k.row(col);
+                for &qi in index.col_rows(col) {
+                    let q_vec = q.row(qi as usize);
+                    let mut acc = 0.0f32;
+                    for (a, b) in q_vec.iter().zip(k_vec.iter()) {
+                        acc += a * b;
+                    }
+                    out[pos] = acc * scale;
+                    pos += 1;
                 }
-                out[pos] = acc * scale;
-                pos += 1;
             }
-        }
-    });
-    values
+        },
+    );
+    SparseScores {
+        index: index.clone(),
+        values,
+    }
 }
 
 /// Output-stationary SpMM (paper Fig. 13(b)): output rows `V′[q, :]` stay resident in the PE registers (intra-PE
@@ -591,24 +534,31 @@ pub fn sddmm_k_stationary_int8_rows(
     assert_eq!(q.shape().0, index.size(), "index size must match tokens");
     assert_eq!(k.shape().0, index.size(), "index size must match tokens");
     let mut values = vec![0.0f32; index.nnz()];
-    index.for_each_column_segment(&mut values, |columns, out| {
-        let mut pos = 0;
-        for col in columns {
-            let k_vec = k.row_window_wide(col, cols.clone());
-            let k_factor = k.row_scale(col) * scale;
-            for &qi in index.col_rows(col) {
-                let q_vec = q.row_window_wide(qi as usize, cols.clone());
-                let mut acc: i32 = 0;
-                for (a, b) in q_vec.iter().zip(k_vec.iter()) {
-                    acc += (*a as i32) * (*b as i32);
+    let (col_ptr, work) = (&index.vectors.col_ptr, index.nnz() * cols.len());
+    kernels::for_each_unit_run(
+        &mut values,
+        index.n,
+        |c| col_ptr[c],
+        work,
+        |columns, out| {
+            let mut pos = 0;
+            for col in columns {
+                let k_vec = k.row_window_wide(col, cols.clone());
+                let k_factor = k.row_scale(col) * scale;
+                for &qi in index.col_rows(col) {
+                    let q_vec = q.row_window_wide(qi as usize, cols.clone());
+                    let mut acc: i32 = 0;
+                    for (a, b) in q_vec.iter().zip(k_vec.iter()) {
+                        acc += (*a as i32) * (*b as i32);
+                    }
+                    out[pos] = acc as f32 * (q.row_scale(qi as usize) * k_factor);
+                    pos += 1;
                 }
-                out[pos] = acc as f32 * (q.row_scale(qi as usize) * k_factor);
-                pos += 1;
             }
-        }
-    });
+        },
+    );
     SparseScores {
-        index: Arc::new(index.clone()),
+        index: index.clone(),
         values,
     }
 }
@@ -642,13 +592,13 @@ pub fn attention_head_int8_rows(
 /// Per kept `(q, k)`: `gq[q, :] += scale · dS[q,k] · K[k, :]` and
 /// `gk[k, :] += scale · dS[q,k] · Q[q, :]`.
 ///
-/// With more than one worker the Q gradient is query-row-parallel (each
-/// worker owns disjoint `gq` rows and walks that row's kept positions in
-/// ascending column order via the precomputed row gather) and the K
-/// gradient key-column-parallel (each worker owns disjoint `gk` rows —
-/// CSC columns — and walks each column's kept rows ascending); a single
-/// worker fuses both into one CSC walk. Every output element accumulates
-/// in the same order either way, so all budgets agree bitwise.
+/// Two walks: the Q gradient is query-row-parallel (each worker owns
+/// disjoint `gq` rows and walks that row's kept positions in ascending
+/// column order via the precomputed row gather) and the K gradient
+/// key-column-parallel (each worker owns disjoint `gk` rows — CSC
+/// columns — and walks each column's kept rows ascending). Every output
+/// element accumulates in the same order whoever holds it, so all
+/// budgets agree bitwise.
 ///
 /// # Panics
 ///
@@ -671,32 +621,6 @@ pub fn sddmm_backward(
 
     let mut gq = Matrix::zeros(n, dk);
     let mut gk = Matrix::zeros(n, dk);
-    if kernels::num_threads() <= 1 {
-        // Single fused CSC walk: each gq row still accumulates in
-        // ascending column order and each gk row in ascending query
-        // order — exactly the orders of the partitioned walks below.
-        if dk > 0 {
-            let mut pos = 0;
-            for col in 0..n {
-                let k_vec = k.row(col);
-                for &qi in index.col_rows(col) {
-                    let g = ds[pos] * scale;
-                    pos += 1;
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let q_vec = q.row(qi as usize);
-                    for (o, &kv) in gq.row_mut(qi as usize).iter_mut().zip(k_vec.iter()) {
-                        *o += g * kv;
-                    }
-                    for (o, &qv) in gk.row_mut(col).iter_mut().zip(q_vec.iter()) {
-                        *o += g * qv;
-                    }
-                }
-            }
-        }
-        return (gq, gk);
-    }
     let col_of = index.value_columns();
     let gq_rows = |first_row: usize, chunk: &mut [f32]| {
         if dk == 0 {
@@ -718,7 +642,7 @@ pub fn sddmm_backward(
     };
     kernels::for_each_row_chunk_weighted(gq.as_mut_slice(), dk.max(1), per_row_work, gq_rows);
 
-    let col_off = &index.col_ptr;
+    let col_off = &index.vectors.col_ptr;
     let gk_rows = |first_col: usize, chunk: &mut [f32]| {
         if dk == 0 {
             return;
@@ -741,7 +665,7 @@ pub fn sddmm_backward(
     (gq, gk)
 }
 
-/// Backward of [`SparseScores::softmax_rows`] (query-row-parallel, like
+/// Backward of [`SparseScores::softmax_rows`] (the same query-row walk as
 /// the forward): given the softmaxed probabilities `probs` and the
 /// upstream gradient `dprobs` (both in the same CSC layout), returns the
 /// gradient w.r.t. the pre-softmax scores:
@@ -751,54 +675,23 @@ pub fn sddmm_backward(
 ///
 /// Panics if `probs` and `dprobs` disagree in size or non-zero count.
 pub fn sparse_softmax_backward(probs: &SparseScores, dprobs: &SparseScores) -> SparseScores {
-    let index = &probs.index;
-    let n = index.size();
-    // Arc identity is the O(1) common case (dprobs shares probs' index
-    // through the backward chain); the structural comparison only runs
-    // for independently-built indexes, where a mismatch would silently
-    // pair gradients with the wrong (q, k) cells.
-    assert!(
-        Arc::ptr_eq(index, &dprobs.index) || *index == dprobs.index,
-        "probs/dprobs indexes differ"
-    );
-    let pv = &probs.values;
-    let dv = &dprobs.values;
-    let mut values = vec![0.0f32; probs.nnz()];
-    if kernels::num_threads() <= 1 {
-        // Rows partition the values buffer, so a single worker writes
-        // each row's results straight into place — no per-row buffers.
-        for r in 0..n {
-            let positions = index.row_value_positions(r);
-            let mut dot = 0.0f32;
-            for &p in positions {
-                dot += pv[p as usize] * dv[p as usize];
-            }
-            for &p in positions {
-                values[p as usize] = pv[p as usize] * (dv[p as usize] - dot);
-            }
+    // Equality is O(1) in the common case, where dprobs shares probs'
+    // index vectors through the backward chain; independently built
+    // indexes are compared whole, since a mismatch would silently pair
+    // gradients with the wrong (q, k) cells.
+    assert!(probs.index == dprobs.index, "probs/dprobs indexes differ");
+    let (pv, dv) = (&probs.values, &dprobs.values);
+    let values = probs.index.map_rows(2 * probs.nnz(), |positions, row| {
+        let mut dot = 0.0f32;
+        for &p in positions {
+            dot += pv[p as usize] * dv[p as usize];
         }
-    } else {
-        let backward_row = |r: usize| {
-            let positions = index.row_value_positions(r);
-            let mut dot = 0.0f32;
-            for &p in positions {
-                dot += pv[p as usize] * dv[p as usize];
-            }
-            positions
-                .iter()
-                .map(|&p| pv[p as usize] * (dv[p as usize] - dot))
-                .collect::<Vec<f32>>()
-        };
-        let work_per_row = 2 * (probs.nnz() / n.max(1) + 1);
-        let rows = kernels::par_map_collect(n, work_per_row, backward_row);
-        for (r, row) in rows.into_iter().enumerate() {
-            for (&p, v) in index.row_value_positions(r).iter().zip(row) {
-                values[p as usize] = v;
-            }
+        for (o, &p) in row.iter_mut().zip(positions) {
+            *o = pv[p as usize] * (dv[p as usize] - dot);
         }
-    }
+    });
     SparseScores {
-        index: index.clone(),
+        index: probs.index.clone(),
         values,
     }
 }
@@ -823,37 +716,12 @@ pub fn spmm_backward(probs: &SparseScores, v: &Matrix, gout: &Matrix) -> (Sparse
     assert_eq!(gout.cols(), v.cols(), "gout/V feature dims differ");
     let dk = v.cols();
     // dP is the same K-stationary walk as the forward SDDMM, with the
-    // upstream gradient standing in for Q and V for K; it shares the
-    // probabilities' index instead of copying it.
-    let dprobs = SparseScores {
-        index: probs.index.clone(),
-        values: sddmm_values(gout, v, index, 1.0),
-    };
+    // upstream gradient standing in for Q and V for K.
+    let dprobs = sddmm_k_stationary(gout, v, index, 1.0);
 
     let mut gv = Matrix::zeros(n, dk);
     let pv = &probs.values;
-    if kernels::num_threads() <= 1 {
-        // Single sequential walk of the stream; per-gv-row order is
-        // ascending query like the chunked walk below.
-        if dk > 0 {
-            let mut pos = 0;
-            for col in 0..n {
-                for &qi in index.col_rows(col) {
-                    let p = pv[pos];
-                    pos += 1;
-                    if p == 0.0 {
-                        continue;
-                    }
-                    let g_vec = gout.row(qi as usize);
-                    for (o, &g) in gv.row_mut(col).iter_mut().zip(g_vec.iter()) {
-                        *o += p * g;
-                    }
-                }
-            }
-        }
-        return (dprobs, gv);
-    }
-    let col_off = &index.col_ptr;
+    let col_off = &index.vectors.col_ptr;
     let gv_rows = |first_col: usize, chunk: &mut [f32]| {
         if dk == 0 {
             return;

@@ -1,7 +1,7 @@
 //! Property tests of the sparse backward kernels: across random masks,
 //! shapes and densities, the CSC-dataflow gradients must match the dense
 //! `-inf`-masked reference within 1e-4. (That every thread budget
-//! returns the same bits is `backend_agreement_with.rs`'s to check.)
+//! returns the same bits is `fanout_agreement.rs`'s to check.)
 
 use proptest::prelude::*;
 use vitcod_tensor::kernels;
