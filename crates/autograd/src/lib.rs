@@ -39,7 +39,8 @@
 //! let x = tape.constant(Matrix::from_rows(&[&[1.0, 2.0]]));
 //! let wv = tape.param(&store, w);
 //! let y = tape.matmul(x, wv);
-//! let loss = tape.mse_loss(y, &Matrix::from_rows(&[&[0.0, 0.0]]));
+//! let target = tape.constant(Matrix::from_rows(&[&[0.0, 0.0]]));
+//! let loss = tape.mse_between(y, target);
 //! tape.backward(loss);
 //! tape.write_grads(&mut store);
 //! assert_eq!(store.grad(w).shape(), (2, 2));

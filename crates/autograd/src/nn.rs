@@ -176,7 +176,8 @@ mod tests {
             let mut tape = Tape::new();
             let xv = tape.constant(x.clone());
             let y = l.forward(&mut tape, &store, xv);
-            let loss = tape.mse_loss(y, &target);
+            let tv = tape.constant(target.clone());
+            let loss = tape.mse_between(y, tv);
             last = tape.scalar(loss);
             tape.backward(loss);
             store.zero_grads();

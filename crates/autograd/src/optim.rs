@@ -58,11 +58,6 @@ impl Adam {
         self.weight_decay = wd;
         self
     }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
 }
 
 impl Optimizer for Adam {

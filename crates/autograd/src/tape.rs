@@ -145,11 +145,6 @@ enum OpKind {
         targets: Vec<usize>,
         probs: Matrix,
     },
-    /// Mean squared error against a constant target.
-    MseConst {
-        a: Var,
-        target: Matrix,
-    },
     /// Sum of two scalar losses (weighted).
     WeightedSum {
         a: Var,
@@ -511,7 +506,8 @@ impl Tape {
     /// Mean squared error between two tape nodes, `mean((a − b)²)`, as a
     /// `1 × 1` scalar node. Gradients flow into both operands — this is
     /// the form used for the auto-encoder reconstruction loss where both
-    /// the original and the reconstructed Q/K are differentiable.
+    /// the original and the reconstructed Q/K are differentiable. Against
+    /// a fixed target, pass `tape.constant(target)` as `b`.
     ///
     /// # Panics
     ///
@@ -520,28 +516,6 @@ impl Tape {
         let d = self.sub(a, b);
         let sq = self.hadamard(d, d);
         self.mean_all(sq)
-    }
-
-    /// Mean squared error between `a` and a constant `target`; returns a
-    /// `1 × 1` scalar node. This is the differentiable surrogate for the
-    /// paper's `‖Q − Q′‖₀` reconstruction loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    // vitcod-lint: allow(V006, the gradcheck suites' loss against a constant target; training uses cross-entropy)
-    pub fn mse_loss(&mut self, a: Var, target: &Matrix) -> Var {
-        let av = &self.nodes[a.0].value;
-        assert_eq!(av.shape(), target.shape(), "mse target shape mismatch");
-        let diff = av - target;
-        let loss = diff.as_slice().iter().map(|v| v * v).sum::<f32>() / av.len() as f32;
-        self.push(
-            Matrix::from_vec(1, 1, vec![loss]),
-            OpKind::MseConst {
-                a,
-                target: target.clone(),
-            },
-        )
     }
 
     /// Weighted sum of two scalar nodes: `wa·a + wb·b` (total loss
@@ -741,13 +715,6 @@ impl Tape {
                     }
                     g.map_inplace(|v| v * gscale);
                     self.add_grad(logits, g);
-                }
-                OpKind::MseConst { a, target } => {
-                    let a = *a;
-                    let av = &self.nodes[a.0].value;
-                    let gscale = gout.get(0, 0) * 2.0 / av.len() as f32;
-                    let g = (av - target).scale(gscale);
-                    self.add_grad(a, g);
                 }
                 &OpKind::WeightedSum { a, b, wa, wb } => {
                     self.add_grad(a, gout.scale(wa));
@@ -969,7 +936,8 @@ mod tests {
                 let xv = tape.constant(x.clone());
                 let wv = tape.param(store, w);
                 let y = tape.matmul(xv, wv);
-                tape.mse_loss(y, &target)
+                let tv = tape.constant(target.clone());
+                tape.mse_between(y, tv)
             },
             2e-2,
         );
@@ -989,7 +957,8 @@ mod tests {
                 let bv = tape.param(store, b);
                 let y = tape.add_bias(xv, bv);
                 let g = tape.gelu(y);
-                tape.mse_loss(g, &target)
+                let tv = tape.constant(target.clone());
+                tape.mse_between(g, tv)
             },
             2e-2,
         );
@@ -1011,7 +980,8 @@ mod tests {
                     let gv = tape.param(store, g);
                     let bv = tape.constant(beta.clone());
                     let y = tape.layernorm(xv, gv, bv);
-                    tape.mse_loss(y, &target)
+                    let tv = tape.constant(target.clone());
+                    tape.mse_between(y, tv)
                 },
                 5e-2,
             );
@@ -1040,7 +1010,8 @@ mod tests {
                     let kv = tape.param(store, k);
                     let vv = tape.param(store, v);
                     let o = tape.attention(qv, kv, vv, 4, 0.5, 1, &plan);
-                    tape.mse_loss(o, &target)
+                    let tv = tape.constant(target.clone());
+                    tape.mse_between(o, tv)
                 },
                 5e-2,
             );
@@ -1083,7 +1054,8 @@ mod tests {
                 let xv = tape.constant(x.clone());
                 let wv = tape.param(store, w);
                 let y = tape.head_mix(xv, wv, dk);
-                tape.mse_loss(y, &target)
+                let tv = tape.constant(target.clone());
+                tape.mse_between(y, tv)
             },
             2e-2,
         );
@@ -1133,7 +1105,8 @@ mod tests {
                 let wv = tape.param(store, w);
                 let y = tape.matmul(xv, wv);
                 let pooled = tape.mean_rows(y);
-                tape.mse_loss(pooled, &target)
+                let tv = tape.constant(target.clone());
+                tape.mse_between(pooled, tv)
             },
             2e-2,
         );
@@ -1153,8 +1126,10 @@ mod tests {
                 let xv = tape.constant(x.clone());
                 let wv = tape.param(store, w);
                 let y = tape.matmul(xv, wv);
-                let l1 = tape.mse_loss(y, &t1);
-                let l2 = tape.mse_loss(y, &t2);
+                let c1 = tape.constant(t1.clone());
+                let l1 = tape.mse_between(y, c1);
+                let c2 = tape.constant(t2.clone());
+                let l2 = tape.mse_between(y, c2);
                 tape.weighted_sum(l1, l2, 1.0, 0.5)
             },
             2e-2,
@@ -1170,7 +1145,8 @@ mod tests {
         let w2 = tape.param(&store, w);
         // loss = (w * w) via two imports: d/dw = 2w = 4.
         let prod = tape.hadamard(w1, w2);
-        let loss = tape.mse_loss(prod, &Matrix::zeros(1, 1));
+        let tv = tape.constant(Matrix::zeros(1, 1));
+        let loss = tape.mse_between(prod, tv);
         tape.backward(loss);
         store.zero_grads();
         tape.write_grads(&mut store);
@@ -1192,7 +1168,8 @@ mod tests {
                 let wv = tape.param(store, w);
                 let y = tape.matmul(xv, wv);
                 let r0 = tape.gather_rows(y, &[0]);
-                tape.mse_loss(r0, &target)
+                let tv = tape.constant(target.clone());
+                tape.mse_between(r0, tv)
             },
             3e-2,
         );
@@ -1219,7 +1196,8 @@ mod tests {
                 tape.constant(v.clone()),
             );
             let attn = tape.attention(qv, kv, vv, dk, scale, batch, &plans);
-            let loss = tape.mse_loss(attn, &Matrix::zeros(rows, heads * dk));
+            let tv = tape.constant(Matrix::zeros(rows, heads * dk));
+            let loss = tape.mse_between(attn, tv);
             tape.backward(loss);
             let gout = tape.grad(attn).expect("attention is on the loss path");
             let (gq, gk, gv) = (
@@ -1287,7 +1265,8 @@ mod tests {
                     let vv = tape.param(store, v);
                     let plans = vec![HeadExec::Sparse(csc.clone())];
                     let o = tape.attention(qv, kv, vv, dk, 0.5, 1, &plans);
-                    tape.mse_loss(o, &target)
+                    let tv = tape.constant(target.clone());
+                    tape.mse_between(o, tv)
                 },
                 5e-2,
             );
@@ -1320,7 +1299,8 @@ mod tests {
                 tape.param(&store, v),
             );
             let o = tape.attention(qv, kv, vv, dk, 0.5, 1, &plans);
-            let loss = tape.mse_loss(o, &target);
+            let tv = tape.constant(target.clone());
+            let loss = tape.mse_between(o, tv);
             tape.backward(loss);
             (
                 tape.grad(qv).unwrap().clone(),
@@ -1362,7 +1342,8 @@ mod tests {
                 // duplicate of row 0, so the backward's scatter-add must
                 // accumulate, not overwrite.
                 let picked = tape.gather_rows(tiled, &[0, 3, 0]);
-                tape.mse_loss(picked, &target)
+                let tv = tape.constant(target.clone());
+                tape.mse_between(picked, tv)
             },
             2e-2,
         );

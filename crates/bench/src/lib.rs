@@ -29,11 +29,11 @@
 //! The host-side system is measured by the benchmark of record
 //! (`benchmark/`, its own package); this crate keeps only what that
 //! harness does not: the kernel bench (`benches/kernels.rs`, per-kernel
-//! floors recorded to `BENCH_kernels.json`), `rss_phases` (which
-//! allocation sets `peak_rss_mb`) and `gen_workload`. Serving latency,
-//! throughput and the request-path stages are the benchmark of record's
-//! `serve_*` and `wire_probe` workloads; behaviour under hostile or
-//! failing traffic is tested in `crates/transport/tests`.
+//! floors recorded to `BENCH_kernels.json`) and `rss_phases` (which
+//! allocation sets `peak_rss_mb`). Serving latency, throughput and the
+//! request-path stages are the benchmark of record's `serve_*` and
+//! `wire_probe` workloads; behaviour under hostile or failing traffic is
+//! tested in `crates/transport/tests`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

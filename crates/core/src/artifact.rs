@@ -1,38 +1,26 @@
-//! Serialization of compiled accelerator programs.
+//! The compiled-model artifact format, `vitcod-compiled v1`.
 //!
 //! The paper's interface pipeline (Fig. 14) compiles a sparse ViT once
 //! and amortizes the cost "across the execution lifetime of each task".
-//! That implies a durable artifact: this module defines a versioned,
-//! line-oriented text format for [`AcceleratorProgram`]s so a compiled
-//! model can be written to disk and reloaded without re-running the
-//! split-and-conquer pass.
+//! That implies a durable artifact: a [`CompiledModelArtifact`] is the
+//! format-level view of a frozen inference model — configuration
+//! metadata, named weight tensors, and one execution plan per attention
+//! head (dense, or the fixed CSC index of a sparse head) — that
+//! `vitcod_engine::CompiledVit` lowers into and reconstructs from, so a
+//! compiled ViT outlives its process without re-running split-and-conquer.
 //!
-//! The format is deliberately plain text (diff-able, inspectable, no
-//! external dependencies):
-//!
-//! ```text
-//! vitcod-program v1
-//! model DeiT-Base
-//! tokens 197
-//! head_dim 64
-//! heads 12
-//! ae 12 6
-//! layer 0 12
-//! head 5 985 2891 0,3,1,...   # num_global denser_nnz sparser_nnz col_nnz
-//! ...
-//! end
-//! ```
+//! The format is versioned, line-oriented text (diff-able, inspectable,
+//! no external dependencies). [`save_compiled`] documents the layout;
+//! [`load_compiled`] rejects malformed input with the offending line.
 
 use std::error::Error;
 use std::fmt;
 
 use vitcod_tensor::{Matrix, QuantParams, QuantizedMatrix};
 
-use crate::autoencoder::AutoEncoderConfig;
 use crate::formats::CscMatrix;
-use crate::interface::{AcceleratorProgram, LayerProgram, PhaseWorkload};
 
-/// Error produced when parsing a serialized program.
+/// Error produced when parsing a serialized compiled model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseArtifactError {
     line: usize,
@@ -57,180 +45,13 @@ impl fmt::Display for ParseArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid program artifact at line {}: {}",
+            "invalid compiled artifact at line {}: {}",
             self.line, self.message
         )
     }
 }
 
 impl Error for ParseArtifactError {}
-
-/// Serializes a compiled program to the versioned text format.
-///
-/// # Example
-///
-/// ```
-/// use vitcod_core::{compile_model, load_program, save_program,
-///                   SplitConquer, SplitConquerConfig};
-/// use vitcod_model::{AttentionStats, ViTConfig};
-///
-/// let cfg = ViTConfig::deit_tiny();
-/// let stats = AttentionStats::for_model(&cfg, 1);
-/// let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9));
-/// let program = compile_model(&cfg, &sc.apply(&stats.maps), None);
-/// let text = save_program(&program);
-/// let restored = load_program(&text).unwrap();
-/// assert_eq!(restored.total_macs(), program.total_macs());
-/// ```
-pub fn save_program(program: &AcceleratorProgram) -> String {
-    let mut out = String::new();
-    out.push_str("vitcod-program v1\n");
-    out.push_str(&format!("model {}\n", program.model));
-    out.push_str(&format!("tokens {}\n", program.tokens));
-    out.push_str(&format!("head_dim {}\n", program.head_dim));
-    out.push_str(&format!("heads {}\n", program.heads));
-    if let Some(ae) = program.auto_encoder {
-        out.push_str(&format!("ae {} {}\n", ae.heads(), ae.compressed_heads()));
-    }
-    for layer in &program.layers {
-        out.push_str(&format!("layer {} {}\n", layer.layer, layer.heads.len()));
-        for h in &layer.heads {
-            let cols: Vec<String> = h.sparser_col_nnz.iter().map(|c| c.to_string()).collect();
-            out.push_str(&format!(
-                "head {} {} {} {}\n",
-                h.num_global,
-                h.denser_nnz,
-                h.sparser_nnz,
-                cols.join(",")
-            ));
-        }
-    }
-    out.push_str("end\n");
-    out
-}
-
-/// Parses a program previously written by [`save_program`].
-///
-/// # Errors
-///
-/// Returns [`ParseArtifactError`] on version mismatch, truncation, or
-/// malformed fields; the error carries the offending line number.
-// vitcod-lint: allow(V006, reader of the program format `save_program` and gen_workload write; tests/artifacts.rs round-trips it)
-pub fn load_program(text: &str) -> Result<AcceleratorProgram, ParseArtifactError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
-    let err = |line: usize, msg: &str| ParseArtifactError::new(line, msg);
-
-    let (ln, header) = lines.next().ok_or_else(|| err(1, "empty artifact"))?;
-    if header != "vitcod-program v1" {
-        return Err(err(ln, "unsupported header (expected 'vitcod-program v1')"));
-    }
-
-    let mut model = None;
-    let mut tokens = None;
-    let mut head_dim = None;
-    let mut heads = None;
-    let mut ae = None;
-    let mut layers: Vec<LayerProgram> = Vec::new();
-    let mut pending_heads: usize = 0;
-    let mut saw_end = false;
-
-    for (ln, line) in lines {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().unwrap_or("");
-        match tag {
-            "model" => {
-                model = Some(parts.collect::<Vec<_>>().join(" "));
-            }
-            "tokens" => tokens = Some(parse_usize(&mut parts, ln, "tokens")?),
-            "head_dim" => head_dim = Some(parse_usize(&mut parts, ln, "head_dim")?),
-            "heads" => heads = Some(parse_usize(&mut parts, ln, "heads")?),
-            "ae" => {
-                let h = parse_usize(&mut parts, ln, "ae heads")?;
-                let c = parse_usize(&mut parts, ln, "ae compressed")?;
-                if c == 0 || c > h {
-                    return Err(err(ln, "ae compressed heads out of range"));
-                }
-                ae = Some(AutoEncoderConfig::new(h, c));
-            }
-            "layer" => {
-                if pending_heads != 0 {
-                    return Err(err(ln, "previous layer is missing head records"));
-                }
-                let idx = parse_usize(&mut parts, ln, "layer index")?;
-                pending_heads = parse_usize(&mut parts, ln, "layer head count")?;
-                layers.push(LayerProgram {
-                    layer: idx,
-                    heads: Vec::with_capacity(pending_heads),
-                });
-            }
-            "head" => {
-                let layer = layers
-                    .last_mut()
-                    .ok_or_else(|| err(ln, "head record before any layer"))?;
-                if pending_heads == 0 {
-                    return Err(err(ln, "more head records than declared"));
-                }
-                let num_global = parse_usize(&mut parts, ln, "num_global")?;
-                let denser_nnz = parse_usize(&mut parts, ln, "denser_nnz")?;
-                let sparser_nnz = parse_usize(&mut parts, ln, "sparser_nnz")?;
-                let cols_field = parts.next().unwrap_or("");
-                let sparser_col_nnz: Vec<usize> = if cols_field.is_empty() {
-                    Vec::new()
-                } else {
-                    cols_field
-                        .split(',')
-                        .map(|c| {
-                            c.parse::<usize>()
-                                .map_err(|_| err(ln, "malformed col_nnz list"))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-                let n = tokens.ok_or_else(|| err(ln, "head record before tokens"))?;
-                let dk = head_dim.ok_or_else(|| err(ln, "head record before head_dim"))?;
-                if sparser_col_nnz.iter().sum::<usize>() != sparser_nnz {
-                    return Err(err(ln, "col_nnz sum disagrees with sparser_nnz"));
-                }
-                layer.heads.push(PhaseWorkload {
-                    tokens: n,
-                    head_dim: dk,
-                    num_global,
-                    denser_nnz,
-                    sparser_nnz,
-                    sparser_col_nnz,
-                });
-                pending_heads -= 1;
-            }
-            "end" => {
-                saw_end = true;
-                break;
-            }
-            other => return Err(err(ln, &format!("unknown record '{other}'"))),
-        }
-    }
-    if !saw_end {
-        return Err(ParseArtifactError::new(
-            text.lines().count(),
-            "missing 'end' terminator (truncated artifact?)",
-        ));
-    }
-    if pending_heads != 0 {
-        return Err(ParseArtifactError::new(
-            text.lines().count(),
-            "last layer is missing head records",
-        ));
-    }
-    Ok(AcceleratorProgram {
-        model: model.ok_or_else(|| err(0, "missing 'model'"))?,
-        tokens: tokens.ok_or_else(|| err(0, "missing 'tokens'"))?,
-        head_dim: head_dim.ok_or_else(|| err(0, "missing 'head_dim'"))?,
-        heads: heads.ok_or_else(|| err(0, "missing 'heads'"))?,
-        layers,
-        auto_encoder: ae,
-    })
-}
 
 fn parse_usize<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
@@ -243,174 +64,6 @@ fn parse_usize<'a>(
         .parse::<usize>()
         .map_err(|_| ParseArtifactError::new(line, format!("malformed {field}")))
 }
-
-/// Serializes a set of fixed attention masks (the *training-side*
-/// artifact: what finetuning and deployment share) as run-length-encoded
-/// rows. Masks are `[layer][head]`, as produced by
-/// [`crate::SplitConquer::apply`].
-///
-/// Format:
-///
-/// ```text
-/// vitcod-masks v1
-/// size 197
-/// mask 0 0            # layer, head
-/// 3k2p5k...           # per row: alternating keep/prune run lengths
-/// ...
-/// end
-/// ```
-// vitcod-lint: allow(V006, facade API: the mask artifact format, round-tripped by tests/artifacts.rs)
-pub fn save_masks(masks: &[Vec<crate::AttentionMask>]) -> String {
-    let mut out = String::from("vitcod-masks v1\n");
-    let n = masks
-        .first()
-        .and_then(|l| l.first())
-        .map(|m| m.size())
-        .unwrap_or(0);
-    out.push_str(&format!("size {n}\n"));
-    for (l, layer) in masks.iter().enumerate() {
-        for (h, mask) in layer.iter().enumerate() {
-            out.push_str(&format!("mask {l} {h}\n"));
-            for q in 0..n {
-                let mut row = String::new();
-                let mut run_kept = true; // rows start with a (possibly 0) keep run
-                let mut run_len = 0usize;
-                for k in 0..n {
-                    let kept = mask.is_kept(q, k);
-                    if kept == run_kept {
-                        run_len += 1;
-                    } else {
-                        row.push_str(&format!("{run_len}{}", if run_kept { 'k' } else { 'p' }));
-                        run_kept = kept;
-                        run_len = 1;
-                    }
-                }
-                row.push_str(&format!("{run_len}{}", if run_kept { 'k' } else { 'p' }));
-                out.push_str(&row);
-                out.push('\n');
-            }
-        }
-    }
-    out.push_str("end\n");
-    out
-}
-
-/// Parses masks written by [`save_masks`].
-///
-/// # Errors
-///
-/// Returns [`ParseArtifactError`] on malformed input, wrong row lengths
-/// or a missing terminator.
-// vitcod-lint: allow(V006, facade API: the mask artifact format, round-tripped by tests/artifacts.rs)
-pub fn load_masks(text: &str) -> Result<Vec<Vec<crate::AttentionMask>>, ParseArtifactError> {
-    use crate::AttentionMask;
-    let err = ParseArtifactError::new;
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
-    let (ln, header) = lines
-        .next()
-        .ok_or_else(|| err(1, "empty artifact".into()))?;
-    if header != "vitcod-masks v1" {
-        return Err(err(ln, "unsupported header".into()));
-    }
-    let (ln, size_line) = lines.next().ok_or_else(|| err(2, "missing size".into()))?;
-    let n: usize = size_line
-        .strip_prefix("size ")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| err(ln, "malformed size".into()))?;
-
-    let mut out: Vec<Vec<AttentionMask>> = Vec::new();
-    let mut current: Option<(usize, AttentionMask, usize)> = None; // (layer, mask, next row)
-    let mut saw_end = false;
-    for (ln, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if line == "end" {
-            saw_end = true;
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("mask ") {
-            if let Some((_, mask, rows)) = current.take() {
-                if rows != n {
-                    return Err(err(ln, "previous mask has missing rows".into()));
-                }
-                out.last_mut().expect("layer exists").push(mask);
-            }
-            let mut parts = rest.split_whitespace();
-            let layer: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err(ln, "malformed mask layer".into()))?;
-            let _head: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err(ln, "malformed mask head".into()))?;
-            while out.len() <= layer {
-                out.push(Vec::new());
-            }
-            current = Some((layer, AttentionMask::empty(n), 0));
-            continue;
-        }
-        // RLE row.
-        let (_, mask, row) = current
-            .as_mut()
-            .ok_or_else(|| err(ln, "row data before any mask record".into()))?;
-        if *row >= n {
-            return Err(err(ln, "too many rows for mask".into()));
-        }
-        let mut col = 0usize;
-        let mut num = 0usize;
-        for ch in line.chars() {
-            match ch {
-                '0'..='9' => num = num * 10 + (ch as usize - '0' as usize),
-                'k' | 'p' => {
-                    if col + num > n {
-                        return Err(err(ln, "run exceeds row width".into()));
-                    }
-                    if ch == 'k' {
-                        for k in col..col + num {
-                            mask.keep(*row, k);
-                        }
-                    }
-                    col += num;
-                    num = 0;
-                }
-                other => {
-                    return Err(err(
-                        ln,
-                        format!("unexpected character '{other}' in RLE row"),
-                    ))
-                }
-            }
-        }
-        if col != n {
-            return Err(err(ln, "row runs do not cover the full width".into()));
-        }
-        *row += 1;
-    }
-    if let Some((_, mask, rows)) = current.take() {
-        if rows != n {
-            return Err(ParseArtifactError::new(0, "last mask truncated"));
-        }
-        out.last_mut().expect("layer exists").push(mask);
-    }
-    if !saw_end {
-        return Err(ParseArtifactError::new(
-            text.lines().count(),
-            "missing 'end' terminator",
-        ));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Compiled-model artifacts: the serving-side counterpart of
-// `save_program`/`save_masks`. A `CompiledModelArtifact` is the
-// format-level view of a frozen inference model — named weight tensors,
-// configuration metadata, and one execution plan per attention head —
-// that a `vitcod_engine::CompiledVit` lowers into and reconstructs from,
-// so a compiled ViT can outlive its process.
-// ---------------------------------------------------------------------------
 
 /// One tensor's stored values.
 ///
@@ -934,135 +587,6 @@ fn unescape_meta(value: &str) -> String {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::{compile_model, SplitConquer, SplitConquerConfig};
-    use vitcod_model::{AttentionStats, ViTConfig};
-
-    fn sample_program(ae: bool) -> AcceleratorProgram {
-        let cfg = ViTConfig::deit_tiny();
-        let stats = AttentionStats::for_model(&cfg, 77);
-        let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9));
-        let ae_cfg = ae.then(|| AutoEncoderConfig::half(cfg.heads));
-        compile_model(&cfg, &sc.apply(&stats.maps), ae_cfg)
-    }
-
-    #[test]
-    fn round_trip_preserves_everything() {
-        for ae in [false, true] {
-            let p = sample_program(ae);
-            let restored = load_program(&save_program(&p)).unwrap();
-            assert_eq!(restored.model, p.model);
-            assert_eq!(restored.tokens, p.tokens);
-            assert_eq!(restored.head_dim, p.head_dim);
-            assert_eq!(restored.heads, p.heads);
-            assert_eq!(restored.auto_encoder, p.auto_encoder);
-            assert_eq!(restored.layers.len(), p.layers.len());
-            assert_eq!(restored.total_macs(), p.total_macs());
-            assert_eq!(restored.overall_sparsity(), p.overall_sparsity());
-            for (la, lb) in restored.layers.iter().zip(p.layers.iter()) {
-                assert_eq!(la.layer, lb.layer);
-                for (ha, hb) in la.heads.iter().zip(lb.heads.iter()) {
-                    assert_eq!(ha.num_global, hb.num_global);
-                    assert_eq!(ha.sparser_col_nnz, hb.sparser_col_nnz);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rejects_wrong_header() {
-        let e = load_program("vitcod-program v9\nend\n").unwrap_err();
-        assert_eq!(e.line(), 1);
-        assert!(e.to_string().contains("unsupported header"));
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let p = sample_program(false);
-        let text = save_program(&p);
-        let truncated = &text[..text.len() / 2];
-        // Truncation must be rejected — either as a missing terminator
-        // or because the cut line fails a consistency check.
-        assert!(load_program(truncated).is_err());
-        // Clean truncation at a line boundary reports the terminator.
-        let lines: Vec<&str> = text.lines().collect();
-        let clean_cut = lines[..lines.len() / 2].join("\n");
-        let e = load_program(&clean_cut).unwrap_err();
-        let msg = e.to_string();
-        assert!(
-            msg.contains("truncated") || msg.contains("missing"),
-            "unexpected message: {msg}"
-        );
-    }
-
-    #[test]
-    fn rejects_inconsistent_col_nnz() {
-        let text = "vitcod-program v1\nmodel X\ntokens 4\nhead_dim 2\nheads 1\nlayer 0 1\nhead 1 4 5 1,1\nend\n";
-        let e = load_program(text).unwrap_err();
-        assert!(e.to_string().contains("col_nnz sum"));
-    }
-
-    #[test]
-    fn rejects_unknown_record() {
-        let text = "vitcod-program v1\nbogus 1\nend\n";
-        let e = load_program(text).unwrap_err();
-        assert!(e.to_string().contains("unknown record"));
-        assert_eq!(e.line(), 2);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ignored() {
-        let p = sample_program(false);
-        let text = save_program(&p).replace("layer 0", "# a comment\n\nlayer 0");
-        assert!(load_program(&text).is_ok());
-    }
-
-    #[test]
-    fn masks_round_trip_through_rle() {
-        let cfg = ViTConfig::deit_tiny();
-        let stats = AttentionStats::for_model(&cfg, 5);
-        let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9));
-        let heads = sc.apply(&stats.maps);
-        let masks: Vec<Vec<crate::AttentionMask>> = heads
-            .iter()
-            .map(|l| l.iter().map(|h| h.pruned.clone()).collect())
-            .collect();
-        let text = save_masks(&masks);
-        let restored = load_masks(&text).unwrap();
-        assert_eq!(restored.len(), masks.len());
-        for (la, lb) in restored.iter().zip(masks.iter()) {
-            assert_eq!(la.len(), lb.len());
-            for (a, b) in la.iter().zip(lb.iter()) {
-                assert_eq!(a, b);
-            }
-        }
-        // RLE should compress the 90%-sparse masks well below one byte
-        // per position.
-        let positions = 12 * 3 * 197 * 197;
-        assert!(text.len() < positions / 2, "RLE too large: {}", text.len());
-    }
-
-    #[test]
-    fn mask_artifact_rejects_bad_rows() {
-        let text = "vitcod-masks v1\nsize 4\nmask 0 0\n2k2p\n2k2p\n2k2p\n3k\nend\n";
-        let e = load_masks(text).unwrap_err();
-        assert!(e.to_string().contains("cover the full width"));
-        let text2 = "vitcod-masks v1\nsize 2\nmask 0 0\n2k\n1k1x\nend\n";
-        assert!(load_masks(text2).is_err());
-    }
-
-    #[test]
-    fn mask_artifact_requires_terminator() {
-        let text = "vitcod-masks v1\nsize 2\nmask 0 0\n2k\n2p\n";
-        let e = load_masks(text).unwrap_err();
-        assert!(e.to_string().contains("terminator"));
-    }
-
-    #[test]
-    fn empty_mask_set_round_trips() {
-        let text = save_masks(&[]);
-        let restored = load_masks(&text).unwrap();
-        assert!(restored.is_empty());
-    }
 
     fn sample_compiled() -> CompiledModelArtifact {
         CompiledModelArtifact {
@@ -1135,6 +659,11 @@ mod tests {
     fn compiled_rejects_malformed_with_line_numbers() {
         let e = load_compiled("vitcod-compiled v9\nend\n").unwrap_err();
         assert_eq!(e.line(), 1);
+        assert!(
+            e.to_string()
+                .starts_with("invalid compiled artifact at line 1: "),
+            "{e}"
+        );
 
         // Wrong row width inside a tensor payload.
         let text = "vitcod-compiled v1\ntensor f32 w 1 3\n3f800000 3f800000\nend\n";
@@ -1224,17 +753,5 @@ mod tests {
         let restored = load_compiled(&text).unwrap();
         assert_eq!(restored, a);
         assert_eq!(save_compiled(&restored), text);
-    }
-
-    #[test]
-    fn simulates_identically_after_round_trip() {
-        let p = sample_program(true);
-        let restored = load_program(&save_program(&p)).unwrap();
-        // Structural identity implies identical simulation; verify the
-        // workload numbers the simulator keys on.
-        for (la, lb) in restored.layers.iter().zip(p.layers.iter()) {
-            assert_eq!(la.total_macs(), lb.total_macs());
-            assert_eq!(la.mean_global_tokens(), lb.mean_global_tokens());
-        }
     }
 }

@@ -1,14 +1,14 @@
 //! The hardware's view of the learnable Q/K auto-encoder (paper
-//! Sec. IV-C): the head compression the simulator's traffic model reads,
-//! and the encode/decode MACs it costs.
+//! Sec. IV-C): the head compression the simulator's traffic model reads.
 
 /// Algorithm-level description of the auto-encoder: how many heads are
-/// mixed down to how many, and the compute that costs.
+/// mixed down to how many.
 ///
 /// The trainable weights themselves live in
 /// [`vitcod_model::VisionTransformer`]; this type carries what the
 /// *hardware* needs — the compression ratio that shrinks Q/K off-chip
-/// traffic and the extra encode/decode MACs it costs.
+/// traffic; the simulator derives the decoder's MACs from the two head
+/// counts.
 ///
 /// # Example
 ///
@@ -17,8 +17,6 @@
 ///
 /// let ae = AutoEncoderConfig::new(12, 6);
 /// assert_eq!(ae.ratio(), 0.5);
-/// // Encoding and decoding Q and K of 197 tokens at head dim 64:
-/// assert_eq!(ae.codec_macs(197, 64), 4 * 197 * 64 * 12 * 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutoEncoderConfig {
@@ -62,16 +60,6 @@ impl AutoEncoderConfig {
     pub fn ratio(&self) -> f64 {
         self.compressed_heads as f64 / self.heads as f64
     }
-
-    /// Extra MACs for encoding *and* decoding Q and K once each:
-    /// encode is `n · dk · heads · compressed`, decode mirrors it, and
-    /// both Q and K pass through — `4 · n · dk · h · h_c` total.
-    pub fn codec_macs(&self, tokens: usize, head_dim: usize) -> u64 {
-        4 * (tokens as u64)
-            * (head_dim as u64)
-            * (self.heads as u64)
-            * (self.compressed_heads as u64)
-    }
 }
 
 #[cfg(test)]
@@ -88,12 +76,6 @@ mod tests {
         // Odd head count rounds down but never to zero.
         assert_eq!(AutoEncoderConfig::half(3).compressed_heads(), 1);
         assert_eq!(AutoEncoderConfig::half(1).compressed_heads(), 1);
-    }
-
-    #[test]
-    fn codec_macs_scale_with_dims() {
-        let ae = AutoEncoderConfig::new(12, 6);
-        assert_eq!(ae.codec_macs(197, 64), 4 * 197 * 64 * 12 * 6);
     }
 
     #[test]

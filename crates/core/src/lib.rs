@@ -51,14 +51,13 @@ mod interface;
 mod mask;
 mod pipeline;
 mod prune;
-mod render;
 mod reorder;
 mod split_conquer;
 pub mod taxonomy;
 
 pub use artifact::{
-    load_compiled, load_masks, load_program, save_compiled, save_masks, save_program,
-    CompiledModelArtifact, HeadPlanRecord, NamedTensor, ParseArtifactError, TensorPayload,
+    load_compiled, save_compiled, CompiledModelArtifact, HeadPlanRecord, NamedTensor,
+    ParseArtifactError, TensorPayload,
 };
 pub use autoencoder::AutoEncoderConfig;
 pub use formats::{CooMatrix, CscMatrix, SparsityPattern};
@@ -66,7 +65,6 @@ pub use interface::{compile_model, AcceleratorProgram, LayerProgram, PhaseWorklo
 pub use mask::AttentionMask;
 pub use pipeline::{PipelineConfig, PipelineReport, ViTCoDPipeline};
 pub use prune::{prune_info, prune_to_sparsity};
-pub use render::mask_grid_to_pgm;
 pub use reorder::{reorder_global_tokens, ReorderResult};
 pub use split_conquer::{
     PolarizedHead, PruneCriterion, SplitConquer, SplitConquerConfig, WorkloadSplit,

@@ -4,10 +4,10 @@
 //! outlive the process that trained it.
 //!
 //! The format itself lives in [`vitcod_core::artifact`]
-//! ([`save_compiled`]/[`load_compiled`], same line-oriented style as
-//! `save_masks`); this module owns the *schema*: which meta keys carry
-//! the [`ViTConfig`], which tensor names hold which weights, and which
-//! tensors an int8 save stores as 1-byte quantized payloads.
+//! ([`save_compiled`]/[`load_compiled`]); this module owns the
+//! *schema*: which meta keys carry the [`ViTConfig`], which tensor names
+//! hold which weights, and which tensors an int8 save stores as 1-byte
+//! quantized payloads.
 //!
 //! Guarantees:
 //!

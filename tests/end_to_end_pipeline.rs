@@ -3,12 +3,16 @@
 //! split-and-conquer, compile, and simulate on the accelerator against
 //! the baselines.
 
+use rand::SeedableRng;
+use vitcod::autograd::{ParamStore, Tape};
 use vitcod::baselines::{SangerSim, SpAttenSim};
 use vitcod::core::{
     compile_model, AutoEncoderConfig, PipelineConfig, SplitConquer, SplitConquerConfig,
     ViTCoDPipeline,
 };
-use vitcod::model::{SyntheticTask, SyntheticTaskConfig, TrainConfig, ViTConfig};
+use vitcod::model::{
+    SparsityPlan, SyntheticTask, SyntheticTaskConfig, TrainConfig, ViTConfig, VisionTransformer,
+};
 use vitcod::sim::{AcceleratorConfig, ViTCoDAccelerator};
 
 fn quick_task() -> SyntheticTask {
@@ -136,4 +140,52 @@ fn finetuning_recovers_accuracy_under_masks() {
         report.dense_accuracy,
         report.final_accuracy
     );
+}
+
+#[test]
+// Pruned positions must hold exactly zero probability; exact comparison
+// is the point.
+#[allow(clippy::float_cmp)]
+fn split_conquer_masks_install_into_a_model() {
+    let task = SyntheticTask::generate(SyntheticTaskConfig {
+        train_samples: 8,
+        test_samples: 4,
+        ..Default::default()
+    });
+    let cfg = ViTConfig::deit_tiny().reduced_for_training();
+    let mut store = ParamStore::new();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
+    let mut vit = VisionTransformer::new(
+        &cfg,
+        task.config.in_dim,
+        task.config.num_classes,
+        &mut store,
+        &mut rng,
+    );
+
+    // Derive masks from the model's own attention and install them.
+    let maps = vit.averaged_attention_maps(&store, &task.train);
+    let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.8));
+    let heads = sc.apply(&maps);
+    let plan: SparsityPlan = heads
+        .iter()
+        .map(|l| l.iter().map(|h| Some(h.pruned.to_matrix())).collect())
+        .collect();
+    vit.set_sparsity_plan(plan);
+    assert!(vit.sparsity_plan().is_some());
+
+    // The model still runs and respects the pruned positions.
+    let mut tape = Tape::new();
+    let out = vit.forward(&mut tape, &store, &task.train[0].tokens);
+    let probs = tape
+        .try_head_probs(out.attention_nodes[0], 0, 0)
+        .expect("masked heads cache dense probabilities");
+    let mask = &heads[0][0].pruned;
+    for q in 0..mask.size() {
+        for k in 0..mask.size() {
+            if !mask.is_kept(q, k) {
+                assert_eq!(probs.get(q, k), 0.0, "pruned ({q},{k}) must stay zero");
+            }
+        }
+    }
 }
