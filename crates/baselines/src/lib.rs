@@ -14,7 +14,9 @@
 //!   array) — modelled as behavioural cycle simulators
 //!   ([`SpAttenSim`], [`SangerSim`]) given the *same* MAC count and DRAM
 //!   bandwidth as the ViTCoD accelerator, matching the paper's "similar
-//!   hardware configurations and areas for fair comparisons".
+//!   hardware configurations and areas for fair comparisons". They
+//!   model only their attention cores; layer overlap, dense layers and
+//!   the report are ViTCoD's own [`vitcod_sim::Costs`].
 //!
 //! All baselines emit [`vitcod_sim::SimReport`]s so speedups and energy
 //! ratios compose directly with the ViTCoD simulator's output. How they

@@ -46,9 +46,8 @@ use vitcod_core::{
 };
 use vitcod_model::{AttentionStats, AttentionStatsConfig, StageConfig, ViTConfig};
 use vitcod_sim::{
-    check_buffers, denser_sddmm_cycles, floorplan, gemm_cycles, s_stationary_sddmm_cycles,
-    sparser_sddmm_cycles, total_area_mm2, AcceleratorConfig, PeAllocation, Roofline, SimReport,
-    ViTCoDAccelerator,
+    check_buffers, denser_sddmm_cycles, floorplan, s_stationary_sddmm_cycles, sparser_sddmm_cycles,
+    total_area_mm2, AcceleratorConfig, PeAllocation, Roofline, SimReport, ViTCoDAccelerator,
 };
 
 use crate::{GeneralPlatform, SangerSim, SpAttenSim};
@@ -808,17 +807,17 @@ fn bert_base_like() -> ViTConfig {
 }
 
 /// Cycles of the dynamic mask prediction charged to ViTCoD on NLP
-/// inputs: one Sanger-style low-precision (÷ 1.2) dense `Q·Kᵀ` per
-/// layer on `cfg`'s MAC array.
+/// inputs: Sanger's low-precision dense `Q·Kᵀ`
+/// ([`SangerSim::prediction_cycles`]) once per layer on `cfg`'s MAC
+/// array.
 pub fn nlp_prediction_cycles(cfg: &AcceleratorConfig, model: &ViTConfig) -> u64 {
-    let (n, lines, per_line) = (model.tokens, cfg.mac_lines, cfg.macs_per_line);
-    let dense = gemm_cycles(n, n, model.dim, lines, per_line);
-    model.depth as u64 * (dense as f64 / 1.2).ceil() as u64
+    model.depth as u64 * SangerSim::new(*cfg).prediction_cycles(model.tokens, model.dim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vitcod_sim::gemm_cycles;
 
     #[test]
     fn empty_and_two_element_geometric_means() {
@@ -849,6 +848,28 @@ mod tests {
         let [cpu, _, gpu, ..] = p.baselines(&m, 0.9, false).map(|b| b.latency_s);
         assert!((speedups[0] - cpu / attention.latency_s).abs() < 1e-9);
         assert!(speedups[2] > gpu / attention.latency_s);
+    }
+
+    #[test]
+    fn every_accelerator_streams_the_same_weights() {
+        // Iso-resource: ViTCoD, SpAtten and Sanger run the dense layers
+        // off the same DRAM model, so end to end minus attention each
+        // reads the same weight bytes, whatever their utilization.
+        let p = Protocol::new(WORKLOAD_SEED);
+        let weights = |attention: &SimReport, e2e: &SimReport| {
+            e2e.traffic.dram_read_bytes - attention.traffic.dram_read_bytes
+        };
+        for m in ViTConfig::all_paper_models() {
+            let vitcod = weights(
+                &p.vitcod_attention(&m, 0.9, true, 1),
+                &p.vitcod_end_to_end(&m, 0.9, true, 1),
+            );
+            assert!(vitcod > 0, "{}", m.name);
+            let [.., spatten, sanger] = p.baselines(&m, 0.9, false);
+            let [.., spatten_e2e, sanger_e2e] = p.baselines(&m, 0.9, true);
+            assert_eq!(weights(&spatten, &spatten_e2e), vitcod, "{}", m.name);
+            assert_eq!(weights(&sanger, &sanger_e2e), vitcod, "{}", m.name);
+        }
     }
 
     #[test]

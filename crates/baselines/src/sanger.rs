@@ -10,10 +10,21 @@
 //! trade the ViTCoD paper's Fig. 19 decomposition highlights.
 
 use vitcod_model::ViTConfig;
-use vitcod_sim::{
-    gemm_cycles, softmax_cycles, AcceleratorConfig, DramModel, LatencyBreakdown, PhaseCycles,
-    SimReport, TrafficStats,
-};
+use vitcod_sim::{gemm_cycles, softmax_cycles, AcceleratorConfig, Costs, DramModel, SimReport};
+
+/// Throughput multiplier of the 4-bit prediction pass relative to 8-bit
+/// MACs (each MAC slices into two 4-bit ops).
+const PREDICTION_SPEEDUP: f64 = 1.2;
+
+/// Utilization on dense GEMM layers: the reconfigurable S-stationary
+/// array is specialised for attention scores, so projections/MLPs run
+/// below ViTCoD's reconfigured-MAC-line efficiency.
+const LINEAR_UTILIZATION: f64 = 0.5;
+
+/// Sanger's PEs sit behind a reconfigurable pack-and-split interconnect;
+/// per-op energy carries that routing overhead relative to ViTCoD's
+/// fixed MAC lines.
+const MAC_ENERGY_SCALE: f64 = 2.0;
 
 /// Sanger behavioural simulator on the ViTCoD-equivalent hardware
 /// budget.
@@ -33,17 +44,10 @@ use vitcod_sim::{
 pub struct SangerSim {
     cfg: AcceleratorConfig,
     dram: DramModel,
-    /// Throughput multiplier of the 4-bit prediction pass relative to
-    /// 8-bit MACs (each MAC slices into two 4-bit ops).
-    prediction_speedup: f64,
     /// PE-array utilization of the pack-and-split layout as a function
     /// floor; effective utilization degrades as sparsity rises beyond
     /// the 50–70 % regime Sanger was designed for.
     base_utilization: f64,
-    /// Utilization on dense GEMM layers: the reconfigurable S-stationary
-    /// array is specialised for attention scores, so projections/MLPs
-    /// run below ViTCoD's reconfigured-MAC-line efficiency.
-    linear_utilization: f64,
 }
 
 impl SangerSim {
@@ -52,9 +56,7 @@ impl SangerSim {
         Self {
             dram: DramModel::new(&cfg),
             cfg,
-            prediction_speedup: 1.2,
             base_utilization: 0.65,
-            linear_utilization: 0.5,
         }
     }
 
@@ -74,6 +76,14 @@ impl SangerSim {
         (self.base_utilization * (1.0 - 2.8 * over)).max(0.15)
     }
 
+    /// Cycles of one layer's mask prediction: the dense 4-bit `Q·Kᵀ` over
+    /// `tokens` tokens of width `dim`, at 1.2 times the 8-bit MAC rate.
+    /// Every input pays it, at any sparsity.
+    pub fn prediction_cycles(&self, tokens: usize, dim: usize) -> u64 {
+        let (lines, mpl) = (self.cfg.mac_lines, self.cfg.macs_per_line);
+        (gemm_cycles(tokens, tokens, dim, lines, mpl) as f64 / PREDICTION_SPEEDUP).ceil() as u64
+    }
+
     /// Simulates the attention core at sparsity `s`, including the
     /// dynamic mask-prediction and pack-and-split preprocessing that
     /// every input pays.
@@ -82,18 +92,31 @@ impl SangerSim {
     ///
     /// Panics if `sparsity` is outside `[0, 1)`.
     pub fn simulate_attention(&self, model: &ViTConfig, sparsity: f64) -> SimReport {
+        let costs = self.attention_costs(model, sparsity);
+        self.report(costs, model, "core-attention")
+    }
+
+    /// End-to-end: Sanger's sparse attention plus the dense layers on
+    /// the same budget as ViTCoD's — the same shapes (token counts are
+    /// not reduced: Sanger prunes attention entries, not tokens), weight
+    /// streaming, DRAM model and stem. Not shared: the S-stationary
+    /// array runs the GEMMs at 50 % utilization where ViTCoD's
+    /// reconfigured MAC lines run them at full rate, and it pays no
+    /// per-layer reconfiguration.
+    pub fn simulate_end_to_end(&self, model: &ViTConfig, sparsity: f64) -> SimReport {
+        let mut costs = self.attention_costs(model, sparsity);
+        costs.add_dense_layers(&self.cfg, model, |st, _| st.tokens, LINEAR_UTILIZATION, 0);
+        self.report(costs, model, "end-to-end")
+    }
+
+    fn attention_costs(&self, model: &ViTConfig, sparsity: f64) -> Costs {
         assert!((0.0..1.0).contains(&sparsity), "sparsity must be in [0,1)");
         let lines = self.cfg.mac_lines;
         let mpl = self.cfg.macs_per_line;
         let bytes = self.cfg.bytes_per_elem as u64;
         let util = self.effective_utilization(sparsity);
 
-        let mut total_cycles = 0u64;
-        let mut macs = 0u64;
-        let mut traffic = TrafficStats::new();
-        let mut phases = PhaseCycles::default();
-        let mut breakdown = LatencyBreakdown::default();
-
+        let mut costs = Costs::default();
         for st in &model.stages {
             let n = st.tokens;
             let d = st.dim;
@@ -101,8 +124,7 @@ impl SangerSim {
 
             for _ in 0..st.depth {
                 // Phase 1 — mask prediction: dense 4-bit Q·K^T.
-                let predict = (gemm_cycles(n, n, d, lines, mpl) as f64 / self.prediction_speedup)
-                    .ceil() as u64;
+                let predict = self.prediction_cycles(n, d);
                 // Phase 2 — pack & split: stream the n^2 mask bits,
                 // binning non-zeros into balanced sub-rows.
                 let pack = ((n * n) as u64).div_ceil((lines * mpl) as u64);
@@ -121,132 +143,27 @@ impl SangerSim {
                 let pred_bytes = qk_bytes / 2; // 4-bit copies
                 let v_bytes = (n * d) as u64 * bytes;
                 let out_bytes = (n * d) as u64 * bytes;
-                traffic.load(qk_bytes + pred_bytes + v_bytes);
-                traffic.store(out_bytes);
+                costs.traffic.load(qk_bytes + pred_bytes + v_bytes);
+                costs.traffic.store(out_bytes);
                 let mem = self
                     .dram
                     .transfer_cycles(qk_bytes + pred_bytes + v_bytes + out_bytes);
 
-                let compute = exec + softmax;
-                let preprocess = predict + pack;
-                let cycles = compute.max(mem) + preprocess;
-                total_cycles += cycles;
+                costs.add_layer(exec + softmax, mem, predict + pack);
                 let layer_macs = sparse_macs + ((n * n * d) as f64 / 2.0) as u64;
-                macs += layer_macs;
-                phases.sddmm += exec / 2;
-                phases.spmm += exec / 2;
-                phases.softmax += softmax;
-                breakdown.compute_cycles += compute;
-                breakdown.preprocess_cycles += preprocess;
-                if mem > compute {
-                    breakdown.data_movement_cycles += mem - compute;
-                }
-                breakdown.data_movement_cycles += mem.min(compute) / 2;
-                traffic.on_chip(2 * layer_macs * bytes);
+                costs.macs += layer_macs;
+                costs.phases.sddmm += exec / 2;
+                costs.phases.spmm += exec / 2;
+                costs.phases.softmax += softmax;
+                costs.traffic.on_chip(2 * layer_macs * bytes);
             }
         }
-
-        self.report(
-            model,
-            "core-attention",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        )
+        costs
     }
 
-    /// End-to-end: identical dense linear layers plus Sanger's sparse
-    /// attention (token counts are not reduced — Sanger prunes attention
-    /// entries, not tokens).
-    pub fn simulate_end_to_end(&self, model: &ViTConfig, sparsity: f64) -> SimReport {
-        let attn = self.simulate_attention(model, sparsity);
-        let lines = self.cfg.mac_lines;
-        let mpl = self.cfg.macs_per_line;
-        let bytes = self.cfg.bytes_per_elem as u64;
-
-        let mut total_cycles = attn.total_cycles;
-        let mut macs = attn.macs;
-        let mut traffic = attn.traffic;
-        let mut phases = attn.phases;
-        let mut breakdown = attn.breakdown;
-
-        for st in &model.stages {
-            let n = st.tokens;
-            let d = st.dim;
-            let hidden = d * model.mlp_ratio;
-            for _ in 0..st.depth {
-                let ideal = gemm_cycles(n, d, 4 * d, lines, mpl)
-                    + gemm_cycles(n, hidden, d, lines, mpl)
-                    + gemm_cycles(n, d, hidden, lines, mpl);
-                let compute = (ideal as f64 / self.linear_utilization).ceil() as u64;
-                // Weights stream once per weight-reuse batch (per-image
-                // cost), matching the ViTCoD simulator's protocol.
-                let weight_bytes = ((4 * d * d + 2 * d * hidden) as u64) * bytes
-                    / self.cfg.weight_reuse_batch.max(1);
-                let mem = self.dram.transfer_cycles(weight_bytes);
-                total_cycles += compute.max(mem);
-                macs += (4 * n * d * d + 2 * n * d * hidden) as u64;
-                phases.linear += compute;
-                traffic.load(weight_bytes);
-                breakdown.compute_cycles += compute;
-                if mem > compute {
-                    breakdown.data_movement_cycles += mem - compute;
-                }
-            }
-        }
-        if model.stem_macs > 0 {
-            let c = model.stem_macs / (lines * mpl) as u64;
-            total_cycles += c;
-            macs += model.stem_macs;
-            phases.linear += c;
-            breakdown.compute_cycles += c;
-        }
-        self.report(
-            model,
-            "end-to-end",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        model: &ViTConfig,
-        kind: &str,
-        total_cycles: u64,
-        phases: PhaseCycles,
-        breakdown: LatencyBreakdown,
-        traffic: TrafficStats,
-        macs: u64,
-    ) -> SimReport {
-        let latency_s = self.cfg.cycles_to_seconds(total_cycles);
-        let e = &self.cfg.energy;
-        // Sanger's PEs sit behind a reconfigurable pack-and-split
-        // interconnect; per-op energy carries that routing overhead
-        // relative to ViTCoD's fixed MAC lines.
-        const RECONFIG_ENERGY_OVERHEAD: f64 = 2.0;
-        let energy_j = macs as f64 * e.mac_pj * RECONFIG_ENERGY_OVERHEAD * 1e-12
-            + traffic.sram_total() as f64 * e.sram_pj_per_byte * 1e-12
-            + traffic.dram_total() as f64 * e.dram_pj_per_byte * 1e-12
-            + e.static_watts * latency_s;
-        SimReport {
-            platform: "Sanger".to_string(),
-            workload: format!("{} [{}]", model.name, kind),
-            total_cycles,
-            latency_s,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-            energy_j,
-            utilization: (macs as f64 / (self.cfg.peak_macs_per_sec() * latency_s)).min(1.0),
-        }
+    fn report(&self, costs: Costs, model: &ViTConfig, kind: &str) -> SimReport {
+        let platform = "Sanger".to_string();
+        costs.report(&self.cfg, platform, model.name, kind, MAC_ENERGY_SCALE)
     }
 }
 

@@ -10,11 +10,18 @@
 //! SpAtten can only realise the token-level share of it; the remaining
 //! fine-grained sparsity is invisible to its dataflow.
 
-use vitcod_model::ViTConfig;
-use vitcod_sim::{
-    gemm_cycles, softmax_cycles, AcceleratorConfig, DramModel, LatencyBreakdown, PhaseCycles,
-    SimReport, TrafficStats,
-};
+use vitcod_model::{StageConfig, ViTConfig};
+use vitcod_sim::{gemm_cycles, softmax_cycles, AcceleratorConfig, Costs, DramModel, SimReport};
+
+/// Utilization on dense GEMM layers: SpAtten's datapath is specialised
+/// for attention (top-k ranking, score pipelines), so projections/MLPs
+/// run at reduced efficiency compared with ViTCoD's explicitly
+/// reconfigurable MAC lines.
+const LINEAR_UTILIZATION: f64 = 0.45;
+
+/// Energy per MAC in units of [`vitcod_sim::EnergyModel::mac_pj`]: the
+/// same MACs as ViTCoD's.
+const MAC_ENERGY_SCALE: f64 = 1.0;
 
 /// SpAtten behavioural simulator, configured with the same MAC count and
 /// DRAM bandwidth as the ViTCoD accelerator for the paper's iso-resource
@@ -41,11 +48,6 @@ pub struct SpAttenSim {
     /// token pruning cannot go further without unacceptable drops —
     /// SpAtten's granularity limit on ViTs).
     min_token_keep: f64,
-    /// Utilization on dense GEMM layers: SpAtten's datapath is
-    /// specialised for attention (top-k ranking, score pipelines), so
-    /// projections/MLPs run at reduced efficiency compared with
-    /// ViTCoD's explicitly reconfigurable MAC lines.
-    linear_utilization: f64,
 }
 
 impl SpAttenSim {
@@ -56,7 +58,6 @@ impl SpAttenSim {
             cfg,
             utilization: 0.65,
             min_token_keep: 0.65,
-            linear_utilization: 0.45,
         }
     }
 
@@ -81,27 +82,36 @@ impl SpAttenSim {
     ///
     /// Panics if `sparsity` is outside `[0, 1)`.
     pub fn simulate_attention(&self, model: &ViTConfig, sparsity: f64) -> SimReport {
+        let costs = self.attention_costs(model, sparsity);
+        self.report(costs, model, "core-attention")
+    }
+
+    /// End-to-end: the cascade-pruned attention plus the dense layers on
+    /// the same budget as ViTCoD's — the same weight streaming, DRAM
+    /// model and stem, over the kept tokens (token pruning also shrinks
+    /// the GEMMs of deeper layers). Not shared: SpAtten's datapath runs
+    /// the GEMMs at 45 % utilization where ViTCoD's reconfigured MAC
+    /// lines run them at full rate, and it pays no per-layer
+    /// reconfiguration.
+    pub fn simulate_end_to_end(&self, model: &ViTConfig, sparsity: f64) -> SimReport {
+        let f_final = self.token_keep_fraction(sparsity);
+        let mut costs = self.attention_costs(model, sparsity);
+        let kept = |st: &StageConfig, l| kept_tokens(st, l, f_final);
+        costs.add_dense_layers(&self.cfg, model, kept, LINEAR_UTILIZATION, 0);
+        self.report(costs, model, "end-to-end")
+    }
+
+    fn attention_costs(&self, model: &ViTConfig, sparsity: f64) -> Costs {
         assert!((0.0..1.0).contains(&sparsity), "sparsity must be in [0,1)");
         let lines = self.cfg.mac_lines;
         let mpl = self.cfg.macs_per_line;
         let bytes = self.cfg.bytes_per_elem as u64;
         let f_final = self.token_keep_fraction(sparsity);
 
-        let mut total_cycles = 0u64;
-        let mut macs = 0u64;
-        let mut traffic = TrafficStats::new();
-        let mut phases = PhaseCycles::default();
-        let mut breakdown = LatencyBreakdown::default();
-
+        let mut costs = Costs::default();
         for st in &model.stages {
             for l in 0..st.depth {
-                let progress = if st.depth > 1 {
-                    l as f64 / (st.depth - 1) as f64
-                } else {
-                    1.0
-                };
-                let f = 1.0 - (1.0 - f_final) * progress;
-                let n_kept = ((st.tokens as f64) * f).ceil() as usize;
+                let n_kept = kept_tokens(st, l, f_final);
                 let d = st.dim;
 
                 // Dense QK^T and SV on the kept tokens.
@@ -122,133 +132,38 @@ impl SpAttenSim {
                 let qkv_bytes = 3 * (n_kept * d) as u64 * bytes;
                 let out_bytes = (n_kept * d) as u64 * bytes;
                 let imp_bytes = (n_kept as u64) * 4;
-                traffic.load(qkv_bytes + imp_bytes);
-                traffic.store(out_bytes);
+                costs.traffic.load(qkv_bytes + imp_bytes);
+                costs.traffic.store(out_bytes);
                 let mem = self.dram.transfer_cycles(qkv_bytes + imp_bytes + out_bytes);
 
+                costs.add_layer(compute + softmax, mem, topk);
                 let layer_macs = (2 * n_kept * n_kept * d) as u64;
-                let compute_total = compute + softmax;
-                let cycles = compute_total.max(mem) + topk;
-                total_cycles += cycles;
-                macs += layer_macs;
-                phases.sddmm += ((qk as f64) / self.utilization) as u64;
-                phases.spmm += ((sv as f64) / self.utilization) as u64;
-                phases.softmax += softmax;
-                breakdown.compute_cycles += compute_total;
-                breakdown.preprocess_cycles += topk;
-                if mem > compute_total {
-                    breakdown.data_movement_cycles += mem - compute_total;
-                }
-                breakdown.data_movement_cycles += mem.min(compute_total) / 2;
-                traffic.on_chip(2 * layer_macs * bytes);
+                costs.macs += layer_macs;
+                costs.phases.sddmm += ((qk as f64) / self.utilization) as u64;
+                costs.phases.spmm += ((sv as f64) / self.utilization) as u64;
+                costs.phases.softmax += softmax;
+                costs.traffic.on_chip(2 * layer_macs * bytes);
             }
         }
-
-        self.report(
-            model,
-            "core-attention",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        )
+        costs
     }
 
-    /// End-to-end: dense linear layers (identical hardware to ViTCoD's
-    /// reconfigured MAC lines) plus the cascade-pruned attention. Token
-    /// pruning also shrinks the MLPs of deeper layers.
-    pub fn simulate_end_to_end(&self, model: &ViTConfig, sparsity: f64) -> SimReport {
-        let attn = self.simulate_attention(model, sparsity);
-        let lines = self.cfg.mac_lines;
-        let mpl = self.cfg.macs_per_line;
-        let bytes = self.cfg.bytes_per_elem as u64;
-        let f_final = self.token_keep_fraction(sparsity);
-
-        let mut total_cycles = attn.total_cycles;
-        let mut macs = attn.macs;
-        let mut traffic = attn.traffic;
-        let mut phases = attn.phases;
-        let mut breakdown = attn.breakdown;
-
-        for st in &model.stages {
-            for l in 0..st.depth {
-                let progress = if st.depth > 1 {
-                    l as f64 / (st.depth - 1) as f64
-                } else {
-                    1.0
-                };
-                let f = 1.0 - (1.0 - f_final) * progress;
-                let n_kept = ((st.tokens as f64) * f).ceil() as usize;
-                let d = st.dim;
-                let hidden = d * model.mlp_ratio;
-                let ideal = gemm_cycles(n_kept, d, 4 * d, lines, mpl)
-                    + gemm_cycles(n_kept, hidden, d, lines, mpl)
-                    + gemm_cycles(n_kept, d, hidden, lines, mpl);
-                let compute = (ideal as f64 / self.linear_utilization).ceil() as u64;
-                // Weights stream once per weight-reuse batch (per-image
-                // cost), matching the ViTCoD simulator's protocol.
-                let weight_bytes = ((4 * d * d + 2 * d * hidden) as u64) * bytes
-                    / self.cfg.weight_reuse_batch.max(1);
-                let mem = self.dram.transfer_cycles(weight_bytes);
-                total_cycles += compute.max(mem);
-                macs += (4 * n_kept * d * d + 2 * n_kept * d * hidden) as u64;
-                phases.linear += compute;
-                traffic.load(weight_bytes);
-                breakdown.compute_cycles += compute;
-                if mem > compute {
-                    breakdown.data_movement_cycles += mem - compute;
-                }
-            }
-        }
-        if model.stem_macs > 0 {
-            let c = model.stem_macs / (lines * mpl) as u64;
-            total_cycles += c;
-            macs += model.stem_macs;
-            phases.linear += c;
-            breakdown.compute_cycles += c;
-        }
-        self.report(
-            model,
-            "end-to-end",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        )
+    fn report(&self, costs: Costs, model: &ViTConfig, kind: &str) -> SimReport {
+        let platform = "SpAtten".to_string();
+        costs.report(&self.cfg, platform, model.name, kind, MAC_ENERGY_SCALE)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        model: &ViTConfig,
-        kind: &str,
-        total_cycles: u64,
-        phases: PhaseCycles,
-        breakdown: LatencyBreakdown,
-        traffic: TrafficStats,
-        macs: u64,
-    ) -> SimReport {
-        let latency_s = self.cfg.cycles_to_seconds(total_cycles);
-        let e = &self.cfg.energy;
-        let energy_j = macs as f64 * e.mac_pj * 1e-12
-            + traffic.sram_total() as f64 * e.sram_pj_per_byte * 1e-12
-            + traffic.dram_total() as f64 * e.dram_pj_per_byte * 1e-12
-            + e.static_watts * latency_s;
-        SimReport {
-            platform: "SpAtten".to_string(),
-            workload: format!("{} [{}]", model.name, kind),
-            total_cycles,
-            latency_s,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-            energy_j,
-            utilization: (macs as f64 / (self.cfg.peak_macs_per_sec() * latency_s)).min(1.0),
-        }
-    }
+/// Tokens kept at layer `l` of `st`: the kept fraction cascades linearly
+/// from 1.0 at the stage's first layer to `f_final` at its last.
+fn kept_tokens(st: &StageConfig, l: usize, f_final: f64) -> usize {
+    let progress = if st.depth > 1 {
+        l as f64 / (st.depth - 1) as f64
+    } else {
+        1.0
+    };
+    let f = 1.0 - (1.0 - f_final) * progress;
+    ((st.tokens as f64) * f).ceil() as usize
 }
 
 #[cfg(test)]

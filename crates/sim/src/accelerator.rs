@@ -5,15 +5,22 @@ use vitcod_model::ViTConfig;
 
 use crate::config::AcceleratorConfig;
 use crate::engines::{
-    denser_sddmm_cycles, denser_spmm_cycles, gemm_cycles, softmax_cycles, sparser_sddmm_cycles,
+    denser_sddmm_cycles, denser_spmm_cycles, softmax_cycles, sparser_sddmm_cycles,
     sparser_spmm_cycles,
 };
 use crate::memory::{DramModel, TrafficStats};
-use crate::report::{LatencyBreakdown, PhaseCycles, SimReport};
+use crate::report::{Costs, PhaseCycles, SimReport};
 
 /// Fixed reconfiguration cost when an engine switches between inter-PE
 /// (SDDMM) and intra-PE (SpMM) accumulation modes, per layer.
 const RECONFIG_CYCLES: u64 = 16;
+
+/// Dense-layer utilization of the reconfigured MAC lines: the reference
+/// the baselines' attention-specialised datapaths are measured against.
+const LINEAR_UTILIZATION: f64 = 1.0;
+
+/// Energy per MAC in units of [`crate::EnergyModel::mac_pj`].
+const MAC_ENERGY_SCALE: f64 = 1.0;
 
 /// Bytes per CSC index entry (u16 row indices / column pointers — 197
 /// tokens need 8 bits, but the hardware provisions 16).
@@ -56,6 +63,46 @@ impl ViTCoDAccelerator {
 
     /// Like [`Self::simulate_attention`] but also returns the per-layer
     /// [`crate::ExecutionTrace`] for timeline inspection.
+    pub fn simulate_attention_traced(
+        &self,
+        program: &AcceleratorProgram,
+    ) -> (SimReport, crate::ExecutionTrace) {
+        let (costs, exec) = self.attention_costs(program);
+        (self.report(costs, program, "core-attention"), exec)
+    }
+
+    /// Simulates the attention core of the *whole model*: the compiled
+    /// primary stage exactly, plus any further pyramid stages (LeViT)
+    /// scaled by their dense attention-MAC share at the same sparsity.
+    pub fn simulate_attention_scaled(
+        &self,
+        program: &AcceleratorProgram,
+        model: &ViTConfig,
+    ) -> SimReport {
+        let costs = self.scaled_attention_costs(program, model);
+        self.report(costs, program, "core-attention")
+    }
+
+    /// Simulates the full model: linear layers (Q/K/V generation, output
+    /// projection, MLPs, LeViT stem) on the reconfigured MAC lines plus
+    /// the attention core of every stage.
+    pub fn simulate_end_to_end(
+        &self,
+        program: &AcceleratorProgram,
+        model: &ViTConfig,
+    ) -> SimReport {
+        let mut costs = self.scaled_attention_costs(program, model);
+        costs.add_dense_layers(
+            &self.cfg,
+            model,
+            |st, _| st.tokens,
+            LINEAR_UTILIZATION,
+            RECONFIG_CYCLES,
+        );
+        self.report(costs, program, "end-to-end")
+    }
+
+    /// The compiled program's attention layers.
     ///
     /// Layers are embarrassingly parallel — each one's cycle model only
     /// reads the shared program — so the per-layer simulations fan out
@@ -65,17 +112,7 @@ impl ViTCoDAccelerator {
     /// returned per-layer results stays sequential and in layer order,
     /// so cycle counts are identical to the sequential walk regardless
     /// of the thread count — a test pins this.
-    pub fn simulate_attention_traced(
-        &self,
-        program: &AcceleratorProgram,
-    ) -> (SimReport, crate::ExecutionTrace) {
-        let mut phases = PhaseCycles::default();
-        let mut breakdown = LatencyBreakdown::default();
-        let mut traffic = TrafficStats::new();
-        let mut total_cycles = 0u64;
-        let mut macs = 0u64;
-        let mut exec = crate::ExecutionTrace::default();
-
+    fn attention_costs(&self, program: &AcceleratorProgram) -> (Costs, crate::ExecutionTrace) {
         // Work estimate per layer: one pass over every head's CSC
         // column counts plus the fixed per-head engine bookkeeping.
         let work_per_layer = program
@@ -87,132 +124,36 @@ impl ViTCoDAccelerator {
             vitcod_tensor::kernels::par_map_collect(program.layers.len(), work_per_layer, |i| {
                 self.simulate_attention_layer(program, &program.layers[i])
             });
-        for r in results {
-            phases.add(&r.phases);
-            breakdown.add(&r.breakdown);
-            traffic.add(&r.traffic);
-            total_cycles += r.cycles;
-            macs += r.macs;
-            exec.layers.push(r.trace);
+        let mut costs = Costs::default();
+        let mut exec = crate::ExecutionTrace::default();
+        for (layer, trace) in results {
+            costs.add(&layer);
+            exec.layers.push(trace);
         }
-
-        let report = self.finish_report(
-            program,
-            "core-attention",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        );
-        (report, exec)
+        (costs, exec)
     }
 
-    /// Simulates the attention core of the *whole model*: the compiled
-    /// primary stage exactly, plus any further pyramid stages (LeViT)
-    /// scaled by their dense attention-MAC share at the same sparsity.
-    pub fn simulate_attention_scaled(
-        &self,
-        program: &AcceleratorProgram,
-        model: &ViTConfig,
-    ) -> SimReport {
-        let attention = self.simulate_attention(program);
-        let mut phases = attention.phases;
-        let mut breakdown = attention.breakdown;
-        let traffic = attention.traffic;
-        let mut macs = attention.macs;
-        let mut total_cycles = attention.total_cycles;
-
+    /// [`Self::attention_costs`] plus the further pyramid stages, each
+    /// scaled by its attention-MAC share of the primary stage.
+    fn scaled_attention_costs(&self, program: &AcceleratorProgram, model: &ViTConfig) -> Costs {
+        let (primary_costs, _) = self.attention_costs(program);
+        let mut costs = primary_costs;
         let primary = &model.stages[0];
         let primary_attn_macs =
             (primary.depth * 2 * primary.tokens * primary.tokens * primary.dim) as u64;
         for st in model.stages.iter().skip(1) {
             let st_macs = (st.depth * 2 * st.tokens * st.tokens * st.dim) as u64;
             let scale = st_macs as f64 / primary_attn_macs.max(1) as f64;
-            total_cycles += (attention.total_cycles as f64 * scale).round() as u64;
-            breakdown.compute_cycles += (attention.breakdown.compute_cycles as f64 * scale) as u64;
-            breakdown.data_movement_cycles +=
-                (attention.breakdown.data_movement_cycles as f64 * scale) as u64;
-            phases.sddmm += (attention.phases.sddmm as f64 * scale) as u64;
-            phases.spmm += (attention.phases.spmm as f64 * scale) as u64;
-            macs += (attention.macs as f64 * scale) as u64;
+            let scaled = |x: u64| x as f64 * scale;
+            costs.cycles += scaled(primary_costs.cycles).round() as u64;
+            costs.breakdown.compute_cycles += scaled(primary_costs.breakdown.compute_cycles) as u64;
+            costs.breakdown.data_movement_cycles +=
+                scaled(primary_costs.breakdown.data_movement_cycles) as u64;
+            costs.phases.sddmm += scaled(primary_costs.phases.sddmm) as u64;
+            costs.phases.spmm += scaled(primary_costs.phases.spmm) as u64;
+            costs.macs += scaled(primary_costs.macs) as u64;
         }
-        self.finish_report(
-            program,
-            "core-attention",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        )
-    }
-
-    /// Simulates the full model: linear layers (Q/K/V generation, output
-    /// projection, MLPs, LeViT stem) on the reconfigured MAC lines plus
-    /// the attention core of every stage.
-    pub fn simulate_end_to_end(
-        &self,
-        program: &AcceleratorProgram,
-        model: &ViTConfig,
-    ) -> SimReport {
-        let attention = self.simulate_attention_scaled(program, model);
-
-        let mut phases = attention.phases;
-        let mut breakdown = attention.breakdown;
-        let mut traffic = attention.traffic;
-        let mut macs = attention.macs;
-        let mut total_cycles = attention.total_cycles;
-
-        // Dense linear layers of every stage.
-        let lines = self.cfg.mac_lines;
-        let mpl = self.cfg.macs_per_line;
-        let bytes = self.cfg.bytes_per_elem as u64;
-        for st in &model.stages {
-            let (n, d) = (st.tokens, st.dim);
-            let hidden = d * model.mlp_ratio;
-            for _ in 0..st.depth {
-                // Q/K/V generation + output projection + two MLP matmuls.
-                let layer_macs = (4 * n * d * d + 2 * n * d * hidden) as u64;
-                let compute = gemm_cycles(n, d, 4 * d, lines, mpl)
-                    + gemm_cycles(n, hidden, d, lines, mpl)
-                    + gemm_cycles(n, d, hidden, lines, mpl);
-                // Weights stream from DRAM once per batch; activations
-                // stay on chip. Costs are per image.
-                let weight_bytes = ((4 * d * d + 2 * d * hidden) as u64) * bytes
-                    / self.cfg.weight_reuse_batch.max(1);
-                let mem = self.dram.transfer_cycles(weight_bytes);
-                let cycles = compute.max(mem) + RECONFIG_CYCLES;
-                total_cycles += cycles;
-                phases.linear += compute;
-                macs += layer_macs;
-                traffic.load(weight_bytes);
-                if compute >= mem {
-                    breakdown.compute_cycles += cycles;
-                } else {
-                    breakdown.compute_cycles += compute;
-                    breakdown.data_movement_cycles += cycles - compute;
-                }
-            }
-        }
-        // LeViT convolutional stem as a dense GEMM-equivalent workload.
-        if model.stem_macs > 0 {
-            let compute = model.stem_macs / (lines * mpl) as u64;
-            total_cycles += compute;
-            phases.linear += compute;
-            macs += model.stem_macs;
-            breakdown.compute_cycles += compute;
-        }
-
-        self.finish_report(
-            program,
-            "end-to-end",
-            total_cycles,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-        )
+        costs
     }
 
     /// One attention layer: dynamic PE allocation, the two engines in
@@ -222,7 +163,7 @@ impl ViTCoDAccelerator {
         &self,
         program: &AcceleratorProgram,
         layer: &LayerProgram,
-    ) -> LayerResult {
+    ) -> (Costs, crate::LayerTrace) {
         let lines = self.cfg.mac_lines;
         let mpl = self.cfg.macs_per_line;
         let n = program.tokens;
@@ -470,25 +411,7 @@ impl ViTCoDAccelerator {
         let mem_phase = data_cycles.max(codec_cycles);
         let preprocess = self.dram.transfer_cycles(index_bytes) + RECONFIG_CYCLES;
 
-        // Double-buffered compute/memory overlap.
-        let cycles = compute.max(mem_phase) + preprocess;
-
-        let mut breakdown = LatencyBreakdown {
-            preprocess_cycles: preprocess,
-            ..Default::default()
-        };
-        if compute >= mem_phase {
-            breakdown.compute_cycles = compute;
-        } else {
-            breakdown.compute_cycles = compute;
-            breakdown.data_movement_cycles = mem_phase - compute;
-        }
-        // Report the overlapped movement too, Fig. 19 style: the paper's
-        // "data movements" bar counts overlapped transfer time.
-        breakdown.data_movement_cycles += mem_phase.min(compute) / 2;
-
-        LayerResult {
-            cycles,
+        let mut costs = Costs {
             macs: layer_macs + codec_cycles * (lines * mpl) as u64,
             phases: PhaseCycles {
                 sddmm,
@@ -497,58 +420,28 @@ impl ViTCoDAccelerator {
                 codec: codec_cycles,
                 linear: 0,
             },
-            breakdown,
             traffic,
-            trace: crate::LayerTrace {
-                layer: layer.layer,
-                denser_cycles,
-                sparser_cycles,
-                softmax_cycles: softmax,
-                codec_cycles,
-                memory_cycles: data_cycles,
-                preprocess_cycles: preprocess,
-                total_cycles: cycles,
-                denser_lines,
-                sparser_lines,
-            },
-        }
+            ..Costs::default()
+        };
+        let cycles = costs.add_layer(compute, mem_phase, preprocess);
+        let trace = crate::LayerTrace {
+            layer: layer.layer,
+            denser_cycles,
+            sparser_cycles,
+            softmax_cycles: softmax,
+            codec_cycles,
+            memory_cycles: data_cycles,
+            preprocess_cycles: preprocess,
+            total_cycles: cycles,
+            denser_lines,
+            sparser_lines,
+        };
+        (costs, trace)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_report(
-        &self,
-        program: &AcceleratorProgram,
-        kind: &str,
-        total_cycles: u64,
-        phases: PhaseCycles,
-        breakdown: LatencyBreakdown,
-        traffic: TrafficStats,
-        macs: u64,
-    ) -> SimReport {
-        let latency_s = self.cfg.cycles_to_seconds(total_cycles);
-        let e = &self.cfg.energy;
-        let energy_j = macs as f64 * e.mac_pj * 1e-12
-            + traffic.sram_total() as f64 * e.sram_pj_per_byte * 1e-12
-            + traffic.dram_total() as f64 * e.dram_pj_per_byte * 1e-12
-            + e.static_watts * latency_s;
-        let peak = self.cfg.peak_macs_per_sec() * latency_s;
-        let utilization = if peak > 0.0 {
-            (macs as f64 / peak).min(1.0)
-        } else {
-            0.0
-        };
-        SimReport {
-            platform: format!("ViTCoD({} lines)", self.cfg.mac_lines),
-            workload: format!("{} [{}]", program.model, kind),
-            total_cycles,
-            latency_s,
-            phases,
-            breakdown,
-            traffic,
-            macs,
-            energy_j,
-            utilization,
-        }
+    fn report(&self, costs: Costs, program: &AcceleratorProgram, kind: &str) -> SimReport {
+        let platform = format!("ViTCoD({} lines)", self.cfg.mac_lines);
+        costs.report(&self.cfg, platform, &program.model, kind, MAC_ENERGY_SCALE)
     }
 }
 
@@ -641,15 +534,6 @@ fn allocate_lines(total: usize, denser_work: u64, sparser_work: u64) -> (usize, 
     let mut denser = ((denser_work as f64 / sum as f64) * total as f64).round() as usize;
     denser = denser.clamp(1, total - 1);
     (denser, total - denser)
-}
-
-struct LayerResult {
-    cycles: u64,
-    macs: u64,
-    phases: PhaseCycles,
-    breakdown: LatencyBreakdown,
-    traffic: TrafficStats,
-    trace: crate::LayerTrace,
 }
 
 #[cfg(test)]

@@ -42,7 +42,6 @@ mod area;
 mod buffers;
 mod config;
 mod engines;
-pub mod functional;
 mod memory;
 mod report;
 mod roofline;
@@ -57,6 +56,6 @@ pub use engines::{
     softmax_cycles, sparser_sddmm_cycles, sparser_spmm_cycles,
 };
 pub use memory::{DramModel, TrafficStats};
-pub use report::{LatencyBreakdown, PhaseCycles, SimReport};
+pub use report::{Costs, LatencyBreakdown, PhaseCycles, SimReport};
 pub use roofline::{Roofline, RooflinePoint};
 pub use trace::{ExecutionTrace, LayerTrace};

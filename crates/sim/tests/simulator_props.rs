@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use vitcod_core::{compile_model, AttentionMask, CscMatrix, SplitConquer, SplitConquerConfig};
 use vitcod_model::{AttentionStatsConfig, ModelFamily, StageConfig, ViTConfig};
-use vitcod_sim::functional::{attention_head, sddmm_k_stationary, spmm_output_stationary};
 use vitcod_sim::{AcceleratorConfig, ViTCoDAccelerator};
+use vitcod_tensor::sparse::{attention_head, sddmm_k_stationary, spmm_output_stationary};
 use vitcod_tensor::Initializer;
 
 fn tiny_model(tokens: usize, heads: usize, dk: usize) -> ViTConfig {

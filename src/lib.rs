@@ -13,8 +13,8 @@
 //!   [`core::ViTCoDPipeline`]: pretrain → insert AE, finetune →
 //!   split-and-conquer, freeze the masks to CSC, finetune on the
 //!   nnz-scaled sparse forward and backward kernels;
-//! * [`sim`] — the cycle-level accelerator simulator, functional
-//!   dataflow executors, schedules, buffers, energy/area/roofline;
+//! * [`sim`] — the cycle-level accelerator simulator, schedules,
+//!   buffers, energy/area/roofline;
 //! * [`engine`] — compile-once / serve-many inference: frozen
 //!   [`engine::CompiledVit`] artifacts (with bit-exact on-disk
 //!   save/load) and the batched, tape-free [`engine::Engine`] with
