@@ -226,7 +226,7 @@ impl Tape {
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
+        let value = kernels::matmul(&self.nodes[a.0].value, &self.nodes[b.0].value);
         self.push(value, OpKind::MatMul { a, b })
     }
 
@@ -244,13 +244,13 @@ impl Tape {
 
     /// Elementwise product `a ⊙ b`.
     pub fn hadamard(&mut self, a: Var, b: Var) -> Var {
-        let value = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
+        let value = kernels::zip_map(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x * y);
         self.push(value, OpKind::Hadamard { a, b })
     }
 
     /// Scalar multiple `a * s`.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let value = self.nodes[a.0].value.scale(s);
+        let value = &self.nodes[a.0].value * s;
         self.push(value, OpKind::Scale { a, s })
     }
 
@@ -477,7 +477,7 @@ impl Tape {
     pub fn cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Var {
         let lv = &self.nodes[logits.0].value;
         assert_eq!(targets.len(), lv.rows(), "one target per logits row");
-        let probs = lv.softmax_rows();
+        let probs = kernels::softmax_rows(lv);
         let mut loss = 0.0;
         for (r, &t) in targets.iter().enumerate() {
             assert!(t < lv.cols(), "target {t} out of range");
@@ -584,8 +584,8 @@ impl Tape {
             match &op {
                 OpKind::Leaf { .. } => {}
                 &OpKind::MatMul { a, b } => {
-                    let ga = gout.matmul_nt(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.matmul_tn(&gout);
+                    let ga = kernels::matmul_nt(&gout, &self.nodes[b.0].value);
+                    let gb = kernels::matmul_tn(&self.nodes[a.0].value, &gout);
                     self.add_grad(a, ga);
                     self.add_grad(b, gb);
                 }
@@ -595,16 +595,16 @@ impl Tape {
                 }
                 &OpKind::Sub { a, b } => {
                     self.add_grad(a, gout.clone());
-                    self.add_grad(b, gout.scale(-1.0));
+                    self.add_grad(b, &gout * -1.0);
                 }
                 &OpKind::Hadamard { a, b } => {
-                    let ga = gout.hadamard(&self.nodes[b.0].value);
-                    let gb = gout.hadamard(&self.nodes[a.0].value);
+                    let ga = kernels::zip_map(&gout, &self.nodes[b.0].value, |x, y| x * y);
+                    let gb = kernels::zip_map(&gout, &self.nodes[a.0].value, |x, y| x * y);
                     self.add_grad(a, ga);
                     self.add_grad(b, gb);
                 }
                 &OpKind::Scale { a, s } => {
-                    self.add_grad(a, gout.scale(s));
+                    self.add_grad(a, &gout * s);
                 }
                 &OpKind::AddBias { a, bias } => {
                     let gbias = kernels::col_sums(&gout);
@@ -717,8 +717,8 @@ impl Tape {
                     self.add_grad(logits, g);
                 }
                 &OpKind::WeightedSum { a, b, wa, wb } => {
-                    self.add_grad(a, gout.scale(wa));
-                    self.add_grad(b, gout.scale(wb));
+                    self.add_grad(a, &gout * wa);
+                    self.add_grad(b, &gout * wb);
                 }
             }
             self.nodes[i].op = op;

@@ -45,8 +45,8 @@ use vitcod_core::prune_to_sparsity;
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Precision};
 use vitcod_model::{AttentionStats, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::{
-    attention_head, attention_head_backward, matmul, matmul_nt, matmul_tn, num_threads, reference,
-    softmax_rows, with_thread_budget,
+    self, attention_head, attention_head_backward, matmul, matmul_nt, matmul_tn, num_threads,
+    reference, softmax_rows, with_thread_budget,
 };
 use vitcod_tensor::sparse::{self, CscMatrix};
 use vitcod_tensor::{
@@ -459,7 +459,7 @@ fn bench_attention_training() -> AttentionTraining {
         .collect();
     let biases: Vec<Matrix> = masks
         .iter()
-        .map(|m| m.map(|kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 }))
+        .map(|m| kernels::map(m, |kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 }))
         .collect();
     let cscs: Vec<CscMatrix> = masks
         .iter()

@@ -164,13 +164,13 @@ pub fn prune_to_sparsity(a: &Matrix, sparsity: f64) -> AttentionMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vitcod_tensor::kernels;
 
     fn diagonal_heavy(n: usize) -> Matrix {
-        Matrix::from_fn(n, n, |r, c| {
+        kernels::softmax_rows(&Matrix::from_fn(n, n, |r, c| {
             let d = (r as f32 - c as f32).abs();
             (-d * d / 2.0).exp()
-        })
-        .softmax_rows()
+        }))
     }
 
     #[test]

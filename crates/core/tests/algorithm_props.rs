@@ -9,12 +9,12 @@ use vitcod_core::{
     PruneCriterion, SplitConquer, SplitConquerConfig,
 };
 use vitcod_model::{AttentionStats, ViTConfig};
-use vitcod_tensor::kernels::with_thread_budget;
+use vitcod_tensor::kernels::{self, with_thread_budget};
 use vitcod_tensor::Matrix;
 
 fn attention_map(n: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(0.0f32..1.0, n * n)
-        .prop_map(move |v| Matrix::from_vec(n, n, v).softmax_rows())
+        .prop_map(move |v| kernels::softmax_rows(&Matrix::from_vec(n, n, v)))
 }
 
 proptest! {

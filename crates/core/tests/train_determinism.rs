@@ -123,10 +123,7 @@ fn batched_step_matches_accumulated_per_sample_steps() {
         "batched loss {batched_loss} vs per-sample mean {mean_loss}"
     );
     for (id, bg) in per_sample.ids().zip(&batched_grads) {
-        let diff = per_sample
-            .grad(id)
-            .scale(1.0 / batch.len() as f32)
-            .max_abs_diff(bg);
+        let diff = (per_sample.grad(id) * (1.0 / batch.len() as f32)).max_abs_diff(bg);
         assert!(
             diff < 1e-4,
             "grad {} differs by {diff}",

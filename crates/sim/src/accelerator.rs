@@ -26,13 +26,6 @@ const MAC_ENERGY_SCALE: f64 = 1.0;
 /// tokens need 8 bits, but the hardware provisions 16).
 const INDEX_BYTES: u64 = 2;
 
-/// Minimum number of heads in a layer before the per-head engine cycle
-/// models fan out across worker threads. Each head's model is a cheap
-/// pass over its CSC column counts, so the fan-out only pays off for
-/// wide layers (DeiT-Base-class, 12 heads); DeiT-Tiny's 3 heads stay on
-/// the sequential walk.
-const HEAD_FANOUT_MIN: usize = 4;
-
 /// Simulator of the ViTCoD accelerator.
 ///
 /// See the [crate-level documentation](crate) for the modelled
@@ -102,32 +95,15 @@ impl ViTCoDAccelerator {
         self.report(costs, program, "end-to-end")
     }
 
-    /// The compiled program's attention layers.
-    ///
-    /// Layers are embarrassingly parallel — each one's cycle model only
-    /// reads the shared program — so the per-layer simulations fan out
-    /// across worker threads via the kernel layer's `par_map_collect`
-    /// (each layer internally aggregates its (layer, head) pair
-    /// workloads for the engines' PE allocation). The reduction over the
-    /// returned per-layer results stays sequential and in layer order,
-    /// so cycle counts are identical to the sequential walk regardless
-    /// of the thread count — a test pins this.
+    /// The compiled program's attention layers, simulated one after the
+    /// other in layer order (each layer internally aggregates its
+    /// (layer, head) pair workloads for the engines' PE allocation).
     fn attention_costs(&self, program: &AcceleratorProgram) -> (Costs, crate::ExecutionTrace) {
-        // Work estimate per layer: one pass over every head's CSC
-        // column counts plus the fixed per-head engine bookkeeping.
-        let work_per_layer = program
-            .layers
-            .first()
-            .map(|l| l.heads.iter().map(|h| h.sparser_col_nnz.len() + 64).sum())
-            .unwrap_or(1);
-        let results =
-            vitcod_tensor::kernels::par_map_collect(program.layers.len(), work_per_layer, |i| {
-                self.simulate_attention_layer(program, &program.layers[i])
-            });
         let mut costs = Costs::default();
         let mut exec = crate::ExecutionTrace::default();
-        for (layer, trace) in results {
-            costs.add(&layer);
+        for layer in &program.layers {
+            let (layer_costs, trace) = self.simulate_attention_layer(program, layer);
+            costs.add(&layer_costs);
             exec.layers.push(trace);
         }
         (costs, exec)
@@ -219,62 +195,18 @@ impl ViTCoDAccelerator {
         let sparser_works: Vec<u64> = layer.heads.iter().map(|h| h.sparser_nnz as u64).collect();
         let sparser_alloc = proportional_lines(&sparser_works, sparser_lines);
 
-        // Per-head cycle models are pure functions of the program, so
-        // wide layers fan them out across worker threads; the reductions
-        // below stay sequential and in head order, keeping the counts
-        // identical to the sequential walk (the pinning test covers
-        // this). `None` marks a head the engine does not run.
-        let head_model = |h_idx: usize| -> (EngineHeadCycles, EngineHeadCycles) {
-            let h = &layer.heads[h_idx];
-            let denser = (denser_lines > 0)
-                .then(|| {
-                    let l = if denser_alloc.parallel {
-                        denser_alloc.per_head[h_idx]
-                    } else {
-                        denser_lines
-                    };
-                    (l > 0).then(|| {
-                        (
-                            denser_sddmm_cycles(n, h.num_global, dk, l, mpl),
-                            denser_spmm_cycles(h.denser_nnz, dk, l, mpl),
-                        )
-                    })
-                })
-                .flatten();
-            let sparser = (sparser_lines > 0)
-                .then(|| {
-                    let l = if sparser_alloc.parallel {
-                        sparser_alloc.per_head[h_idx]
-                    } else {
-                        sparser_lines
-                    };
-                    (l > 0).then(|| {
-                        (
-                            sparser_sddmm_cycles(&h.sparser_col_nnz, dk, l, mpl),
-                            sparser_spmm_cycles(&h.sparser_col_nnz, dk, l, mpl),
-                        )
-                    })
-                })
-                .flatten();
-            (denser, sparser)
-        };
-        let head_count = layer.heads.len();
-        let per_head_models: Vec<_> = if head_count >= HEAD_FANOUT_MIN {
-            let work = layer
-                .heads
-                .iter()
-                .map(|h| h.sparser_col_nnz.len() + 64)
-                .max()
-                .unwrap_or(64);
-            vitcod_tensor::kernels::par_map_collect(head_count, work, head_model)
-        } else {
-            (0..head_count).map(head_model).collect()
-        };
-
         let mut denser_cycles = 0u64;
         let mut sparser_cycles = 0u64;
-        for (denser, sparser) in per_head_models {
-            if let Some((ds, dp)) = denser {
+        for (h_idx, h) in layer.heads.iter().enumerate() {
+            // An engine with no lines allocates none to any head.
+            let l = if denser_alloc.parallel {
+                denser_alloc.per_head[h_idx]
+            } else {
+                denser_lines
+            };
+            if l > 0 {
+                let ds = denser_sddmm_cycles(n, h.num_global, dk, l, mpl);
+                let dp = denser_spmm_cycles(h.denser_nnz, dk, l, mpl);
                 if denser_alloc.parallel {
                     denser_cycles = denser_cycles.max(ds + dp);
                 } else {
@@ -283,7 +215,14 @@ impl ViTCoDAccelerator {
                 sddmm += ds;
                 spmm += dp;
             }
-            if let Some((ss, sp)) = sparser {
+            let l = if sparser_alloc.parallel {
+                sparser_alloc.per_head[h_idx]
+            } else {
+                sparser_lines
+            };
+            if l > 0 {
+                let ss = sparser_sddmm_cycles(&h.sparser_col_nnz, dk, l, mpl);
+                let sp = sparser_spmm_cycles(&h.sparser_col_nnz, dk, l, mpl);
                 if sparser_alloc.parallel {
                     sparser_cycles = sparser_cycles.max(ss + sp);
                 } else {
@@ -444,10 +383,6 @@ impl ViTCoDAccelerator {
         costs.report(&self.cfg, platform, &program.model, kind, MAC_ENERGY_SCALE)
     }
 }
-
-/// One engine's (SDDMM, SpMM) cycle pair for a single head; `None` when
-/// the engine does not run that head.
-type EngineHeadCycles = Option<(u64, u64)>;
 
 /// Per-head line assignment inside one engine.
 struct HeadAllocation {
@@ -701,55 +636,6 @@ mod tests {
         for l in &trace.layers {
             assert_eq!(l.denser_lines + l.sparser_lines, 64);
         }
-    }
-
-    #[test]
-    fn parallel_layer_fanout_pins_sequential_cycle_counts() {
-        use vitcod_tensor::kernels;
-        let p = program(0.9, true);
-        let s = sim();
-        // One worker = the sequential walk; the reduction order is the
-        // same either way, so every count must be identical.
-        let (seq, seq_trace) = kernels::with_thread_budget(1, || s.simulate_attention_traced(&p));
-        let (par, par_trace) = kernels::with_thread_budget(4, || s.simulate_attention_traced(&p));
-        assert_eq!(par.total_cycles, seq.total_cycles);
-        assert_eq!(par.phases, seq.phases);
-        assert_eq!(par.breakdown, seq.breakdown);
-        assert_eq!(par.traffic, seq.traffic);
-        assert_eq!(par.macs, seq.macs);
-        assert_eq!(par_trace.layers.len(), seq_trace.layers.len());
-        for (a, b) in par_trace.layers.iter().zip(seq_trace.layers.iter()) {
-            assert_eq!(a.layer, b.layer, "trace order must stay layer order");
-            assert_eq!(a.total_cycles, b.total_cycles);
-            assert_eq!(a.denser_cycles, b.denser_cycles);
-            assert_eq!(a.sparser_cycles, b.sparser_cycles);
-        }
-    }
-
-    #[test]
-    fn per_head_fanout_pins_sequential_cycle_counts() {
-        use vitcod_tensor::kernels;
-        // DeiT-Small has 6 heads per layer — above HEAD_FANOUT_MIN, so
-        // the per-head cycle models take the parallel path; the fold is
-        // sequential in head order, so every count must be identical to
-        // the single-worker walk.
-        let cfg = ViTConfig::deit_small();
-        let stats = AttentionStats::for_model(&cfg, 9);
-        let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9));
-        let p = compile_model(
-            &cfg,
-            &sc.apply(&stats.maps),
-            Some(AutoEncoderConfig::half(cfg.heads)),
-        );
-        assert!(p.layers[0].heads.len() >= HEAD_FANOUT_MIN);
-        let s = sim();
-        let seq = kernels::with_thread_budget(1, || s.simulate_attention(&p));
-        let par = kernels::with_thread_budget(4, || s.simulate_attention(&p));
-        assert_eq!(par.total_cycles, seq.total_cycles);
-        assert_eq!(par.phases, seq.phases);
-        assert_eq!(par.breakdown, seq.breakdown);
-        assert_eq!(par.traffic, seq.traffic);
-        assert_eq!(par.macs, seq.macs);
     }
 
     #[test]

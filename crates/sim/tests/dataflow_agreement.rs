@@ -36,7 +36,7 @@ fn diag_global_mask(n: usize) -> AttentionMask {
 /// Dense reference: masked softmax attention computed with plain
 /// matrix ops.
 fn dense_reference(q: &Matrix, k: &Matrix, v: &Matrix, mask: &AttentionMask, scale: f32) -> Matrix {
-    let mut scores = q.matmul_nt(k).scale(scale);
+    let mut scores = &kernels::matmul_nt(q, k) * scale;
     for r in 0..scores.rows() {
         for c in 0..scores.cols() {
             if !mask.is_kept(r, c) {
@@ -44,7 +44,7 @@ fn dense_reference(q: &Matrix, k: &Matrix, v: &Matrix, mask: &AttentionMask, sca
             }
         }
     }
-    scores.softmax_rows().matmul(v)
+    kernels::matmul(&kernels::softmax_rows(&scores), v)
 }
 
 #[test]
@@ -53,7 +53,7 @@ fn sddmm_matches_dense_scores() {
     let mask = diag_global_mask(24);
     let index = CscMatrix::from_mask(&mask);
     let sparse = sddmm_k_stationary(&q, &k, &index, 0.25);
-    let dense = q.matmul_nt(&k).scale(0.25);
+    let dense = &kernels::matmul_nt(&q, &k) * 0.25;
     let sd = sparse.to_dense();
     for (qq, kk) in mask.iter_kept() {
         assert!(
@@ -82,7 +82,7 @@ fn full_dataflow_matches_dense_masked_attention() {
 fn dataflow_matches_reference_on_pruned_real_maps() {
     // End-to-end with a split-and-conquer produced mask.
     let (q, k, v) = random_qkv(48, 16, 30);
-    let map = q.matmul_nt(&k).softmax_rows();
+    let map = kernels::softmax_rows(&kernels::matmul_nt(&q, &k));
     let mask = prune_to_sparsity(&map, 0.85);
     let index = CscMatrix::from_mask(&mask);
     let dataflow = attention_head(&q, &k, &v, &index, 0.25);
@@ -107,7 +107,7 @@ fn int8_dataflow_close_to_fp32() {
 #[test]
 fn forced_multithread_dataflow_is_identical() {
     let (q, k, v) = random_qkv(33, 8, 90);
-    let map = q.matmul_nt(&k).softmax_rows();
+    let map = kernels::softmax_rows(&kernels::matmul_nt(&q, &k));
     let mask = prune_to_sparsity(&map, 0.7);
     let index = CscMatrix::from_mask(&mask);
     let run = || attention_head(&q, &k, &v, &index, 0.3);

@@ -6,7 +6,7 @@ use vitcod_core::{compile_model, AttentionMask, CscMatrix, SplitConquer, SplitCo
 use vitcod_model::{AttentionStatsConfig, ModelFamily, StageConfig, ViTConfig};
 use vitcod_sim::{AcceleratorConfig, ViTCoDAccelerator};
 use vitcod_tensor::sparse::{attention_head, sddmm_k_stationary, spmm_output_stationary};
-use vitcod_tensor::Initializer;
+use vitcod_tensor::{kernels, Initializer};
 
 fn tiny_model(tokens: usize, heads: usize, dk: usize) -> ViTConfig {
     let stage = StageConfig {
@@ -96,14 +96,14 @@ proptest! {
         let k = Initializer::Normal { std: 1.0 }.sample(n, dk, seed + 1);
         let v = Initializer::Normal { std: 1.0 }.sample(n, dk, seed + 2);
         // Random mask from the map itself (deterministic given seed).
-        let map = q.matmul_nt(&k).softmax_rows();
+        let map = kernels::softmax_rows(&kernels::matmul_nt(&q, &k));
         let mask = vitcod_core::prune_to_sparsity(&map, 1.0 - keep_prob);
         let index = CscMatrix::from_mask(&mask);
 
         let dataflow = attention_head(&q, &k, &v, &index, 0.3);
 
         // Dense reference.
-        let mut scores = q.matmul_nt(&k).scale(0.3);
+        let mut scores = &kernels::matmul_nt(&q, &k) * 0.3;
         for r in 0..n {
             for c in 0..n {
                 if !mask.is_kept(r, c) {
@@ -111,7 +111,7 @@ proptest! {
                 }
             }
         }
-        let reference = scores.softmax_rows().matmul(&v);
+        let reference = kernels::matmul(&kernels::softmax_rows(&scores), &v);
         prop_assert!(
             dataflow.max_abs_diff(&reference) < 1e-4,
             "dataflow diverges by {}",
@@ -133,8 +133,8 @@ proptest! {
         }
         let index = CscMatrix::from_mask(&mask);
         let scores = sddmm_k_stationary(&q, &k, &index, 0.25).softmax_rows();
-        let a = spmm_output_stationary(&scores, &v.scale(alpha));
-        let b = spmm_output_stationary(&scores, &v).scale(alpha);
+        let a = spmm_output_stationary(&scores, &(&v * alpha));
+        let b = &spmm_output_stationary(&scores, &v) * alpha;
         prop_assert!(a.max_abs_diff(&b) < 1e-4);
     }
 

@@ -689,6 +689,14 @@ fn axpy_rows(a: Operand, b: Operand, first_row: usize, chunk: &mut [f32]) {
 // ---------------------------------------------------------------------------
 
 /// Row-wise softmax (row-parallel).
+///
+/// # Example
+///
+/// ```
+/// use vitcod_tensor::{kernels, Matrix};
+/// let m = kernels::softmax_rows(&Matrix::from_rows(&[&[1.0, 1.0, 1.0]]));
+/// assert!((m.row(0)[0] - 1.0 / 3.0).abs() < 1e-6);
+/// ```
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
     let cols = x.cols();
@@ -1274,6 +1282,30 @@ mod tests {
                 "tn shape ({m},{k},{n})"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul inner dimensions differ: (2, 3) vs (4, 5)")]
+    fn matmul_names_the_op_and_both_shapes() {
+        matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_nt inner dimensions differ: (2, 3) vs (4, 5)")]
+    fn matmul_nt_names_the_op_and_both_shapes() {
+        matmul_nt(&Matrix::zeros(2, 3), &Matrix::zeros(4, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_tn inner dimensions differ: (2, 3) vs (4, 5)")]
+    fn matmul_tn_names_the_op_and_both_shapes() {
+        matmul_tn(&Matrix::zeros(2, 3), &Matrix::zeros(4, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "zip_map shape mismatch")]
+    fn zip_map_names_the_op_on_a_shape_mismatch() {
+        zip_map(&Matrix::zeros(2, 3), &Matrix::zeros(3, 2), |x, y| x * y);
     }
 
     #[test]

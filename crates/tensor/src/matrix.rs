@@ -1,25 +1,25 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use crate::ShapeError;
-
 /// A dense, row-major matrix of `f32`.
 ///
-/// `Matrix` is the workhorse type of the workspace: queries, keys, values,
+/// `Matrix` is the storage type of the workspace: queries, keys, values,
 /// attention maps, projection weights and auto-encoder weights are all
-/// `Matrix` values. It stores its elements contiguously, exposes the usual
-/// elementwise and matrix-product operations, and validates shapes either
-/// dynamically (panicking variants, used internally where shapes are
-/// invariants) or fallibly (`try_*` variants, for user-facing boundaries).
+/// `Matrix` values. It stores its elements contiguously and offers
+/// construction, element and row access, slicing and concatenation, and
+/// the `+`, `-` and `* f32` operators. Every op that computes — the
+/// GEMMs, softmax, LayerNorm, elementwise maps — is a free function in
+/// [`crate::kernels`], [`crate::sparse`] or the quantized GEMM, and
+/// panics with the op's name and both shapes on a mismatch.
 ///
 /// # Example
 ///
 /// ```
-/// use vitcod_tensor::Matrix;
+/// use vitcod_tensor::{kernels, Matrix};
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// assert_eq!(kernels::matmul(&a, &b), a);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -211,143 +211,6 @@ impl Matrix {
         self.data
     }
 
-    /// Matrix product `self · rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.try_matmul(rhs).expect("matmul shape mismatch")
-    }
-
-    /// Fallible matrix product `self · rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.cols() != rhs.rows()`.
-    pub fn try_matmul(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != rhs.rows {
-            return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
-        }
-        Ok(crate::kernels::matmul(self, rhs))
-    }
-
-    /// Matrix product with a transposed right-hand side: `self · rhsᵀ`.
-    ///
-    /// This is the natural layout for attention's `S = Q · Kᵀ` where both
-    /// `Q` and `K` are stored token-major. Routed through
-    /// [`crate::kernels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        crate::kernels::matmul_nt(self, rhs)
-    }
-
-    /// Matrix product with a transposed left-hand side: `selfᵀ · rhs`.
-    /// Routed through [`crate::kernels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        crate::kernels::matmul_tn(self, rhs)
-    }
-
-    /// Elementwise sum. See also the `+` operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if shapes differ.
-    pub fn try_add(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new("add", self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Elementwise difference.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if shapes differ.
-    pub fn try_sub(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new("sub", self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if shapes differ.
-    pub fn try_hadamard(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new("hadamard", self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Elementwise product, panicking on shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.try_hadamard(rhs).expect("hadamard shape mismatch")
-    }
-
-    /// Returns `self` scaled by `s`.
-    pub fn scale(&self, s: f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
-    /// Applies `f` to every element, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in &mut self.data {
@@ -482,24 +345,62 @@ impl fmt::Debug for Matrix {
 impl Add<&Matrix> for &Matrix {
     type Output = Matrix;
 
+    /// Elementwise sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
     fn add(self, rhs: &Matrix) -> Matrix {
-        self.try_add(rhs).expect("add shape mismatch")
+        assert_eq!(self.shape(), rhs.shape(), "add shape mismatch");
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a + b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
     }
 }
 
 impl Sub<&Matrix> for &Matrix {
     type Output = Matrix;
 
+    /// Elementwise difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
     fn sub(self, rhs: &Matrix) -> Matrix {
-        self.try_sub(rhs).expect("sub shape mismatch")
+        assert_eq!(self.shape(), rhs.shape(), "sub shape mismatch");
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a - b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
     }
 }
 
 impl Mul<f32> for &Matrix {
     type Output = Matrix;
 
+    /// Every element scaled by `rhs`.
     fn mul(self, rhs: f32) -> Matrix {
-        self.scale(rhs)
+        let data = self.data.iter().map(|v| v * rhs).collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
     }
 }
 
@@ -508,6 +409,7 @@ impl Mul<f32> for &Matrix {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::kernels;
 
     fn transposed(m: &Matrix) -> Matrix {
         Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r))
@@ -524,15 +426,15 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(2)), a);
-        assert_eq!(Matrix::identity(2).matmul(&a), a);
+        assert_eq!(kernels::matmul(&a, &Matrix::identity(2)), a);
+        assert_eq!(kernels::matmul(&Matrix::identity(2), &a), a);
     }
 
     #[test]
     fn matmul_known_values() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = kernels::matmul(&a, &b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
@@ -540,23 +442,16 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |r, c| (r + c) as f32);
         let b = Matrix::from_fn(5, 4, |r, c| (r * c) as f32 * 0.5);
-        let expected = a.matmul(&transposed(&b));
-        assert!(a.matmul_nt(&b).max_abs_diff(&expected) < 1e-6);
+        let expected = kernels::matmul(&a, &transposed(&b));
+        assert!(kernels::matmul_nt(&a, &b).max_abs_diff(&expected) < 1e-6);
     }
 
     #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let a = Matrix::from_fn(4, 3, |r, c| (r * 2 + c) as f32);
         let b = Matrix::from_fn(4, 5, |r, c| (r + 3 * c) as f32 * 0.1);
-        let expected = transposed(&a).matmul(&b);
-        assert!(a.matmul_tn(&b).max_abs_diff(&expected) < 1e-5);
-    }
-
-    #[test]
-    fn try_matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.try_matmul(&b).is_err());
+        let expected = kernels::matmul(&transposed(&a), &b);
+        assert!(kernels::matmul_tn(&a, &b).max_abs_diff(&expected) < 1e-5);
     }
 
     #[test]
@@ -565,8 +460,23 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(&a + &b, Matrix::from_rows(&[&[4.0, 6.0]]));
         assert_eq!(&b - &a, Matrix::from_rows(&[&[2.0, 2.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, 8.0]]));
+        assert_eq!(
+            kernels::zip_map(&a, &b, |x, y| x * y),
+            Matrix::from_rows(&[&[3.0, 8.0]])
+        );
         assert_eq!(&a * 2.0, Matrix::from_rows(&[&[2.0, 4.0]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "add shape mismatch")]
+    fn add_names_the_op_on_a_shape_mismatch() {
+        let _ = &Matrix::zeros(2, 3) + &Matrix::zeros(3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "sub shape mismatch")]
+    fn sub_names_the_op_on_a_shape_mismatch() {
+        let _ = &Matrix::zeros(2, 3) - &Matrix::zeros(3, 2);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Scalar and row-wise neural-network primitives.
 
-use crate::Matrix;
-
 /// Fast `tanh` via a clamped 13/6-degree rational (Padé-style)
 /// approximation — the classic single-precision kernel used by Eigen
 /// and XLA. Accurate to a few ulp of libm over the whole range, but a
@@ -110,40 +108,12 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
-impl Matrix {
-    /// Applies a numerically stable softmax to each row.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use vitcod_tensor::Matrix;
-    /// let m = Matrix::from_rows(&[&[1.0, 1.0, 1.0]]).softmax_rows();
-    /// assert!((m.row(0)[0] - 1.0 / 3.0).abs() < 1e-6);
-    /// ```
-    pub fn softmax_rows(&self) -> Matrix {
-        crate::kernels::softmax_rows(self)
-    }
-
-    /// LayerNorm over each row with learnable `gamma`/`beta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma.len()` or `beta.len()` differ from `self.cols()`.
-    pub fn layernorm_rows(&self, gamma: &[f32], beta: &[f32], eps: f32) -> Matrix {
-        crate::kernels::layernorm_rows(self, gamma, beta, eps)
-    }
-
-    /// Applies [`gelu`] elementwise.
-    pub fn gelu(&self) -> Matrix {
-        self.map(gelu)
-    }
-}
-
 #[cfg(test)]
 // Exact float equality below asserts bit-identical kernel replay.
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::{kernels, Matrix};
 
     #[test]
     fn tanh_fast_tracks_libm() {
@@ -226,7 +196,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
         let gamma = vec![1.0; 4];
         let beta = vec![0.0; 4];
-        let n = m.layernorm_rows(&gamma, &beta, 1e-5);
+        let n = kernels::layernorm_rows(&m, &gamma, &beta, 1e-5);
         let row = n.row(0);
         let mean: f32 = row.iter().sum::<f32>() / 4.0;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
@@ -237,7 +207,7 @@ mod tests {
     #[test]
     fn layernorm_applies_gamma_beta() {
         let m = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let n = m.layernorm_rows(&[2.0, 2.0], &[1.0, 1.0], 1e-5);
+        let n = kernels::layernorm_rows(&m, &[2.0, 2.0], &[1.0, 1.0], 1e-5);
         let row = n.row(0);
         // Normalised row is [-1, 1]; scaled by 2 and shifted by 1 -> [-1, 3].
         assert!((row[0] + 1.0).abs() < 1e-2);

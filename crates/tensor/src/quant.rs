@@ -658,7 +658,7 @@ mod tests {
     fn quantized_matmul_close_to_fp32() {
         let a = Initializer::Normal { std: 0.5 }.sample(8, 32, 2);
         let b = Initializer::Normal { std: 0.5 }.sample(8, 32, 3);
-        let exact = a.matmul_nt(&b);
+        let exact = kernels::matmul_nt(&a, &b);
         let approx =
             QuantizedRows::quantize(&a).scores_nt(&QuantizedRows::quantize(&b), 0..32, 1.0);
         let rel = exact.max_abs_diff(&approx) / exact.frobenius_norm().max(1e-6);

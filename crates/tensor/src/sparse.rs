@@ -818,7 +818,7 @@ mod tests {
         let (q, k) = (random(24, 16, 1), random(24, 16, 2));
         let index = diag_global(24);
         let sparse = sddmm_k_stationary(&q, &k, &index, 0.25);
-        let dense = q.matmul_nt(&k).scale(0.25);
+        let dense = &kernels::matmul_nt(&q, &k) * 0.25;
         let sd = sparse.to_dense();
         for (qq, kk) in index.iter_kept() {
             assert!(

@@ -4,7 +4,7 @@
 #![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
-use vitcod_tensor::{softmax_row, Matrix, QuantizedMatrix, QuantizedRows};
+use vitcod_tensor::{kernels, softmax_row, Matrix, QuantizedMatrix, QuantizedRows};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-5.0f32..5.0, rows * cols)
@@ -20,36 +20,36 @@ proptest! {
 
     #[test]
     fn matmul_is_associative_with_identity(a in matrix(4, 6)) {
-        let i_left = Matrix::identity(4).matmul(&a);
-        let i_right = a.matmul(&Matrix::identity(6));
+        let i_left = kernels::matmul(&Matrix::identity(4), &a);
+        let i_right = kernels::matmul(&a, &Matrix::identity(6));
         prop_assert!(i_left.max_abs_diff(&a) < 1e-5);
         prop_assert!(i_right.max_abs_diff(&a) < 1e-5);
     }
 
     #[test]
     fn matmul_distributes_over_addition(a in matrix(3, 4), b in matrix(4, 5), c in matrix(4, 5)) {
-        let lhs = a.matmul(&(&b + &c));
-        let rhs = &a.matmul(&b) + &a.matmul(&c);
+        let lhs = kernels::matmul(&a, &(&b + &c));
+        let rhs = &kernels::matmul(&a, &b) + &kernels::matmul(&a, &c);
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-3, "diff {}", lhs.max_abs_diff(&rhs));
     }
 
     #[test]
     fn matmul_nt_equals_explicit_transpose(a in matrix(5, 7), b in matrix(6, 7)) {
-        let fused = a.matmul_nt(&b);
-        let explicit = a.matmul(&transposed(&b));
+        let fused = kernels::matmul_nt(&a, &b);
+        let explicit = kernels::matmul(&a, &transposed(&b));
         prop_assert!(fused.max_abs_diff(&explicit) < 1e-4);
     }
 
     #[test]
     fn matmul_tn_equals_explicit_transpose(a in matrix(7, 5), b in matrix(7, 6)) {
-        let fused = a.matmul_tn(&b);
-        let explicit = transposed(&a).matmul(&b);
+        let fused = kernels::matmul_tn(&a, &b);
+        let explicit = kernels::matmul(&transposed(&a), &b);
         prop_assert!(fused.max_abs_diff(&explicit) < 1e-4);
     }
 
     #[test]
     fn softmax_rows_are_distributions(a in matrix(8, 8)) {
-        let s = a.softmax_rows();
+        let s = kernels::softmax_rows(&a);
         for r in 0..8 {
             let sum: f32 = s.row(r).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
@@ -59,7 +59,7 @@ proptest! {
 
     #[test]
     fn softmax_preserves_row_argmax(a in matrix(4, 10)) {
-        let s = a.softmax_rows();
+        let s = kernels::softmax_rows(&a);
         for r in 0..4 {
             let before = vitcod_tensor::argmax(a.row(r));
             let after = vitcod_tensor::argmax(s.row(r));
@@ -102,7 +102,7 @@ proptest! {
 
     #[test]
     fn quantized_matmul_tracks_fp32(a in matrix(4, 16), b in matrix(4, 16)) {
-        let exact = a.matmul_nt(&b);
+        let exact = kernels::matmul_nt(&a, &b);
         let approx = QuantizedRows::quantize(&a).scores_nt(&QuantizedRows::quantize(&b), 0..16, 1.0);
         let denom = exact.frobenius_norm().max(1.0);
         prop_assert!(exact.max_abs_diff(&approx) / denom < 0.1);
@@ -112,8 +112,8 @@ proptest! {
     fn layernorm_output_is_scale_invariant(a in matrix(3, 8), k in 1.0f32..10.0) {
         let gamma = vec![1.0f32; 8];
         let beta = vec![0.0f32; 8];
-        let n1 = a.layernorm_rows(&gamma, &beta, 1e-5);
-        let n2 = a.scale(k).layernorm_rows(&gamma, &beta, 1e-5);
+        let n1 = kernels::layernorm_rows(&a, &gamma, &beta, 1e-5);
+        let n2 = kernels::layernorm_rows(&(&a * k), &gamma, &beta, 1e-5);
         // LayerNorm(kx) == LayerNorm(x) for k > 0 (up to eps effects).
         prop_assert!(n1.max_abs_diff(&n2) < 2e-2, "diff {}", n1.max_abs_diff(&n2));
     }

@@ -241,7 +241,7 @@ pub fn stats_json(s: &ServerStats) -> Json {
     ])
 }
 
-/// Encodes the `GET /healthz` body.
+/// Encodes the `GET /v1/health` body (without `?deep=1`).
 pub fn health_json(models: &[String], queued: usize, uptime_s: f64) -> Json {
     Json::Object(vec![
         ("status".into(), Json::String("ok".into())),

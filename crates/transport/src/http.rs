@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn incomplete_requests_ask_for_more_bytes() {
         assert!(parse_request(b"GET /he", &limits()).unwrap().is_none());
-        assert!(parse_request(b"GET /healthz HTTP/1.1\r\n", &limits())
+        assert!(parse_request(b"GET /v1/health HTTP/1.1\r\n", &limits())
             .unwrap()
             .is_none());
         // Complete head, body still in flight.

@@ -17,7 +17,6 @@
 //! | GET    | `/v1/stats`                | —                                  |
 //! | GET    | `/v1/metrics`              | — (Prometheus text exposition)     |
 //! | GET    | `/v1/traces`               | — (drains kept span trees)         |
-//! | GET    | `/healthz`                 | —                                  |
 //! | GET    | `/v1/health`               | — (`?deep=1` runs a one-sample inference probe per model) |
 //! | POST   | `/v1/models/{id}/reload`   | `{"path": "models/m.vitcod"}`      |
 //!

@@ -2,8 +2,7 @@
 //!
 //! | method | path                          | endpoint                    |
 //! |--------|-------------------------------|-----------------------------|
-//! | GET    | `/healthz`                    | liveness + model list       |
-//! | GET    | `/v1/health`                  | same; `?deep=1` probes      |
+//! | GET    | `/v1/health`                  | liveness + model list; `?deep=1` probes |
 //! | GET    | `/v1/stats`                   | serving statistics snapshot |
 //! | GET    | `/v1/metrics`                 | Prometheus text exposition  |
 //! | GET    | `/v1/traces`                  | drain kept span trees       |
@@ -15,8 +14,8 @@
 /// A resolved endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Route {
-    /// `GET /healthz` or `GET /v1/health` (the latter accepts
-    /// `?deep=1` for a per-model inference readiness probe).
+    /// `GET /v1/health` (`?deep=1` adds a per-model inference readiness
+    /// probe).
     Health,
     /// `GET /v1/stats`.
     Stats,
@@ -60,7 +59,7 @@ pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
         Some((model.to_string(), action.to_string()))
     };
     match path {
-        "/healthz" | "/v1/health" => {
+        "/v1/health" => {
             if method == "GET" {
                 Ok(Route::Health)
             } else {
@@ -110,7 +109,6 @@ mod tests {
 
     #[test]
     fn routes_resolve() {
-        assert_eq!(route("GET", "/healthz"), Ok(Route::Health));
         assert_eq!(route("GET", "/v1/health"), Ok(Route::Health));
         assert_eq!(route("GET", "/v1/stats"), Ok(Route::Stats));
         assert_eq!(route("GET", "/v1/metrics"), Ok(Route::Metrics));
@@ -129,7 +127,6 @@ mod tests {
 
     #[test]
     fn wrong_method_is_405_unknown_path_is_404() {
-        assert_eq!(route("POST", "/healthz"), Err(RouteError::MethodNotAllowed));
         assert_eq!(
             route("POST", "/v1/health"),
             Err(RouteError::MethodNotAllowed)
@@ -146,7 +143,7 @@ mod tests {
             route("GET", "/v1/models/m/classify"),
             Err(RouteError::MethodNotAllowed)
         );
-        for gone in ["/nope", "/v1/trace", "/v1/slowlog"] {
+        for gone in ["/nope", "/v1/trace", "/v1/slowlog", "/healthz"] {
             assert_eq!(route("GET", gone), Err(RouteError::NotFound), "{gone}");
         }
         assert_eq!(

@@ -58,15 +58,15 @@ fn one_handler_idling_out_at(idle_timeout: Duration) -> HttpServer {
     })
 }
 
-/// `GET /healthz` on a fresh connection whose read gives up after 5 s,
+/// `GET /v1/health` on a fresh connection whose read gives up after 5 s,
 /// so a handler that is never freed fails the test instead of hanging it.
-fn healthz_status(server: &HttpServer) -> u16 {
+fn health_status(server: &HttpServer) -> u16 {
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: fresh\r\n\r\n")
+        .write_all(b"GET /v1/health HTTP/1.1\r\nHost: fresh\r\n\r\n")
         .unwrap();
     http::read_response(&mut stream)
         .expect("a fresh client must be served within 5 s")
@@ -161,7 +161,7 @@ fn oversized_content_length_is_rejected_from_the_head_alone() {
 #[test]
 fn oversized_header_section_is_capped() {
     let server = start_http();
-    let mut raw = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    let mut raw = b"GET /v1/health HTTP/1.1\r\n".to_vec();
     for i in 0..2048 {
         raw.extend_from_slice(format!("X-Filler-{i}: aaaaaaaaaaaaaaaa\r\n").as_bytes());
     }
@@ -224,7 +224,7 @@ fn hostile_json_is_a_400_not_a_stack_overflow() {
         );
     }
     // The model is unharmed by any of it.
-    let health = client.get("/healthz").unwrap();
+    let health = client.get("/v1/health").unwrap();
     assert_eq!(health.status, 200);
     server.shutdown();
 }
@@ -275,7 +275,7 @@ fn slow_loris_headers_are_shed_at_the_request_deadline() {
     );
     // A well-behaved client on a fresh connection is unaffected.
     let mut ok = HttpClient::connect(server.local_addr()).unwrap();
-    assert_eq!(ok.get("/healthz").unwrap().status, 200);
+    assert_eq!(ok.get("/v1/health").unwrap().status, 200);
     server.shutdown();
 }
 
@@ -296,7 +296,7 @@ fn half_open_connections_are_closed_at_the_idle_timeout() {
         "closed before the idle timeout: {:?}",
         t.elapsed()
     );
-    assert_eq!(healthz_status(&server), 200);
+    assert_eq!(health_status(&server), 200);
     server.shutdown();
 }
 
@@ -324,7 +324,7 @@ fn a_client_that_never_reads_its_answer_is_shed() {
     // With one handler, the fresh client is served only once the deaf
     // connection has let it go.
     let t = Instant::now();
-    assert_eq!(healthz_status(&server), 200);
+    assert_eq!(health_status(&server), 200);
     assert!(
         t.elapsed() >= Duration::from_millis(250),
         "the deaf connection was dropped before its idle timeout: {:?}",

@@ -3,7 +3,7 @@
 //! the same parser the monitor binary ships — and cross-checked
 //! against `/v1/stats`, per the acceptance criterion), `/v1/traces`
 //! keeps each failed, slow or head-sampled request's span tree once,
-//! `/v1/health?deep=1` runs per-model inference probes, `/healthz` +
+//! `/v1/health?deep=1` runs per-model inference probes, `/v1/health` +
 //! `/v1/stats` report uptime and per-model precision/stage
 //! breakdowns, and the `vitcod-obs` burn-rate alert walks an outage and
 //! its recovery from live scrapes.
@@ -226,7 +226,7 @@ fn stats_report_precision_stages_and_uptime() {
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
 
-    let health = client.get("/healthz").unwrap().json().unwrap();
+    let health = client.get("/v1/health").unwrap().json().unwrap();
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
     assert!(health.get("uptime_s").unwrap().as_f64().unwrap() > 0.0);
 

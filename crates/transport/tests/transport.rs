@@ -136,7 +136,7 @@ fn loopback_predictions_are_bit_identical_to_direct_inference() {
     let mut client = HttpClient::connect(http.local_addr()).unwrap();
 
     // Health first: the process is alive and knows its model.
-    let health = client.get("/healthz").unwrap();
+    let health = client.get("/v1/health").unwrap();
     assert_eq!(health.status, 200);
     let health = health.json().unwrap();
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
@@ -490,7 +490,7 @@ fn shutdown_completes_wire_requests_then_refuses_connections() {
     // request (refused outright, or reset before a response).
     let refused = match HttpClient::connect(addr) {
         Err(_) => true,
-        Ok(mut c) => c.get("/healthz").is_err(),
+        Ok(mut c) => c.get("/v1/health").is_err(),
     };
     assert!(refused, "shutdown server must not accept new work");
 }
@@ -533,7 +533,7 @@ fn shutdown_is_prompt_with_handlers_idle_and_with_handlers_on_connections() {
         .collect();
     for c in &mut held {
         // Answered, so a handler is inside this connection.
-        assert_eq!(c.get("/healthz").unwrap().status, 200);
+        assert_eq!(c.get("/v1/health").unwrap().status, 200);
     }
     let t = Instant::now();
     http.shutdown();
@@ -554,12 +554,12 @@ fn connection_beyond_the_pool_is_served_when_a_handler_frees_up() {
     let addr = http.local_addr();
     let mut first = HttpClient::connect(addr).unwrap();
     let mut second = HttpClient::connect(addr).unwrap();
-    assert_eq!(first.get("/healthz").unwrap().status, 200);
-    assert_eq!(second.get("/healthz").unwrap().status, 200);
+    assert_eq!(first.get("/v1/health").unwrap().status, 200);
+    assert_eq!(second.get("/v1/health").unwrap().status, 200);
 
     let third = std::thread::spawn(move || {
         let mut client = HttpClient::connect(addr).expect("the backlog accepts the connect");
-        client.get("/healthz").unwrap().status
+        client.get("/v1/health").unwrap().status
     });
     std::thread::sleep(Duration::from_millis(200));
     assert!(!third.is_finished(), "both handlers are taken");
@@ -611,7 +611,7 @@ fn api_errors_map_to_clean_statuses() {
     );
     // Unknown endpoint → 404; wrong method → 405.
     assert_eq!(client.get("/v2/whatever").unwrap().status, 404);
-    assert_eq!(client.post("/healthz", "{}").unwrap().status, 405);
+    assert_eq!(client.post("/v1/health", "{}").unwrap().status, 405);
     // Reload without a path → 400; reload of an unregistered id → 404;
     // a path escaping the artifact root → 403.
     let resp = client.post("/v1/models/m/reload", "{}").unwrap();

@@ -1,7 +1,7 @@
 //! HTTP serving smoke example: a compiled ViT behind the full network
 //! stack — artifact on disk → registry → `Server` → `HttpServer` on a
 //! loopback socket — exercised end to end with the bundled client:
-//! healthz, single and batch classify, stats, a hot artifact reload,
+//! health, single and batch classify, stats, a hot artifact reload,
 //! and a graceful shutdown.
 //!
 //! ```bash
@@ -67,8 +67,8 @@ fn main() {
     let mut client = HttpClient::connect(http.local_addr()).expect("connect");
 
     // 3. Health + a single classify with a wire-level deadline.
-    let health = client.get("/healthz").unwrap();
-    println!("GET /healthz -> {} {}", health.status, health.body_str());
+    let health = client.get("/v1/health").unwrap();
+    println!("GET /v1/health -> {} {}", health.status, health.body_str());
     assert_eq!(health.status, 200);
 
     let body = Json::Object(vec![

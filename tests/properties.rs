@@ -3,12 +3,12 @@
 
 use proptest::prelude::*;
 use vitcod::core::{prune_to_sparsity, reorder_global_tokens, AttentionMask, CooMatrix, CscMatrix};
-use vitcod::tensor::Matrix;
+use vitcod::tensor::{kernels, Matrix};
 
 /// Strategy: a random row-stochastic attention map of size `n`.
 fn attention_map(n: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(0.01f32..1.0, n * n)
-        .prop_map(move |v| Matrix::from_vec(n, n, v).softmax_rows())
+        .prop_map(move |v| kernels::softmax_rows(&Matrix::from_vec(n, n, v)))
 }
 
 /// Strategy: a random boolean mask of size `n` with at least one kept
