@@ -27,8 +27,18 @@ use vitcod_tensor::{kernels, Initializer, Matrix};
 const IN_DIM: usize = 8;
 const CLASSES: usize = 4;
 
-fn tiny_model(seed: u64) -> (VisionTransformer, ParamStore) {
-    let cfg = ViTConfig::deit_tiny().reduced_for_training();
+/// DeiT-Tiny's reduced training shape (17 tokens, dim 16, 2 heads) at
+/// `depth` blocks.
+fn tiny_model(seed: u64, depth: usize) -> (VisionTransformer, ParamStore) {
+    let base = ViTConfig::deit_tiny().reduced_for_training();
+    let cfg = ViTConfig {
+        depth,
+        stages: vec![StageConfig {
+            depth,
+            ..base.stages[0]
+        }],
+        ..base
+    };
     let mut store = ParamStore::new();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let vit = VisionTransformer::new(&cfg, IN_DIM, CLASSES, &mut store, &mut rng);
@@ -66,7 +76,7 @@ fn local_global_plan(vit: &VisionTransformer) -> SparsityPlan {
 
 #[test]
 fn fp32_dense_logits_bit_identical_to_tape() {
-    let (vit, store) = tiny_model(1);
+    let (vit, store) = tiny_model(1, 2);
     let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     for seed in 0..4 {
         let tokens = random_tokens(&vit, 100 + seed);
@@ -80,7 +90,7 @@ fn fp32_dense_logits_bit_identical_to_tape() {
 
 #[test]
 fn fp32_dense_with_auto_encoder_bit_identical_to_tape() {
-    let (mut vit, mut store) = tiny_model(2);
+    let (mut vit, mut store) = tiny_model(2, 2);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     vit.insert_auto_encoder(
         AutoEncoderSpec::half(vit.config().heads),
@@ -97,7 +107,7 @@ fn fp32_dense_with_auto_encoder_bit_identical_to_tape() {
 
 #[test]
 fn sparse_csc_path_matches_masked_dense_reference() {
-    let (mut vit, store) = tiny_model(3);
+    let (mut vit, store) = tiny_model(3, 2);
     vit.set_sparsity_plan(local_global_plan(&vit));
     let compiled = CompiledVit::from_parts(&vit, &store);
     assert_eq!(
@@ -123,7 +133,7 @@ fn sparse_csc_path_matches_masked_dense_reference() {
 
 #[test]
 fn sparse_csc_path_agrees_across_budgets_bitwise() {
-    let (mut vit, store) = tiny_model(4);
+    let (mut vit, store) = tiny_model(4, 2);
     vit.set_sparsity_plan(local_global_plan(&vit));
     let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     let tokens = random_tokens(&vit, 400);
@@ -134,7 +144,7 @@ fn sparse_csc_path_agrees_across_budgets_bitwise() {
 
 #[test]
 fn int8_stays_close_to_fp32_and_shrinks_weights() {
-    let (mut vit, store) = tiny_model(5);
+    let (mut vit, store) = tiny_model(5, 2);
     vit.set_sparsity_plan(local_global_plan(&vit));
     let compiled = CompiledVit::from_parts(&vit, &store);
     let fp32 = Engine::builder(compiled.clone()).build();
@@ -173,7 +183,7 @@ fn weight_vector_scalars(c: &CompiledVit) -> usize {
 
 #[test]
 fn infer_batch_preserves_order_and_worker_count_does_not_matter() {
-    let (vit, store) = tiny_model(6);
+    let (vit, store) = tiny_model(6, 2);
     let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
     let samples: Vec<Sample> = (0..9)
         .map(|i| Sample {
@@ -197,7 +207,7 @@ fn infer_batch_preserves_order_and_worker_count_does_not_matter() {
 /// panic comes back as itself.
 #[test]
 fn scoped_budget_reaches_every_batch_worker() {
-    let (mut vit, store) = tiny_model(13);
+    let (mut vit, store) = tiny_model(13, 2);
     // One sparse and one dense head per layer.
     let mut plan = local_global_plan(&vit);
     for layer in &mut plan {
@@ -324,7 +334,7 @@ fn assert_profile_partitions_time(profile: &OpProfile, depth: usize, case: &str)
 
 #[test]
 fn profiled_forward_matches_fast_path_and_partitions_time() {
-    let (dense, dense_store) = tiny_model(9);
+    let (dense, dense_store) = tiny_model(9, 2);
     let mut sparse = dense.clone();
     sparse.set_sparsity_plan(local_global_plan(&sparse));
     let (mut sparse_ae, mut ae_store) = (sparse.clone(), dense_store.clone());
@@ -425,10 +435,10 @@ fn head_fan_out_changes_neither_logits_nor_profile_invariants() {
 
 #[test]
 fn approx_ops_per_sample_tracks_sparsity() {
-    let (vit, store) = tiny_model(10);
+    let (vit, store) = tiny_model(10, 2);
     let dense = CompiledVit::from_parts(&vit, &store);
     let dense_ops = Engine::builder(dense).build().approx_ops_per_sample();
-    let (mut vit2, store2) = tiny_model(10);
+    let (mut vit2, store2) = tiny_model(10, 2);
     vit2.set_sparsity_plan(local_global_plan(&vit2));
     let sparse = CompiledVit::from_parts(&vit2, &store2);
     let sparse_ops = Engine::builder(sparse).build().approx_ops_per_sample();
@@ -439,4 +449,69 @@ fn approx_ops_per_sample_tracks_sparsity() {
     let f = vit.config().flops();
     let floor = dense_ops - 2.0 * f.attention_core() as f64 - f.softmax_ops as f64;
     assert!(sparse_ops >= floor);
+}
+
+/// FNV-1a over the `to_bits()` of the logits of three seeded token sets.
+fn logits_hash(engine: &Engine, vit: &VisionTransformer) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..3 {
+        for logit in engine.infer_one(&random_tokens(vit, 1400 + seed)).logits {
+            for byte in logit.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// The tape is the bitwise oracle of the fp32 dense forward only; the
+/// int8 and sparse forwards have none, so their logits are pinned here,
+/// on {fp32, int8} × {dense, sparse, sparse + AE} at depth 1 (where the
+/// one block is also the last) and depth 2. A value that moves means the
+/// per-element arithmetic of the forward changed. The per-element order
+/// does not depend on the register-tile width, so the same values hold
+/// at every `target-cpu` level.
+#[test]
+fn logits_pinned_bitwise_across_plans_precisions_and_depths() {
+    const PINNED: [&str; 12] = [
+        "depth 1 dense fp32: 0xf559577d1f91db75",
+        "depth 1 dense int8: 0x69d3daa9b3f0e05d",
+        "depth 1 sparse fp32: 0xbb09222aa2853023",
+        "depth 1 sparse int8: 0x117c447dff646eb3",
+        "depth 1 sparse+ae fp32: 0xc361534a520034e4",
+        "depth 1 sparse+ae int8: 0x7c1e102a18a6a8ca",
+        "depth 2 dense fp32: 0x4a6e67b51dc0a359",
+        "depth 2 dense int8: 0xdda026dd8515f062",
+        "depth 2 sparse fp32: 0x0725064b9c961375",
+        "depth 2 sparse int8: 0x32655b023a683528",
+        "depth 2 sparse+ae fp32: 0x5a28c1885805ff35",
+        "depth 2 sparse+ae int8: 0x849a70a33ee05daf",
+    ];
+    let mut got = Vec::new();
+    for depth in [1, 2] {
+        let (dense, store) = tiny_model(14, depth);
+        let mut sparse = dense.clone();
+        sparse.set_sparsity_plan(local_global_plan(&sparse));
+        let (mut sparse_ae, mut ae_store) = (sparse.clone(), store.clone());
+        sparse_ae.insert_auto_encoder(
+            AutoEncoderSpec::half(sparse_ae.config().heads),
+            &mut ae_store,
+            &mut ChaCha8Rng::seed_from_u64(7),
+        );
+        for (plan, vit, store) in [
+            ("dense", &dense, &store),
+            ("sparse", &sparse, &store),
+            ("sparse+ae", &sparse_ae, &ae_store),
+        ] {
+            let compiled = CompiledVit::from_parts(vit, store);
+            for precision in [Precision::Fp32, Precision::Int8] {
+                let engine = Engine::builder(compiled.clone())
+                    .precision(precision)
+                    .build();
+                let hash = logits_hash(&engine, vit);
+                got.push(format!("depth {depth} {plan} {precision}: {hash:#018x}"));
+            }
+        }
+    }
+    assert_eq!(got, PINNED);
 }
