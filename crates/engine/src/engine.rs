@@ -236,25 +236,33 @@ impl Engine {
             .collect()
     }
 
-    /// Approximate arithmetic ops one forward pass performs (1 MAC = 2
-    /// ops, softmax = 1 op per kept attention entry), with the
-    /// quadratic `Q·Kᵀ`/`S·V` core and softmax discounted by the
-    /// compiled sparsity plan. Feeds the achieved-Gop/s gauge:
+    /// Arithmetic ops one forward pass performs (1 MAC = 2 ops, softmax
+    /// = 1 op per attention entry scored): the QKV, output and MLP
+    /// projections and each head's `Q·Kᵀ`/`S·V` core and softmax, over
+    /// the rows the forward runs them on — a sparse head's kept entries,
+    /// and in the last block one query row on the dense heads and one
+    /// token row from `out_proj` on. Feeds the achieved-Gop/s gauge:
     /// `ops_per_sample × requests / compute_seconds / 1e9`.
     pub fn approx_ops_per_sample(&self) -> f64 {
         let cfg = self.model.config();
-        let f = cfg.flops();
-        let layers = &self.model.layers;
-        let total_heads = layers.iter().map(|l| l.heads.len()).sum::<usize>();
-        let kept = if total_heads == 0 {
-            1.0
-        } else {
-            let sparse_frac = self.model.num_sparse_heads() as f64 / total_heads as f64;
-            1.0 - sparse_frac * self.model.mean_attention_sparsity()
-        };
-        let dense_macs = (f.total() - f.attention_core() - f.softmax_ops) as f64;
-        let core_macs = f.attention_core() as f64 * kept;
-        2.0 * (dense_macs + core_macs) + f.softmax_ops as f64 * kept
+        let (n, d, dk) = (cfg.tokens, cfg.dim, cfg.head_dim());
+        let depth = self.model.layers.len();
+        let (mut macs, mut softmax) = (0, 0);
+        for (i, layer) in self.model.layers.iter().enumerate() {
+            let (rows, q_rows) = query_rows(layer, i + 1 == depth, n);
+            // The fused QKV over every token; `out_proj`, `fc1`, `fc2`
+            // over the rows carried on.
+            macs += 3 * n * d * d + rows * d * d * (1 + 2 * cfg.mlp_ratio);
+            for head in &layer.heads {
+                let entries = match head {
+                    HeadPlan::Dense => q_rows * n,
+                    HeadPlan::Sparse(csc) => csc.nnz(),
+                };
+                macs += 2 * entries * dk;
+                softmax += entries;
+            }
+        }
+        2.0 * macs as f64 + softmax as f64
     }
 
     fn predict<C: OpClock>(&self, tokens: &Matrix, clock: &mut C) -> Prediction {
@@ -278,10 +286,15 @@ impl Engine {
     /// sum to strictly less than the forward total), and activation
     /// quantization is charged to the op that consumes it.
     ///
-    /// Fp32 mirrors the training tape's kernel sequence exactly (same
-    /// GEMM, bias, LayerNorm, GELU and per-head attention kernels in the
-    /// same order), so the dense path is bit-identical to the tape's
-    /// logits; [`Precision::Int8`] describes what int8 changes.
+    /// Fp32 does the training tape's per-row arithmetic (same GEMM,
+    /// bias, LayerNorm, GELU and per-head attention kernels in the same
+    /// order, each output element one fixed reduction chain), with the
+    /// last block on the class token's row alone: after that block's QKV
+    /// projection, attention answers only query row 0 and `out_proj`,
+    /// LN2, the MLP and both residuals run on that one row (see
+    /// [`query_rows`]). The classifier reads nothing else, so the dense
+    /// path is bit-identical to the tape's logits;
+    /// [`Precision::Int8`] describes what int8 changes.
     fn forward<C: OpClock>(&self, tokens: &Matrix, clock: &mut C) -> Vec<f32> {
         let cfg = self.model.config();
         assert_eq!(
@@ -297,7 +310,9 @@ impl Engine {
         let embedded = kernels::matmul(tokens, &self.model.patch_w);
         let mut x = &kernels::add_bias(&embedded, &self.model.patch_b) + &self.model.pos_embed;
 
-        for layer in &self.model.layers {
+        let depth = self.model.layers.len();
+        for (i, layer) in self.model.layers.iter().enumerate() {
+            let (rows, q_rows) = query_rows(layer, i + 1 == depth, n);
             let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
             // Fused QKV: one dim × 3·dim GEMM; each column accumulates in
             // the same order as the three separate projections, so the
@@ -307,7 +322,7 @@ impl Engine {
             // tiny and stay fp32, like the paper's AE decoder.
             let (q, k, v) = clock.time(OP_QKV, || {
                 let qkv = project(&normed, &layer.w_qkv, &layer.b_qkv);
-                let mut q = qkv.submatrix(0, n, 0, dim);
+                let mut q = qkv.submatrix(0, q_rows, 0, dim);
                 let mut k = qkv.submatrix(0, n, dim, 2 * dim);
                 let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
                 if let Some(ae) = &layer.ae {
@@ -317,9 +332,9 @@ impl Engine {
                 (q, k, v)
             });
 
-            let attn = attention(layer, &q, &k, &v, int8, dk, &*clock);
+            let attn = first_rows(attention(layer, &q, &k, &v, int8, dk, &*clock), rows);
             let projected = clock.time(OP_OUT_PROJ, || project(&attn, &layer.w_out, &layer.b_out));
-            x = &x + &projected;
+            x = &first_rows(x, rows) + &projected;
 
             let normed2 = kernels::layernorm_rows(&x, &layer.ln2_gamma, &layer.ln2_beta, LN_EPS);
             let act = clock.time(OP_FC1, || {
@@ -341,6 +356,30 @@ impl Engine {
     }
 }
 
+/// `(rows, q_rows)` of one layer: the token rows it carries from its
+/// attention output on, and the query rows its heads score. The
+/// classifier reads only the class token's row of the last layer's
+/// output, and every op after the QKV projection reduces each row on its
+/// own (int8 activations are quantized per row), so the last layer keeps
+/// row 0 alone and computes the same bits for it; its K and V still take
+/// every row. A sparse head's CSC kernels take a square index, so a last
+/// layer with one still scores every query row and drops the rest after.
+fn query_rows(layer: &CompiledLayer, last: bool, n: usize) -> (usize, usize) {
+    let rows = if last { 1 } else { n };
+    let square = layer.heads.iter().any(HeadPlan::is_sparse);
+    (rows, if square { n } else { rows })
+}
+
+/// The first `rows` rows of `m`, which is moved through when that is all
+/// of it.
+fn first_rows(m: Matrix, rows: usize) -> Matrix {
+    if m.rows() == rows {
+        m
+    } else {
+        m.submatrix(0, rows, 0, m.cols())
+    }
+}
+
 /// One projection site, `x · W + bias`. A site with packed int8 weights
 /// per-row-quantizes `x` and runs the i8×i8→i32 GEMM, whose epilogue
 /// dequantizes and adds the bias — no separate bias pass.
@@ -354,10 +393,14 @@ fn project(x: &Matrix, w: &SiteWeight, bias: &[f32]) -> Matrix {
 /// One layer's multi-head attention over head-fused `q`/`k`/`v`: each
 /// head runs scores → softmax → `S·V` on its `dk`-wide column stripe,
 /// the scores kernel chosen by the head's compiled plan and `int8`.
-/// Dense fp32 heads replay what the tape's fused attention records;
-/// sparse heads take the accelerator's SDDMM → sparse-softmax → SpMM
-/// dataflow over their CSC index instead of dense `-inf` masks. Int8
-/// quantizes Q and K once for all heads, charged to `scores`.
+/// `q` holds the query rows to answer (the first rows of the layer's
+/// tokens; see [`query_rows`]), `k` and `v` every token, and the output
+/// has one row per query. Dense fp32 heads compute, per query row, what
+/// the tape's fused attention records; sparse heads take the
+/// accelerator's SDDMM → sparse-softmax → SpMM dataflow over their
+/// square CSC index instead of dense `-inf` masks, so a layer with one
+/// is handed every query row. Int8 quantizes Q and K once for all heads,
+/// charged to `scores`.
 fn attention<C: OpClock>(
     layer: &CompiledLayer,
     q: &Matrix,
@@ -367,7 +410,7 @@ fn attention<C: OpClock>(
     dk: usize,
     clock: &C,
 ) -> Matrix {
-    let n = q.rows();
+    let (m, n) = (q.rows(), k.rows());
     let heads = layer.heads.len();
     let scale = 1.0 / (dk as f32).sqrt();
     let qk8 = int8.then(|| {
@@ -377,7 +420,7 @@ fn attention<C: OpClock>(
     });
     let head = |h: usize| {
         let cols = h * dk..(h + 1) * dk;
-        let stripe = |m: &Matrix| m.submatrix(0, n, cols.start, cols.end);
+        let stripe = |x: &Matrix| x.submatrix(0, x.rows(), cols.start, cols.end);
         let vh = stripe(v);
         match &layer.heads[h] {
             HeadPlan::Dense => {
@@ -407,8 +450,8 @@ fn attention<C: OpClock>(
         }
     };
     let per_head = if C::FAN_OUT_HEADS {
-        // Per-head cost upper bound: the dense path's two n×n×dk GEMMs.
-        kernels::par_map_collect(heads, 2 * n * n * dk, head)
+        // Per-head cost upper bound: the dense path's two m×n×dk GEMMs.
+        kernels::par_map_collect(heads, 2 * m * n * dk, head)
     } else {
         (0..heads).map(head).collect()
     };

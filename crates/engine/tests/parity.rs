@@ -6,6 +6,8 @@
 //!   reference within 1e-4 per logit, and are bit-identical at thread
 //!   budgets 1 and 4;
 //! * int8: bounded divergence from fp32;
+//! * pinned: the int8 and sparse logits, which the tape cannot check
+//!   bitwise, hash to values recorded from the forward;
 //! * profiling: profiled logits are **bit-identical** to the served ones
 //!   at every plan × precision, with or without head fan-out;
 //! * batching: worker fan-out preserves order and determinism.
@@ -19,8 +21,8 @@ use vitcod_engine::{
     Prediction, OP_NAMES,
 };
 use vitcod_model::{
-    AutoEncoderSpec, Sample, SparsityPlan, StageConfig, SyntheticTask, SyntheticTaskConfig,
-    TrainConfig, ViTConfig, VisionTransformer,
+    AutoEncoderSpec, FlopsBreakdown, Sample, SparsityPlan, StageConfig, SyntheticTask,
+    SyntheticTaskConfig, TrainConfig, ViTConfig, VisionTransformer,
 };
 use vitcod_tensor::{kernels, Initializer, Matrix};
 
@@ -74,35 +76,43 @@ fn local_global_plan(vit: &VisionTransformer) -> SparsityPlan {
         .collect()
 }
 
+/// At depth 1 the one block is also the last, which the engine runs on
+/// the class token's row from attention on; at depth 2 a full block
+/// precedes it.
 #[test]
 fn fp32_dense_logits_bit_identical_to_tape() {
-    let (vit, store) = tiny_model(1, 2);
-    let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
-    for seed in 0..4 {
-        let tokens = random_tokens(&vit, 100 + seed);
-        assert_eq!(
-            engine.infer_one(&tokens).logits,
-            tape_logits(&vit, &store, &tokens),
-            "logits differ from tape at seed {seed}"
-        );
+    for depth in [1, 2] {
+        let (vit, store) = tiny_model(1, depth);
+        let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
+        for seed in 0..4 {
+            let tokens = random_tokens(&vit, 100 + seed);
+            assert_eq!(
+                engine.infer_one(&tokens).logits,
+                tape_logits(&vit, &store, &tokens),
+                "logits differ from tape at depth {depth}, seed {seed}"
+            );
+        }
     }
 }
 
 #[test]
 fn fp32_dense_with_auto_encoder_bit_identical_to_tape() {
-    let (mut vit, mut store) = tiny_model(2, 2);
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    vit.insert_auto_encoder(
-        AutoEncoderSpec::half(vit.config().heads),
-        &mut store,
-        &mut rng,
-    );
-    let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
-    let tokens = random_tokens(&vit, 200);
-    assert_eq!(
-        engine.infer_one(&tokens).logits,
-        tape_logits(&vit, &store, &tokens)
-    );
+    for depth in [1, 2] {
+        let (mut vit, mut store) = tiny_model(2, depth);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        vit.insert_auto_encoder(
+            AutoEncoderSpec::half(vit.config().heads),
+            &mut store,
+            &mut rng,
+        );
+        let engine = Engine::builder(CompiledVit::from_parts(&vit, &store)).build();
+        let tokens = random_tokens(&vit, 200);
+        assert_eq!(
+            engine.infer_one(&tokens).logits,
+            tape_logits(&vit, &store, &tokens),
+            "depth {depth}"
+        );
+    }
 }
 
 #[test]
@@ -377,59 +387,60 @@ fn profiled_forward_matches_fast_path_and_partitions_time() {
 /// A shape where attention heads really fan out across kernel workers
 /// (`2·n²·dk` = 256 Ki > the 128 Ki per-thread grain): the served logits
 /// must not depend on the thread budget, and the profiled pass — heads in
-/// index order whatever the budget — must still partition its time.
+/// index order whatever the budget — must still partition its time. At
+/// depth 1 the one layer is the last, which answers only the class
+/// token's query row: on its dense heads alone when every head is dense,
+/// and by cutting the square result when a sparse head is present.
 #[test]
 fn head_fan_out_changes_neither_logits_nor_profile_invariants() {
-    let (tokens, dim, heads, depth) = (64, 64, 2, 2);
-    let cfg = ViTConfig {
-        tokens,
-        dim,
-        heads,
-        depth,
-        stages: vec![StageConfig {
+    for depth in [1, 2] {
+        let (tokens, dim, heads) = (64, 64, 2);
+        let cfg = ViTConfig {
             tokens,
             dim,
             heads,
             depth,
-        }],
-        ..ViTConfig::deit_tiny().reduced_for_training()
-    };
-    let mut store = ParamStore::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(12);
-    let mut vit = VisionTransformer::new(&cfg, IN_DIM, CLASSES, &mut store, &mut rng);
-    // One sparse and one dense head per layer.
-    let mut plan = local_global_plan(&vit);
-    for layer in &mut plan {
-        layer[1] = None;
-    }
-    vit.set_sparsity_plan(plan);
-    let compiled = CompiledVit::from_parts(&vit, &store);
-    let samples = [Sample {
-        tokens: random_tokens(&vit, 1200),
-        label: 0,
-    }];
-    for precision in [Precision::Fp32, Precision::Int8] {
-        let engine = Engine::builder(compiled.clone())
-            .precision(precision)
-            .build();
-        let serial = kernels::with_thread_budget(1, || engine.infer_batch(&samples));
-        let (fanned, profiled) = kernels::with_thread_budget(4, || {
-            (
-                engine.infer_batch(&samples),
-                engine.infer_batch_profiled(&samples),
-            )
-        });
-        assert_eq!(
-            logit_bits(&fanned[0]),
-            logit_bits(&serial[0]),
-            "{precision}"
-        );
-        assert_eq!(
-            logit_bits(&profiled[0].0),
-            logit_bits(&serial[0]),
-            "{precision}"
-        );
-        assert_profile_partitions_time(&profiled[0].1, depth, &format!("fan-out {precision}"));
+            stages: vec![StageConfig {
+                tokens,
+                dim,
+                heads,
+                depth,
+            }],
+            ..ViTConfig::deit_tiny().reduced_for_training()
+        };
+        let mut store = ParamStore::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let dense = VisionTransformer::new(&cfg, IN_DIM, CLASSES, &mut store, &mut rng);
+        // One sparse and one dense head per layer.
+        let mut mixed = dense.clone();
+        let mut plan = local_global_plan(&mixed);
+        for layer in &mut plan {
+            layer[1] = None;
+        }
+        mixed.set_sparsity_plan(plan);
+        let samples = [Sample {
+            tokens: random_tokens(&dense, 1200),
+            label: 0,
+        }];
+        for (plan, vit) in [("dense", &dense), ("mixed", &mixed)] {
+            let compiled = CompiledVit::from_parts(vit, &store);
+            for precision in [Precision::Fp32, Precision::Int8] {
+                let case = format!("depth {depth} {plan} {precision}");
+                let engine = Engine::builder(compiled.clone())
+                    .precision(precision)
+                    .build();
+                let serial = kernels::with_thread_budget(1, || engine.infer_batch(&samples));
+                let (fanned, profiled) = kernels::with_thread_budget(4, || {
+                    (
+                        engine.infer_batch(&samples),
+                        engine.infer_batch_profiled(&samples),
+                    )
+                });
+                assert_eq!(logit_bits(&fanned[0]), logit_bits(&serial[0]), "{case}");
+                assert_eq!(logit_bits(&profiled[0].0), logit_bits(&serial[0]), "{case}");
+                assert_profile_partitions_time(&profiled[0].1, depth, &case);
+            }
+        }
     }
 }
 
@@ -449,6 +460,29 @@ fn approx_ops_per_sample_tracks_sparsity() {
     let f = vit.config().flops();
     let floor = dense_ops - 2.0 * f.attention_core() as f64 - f.softmax_ops as f64;
     assert!(sparse_ops >= floor);
+
+    // At depth 1 the one block is the last: the fused QKV projection runs
+    // on every token, the rest on the class token's row.
+    let (vit, store) = tiny_model(10, 1);
+    let ops = Engine::builder(CompiledVit::from_parts(&vit, &store))
+        .build()
+        .approx_ops_per_sample();
+    let cfg = vit.config();
+    let (n, d, heads) = (cfg.tokens as u64, cfg.dim as u64, cfg.heads as u64);
+    let run = FlopsBreakdown {
+        qkv_proj_macs: 3 * n * d * d + d * d,
+        qk_macs: n * d,
+        sv_macs: n * d,
+        softmax_ops: heads * n,
+        mlp_macs: 2 * d * d * cfg.mlp_ratio as u64,
+        stem_macs: 0,
+    };
+    assert_eq!(
+        ops as u64,
+        2 * (run.total() - run.softmax_ops) + run.softmax_ops
+    );
+    let all_rows = cfg.flops();
+    assert!(ops < (2 * (all_rows.total() - all_rows.softmax_ops) + all_rows.softmax_ops) as f64);
 }
 
 /// FNV-1a over the `to_bits()` of the logits of three seeded token sets.
