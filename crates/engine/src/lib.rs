@@ -21,9 +21,10 @@
 //!   SDDMM → sparse-softmax → SpMM dataflow from
 //!   [`vitcod_tensor::sparse`] instead of dense `-inf` masking.
 //!
-//! The fp32 dense path replays exactly the kernel sequence the tape
-//! records, so its logits are bit-identical to the training forward's —
-//! the parity tests in this crate enforce that. The profiled pass
+//! The fp32 dense path does the per-row arithmetic the tape records, with
+//! the last block on the class token's row alone (the only row the
+//! classifier reads), so its logits are bit-identical to the training
+//! forward's — the parity tests in this crate enforce that. The profiled pass
 //! ([`Engine::infer_batch_profiled`]) is that same forward body with a
 //! timing hook around each op, so profiled and served logits are bitwise
 //! equal at either precision. [`Precision::Int8`] holds each projection
