@@ -2,8 +2,10 @@
 //! Where the resident set of a DeiT-Tiny serving set-up goes.
 //!
 //! Walks the set-up the benchmark of record times (`offline_dense_fp32`
-//! / `offline_sparse_int8`: seeded init → artifact text → loaded engine
-//! → the output checks' second engine) and prints `VmRSS` / `VmHWM` from
+//! / `offline_sparse_int8`: seeded init → frozen model → artifact text,
+//! written by `save_compiled_vit` straight from the frozen model's fields
+//! (the `save` phase: the text and nothing else) → loaded engine → the
+//! output checks' second engine) and prints `VmRSS` / `VmHWM` from
 //! `/proc/self/status` after each phase, so `peak_rss_mb` can be walked
 //! down to the allocation that set it:
 //!
@@ -25,8 +27,8 @@ use std::hint::black_box;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::{ParamStore, Tape};
-use vitcod_core::{prune_to_sparsity, save_compiled};
-use vitcod_engine::{load_compiled_vit, CompiledVit, Engine, Precision};
+use vitcod_core::prune_to_sparsity;
+use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Engine, Precision};
 use vitcod_model::{AttentionStats, Sample, SparsityPlan, ViTConfig, VisionTransformer};
 use vitcod_tensor::{kernels, Initializer};
 
@@ -99,10 +101,7 @@ fn round(round: usize, precision: Precision) {
 
     let compiled = CompiledVit::from_parts(&model, &store);
     phases.mark("from_parts");
-    let record = compiled.to_artifact(precision);
-    phases.mark("to_artifact");
-    let text = save_compiled(&record);
-    drop(record);
+    let text = save_compiled_vit(&compiled, precision);
     phases.mark("save");
     let (loaded, loaded_precision) = load_compiled_vit(&text).expect("a fresh save loads");
     phases.mark("load");

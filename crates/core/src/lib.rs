@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod artifact;
 mod autoencoder;
 mod formats;
 mod interface;
@@ -55,10 +54,6 @@ mod reorder;
 mod split_conquer;
 pub mod taxonomy;
 
-pub use artifact::{
-    load_compiled, save_compiled, CompiledModelArtifact, HeadPlanRecord, NamedTensor,
-    ParseArtifactError, TensorPayload,
-};
 pub use autoencoder::AutoEncoderConfig;
 pub use formats::{CooMatrix, CscMatrix, SparsityPattern};
 pub use interface::{compile_model, AcceleratorProgram, LayerProgram, PhaseWorkload};

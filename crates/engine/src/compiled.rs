@@ -18,9 +18,9 @@
 //! model is the smaller one in memory as well as on disk.
 
 use vitcod_autograd::ParamStore;
-use vitcod_core::CscMatrix;
 use vitcod_model::{Sample, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::LANES;
+use vitcod_tensor::sparse::CscMatrix;
 use vitcod_tensor::{Matrix, PackedGemmWeights, QuantizedMatrix};
 
 use crate::Precision;
@@ -141,7 +141,7 @@ pub struct CompiledLayer {
 /// A Vision Transformer frozen for inference.
 ///
 /// Build one with [`CompiledVit::from_parts`] — after a finished
-/// [`vitcod_core::ViTCoDPipeline`] run that is
+/// `vitcod_core::ViTCoDPipeline` run that is
 /// `CompiledVit::from_parts(report.trainer.model(), report.trainer.store())`
 /// — then serve it through [`crate::Engine`].
 #[derive(Debug, Clone, PartialEq)]

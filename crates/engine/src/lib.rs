@@ -12,8 +12,13 @@
 //!   QKV projections) plus one [`HeadPlan`] per attention head: dense,
 //!   or a pre-compiled CSC index for the accelerator's sparse dataflow.
 //!   [`CompiledVit::from_parts`] is the one compile seam: after a
-//!   [`vitcod_core::ViTCoDPipeline`] run it indexes the very masks
+//!   `vitcod_core::ViTCoDPipeline` run it indexes the very masks
 //!   Step 2 froze to CSC and finetuned on.
+//! * [`save_compiled_vit`] / [`load_compiled_vit`] — the compiled model on
+//!   disk. This crate owns that format, `vitcod-compiled v1`, grammar and
+//!   schema alike: the text is written straight from a [`CompiledVit`]'s
+//!   fields and parsed straight into one, and [`ArtifactError`] is its
+//!   one error.
 //! * [`Engine`] — built via `Engine::builder(compiled).precision(..)`;
 //!   the thread budget is the caller's
 //!   ([`vitcod_tensor::kernels`]). [`Engine::infer_batch`] runs a tape-free forward that fans samples

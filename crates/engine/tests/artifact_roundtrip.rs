@@ -4,17 +4,15 @@
 //! int8 payloads — and malformed artifacts must be rejected with the
 //! offending line number.
 
-#[path = "../../core/tests/artifact_oracle/mod.rs"]
 mod artifact_oracle;
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
-use vitcod_core::{load_compiled, save_compiled};
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Engine, Precision};
 use vitcod_model::{AutoEncoderSpec, Sample, SparsityPlan, ViTConfig, VisionTransformer};
-use vitcod_tensor::{Initializer, Matrix};
+use vitcod_tensor::{Initializer, Matrix, QuantParams, QuantizedMatrix};
 
 const IN_DIM: usize = 8;
 const CLASSES: usize = 4;
@@ -139,11 +137,15 @@ proptest! {
 #[test]
 fn int8_artifact_stores_one_byte_weight_payloads() {
     let model = tiny_model(11, false, false);
-    let record = load_compiled(&save_compiled_vit(&model, Precision::Int8)).unwrap();
-    let is_i8 = |name: &str| {
-        let tensor = record.tensors.iter().find(|t| t.name == name).unwrap();
-        matches!(tensor.payload, vitcod_core::TensorPayload::I8(_))
+    let text = save_compiled_vit(&model, Precision::Int8);
+    let kind = |name: &str| {
+        let suffix = format!(" {name} ");
+        let header = text
+            .lines()
+            .find(|l| l.starts_with("tensor ") && l.contains(&suffix));
+        header.unwrap().split(' ').nth(1).unwrap().to_string()
     };
+    let is_i8 = |name: &str| kind(name) == "i8";
     // The engine's quantization set is i8; biases/LayerNorm stay f32.
     for name in ["patch_w", "pos_embed", "head_w", "layer0.w_qkv"] {
         assert!(is_i8(name), "{name} should be quantized");
@@ -164,11 +166,10 @@ fn deit_tiny_artifact_matches_the_oracle_writer() {
     let vit = VisionTransformer::new(&ViTConfig::deit_tiny(), 48, 10, &mut store, &mut rng);
     let model = CompiledVit::from_parts(&vit, &store);
     for (precision, bytes) in [(Precision::Fp32, 48_496_814), (Precision::Int8, 19_767_427)] {
-        let record = model.to_artifact(precision);
-        let text = save_compiled(&record);
+        let text = save_compiled_vit(&model, precision);
         // `assert!`, not `assert_eq!`: a failure must not print 48 MB.
         assert!(
-            text == artifact_oracle::save_compiled_oracle(&record),
+            text == artifact_oracle::save_compiled_oracle(&vit, &store, precision),
             "{precision:?}: writer and oracle disagree"
         );
         assert_eq!(text.len(), bytes, "{precision:?}: the v1 format moved");
@@ -201,10 +202,6 @@ fn duplicate_names_are_rejected() {
         (again(patch_b, 2), "duplicate tensor 'patch_b'"),
         (again(1, 1), "duplicate meta key 'model'"),
     ] {
-        assert!(
-            load_compiled(&text).is_ok(),
-            "the format itself is schema-free"
-        );
         match load_compiled_vit(&text) {
             Err(ArtifactError::Schema(msg)) => assert_eq!(msg, message),
             other => panic!("expected {message:?}, got {:?}", other.map(|_| ())),
@@ -226,8 +223,8 @@ fn malformed_artifacts_report_line_numbers() {
     ];
     for (text, line) in cases {
         match load_compiled_vit(text).unwrap_err() {
-            ArtifactError::Parse(e) => {
-                assert_eq!(e.line(), *line, "wrong line for {text:?}");
+            ArtifactError::Parse { line: got, .. } => {
+                assert_eq!(got, *line, "wrong line for {text:?}");
             }
             other => panic!("expected parse error for {text:?}, got {other}"),
         }
@@ -348,28 +345,19 @@ fn deit_tiny_int8_model_holds_half_the_bytes_of_fp32() {
 
 /// An int8 artifact served at fp32 computes on exactly the values its
 /// bytes stand for: the engine's logits equal those of an fp32 engine
-/// over the record with every i8 payload `dequantize()`d, and an fp32
-/// re-save of the loaded model writes those same tensors.
+/// over the text with every i8 payload `dequantize()`d, and an fp32
+/// re-save of the loaded model is that text.
 #[test]
 fn int8_artifact_serves_and_saves_at_fp32_as_its_dequantized_values() {
-    use vitcod_core::TensorPayload;
     let text = save_compiled_vit(&tiny_model(21, true, true), Precision::Int8);
-    let mut record = load_compiled(&text).unwrap();
-    for t in &mut record.tensors {
-        if let TensorPayload::I8(q) = &t.payload {
-            t.payload = TensorPayload::F32(q.dequantize());
-        }
-    }
+    let dequantized_text = dequantize_payloads(&text);
+    assert_ne!(dequantized_text, text);
     let (loaded, _) = load_compiled_vit(&text).unwrap();
-    let resaved = loaded.to_artifact(Precision::Fp32);
-    assert_eq!(resaved.tensors.len(), record.tensors.len());
-    for (got, want) in resaved.tensors.iter().zip(&record.tensors) {
-        assert_eq!(got.name, want.name);
-        assert!(got.payload == want.payload, "tensor {}", got.name);
-    }
+    assert!(save_compiled_vit(&loaded, Precision::Fp32) == dequantized_text);
 
     let samples = batch(loaded.config().tokens, 9100, 2);
-    let dequantized = CompiledVit::from_artifact(record).unwrap();
+    let (dequantized, precision) = load_compiled_vit(&dequantized_text).unwrap();
+    assert_eq!(precision, Precision::Fp32);
     let want = Engine::builder(dequantized).build().infer_batch(&samples);
     // Owned and shared builds both dequantize the packed sites once.
     let shared = std::sync::Arc::new(loaded.clone());
@@ -380,4 +368,43 @@ fn int8_artifact_serves_and_saves_at_fp32_as_its_dequantized_values() {
         "a shared artifact is not rewritten"
     );
     assert_eq!(Engine::builder(loaded).build().infer_batch(&samples), want);
+}
+
+/// `text` with every `tensor i8` record rewritten as the `tensor f32`
+/// record of the values its bytes stand for, and `meta precision fp32`.
+fn dequantize_payloads(text: &str) -> String {
+    let mut out = String::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        match fields[..] {
+            ["meta", "precision", _] => out.push_str("meta precision fp32\n"),
+            ["tensor", "i8", name, rows, cols, scale] => {
+                let (rows, cols) = (rows.parse().unwrap(), cols.parse().unwrap());
+                let data = (0..rows)
+                    .flat_map(|_| lines.next().unwrap().split(','))
+                    .filter(|v| !v.is_empty())
+                    .map(|v| v.parse::<i8>().unwrap())
+                    .collect();
+                let scale = f32::from_bits(u32::from_str_radix(scale, 16).unwrap());
+                let q = QuantizedMatrix::from_raw(rows, cols, data, QuantParams { scale });
+                let m = q.dequantize();
+                out.push_str(&format!("tensor f32 {name} {rows} {cols}\n"));
+                for r in 0..rows {
+                    let row: Vec<String> = m
+                        .row(r)
+                        .iter()
+                        .map(|v| format!("{:08x}", v.to_bits()))
+                        .collect();
+                    out.push_str(&row.join(" "));
+                    out.push('\n');
+                }
+            }
+            _ => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    out
 }
