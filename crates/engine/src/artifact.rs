@@ -249,10 +249,7 @@ impl Writer {
         match w {
             SiteWeight::Fp32(m) => self.weight(name, m),
             SiteWeight::Int8(p) if self.int8 => self.i8_tensor(name, &p.to_quantized()),
-            SiteWeight::Int8(p) => {
-                let m = p.to_quantized().dequantize();
-                self.f32_tensor(name, m.shape(), m.as_slice());
-            }
+            SiteWeight::Int8(p) => self.weight(name, &p.to_quantized().dequantize()),
         }
     }
 
