@@ -7,9 +7,13 @@
 //! 1024³ acceptance shape, the per-row activation quantization that
 //! feeds every int8 projection, and one layer's attention training step
 //! (forward + backward, every head) through the CSC dataflow against the
-//! `-inf`-masked dense path. A last section times the `*.vitcod` codec
-//! (`save_compiled_vit` / `load_compiled_vit`) on a DeiT-Tiny artifact in
-//! fp32 and int8.
+//! `-inf`-masked dense path. The `qkv_split` row times the last layer's
+//! QKV site fused and split — `[Wq | Wk | Wv]` over every token against
+//! Q over the class token's row plus `[Wk | Wv]` over every token — in
+//! fp32 and int8, each split checked bit-identical to the fused columns
+//! and recorded without a floor. A last section times the `*.vitcod`
+//! codec (`save_compiled_vit` / `load_compiled_vit`) on a DeiT-Tiny
+//! artifact in fp32 and int8.
 //!
 //! Run with `cargo bench -p vitcod-bench --bench kernels`; results are
 //! printed and recorded to `BENCH_kernels.json` at the workspace root so
@@ -50,7 +54,8 @@ use vitcod_tensor::kernels::{
 };
 use vitcod_tensor::sparse::{self, CscMatrix};
 use vitcod_tensor::{
-    int8_gemm, int8_gemm_reference, Initializer, Matrix, PackedGemmWeights, QuantizedRows,
+    int8_gemm, int8_gemm_reference, Initializer, Matrix, PackedGemmWeights, QuantizedMatrix,
+    QuantizedRows,
 };
 
 /// Share of the recorded max(Blocked, Simd) rate Fast must reach. At the
@@ -425,6 +430,124 @@ fn bench_artifact(case: &'static ArtifactCase, model: &CompiledVit) -> ArtifactR
     rec
 }
 
+/// Tokens and model width of the `qkv_split` row: DeiT-Tiny's.
+const QKV_SHAPE: (usize, usize) = (197, 192);
+
+/// The QKV site fused and split, per precision: `(fused, split)`.
+struct QkvSplit {
+    fp32: (Timing, Timing),
+    int8: (Timing, Timing),
+}
+
+/// Times the QKV site of a DeiT-Tiny last layer (197 tokens, dim 192)
+/// the way the engine ran it and runs it now: one `[Wq | Wk | Wv]`
+/// projection over every token, against Q over the class token's row
+/// plus one `[Wk | Wv]` projection over every token. Fp32 is `matmul`
+/// plus `add_bias`; int8 quantizes the activation rows (once for both
+/// split GEMMs, plus the class token's row on its own) and runs the
+/// packed GEMM, the split sites cut from the fused tensor's codes. Each
+/// split must equal the fused columns bit for bit.
+fn bench_qkv_split() -> QkvSplit {
+    let (n, dim) = QKV_SHAPE;
+    let sample = |rows, cols, seed| Initializer::Normal { std: 1.0 }.sample(rows, cols, seed);
+    let (x, w) = (sample(n, dim, 5), sample(dim, 3 * dim, 6));
+    let bias = sample(1, 3 * dim, 7).into_vec();
+    let (b_q, b_kv) = bias.split_at(dim);
+    let (w_q, w_kv) = (
+        w.submatrix(0, dim, 0, dim),
+        w.submatrix(0, dim, dim, 3 * dim),
+    );
+    let class_row = || x.submatrix(0, 1, 0, dim);
+    let fp32_fused = || kernels::add_bias(&matmul(&x, &w), &bias);
+    let fp32_split = || {
+        let q = kernels::add_bias(&matmul(&class_row(), &w_q), b_q);
+        (q, kernels::add_bias(&matmul(&x, &w_kv), b_kv))
+    };
+    let w8 = QuantizedMatrix::quantize(&w);
+    let fused8 = PackedGemmWeights::from_quantized(&w8);
+    let q8 = PackedGemmWeights::from_quantized_columns(&w8, 0..dim);
+    let kv8 = PackedGemmWeights::from_quantized_columns(&w8, dim..3 * dim);
+    let int8_fused = || int8_gemm(&QuantizedRows::quantize(&x), &fused8, &bias);
+    let int8_split = || {
+        let x8 = QuantizedRows::quantize(&x);
+        let q = int8_gemm(&QuantizedRows::quantize(&class_row()), &q8, b_q);
+        (q, int8_gemm(&x8, &kv8, b_kv))
+    };
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (precision, fused, (q, kv)) in [
+        ("fp32", fp32_fused(), fp32_split()),
+        ("int8", int8_fused(), int8_split()),
+    ] {
+        assert_eq!(
+            bits(&q),
+            bits(&fused.submatrix(0, 1, 0, dim)),
+            "qkv_split {precision}: Q on the class token's row disagrees with the fused GEMM"
+        );
+        assert_eq!(
+            bits(&kv),
+            bits(&fused.submatrix(0, n, dim, 3 * dim)),
+            "qkv_split {precision}: KV disagrees with the fused GEMM"
+        );
+    }
+    let rec = QkvSplit {
+        fp32: (
+            time_repeats(None, || {
+                std::hint::black_box(fp32_fused());
+            }),
+            time_repeats(None, || {
+                std::hint::black_box(fp32_split());
+            }),
+        ),
+        int8: (
+            time_repeats(None, || {
+                std::hint::black_box(int8_fused());
+            }),
+            time_repeats(None, || {
+                std::hint::black_box(int8_split());
+            }),
+        ),
+    };
+    for (precision, (fused, split)) in [("fp32", &rec.fp32), ("int8", &rec.int8)] {
+        println!(
+            "{:<16}    ({n}x{dim}x{:>4}) {precision}  fused {:>7.3} ms  Q(1 row)+KV {:>7.3} ms \
+             (median {:>7.3} ± {:.3})  {:>5.2}x of fused",
+            "qkv_split",
+            3 * dim,
+            fused.best_s * 1e3,
+            split.best_s * 1e3,
+            split.median_s * 1e3,
+            split.mad_s * 1e3,
+            split.best_s / fused.best_s,
+        );
+    }
+    rec
+}
+
+fn qkv_split_json(r: &QkvSplit) -> String {
+    let column = |name: &str, t: &Timing| {
+        format!(
+            "\"{name}_s\": {:.6}, \"{name}_median_s\": {:.6}, \"{name}_mad_s\": {:.6}, \
+             \"{name}_repeats\": {}",
+            t.best_s, t.median_s, t.mad_s, t.repeats
+        )
+    };
+    let precision = |name: &str, (fused, split): &(Timing, Timing)| {
+        format!(
+            "{}, {}, \"{name}_split_over_fused\": {:.3}",
+            column(&format!("{name}_fused"), fused),
+            column(&format!("{name}_split"), split),
+            split.best_s / fused.best_s
+        )
+    };
+    let (n, dim) = QKV_SHAPE;
+    format!(
+        "{{\"m\": {n}, \"k\": {dim}, \"n\": {}, \"q_rows\": 1, {}, {}}}",
+        3 * dim,
+        precision("fp32", &r.fp32),
+        precision("int8", &r.int8)
+    )
+}
+
 /// One layer's attention training step, both ways, at DeiT-Tiny.
 struct AttentionTraining {
     n: usize,
@@ -611,6 +734,7 @@ fn run() {
     );
 
     let attention = bench_attention_training();
+    let qkv_split = bench_qkv_split();
 
     // The `*.vitcod` codec on the DeiT-Tiny artifact, both precisions.
     let mut store = ParamStore::new();
@@ -634,7 +758,7 @@ fn run() {
          over 1 s is timed once\",\n  \"gemm\": [\n{}\n  ],\n  \"softmax_rows_197_s\": {:.6},\n  \
          \"quantize_rows\": {{\"rows\": {}, \"cols\": {}, \"s\": {:.6}, \"median_s\": {:.6}, \
          \"mad_s\": {:.6}, \"repeats\": {}, \"ns_per_elem\": {:.3}}},\n  \
-         \"attention_training\": {},\n  \"artifact\": [\n{}\n  ]\n}}\n",
+         \"attention_training\": {},\n  \"qkv_split\": {},\n  \"artifact\": [\n{}\n  ]\n}}\n",
         num_threads(),
         target_cpu(),
         rows.join(",\n"),
@@ -647,6 +771,7 @@ fn run() {
         quantize.repeats,
         quantize_ns,
         attention_training_json(&attention),
+        qkv_split_json(&qkv_split),
         artifact_rows.join(",\n")
     );
     std::fs::write(json_path, json).expect("write BENCH_kernels.json");

@@ -27,19 +27,23 @@ pub enum Precision {
     #[default]
     Fp32,
     /// 8-bit weights, 8-bit projection GEMMs and 8-bit attention
-    /// scores. The four projection sites of a layer — fused QKV,
+    /// scores. The five projection sites of a layer — Q, fused KV,
     /// attention output, both MLP matrices — are quantized per tensor,
     /// packed for the i8×i8→i32 GEMM ([`vitcod_tensor::int8_gemm`]) and
     /// held **only** packed (2 B per weight resident; the fp32 matrix
-    /// is freed at build or never made at load). The matrices the
+    /// is freed at build or never made at load). Q and KV share one
+    /// scale, the one fitted over the `[Wq | Wk | Wv]` they were cut
+    /// from, so their codes are that tensor's. The matrices the
     /// forward still reads as fp32 — patch embedding, positional
     /// embedding, classifier, AE mixers — are round-tripped through
     /// the same quantization at build time: the values an int8
     /// artifact carries. The projections run against per-row-quantized
     /// activations, each activation tensor quantized **once per layer**
-    /// and shared by every consumer — attention Q/K included, since
-    /// per-row scales survive per-head column slicing. Attention scores
-    /// use i32 accumulation, the accelerator MAC lines' arithmetic.
+    /// and shared by every consumer — the Q and KV GEMMs, and attention
+    /// Q/K, since per-row scales survive per-head column slicing. A Q
+    /// cut to fewer rows than KV quantizes its rows on their own, to the
+    /// same codes. Attention scores use i32 accumulation, the
+    /// accelerator MAC lines' arithmetic.
     /// Softmax, GELU, residuals and LayerNorm stay fp32, as the paper's
     /// softmax units do.
     Int8,
@@ -118,7 +122,7 @@ impl EngineBuilder {
 /// A compile-once / serve-many inference engine.
 ///
 /// The engine owns an immutable [`CompiledVit`] and runs a tape-free
-/// forward: no gradient bookkeeping, fused QKV projections, and sparse
+/// forward: no gradient bookkeeping, fused KV projections, and sparse
 /// heads executed through the real SDDMM → sparse-softmax → SpMM
 /// dataflow over their pre-compiled CSC indexes (not dense `-inf`
 /// masking). [`Engine::infer_batch`] fans samples across worker
@@ -237,11 +241,11 @@ impl Engine {
     }
 
     /// Arithmetic ops one forward pass performs (1 MAC = 2 ops, softmax
-    /// = 1 op per attention entry scored): the QKV, output and MLP
+    /// = 1 op per attention entry scored): the Q, KV, output and MLP
     /// projections and each head's `Q·Kᵀ`/`S·V` core and softmax, over
     /// the rows the forward runs them on — a sparse head's kept entries,
-    /// and in the last block one query row on the dense heads and one
-    /// token row from `out_proj` on. Feeds the achieved-Gop/s gauge:
+    /// and in the last block one query row for Q and the dense heads and
+    /// one token row from `out_proj` on. Feeds the achieved-Gop/s gauge:
     /// `ops_per_sample × requests / compute_seconds / 1e9`.
     pub fn approx_ops_per_sample(&self) -> f64 {
         let cfg = self.model.config();
@@ -250,9 +254,9 @@ impl Engine {
         let (mut macs, mut softmax) = (0, 0);
         for (i, layer) in self.model.layers.iter().enumerate() {
             let (rows, q_rows) = query_rows(layer, i + 1 == depth, n);
-            // The fused QKV over every token; `out_proj`, `fc1`, `fc2`
-            // over the rows carried on.
-            macs += 3 * n * d * d + rows * d * d * (1 + 2 * cfg.mlp_ratio);
+            // Q over the query rows, KV over every token; `out_proj`,
+            // `fc1`, `fc2` over the rows carried on.
+            macs += (q_rows + 2 * n) * d * d + rows * d * d * (1 + 2 * cfg.mlp_ratio);
             for head in &layer.heads {
                 let entries = match head {
                     HeadPlan::Dense => q_rows * n,
@@ -289,11 +293,11 @@ impl Engine {
     /// Fp32 does the training tape's per-row arithmetic (same GEMM,
     /// bias, LayerNorm, GELU and per-head attention kernels in the same
     /// order, each output element one fixed reduction chain), with the
-    /// last block on the class token's row alone: after that block's QKV
-    /// projection, attention answers only query row 0 and `out_proj`,
-    /// LN2, the MLP and both residuals run on that one row (see
-    /// [`query_rows`]). The classifier reads nothing else, so the dense
-    /// path is bit-identical to the tape's logits;
+    /// last block on the class token's row alone: that block projects Q
+    /// for query row 0 only (K and V for every token), attention answers
+    /// that row, and `out_proj`, LN2, the MLP and both residuals run on
+    /// it (see [`query_rows`]). The classifier reads nothing else, so the
+    /// dense path is bit-identical to the tape's logits;
     /// [`Precision::Int8`] describes what int8 changes.
     fn forward<C: OpClock>(&self, tokens: &Matrix, clock: &mut C) -> Vec<f32> {
         let cfg = self.model.config();
@@ -314,17 +318,17 @@ impl Engine {
         for (i, layer) in self.model.layers.iter().enumerate() {
             let (rows, q_rows) = query_rows(layer, i + 1 == depth, n);
             let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
-            // Fused QKV: one dim × 3·dim GEMM; each column accumulates in
-            // the same order as the three separate projections, so the
-            // fusion changes layout, not numerics. The AE round trip
-            // feeds directly into attention from the fused projection,
-            // so it is charged to `qkv`; its heads × heads mixers are
-            // tiny and stay fp32, like the paper's AE decoder.
+            // Q over the query rows, then fused KV, one dim × 2·dim GEMM,
+            // over every token; each column accumulates in the same order
+            // as its own projection would, so the split and the fusion
+            // change layout, not numerics. The AE round trip feeds
+            // directly into attention from the projections, so it is
+            // charged to `qkv`; its heads × heads mixers are tiny and stay
+            // fp32, like the paper's AE decoder.
             let (q, k, v) = clock.time(OP_QKV, || {
-                let qkv = project(&normed, &layer.w_qkv, &layer.b_qkv);
-                let mut q = qkv.submatrix(0, q_rows, 0, dim);
-                let mut k = qkv.submatrix(0, n, dim, 2 * dim);
-                let v = qkv.submatrix(0, n, 2 * dim, 3 * dim);
+                let (mut q, kv) = project_qkv(&normed, q_rows, layer);
+                let mut k = kv.submatrix(0, n, 0, dim);
+                let v = kv.submatrix(0, n, dim, 2 * dim);
                 if let Some(ae) = &layer.ae {
                     q = kernels::head_mix(&kernels::head_mix(&q, &ae.enc_q, dk), &ae.dec_q, dk);
                     k = kernels::head_mix(&kernels::head_mix(&k, &ae.enc_k, dk), &ae.dec_k, dk);
@@ -357,13 +361,14 @@ impl Engine {
 }
 
 /// `(rows, q_rows)` of one layer: the token rows it carries from its
-/// attention output on, and the query rows its heads score. The
-/// classifier reads only the class token's row of the last layer's
-/// output, and every op after the QKV projection reduces each row on its
-/// own (int8 activations are quantized per row), so the last layer keeps
-/// row 0 alone and computes the same bits for it; its K and V still take
-/// every row. A sparse head's CSC kernels take a square index, so a last
-/// layer with one still scores every query row and drops the rest after.
+/// attention output on, and the query rows it projects Q for and its
+/// heads score. The classifier reads only the class token's row of the
+/// last layer's output, and every op from the Q projection on reduces
+/// each row on its own (int8 activations are quantized per row), so the
+/// last layer keeps row 0 alone and computes the same bits for it; its K
+/// and V still take every row. A sparse head's CSC kernels take a square
+/// index, so a last layer with one still projects and scores every query
+/// row and drops the rest after.
 fn query_rows(layer: &CompiledLayer, last: bool, n: usize) -> (usize, usize) {
     let rows = if last { 1 } else { n };
     let square = layer.heads.iter().any(HeadPlan::is_sparse);
@@ -387,6 +392,29 @@ fn project(x: &Matrix, w: &SiteWeight, bias: &[f32]) -> Matrix {
     match w {
         SiteWeight::Int8(w8) => int8_gemm(&QuantizedRows::quantize(x), w8, bias),
         SiteWeight::Fp32(w) => kernels::add_bias(&kernels::matmul(x, w), bias),
+    }
+}
+
+/// A layer's `(Q, KV)` projections of `x`: Q over its first `q_rows`
+/// rows, KV over all of them. An int8 layer quantizes `x` once for both
+/// GEMMs; a Q cut to fewer rows quantizes those rows on their own, to the
+/// same codes, since every row has its own scale.
+fn project_qkv(x: &Matrix, q_rows: usize, layer: &CompiledLayer) -> (Matrix, Matrix) {
+    let (b_q, b_kv) = layer.b_qkv.split_at(x.cols());
+    let cut = (q_rows < x.rows()).then(|| x.submatrix(0, q_rows, 0, x.cols()));
+    match (&layer.w_q, &layer.w_kv) {
+        (SiteWeight::Int8(w_q), SiteWeight::Int8(w_kv)) => {
+            let x8 = QuantizedRows::quantize(x);
+            let q = match &cut {
+                Some(rows) => int8_gemm(&QuantizedRows::quantize(rows), w_q, b_q),
+                None => int8_gemm(&x8, w_q, b_q),
+            };
+            (q, int8_gemm(&x8, w_kv, b_kv))
+        }
+        (w_q, w_kv) => (
+            project(cut.as_ref().unwrap_or(x), w_q, b_q),
+            project(x, w_kv, b_kv),
+        ),
     }
 }
 

@@ -8,9 +8,11 @@
 //! engine** that serves it.
 //!
 //! * [`CompiledVit`] — weights frozen out of a trained
-//!   [`vitcod_model::Trainer`] into inference layout (per-layer fused
-//!   QKV projections) plus one [`HeadPlan`] per attention head: dense,
-//!   or a pre-compiled CSC index for the accelerator's sparse dataflow.
+//!   [`vitcod_model::Trainer`] into inference layout (per layer a Q
+//!   projection and a fused KV projection, so the last layer can project
+//!   Q for the class token alone) plus one [`HeadPlan`] per attention
+//!   head: dense, or a pre-compiled CSC index for the accelerator's
+//!   sparse dataflow.
 //!   [`CompiledVit::from_parts`] is the one compile seam: after a
 //!   `vitcod_core::ViTCoDPipeline` run it indexes the very masks
 //!   Step 2 froze to CSC and finetuned on.

@@ -489,6 +489,30 @@ fn malformed_text_reports_its_line() {
     );
 }
 
+/// Every meta key in the text must be one the loader reads. A misspelt
+/// `precision` used to load as a missing one: an int8 artifact came back
+/// as fp32 and was served at its dequantized values. The error names the
+/// smallest unknown key.
+#[test]
+fn unknown_meta_keys_are_rejected() {
+    let [fp32, int8] = hand_texts();
+    let misspelt = int8.replace("meta precision int8\n", "meta precison int8\n");
+    assert_ne!(misspelt, int8);
+    assert_eq!(
+        load_compiled_vit(&misspelt).map(|_| ()),
+        Err(ArtifactError::Schema(
+            "unexpected meta key 'precison'".into()
+        ))
+    );
+    for text in [&fp32, &int8] {
+        let extra = insert(text, 1, &["meta zeta 1", "meta author someone"]);
+        assert_eq!(
+            load_compiled_vit(&extra).map(|_| ()),
+            Err(ArtifactError::Schema("unexpected meta key 'author'".into()))
+        );
+    }
+}
+
 /// Every tensor in the text must be one the model reads: a leftover
 /// tensor and a partial auto-encoder set are schema errors. Both used
 /// to load, the leftover silently dropped — with `layer0.ae.enc_q`

@@ -95,6 +95,54 @@ fn fp32_dense_logits_bit_identical_to_tape() {
     }
 }
 
+/// One token: the class token is every row, so the last layer projects Q
+/// over all `n` rows, as the others do. The dense fp32 engine still
+/// equals the tape bit for bit, and an int8 save → load keeps the
+/// logits' bits.
+#[test]
+fn one_token_model_matches_the_tape_and_keeps_its_bits_through_int8_save_load() {
+    let base = ViTConfig::deit_tiny().reduced_for_training();
+    let cfg = ViTConfig {
+        tokens: 1,
+        depth: 1,
+        stages: vec![StageConfig {
+            tokens: 1,
+            depth: 1,
+            ..base.stages[0]
+        }],
+        ..base
+    };
+    let mut store = ParamStore::new();
+    let vit = VisionTransformer::new(
+        &cfg,
+        IN_DIM,
+        CLASSES,
+        &mut store,
+        &mut ChaCha8Rng::seed_from_u64(16),
+    );
+    let compiled = CompiledVit::from_parts(&vit, &store);
+    let fp32 = Engine::builder(compiled.clone()).build();
+    let int8 = Engine::builder(compiled).precision(Precision::Int8).build();
+    let (loaded, precision) =
+        load_compiled_vit(&save_compiled_vit(int8.compiled(), Precision::Int8)).unwrap();
+    assert_eq!(precision, Precision::Int8);
+    let reloaded = Engine::builder(loaded).precision(precision).build();
+    for seed in 0..4 {
+        let tokens = random_tokens(&vit, 1600 + seed);
+        assert_eq!(tokens.shape(), (1, IN_DIM));
+        assert_eq!(
+            fp32.infer_one(&tokens).logits,
+            tape_logits(&vit, &store, &tokens),
+            "seed {seed}"
+        );
+        assert_eq!(
+            logit_bits(&reloaded.infer_one(&tokens)),
+            logit_bits(&int8.infer_one(&tokens)),
+            "seed {seed}"
+        );
+    }
+}
+
 #[test]
 fn fp32_dense_with_auto_encoder_bit_identical_to_tape() {
     for depth in [1, 2] {
@@ -461,8 +509,8 @@ fn approx_ops_per_sample_tracks_sparsity() {
     let floor = dense_ops - 2.0 * f.attention_core() as f64 - f.softmax_ops as f64;
     assert!(sparse_ops >= floor);
 
-    // At depth 1 the one block is the last: the fused QKV projection runs
-    // on every token, the rest on the class token's row.
+    // At depth 1 the one block is the last: the KV projection runs on
+    // every token, Q and the rest on the class token's row.
     let (vit, store) = tiny_model(10, 1);
     let ops = Engine::builder(CompiledVit::from_parts(&vit, &store))
         .build()
@@ -470,7 +518,7 @@ fn approx_ops_per_sample_tracks_sparsity() {
     let cfg = vit.config();
     let (n, d, heads) = (cfg.tokens as u64, cfg.dim as u64, cfg.heads as u64);
     let run = FlopsBreakdown {
-        qkv_proj_macs: 3 * n * d * d + d * d,
+        qkv_proj_macs: 2 * n * d * d + d * d + d * d,
         qk_macs: n * d,
         sv_macs: n * d,
         softmax_ops: heads * n,

@@ -41,7 +41,17 @@ impl QuantParams {
     /// Returns a scale of `1.0` for an all-zero tensor so quantization
     /// stays invertible.
     pub fn fit(m: &Matrix) -> Self {
-        let max = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+        Self::fit_all(&[m])
+    }
+
+    /// [`QuantParams::fit`] over the values of every part at once: the
+    /// scale of the tensor the parts would make side by side, so parts
+    /// quantized with it hold that tensor's codes.
+    pub fn fit_all(parts: &[&Matrix]) -> Self {
+        let max = parts
+            .iter()
+            .flat_map(|m| m.as_slice())
+            .fold(0.0f32, |a, &v| a.max(v.abs()));
         Self {
             scale: if max == 0.0 { 1.0 } else { max / 127.0 },
         }
@@ -164,7 +174,7 @@ pub const MAX_INT8_GEMM_K: usize = i32::MAX as usize / (127 * 128);
 ///
 /// Each row gets its own scale (`max|row| / 127`, `1.0` for an all-zero
 /// row), fitted once when the activation tensor is produced; every
-/// consumer — the fused-QKV / MLP projections via [`int8_gemm`], dense
+/// consumer — the Q, KV and MLP projections via [`int8_gemm`], dense
 /// attention scores via [`QuantizedRows::scores_nt`], the sparse SDDMM —
 /// reads the same quantization. Values are stored as `i16` (the operand
 /// width of the paired multiply–accumulate idiom) with rows padded to an
@@ -373,7 +383,24 @@ impl PackedGemmWeights {
     ///
     /// Panics if `k` exceeds [`MAX_INT8_GEMM_K`].
     pub fn from_quantized(w: &QuantizedMatrix) -> Self {
-        let (k, n) = w.shape();
+        Self::from_quantized_columns(w, 0..w.cols)
+    }
+
+    /// Packs the column window `cols` of an already-quantized weight, its
+    /// bytes and scale verbatim: how one quantized tensor is cut into
+    /// sites that keep its one scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` exceeds [`MAX_INT8_GEMM_K`] or the window exceeds
+    /// the weight's columns.
+    pub fn from_quantized_columns(w: &QuantizedMatrix, cols: std::ops::Range<usize>) -> Self {
+        let k = w.rows;
+        assert!(
+            cols.start <= cols.end && cols.end <= w.cols,
+            "column window {cols:?} out of bounds"
+        );
+        let n = cols.len();
         assert!(
             k <= MAX_INT8_GEMM_K,
             "k={k} could overflow i32 accumulation"
@@ -389,9 +416,9 @@ impl PackedGemmWeights {
                         continue;
                     }
                     let base = ((p * kp + pair) * LANES + l) * 2;
-                    data[base] = w.get_raw(2 * pair, j) as i16;
+                    data[base] = w.get_raw(2 * pair, cols.start + j) as i16;
                     if 2 * pair + 1 < k {
-                        data[base + 1] = w.get_raw(2 * pair + 1, j) as i16;
+                        data[base + 1] = w.get_raw(2 * pair + 1, cols.start + j) as i16;
                     }
                 }
             }
