@@ -3,17 +3,19 @@
 use std::fmt::Write as _;
 
 /// Every rule id `vitcod-lint` can emit, including the directive
-/// hygiene pseudo-rule `V000`.
-pub const RULE_IDS: [&str; 6] = ["V000", "V001", "V002", "V004", "V005", "V006"];
+/// hygiene pseudo-rule `V000`. The retired V001 and V004 are clippy
+/// lints now, so an allow naming them is an unknown rule.
+pub const RULE_IDS: [&str; 4] = ["V000", "V002", "V005", "V006"];
 
-/// One finding, printed as `file:line: [V00x] message`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One finding, printed as `file:line: [V00x] message`. Findings sort
+/// by file, then line, then rule.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`V001`…).
+    /// Rule id (`V002`…).
     pub rule: &'static str,
     /// Human-readable message.
     pub message: String,
@@ -181,17 +183,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              safe). A directive that suppresses nothing is stale and reported too: allows\n\
              document living invariants, they are not a mute button."
         }
-        "V001" => {
-            "V001 — no panics in serving library code.\n\
-             Scope: non-test library code of vitcod-serve, vitcod-transport, vitcod-engine.\n\
-             Flags `.unwrap()`, `.expect(...)` (a file's own `self.expect(...)` parser\n\
-             method is recognized and exempt), `panic!`, `todo!`, `unimplemented!` and\n\
-             `unreachable!`. In vitcod-serve and vitcod-transport it additionally flags\n\
-             scalar subscript indexing `a[i]` (range slicing `a[i..j]` is the parser idiom\n\
-             and exempt). A panic on the serve path kills a worker's batch and with it the\n\
-             determinism guarantees; recover (`unwrap_or_else(|e| e.into_inner())` for\n\
-             poisoned locks), return a Result, or state the invariant in an allow."
-        }
         "V002" => {
             "V002 — lock discipline in the serve/transport concurrency web.\n\
              Scope: non-test library code of vitcod-serve and vitcod-transport. Builds a\n\
@@ -206,24 +197,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              helpers that block internally (`next_batch`, `wait_until`) are listed\n\
              explicitly. Run with --lock-graph to print the graph."
         }
-        "V004" => {
-            "V004 — determinism hygiene.\n\
-             (a) No `==`/`!=` against a non-zero float literal in non-test library code\n\
-             anywhere in the workspace (exact-zero sentinel tests on sparsity masks are\n\
-             deliberate and exempt); (b) no `Instant::now()` or environment reads\n\
-             (`env::var*`) in vitcod-tensor library code — kernels must be pure functions\n\
-             of their inputs (one-time cached process configuration can be allowed with a\n\
-             stated invariant); (c) no float reductions (`.sum()`/`.product()`) on a\n\
-             `par_*` chain — parallel reduction order would break bit-identical results\n\
-             across worker counts."
-        }
         "V005" => {
-            "V005 — unsafe-free by construction.\n\
-             Every workspace crate root (src/lib.rs, src/main.rs, src/bin/*.rs of\n\
-             non-vendored members) must carry `#![forbid(unsafe_code)]`, and the token\n\
-             `unsafe` must not appear anywhere in workspace source, tests included\n\
-             (comments and strings do not count — the check is token-level). Vendored\n\
-             stand-ins under vendor/ are out of scope."
+            "V005 — every member inherits the workspace lint table.\n\
+             Every non-vendored member manifest, the root facade's included, must carry\n\
+             `[lints] workspace = true`. That table holds `unsafe_code = \"forbid\"`,\n\
+             `float_cmp` and the other workspace lints, and rustc and clippy apply it, to\n\
+             library and test builds alike, only in the crates that opt in: the opt-in is\n\
+             the one part of the policy no compiler lint sees. Reported on line 1 of the\n\
+             manifest. Vendored stand-ins under vendor/ are out of scope."
         }
         "V006" => {
             "V006 — dead public surface.\n\

@@ -16,7 +16,7 @@ use crate::source::SourceFile;
 /// One parsed allow directive.
 #[derive(Debug)]
 pub struct Allow {
-    /// Rule being allowed (`V001`…).
+    /// Rule being allowed (`V002`…).
     pub rule: String,
     /// The stated reason.
     pub reason: String,

@@ -1,8 +1,8 @@
 //! A hand-rolled, dependency-free lexer for Rust source.
 //!
 //! The rules in this crate reason about *token* streams, never raw
-//! text: `unwrap` inside a doc comment, a string literal, or a raw
-//! string must not trip a lint. The lexer therefore understands every
+//! text: a name inside a doc comment, a string literal, or a raw
+//! string is not a caller, and `.lock()` inside one is no guard. The lexer therefore understands every
 //! construct that can hide arbitrary text inside a Rust file —
 //! line/doc comments, (nested) block comments, plain and raw strings
 //! with arbitrary hash fences, byte strings, char literals — and
@@ -24,7 +24,7 @@ pub enum TokenKind {
     CharLit,
     /// String literal of any flavour (`"…"`, `r#"…"#`, `b"…"`).
     StrLit,
-    /// Numeric literal; [`Token::is_float`] distinguishes floats.
+    /// Numeric literal, integer or float.
     NumLit,
     /// A single punctuation byte (`.`, `(`, `[`, `=`, …).
     Punct,
@@ -45,33 +45,6 @@ impl Token {
     /// Whether this is the identifier or punctuation `s`.
     pub fn is(&self, s: &str) -> bool {
         self.text == s
-    }
-
-    /// Whether this is a numeric literal with float syntax (a fraction,
-    /// an exponent, or an `f32`/`f64` suffix).
-    pub fn is_float(&self) -> bool {
-        if self.kind != TokenKind::NumLit {
-            return false;
-        }
-        let t = &self.text;
-        if t.starts_with("0x") || t.starts_with("0o") || t.starts_with("0b") {
-            return false;
-        }
-        t.ends_with("f32") || t.ends_with("f64") || t.contains('.') || t.contains(['e', 'E'])
-    }
-
-    /// Numeric value of a float literal (`None` for non-floats or
-    /// unparseable text).
-    pub fn float_value(&self) -> Option<f64> {
-        if !self.is_float() {
-            return None;
-        }
-        let cleaned: String = self.text.replace('_', "");
-        let trimmed = cleaned
-            .strip_suffix("f32")
-            .or_else(|| cleaned.strip_suffix("f64"))
-            .unwrap_or(&cleaned);
-        trimmed.parse().ok()
     }
 }
 

@@ -1,24 +1,27 @@
-#![forbid(unsafe_code)]
 //! `vitcod-analysis` — a dependency-free static analyzer for the
 //! ViTCoD workspace, shipped as the `vitcod-lint` binary.
 //!
-//! The analyzer enforces the project's cross-cutting invariants —
-//! the ones `rustc` and clippy cannot see because they are *this
-//! codebase's* contracts, not the language's:
+//! The analyzer checks only what no `rustc` or clippy lint can say,
+//! because these are *this codebase's* contracts, not the language's:
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | V001 | serving library code never panics |
+//! | V000 | every allow directive parses, names a rule, states a reason and suppresses something |
 //! | V002 | lock discipline: no guard held across a blocking call, no lock-order cycles |
-//! | V004 | determinism hygiene: no float `==`, no wall clock/env in kernels |
-//! | V005 | `#![forbid(unsafe_code)]` everywhere, zero `unsafe` tokens |
+//! | V005 | every member manifest inherits the workspace lint table |
 //! | V006 | every library `pub` item is named by some non-test code |
 //!
+//! The compiler carries the rest: `[workspace.lints]` forbids `unsafe`
+//! and float `==`, the serving crates' roots deny `clippy::unwrap_used`
+//! and the other panicking calls, and `crates/tensor/clippy.toml`
+//! disallows the clock and the environment in kernels.
+//!
 //! The pipeline is a hand-rolled lexer ([`lexer`]) feeding a
-//! lightweight item scanner ([`source`]); rules ([`rules`]) run over
-//! tokens plus recovered structure, and inline
+//! lightweight item scanner ([`source`]); the source rules ([`rules`])
+//! run over tokens plus recovered structure, and inline
 //! `// vitcod-lint: allow(V00x, reason)` directives ([`directives`])
-//! filter the result. See [`diag::explain`] for the per-rule detail.
+//! filter the result. V005 reads the manifests ([`workspace`]). See
+//! [`diag::explain`] for the per-rule detail.
 
 pub mod diag;
 pub mod directives;
@@ -48,8 +51,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Report {
         diagnostics.extend(directives::apply(file, &directives, raw));
         allows_used += directives.allows.iter().filter(|a| a.used.get()).count();
     }
-    diagnostics
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    diagnostics.sort();
     Report {
         diagnostics,
         lock_graph,
@@ -59,8 +61,12 @@ pub fn analyze_files(files: &[SourceFile]) -> Report {
 }
 
 /// Analyzes the workspace rooted at `root` (the directory holding the
-/// top-level `Cargo.toml`).
+/// top-level `Cargo.toml`): its manifests, then its sources.
 pub fn analyze(root: &Path) -> io::Result<Report> {
-    let files = workspace::load_workspace(root)?;
-    Ok(analyze_files(&files))
+    let mut manifest_findings = Vec::new();
+    let files = workspace::load_workspace(root, &mut manifest_findings)?;
+    let mut report = analyze_files(&files);
+    report.diagnostics.extend(manifest_findings);
+    report.diagnostics.sort();
+    Ok(report)
 }

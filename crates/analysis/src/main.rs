@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `vitcod-lint` — the workspace static analyzer CLI.
 //!
 //! ```text
@@ -24,7 +23,7 @@ fn usage() -> &'static str {
     "usage: vitcod-lint [--root DIR] [--deny-all] [--format text|json] [--lock-graph]\n\
      \x20      vitcod-lint --explain V00x\n\
      \n\
-     Checks the ViTCoD workspace invariants V001..V006 (see --explain).\n\
+     Checks the ViTCoD workspace invariants V000, V002, V005 and V006 (see --explain).\n\
      --root DIR     workspace root (default: auto-detect from CWD)\n\
      --deny-all     exit 1 if any diagnostic remains after allows\n\
      --format FMT   text (default) or json\n\
@@ -61,7 +60,7 @@ fn parse_args() -> Result<Options, String> {
             "--explain" => {
                 let v = args
                     .next()
-                    .ok_or("--explain requires a rule id (V001..V006)")?;
+                    .ok_or("--explain requires a rule id (V000, V002, V005 or V006)")?;
                 opts.explain = Some(v);
             }
             "--help" | "-h" => return Err(String::new()),

@@ -12,8 +12,7 @@ pub enum FileKind {
     /// Library/binary source under `src/`.
     Lib,
     /// Test, bench or example code (`tests/`, `benches/`, `examples/`):
-    /// exempt from the panic-free and determinism rules, still scanned
-    /// for `unsafe`.
+    /// V002 skips it, and V006 reads it only for callers.
     TestCode,
     /// Source outside the workspace read only for its references (the
     /// frozen benchmark harness): V006 counts its tokens as callers,
@@ -46,9 +45,6 @@ pub struct SourceFile {
     pub crate_name: String,
     /// Library or test-code classification.
     pub kind: FileKind,
-    /// Whether this file is a crate root (`src/lib.rs`, `src/main.rs`,
-    /// `src/bin/*.rs`).
-    pub is_crate_root: bool,
     /// Lexed tokens and comments.
     pub lexed: Lexed,
     /// Brace depth per token (depth *before* the token takes effect, so
@@ -65,13 +61,7 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lexes and scans `text`.
-    pub fn new(
-        rel_path: &str,
-        crate_name: &str,
-        kind: FileKind,
-        is_crate_root: bool,
-        text: &str,
-    ) -> Self {
+    pub fn new(rel_path: &str, crate_name: &str, kind: FileKind, text: &str) -> Self {
         let lexed = lex(text);
         let depth = brace_depths(&lexed);
         let attr_mask = attr_mask(&lexed);
@@ -81,7 +71,6 @@ impl SourceFile {
             rel_path: rel_path.to_string(),
             crate_name: crate_name.to_string(),
             kind,
-            is_crate_root,
             lexed,
             depth,
             test_mask,
@@ -107,13 +96,6 @@ impl SourceFile {
         self.file_name()
             .strip_suffix(".rs")
             .unwrap_or(self.file_name())
-    }
-
-    /// Whether this file defines its own `fn NAME` (e.g. a parser with
-    /// an `expect` method, which must not be mistaken for
-    /// `Result::expect`).
-    pub fn defines_fn(&self, name: &str) -> bool {
-        self.functions.iter().any(|f| f.name == name)
     }
 }
 

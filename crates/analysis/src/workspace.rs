@@ -1,6 +1,7 @@
 //! Workspace discovery: reads the root `Cargo.toml` member list,
-//! resolves each member's package name, and enumerates its Rust
-//! sources. Vendored stand-ins under `vendor/` are out of scope (they
+//! resolves each member's package name, checks that it inherits the
+//! workspace lint table (V005), and enumerates its Rust sources.
+//! Vendored stand-ins under `vendor/` are out of scope (they
 //! mirror external crates' APIs, not our invariants), as are build
 //! artifacts under `target/` and the analyzer's own lint fixtures
 //! under `tests/fixtures/` (which exist to violate the rules). The
@@ -12,6 +13,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::diag::Diagnostic;
 use crate::source::{FileKind, SourceFile};
 
 /// One discovered workspace member.
@@ -25,8 +27,11 @@ pub struct Member {
 
 /// Parses the root manifest's `members = [...]` list plus the root
 /// package itself (the workspace root doubles as the `vitcod` facade
-/// crate), excluding `vendor/`.
-pub fn discover_members(root: &Path) -> io::Result<Vec<Member>> {
+/// crate), excluding `vendor/`. A member whose manifest lacks `[lints]
+/// workspace = true` gets a V005 in `findings`: the workspace's
+/// `unsafe_code = "forbid"` and clippy policy reach only the crates
+/// that opt in.
+pub fn discover_members(root: &Path, findings: &mut Vec<Diagnostic>) -> io::Result<Vec<Member>> {
     let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
     let mut dirs: Vec<PathBuf> = Vec::new();
     let mut in_members = false;
@@ -57,15 +62,43 @@ pub fn discover_members(root: &Path) -> io::Result<Vec<Member>> {
     }
     let mut members = Vec::new();
     for dir in dirs {
-        let name = package_name(&dir.join("Cargo.toml"))?;
+        let manifest_path = dir.join("Cargo.toml");
+        let text = fs::read_to_string(&manifest_path)?;
+        if !inherits_workspace_lints(&text) {
+            findings.push(Diagnostic {
+                file: rel_path(root, &manifest_path),
+                line: 1,
+                rule: "V005",
+                message: "member manifest lacks `[lints] workspace = true`, so the \
+                          workspace's `unsafe_code = \"forbid\"` and clippy lints do not \
+                          reach this crate"
+                    .to_string(),
+            });
+        }
+        let name = package_name(&text, &manifest_path)?;
         members.push(Member { name, dir });
     }
     Ok(members)
 }
 
-/// Extracts `name = "..."` from the `[package]` section.
-fn package_name(manifest_path: &Path) -> io::Result<String> {
-    let text = fs::read_to_string(manifest_path)?;
+/// Whether a manifest's `[lints]` table is `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    manifest.lines().map(str::trim).any(|line| {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+            return false;
+        }
+        in_lints
+            && line
+                .split_once('=')
+                .is_some_and(|(key, value)| key.trim() == "workspace" && value.trim() == "true")
+    })
+}
+
+/// Extracts `name = "..."` from the `[package]` section of `text`, the
+/// manifest at `manifest_path`.
+fn package_name(text: &str, manifest_path: &Path) -> io::Result<String> {
     let mut in_package = false;
     for line in text.lines() {
         let line = line.trim();
@@ -85,9 +118,10 @@ fn package_name(manifest_path: &Path) -> io::Result<String> {
     ))
 }
 
-/// Loads and scans every Rust source of every non-vendored member.
-pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
-    let members = discover_members(root)?;
+/// Loads and scans every Rust source of every non-vendored member;
+/// manifest findings go to `findings`.
+pub fn load_workspace(root: &Path, findings: &mut Vec<Diagnostic>) -> io::Result<Vec<SourceFile>> {
+    let members = discover_members(root, findings)?;
     let mut files: Vec<SourceFile> = Vec::new();
     for m in &members {
         for sub in ["src", "tests", "benches", "examples"] {
@@ -113,8 +147,7 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
                     continue;
                 }
                 let text = fs::read_to_string(&path)?;
-                let is_root = is_crate_root(&m.dir, &path);
-                files.push(SourceFile::new(&rel, &m.name, kind, is_root, &text));
+                files.push(SourceFile::new(&rel, &m.name, kind, &text));
             }
         }
     }
@@ -123,19 +156,14 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     // nothing is reported on it.
     let bench = root.join(BENCHMARK_DIR);
     if bench.join("src").is_dir() {
-        let name = package_name(&bench.join("Cargo.toml"))?;
+        let manifest_path = bench.join("Cargo.toml");
+        let name = package_name(&fs::read_to_string(&manifest_path)?, &manifest_path)?;
         let mut paths = Vec::new();
         collect_rs(&bench.join("src"), &mut paths)?;
         for path in paths {
             let text = fs::read_to_string(&path)?;
             let rel = rel_path(root, &path);
-            files.push(SourceFile::new(
-                &rel,
-                &name,
-                FileKind::CallerOnly,
-                false,
-                &text,
-            ));
+            files.push(SourceFile::new(&rel, &name, FileKind::CallerOnly, &text));
         }
     }
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
@@ -170,21 +198,4 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// `src/lib.rs`, `src/main.rs` and `src/bin/*.rs` are crate roots and
-/// must carry `#![forbid(unsafe_code)]`.
-fn is_crate_root(member_dir: &Path, path: &Path) -> bool {
-    let Ok(rel) = path.strip_prefix(member_dir) else {
-        return false;
-    };
-    let parts: Vec<String> = rel
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect();
-    match parts.as_slice() {
-        [src, file] if src == "src" => file == "lib.rs" || file == "main.rs",
-        [src, bin, file] if src == "src" && bin == "bin" => file.ends_with(".rs"),
-        _ => false,
-    }
 }

@@ -1,7 +1,9 @@
 //! The analyzer's strongest test: the workspace it ships in passes its
-//! own `--deny-all` bar. Any PR that introduces a panic path in the
-//! serve web, a dead public item, or a lock-order inversion
-//! fails this test locally, not just in the CI lint leg.
+//! own `--deny-all` bar. A guard held across a blocking call, a
+//! lock-order inversion, a dead public item, a stale allow or a member
+//! manifest off the workspace lint table fails this test locally, not
+//! just in the CI lint leg. (Panic paths in the serve web are clippy's:
+//! the CI clippy step fails on them.)
 
 use std::path::PathBuf;
 

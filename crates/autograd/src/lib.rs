@@ -46,7 +46,6 @@
 //! assert_eq!(store.grad(w).shape(), (2, 2));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod nn;

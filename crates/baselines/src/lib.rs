@@ -34,7 +34,6 @@
 //! assert!(r.latency_s > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod platforms;

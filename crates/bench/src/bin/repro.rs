@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Every table and figure of the ViTCoD paper, from one table.
 //!
 //! ```text

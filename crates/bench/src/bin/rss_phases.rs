@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Where the resident set of a DeiT-Tiny serving set-up goes.
 //!
 //! Walks the set-up the benchmark of record times (`offline_dense_fp32`

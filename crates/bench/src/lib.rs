@@ -35,7 +35,6 @@
 //! `wire_probe` workloads; behaviour under hostile or failing traffic is
 //! tested in `crates/transport/tests`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod timing;

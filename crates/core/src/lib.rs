@@ -41,7 +41,6 @@
 //! assert!(reordered.num_global <= mask.size());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod autoencoder;

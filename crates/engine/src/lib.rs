@@ -42,11 +42,19 @@
 //! with i8 operands and i32 accumulation, the accelerator MAC lines'
 //! arithmetic.
 
-#![forbid(unsafe_code)]
-// The serving path must not panic (vitcod-lint V001); clippy enforces
-// the unwrap half at compile time. Tests may unwrap freely.
-#![deny(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// The serving path must not panic: no unwrap, expect or panicking
+// macro in library code. Unit tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+    )
+)]
 #![warn(missing_docs)]
 
 mod artifact;

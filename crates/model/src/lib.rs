@@ -32,7 +32,6 @@
 //! assert!(flops.self_attention() as f64 > 0.2 * flops.total() as f64);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod attention_stats;

@@ -15,7 +15,6 @@
 //! `0` normally, `2` when `--fail-on-fire` is set and any alert
 //! reached `firing` — that is the CI hook.
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 
 use std::process::ExitCode;

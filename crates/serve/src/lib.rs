@@ -64,11 +64,20 @@
 //! println!("{:#?}", server.stats());
 //! ```
 
-#![forbid(unsafe_code)]
-// The serving path must not panic (vitcod-lint V001); clippy enforces
-// the unwrap half at compile time. Tests may unwrap freely.
-#![deny(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// The serving path must not panic: no unwrap, expect, panicking macro
+// or unchecked index or slice in library code. Unit tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+    )
+)]
 #![warn(missing_docs)]
 
 mod batcher;

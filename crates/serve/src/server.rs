@@ -288,13 +288,16 @@ impl Server {
             sampler: Sampler::new(tracing.sample_rate),
             traces: ShardedRing::new(SPAN_RING_CAPACITY),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion at startup; start() documents that it panics"
+        )]
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vitcod-serve-worker-{i}"))
                     .spawn(move || run_worker(&shared))
-                    // vitcod-lint: allow(V001, spawn fails only on OS thread exhaustion at startup; start() documents that it panics)
                     .expect("spawn worker")
             })
             .collect();

@@ -98,7 +98,10 @@ impl TicketInner {
         match *state {
             State::Pending => *state = State::Ready(prediction),
             State::TimedOut | State::Cancelled => return,
-            // vitcod-lint: allow(V001, double-completion is a serve-loop bug; the contract is to fail loudly in the offending worker)
+            #[expect(
+                clippy::panic,
+                reason = "double-completion is a serve-loop bug; the contract is to fail loudly in the offending worker"
+            )]
             State::Ready(_) | State::Taken => panic!("ticket completed twice"),
         }
         self.ready.notify_all();

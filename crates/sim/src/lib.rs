@@ -34,7 +34,6 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod accelerator;

@@ -142,7 +142,10 @@ const MIN_WORK_PER_THREAD: usize = 128 * 1024;
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        // vitcod-lint: allow(V004, read once behind a OnceLock at first kernel call; the resolved thread budget never changes mid-process)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "read once behind a OnceLock at first kernel call; the resolved thread budget never changes mid-process"
+        )]
         let value = std::env::var("VITCOD_NUM_THREADS").ok();
         let (threads, complaint) = resolve_threads(value.as_deref());
         if let Some(line) = complaint {

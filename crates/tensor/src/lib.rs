@@ -35,7 +35,6 @@
 //! assert_eq!(s.get(0, 1), 3.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod init;

@@ -132,7 +132,10 @@ pub fn parse_request(
         Terminator::NotYet => return Ok(None),
         Terminator::PastLimit => return Err(HttpParseError::HeaderTooLarge),
     };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| HttpParseError::BadHeader)?;
+    let head = buf
+        .get(..head_end)
+        .and_then(|head| std::str::from_utf8(head).ok())
+        .ok_or(HttpParseError::BadHeader)?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(HttpParseError::BadRequestLine)?;
     let mut parts = request_line.split(' ');
@@ -195,9 +198,9 @@ pub fn parse_request(
     let content_length = content_length as usize;
 
     let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
+    let Some(body) = buf.get(body_start..body_start + content_length) else {
         return Ok(None);
-    }
+    };
     let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
         Some(c) if c == "close" => false,
         Some(c) if c == "keep-alive" => true,
@@ -208,7 +211,7 @@ pub fn parse_request(
         path,
         query,
         headers,
-        body: buf[body_start..body_start + content_length].to_vec(),
+        body: body.to_vec(),
         keep_alive,
     };
     Ok(Some((request, body_start + content_length)))
@@ -222,7 +225,7 @@ enum Terminator {
 
 /// Position of `\r\n\r\n` in `buf`, giving up past `limit` bytes.
 fn find_terminator(buf: &[u8], limit: usize) -> Terminator {
-    let window = &buf[..buf.len().min(limit + 4)];
+    let window = buf.get(..limit + 4).unwrap_or(buf);
     match window.windows(4).position(|w| w == b"\r\n\r\n") {
         Some(p) if p <= limit => Terminator::At(p),
         Some(_) => Terminator::PastLimit,
@@ -327,9 +330,12 @@ pub fn read_response(r: &mut impl Read) -> io::Result<HttpResponse> {
         if n == 0 {
             return Err(bad("connection closed before response head"));
         }
-        buf.extend_from_slice(&chunk[..n]);
+        buf.extend_from_slice(chunk.get(..n).ok_or_else(|| bad("read past the buffer"))?);
     };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("non-utf8 head"))?;
+    let head = buf
+        .get(..head_end)
+        .and_then(|head| std::str::from_utf8(head).ok())
+        .ok_or_else(|| bad("non-utf8 head"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
     let status: u16 = status_line
@@ -352,13 +358,13 @@ pub fn read_response(r: &mut impl Read) -> io::Result<HttpResponse> {
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse().ok())
         .unwrap_or(0);
-    let mut body = buf[head_end + 4..].to_vec();
+    let mut body = buf.get(head_end + 4..).unwrap_or_default().to_vec();
     while body.len() < content_length {
         let n = r.read(&mut chunk)?;
         if n == 0 {
             return Err(bad("connection closed mid-body"));
         }
-        body.extend_from_slice(&chunk[..n]);
+        body.extend_from_slice(chunk.get(..n).ok_or_else(|| bad("read past the buffer"))?);
     }
     body.truncate(content_length);
     Ok(HttpResponse {
@@ -401,6 +407,23 @@ mod tests {
         )
         .unwrap()
         .is_none());
+    }
+
+    #[test]
+    fn a_body_is_complete_exactly_at_the_buffer_end() {
+        // (buffered bytes, Some(consumed) once complete, None while short)
+        let cases: [(&[u8], Option<usize>); 2] = [
+            (b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc", Some(41)),
+            (b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nabc", None),
+        ];
+        for (raw, want) in cases {
+            let got = parse_request(raw, &limits()).unwrap();
+            assert_eq!(got.as_ref().map(|(_, used)| *used), want, "{raw:?}");
+            if let Some((req, used)) = got {
+                assert_eq!(used, raw.len());
+                assert_eq!(req.body, raw[used - req.body.len()..]);
+            }
+        }
     }
 
     #[test]

@@ -232,7 +232,8 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -324,7 +325,11 @@ impl Parser<'_> {
             // The HTTP layer validated the body as UTF-8; lossy
             // conversion is a no-op on the hot path and degrades to
             // replacement chars (not a panic) if that ever regresses.
-            out.push_str(&String::from_utf8_lossy(&self.bytes[start..self.pos]));
+            let run = self
+                .bytes
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("unterminated string"))?;
+            out.push_str(&String::from_utf8_lossy(run));
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -377,14 +382,13 @@ impl Parser<'_> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ascii \\u escape"))?;
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| self.err("non-ascii \\u escape"))?;
         let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(code)
     }
 
@@ -425,7 +429,11 @@ impl Parser<'_> {
         }
         // Number bytes are ASCII by construction; an empty str here
         // just routes into the unparseable-number error below.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .unwrap_or("");
         let n: f64 = text
             .parse()
             .map_err(|_| self.err(format!("unparseable number '{text}'")))?;
@@ -501,6 +509,23 @@ mod tests {
             "\u{7}",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn documents_cut_off_at_a_token_boundary() {
+        // Ok(value), or Err((offset, message)).
+        type Want = Result<Json, (usize, &'static str)>;
+        let cases: [(&str, Want); 4] = [
+            ("\"\\u0041\"", Ok(Json::String("A".into()))),
+            ("\"\\u0041", Err((7, "unterminated string"))),
+            ("true", Ok(Json::Bool(true))),
+            ("tru", Err((0, "expected 'true'"))),
+        ];
+        for (input, want) in cases {
+            let got = parse(input).map_err(|e| (e.offset, e.message));
+            let want = want.map_err(|(offset, message)| (offset, message.to_string()));
+            assert_eq!(got, want, "{input:?}");
         }
     }
 

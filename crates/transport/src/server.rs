@@ -156,13 +156,16 @@ impl HttpServer {
             shutting_down: AtomicBool::new(false),
             listener,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion at startup; bind() is the setup path"
+        )]
         let handlers = (0..shared.config.handler_threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vitcod-transport-handler-{i}"))
                     .spawn(move || run_handler(&shared))
-                    // vitcod-lint: allow(V001, spawn fails only on OS thread exhaustion at startup; bind() is the setup path)
                     .expect("spawn handler")
             })
             .collect();
@@ -325,10 +328,11 @@ fn handle_connection(shared: &TransportShared, mut stream: TcpStream) {
                         return;
                     }
                     Ok(n) => {
+                        let Some(read) = chunk.get(..n) else { return };
                         if buf.is_empty() && n > 0 {
                             request_started = Some(Instant::now());
                         }
-                        buf.extend_from_slice(&chunk[..n]);
+                        buf.extend_from_slice(read);
                         last_byte = Instant::now();
                     }
                     Err(e)

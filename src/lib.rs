@@ -48,7 +48,6 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use vitcod_autograd as autograd;
