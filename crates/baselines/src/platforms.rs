@@ -4,9 +4,9 @@
 //! roofline: published peak throughput and memory bandwidth, derated by
 //! an *effective utilization* for unfused small-batch attention kernels,
 //! plus a per-layer framework/kernel-launch overhead. The utilization
-//! constants are stated here and recorded in EXPERIMENTS.md; they are
-//! the calibration knobs of this substitution and sit well inside
-//! publicly reported ranges for batch-1 Transformer inference.
+//! constants are stated and recorded in this module; they are the
+//! calibration knobs of this substitution and sit well inside publicly
+//! reported ranges for batch-1 Transformer inference.
 
 use vitcod_model::ViTConfig;
 use vitcod_sim::{LatencyBreakdown, PhaseCycles, SimReport, TrafficStats};

@@ -678,16 +678,15 @@ impl Protocol {
         for s in [0.0f64, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95] {
             let density = (1.0 - s).max(1e-3);
             let s_cycles = s_stationary_sddmm_cycles(model.tokens, dk, density, lines, per_line);
-            // K-stationary on the real polarized masks.
+            // K-stationary on the real polarized masks' column counts.
             let k_cycles = if s == 0.0 {
                 denser_sddmm_cycles(model.tokens, model.tokens, dk, lines, per_line)
             } else {
                 let heads = self.polarize(&model, s);
                 let per_head = heads.iter().flatten().map(|ph| {
-                    let w = ph.workload();
-                    let col_nnz = ph.polarized_mask().col_nnz();
-                    denser_sddmm_cycles(w.tokens, w.denser_cols, dk, lines, per_line)
-                        + sparser_sddmm_cycles(&col_nnz[w.denser_cols..], dk, lines, per_line)
+                    let r = &ph.reorder;
+                    denser_sddmm_cycles(r.col_nnz.len(), r.num_global, dk, lines, per_line)
+                        + sparser_sddmm_cycles(r.sparser_col_nnz(), dk, lines, per_line)
                 });
                 per_head.sum::<u64>() / (heads.iter().map(Vec::len).sum::<usize>() as u64).max(1)
             };

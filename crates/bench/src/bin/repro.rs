@@ -181,12 +181,15 @@ fn fig8(p: &Protocol) -> Vec<Row> {
         let pruned = prune_to_sparsity(map, 0.9);
         // Reordering alone needs a support pattern to rank columns: a
         // mildly pruned map.
-        let reorder_only = reorder_global_tokens(&prune_to_sparsity(map, 0.5), None);
+        let support = prune_to_sparsity(map, 0.5);
+        let reorder_only = reorder_global_tokens(&support, None);
         let both = reorder_global_tokens(&pruned, None);
+        let reordered = support.permute_symmetric(&reorder_only.perm);
+        let polarized = pruned.permute_symmetric(&both.perm);
         for (panel, mask) in [
             ("(a) prune only", &pruned),
-            ("(b) reorder only", &reorder_only.mask),
-            ("(c) prune + reorder", &both.mask),
+            ("(b) reorder only", &reordered),
+            ("(c) prune + reorder", &polarized),
         ] {
             println!("layer {l} head {h} {panel}\n{}", render_density(mask, 24));
         }

@@ -180,23 +180,19 @@ pub fn compile_model(
             heads: heads
                 .iter()
                 .map(|ph| {
-                    let mask = ph.polarized_mask();
+                    let r = &ph.reorder;
                     assert_eq!(
-                        mask.size(),
+                        r.col_nnz.len(),
                         cfg.tokens,
                         "mask size disagrees with model config"
                     );
-                    // One pass over the mask: the per-column counts
-                    // split at `N_gt` give both engines' totals.
-                    let mut denser_col_nnz = mask.col_nnz();
-                    let sparser_col_nnz = denser_col_nnz.split_off(ph.num_global());
                     PhaseWorkload {
                         tokens: cfg.tokens,
                         head_dim: dk,
-                        num_global: ph.num_global(),
-                        denser_nnz: denser_col_nnz.iter().sum(),
-                        sparser_nnz: sparser_col_nnz.iter().sum(),
-                        sparser_col_nnz,
+                        num_global: r.num_global,
+                        denser_nnz: r.denser_nnz(),
+                        sparser_nnz: r.sparser_nnz(),
+                        sparser_col_nnz: r.sparser_col_nnz().to_vec(),
                     }
                 })
                 .collect(),

@@ -12,7 +12,8 @@
 //! * [`reorder_global_tokens`] — attention-map reordering (Alg. 1, lines
 //!   7–14): move *global tokens* (columns with more than `θd` non-zeros)
 //!   to the front, polarising each map into a **denser** block plus a
-//!   **sparser** residue;
+//!   **sparser** residue; the rule itself is [`split_columns`], over the
+//!   per-column kept counts alone;
 //! * [`SplitConquer`] — the combined split-and-conquer transform applied
 //!   across a model's full attention-map ensemble;
 //! * [`CscMatrix`] / [`CooMatrix`] — the sparse index formats the
@@ -59,7 +60,5 @@ pub use interface::{compile_model, AcceleratorProgram, LayerProgram, PhaseWorklo
 pub use mask::AttentionMask;
 pub use pipeline::{PipelineConfig, PipelineReport, ViTCoDPipeline};
 pub use prune::{prune_info, prune_to_sparsity};
-pub use reorder::{reorder_global_tokens, ReorderResult};
-pub use split_conquer::{
-    PolarizedHead, PruneCriterion, SplitConquer, SplitConquerConfig, WorkloadSplit,
-};
+pub use reorder::{reorder_global_tokens, split_columns, ReorderResult};
+pub use split_conquer::{PolarizedHead, PruneCriterion, SplitConquer, SplitConquerConfig};

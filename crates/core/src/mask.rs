@@ -211,19 +211,6 @@ impl AttentionMask {
             kept.map(move |(k, _)| (q, k))
         })
     }
-
-    /// Counts kept positions inside the column block `k0..k1` (used to
-    /// size the denser-engine workload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the mask.
-    pub fn nnz_in_cols(&self, k0: usize, k1: usize) -> usize {
-        assert!(k0 <= k1 && k1 <= self.n, "column range out of bounds");
-        self.rows()
-            .map(|row| row[k0..k1].iter().filter(|&&b| b).count())
-            .sum()
-    }
 }
 
 impl fmt::Debug for AttentionMask {
@@ -341,18 +328,6 @@ mod tests {
             }
         }
         assert!((half.retained_information(&a) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nnz_in_cols_counts_block() {
-        let mut m = AttentionMask::empty(4);
-        for q in 0..4 {
-            m.keep(q, 0);
-            m.keep(q, 3);
-        }
-        assert_eq!(m.nnz_in_cols(0, 1), 4);
-        assert_eq!(m.nnz_in_cols(1, 3), 0);
-        assert_eq!(m.nnz_in_cols(0, 4), 8);
     }
 
     #[test]

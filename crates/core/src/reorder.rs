@@ -2,7 +2,10 @@
 
 use crate::mask::AttentionMask;
 
-/// Result of the global-token reordering step.
+/// Result of the global-token reordering step: the one record of a
+/// head's denser/sparser split. The polarized mask itself is never
+/// stored; `pruned.permute_symmetric(&perm)` draws it when a picture is
+/// wanted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReorderResult {
     /// Token permutation: output position `i` holds input token
@@ -10,30 +13,48 @@ pub struct ReorderResult {
     pub perm: Vec<usize>,
     /// Number of global tokens `N_gt` moved to the front.
     pub num_global: usize,
-    /// The mask after symmetric (row and column) permutation.
-    pub mask: AttentionMask,
     /// The column-count threshold `θd` actually used.
     pub theta_d: usize,
+    /// Kept count per column in polarized order: `col_nnz[i]` is input
+    /// column `perm[i]`'s count, which a symmetric permutation keeps.
+    pub col_nnz: Vec<usize>,
 }
 
 impl ReorderResult {
+    /// Per-column kept counts of the sparser residue (columns
+    /// `N_gt..n`), in polarized order.
+    pub fn sparser_col_nnz(&self) -> &[usize] {
+        &self.col_nnz[self.num_global..]
+    }
+
+    /// Kept positions inside the denser block (the first `N_gt`
+    /// columns).
+    pub fn denser_nnz(&self) -> usize {
+        self.col_nnz[..self.num_global].iter().sum()
+    }
+
+    /// Kept positions in the sparser residue.
+    pub fn sparser_nnz(&self) -> usize {
+        self.sparser_col_nnz().iter().sum()
+    }
+
     /// Density inside the denser block (the first `num_global` columns).
     pub fn denser_density(&self) -> f64 {
-        let n = self.mask.size();
+        let n = self.col_nnz.len();
         if self.num_global == 0 || n == 0 {
             return 0.0;
         }
-        self.mask.nnz_in_cols(0, self.num_global) as f64 / (n * self.num_global) as f64
+        self.denser_nnz() as f64 / (n * self.num_global) as f64
     }
 
     /// Density of the sparser residue (columns `num_global..n`).
     pub fn sparser_density(&self) -> f64 {
-        let n = self.mask.size();
+        let n = self.col_nnz.len();
         let rest = n - self.num_global;
         if rest == 0 || n == 0 {
             return 0.0;
         }
-        self.mask.nnz_in_cols(self.num_global, n) as f64 / (n * rest) as f64
+        self.sparser_nnz() as f64 / (n * rest) as f64
     }
 
     /// Polarization gap: denser density minus sparser density. The split
@@ -45,19 +66,8 @@ impl ReorderResult {
 
 /// Identifies *global tokens* — columns whose kept count exceeds `θd` —
 /// and permutes them to the front (Alg. 1: `SWAP`/`PERMUTE`), polarising
-/// the mask into a denser block and a sparser residue.
-///
-/// When `theta_d` is `None` the threshold defaults to
-/// `min(2 × n̄, n/2)` — twice the mean column occupancy, capped at half
-/// the token count — which adapts to the mask's overall sparsity the way
-/// the paper's per-model tuned constant does while still classifying the
-/// columns of dense/low-sparsity maps as global (a dense map *is* one
-/// big global block and belongs on the denser engine).
-///
-/// The permutation is *symmetric* (applied to queries and keys alike)
-/// because reordering renames tokens, and it is *stable*: global tokens
-/// keep their relative order, as do the rest — matching Alg. 1's
-/// in-order SWAP loop.
+/// the mask into a denser block and a sparser residue. This is
+/// [`split_columns`] applied to `mask.col_nnz()`.
 ///
 /// # Example
 ///
@@ -75,17 +85,47 @@ impl ReorderResult {
 /// assert_eq!(r.perm[0], 5);
 /// ```
 pub fn reorder_global_tokens(mask: &AttentionMask, theta_d: Option<usize>) -> ReorderResult {
-    let n = mask.size();
-    let col_counts = mask.col_nnz();
+    split_columns(&mask.col_nnz(), theta_d)
+}
+
+/// The θd rule over one head's per-column kept counts (in token order):
+/// a column is global when its count exceeds `θd`.
+///
+/// When `theta_d` is `None` the threshold defaults to
+/// `min(⌈2 × n̄⌉, n/2)` — twice the mean column count, rounded up and
+/// capped at half the token count — which adapts to the mask's overall
+/// sparsity the way the paper's per-model tuned constant does while
+/// still classifying the columns of dense/low-sparsity maps as global (a
+/// dense map *is* one big global block and belongs on the denser
+/// engine).
+///
+/// The permutation is *symmetric* (it renames queries and keys alike),
+/// so it changes no column's count, and it is *stable*: global tokens
+/// keep their relative order, as do the rest — matching Alg. 1's
+/// in-order SWAP loop. Any index with the same per-column counts (the
+/// mask, or the CSC the engine serves) therefore gives the same split.
+///
+/// # Example
+///
+/// ```
+/// use vitcod_core::split_columns;
+///
+/// let r = split_columns(&[1, 4, 1, 4], None);
+/// assert_eq!((r.theta_d, r.num_global), (2, 2));
+/// assert_eq!(r.perm, [1, 3, 0, 2]);
+/// assert_eq!(r.col_nnz, [4, 4, 1, 1]);
+/// ```
+pub fn split_columns(col_nnz: &[usize], theta_d: Option<usize>) -> ReorderResult {
+    let n = col_nnz.len();
     let theta_d = theta_d.unwrap_or_else(|| {
-        let mean = col_counts.iter().sum::<usize>() as f64 / n.max(1) as f64;
+        let mean = col_nnz.iter().sum::<usize>() as f64 / n.max(1) as f64;
         ((2.0 * mean).ceil() as usize).min(n / 2)
     });
 
     // Stable partition: global tokens first (Alg. 1 lines 8-13).
     let mut perm = Vec::with_capacity(n);
     let mut rest = Vec::new();
-    for (i, &c) in col_counts.iter().enumerate() {
+    for (i, &c) in col_nnz.iter().enumerate() {
         if c > theta_d {
             perm.push(i);
         } else {
@@ -95,12 +135,12 @@ pub fn reorder_global_tokens(mask: &AttentionMask, theta_d: Option<usize>) -> Re
     let num_global = perm.len();
     perm.extend(rest);
 
-    let permuted = mask.permute_symmetric(&perm);
+    let col_nnz = perm.iter().map(|&i| col_nnz[i]).collect();
     ReorderResult {
         perm,
         num_global,
-        mask: permuted,
         theta_d,
+        col_nnz,
     }
 }
 
@@ -127,9 +167,10 @@ mod tests {
         assert_eq!(r.num_global, 2);
         assert_eq!(&r.perm[..2], &[3, 11]);
         // After reordering, the first two columns are (nearly) full.
-        let cols = r.mask.col_nnz();
+        let cols = m.permute_symmetric(&r.perm).col_nnz();
         assert_eq!(cols[0], 16);
         assert_eq!(cols[1], 16);
+        assert_eq!(cols, r.col_nnz);
     }
 
     #[test]
@@ -141,7 +182,7 @@ mod tests {
         let r = reorder_global_tokens(&m, None);
         assert_eq!(r.num_global, 0);
         assert_eq!(r.perm, (0..8).collect::<Vec<_>>());
-        assert_eq!(r.mask, m);
+        assert_eq!(m.permute_symmetric(&r.perm), m);
     }
 
     #[test]
@@ -181,7 +222,8 @@ mod tests {
     fn nnz_is_preserved_by_reordering() {
         let m = diag_plus_globals(24, &[2, 13]);
         let r = reorder_global_tokens(&m, None);
-        assert_eq!(r.mask.nnz(), m.nnz());
+        assert_eq!(m.permute_symmetric(&r.perm).nnz(), m.nnz());
+        assert_eq!(r.denser_nnz() + r.sparser_nnz(), m.nnz());
     }
 
     #[test]

@@ -38,9 +38,9 @@ impl SplitConquerConfig {
     }
 }
 
-/// One attention head after split-and-conquer: its pruned mask in both
-/// original and reordered token orders, the permutation, and the
-/// denser/sparser partition the accelerator consumes.
+/// One attention head after split-and-conquer: its pruned mask in the
+/// original token order, and the permutation, `N_gt` and per-column
+/// counts of the denser/sparser partition the accelerator consumes.
 #[derive(Debug, Clone)]
 pub struct PolarizedHead {
     /// Layer index.
@@ -49,7 +49,7 @@ pub struct PolarizedHead {
     pub head: usize,
     /// Pruned mask in the *original* token order (what finetuning uses).
     pub pruned: AttentionMask,
-    /// Reordering outcome: permutation, `N_gt` and the polarized mask.
+    /// Reordering outcome: permutation, `N_gt` and column counts.
     pub reorder: ReorderResult,
 }
 
@@ -59,80 +59,18 @@ impl PolarizedHead {
         self.reorder.num_global
     }
 
-    /// The polarized (reordered) mask.
-    pub fn polarized_mask(&self) -> &AttentionMask {
-        &self.reorder.mask
-    }
-
     /// CSC index of the sparser residue: the polarized mask restricted to
     /// columns `N_gt..n` (the denser block needs no index — it is
-    /// processed densely).
+    /// processed densely). Draws the polarized mask on the way.
     pub fn sparser_csc(&self) -> CscMatrix {
-        let n = self.reorder.mask.size();
-        let mut residue = AttentionMask::empty(n);
-        for (q, k) in self.reorder.mask.iter_kept() {
+        let polarized = self.pruned.permute_symmetric(&self.reorder.perm);
+        let mut residue = AttentionMask::empty(polarized.size());
+        for (q, k) in polarized.iter_kept() {
             if k >= self.reorder.num_global {
                 residue.keep(q, k);
             }
         }
         CscMatrix::from_mask(&residue)
-    }
-
-    /// Workload split between the two engines.
-    pub fn workload(&self) -> WorkloadSplit {
-        let col_nnz = self.reorder.mask.col_nnz();
-        let (denser, sparser) = col_nnz.split_at(self.reorder.num_global);
-        WorkloadSplit {
-            tokens: self.reorder.mask.size(),
-            denser_cols: self.reorder.num_global,
-            denser_nnz: denser.iter().sum(),
-            sparser_nnz: sparser.iter().sum(),
-        }
-    }
-}
-
-/// The two-level workload split the accelerator's dynamic PE allocation
-/// balances (paper Sec. V-B: "we allocate hardware resource to each
-/// engine proportional to its assigned workload size").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkloadSplit {
-    /// Token count `n`.
-    pub tokens: usize,
-    /// Denser-block column count (`N_gt`).
-    pub denser_cols: usize,
-    /// Kept positions inside the denser block.
-    pub denser_nnz: usize,
-    /// Kept positions in the sparser residue.
-    pub sparser_nnz: usize,
-}
-
-impl WorkloadSplit {
-    /// Denser block treated as fully dense by the denser engine:
-    /// `n × N_gt` positions.
-    pub fn denser_dense_positions(&self) -> usize {
-        self.tokens * self.denser_cols
-    }
-
-    /// Suggested PE split: PEs given to the denser engine out of
-    /// `total_pes`, proportional to its dense-computed workload versus
-    /// the sparser engine's nnz workload, with both engines always
-    /// receiving at least one PE when they have work.
-    // vitcod-lint: allow(V006, the paper's Sec. V-B PE split rule; tests/properties.rs checks that it conserves work)
-    pub fn allocate_pes(&self, total_pes: usize) -> (usize, usize) {
-        let dense_work = self.denser_dense_positions() as f64;
-        let sparse_work = self.sparser_nnz as f64;
-        let total = dense_work + sparse_work;
-        if total == 0.0 || total_pes == 0 {
-            return (total_pes, 0);
-        }
-        let mut denser = ((dense_work / total) * total_pes as f64).round() as usize;
-        if dense_work > 0.0 {
-            denser = denser.max(1);
-        }
-        if sparse_work > 0.0 {
-            denser = denser.min(total_pes.saturating_sub(1));
-        }
-        (denser.min(total_pes), total_pes - denser.min(total_pes))
     }
 }
 
@@ -280,47 +218,10 @@ mod tests {
         let stats = small_stats();
         let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(0.85));
         for ph in sc.apply(&stats.maps).into_iter().flatten() {
-            let w = ph.workload();
-            assert_eq!(w.denser_nnz + w.sparser_nnz, ph.polarized_mask().nnz());
-            assert_eq!(w.tokens, 64);
+            let r = &ph.reorder;
+            assert_eq!(r.denser_nnz() + r.sparser_nnz(), ph.pruned.nnz());
+            assert_eq!(r.col_nnz.len(), 64);
         }
-    }
-
-    #[test]
-    fn pe_allocation_sums_to_total() {
-        let w = WorkloadSplit {
-            tokens: 100,
-            denser_cols: 10,
-            denser_nnz: 900,
-            sparser_nnz: 100,
-        };
-        for total in [1usize, 2, 64, 512] {
-            let (d, s) = w.allocate_pes(total);
-            assert_eq!(d + s, total, "total {total}");
-            if total >= 2 {
-                assert!(d >= 1 && s >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn pe_allocation_tracks_workload_ratio() {
-        let heavy_dense = WorkloadSplit {
-            tokens: 100,
-            denser_cols: 50,
-            denser_nnz: 4000,
-            sparser_nnz: 100,
-        };
-        let (d, s) = heavy_dense.allocate_pes(64);
-        assert!(d > s, "dense-heavy split should favour the denser engine");
-        let heavy_sparse = WorkloadSplit {
-            tokens: 100,
-            denser_cols: 1,
-            denser_nnz: 100,
-            sparser_nnz: 4000,
-        };
-        let (d2, s2) = heavy_sparse.allocate_pes(64);
-        assert!(s2 > d2);
     }
 
     #[test]
@@ -332,7 +233,7 @@ mod tests {
         for k in 0..ph.num_global() {
             assert_eq!(csc.col_nnz(k), 0, "denser column {k} leaked into CSC");
         }
-        assert_eq!(csc.nnz(), ph.workload().sparser_nnz);
+        assert_eq!(csc.nnz(), ph.reorder.sparser_nnz());
     }
 
     #[test]

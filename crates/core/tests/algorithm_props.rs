@@ -5,8 +5,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vitcod_core::{
-    compile_model, prune_info, prune_to_sparsity, reorder_global_tokens, AttentionMask, CscMatrix,
-    PruneCriterion, SplitConquer, SplitConquerConfig,
+    compile_model, prune_info, prune_to_sparsity, reorder_global_tokens, split_columns,
+    AttentionMask, CscMatrix, PruneCriterion, SplitConquer, SplitConquerConfig,
 };
 use vitcod_model::{AttentionStats, ViTConfig};
 use vitcod_tensor::kernels::{self, with_thread_budget};
@@ -69,7 +69,7 @@ proptest! {
         for (i, &p) in r.perm.iter().enumerate() {
             inv[p] = i;
         }
-        prop_assert_eq!(r.mask.permute_symmetric(&inv), mask);
+        prop_assert_eq!(mask.permute_symmetric(&r.perm).permute_symmetric(&inv), mask);
     }
 
     #[test]
@@ -79,13 +79,23 @@ proptest! {
         let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(s));
         let ph = sc.apply_one(0, 0, &map);
         let csc = ph.sparser_csc();
-        let w = ph.workload();
+        let r = &ph.reorder;
+        let polarized = ph.pruned.permute_symmetric(&r.perm);
         // CSC covers exactly the residue.
-        prop_assert_eq!(csc.nnz(), w.sparser_nnz);
+        prop_assert_eq!(csc.nnz(), r.sparser_nnz());
+        // It is the polarized mask cut at N_gt, column by column.
+        for k in 0..20 {
+            let rows: Vec<u32> = if k < r.num_global {
+                vec![]
+            } else {
+                (0..20).filter(|&q| polarized.is_kept(q as usize, k)).collect()
+            };
+            prop_assert_eq!(csc.col_rows(k), &rows[..], "column {}", k);
+        }
         // Denser block + residue = everything.
-        prop_assert_eq!(w.denser_nnz + w.sparser_nnz, ph.polarized_mask().nnz());
+        prop_assert_eq!(r.denser_nnz() + r.sparser_nnz(), polarized.nnz());
         // And the original pruned mask has the same kept count.
-        prop_assert_eq!(ph.pruned.nnz(), ph.polarized_mask().nnz());
+        prop_assert_eq!(ph.pruned.nnz(), polarized.nnz());
     }
 
     #[test]
@@ -296,18 +306,49 @@ fn compile_model_agrees_with_workload_and_col_nnz() {
         .flatten()
         .zip(program.layers.iter().flat_map(|l| &l.heads))
     {
-        let w = ph.workload();
+        let r = &ph.reorder;
+        let polarized = ph.pruned.permute_symmetric(&r.perm);
         let ngt = ph.num_global();
+        let cols = polarized.col_nnz();
+        let (denser, sparser) = cols.split_at(ngt);
         assert_eq!(
             (pw.tokens, pw.num_global, pw.denser_nnz, pw.sparser_nnz),
-            (w.tokens, w.denser_cols, w.denser_nnz, w.sparser_nnz)
+            (polarized.size(), ngt, r.denser_nnz(), r.sparser_nnz())
         );
-        assert_eq!(w.denser_nnz, ph.polarized_mask().nnz_in_cols(0, ngt));
+        assert_eq!(r.denser_nnz(), denser.iter().sum::<usize>());
+        assert_eq!(r.sparser_nnz(), sparser.iter().sum::<usize>());
+        assert_eq!(pw.sparser_col_nnz, sparser);
+    }
+}
+
+/// The split reads per-column counts alone, and a symmetric permutation
+/// keeps every column's count: the θd rule over the CSC the engine
+/// serves, in original token order, gives the program `compile_model`
+/// builds from the split-and-conquer output.
+#[test]
+fn the_served_csc_alone_gives_the_compiled_split() {
+    let cfg = ViTConfig::deit_tiny();
+    let stats = AttentionStats::for_model(&cfg, 19);
+    let heads = SplitConquer::new(SplitConquerConfig::with_sparsity(0.9)).apply(&stats.maps);
+    let program = compile_model(&cfg, &heads, None);
+    for (ph, pw) in heads
+        .iter()
+        .flatten()
+        .zip(program.layers.iter().flat_map(|l| &l.heads))
+    {
+        let csc = CscMatrix::from_mask(&ph.pruned);
+        let counts: Vec<usize> = (0..csc.size()).map(|k| csc.col_nnz(k)).collect();
+        let r = split_columns(&counts, None);
+        assert_eq!(r, ph.reorder, "layer {} head {}", ph.layer, ph.head);
         assert_eq!(
-            w.sparser_nnz,
-            ph.polarized_mask().nnz_in_cols(ngt, w.tokens)
+            (pw.tokens, pw.head_dim, pw.num_global),
+            (counts.len(), cfg.head_dim(), r.num_global)
         );
-        assert_eq!(pw.sparser_col_nnz, ph.polarized_mask().col_nnz()[ngt..]);
+        assert_eq!(
+            (pw.denser_nnz, pw.sparser_nnz),
+            (r.denser_nnz(), r.sparser_nnz())
+        );
+        assert_eq!(pw.sparser_col_nnz, r.sparser_col_nnz());
     }
 }
 

@@ -38,7 +38,18 @@ pub struct ViTCoDAccelerator {
 
 impl ViTCoDAccelerator {
     /// Creates a simulator for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has fewer than two MAC lines or no MACs per line:
+    /// each of the two engines needs a line, or its work is dropped.
     pub fn new(cfg: AcceleratorConfig) -> Self {
+        assert!(
+            cfg.mac_lines >= 2 && cfg.macs_per_line > 0,
+            "each of the two engines needs a MAC line: got {} lines of {} MACs",
+            cfg.mac_lines,
+            cfg.macs_per_line
+        );
         let dram = DramModel::new(&cfg);
         Self { cfg, dram }
     }
@@ -454,7 +465,8 @@ fn proportional_lines(works: &[u64], total: usize) -> HeadAllocation {
 }
 
 /// Splits `total` MAC lines proportionally to the two engines' workloads,
-/// guaranteeing each engine with non-zero work at least one line.
+/// guaranteeing each engine with non-zero work at least one line (the
+/// Sec. V-B PE split; [`ViTCoDAccelerator::new`] ensures `total >= 2`).
 fn allocate_lines(total: usize, denser_work: u64, sparser_work: u64) -> (usize, usize) {
     let sum = denser_work + sparser_work;
     if sum == 0 {
@@ -579,6 +591,29 @@ mod tests {
         assert!(d >= 1 && s >= 1);
         let (d2, _) = allocate_lines(2, 1_000_000, 1);
         assert_eq!(d2, 1, "clamped to leave one line for the sparser engine");
+        // Proportional to the work: the heavier engine gets more lines.
+        let (d3, s3) = allocate_lines(64, 4000, 100);
+        assert!(d3 > s3, "dense-heavy split favours the denser engine");
+        let (d4, s4) = allocate_lines(64, 100, 4000);
+        assert!(s4 > d4, "sparse-heavy split favours the sparser engine");
+    }
+
+    #[test]
+    #[should_panic(expected = "each of the two engines needs a MAC line: got 1 lines")]
+    fn one_line_is_rejected() {
+        ViTCoDAccelerator::new(AcceleratorConfig {
+            mac_lines: 1,
+            ..AcceleratorConfig::vitcod_paper()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "each of the two engines needs a MAC line: got 64 lines of 0 MACs")]
+    fn lines_without_macs_are_rejected() {
+        ViTCoDAccelerator::new(AcceleratorConfig {
+            macs_per_line: 0,
+            ..AcceleratorConfig::vitcod_paper()
+        });
     }
 
     #[test]

@@ -70,5 +70,6 @@ fn main() {
         head.reorder.denser_density(),
         head.reorder.sparser_density()
     );
-    println!("\nmask (█ kept / · pruned):\n{}", head.polarized_mask());
+    let polarized = head.pruned.permute_symmetric(&head.reorder.perm);
+    println!("\nmask (█ kept / · pruned):\n{polarized}");
 }

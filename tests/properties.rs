@@ -76,9 +76,11 @@ proptest! {
         }
         prop_assert!(seen.iter().all(|&s| s));
         // Symmetric permutation preserves the kept count.
-        prop_assert_eq!(r.mask.nnz(), mask.nnz());
+        let polarized = mask.permute_symmetric(&r.perm);
+        prop_assert_eq!(polarized.nnz(), mask.nnz());
         // All global columns land in the front block.
-        let cols = r.mask.col_nnz();
+        let cols = polarized.col_nnz();
+        prop_assert_eq!(&cols, &r.col_nnz);
         for (i, &c) in cols.iter().enumerate() {
             if i < r.num_global {
                 prop_assert!(c > r.theta_d, "front column {i} has {c} <= theta_d");
@@ -104,17 +106,30 @@ proptest! {
         prop_assert_eq!(col_sum, mask.nnz());
         prop_assert_eq!(row_sum, mask.nnz());
         prop_assert!((mask.density() + mask.sparsity() - 1.0).abs() < 1e-12);
-        prop_assert_eq!(mask.nnz_in_cols(0, 12), mask.nnz());
+        prop_assert_eq!(mask.col_nnz()[0..12].iter().sum::<usize>(), mask.nnz());
     }
 
     #[test]
     fn workload_split_conserves_work(map in attention_map(20), s in 0.5f64..0.95) {
-        use vitcod::core::{SplitConquer, SplitConquerConfig};
+        use vitcod::core::{compile_model, SplitConquer, SplitConquerConfig};
+        use vitcod::model::{ModelFamily, StageConfig, ViTConfig};
+        use vitcod::sim::{AcceleratorConfig, ViTCoDAccelerator};
         let sc = SplitConquer::new(SplitConquerConfig::with_sparsity(s));
         let ph = sc.apply_one(0, 0, &map);
-        let w = ph.workload();
-        prop_assert_eq!(w.denser_nnz + w.sparser_nnz, ph.polarized_mask().nnz());
-        let (d, sp) = w.allocate_pes(64);
+        let r = &ph.reorder;
+        let polarized = ph.pruned.permute_symmetric(&r.perm);
+        prop_assert_eq!(r.denser_nnz() + r.sparser_nnz(), polarized.nnz());
+        // The simulator's Sec. V-B line split hands out every line.
+        let stage = StageConfig { tokens: 20, dim: 64, heads: 1, depth: 1 };
+        let cfg = ViTConfig {
+            name: "prop", family: ModelFamily::DeiT, tokens: 20, dim: 64,
+            heads: 1, depth: 1, mlp_ratio: 4, stages: vec![stage],
+            stem_macs: 0, paper_sparsity: s,
+        };
+        let program = compile_model(&cfg, &[vec![ph]], None);
+        let hw = AcceleratorConfig::vitcod_paper();
+        let (_, trace) = ViTCoDAccelerator::new(hw).simulate_attention_traced(&program);
+        let (d, sp) = (trace.layers[0].denser_lines, trace.layers[0].sparser_lines);
         prop_assert_eq!(d + sp, 64);
     }
 }
