@@ -13,8 +13,6 @@
 //! plan, and its probabilities are read back with
 //! [`Tape::try_head_probs`] / [`Tape::head_probs_dense`].
 
-use std::sync::Arc;
-
 use vitcod_tensor::sparse::{self, CscMatrix, SparseScores};
 use vitcod_tensor::{gelu, gelu_grad, kernels, Matrix};
 
@@ -30,18 +28,18 @@ pub const LAYERNORM_EPS: f32 = 1e-5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-/// Per-head execution plan of a [`Tape::attention`] node. Plans share
-/// their data (an `Arc`'d bias; a [`CscMatrix`], whose clone is `O(1)`)
-/// so a model can build them once (mask freeze) and every training
-/// step's tape references them without re-materialising an `n × n` bias
-/// or copying a CSC index per sample.
+/// Per-head execution plan of a [`Tape::attention`] node. A masked head
+/// carries its fixed [`CscMatrix`] index on either route; the index's
+/// clone is `O(1)`, so a model builds it once (at mask install) and every
+/// training step's tape shares it instead of copying it per sample.
 #[derive(Debug, Clone)]
 pub enum HeadExec {
     /// Full dense attention.
     Dense,
-    /// Dense attention with an additive mask bias (`0` kept, `-inf`
-    /// pruned) — the finetuning path before the mask is frozen sparse.
-    Masked(Arc<Matrix>),
+    /// The dense oracle of a masked head: dense attention with an additive
+    /// bias (`0` kept, `-inf` pruned) built from the index once per
+    /// attention op and shared by every sample.
+    Masked(CscMatrix),
     /// Truly-sparse attention over a fixed CSC index: the head runs the
     /// accelerator's SDDMM → sparse-softmax → SpMM dataflow in both
     /// passes, so its training cost scales with `nnz` instead of `n²`.
@@ -303,12 +301,13 @@ impl Tape {
     /// across the batch.
     ///
     /// `heads[h]` selects each head's execution plan ([`HeadExec`]):
-    /// dense, dense with an additive `-inf` mask bias, or the
-    /// truly-sparse CSC dataflow whose forward *and* backward cost scale
-    /// with the index's `nnz`. Pass an empty slice for all-dense heads.
-    /// Tasks fan out across worker threads in both passes; outputs and
-    /// gradients are assembled in fixed `(sample, head)` order, so
-    /// results are bit-identical regardless of the worker count.
+    /// dense, dense with an additive `-inf` bias built from the head's
+    /// CSC index, or the truly-sparse CSC dataflow whose forward *and*
+    /// backward cost scale with the index's `nnz`. Pass an empty slice
+    /// for all-dense heads. Tasks fan out across worker threads in both
+    /// passes; outputs and gradients are assembled in fixed
+    /// `(sample, head)` order, so results are bit-identical regardless
+    /// of the worker count.
     /// Per-task probabilities are read back through
     /// [`Self::try_head_probs`] (borrowed, dense heads) and
     /// [`Self::head_probs_dense`] (owned, any head).
@@ -318,7 +317,7 @@ impl Tape {
     /// Panics if Q/K/V shapes differ, the row count is not a multiple of
     /// `batch`, `q.cols()` is not a multiple of `dk`, `heads` is
     /// non-empty but does not cover exactly every head, or a plan's
-    /// mask/index size differs from the per-sample token count.
+    /// index size differs from the per-sample token count.
     #[allow(clippy::too_many_arguments)]
     pub fn attention(
         &mut self,
@@ -765,12 +764,7 @@ fn normalize_head_plans(
     for (i, plan) in heads.iter().enumerate() {
         match plan {
             HeadExec::Dense => {}
-            HeadExec::Masked(bias) => assert_eq!(
-                bias.shape(),
-                (n, n),
-                "head {i} mask must be tokens x tokens"
-            ),
-            HeadExec::Sparse(csc) => {
+            HeadExec::Masked(csc) | HeadExec::Sparse(csc) => {
                 assert_eq!(csc.size(), n, "head {i} CSC size must match tokens")
             }
         }
@@ -793,6 +787,13 @@ fn attention_forward(
     let h = heads.len();
     let n = q.rows() / batch;
     let tasks = batch * h;
+    let biases: Vec<Option<Matrix>> = heads
+        .iter()
+        .map(|plan| match plan {
+            HeadExec::Masked(csc) => Some(mask_bias(csc)),
+            HeadExec::Dense | HeadExec::Sparse(_) => None,
+        })
+        .collect();
     let per_task = kernels::par_map_collect(tasks, 2 * n * n * dk, |t| {
         let (s, head) = (t / h, t % h);
         let (r0, c0) = (s * n, head * dk);
@@ -800,13 +801,9 @@ fn attention_forward(
         let kh = k.submatrix(r0, r0 + n, c0, c0 + dk);
         let vh = v.submatrix(r0, r0 + n, c0, c0 + dk);
         match &heads[head] {
-            HeadExec::Dense => {
-                let (out, probs) = kernels::attention_head(&qh, &kh, &vh, scale, None);
-                (out, HeadProbs::Dense(probs))
-            }
-            HeadExec::Masked(bias) => {
-                let (out, probs) =
-                    kernels::attention_head(&qh, &kh, &vh, scale, Some(bias.as_ref()));
+            HeadExec::Dense | HeadExec::Masked(_) => {
+                let bias = biases[head].as_ref();
+                let (out, probs) = kernels::attention_head(&qh, &kh, &vh, scale, bias);
                 (out, HeadProbs::Dense(probs))
             }
             HeadExec::Sparse(csc) => {
@@ -827,6 +824,16 @@ fn attention_forward(
         probs.push(p);
     }
     (out, probs)
+}
+
+/// The additive `-inf` bias of a masked head's dense oracle: `0` at the
+/// index's kept positions, `-inf` elsewhere.
+fn mask_bias(csc: &CscMatrix) -> Matrix {
+    let mut bias = Matrix::filled(csc.size(), csc.size(), f32::NEG_INFINITY);
+    for (q, k) in csc.iter_kept() {
+        bias.set(q, k, 0.0);
+    }
+    bias
 }
 
 /// Backward of the attention op; tasks fan out like the forward and the
@@ -995,11 +1002,9 @@ mod tests {
         let k = store.register("k", Initializer::Normal { std: 0.7 }.sample(3, 4, 5));
         let v = store.register("v", Initializer::Normal { std: 0.7 }.sample(3, 4, 6));
         // Fixed sparse mask: prune position (0, 2) and (2, 0).
-        let mut mask = Matrix::zeros(3, 3);
-        mask.set(0, 2, f32::NEG_INFINITY);
-        mask.set(2, 0, f32::NEG_INFINITY);
+        let mask = CscMatrix::from_indicator(3, |q, k| (q, k) != (0, 2) && (q, k) != (2, 0));
         // One head spanning all four columns.
-        let plan = [HeadExec::Masked(Arc::new(mask))];
+        let plan = [HeadExec::Masked(mask)];
         let target = Matrix::zeros(3, 4);
         for id in [q, k, v] {
             gradcheck(
@@ -1026,9 +1031,8 @@ mod tests {
         let q = tape.constant(Initializer::Normal { std: 1.0 }.sample(4, 8, 7));
         let k = tape.constant(Initializer::Normal { std: 1.0 }.sample(4, 8, 8));
         let v = tape.constant(Initializer::Normal { std: 1.0 }.sample(4, 8, 9));
-        let mut mask = Matrix::zeros(4, 4);
-        mask.set(1, 3, f32::NEG_INFINITY);
-        let attn = tape.attention(q, k, v, 8, 0.35, 1, &[HeadExec::Masked(Arc::new(mask))]);
+        let mask = CscMatrix::from_indicator(4, |q, k| (q, k) != (1, 3));
+        let attn = tape.attention(q, k, v, 8, 0.35, 1, &[HeadExec::Masked(mask)]);
         let p = tape
             .try_head_probs(attn, 0, 0)
             .expect("masked heads cache dense");
@@ -1182,8 +1186,9 @@ mod tests {
         let (n, dk, heads, scale) = (5, 3, 2, 0.5);
         let mut mask = Matrix::zeros(n, n);
         mask.set(0, 4, f32::NEG_INFINITY);
-        let masks = vec![Some(mask.clone()), None];
-        let plans = vec![HeadExec::Masked(Arc::new(mask)), HeadExec::Dense];
+        let masks = vec![Some(mask), None];
+        let csc = CscMatrix::from_indicator(n, |q, k| (q, k) != (0, 4));
+        let plans = vec![HeadExec::Masked(csc), HeadExec::Dense];
         for batch in [1, 3] {
             let rows = batch * n;
             let q = Initializer::Normal { std: 0.8 }.sample(rows, heads * dk, 20);
@@ -1278,14 +1283,6 @@ mod tests {
         let (n, dk) = (8, 4);
         let keep = |q: usize, k: usize| q == k || k == 0 || (q + k).is_multiple_of(3);
         let csc = CscMatrix::from_indicator(n, keep);
-        let mut bias = Matrix::zeros(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                if !keep(r, c) {
-                    bias.set(r, c, f32::NEG_INFINITY);
-                }
-            }
-        }
         let mut store = ParamStore::new();
         let q = store.register("q", Initializer::Normal { std: 0.8 }.sample(n, dk, 43));
         let k = store.register("k", Initializer::Normal { std: 0.8 }.sample(n, dk, 44));
@@ -1308,8 +1305,8 @@ mod tests {
                 tape.grad(vv).unwrap().clone(),
             )
         };
-        let (sq, sk, sv) = run(vec![HeadExec::Sparse(csc)]);
-        let (mq, mk, mv) = run(vec![HeadExec::Masked(Arc::new(bias))]);
+        let (sq, sk, sv) = run(vec![HeadExec::Sparse(csc.clone())]);
+        let (mq, mk, mv) = run(vec![HeadExec::Masked(csc)]);
         assert!(
             sq.max_abs_diff(&mq) < 1e-4,
             "gq off by {}",

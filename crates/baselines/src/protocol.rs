@@ -41,8 +41,8 @@
 use std::sync::{Arc, Mutex};
 
 use vitcod_core::{
-    compile_model, AcceleratorProgram, AttentionMask, AutoEncoderConfig, CooMatrix, PolarizedHead,
-    PruneCriterion, SplitConquer, SplitConquerConfig,
+    compile_model, AcceleratorProgram, AutoEncoderConfig, CooMatrix, PolarizedHead, PruneCriterion,
+    SplitConquer, SplitConquerConfig,
 };
 use vitcod_model::{AttentionStats, AttentionStatsConfig, StageConfig, ViTConfig};
 use vitcod_sim::{
@@ -713,7 +713,7 @@ impl Protocol {
             let (mut csc_bytes, mut coo_bytes, mut nnz, mut count) = (0, 0, 0, 0);
             for ph in heads.iter().flatten() {
                 let csc = ph.sparser_csc();
-                coo_bytes += CooMatrix::from_mask(&AttentionMask::from_csc(&csc)).index_bytes();
+                coo_bytes += CooMatrix::from_csc(&csc).index_bytes();
                 csc_bytes += csc.index_bytes();
                 nnz += csc.nnz();
                 count += 1;

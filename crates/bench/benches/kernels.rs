@@ -45,7 +45,7 @@ use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
 use vitcod_baselines::protocol::WORKLOAD_SEED;
 use vitcod_bench::timing::{time_repeats, Timing};
-use vitcod_core::prune_to_sparsity;
+use vitcod_core::{prune_to_sparsity, AttentionMask};
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Precision};
 use vitcod_model::{AttentionStats, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::{
@@ -577,17 +577,17 @@ fn bench_attention_training() -> AttentionTraining {
     let cfg = ViTConfig::deit_tiny();
     let (n, dk, heads) = (cfg.tokens, cfg.head_dim(), cfg.heads);
     let stats = AttentionStats::for_model(&cfg, WORKLOAD_SEED);
-    let masks: Vec<Matrix> = (0..heads)
-        .map(|h| prune_to_sparsity(&stats.maps[0][h], ATTENTION_SPARSITY).to_matrix())
+    let masks: Vec<AttentionMask> = (0..heads)
+        .map(|h| prune_to_sparsity(&stats.maps[0][h], ATTENTION_SPARSITY))
         .collect();
     let biases: Vec<Matrix> = masks
         .iter()
-        .map(|m| kernels::map(m, |kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 }))
+        .map(|m| {
+            let kept = m.to_matrix();
+            kernels::map(&kept, |k| if k == 0.0 { f32::NEG_INFINITY } else { 0.0 })
+        })
         .collect();
-    let cscs: Vec<CscMatrix> = masks
-        .iter()
-        .map(|m| CscMatrix::from_indicator(n, |q, k| m.get(q, k) != 0.0))
-        .collect();
+    let cscs: Vec<CscMatrix> = masks.iter().map(AttentionMask::to_csc).collect();
     let nnz: usize = cscs.iter().map(|c| c.nnz()).sum();
     let sample = |seed| Initializer::Normal { std: 1.0 }.sample(n, heads * dk, seed);
     let (q, k, v, gout) = (sample(91), sample(92), sample(93), sample(94));

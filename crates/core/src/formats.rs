@@ -8,34 +8,23 @@
 //!
 //! The [`CscMatrix`] structure itself (and the SDDMM/SpMM kernels that
 //! execute over it) lives in [`vitcod_tensor::sparse`], the workspace's
-//! sparse kernel layer; this module binds it to [`AttentionMask`] via
-//! the [`SparsityPattern`] trait so `CscMatrix::from_mask(&mask)` works
-//! on the algorithm side, and keeps the COO comparison format.
+//! sparse kernel layer; an [`AttentionMask`](crate::AttentionMask)
+//! compiles to one with [`crate::AttentionMask::to_csc`]. This module
+//! re-exports it beside the COO comparison format, which is built from a
+//! CSC.
 //!
 //! ```
-//! use vitcod_core::{AttentionMask, CscMatrix};
+//! use vitcod_core::AttentionMask;
 //!
 //! let mut m = AttentionMask::empty(3);
 //! m.keep(0, 1);
 //! m.keep(2, 1);
-//! let csc = CscMatrix::from_mask(&m);
+//! let csc = m.to_csc();
 //! assert_eq!(csc.col_rows(1), &[0, 2]);
 //! assert_eq!(csc.nnz(), 2);
 //! ```
 
-pub use vitcod_tensor::sparse::{CscMatrix, SparsityPattern};
-
-use crate::mask::AttentionMask;
-
-impl SparsityPattern for AttentionMask {
-    fn size(&self) -> usize {
-        AttentionMask::size(self)
-    }
-
-    fn is_kept(&self, q: usize, k: usize) -> bool {
-        AttentionMask::is_kept(self, q, k)
-    }
-}
+pub use vitcod_tensor::sparse::CscMatrix;
 
 /// Coordinate-format index (the rejected design alternative; kept for the
 /// paper's CSC-vs-COO storage comparison).
@@ -47,14 +36,12 @@ pub struct CooMatrix {
 }
 
 impl CooMatrix {
-    /// Builds the COO index of `mask` in row-major order.
-    pub fn from_mask(mask: &AttentionMask) -> Self {
-        let coords = mask
-            .iter_kept()
-            .map(|(q, k)| (q as u32, k as u32))
-            .collect();
+    /// Builds the COO index of the positions `csc` keeps, in its
+    /// column-major value order.
+    pub fn from_csc(csc: &CscMatrix) -> Self {
+        let coords = csc.iter_kept().map(|(q, k)| (q as u32, k as u32)).collect();
         Self {
-            n: mask.size(),
+            n: csc.size(),
             coords,
         }
     }
@@ -84,6 +71,7 @@ impl CooMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mask::AttentionMask;
 
     fn sample_mask() -> AttentionMask {
         let mut m = AttentionMask::empty(5);
@@ -98,14 +86,14 @@ mod tests {
     #[test]
     fn csc_round_trip() {
         let m = sample_mask();
-        let csc = CscMatrix::from_mask(&m);
+        let csc = m.to_csc();
         assert_eq!(AttentionMask::from_csc(&csc), m);
         assert_eq!(csc.nnz(), m.nnz());
     }
 
     #[test]
     fn csc_columns_ascending() {
-        let csc = CscMatrix::from_mask(&sample_mask());
+        let csc = sample_mask().to_csc();
         for k in 0..5 {
             let rows = csc.col_rows(k);
             assert!(
@@ -117,26 +105,26 @@ mod tests {
 
     #[test]
     fn csc_column_zero_is_global() {
-        let csc = CscMatrix::from_mask(&sample_mask());
+        let csc = sample_mask().to_csc();
         assert_eq!(csc.col_nnz(0), 5);
         assert_eq!(csc.col_rows(0), &[0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn empty_and_dense_extremes() {
-        let e = CscMatrix::from_mask(&AttentionMask::empty(4));
+        let e = AttentionMask::empty(4).to_csc();
         assert_eq!(e.nnz(), 0);
         for k in 0..4 {
             assert!(e.col_rows(k).is_empty());
         }
-        let d = CscMatrix::from_mask(&AttentionMask::dense(4));
+        let d = AttentionMask::dense(4).to_csc();
         assert_eq!(d.nnz(), 16);
     }
 
     #[test]
     fn coo_matches_mask_iteration() {
         let m = sample_mask();
-        let coo = CooMatrix::from_mask(&m);
+        let coo = CooMatrix::from_csc(&m.to_csc());
         assert_eq!(coo.nnz(), m.nnz());
         for &(q, k) in coo.coords() {
             assert!(m.is_kept(q as usize, k as usize));
@@ -155,8 +143,8 @@ mod tests {
             m.keep(q, 32);
             m.keep(q, 17);
         }
-        let csc = CscMatrix::from_mask(&m);
-        let coo = CooMatrix::from_mask(&m);
+        let csc = m.to_csc();
+        let coo = CooMatrix::from_csc(&csc);
         assert!(
             csc.index_bytes() < coo.index_bytes(),
             "csc {} vs coo {}",
@@ -168,6 +156,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn csc_col_out_of_bounds_panics() {
-        CscMatrix::from_mask(&AttentionMask::empty(2)).col_rows(2);
+        AttentionMask::empty(2).to_csc().col_rows(2);
     }
 }

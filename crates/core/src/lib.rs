@@ -55,7 +55,7 @@ mod split_conquer;
 pub mod taxonomy;
 
 pub use autoencoder::AutoEncoderConfig;
-pub use formats::{CooMatrix, CscMatrix, SparsityPattern};
+pub use formats::{CooMatrix, CscMatrix};
 pub use interface::{compile_model, AcceleratorProgram, LayerProgram, PhaseWorkload};
 pub use mask::AttentionMask;
 pub use pipeline::{PipelineConfig, PipelineReport, ViTCoDPipeline};

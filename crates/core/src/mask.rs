@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use vitcod_tensor::sparse::CscMatrix;
 use vitcod_tensor::Matrix;
 
 /// A fixed binary attention mask over an `n × n` attention map.
@@ -45,14 +46,19 @@ impl AttentionMask {
         }
     }
 
-    /// Reconstructs the boolean mask of a CSC index (round-trip
-    /// counterpart of `CscMatrix::from_mask`).
-    pub fn from_csc(csc: &vitcod_tensor::sparse::CscMatrix) -> Self {
+    /// Reconstructs the boolean mask of a CSC index (the inverse of
+    /// [`Self::to_csc`]).
+    pub fn from_csc(csc: &CscMatrix) -> Self {
         let mut m = Self::empty(csc.size());
         for (q, k) in csc.iter_kept() {
             m.keep(q, k);
         }
         m
+    }
+
+    /// Compiles the mask to the CSC index the accelerator pre-loads.
+    pub fn to_csc(&self) -> CscMatrix {
+        CscMatrix::from_indicator(self.n, |q, k| self.bits[q * self.n + k])
     }
 
     /// Wraps row-major keep-bits.
@@ -161,8 +167,9 @@ impl AttentionMask {
         Self::from_bits(self.n, bits)
     }
 
-    /// Converts to a 0/1 matrix (for the trainable model's
-    /// `SparsityPlan` and for element-wise application `m ⊙ A`).
+    /// Converts to a 0/1 matrix: the trainable model's `SparsityPlan`
+    /// entry, which `set_sparsity_plan` compiles to the CSC index that
+    /// [`Self::to_csc`] gives directly.
     pub fn to_matrix(&self) -> Matrix {
         let ones = self.bits.iter().map(|&b| if b { 1.0 } else { 0.0 });
         Matrix::from_vec(self.n, self.n, ones.collect())

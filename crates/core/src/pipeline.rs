@@ -168,8 +168,8 @@ impl ViTCoDPipeline {
     }
 
     /// Step 2 of Fig. 10 on an already-warm `trainer`: split-and-conquer
-    /// on its averaged attention maps, install the masks and freeze them
-    /// to per-head CSC indexes
+    /// on its averaged attention maps, install the masks (compiled to
+    /// per-head CSC indexes once) and switch the masked heads onto them
     /// ([`VisionTransformer::freeze_sparse_attention`]), then finetune —
     /// every masked head runs the sparse dataflow in the forward and the
     /// backward pass, so a step's attention cost follows the mask

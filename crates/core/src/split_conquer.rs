@@ -61,16 +61,13 @@ impl PolarizedHead {
 
     /// CSC index of the sparser residue: the polarized mask restricted to
     /// columns `N_gt..n` (the denser block needs no index — it is
-    /// processed densely). Draws the polarized mask on the way.
+    /// processed densely), read through the permutation in one pass
+    /// without drawing the polarized mask.
     pub fn sparser_csc(&self) -> CscMatrix {
-        let polarized = self.pruned.permute_symmetric(&self.reorder.perm);
-        let mut residue = AttentionMask::empty(polarized.size());
-        for (q, k) in polarized.iter_kept() {
-            if k >= self.reorder.num_global {
-                residue.keep(q, k);
-            }
-        }
-        CscMatrix::from_mask(&residue)
+        let (perm, num_global) = (&self.reorder.perm, self.reorder.num_global);
+        CscMatrix::from_indicator(self.pruned.size(), |q, k| {
+            k >= num_global && self.pruned.is_kept(perm[q], perm[k])
+        })
     }
 }
 

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vitcod_core::{
     compile_model, prune_info, prune_to_sparsity, reorder_global_tokens, split_columns,
-    AttentionMask, CscMatrix, PruneCriterion, SplitConquer, SplitConquerConfig,
+    AttentionMask, PruneCriterion, SplitConquer, SplitConquerConfig,
 };
 use vitcod_model::{AttentionStats, ViTConfig};
 use vitcod_tensor::kernels::{self, with_thread_budget};
@@ -106,7 +106,7 @@ proptest! {
                 mask.keep(i / 12, i % 12);
             }
         }
-        let csc = CscMatrix::from_mask(&mask);
+        let csc = mask.to_csc();
         for k in 0..12 {
             let rows = csc.col_rows(k);
             prop_assert!(rows.windows(2).all(|w| w[0] < w[1]));
@@ -336,7 +336,7 @@ fn the_served_csc_alone_gives_the_compiled_split() {
         .flatten()
         .zip(program.layers.iter().flat_map(|l| &l.heads))
     {
-        let csc = CscMatrix::from_mask(&ph.pruned);
+        let csc = ph.pruned.to_csc();
         let counts: Vec<usize> = (0..csc.size()).map(|k| csc.col_nnz(k)).collect();
         let r = split_columns(&counts, None);
         assert_eq!(r, ph.reorder, "layer {} head {}", ph.layer, ph.head);

@@ -227,22 +227,18 @@ fn row_vec(store: &ParamStore, id: vitcod_autograd::ParamId) -> Vec<f32> {
 impl CompiledVit {
     /// Freezes `model`'s weights out of `store`.
     ///
-    /// Sparse heads are taken from the model's installed sparsity plan
-    /// (each 0/1 mask is compiled to a CSC index); heads without a mask
-    /// stay dense.
+    /// Sparse heads share the CSC indexes of the model's installed
+    /// sparsity plan (an `O(1)` clone each); heads without a mask stay
+    /// dense.
     pub fn from_parts(model: &VisionTransformer, store: &ParamStore) -> Self {
         let cfg = model.config().clone();
         let plan = model.sparsity_plan();
         let layers = (0..cfg.depth)
             .map(|l| {
                 let heads = (0..cfg.heads)
-                    .map(|h| match plan.and_then(|p| p[l][h].as_ref()) {
-                        Some(m) => {
-                            HeadPlan::Sparse(CscMatrix::from_indicator(cfg.tokens, |q, k| {
-                                m.get(q, k) != 0.0
-                            }))
-                        }
-                        None => HeadPlan::Dense,
+                    .map(|h| {
+                        plan.and_then(|p| p[l][h].clone())
+                            .map_or(HeadPlan::Dense, HeadPlan::Sparse)
                     })
                     .collect();
                 let b = model.block_modules(l);

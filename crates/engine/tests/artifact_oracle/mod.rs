@@ -9,7 +9,6 @@
 use vitcod_autograd::ParamStore;
 use vitcod_engine::Precision;
 use vitcod_model::VisionTransformer;
-use vitcod_tensor::sparse::CscMatrix;
 use vitcod_tensor::{Matrix, QuantizedMatrix};
 
 pub fn save_compiled_oracle(
@@ -137,8 +136,7 @@ pub fn save_compiled_oracle(
         for h in 0..cfg.heads {
             match vit.sparsity_plan().and_then(|p| p[l][h].as_ref()) {
                 None => out.push_str("head dense\n"),
-                Some(mask) => {
-                    let csc = CscMatrix::from_indicator(cfg.tokens, |q, k| mask.get(q, k) != 0.0);
+                Some(csc) => {
                     out.push_str(&format!(
                         "head sparse {} {}\n",
                         csc.size(),

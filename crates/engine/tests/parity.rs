@@ -166,7 +166,15 @@ fn fp32_dense_with_auto_encoder_bit_identical_to_tape() {
 #[test]
 fn sparse_csc_path_matches_masked_dense_reference() {
     let (mut vit, store) = tiny_model(3, 2);
-    vit.set_sparsity_plan(local_global_plan(&vit));
+    let mut plan = local_global_plan(&vit);
+    // The keep rule is `!= 0.0`: a 0.5 weight and NaN are kept, `-0.0`
+    // is pruned. The engine serves the kept set the tape's oracle masks.
+    for mask in plan.iter_mut().flatten().flatten() {
+        mask.set(2, 0, 0.5);
+        mask.set(3, 3, -0.0);
+        mask.set(5, 9, f32::NAN);
+    }
+    vit.set_sparsity_plan(plan);
     let compiled = CompiledVit::from_parts(&vit, &store);
     assert_eq!(
         compiled.num_sparse_heads(),

@@ -1,8 +1,6 @@
 //! A trainable Vision Transformer with fixed sparse attention masks and
 //! ViTCoD auto-encoder modules.
 
-use std::sync::Arc;
-
 use rand::Rng;
 use vitcod_autograd::{HeadExec, LayerNorm, Linear, ParamId, ParamStore, Tape, Var};
 use vitcod_tensor::sparse::CscMatrix;
@@ -40,10 +38,11 @@ impl AutoEncoderSpec {
 
 /// Fixed sparse attention masks, one per `[layer][head]`.
 ///
-/// Each mask is an `n × n` 0/1 matrix (`1.0` = keep). `None` means the
-/// head stays dense. Masks are produced by `vitcod-core`'s
-/// split-and-conquer algorithm and stay fixed during finetuning and
-/// inference (the paper's central premise for ViTs).
+/// Each mask is an `n × n` 0/1 matrix (`1.0` = keep; any entry `!= 0.0`
+/// is kept), which [`VisionTransformer::set_sparsity_plan`] compiles to a
+/// CSC index. `None` means the head stays dense. Masks are produced by
+/// `vitcod-core`'s split-and-conquer algorithm and stay fixed during
+/// finetuning and inference (the paper's central premise for ViTs).
 pub type SparsityPlan = Vec<Vec<Option<Matrix>>>;
 
 /// Output of one forward pass.
@@ -161,14 +160,14 @@ pub struct VisionTransformer {
     blocks: Vec<Block>,
     final_ln: LayerNorm,
     head: Linear,
-    masks: Option<SparsityPlan>,
-    /// Additive `-inf` biases compiled from `masks` once at install time
-    /// and `Arc`-shared into every tape, `[layer][head]`.
-    mask_biases: Option<Vec<Vec<Option<Arc<Matrix>>>>>,
-    /// CSC indexes compiled from `masks` by
-    /// [`Self::freeze_sparse_attention`], `[layer][head]`; when present,
-    /// masked heads run the truly-sparse dataflow in forward passes.
-    frozen: Option<Vec<Vec<Option<CscMatrix>>>>,
+    /// The installed masks' CSC indexes, `[layer][head]` (`None` = dense
+    /// head), compiled once by [`Self::set_sparsity_plan`]: the one record
+    /// of a masked head, shared by every tape and by inference compilers.
+    masks: Option<Vec<Vec<Option<CscMatrix>>>>,
+    /// Whether masked heads run the truly-sparse CSC dataflow (set by
+    /// [`Self::freeze_sparse_attention`]) rather than the dense `-inf`
+    /// oracle.
+    frozen: bool,
     ae_spec: Option<AutoEncoderSpec>,
 }
 
@@ -235,8 +234,7 @@ impl VisionTransformer {
             final_ln,
             head,
             masks: None,
-            mask_biases: None,
-            frozen: None,
+            frozen: false,
             ae_spec: None,
         }
     }
@@ -256,9 +254,11 @@ impl VisionTransformer {
         self.in_dim
     }
 
-    /// The installed sparsity plan, if any.
-    pub fn sparsity_plan(&self) -> Option<&SparsityPlan> {
-        self.masks.as_ref()
+    /// The installed masks as per-head CSC indexes, `[layer][head]`
+    /// (`None` = dense head), if a plan is installed. Cloning an index is
+    /// `O(1)`.
+    pub fn sparsity_plan(&self) -> Option<&[Vec<Option<CscMatrix>>]> {
+        self.masks.as_deref()
     }
 
     /// The installed auto-encoder spec, if any.
@@ -382,7 +382,10 @@ impl VisionTransformer {
         self.ae_spec = Some(spec);
     }
 
-    /// Installs fixed sparse attention masks (paper Fig. 10, Step 2).
+    /// Installs fixed sparse attention masks (paper Fig. 10, Step 2),
+    /// compiling each mask to its CSC index once: an entry is kept iff it
+    /// is `!= 0.0` (so `-0.0` is pruned and NaN is kept). Masked heads run
+    /// the dense `-inf` oracle until [`Self::freeze_sparse_attention`].
     ///
     /// # Panics
     ///
@@ -390,53 +393,39 @@ impl VisionTransformer {
     /// match the model.
     pub fn set_sparsity_plan(&mut self, plan: SparsityPlan) {
         assert_eq!(plan.len(), self.blocks.len(), "plan must cover all layers");
-        for (l, layer) in plan.iter().enumerate() {
-            assert_eq!(
-                layer.len(),
-                self.cfg.heads,
-                "layer {l} must cover all heads"
-            );
-            for m in layer.iter().flatten() {
+        let n = self.cfg.tokens;
+        let masks = plan
+            .iter()
+            .enumerate()
+            .map(|(l, layer)| {
                 assert_eq!(
-                    m.shape(),
-                    (self.cfg.tokens, self.cfg.tokens),
-                    "mask must be tokens x tokens"
+                    layer.len(),
+                    self.cfg.heads,
+                    "layer {l} must cover all heads"
                 );
-            }
-        }
-        // Compile the additive biases once; tapes share them by Arc
-        // instead of re-materialising an n x n bias per sample.
-        self.mask_biases = Some(
-            plan.iter()
-                .map(|layer| {
-                    layer
-                        .iter()
-                        .map(|m| {
-                            m.as_ref().map(|mask| {
-                                let mut bias = mask.clone();
-                                bias.map_inplace(
-                                    |kept| if kept == 0.0 { f32::NEG_INFINITY } else { 0.0 },
-                                );
-                                Arc::new(bias)
-                            })
+                layer
+                    .iter()
+                    .map(|m| {
+                        m.as_ref().map(|mask| {
+                            assert_eq!(mask.shape(), (n, n), "mask must be tokens x tokens");
+                            CscMatrix::from_indicator(n, |q, k| mask.get(q, k) != 0.0)
                         })
-                        .collect()
-                })
-                .collect(),
-        );
-        self.frozen = None;
-        self.masks = Some(plan);
+                    })
+                    .collect()
+            })
+            .collect();
+        self.frozen = false;
+        self.masks = Some(masks);
     }
 
-    /// Whether the installed masks have been frozen to CSC indexes (the
-    /// truly-sparse training path).
+    /// Whether masked heads run the truly-sparse CSC dataflow.
     pub fn has_frozen_sparse(&self) -> bool {
-        self.frozen.is_some()
+        self.frozen
     }
 
-    /// Compiles the installed sparsity plan into per-head CSC indexes,
-    /// switching every masked head's forward *and* backward onto the
-    /// accelerator's SDDMM → sparse-softmax → SpMM dataflow so a
+    /// Switches every masked head's forward *and* backward from the dense
+    /// `-inf` oracle onto the accelerator's SDDMM → sparse-softmax → SpMM
+    /// dataflow over the CSC index [`Self::set_sparsity_plan`] built, so a
     /// training step's attention cost scales with `nnz` instead of `n²`.
     /// This is the mask-freeze step of the sparse-finetune loop; call it
     /// after [`Self::set_sparsity_plan`] and before finetuning.
@@ -451,23 +440,8 @@ impl VisionTransformer {
             .masks
             .as_ref()
             .expect("freeze_sparse_attention requires an installed sparsity plan");
-        let mut sparse_heads = 0;
-        let frozen = masks
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|m| {
-                        m.as_ref().map(|mask| {
-                            sparse_heads += 1;
-                            CscMatrix::from_indicator(mask.rows(), |q, k| mask.get(q, k) != 0.0)
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        self.frozen = Some(frozen);
-        sparse_heads
+        self.frozen = true;
+        masks.iter().flatten().flatten().count()
     }
 
     /// Runs a forward pass for a single sample of raw tokens
@@ -488,7 +462,7 @@ impl VisionTransformer {
     /// bookkeeping amortises across the batch. Attention runs through
     /// [`Tape::attention`], with `(sample, head)` tasks fanned across
     /// worker threads; masked heads follow the model's execution plans
-    /// (dense `-inf` biases, or the truly-sparse CSC dataflow after
+    /// (the dense `-inf` oracle, or the truly-sparse CSC dataflow after
     /// [`Self::freeze_sparse_attention`]).
     ///
     /// Returns logits with one row per sample, in batch order. Losses
@@ -573,29 +547,21 @@ impl VisionTransformer {
         }
     }
 
-    /// Per-head execution plans for `layer`: frozen CSC indexes when the
-    /// masks are frozen, cached `-inf` biases when only installed, empty
-    /// (all dense) otherwise.
+    /// Per-head execution plans for `layer`: each masked head's CSC index
+    /// on the sparse route once frozen, on the `-inf` oracle before; empty
+    /// (all dense) without a plan.
     fn layer_head_plans(&self, layer: usize) -> Vec<HeadExec> {
-        if let Some(frozen) = &self.frozen {
-            return frozen[layer]
-                .iter()
-                .map(|csc| match csc {
-                    Some(csc) => HeadExec::Sparse(csc.clone()),
-                    None => HeadExec::Dense,
-                })
-                .collect();
-        }
-        if let Some(biases) = &self.mask_biases {
-            return biases[layer]
-                .iter()
-                .map(|bias| match bias {
-                    Some(bias) => HeadExec::Masked(bias.clone()),
-                    None => HeadExec::Dense,
-                })
-                .collect();
-        }
-        Vec::new()
+        let Some(masks) = &self.masks else {
+            return Vec::new();
+        };
+        masks[layer]
+            .iter()
+            .map(|csc| match csc {
+                Some(csc) if self.frozen => HeadExec::Sparse(csc.clone()),
+                Some(csc) => HeadExec::Masked(csc.clone()),
+                None => HeadExec::Dense,
+            })
+            .collect()
     }
 
     /// Averaged per-head attention maps over `samples`, the statistic the
@@ -837,6 +803,12 @@ mod tests {
             mask.set(i, i, 1.0);
             mask.set(i, 0, 1.0);
         }
+        // The keep rule is `!= 0.0`: any non-zero weight and NaN are kept,
+        // `-0.0` is pruned like `0.0`.
+        mask.set(2, 0, 0.5);
+        mask.set(3, 3, -0.0);
+        mask.set(5, 2, f32::NAN);
+        let kept = |q: usize, k: usize| (q == k && q != 3) || k == 0 || (q, k) == (5, 2);
         let plan: SparsityPlan = (0..vit.config().depth)
             .map(|_| {
                 (0..vit.config().heads)
@@ -845,12 +817,31 @@ mod tests {
             })
             .collect();
         vit.set_sparsity_plan(plan);
+        // The installed plan is the CSC index every route (and the
+        // engine's `CompiledVit::from_parts`) shares.
+        let want = CscMatrix::from_indicator(n, kept);
+        for csc in vit
+            .sparsity_plan()
+            .expect("plan installed")
+            .iter()
+            .flatten()
+        {
+            assert_eq!(csc.as_ref(), Some(&want));
+        }
 
         // Masked (dense -inf) pass first, then freeze and rerun sparse.
         let tokens = vitcod_tensor::Initializer::Normal { std: 1.0 }.sample(n, 8, 60);
         let mut masked_tape = Tape::new();
         let masked_out = vit.forward(&mut masked_tape, &store, &tokens);
         let masked_logits = masked_tape.value(masked_out.logits).clone();
+        let p = masked_tape.head_probs_dense(masked_out.attention_nodes[0], 0, 0);
+        for r in 0..n {
+            for c in 0..n {
+                if !kept(r, c) {
+                    assert_eq!(p.get(r, c), 0.0, "oracle: pruned ({r},{c}) must be zero");
+                }
+            }
+        }
 
         let sparse_heads = vit.freeze_sparse_attention();
         assert!(vit.has_frozen_sparse());
@@ -865,9 +856,9 @@ mod tests {
         );
         // Pruned positions stay exactly zero in the sparse probabilities.
         let p = sparse_tape.head_probs_dense(sparse_out.attention_nodes[0], 0, 0);
-        for r in 1..n {
-            for c in 1..n {
-                if r != c {
+        for r in 0..n {
+            for c in 0..n {
+                if !kept(r, c) {
                     assert_eq!(p.get(r, c), 0.0, "pruned ({r},{c}) must be zero");
                 }
             }

@@ -11,7 +11,7 @@
 //! correctness". An 8-bit variant runs the same dataflow on quantized
 //! operands with i32 accumulation, as the MAC lines do.
 
-use vitcod_core::{prune_to_sparsity, AttentionMask, CscMatrix};
+use vitcod_core::{prune_to_sparsity, AttentionMask};
 use vitcod_tensor::sparse::{attention_head, sddmm_k_stationary, sddmm_k_stationary_int8_rows};
 use vitcod_tensor::{kernels, Initializer, Matrix, QuantizedRows};
 
@@ -51,7 +51,7 @@ fn dense_reference(q: &Matrix, k: &Matrix, v: &Matrix, mask: &AttentionMask, sca
 fn sddmm_matches_dense_scores() {
     let (q, k, _) = random_qkv(24, 16, 10);
     let mask = diag_global_mask(24);
-    let index = CscMatrix::from_mask(&mask);
+    let index = mask.to_csc();
     let sparse = sddmm_k_stationary(&q, &k, &index, 0.25);
     let dense = &kernels::matmul_nt(&q, &k) * 0.25;
     let sd = sparse.to_dense();
@@ -68,7 +68,7 @@ fn sddmm_matches_dense_scores() {
 fn full_dataflow_matches_dense_masked_attention() {
     let (q, k, v) = random_qkv(32, 8, 20);
     let mask = diag_global_mask(32);
-    let index = CscMatrix::from_mask(&mask);
+    let index = mask.to_csc();
     let dataflow = attention_head(&q, &k, &v, &index, 0.35);
     let reference = dense_reference(&q, &k, &v, &mask, 0.35);
     assert!(
@@ -84,7 +84,7 @@ fn dataflow_matches_reference_on_pruned_real_maps() {
     let (q, k, v) = random_qkv(48, 16, 30);
     let map = kernels::softmax_rows(&kernels::matmul_nt(&q, &k));
     let mask = prune_to_sparsity(&map, 0.85);
-    let index = CscMatrix::from_mask(&mask);
+    let index = mask.to_csc();
     let dataflow = attention_head(&q, &k, &v, &index, 0.25);
     let reference = dense_reference(&q, &k, &v, &mask, 0.25);
     assert!(dataflow.max_abs_diff(&reference) < 1e-4);
@@ -94,7 +94,7 @@ fn dataflow_matches_reference_on_pruned_real_maps() {
 fn int8_dataflow_close_to_fp32() {
     let (q, k, _) = random_qkv(24, 32, 50);
     let mask = diag_global_mask(24);
-    let index = CscMatrix::from_mask(&mask);
+    let index = mask.to_csc();
     let fp = sddmm_k_stationary(&q, &k, &index, 0.2);
     let qi = QuantizedRows::quantize(&q);
     let ki = QuantizedRows::quantize(&k);
@@ -109,7 +109,7 @@ fn forced_multithread_dataflow_is_identical() {
     let (q, k, v) = random_qkv(33, 8, 90);
     let map = kernels::softmax_rows(&kernels::matmul_nt(&q, &k));
     let mask = prune_to_sparsity(&map, 0.7);
-    let index = CscMatrix::from_mask(&mask);
+    let index = mask.to_csc();
     let run = || attention_head(&q, &k, &v, &index, 0.3);
     let sequential = kernels::with_thread_budget(1, run);
     let parallel = kernels::with_thread_budget(4, run);

@@ -2,7 +2,7 @@
 //! and dataflow-vs-reference equivalence on random workloads.
 
 use proptest::prelude::*;
-use vitcod_core::{compile_model, AttentionMask, CscMatrix, SplitConquer, SplitConquerConfig};
+use vitcod_core::{compile_model, AttentionMask, SplitConquer, SplitConquerConfig};
 use vitcod_model::{AttentionStatsConfig, ModelFamily, StageConfig, ViTConfig};
 use vitcod_sim::{AcceleratorConfig, ViTCoDAccelerator};
 use vitcod_tensor::sparse::{attention_head, sddmm_k_stationary, spmm_output_stationary};
@@ -98,7 +98,7 @@ proptest! {
         // Random mask from the map itself (deterministic given seed).
         let map = kernels::softmax_rows(&kernels::matmul_nt(&q, &k));
         let mask = vitcod_core::prune_to_sparsity(&map, 1.0 - keep_prob);
-        let index = CscMatrix::from_mask(&mask);
+        let index = mask.to_csc();
 
         let dataflow = attention_head(&q, &k, &v, &index, 0.3);
 
@@ -131,7 +131,7 @@ proptest! {
             mask.keep(i, i);
             mask.keep(i, (i + 3) % n);
         }
-        let index = CscMatrix::from_mask(&mask);
+        let index = mask.to_csc();
         let scores = sddmm_k_stationary(&q, &k, &index, 0.25).softmax_rows();
         let a = spmm_output_stationary(&scores, &(&v * alpha));
         let b = &spmm_output_stationary(&scores, &v) * alpha;

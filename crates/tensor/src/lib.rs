@@ -52,5 +52,5 @@ pub use quant::{
     int8_gemm, int8_gemm_reference, PackedGemmWeights, QuantParams, QuantizedMatrix, QuantizedRows,
     MAX_INT8_GEMM_K,
 };
-pub use sparse::{CscMatrix, SparseScores, SparsityPattern};
+pub use sparse::{CscMatrix, SparseScores};
 pub use stats::argmax;

@@ -27,19 +27,6 @@ use crate::kernels;
 use crate::ops::softmax_row;
 use crate::{Matrix, QuantizedRows};
 
-/// A boolean sparsity pattern over an `n × n` attention map.
-///
-/// Implemented by `vitcod_core::AttentionMask`; the generic
-/// [`CscMatrix::from_mask`] constructor keeps this crate free of any
-/// dependency on the algorithm layer while call sites keep their
-/// `CscMatrix::from_mask(&mask)` spelling.
-pub trait SparsityPattern {
-    /// Token count `n` (the pattern is `n × n`).
-    fn size(&self) -> usize;
-    /// Whether position `(q, k)` is kept.
-    fn is_kept(&self, q: usize, k: usize) -> bool;
-}
-
 /// Compressed-sparse-column index structure of a fixed attention mask.
 ///
 /// The ViTCoD accelerator pre-loads fixed sparse attention indexes in
@@ -101,11 +88,6 @@ impl CscMatrix {
             col_ptr.push(row_idx.len());
         }
         Self::from_csc_vectors(n, col_ptr, row_idx)
-    }
-
-    /// Builds the CSC index of a [`SparsityPattern`].
-    pub fn from_mask<P: SparsityPattern + ?Sized>(mask: &P) -> Self {
-        Self::from_indicator(mask.size(), |q, k| mask.is_kept(q, k))
     }
 
     /// Builds the index directly from per-column row lists — the

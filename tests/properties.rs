@@ -2,7 +2,7 @@
 //! algorithm invariants.
 
 use proptest::prelude::*;
-use vitcod::core::{prune_to_sparsity, reorder_global_tokens, AttentionMask, CooMatrix, CscMatrix};
+use vitcod::core::{prune_to_sparsity, reorder_global_tokens, AttentionMask, CooMatrix};
 use vitcod::tensor::{kernels, Matrix};
 
 /// Strategy: a random row-stochastic attention map of size `n`.
@@ -92,10 +92,10 @@ proptest! {
 
     #[test]
     fn csc_round_trips_any_mask(mask in random_mask(16)) {
-        let csc = CscMatrix::from_mask(&mask);
+        let csc = mask.to_csc();
         prop_assert_eq!(AttentionMask::from_csc(&csc), mask.clone());
         prop_assert_eq!(csc.nnz(), mask.nnz());
-        let coo = CooMatrix::from_mask(&mask);
+        let coo = CooMatrix::from_csc(&csc);
         prop_assert_eq!(coo.nnz(), mask.nnz());
     }
 
