@@ -97,6 +97,5 @@ pub use spans::{
 };
 pub use stats::{
     HistogramSnapshot, ModelStats, RequestTiming, ServerStats, StageStats, StatsRecorder,
-    MAX_LATENCY_SAMPLES,
 };
 pub use ticket::{RequestError, Ticket};

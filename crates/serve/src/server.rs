@@ -49,7 +49,7 @@ use vitcod_tensor::Matrix;
 
 use crate::batcher::{Batch, BatchAssembler, BatchConfig, Request};
 use crate::registry::ModelRegistry;
-use crate::ring::ShardedRing;
+use crate::ring::Ring;
 use crate::spans::{
     compute_span, FinishedTrace, KeepReason, RequestOutcome, Sampler, Span, StageReport,
     TracingConfig, SPAN_RING_CAPACITY,
@@ -122,7 +122,9 @@ struct Shared {
     /// ([`Client::sample_trace`]).
     sampler: Sampler,
     /// Finished span trees the keep rule kept (`GET /v1/traces`).
-    traces: ShardedRing<FinishedTrace>,
+    traces: Ring<FinishedTrace>,
+    /// When the server started: uptime and trace stamps count from here.
+    start: Instant,
 }
 
 impl Shared {
@@ -143,11 +145,15 @@ impl Shared {
             .is_some()
     }
 
+    fn uptime_s(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
     /// Recorder snapshot enriched with registry labels and the
     /// achieved-Gop/s gauge: the stats mutex is released before the
     /// engines read lock is taken (no nesting, no lock-order edge).
     fn stats_snapshot(&self) -> ServerStats {
-        let mut stats = self.stats.snapshot(self.traces.uptime_s());
+        let mut stats = self.stats.snapshot(self.uptime_s());
         let engines = self.engines.read().unwrap_or_else(PoisonError::into_inner);
         for m in &mut stats.models {
             if let Some(engine) = engines.get(&m.model) {
@@ -286,7 +292,8 @@ impl Server {
             stats: StatsRecorder::new(),
             tracing,
             sampler: Sampler::new(tracing.sample_rate),
-            traces: ShardedRing::new(SPAN_RING_CAPACITY),
+            traces: Ring::new(SPAN_RING_CAPACITY),
+            start: Instant::now(),
         });
         #[expect(
             clippy::expect_used,
@@ -571,7 +578,7 @@ impl Client {
 
     /// Seconds since the server started.
     pub fn uptime_s(&self) -> f64 {
-        self.shared.traces.uptime_s()
+        self.shared.uptime_s()
     }
 
     /// Records one serialize-stage observation for `model`.
@@ -620,9 +627,14 @@ impl Client {
             self.shared.stats.record_slow_request(model);
         }
         let kept = KeepReason::of(sampled, slow, outcome)?;
-        self.shared
-            .traces
-            .record_trace(trace_id, model.to_string(), sampled, kept, root);
+        self.shared.traces.record_trace(
+            self.shared.uptime_s(),
+            trace_id,
+            model.to_string(),
+            sampled,
+            kept,
+            root,
+        );
         Some(kept)
     }
 

@@ -16,20 +16,21 @@
 //! equal.
 //!
 //! A finished tree is kept at most once, in the traces ring (`ring.rs`,
-//! sharded, eviction counted), for the first [`KeepReason`] that holds:
-//! the request failed or expired, it ran past its slow threshold
-//! ([`TracingConfig::slow_threshold_for`]), or it was head-sampled. Any
-//! other request is not kept. The ring shard mutexes are leaf locks:
-//! nothing is acquired while one is held.
+//! one bounded FIFO, eviction counted), for the first [`KeepReason`]
+//! that holds: the request failed or expired, it ran past its slow
+//! threshold ([`TracingConfig::slow_threshold_for`]), or it was
+//! head-sampled. Any other request is not kept. The ring's mutex is a
+//! leaf lock: nothing is acquired while it is held.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use vitcod_engine::{OpProfile, OP_NAMES};
 
-use crate::ring::ShardedRing;
+use crate::ring::Ring;
 
-/// Total finished span trees the traces ring retains across all shards.
+/// Finished span trees the traces ring retains; past it, each new tree
+/// evicts the oldest (counted in `vitcod_traces_dropped_total`).
 pub const SPAN_RING_CAPACITY: usize = 256;
 
 /// Head-sampling denominator: rates are fixed-point millionths.
@@ -224,7 +225,7 @@ pub struct StageReport {
 /// One finished request's retained span tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FinishedTrace {
-    /// Global record order within the ring (drains sort by it).
+    /// Record order within the ring (drains return entries in it).
     pub seq: u64,
     /// Seconds since the server started, stamped at retention.
     pub at_s: f64,
@@ -244,18 +245,19 @@ pub struct FinishedTrace {
     pub root: Span,
 }
 
-impl ShardedRing<FinishedTrace> {
-    /// Retains one finished trace, assigning its ring sequence number
-    /// and retention timestamp.
+impl Ring<FinishedTrace> {
+    /// Retains one finished trace under the next ring sequence number,
+    /// stamped `at_s` seconds after the server started.
     pub fn record_trace(
         &self,
+        at_s: f64,
         trace_id: String,
         model: String,
         sampled: bool,
         kept: KeepReason,
         root: Span,
     ) {
-        self.record(|seq, at_s| FinishedTrace {
+        self.record(|seq| FinishedTrace {
             seq,
             at_s,
             trace_id,
@@ -343,9 +345,10 @@ mod tests {
 
     #[test]
     fn ring_stamps_finished_traces_in_record_order() {
-        let ring = ShardedRing::new(SPAN_RING_CAPACITY);
+        let ring = Ring::new(SPAN_RING_CAPACITY);
         for i in 0..3 {
             ring.record_trace(
+                f64::from(i),
                 format!("t{i}"),
                 "m".into(),
                 true,

@@ -10,16 +10,21 @@
 //! short critical section on a per-process mutex, far off the
 //! per-sample compute path.
 //!
-//! Two complementary latency representations are kept per model:
-//!
-//! * an **exact sample ring** of end-to-end latencies (bounded at
-//!   [`MAX_LATENCY_SAMPLES`]; saturation is surfaced via
-//!   [`ModelStats::latency_samples_truncated`] instead of silently
-//!   skewing percentiles) feeding the exact p50/p99/p999 fields;
-//! * **fixed log-bucket histograms** ([`HistogramSnapshot`]) per stage
-//!   and for the end-to-end latency — dependency-free, bounded memory,
-//!   and renderable as Prometheus `_bucket`/`_sum`/`_count` series by
-//!   the transport's `/v1/metrics` endpoint.
+//! Each latency series — end-to-end, every stage, every engine op — has
+//! one record: a fixed log-bucket histogram ([`HistogramSnapshot`]) that
+//! accumulates for the server's whole lifetime in bounded memory. Its
+//! finite bounds run from 10 µs to ≈ 336 s, each octave split into 8
+//! geometric sub-buckets (bound ratio 2^(1/8)).
+//! Every percentile comes from it: [`ModelStats::p50_latency_s`],
+//! [`ModelStats::p99_latency_s`], [`ModelStats::p999_latency_s`] and
+//! [`HistogramSnapshot::quantile`] interpolate inside the bucket that
+//! holds the exact order statistic of rank ⌈count · q⌉, so for values
+//! between 10 µs and the top bound an estimate is within 10 % (at most
+//! 2^(1/8) − 1 ≈ 9.05 %) of the exact value over every request served.
+//! This module alone knows the bucket layout: the transport renders
+//! `/v1/metrics` from [`HistogramSnapshot::le_buckets`], every 8th
+//! bound (10 µs doubling), as Prometheus `_bucket`/`_sum`/`_count`
+//! series.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -27,34 +32,41 @@ use std::time::Duration;
 
 use vitcod_engine::{OP_COUNT, OP_NAMES};
 
-/// Per-request latency samples kept per model; older samples are
-/// discarded ring-buffer style so a long-lived server's snapshot cost
-/// stays bounded. Saturation sets
-/// [`ModelStats::latency_samples_truncated`].
-pub const MAX_LATENCY_SAMPLES: usize = 65_536;
-
 /// Smallest histogram bucket upper bound, in seconds (10 µs).
 const HIST_LOWEST_S: f64 = 1e-5;
 
-/// Finite log-spaced buckets (each bound doubles the previous one:
-/// 10 µs, 20 µs, …, ~336 s); one overflow bucket rides behind them.
-const HIST_FINITE_BUCKETS: usize = 26;
+/// Octaves the finite bounds span above the lowest: the top bound is
+/// 10 µs · 2^25 ≈ 336 s.
+const HIST_OCTAVES: usize = 25;
 
-/// The upper bound of finite bucket `k`, in seconds.
-fn bucket_bound(k: usize) -> f64 {
-    // Exact in f64: a small power of two times the base.
-    HIST_LOWEST_S * (1u64 << k.min(HIST_FINITE_BUCKETS)) as f64
+/// Geometric sub-buckets per octave: consecutive bounds differ by
+/// 2^(1/8), and every 8th bound is an exported (doubling) one.
+const SUBS_PER_OCTAVE: usize = 8;
+
+/// Finite buckets: the lowest bound, then [`SUBS_PER_OCTAVE`] per
+/// octave; one overflow bucket rides behind them.
+const HIST_FINITE_BUCKETS: usize = HIST_OCTAVES * SUBS_PER_OCTAVE + 1;
+
+/// The upper bound of finite bucket `j`, in seconds.
+fn bucket_bound(j: usize) -> f64 {
+    let j = j.min(HIST_FINITE_BUCKETS - 1);
+    let (octave, sub) = (j / SUBS_PER_OCTAVE, j % SUBS_PER_OCTAVE);
+    // A small power of two times the base, exact in f64, times
+    // 2^(sub/8); at `sub == 0` the factor is exactly 1, so every 8th
+    // bound is the doubling bound itself.
+    HIST_LOWEST_S * (1u64 << octave) as f64 * (sub as f64 / SUBS_PER_OCTAVE as f64).exp2()
 }
 
 /// The finite bucket a value of `s` seconds falls into, or
 /// `HIST_FINITE_BUCKETS` for the overflow bucket. Buckets are
-/// `le`-style: bucket `k` counts values `v <= bucket_bound(k)`.
+/// `le`-style: bucket `j` counts values `v <= bucket_bound(j)`.
 fn bucket_index(s: f64) -> usize {
     if s.is_nan() || s <= HIST_LOWEST_S {
         // Non-positive, NaN and sub-lowest values land in bucket 0.
         return 0;
     }
-    let mut idx = ((s / HIST_LOWEST_S).log2().ceil()).max(0.0) as usize;
+    let octaves = (s / HIST_LOWEST_S).log2();
+    let mut idx = ((octaves * SUBS_PER_OCTAVE as f64).ceil()).max(0.0) as usize;
     idx = idx.min(HIST_FINITE_BUCKETS);
     // The log/ceil above can be off by one right at a bucket boundary
     // (float rounding); settle it against the exact bounds.
@@ -130,11 +142,12 @@ impl Histogram {
 
 /// A point-in-time copy of one fixed log-bucket latency histogram.
 ///
-/// Bucket bounds are shared by every histogram in the process (10 µs
-/// doubling up to ~336 s, [`HistogramSnapshot::upper_bounds`]), so
-/// snapshots are directly comparable and renderable as Prometheus
-/// cumulative `_bucket` series. `buckets` holds **non-cumulative**
-/// per-bucket counts; the last slot is the overflow (`+Inf`) bucket.
+/// Bucket bounds are shared by every histogram in the process (10 µs to
+/// ≈ 336 s, 8 per octave, [`HistogramSnapshot::upper_bounds`]), so
+/// snapshots are directly comparable. `buckets` holds
+/// **non-cumulative** per-bucket counts; the last slot is the overflow
+/// (`+Inf`) bucket. [`HistogramSnapshot::le_buckets`] is the coarser
+/// view `/v1/metrics` exports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts, one slot per finite bound plus the trailing
@@ -153,6 +166,20 @@ impl HistogramSnapshot {
         (0..HIST_FINITE_BUCKETS).map(bucket_bound).collect()
     }
 
+    /// The exported `le` series: every 8th finite bound (10 µs doubling up to ≈ 336 s) with the cumulative count
+    /// of observations at or below it. The overflow bucket is left to
+    /// the `+Inf` line, whose count is [`Self::count`].
+    pub fn le_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let cumulative = self.buckets.iter().scan(0u64, |cum, &c| {
+            *cum += c;
+            Some(*cum)
+        });
+        Self::upper_bounds()
+            .into_iter()
+            .zip(cumulative)
+            .step_by(SUBS_PER_OCTAVE)
+    }
+
     /// Mean observed value in seconds; 0 when empty.
     pub fn mean_s(&self) -> f64 {
         if self.count == 0 {
@@ -163,8 +190,9 @@ impl HistogramSnapshot {
     }
 
     /// Estimated `q`-quantile in seconds, linearly interpolated inside
-    /// the bucket holding the target rank (the overflow bucket reports
-    /// the top finite bound). 0 when empty.
+    /// the bucket holding the observation of rank ⌈count · q⌉ (within
+    /// 10 % of it from 10 µs up, see the module doc; the overflow
+    /// bucket reports the top finite bound). 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -223,12 +251,6 @@ struct ModelAccum {
     batches: u64,
     timed_out: u64,
     slow: u64,
-    latencies_s: Vec<f64>,
-    latency_cursor: usize,
-    /// Set the first time the ring overwrites a sample: from then on
-    /// the exact percentiles describe only the most recent
-    /// [`MAX_LATENCY_SAMPLES`] requests.
-    truncated: bool,
     /// `fill_histogram[k]` counts batches that carried `k + 1` requests.
     fill_histogram: Vec<u64>,
     latency_hist: Histogram,
@@ -269,18 +291,15 @@ pub struct ModelStats {
     /// rates stay computable from scrapes alone.
     pub slow: u64,
     /// Median end-to-end request latency (enqueue → prediction), in
-    /// seconds; 0 when no request finished yet.
+    /// seconds, from `latency_histogram`; 0 when no request finished
+    /// yet.
     pub p50_latency_s: f64,
     /// 99th-percentile end-to-end request latency, in seconds.
     pub p99_latency_s: f64,
     /// 99.9th-percentile end-to-end request latency, in seconds.
     pub p999_latency_s: f64,
-    /// Whether the exact-sample ring has rolled over: the percentiles
-    /// above describe only the most recent [`MAX_LATENCY_SAMPLES`]
-    /// requests, not the server's whole lifetime.
-    pub latency_samples_truncated: bool,
-    /// End-to-end latency as a log-bucket histogram (never truncated —
-    /// bucket counters accumulate for the server's whole lifetime).
+    /// End-to-end latency as a log-bucket histogram, accumulated for
+    /// the server's whole lifetime.
     pub latency_histogram: HistogramSnapshot,
     /// Per-stage latency histograms: queue-wait, batch-assembly,
     /// compute, serialize.
@@ -379,17 +398,6 @@ impl StatsRecorder {
             *slot += 1;
         }
         for t in timings {
-            let s = t.total.as_secs_f64();
-            if accum.latencies_s.len() < MAX_LATENCY_SAMPLES {
-                accum.latencies_s.push(s);
-            } else {
-                let cursor = accum.latency_cursor;
-                if let Some(slot) = accum.latencies_s.get_mut(cursor) {
-                    *slot = s;
-                }
-                accum.latency_cursor = (cursor + 1) % MAX_LATENCY_SAMPLES;
-                accum.truncated = true;
-            }
             accum.latency_hist.observe(t.total);
             accum.queue_wait.observe(t.queue_wait);
             accum.batch_assembly.observe(t.batch_assembly);
@@ -435,8 +443,7 @@ impl StatsRecorder {
         let mut models: Vec<ModelStats> = inner
             .iter()
             .map(|(model, a)| {
-                let mut sorted = a.latencies_s.clone();
-                sorted.sort_by(f64::total_cmp);
+                let latency_histogram = a.latency_hist.snapshot();
                 let weighted: u64 = a
                     .fill_histogram
                     .iter()
@@ -450,11 +457,10 @@ impl StatsRecorder {
                     batches: a.batches,
                     timed_out: a.timed_out,
                     slow: a.slow,
-                    p50_latency_s: percentile(&sorted, 0.50),
-                    p99_latency_s: percentile(&sorted, 0.99),
-                    p999_latency_s: percentile(&sorted, 0.999),
-                    latency_samples_truncated: a.truncated,
-                    latency_histogram: a.latency_hist.snapshot(),
+                    p50_latency_s: latency_histogram.quantile(0.50),
+                    p99_latency_s: latency_histogram.quantile(0.99),
+                    p999_latency_s: latency_histogram.quantile(0.999),
+                    latency_histogram,
                     stages: StageStats {
                         queue_wait: a.queue_wait.snapshot(),
                         batch_assembly: a.batch_assembly.snapshot(),
@@ -488,18 +494,6 @@ impl StatsRecorder {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted
-        .get(idx.min(sorted.len() - 1))
-        .copied()
-        .unwrap_or(0.0)
-}
-
 #[cfg(test)]
 // Exact float equality below asserts deterministic replay of seeded runs.
 #[allow(clippy::float_cmp)]
@@ -526,11 +520,15 @@ mod tests {
         assert_eq!(m.batches, 2);
         assert_eq!(m.batch_fill, vec![1, 0, 1]); // one 1-fill, one 3-fill
         assert!((m.mean_batch_fill - 2.0).abs() < 1e-9);
-        // Nearest-rank on 4 samples: round(3 · 0.5) = index 2.
-        assert!((m.p50_latency_s - 0.030).abs() < 1e-9);
-        assert!((m.p99_latency_s - 0.040).abs() < 1e-9);
-        assert!((m.p999_latency_s - 0.040).abs() < 1e-9);
-        assert!(!m.latency_samples_truncated);
+        // Within 10 % of the observation of rank ⌈4 · q⌉: the 2nd for
+        // p50, the 4th for p99 and p999.
+        for (got, want) in [
+            (m.p50_latency_s, 0.020),
+            (m.p99_latency_s, 0.040),
+            (m.p999_latency_s, 0.040),
+        ] {
+            assert!((got - want).abs() <= 0.1 * want, "{got} vs {want}");
+        }
         assert_eq!(m.latency_histogram.count, 4);
         assert_eq!(s.total_requests(), 4);
         assert!(s.model("other").is_none());
@@ -583,16 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[1.0], 0.99), 1.0);
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.50), 51.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 0.999), 100.0);
-    }
-
-    #[test]
     fn stage_histograms_accumulate_per_stage() {
         let r = StatsRecorder::new();
         r.record_batch(
@@ -634,12 +622,17 @@ mod tests {
     fn quantile_interpolates_and_handles_overflow() {
         let mut h = Histogram::default();
         for _ in 0..100 {
-            h.observe(Duration::from_millis(1)); // bucket bound 0.00128
+            h.observe(Duration::from_millis(1));
         }
         let snap = h.snapshot();
         let q50 = snap.quantile(0.5);
-        // Inside the bucket containing 1 ms: (0.64 ms, 1.28 ms].
-        assert!(q50 > 0.00064 && q50 <= 0.00128, "q50 {q50}");
+        // Inside the bucket containing 1 ms, 2^(1/8) wide.
+        let j = bucket_index(0.001);
+        assert!(
+            q50 > bucket_bound(j - 1) && q50 <= bucket_bound(j),
+            "q50 {q50}"
+        );
+        assert!((q50 - 0.001).abs() <= 0.1 * 0.001, "q50 {q50}");
         // Overflow-heavy histogram clamps to the top finite bound.
         let mut h = Histogram::default();
         h.observe(Duration::from_secs(100_000));

@@ -160,7 +160,7 @@ pub fn prediction_json(p: &Prediction) -> Json {
 }
 
 /// Summarizes one stage histogram: observation count, mean and
-/// interpolated p50/p99 (the full bucket series lives on
+/// interpolated p50/p99 (its exported bucket series lives on
 /// `/v1/metrics`).
 fn stage_json(h: &HistogramSnapshot) -> Json {
     Json::Object(vec![
@@ -186,10 +186,6 @@ fn model_stats_json(m: &ModelStats) -> Json {
         ("p50_latency_s".into(), Json::Number(m.p50_latency_s)),
         ("p99_latency_s".into(), Json::Number(m.p99_latency_s)),
         ("p999_latency_s".into(), Json::Number(m.p999_latency_s)),
-        (
-            "latency_samples_truncated".into(),
-            Json::Bool(m.latency_samples_truncated),
-        ),
         (
             "stages".into(),
             Json::Object(

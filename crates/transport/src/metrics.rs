@@ -20,7 +20,6 @@
 //! | `vitcod_slow_requests_total` | counter | `model` |
 //! | `vitcod_batches_total` | counter | `model` |
 //! | `vitcod_model_info` | gauge | `model`, `precision` |
-//! | `vitcod_latency_samples_truncated` | gauge | `model` |
 //! | `vitcod_batch_fill` | histogram | `model` |
 //! | `vitcod_request_latency_seconds` | histogram | `model` |
 //! | `vitcod_stage_latency_seconds` | histogram | `model`, `stage` |
@@ -76,13 +75,11 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
 /// trailing comma; may be empty).
 fn histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnapshot) {
     let sep = if labels.is_empty() { "" } else { "," };
-    let mut cum = 0u64;
-    for (bound, &count) in HistogramSnapshot::upper_bounds().iter().zip(&h.buckets) {
-        cum += count;
+    for (bound, cum) in h.le_buckets() {
         let _ = writeln!(
             out,
             "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cum}",
-            num(*bound)
+            num(bound)
         );
     }
     // The overflow slot (anything the finite bounds missed) closes the
@@ -221,21 +218,6 @@ pub fn render(stats: &ServerStats, queued: usize, traces_dropped: u64) -> String
 
     header(
         &mut out,
-        "vitcod_latency_samples_truncated",
-        "gauge",
-        "1 when the exact-percentile sample ring has rolled over for this model.",
-    );
-    for m in &stats.models {
-        let _ = writeln!(
-            out,
-            "vitcod_latency_samples_truncated{{model=\"{}\"}} {}",
-            escape_label(&m.model),
-            u8::from(m.latency_samples_truncated)
-        );
-    }
-
-    header(
-        &mut out,
         "vitcod_batch_fill",
         "histogram",
         "Requests per drained batch.",
@@ -361,7 +343,6 @@ mod tests {
             "vitcod_slow_requests_total",
             "vitcod_batches_total",
             "vitcod_model_info",
-            "vitcod_latency_samples_truncated",
             "vitcod_batch_fill",
             "vitcod_request_latency_seconds",
             "vitcod_stage_latency_seconds",
@@ -376,7 +357,7 @@ mod tests {
         assert!(body.contains("vitcod_queue_depth 3"));
         assert!(body.contains("vitcod_slow_requests_total{model=\"deit\\\"tiny\"} 2"));
         assert!(body.contains("vitcod_traces_dropped_total 2"));
-        assert_eq!(body.matches("# TYPE ").count(), 14, "one line per family");
+        assert_eq!(body.matches("# TYPE ").count(), 13, "one line per family");
         assert!(body.contains("vitcod_uptime_seconds 12.5"));
     }
 
@@ -442,6 +423,87 @@ mod tests {
                 .expect("parse");
             assert_eq!(count, inf_count, "{count_series}");
         }
+
+        // The export itself, pinned: for a fixed set of observations
+        // (zero, on a bound, just past one, mid-bucket, overflow), the
+        // `le` list is 10 µs · 2^k for k = 0..25 then `+Inf`, and each
+        // count is what 26 doubling buckets hold for the same values.
+        let r = StatsRecorder::new();
+        let timings: Vec<RequestTiming> = [
+            0,
+            7_000,
+            10_000,
+            13_000,
+            20_000,
+            20_500,
+            150_000,
+            640_000,
+            700_000,
+            1_000_000,
+            1_700_000,
+            1_700_000,
+            2_560_000,
+            3_000_000,
+            250_000_000,
+            327_680_000,
+            400_000_000,
+            2_000_000_000,
+            335_544_320_000,
+            1_000_000_000_000,
+        ]
+        .into_iter()
+        .map(|ns| RequestTiming {
+            total: Duration::from_nanos(ns),
+            ..RequestTiming::default()
+        })
+        .collect();
+        r.record_batch("m", Duration::from_millis(1), &timings);
+        let body = render(&r.snapshot(1.0), 0, 0);
+        let buckets: Vec<(&str, u64)> = body
+            .lines()
+            .filter_map(|l| {
+                l.strip_prefix("vitcod_request_latency_seconds_bucket{model=\"m\",le=\"")
+            })
+            .filter_map(|l| l.split_once("\"} "))
+            .map(|(le, count)| (le, count.parse().expect("count")))
+            .collect();
+        let want_le = [
+            "0.00001",
+            "0.00002",
+            "0.00004",
+            "0.00008",
+            "0.00016",
+            "0.00032",
+            "0.00064",
+            "0.00128",
+            "0.00256",
+            "0.00512",
+            "0.01024",
+            "0.02048",
+            "0.04096",
+            "0.08192",
+            "0.16384",
+            "0.32768",
+            "0.65536",
+            "1.31072",
+            "2.62144",
+            "5.24288",
+            "10.48576",
+            "20.97152",
+            "41.94304",
+            "83.88608",
+            "167.77216",
+            "335.54432",
+            "+Inf",
+        ];
+        let want_counts = [
+            3, 5, 6, 6, 7, 7, 8, 10, 13, 14, 14, 14, 14, 14, 14, 16, 17, 17, 18, 18, 18, 18, 18,
+            18, 18, 19, 20,
+        ];
+        let got_le: Vec<&str> = buckets.iter().map(|&(le, _)| le).collect();
+        let got_counts: Vec<u64> = buckets.iter().map(|&(_, c)| c).collect();
+        assert_eq!(got_le, want_le);
+        assert_eq!(got_counts, want_counts);
     }
 
     #[test]

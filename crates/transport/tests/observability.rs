@@ -236,10 +236,6 @@ fn stats_report_precision_stages_and_uptime() {
     assert_eq!(m.get("precision").unwrap().as_str(), Some("int8"));
     assert!(m.get("backend").is_none(), "/v1/stats has no backend key");
     assert!(m.get("p999_latency_s").unwrap().as_f64().unwrap() > 0.0);
-    assert_eq!(
-        m.get("latency_samples_truncated").unwrap().as_bool(),
-        Some(false)
-    );
     let stages = m.get("stages").unwrap();
     for stage in ["queue_wait", "batch_assembly", "compute", "serialize"] {
         let s = stages
