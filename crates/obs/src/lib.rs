@@ -8,7 +8,7 @@
 //!   format `0.0.4` the transport renders at `GET /v1/metrics`. This is
 //!   the shared source of truth for both the monitor binary and the
 //!   transport's own e2e tests (which cross-check the exposition
-//!   against `/v1/stats` through this parser).
+//!   against the server's in-process snapshot through this parser).
 //! - [`scrape`] — a polling scraper over the transport's blocking
 //!   [`vitcod_transport::HttpClient`]: connect, `GET /v1/metrics`,
 //!   parse, repeat, across one or more endpoints.

@@ -19,12 +19,12 @@
 //!   wait for a worker anyway) and a worker pool — the only threads it
 //!   spawns — running those batches through shared engines;
 //! * [`Client`] — clonable handles with a blocking
-//!   [`Client::classify`], a ticket/poll
-//!   [`Client::submit`]/[`Ticket::try_take`] pair, and deadline-aware
-//!   [`Client::submit_with_timeout`]/[`Client::wait_timeout`]: a
-//!   request whose deadline passes before it reaches a batch slot
-//!   resolves as [`RequestError::TimedOut`] instead of occupying queue
-//!   capacity;
+//!   [`Client::classify`], a ticket-returning [`Client::submit`] (the
+//!   [`Ticket`] blocks in [`Ticket::wait`], or for a bounded time in
+//!   [`Ticket::wait_timeout`]), and a deadline-aware
+//!   [`Client::submit_with_timeout`]: a request whose deadline passes
+//!   before it reaches a batch slot resolves as
+//!   [`RequestError::TimedOut`] instead of occupying queue capacity;
 //! * [`ModelRegistry`] — routes requests by model id across several
 //!   compiled models with independent precision settings, and
 //!   loads whole registries from `*.vitcod` artifacts on disk
@@ -32,9 +32,11 @@
 //!   [`vitcod_engine::save_compiled_vit`]); engines hot-swap behind a
 //!   live server via [`Server::reload`] without dropping in-flight
 //!   requests;
-//! * [`ServerStats`] — per-model p50/p99/p999 latency, throughput, the
-//!   batch-fill histogram and per-stage (queue-wait / batch-assembly /
-//!   compute / serialize) latency histograms, queryable at any time;
+//! * [`ServerStats`] — per-model counters, the end-to-end latency
+//!   histogram, the batch-fill histogram and per-stage (queue-wait /
+//!   batch-assembly / compute / serialize) latency histograms,
+//!   queryable at any time; percentiles come from
+//!   [`HistogramSnapshot::quantile`];
 //! * [`spans`] — request-scoped span trees: head-sampled requests run
 //!   the engine's profiled forward (`compute → layer{i} → {qkv, scores,
 //!   softmax, spmm, out_proj, fc1, fc2}`), every served ticket carries a

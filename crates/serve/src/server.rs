@@ -55,7 +55,7 @@ use crate::spans::{
     TracingConfig, SPAN_RING_CAPACITY,
 };
 use crate::stats::{RequestTiming, ServerStats, StatsRecorder};
-use crate::ticket::{RequestError, Resolver, Ticket, TicketInner};
+use crate::ticket::{Resolver, Ticket, TicketInner};
 
 /// Error submitting a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,9 +69,6 @@ pub enum SubmitError {
         /// Shape the compiled model expects.
         expected: (usize, usize),
     },
-    /// The bounded queue is full (only from [`Client::try_submit`];
-    /// [`Client::submit`] blocks instead).
-    QueueFull,
     /// The server has shut down.
     Closed,
 }
@@ -86,7 +83,6 @@ impl fmt::Display for SubmitError {
                     "token shape {got:?} does not match compiled {expected:?}"
                 )
             }
-            SubmitError::QueueFull => write!(f, "request queue is full"),
             SubmitError::Closed => write!(f, "server is shut down"),
         }
     }
@@ -398,18 +394,18 @@ impl Client {
     ///
     /// Unknown model id, token-shape mismatch, or a shut-down server.
     pub fn submit(&self, model: &str, tokens: Matrix) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, None, false, true)
+        self.submit_traced(model, tokens, None, false)
     }
 
     /// Like [`Client::submit`], but the request carries a deadline: if
     /// `timeout` elapses before the request reaches a batch slot it is
     /// expired — it stops occupying queue capacity and its ticket
-    /// resolves as [`RequestError::TimedOut`]. A request that made it
+    /// resolves as [`crate::RequestError::TimedOut`]. A request that made it
     /// into a batch before the deadline is served normally. Expiry
     /// runs on the workers' clocks: a free worker expires the request
     /// the moment its deadline passes; while every worker is busy, the
     /// next take does — the ticket then resolves at most one in-flight
-    /// batch late (bound the wait itself with [`Client::wait_timeout`]).
+    /// batch late (bound the wait itself with [`Ticket::wait_timeout`]).
     ///
     /// # Errors
     ///
@@ -420,7 +416,7 @@ impl Client {
         tokens: Matrix,
         timeout: Duration,
     ) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, Some(timeout), false, true)
+        self.submit_traced(model, tokens, Some(timeout), false)
     }
 
     /// Like [`Client::submit_with_timeout`] (with `timeout: None`
@@ -433,6 +429,10 @@ impl Client {
     /// `sampled` from [`Client::sample_trace`] or an explicit
     /// `x-vitcod-trace-id` header.
     ///
+    /// Every submit comes through here: it validates, then offers the
+    /// request into the assembler, parking while the server is at
+    /// capacity.
+    ///
     /// # Errors
     ///
     /// As [`Client::submit`].
@@ -442,33 +442,6 @@ impl Client {
         tokens: Matrix,
         timeout: Option<Duration>,
         sampled: bool,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, timeout, sampled, true)
-    }
-
-    /// Like [`Client::submit`] but never blocks: a full queue returns
-    /// [`SubmitError::QueueFull`] instead of applying backpressure, so
-    /// callers that prefer load-shedding can make that choice
-    /// explicitly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::submit`], plus [`SubmitError::QueueFull`].
-    // vitcod-lint: allow(V006, facade API: non-blocking admission, the one source of `SubmitError::QueueFull`)
-    pub fn try_submit(&self, model: &str, tokens: Matrix) -> Result<Ticket, SubmitError> {
-        self.enqueue(model, tokens, None, false, false)
-    }
-
-    /// The one way in: validates, then offers the request into the
-    /// assembler under its mutex, parking on `space` (`block`) or
-    /// giving up (`!block`) while the server is at capacity.
-    fn enqueue(
-        &self,
-        model: &str,
-        tokens: Matrix,
-        timeout: Option<Duration>,
-        sampled: bool,
-        block: bool,
     ) -> Result<Ticket, SubmitError> {
         let (request, ticket) = self.make_request(model, tokens, timeout, sampled)?;
         let shared = &*self.shared;
@@ -482,9 +455,6 @@ impl Client {
             }
             if assembler.buffered() < shared.queue_capacity {
                 break;
-            }
-            if !block {
-                return Err(SubmitError::QueueFull);
             }
             assembler = wait_until(&shared.space, assembler, None);
         }
@@ -545,20 +515,6 @@ impl Client {
         self.submit(model, tokens)?
             .wait()
             .ok_or(SubmitError::Closed)
-    }
-
-    /// Blocks on `ticket` for at most `dur` and takes its prediction —
-    /// the in-process mirror of the wire path's `timeout_ms` (a thin
-    /// convenience over [`Ticket::wait_timeout`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RequestError::TimedOut`] when the budget elapses (the ticket
-    /// stays valid for a later wait) or the request expired
-    /// server-side; [`RequestError::Cancelled`] when it will never
-    /// resolve.
-    pub fn wait_timeout(&self, ticket: &Ticket, dur: Duration) -> Result<Prediction, RequestError> {
-        ticket.wait_timeout(dur)
     }
 
     /// Registered model ids, sorted.

@@ -1,5 +1,6 @@
-//! Serving statistics: per-model latency percentiles, **per-stage
-//! histograms**, throughput, and the batch-fill histogram.
+//! Serving statistics: per-model counters, the end-to-end latency
+//! histogram, **per-stage and per-op histograms**, and the batch-fill
+//! histogram.
 //!
 //! Every served request carries monotonic stage stamps (enqueue →
 //! batch-admission → compute-start → compute-end, see
@@ -15,12 +16,13 @@
 //! accumulates for the server's whole lifetime in bounded memory. Its
 //! finite bounds run from 10 µs to ≈ 336 s, each octave split into 8
 //! geometric sub-buckets (bound ratio 2^(1/8)).
-//! Every percentile comes from it: [`ModelStats::p50_latency_s`],
-//! [`ModelStats::p99_latency_s`], [`ModelStats::p999_latency_s`] and
-//! [`HistogramSnapshot::quantile`] interpolate inside the bucket that
-//! holds the exact order statistic of rank ⌈count · q⌉, so for values
-//! between 10 µs and the top bound an estimate is within 10 % (at most
-//! 2^(1/8) − 1 ≈ 9.05 %) of the exact value over every request served.
+//! Every percentile comes from it: [`HistogramSnapshot::quantile`]
+//! interpolates inside the bucket that holds the exact order statistic
+//! of rank ⌈count · q⌉, so for values between 10 µs and the top bound an
+//! estimate is within 10 % (at most 2^(1/8) − 1 ≈ 9.05 %) of the exact
+//! value over every request served. A [`ModelStats`] snapshot copies
+//! counters and histograms only; a reader derives percentiles, mean
+//! batch fill or request rates from them.
 //! This module alone knows the bucket layout: the transport renders
 //! `/v1/metrics` from [`HistogramSnapshot::le_buckets`], every 8th
 //! bound (10 µs doubling), as Prometheus `_bucket`/`_sum`/`_count`
@@ -283,34 +285,23 @@ pub struct ModelStats {
     pub batches: u64,
     /// Requests expired past their deadline before reaching a batch
     /// slot (resolved as [`crate::RequestError::TimedOut`]); not
-    /// counted in `requests` or the latency percentiles.
+    /// counted in `requests` or the latency histogram.
     pub timed_out: u64,
     /// Requests whose end-to-end latency exceeded their slow threshold
     /// (monotonic — the `vitcod_slow_requests_total` scrape family).
     /// Every slow request counts, kept in `/v1/traces` or not, so slow
     /// rates stay computable from scrapes alone.
     pub slow: u64,
-    /// Median end-to-end request latency (enqueue → prediction), in
-    /// seconds, from `latency_histogram`; 0 when no request finished
-    /// yet.
-    pub p50_latency_s: f64,
-    /// 99th-percentile end-to-end request latency, in seconds.
-    pub p99_latency_s: f64,
-    /// 99.9th-percentile end-to-end request latency, in seconds.
-    pub p999_latency_s: f64,
-    /// End-to-end latency as a log-bucket histogram, accumulated for
-    /// the server's whole lifetime.
+    /// End-to-end latency (enqueue → prediction) as a log-bucket
+    /// histogram, accumulated for the server's whole lifetime; its
+    /// percentiles come from [`HistogramSnapshot::quantile`].
     pub latency_histogram: HistogramSnapshot,
     /// Per-stage latency histograms: queue-wait, batch-assembly,
     /// compute, serialize.
     pub stages: StageStats,
-    /// Mean requests per batch — how full the dynamic batcher keeps the
-    /// engine's datapath.
-    pub mean_batch_fill: f64,
-    /// `batch_fill[k]` counts batches that carried `k + 1` requests.
+    /// `batch_fill[k]` counts batches that carried `k + 1` requests;
+    /// `requests / batches` is the mean fill.
     pub batch_fill: Vec<u64>,
-    /// Served requests per second of server uptime.
-    pub requests_per_s: f64,
     /// Engine busy seconds: each drained batch's compute wall summed
     /// once per batch.
     pub compute_batch_s: f64,
@@ -442,51 +433,29 @@ impl StatsRecorder {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut models: Vec<ModelStats> = inner
             .iter()
-            .map(|(model, a)| {
-                let latency_histogram = a.latency_hist.snapshot();
-                let weighted: u64 = a
-                    .fill_histogram
+            .map(|(model, a)| ModelStats {
+                model: model.clone(),
+                precision: None,
+                requests: a.requests,
+                batches: a.batches,
+                timed_out: a.timed_out,
+                slow: a.slow,
+                latency_histogram: a.latency_hist.snapshot(),
+                stages: StageStats {
+                    queue_wait: a.queue_wait.snapshot(),
+                    batch_assembly: a.batch_assembly.snapshot(),
+                    compute: a.compute.snapshot(),
+                    serialize: a.serialize.snapshot(),
+                },
+                batch_fill: a.fill_histogram.clone(),
+                compute_batch_s: a.compute_batch_s,
+                ops: a
+                    .ops
                     .iter()
-                    .enumerate()
-                    .map(|(k, &c)| (k as u64 + 1) * c)
-                    .sum();
-                ModelStats {
-                    model: model.clone(),
-                    precision: None,
-                    requests: a.requests,
-                    batches: a.batches,
-                    timed_out: a.timed_out,
-                    slow: a.slow,
-                    p50_latency_s: latency_histogram.quantile(0.50),
-                    p99_latency_s: latency_histogram.quantile(0.99),
-                    p999_latency_s: latency_histogram.quantile(0.999),
-                    latency_histogram,
-                    stages: StageStats {
-                        queue_wait: a.queue_wait.snapshot(),
-                        batch_assembly: a.batch_assembly.snapshot(),
-                        compute: a.compute.snapshot(),
-                        serialize: a.serialize.snapshot(),
-                    },
-                    mean_batch_fill: if a.batches == 0 {
-                        0.0
-                    } else {
-                        weighted as f64 / a.batches as f64
-                    },
-                    batch_fill: a.fill_histogram.clone(),
-                    requests_per_s: if uptime_s > 0.0 {
-                        a.requests as f64 / uptime_s
-                    } else {
-                        0.0
-                    },
-                    compute_batch_s: a.compute_batch_s,
-                    ops: a
-                        .ops
-                        .iter()
-                        .zip(OP_NAMES)
-                        .map(|(h, name)| (name, h.snapshot()))
-                        .collect(),
-                    achieved_gops: None,
-                }
+                    .zip(OP_NAMES)
+                    .map(|(h, name)| (name, h.snapshot()))
+                    .collect(),
+                achieved_gops: None,
             })
             .collect();
         models.sort_by(|a, b| a.model.cmp(&b.model));
@@ -518,16 +487,13 @@ mod tests {
         let m = s.model("m").expect("model recorded");
         assert_eq!(m.requests, 4);
         assert_eq!(m.batches, 2);
-        assert_eq!(m.batch_fill, vec![1, 0, 1]); // one 1-fill, one 3-fill
-        assert!((m.mean_batch_fill - 2.0).abs() < 1e-9);
+        // One 1-fill and one 3-fill: a mean fill of 4 / 2.
+        assert_eq!(m.batch_fill, vec![1, 0, 1]);
         // Within 10 % of the observation of rank ⌈4 · q⌉: the 2nd for
         // p50, the 4th for p99 and p999.
-        for (got, want) in [
-            (m.p50_latency_s, 0.020),
-            (m.p99_latency_s, 0.040),
-            (m.p999_latency_s, 0.040),
-        ] {
-            assert!((got - want).abs() <= 0.1 * want, "{got} vs {want}");
+        for (q, want) in [(0.50, 0.020), (0.99, 0.040), (0.999, 0.040)] {
+            let got = m.latency_histogram.quantile(q);
+            assert!((got - want).abs() <= 0.1 * want, "p{q}: {got} vs {want}");
         }
         assert_eq!(m.latency_histogram.count, 4);
         assert_eq!(s.total_requests(), 4);

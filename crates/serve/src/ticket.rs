@@ -5,8 +5,8 @@
 //! was assembled into. A ticket resolves **exactly once**: the worker
 //! completes it once (a second completion of a served ticket is a
 //! serving-layer bug and panics), and the prediction can be taken out
-//! once — by [`Ticket::wait`], [`Ticket::wait_timeout`] or the first
-//! successful [`Ticket::try_take`].
+//! once — by [`Ticket::wait`] or [`Ticket::wait_timeout`]
+//! (`wait_timeout(Duration::ZERO)` is the non-blocking poll).
 //!
 //! Two terminal states besides `Taken` exist: **cancelled** (the request
 //! was lost before it was served — its serving-side `Resolver` was
@@ -152,9 +152,8 @@ impl Drop for Resolver {
 
 /// A handle to one in-flight classification request.
 ///
-/// Obtained from [`crate::Client::submit`]; poll with
-/// [`Ticket::try_take`], block with [`Ticket::wait`], or bound the wait
-/// with [`Ticket::wait_timeout`].
+/// Obtained from [`crate::Client::submit`]; block with [`Ticket::wait`],
+/// or bound the wait with [`Ticket::wait_timeout`] (a zero bound polls).
 pub struct Ticket {
     inner: Arc<TicketInner>,
 }
@@ -162,25 +161,6 @@ pub struct Ticket {
 impl Ticket {
     pub(crate) fn new(inner: Arc<TicketInner>) -> Self {
         Self { inner }
-    }
-
-    /// Takes the prediction if it has arrived. Returns `Some` exactly
-    /// once; before completion — and forever after the first `Some` —
-    /// it returns `None`.
-    // vitcod-lint: allow(V006, facade API: the non-blocking poll beside `Ticket::wait`)
-    pub fn try_take(&self) -> Option<Prediction> {
-        let mut state = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match std::mem::replace(&mut *state, State::Taken) {
-            State::Ready(p) => Some(p),
-            other => {
-                *state = other;
-                None
-            }
-        }
     }
 
     /// Takes the per-stage timing report, if the worker attached one.
@@ -197,35 +177,16 @@ impl Ticket {
 
     /// Blocks until the prediction arrives and takes it. Returns `None`
     /// if the request will never resolve — server shutdown, a
-    /// server-side deadline expiry, or a prediction already taken via
-    /// [`Ticket::try_take`].
+    /// server-side deadline expiry, or a prediction already taken by an
+    /// earlier [`Ticket::wait_timeout`].
     pub fn wait(self) -> Option<Prediction> {
-        let mut state = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if matches!(*state, State::Pending) {
-                state = self
-                    .inner
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            return match std::mem::replace(&mut *state, State::Taken) {
-                State::Ready(p) => Some(p),
-                other => {
-                    *state = other;
-                    None
-                }
-            };
-        }
+        self.wait_timeout(Duration::MAX).ok()
     }
 
     /// Blocks until the prediction arrives — but at most `dur` — and
     /// takes it. The in-process mirror of the wire path's `timeout_ms`.
+    /// A `dur` too long to add to the clock (`Duration::MAX`) is no
+    /// limit; `Duration::ZERO` polls without blocking.
     ///
     /// # Errors
     ///
@@ -236,7 +197,7 @@ impl Ticket {
     /// timeout leaves the ticket intact: a later wait can still take a
     /// prediction that arrives afterwards.
     pub fn wait_timeout(&self, dur: Duration) -> Result<Prediction, RequestError> {
-        let deadline = Instant::now() + dur;
+        let deadline = Instant::now().checked_add(dur);
         let mut state = self
             .inner
             .state
@@ -244,16 +205,20 @@ impl Ticket {
             .unwrap_or_else(PoisonError::into_inner);
         loop {
             if matches!(*state, State::Pending) {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RequestError::TimedOut);
-                }
-                let (guard, _) = self
-                    .inner
-                    .ready
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = guard;
+                let ready = &self.inner.ready;
+                state = match deadline {
+                    None => ready.wait(state).unwrap_or_else(PoisonError::into_inner),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return Err(RequestError::TimedOut);
+                        }
+                        ready
+                            .wait_timeout(state, deadline - now)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                };
                 continue;
             }
             return match std::mem::replace(&mut *state, State::Taken) {
@@ -316,7 +281,10 @@ mod tests {
         );
         // A prediction racing in after expiry is dropped, not a panic.
         inner.complete(prediction());
-        assert!(ticket.try_take().is_none());
+        assert_eq!(
+            ticket.wait_timeout(Duration::ZERO),
+            Err(RequestError::TimedOut)
+        );
         assert!(ticket.wait().is_none());
     }
 

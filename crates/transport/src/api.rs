@@ -1,4 +1,4 @@
-//! The wire schema: JSON shapes for classify/stats/health/reload.
+//! The wire schema: JSON shapes for classify/health/traces/reload.
 //!
 //! A classify body is either a single request
 //!
@@ -20,7 +20,7 @@
 use std::fmt;
 
 use vitcod_engine::Prediction;
-use vitcod_serve::{FinishedTrace, HistogramSnapshot, ModelStats, ServerStats, Span};
+use vitcod_serve::{FinishedTrace, Span};
 use vitcod_tensor::Matrix;
 
 use crate::json::Json;
@@ -155,84 +155,6 @@ pub fn prediction_json(p: &Prediction) -> Json {
         (
             "logits".into(),
             Json::Array(p.logits.iter().map(|&l| Json::Number(l as f64)).collect()),
-        ),
-    ])
-}
-
-/// Summarizes one stage histogram: observation count, mean and
-/// interpolated p50/p99 (its exported bucket series lives on
-/// `/v1/metrics`).
-fn stage_json(h: &HistogramSnapshot) -> Json {
-    Json::Object(vec![
-        ("count".into(), Json::Number(h.count as f64)),
-        ("mean_s".into(), Json::Number(h.mean_s())),
-        ("p50_s".into(), Json::Number(h.quantile(0.50))),
-        ("p99_s".into(), Json::Number(h.quantile(0.99))),
-    ])
-}
-
-fn model_stats_json(m: &ModelStats) -> Json {
-    let opt_str = |v: &Option<String>| match v {
-        Some(s) => Json::String(s.clone()),
-        None => Json::Null,
-    };
-    Json::Object(vec![
-        ("model".into(), Json::String(m.model.clone())),
-        ("precision".into(), opt_str(&m.precision)),
-        ("requests".into(), Json::Number(m.requests as f64)),
-        ("batches".into(), Json::Number(m.batches as f64)),
-        ("timed_out".into(), Json::Number(m.timed_out as f64)),
-        ("slow".into(), Json::Number(m.slow as f64)),
-        ("p50_latency_s".into(), Json::Number(m.p50_latency_s)),
-        ("p99_latency_s".into(), Json::Number(m.p99_latency_s)),
-        ("p999_latency_s".into(), Json::Number(m.p999_latency_s)),
-        (
-            "stages".into(),
-            Json::Object(
-                m.stages
-                    .iter()
-                    .map(|(name, h)| (name.to_string(), stage_json(h)))
-                    .collect(),
-            ),
-        ),
-        ("mean_batch_fill".into(), Json::Number(m.mean_batch_fill)),
-        (
-            "batch_fill".into(),
-            Json::Array(
-                m.batch_fill
-                    .iter()
-                    .map(|&c| Json::Number(c as f64))
-                    .collect(),
-            ),
-        ),
-        ("requests_per_s".into(), Json::Number(m.requests_per_s)),
-        ("compute_batch_s".into(), Json::Number(m.compute_batch_s)),
-        (
-            "ops".into(),
-            Json::Object(
-                m.ops
-                    .iter()
-                    .map(|(name, h)| (name.to_string(), stage_json(h)))
-                    .collect(),
-            ),
-        ),
-        (
-            "achieved_gops".into(),
-            match m.achieved_gops {
-                Some(g) => Json::Number(g),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-/// Encodes a statistics snapshot (the `GET /v1/stats` body).
-pub fn stats_json(s: &ServerStats) -> Json {
-    Json::Object(vec![
-        ("uptime_s".into(), Json::Number(s.uptime_s)),
-        (
-            "models".into(),
-            Json::Array(s.models.iter().map(model_stats_json).collect()),
         ),
     ])
 }

@@ -89,7 +89,7 @@ impl std::error::Error for HttpParseError {}
 pub struct HttpRequest {
     /// Request method, upper-case as received (`GET`, `POST`, …).
     pub method: String,
-    /// Request target with any query string stripped (`/v1/stats`).
+    /// Request target with any query string stripped (`/v1/traces`).
     pub path: String,
     /// The query string, without the leading `?` (empty when absent) —
     /// the ring endpoints read their `peek=1` flag from it.

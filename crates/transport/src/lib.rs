@@ -14,7 +14,6 @@
 //! | method | path                       | body                               |
 //! |--------|----------------------------|------------------------------------|
 //! | POST   | `/v1/models/{id}/classify` | `{"tokens": [[…]], "timeout_ms"?}` or `{"batch": [{"tokens": …}, …]}` |
-//! | GET    | `/v1/stats`                | —                                  |
 //! | GET    | `/v1/metrics`              | — (Prometheus text exposition)     |
 //! | GET    | `/v1/traces`               | — (drains kept span trees)         |
 //! | GET    | `/v1/health`               | — (`?deep=1` runs a one-sample inference probe per model) |

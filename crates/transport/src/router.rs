@@ -3,7 +3,6 @@
 //! | method | path                          | endpoint                    |
 //! |--------|-------------------------------|-----------------------------|
 //! | GET    | `/v1/health`                  | liveness + model list; `?deep=1` probes |
-//! | GET    | `/v1/stats`                   | serving statistics snapshot |
 //! | GET    | `/v1/metrics`                 | Prometheus text exposition  |
 //! | GET    | `/v1/traces`                  | drain kept span trees       |
 //! | POST   | `/v1/models/{id}/classify`    | classify (single or batch)  |
@@ -17,8 +16,6 @@ pub enum Route {
     /// `GET /v1/health` (`?deep=1` adds a per-model inference readiness
     /// probe).
     Health,
-    /// `GET /v1/stats`.
-    Stats,
     /// `GET /v1/metrics`.
     Metrics,
     /// `GET /v1/traces`.
@@ -66,13 +63,6 @@ pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
                 Err(RouteError::MethodNotAllowed)
             }
         }
-        "/v1/stats" => {
-            if method == "GET" {
-                Ok(Route::Stats)
-            } else {
-                Err(RouteError::MethodNotAllowed)
-            }
-        }
         "/v1/metrics" => {
             if method == "GET" {
                 Ok(Route::Metrics)
@@ -110,7 +100,7 @@ mod tests {
     #[test]
     fn routes_resolve() {
         assert_eq!(route("GET", "/v1/health"), Ok(Route::Health));
-        assert_eq!(route("GET", "/v1/stats"), Ok(Route::Stats));
+        assert_eq!(route("GET", "/v1/stats"), Err(RouteError::NotFound));
         assert_eq!(route("GET", "/v1/metrics"), Ok(Route::Metrics));
         assert_eq!(route("GET", "/v1/traces"), Ok(Route::Traces));
         assert_eq!(

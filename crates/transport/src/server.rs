@@ -385,7 +385,6 @@ fn dispatch(
                 json((200, body.to_string()))
             }
         }
-        Ok(Route::Stats) => json((200, api::stats_json(&shared.client.stats()).to_string())),
         Ok(Route::Metrics) => {
             let stats = shared.client.stats();
             let body = metrics::render(
@@ -430,7 +429,6 @@ fn submit_status(err: &SubmitError) -> u16 {
     match err {
         SubmitError::UnknownModel(_) => 404,
         SubmitError::ShapeMismatch { .. } => 400,
-        SubmitError::QueueFull => 503,
         SubmitError::Closed => 503,
     }
 }
@@ -489,7 +487,7 @@ fn classify(
     let mut results = Vec::with_capacity(tickets.len());
     let mut timed_out = 0usize;
     for ticket in &tickets {
-        match wait_for(shared, ticket, timeout) {
+        match wait_for(ticket, timeout) {
             Ok(p) => results.push(api::prediction_json(&p)),
             Err(RequestError::TimedOut) => {
                 timed_out += 1;
@@ -653,7 +651,7 @@ fn probe_model(shared: &TransportShared, model: &str) -> bool {
         .client
         .submit_traced(model, sample, Some(PROBE_TIMEOUT), false)
     {
-        Ok(ticket) => wait_for(shared, &ticket, Some(PROBE_TIMEOUT)).is_ok(),
+        Ok(ticket) => wait_for(&ticket, Some(PROBE_TIMEOUT)).is_ok(),
         Err(_) => false,
     }
 }
@@ -668,30 +666,17 @@ fn record_serialize(shared: &TransportShared, model: &str, took: Duration, serve
 
 /// Waits for one ticket, honouring the deadline when there is one.
 fn wait_for(
-    shared: &TransportShared,
     ticket: &Ticket,
     timeout: Option<Duration>,
 ) -> Result<vitcod_engine::Prediction, RequestError> {
-    match timeout {
-        Some(t) => {
-            // Slack over the submit-time deadline: a request batched
-            // just before its deadline is served to completion rather
-            // than abandoned mid-inference, so give the engine a beat
-            // to deliver before reporting the timeout.
-            let wait = t + Duration::from_millis(50);
-            shared.client.wait_timeout(ticket, wait)
-        }
-        None => loop {
-            // Genuinely indefinite, in slices. The request was
-            // submitted without a deadline, so it can never expire
-            // server-side: a `TimedOut` here can only mean
-            // this local slice elapsed, and looping is safe.
-            match shared.client.wait_timeout(ticket, Duration::from_secs(60)) {
-                Err(RequestError::TimedOut) => continue,
-                resolved => return resolved,
-            }
-        },
-    }
+    // Slack over the submit-time deadline: a request batched just
+    // before its deadline is served to completion rather than abandoned
+    // mid-inference, so give the engine a beat to deliver before
+    // reporting the timeout. No deadline, or one too long to add the
+    // slack to, is `Duration::MAX`: a wait without limit.
+    ticket.wait_timeout(timeout.map_or(Duration::MAX, |t| {
+        t.saturating_add(Duration::from_millis(50))
+    }))
 }
 
 fn reload(shared: &TransportShared, model: &str, body: &Json) -> (u16, String) {

@@ -1,10 +1,10 @@
 //! Loopback e2e for the observability surface: `/v1/metrics` is valid
 //! Prometheus text exposition (parsed through `vitcod_obs::promtext` —
 //! the same parser the monitor binary ships — and cross-checked
-//! against `/v1/stats`, per the acceptance criterion), `/v1/traces`
-//! keeps each failed, slow or head-sampled request's span tree once,
+//! against the server's in-process snapshot), `/v1/traces` keeps each
+//! failed, slow or head-sampled request's span tree once,
 //! `/v1/health?deep=1` runs per-model inference probes, `/v1/health` +
-//! `/v1/stats` report uptime and per-model precision/stage
+//! `/v1/metrics` report uptime and per-model precision/stage
 //! breakdowns, and the `vitcod-obs` burn-rate alert walks an outage and
 //! its recovery from live scrapes.
 
@@ -177,23 +177,22 @@ fn metrics_exposition_parses_and_matches_stats() {
     prom_histogram(&prom, "vitcod_batch_fill", &[("model", "tiny-fp32")]);
     prom_histogram(&prom, "vitcod_batch_fill", &[("model", "tiny-int8")]);
 
-    // The exposition agrees with the JSON stats surface.
-    let stats = client.get("/v1/stats").unwrap().json().unwrap();
-    let models = stats.get("models").unwrap().as_array().unwrap().to_vec();
-    for m in &models {
-        let id = m.get("model").unwrap().as_str().unwrap().to_string();
-        let json_reqs = m.get("requests").unwrap().as_u64().unwrap() as f64;
+    // The exposition agrees with the in-process snapshot (no traffic
+    // since the scrape).
+    let stats = http.stats();
+    assert_eq!(stats.models.len(), 2);
+    for m in &stats.models {
+        let id = m.model.as_str();
         assert!(
-            (prom_one(&prom, "vitcod_requests_total", &[("model", &id)]) - json_reqs).abs() < 0.5,
-            "{id}: /v1/metrics and /v1/stats disagree on requests"
-        );
-        let json_batches = m.get("batches").unwrap().as_u64().unwrap();
-        assert!(json_batches > 0, "{id}: served requests ran in no batch");
-        assert!(
-            (prom_one(&prom, "vitcod_batches_total", &[("model", &id)]) - json_batches as f64)
-                .abs()
+            (prom_one(&prom, "vitcod_requests_total", &[("model", id)]) - m.requests as f64).abs()
                 < 0.5,
-            "{id}: /v1/metrics and /v1/stats disagree on batches"
+            "{id}: /v1/metrics and the snapshot disagree on requests"
+        );
+        assert!(m.batches > 0, "{id}: served requests ran in no batch");
+        assert!(
+            (prom_one(&prom, "vitcod_batches_total", &[("model", id)]) - m.batches as f64).abs()
+                < 0.5,
+            "{id}: /v1/metrics and the snapshot disagree on batches"
         );
     }
     http.shutdown();
@@ -230,19 +229,30 @@ fn stats_report_precision_stages_and_uptime() {
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
     assert!(health.get("uptime_s").unwrap().as_f64().unwrap() > 0.0);
 
-    let stats = client.get("/v1/stats").unwrap().json().unwrap();
-    assert!(stats.get("uptime_s").unwrap().as_f64().unwrap() > 0.0);
-    let m = stats.get("models").unwrap().as_array().unwrap()[0].clone();
-    assert_eq!(m.get("precision").unwrap().as_str(), Some("int8"));
-    assert!(m.get("backend").is_none(), "/v1/stats has no backend key");
-    assert!(m.get("p999_latency_s").unwrap().as_f64().unwrap() > 0.0);
-    let stages = m.get("stages").unwrap();
-    for stage in ["queue_wait", "batch_assembly", "compute", "serialize"] {
-        let s = stages
-            .get(stage)
-            .unwrap_or_else(|| panic!("stats missing stage {stage}"));
-        assert_eq!(s.get("count").unwrap().as_u64(), Some(1), "{stage}");
-        assert!(s.get("p99_s").unwrap().as_f64().is_some(), "{stage}");
+    let prom = parse_prom(&client.get("/v1/metrics").unwrap().body_str());
+    assert!(prom_one(&prom, "vitcod_uptime_seconds", &[]) > 0.0);
+    let info = prom.with("vitcod_model_info", &[("model", "m")]);
+    assert_eq!(info.len(), 1);
+    assert_eq!(
+        info[0].labels.get("precision").map(String::as_str),
+        Some("int8")
+    );
+    let names: Vec<&str> = info[0].labels.keys().map(String::as_str).collect();
+    assert_eq!(names, ["model", "precision"], "no backend label");
+    let latency = prom_histogram(&prom, "vitcod_request_latency_seconds", &[("model", "m")]);
+    assert!(latency > 0.0, "the classify's latency was observed");
+    // Stage quantiles stay readable in process, at the fine buckets.
+    let stats = http.stats();
+    let m = stats.model("m").expect("served");
+    for (stage, h) in m.stages.iter() {
+        let count = prom_histogram(
+            &prom,
+            "vitcod_stage_latency_seconds",
+            &[("model", "m"), ("stage", stage)],
+        );
+        assert!((count - 1.0).abs() < 0.5, "{stage}: {count}");
+        assert_eq!(h.count, 1, "{stage}");
+        assert!(h.quantile(0.99) > 0.0, "{stage}");
     }
     http.shutdown();
 }
@@ -669,13 +679,11 @@ fn deep_health_probes_every_model() {
     }
 
     // The probes went through the real serving path: requests counted.
-    let stats = client.get("/v1/stats").unwrap().json().unwrap();
-    let models = stats.get("models").unwrap().as_array().unwrap().to_vec();
-    for m in &models {
-        assert_eq!(
-            m.get("requests").unwrap().as_u64(),
-            Some(1),
-            "each model served exactly its probe"
+    let prom = parse_prom(&client.get("/v1/metrics").unwrap().body_str());
+    for id in ["m-a", "m-b"] {
+        assert!(
+            (prom_one(&prom, "vitcod_requests_total", &[("model", id)]) - 1.0).abs() < 0.5,
+            "{id} served exactly its probe"
         );
     }
     http.shutdown();

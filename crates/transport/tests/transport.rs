@@ -13,6 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
 use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision};
 use vitcod_model::{Sample, SparsityPlan, ViTConfig, VisionTransformer};
+use vitcod_obs::Exposition;
 use vitcod_serve::{BatchConfig, ModelRegistry, Server};
 use vitcod_tensor::{Initializer, Matrix};
 use vitcod_transport::{api::tokens_json, http, HttpClient, HttpServer, Json, TransportConfig};
@@ -118,6 +119,13 @@ fn start_http_with_root(
     .expect("bind loopback")
 }
 
+/// Scrapes `/v1/metrics` over `client` and parses it.
+fn scrape(client: &mut HttpClient) -> Exposition {
+    let resp = client.get("/v1/metrics").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    Exposition::parse(&resp.body_str()).expect("valid text exposition")
+}
+
 /// The ISSUE's acceptance criterion: predictions served through the
 /// socket — artifact round trip included — are bit-identical to direct
 /// `Engine::infer_batch` on the same tokens, for both the single and
@@ -193,10 +201,11 @@ fn loopback_predictions_are_bit_identical_to_direct_inference() {
     }
 
     // Stats went through the wire too.
-    let stats = client.get("/v1/stats").unwrap().json().unwrap();
-    let models = stats.get("models").unwrap().as_array().unwrap();
-    assert_eq!(models[0].get("model").unwrap().as_str(), Some("deit-tiny"));
-    assert_eq!(models[0].get("requests").unwrap().as_u64(), Some(6));
+    let prom = scrape(&mut client);
+    assert_eq!(
+        prom.one("vitcod_requests_total", &[("model", "deit-tiny")]),
+        Ok(6.0)
+    );
 
     let final_stats = http.shutdown();
     assert_eq!(final_stats.total_requests(), 6);
@@ -234,12 +243,52 @@ fn wire_timeout_resolves_504_and_counts_in_stats() {
         t.elapsed() < Duration::from_secs(5),
         "timeout must not wait for the 10s flush deadline"
     );
-    let stats = client.get("/v1/stats").unwrap().json().unwrap();
-    let m = &stats.get("models").unwrap().as_array().unwrap()[0];
-    assert_eq!(m.get("timed_out").unwrap().as_u64(), Some(1));
-    assert_eq!(m.get("requests").unwrap().as_u64(), Some(0));
+    let prom = scrape(&mut client);
+    assert_eq!(
+        prom.one("vitcod_timeouts_total", &[("model", "m")]),
+        Ok(1.0)
+    );
+    assert_eq!(
+        prom.one("vitcod_requests_total", &[("model", "m")]),
+        Ok(0.0)
+    );
     drop(client);
     http.shutdown();
+}
+
+/// A `default_timeout` too long to add to the clock is no deadline at
+/// all: on a one-handler pool both classifies answer 200. A wait that
+/// overflowed would panic the only handler on the first one.
+#[test]
+fn unrepresentable_default_timeout_means_no_limit() {
+    let model = tiny_model(73, false);
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("m", Engine::builder(model.clone()).build())
+        .unwrap();
+    let http = HttpServer::bind(
+        "127.0.0.1:0",
+        Server::start(registry, BatchConfig::default()),
+        TransportConfig {
+            handler_threads: 1,
+            default_timeout: Some(Duration::MAX),
+            idle_timeout: Duration::from_secs(5),
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = HttpClient::connect(http.local_addr()).unwrap();
+    for seed in 0..2 {
+        let resp = client
+            .post(
+                "/v1/models/m/classify",
+                &classify_body(&tokens_for(&model, seed), None),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+    }
+    drop(client);
+    assert_eq!(http.shutdown().total_requests(), 2);
 }
 
 /// The fairness acceptance criterion: with one model flooding the
@@ -315,7 +364,11 @@ fn round_robin_fairness_under_mixed_traffic() {
     }
 
     let stats = http.shutdown();
-    let hot_p99 = stats.model("hot").expect("hot served").p99_latency_s;
+    let hot_p99 = stats
+        .model("hot")
+        .expect("hot served")
+        .latency_histogram
+        .quantile(0.99);
     let cold_served = stats.model("cold").expect("cold served").requests;
     assert_eq!(cold_served as usize, 2 * VICTIM_REQUESTS);
     // The acceptance bound (with a floor to keep 1-CPU scheduler noise
@@ -609,8 +662,10 @@ fn api_errors_map_to_clean_statuses() {
         "{}",
         resp.body_str()
     );
-    // Unknown endpoint → 404; wrong method → 405.
+    // Unknown endpoint → 404 (`/v1/metrics` is the one aggregate, so
+    // `/v1/stats` is unknown too); wrong method → 405.
     assert_eq!(client.get("/v2/whatever").unwrap().status, 404);
+    assert_eq!(client.get("/v1/stats").unwrap().status, 404);
     assert_eq!(client.post("/v1/health", "{}").unwrap().status, 405);
     // Reload without a path → 400; reload of an unregistered id → 404;
     // a path escaping the artifact root → 403.

@@ -1,8 +1,8 @@
 //! HTTP serving smoke example: a compiled ViT behind the full network
 //! stack — artifact on disk → registry → `Server` → `HttpServer` on a
 //! loopback socket — exercised end to end with the bundled client:
-//! health, single and batch classify, stats, a hot artifact reload,
-//! and a graceful shutdown.
+//! health, single and batch classify, a hot artifact reload, the
+//! Prometheus metrics, and a graceful shutdown.
 //!
 //! ```bash
 //! cargo run --example http_serve --release
@@ -16,6 +16,7 @@ use vitcod::model::{ViTConfig, VisionTransformer};
 use vitcod::serve::{BatchConfig, ModelRegistry, Server};
 use vitcod::tensor::{Initializer, Matrix};
 use vitcod::transport::{api::tokens_json, HttpClient, HttpServer, Json, TransportConfig};
+use vitcod_obs::Exposition;
 
 const IN_DIM: usize = 8;
 const CLASSES: usize = 4;
@@ -129,17 +130,20 @@ fn main() {
         .unwrap();
     assert_eq!(resp.status, 200);
 
-    // 6. Stats over the wire, then a graceful shutdown.
-    let stats = client.get("/v1/stats").unwrap();
-    assert_eq!(stats.status, 200);
-    let stats = stats.json().unwrap();
-    let m = &stats.get("models").unwrap().as_array().unwrap()[0];
+    // 6. Metrics over the wire, then a graceful shutdown.
+    let metrics = client.get("/v1/metrics").unwrap();
+    assert_eq!(metrics.status, 200);
+    let prom = Exposition::parse(&metrics.body_str()).unwrap();
+    let model = [("model", "deit-tiny")];
+    let requests = prom.one("vitcod_requests_total", &model).unwrap();
+    let latency_sum = prom
+        .one("vitcod_request_latency_seconds_sum", &model)
+        .unwrap();
     println!(
-        "GET /v1/stats -> {} requests, p50 {:.2} ms",
-        m.get("requests").unwrap().as_u64().unwrap(),
-        m.get("p50_latency_s").unwrap().as_f64().unwrap() * 1e3
+        "GET /v1/metrics -> {requests} requests, mean latency {:.2} ms",
+        latency_sum / requests * 1e3
     );
-    assert_eq!(m.get("requests").unwrap().as_u64(), Some(6));
+    assert_eq!(requests as u64, 6);
 
     let final_stats = http.shutdown();
     assert_eq!(final_stats.total_requests(), 6);

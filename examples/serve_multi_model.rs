@@ -113,9 +113,9 @@ fn main() {
             m.model,
             m.requests,
             m.batches,
-            m.mean_batch_fill,
-            m.p50_latency_s * 1e3,
-            m.p99_latency_s * 1e3
+            m.requests as f64 / m.batches.max(1) as f64,
+            m.latency_histogram.quantile(0.50) * 1e3,
+            m.latency_histogram.quantile(0.99) * 1e3
         );
     }
     assert_eq!(stats.total_requests(), 32);

@@ -24,11 +24,11 @@
 //!   by a worker pool (dynamic batching, request deadlines, round-robin
 //!   per-model fairness, hot engine reload), the multi-model
 //!   [`serve::ModelRegistry`] (loadable from disk), and per-model
-//!   latency/throughput statistics;
+//!   counters and latency histograms;
 //! * [`transport`] — the network front end: a dependency-free
 //!   HTTP/1.1 server ([`transport::HttpServer`]) over the serving
-//!   layer, with classify/stats/health/reload endpoints and a minimal
-//!   [`transport::HttpClient`];
+//!   layer, with classify/health/metrics/traces/reload endpoints and
+//!   a minimal [`transport::HttpClient`];
 //! * [`baselines`] — CPU/EdgeGPU/GPU platform models plus the SpAtten
 //!   and Sanger simulators.
 //!
