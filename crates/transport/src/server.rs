@@ -22,6 +22,7 @@
 
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -147,6 +148,17 @@ impl HttpServer {
         server: Server,
         config: TransportConfig,
     ) -> std::io::Result<HttpServer> {
+        Self::bind_serving(addr, server, config, handle_connection)
+    }
+
+    /// [`HttpServer::bind`] with the function each handler serves an
+    /// accepted connection with.
+    fn bind_serving(
+        addr: impl ToSocketAddrs,
+        server: Server,
+        config: TransportConfig,
+        serve: ServeConnection,
+    ) -> std::io::Result<HttpServer> {
         assert!(config.handler_threads >= 1, "handler_threads must be >= 1");
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -165,7 +177,7 @@ impl HttpServer {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vitcod-transport-handler-{i}"))
-                    .spawn(move || run_handler(&shared))
+                    .spawn(move || run_handler(&shared, serve))
                     .expect("spawn handler")
             })
             .collect();
@@ -226,13 +238,21 @@ impl Drop for HttpServer {
     }
 }
 
-fn run_handler(shared: &TransportShared) {
+/// How a handler serves one accepted connection.
+type ServeConnection = fn(&TransportShared, TcpStream);
+
+fn run_handler(shared: &TransportShared, serve: ServeConnection) {
     while !shared.shutting_down.load(Ordering::SeqCst) {
         match shared.listener.accept() {
             // Accepted after the flag went up (the wake-up connection,
             // or a client racing it), a connection is closed unread by
-            // `handle_connection`'s own check of the flag.
-            Ok((stream, _)) => handle_connection(shared, stream),
+            // `handle_connection`'s own check of the flag. A panic while
+            // serving ends only its own connection (unwinding drops the
+            // stream, so the client sees it close); the handler goes
+            // back to `accept` and the pool keeps its size.
+            Ok((stream, _)) => {
+                let _ = catch_unwind(AssertUnwindSafe(|| serve(shared, stream)));
+            }
             // Transient accept errors (EMFILE, aborted handshakes)
             // must not kill the front door.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
@@ -738,4 +758,57 @@ fn reload(shared: &TransportShared, model: &str, body: &Json) -> (u16, String) {
         ("precision".into(), Json::String(precision.to_string())),
     ]);
     (200, body.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicUsize;
+
+    use vitcod_serve::{BatchConfig, ModelRegistry};
+
+    use super::*;
+    use crate::HttpClient;
+
+    #[test]
+    fn a_panic_while_serving_a_connection_leaves_its_handler_in_the_pool() {
+        fn panic_on_first(shared: &TransportShared, stream: TcpStream) {
+            static SERVED: AtomicUsize = AtomicUsize::new(0);
+            if SERVED.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("first connection");
+            }
+            handle_connection(shared, stream);
+        }
+        let http = HttpServer::bind_serving(
+            "127.0.0.1:0",
+            Server::start(ModelRegistry::new(), BatchConfig::default()),
+            TransportConfig {
+                handler_threads: 1,
+                ..TransportConfig::default()
+            },
+            panic_on_first,
+        )
+        .unwrap();
+        let addr = http.local_addr();
+        let mut first = HttpClient::connect(addr).unwrap();
+        assert!(
+            first.get("/v1/health").is_err(),
+            "the panicking connection closes"
+        );
+        // Without a handler left the next connection would wait in the
+        // backlog forever, so it is made on a thread and awaited with a
+        // deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = std::thread::spawn(move || {
+            let status = HttpClient::connect(addr)
+                .and_then(|mut c| c.get("/v1/health"))
+                .map(|r| r.status);
+            let _ = tx.send(status);
+        });
+        let status = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the one handler answers the next connection");
+        assert_eq!(status.unwrap(), 200);
+        second.join().unwrap();
+        http.shutdown();
+    }
 }
