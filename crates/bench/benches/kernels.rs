@@ -8,10 +8,10 @@
 //! feeds every int8 projection, and one layer's attention training step
 //! (forward + backward, every head) through the CSC dataflow against the
 //! `-inf`-masked dense path. The `qkv_split` row times the last layer's
-//! QKV site fused and split — `[Wq | Wk | Wv]` over every token against
-//! Q over the class token's row plus `[Wk | Wv]` over every token — in
-//! fp32 and int8, each split checked bit-identical to the fused columns
-//! and recorded without a floor. A last section times the `*.vitcod`
+//! QKV site full and split — `[Wq | Wk | Wv]` over every token against
+//! its Q window over the class token's row plus its KV window over every
+//! token — in fp32 and int8, each window checked bit-identical to the
+//! full GEMM's columns and recorded without a floor. A last section times the `*.vitcod`
 //! codec (`save_compiled_vit` / `load_compiled_vit`) on a DeiT-Tiny
 //! artifact in fp32 and int8.
 //!
@@ -49,12 +49,12 @@ use vitcod_core::{prune_to_sparsity, AttentionMask};
 use vitcod_engine::{load_compiled_vit, save_compiled_vit, CompiledVit, Precision};
 use vitcod_model::{AttentionStats, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::{
-    self, attention_head, attention_head_backward, matmul, matmul_nt, matmul_tn, num_threads,
-    reference, softmax_rows, with_thread_budget,
+    self, attention_head, attention_head_backward, matmul, matmul_nt, matmul_tn, matmul_window,
+    num_threads, reference, softmax_rows, with_thread_budget,
 };
 use vitcod_tensor::sparse::{self, CscMatrix};
 use vitcod_tensor::{
-    int8_gemm, int8_gemm_reference, Initializer, Matrix, PackedGemmWeights, QuantizedMatrix,
+    int8_gemm, int8_gemm_reference, int8_gemm_window, Initializer, Matrix, PackedGemmWeights,
     QuantizedRows,
 };
 
@@ -433,45 +433,45 @@ fn bench_artifact(case: &'static ArtifactCase, model: &CompiledVit) -> ArtifactR
 /// Tokens and model width of the `qkv_split` row: DeiT-Tiny's.
 const QKV_SHAPE: (usize, usize) = (197, 192);
 
-/// The QKV site fused and split, per precision: `(fused, split)`.
+/// The QKV site full-width and split into its two windows, per
+/// precision: `(fused, split)`.
 struct QkvSplit {
     fp32: (Timing, Timing),
     int8: (Timing, Timing),
 }
 
 /// Times the QKV site of a DeiT-Tiny last layer (197 tokens, dim 192)
-/// the way the engine ran it and runs it now: one `[Wq | Wk | Wv]`
-/// projection over every token, against Q over the class token's row
-/// plus one `[Wk | Wv]` projection over every token. Fp32 is `matmul`
-/// plus `add_bias`; int8 quantizes the activation rows (once for both
-/// split GEMMs, plus the class token's row on its own) and runs the
-/// packed GEMM, the split sites cut from the fused tensor's codes. Each
-/// split must equal the fused columns bit for bit.
+/// the way the engine ran it once and runs it now: one `[Wq | Wk | Wv]`
+/// projection over every token, against the site's Q window over the
+/// class token's row plus its KV window over every token, on the same
+/// fp32 matrix and the same packed site. Fp32 is `matmul` /
+/// `matmul_window` plus `add_bias`; int8 quantizes the activation rows
+/// (once for both windows, plus the class token's row on its own) and
+/// runs `int8_gemm` / `int8_gemm_window`. Each window must equal the
+/// full GEMM's columns bit for bit.
 fn bench_qkv_split() -> QkvSplit {
     let (n, dim) = QKV_SHAPE;
     let sample = |rows, cols, seed| Initializer::Normal { std: 1.0 }.sample(rows, cols, seed);
     let (x, w) = (sample(n, dim, 5), sample(dim, 3 * dim, 6));
     let bias = sample(1, 3 * dim, 7).into_vec();
     let (b_q, b_kv) = bias.split_at(dim);
-    let (w_q, w_kv) = (
-        w.submatrix(0, dim, 0, dim),
-        w.submatrix(0, dim, dim, 3 * dim),
-    );
+    let (q_cols, kv_cols) = (0..dim, dim..3 * dim);
     let class_row = || x.submatrix(0, 1, 0, dim);
     let fp32_fused = || kernels::add_bias(&matmul(&x, &w), &bias);
     let fp32_split = || {
-        let q = kernels::add_bias(&matmul(&class_row(), &w_q), b_q);
-        (q, kernels::add_bias(&matmul(&x, &w_kv), b_kv))
+        let q = kernels::add_bias(&matmul_window(&class_row(), &w, q_cols.clone()), b_q);
+        (
+            q,
+            kernels::add_bias(&matmul_window(&x, &w, kv_cols.clone()), b_kv),
+        )
     };
-    let w8 = QuantizedMatrix::quantize(&w);
-    let fused8 = PackedGemmWeights::from_quantized(&w8);
-    let q8 = PackedGemmWeights::from_quantized_columns(&w8, 0..dim);
-    let kv8 = PackedGemmWeights::from_quantized_columns(&w8, dim..3 * dim);
-    let int8_fused = || int8_gemm(&QuantizedRows::quantize(&x), &fused8, &bias);
+    let w8 = PackedGemmWeights::pack(&w);
+    let int8_fused = || int8_gemm(&QuantizedRows::quantize(&x), &w8, &bias);
     let int8_split = || {
         let x8 = QuantizedRows::quantize(&x);
-        let q = int8_gemm(&QuantizedRows::quantize(&class_row()), &q8, b_q);
-        (q, int8_gemm(&x8, &kv8, b_kv))
+        let row8 = QuantizedRows::quantize(&class_row());
+        let q = int8_gemm_window(&row8, &w8, b_q, q_cols.clone());
+        (q, int8_gemm_window(&x8, &w8, b_kv, kv_cols.clone()))
     };
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (precision, fused, (q, kv)) in [
@@ -481,12 +481,12 @@ fn bench_qkv_split() -> QkvSplit {
         assert_eq!(
             bits(&q),
             bits(&fused.submatrix(0, 1, 0, dim)),
-            "qkv_split {precision}: Q on the class token's row disagrees with the fused GEMM"
+            "qkv_split {precision}: the Q window on the class token's row disagrees with the full GEMM"
         );
         assert_eq!(
             bits(&kv),
             bits(&fused.submatrix(0, n, dim, 3 * dim)),
-            "qkv_split {precision}: KV disagrees with the fused GEMM"
+            "qkv_split {precision}: the KV window disagrees with the full GEMM"
         );
     }
     let rec = QkvSplit {

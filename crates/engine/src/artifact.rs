@@ -20,7 +20,7 @@
 //! tensor f32 patch_b 1 16
 //! 3f800000 40000000 ...          # one row: IEEE-754 bit patterns
 //! tensor i8 layer0.w_qkv 16 48 3b23d70a
-//! 127,-4,0,...                   # one row: raw i8 bytes, [Q | KV]
+//! 127,-4,0,...                   # one row: raw i8 bytes, [Wq | Wk | Wv]
 //! plans 2
 //! layer 0 4                      # layer index, head count
 //! head dense
@@ -34,11 +34,10 @@
 //! round-trip verbatim: backslashes, line feeds and carriage returns are
 //! escaped.
 //!
-//! A layer's Q and KV projection sites are one tensor on disk,
-//! `layerL.w_qkv` (`dim × 3·dim`), each row the Q site's row followed by
-//! the KV site's: the `[Wq | Wk | Wv]` they were cut from, under the one
-//! int8 scale the two sites share. The loader cuts it back into the two
-//! sites one layer at a time.
+//! Every projection site is one tensor on disk under one int8 scale, and
+//! a layer's QKV site is `layerL.w_qkv` (`dim × 3·dim`, `[Wq | Wk | Wv]`):
+//! the loader reads it into one site, whose first `dim` columns the
+//! forward reads as Q and the rest as KV.
 //!
 //! Payload tokens, and all the reader accepts of them — a token cut short
 //! by corruption is an error, never a different weight:
@@ -71,9 +70,7 @@ use vitcod_model::{ModelFamily, StageConfig, ViTConfig};
 use vitcod_tensor::sparse::CscMatrix;
 use vitcod_tensor::{Matrix, PackedGemmWeights, QuantParams, QuantizedMatrix};
 
-use crate::compiled::{
-    shared_params, CompiledAe, CompiledLayer, CompiledVit, HeadPlan, SiteWeight,
-};
+use crate::compiled::{CompiledAe, CompiledLayer, CompiledVit, HeadPlan, SiteWeight};
 use crate::Precision;
 
 /// Error loading a [`CompiledVit`] from its serialized form.
@@ -167,15 +164,15 @@ pub fn save_compiled_vit(model: &CompiledVit, precision: Precision) -> String {
         let name = |field: &str| format!("layer{l}.{field}");
         w.vector(&name("ln1_gamma"), &layer.ln1_gamma);
         w.vector(&name("ln1_beta"), &layer.ln1_beta);
-        w.sites(&name("w_qkv"), &[&layer.w_q, &layer.w_kv]);
+        w.site(&name("w_qkv"), &layer.w_qkv);
         w.vector(&name("b_qkv"), &layer.b_qkv);
-        w.sites(&name("w_out"), &[&layer.w_out]);
+        w.site(&name("w_out"), &layer.w_out);
         w.vector(&name("b_out"), &layer.b_out);
         w.vector(&name("ln2_gamma"), &layer.ln2_gamma);
         w.vector(&name("ln2_beta"), &layer.ln2_beta);
-        w.sites(&name("w_fc1"), &[&layer.w_fc1]);
+        w.site(&name("w_fc1"), &layer.w_fc1);
         w.vector(&name("b_fc1"), &layer.b_fc1);
-        w.sites(&name("w_fc2"), &[&layer.w_fc2]);
+        w.site(&name("w_fc2"), &layer.w_fc2);
         w.vector(&name("b_fc2"), &layer.b_fc2);
         if let Some(ae) = &layer.ae {
             w.weight(&name("ae.enc_q"), &ae.enc_q);
@@ -218,32 +215,31 @@ struct Writer {
 }
 
 impl Writer {
-    /// An f32 tensor of `rows` rows, row `r` being row `r` of each part in
-    /// turn; a part is `(values, cols)`, `rows × cols` row-major.
-    fn f32_tensor(&mut self, name: &str, rows: usize, parts: &[(&[f32], usize)]) {
-        let cols = parts.iter().map(|&(_, c)| c).sum::<usize>();
+    /// An f32 tensor of `rows × cols` row-major `values`.
+    fn f32_tensor(&mut self, name: &str, (rows, cols): (usize, usize), values: &[f32]) {
         self.out
             .push_str(&format!("tensor f32 {name} {rows} {cols}\n"));
         self.out.reserve(rows * (9 * cols).max(1));
         for r in 0..rows {
-            let values = parts.iter().map(|&(values, c)| &values[r * c..(r + 1) * c]);
-            push_row(&mut self.out, &mut self.row, cols, values, hex8_token);
+            push_row(
+                &mut self.out,
+                &mut self.row,
+                &values[r * cols..(r + 1) * cols],
+                hex8_token,
+            );
         }
     }
 
-    /// An i8 tensor whose row `r` is row `r` of each part in turn, under
-    /// the first part's scale: the parts share it.
-    fn i8_tensor(&mut self, name: &str, parts: &[QuantizedMatrix]) {
-        let rows = parts.first().map_or(0, |q| q.shape().0);
-        let cols = parts.iter().map(|q| q.shape().1).sum::<usize>();
-        let scale = parts.first().map_or(1.0, |q| q.params().scale).to_bits();
+    /// An i8 tensor: `q`'s bytes under its scale.
+    fn i8_tensor(&mut self, name: &str, q: &QuantizedMatrix) {
+        let (rows, cols) = q.shape();
+        let scale = q.params().scale.to_bits();
         self.out
             .push_str(&format!("tensor i8 {name} {rows} {cols} {scale:08x}\n"));
         self.out.reserve(rows * (5 * cols).max(1));
         let tokens = &self.i8_tokens;
         for r in 0..rows {
-            let values = parts.iter().map(|q| q.row_raw(r));
-            push_row(&mut self.out, &mut self.row, cols, values, |v| {
+            push_row(&mut self.out, &mut self.row, q.row_raw(r), |v| {
                 tokens[usize::from(v as u8)]
             });
         }
@@ -253,62 +249,54 @@ impl Writer {
     /// 1-byte-per-weight artifact bytes).
     fn weight(&mut self, name: &str, m: &Matrix) {
         if self.int8 {
-            self.i8_tensor(name, &[QuantizedMatrix::quantize(m)]);
+            self.i8_tensor(name, &QuantizedMatrix::quantize(m));
         } else {
-            self.f32_tensor(name, m.rows(), &[(m.as_slice(), m.cols())]);
+            self.f32_tensor(name, m.shape(), m.as_slice());
         }
     }
 
-    /// Projection sites as one tensor, side by side. Under int8 a packed
-    /// site's bytes and scale go out verbatim and fp32 sites are
-    /// quantized with one scale fitted over all of them; otherwise each
-    /// site goes out as the values it holds or its bytes stand for. Save
-    /// → load → save is byte-identical by construction.
-    fn sites(&mut self, name: &str, sites: &[&SiteWeight]) {
+    /// A projection site. Under int8 a packed site's bytes and scale go
+    /// out verbatim and an fp32 site is quantized as [`Writer::weight`]
+    /// quantizes; otherwise the site goes out as the values it holds or
+    /// its bytes stand for. Save → load → save is byte-identical by
+    /// construction.
+    fn site(&mut self, name: &str, site: &SiteWeight) {
         if self.int8 {
-            let params = shared_params(sites.iter().copied());
-            let parts: Vec<QuantizedMatrix> = sites.iter().map(|s| s.quantized(params)).collect();
-            self.i8_tensor(name, &parts);
+            self.i8_tensor(name, &site.quantized());
         } else {
-            let values: Vec<_> = sites.iter().map(|s| s.values()).collect();
-            let parts: Vec<_> = values.iter().map(|m| (m.as_slice(), m.cols())).collect();
-            let rows = values.first().map_or(0, |m| m.rows());
-            self.f32_tensor(name, rows, &parts);
+            let values = site.values();
+            self.f32_tensor(name, values.shape(), values.as_slice());
         }
     }
 
     /// A parameter vector as a 1 × n fp32 tensor (vectors are never
     /// quantized — the int8 engine keeps biases and LayerNorm in fp32).
     fn vector(&mut self, name: &str, v: &[f32]) {
-        self.f32_tensor(name, 1, &[(v, v.len())]);
+        self.f32_tensor(name, (1, v.len()), v);
     }
 }
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends one payload row of `cols` values, the `parts` in turn, to
-/// `out`. `token` gives a value's token and separator padded to the fixed
-/// width `W`, and the length of the two: the bytes land in `row` at full
-/// width, the cursor moves by the length, and the last separator becomes
-/// the line break. `row` is scratch reused across rows, UTF-8-checked
+/// Appends one payload row, `values`, to `out`. `token` gives a value's
+/// token and separator padded to the fixed width `W`, and the length of
+/// the two: the bytes land in `row` at full width, the cursor moves by
+/// the length, and the last separator becomes the line break. `row` is scratch reused across rows, UTF-8-checked
 /// once per row — no `String` per scalar.
-fn push_row<'a, T: Copy + 'a, const W: usize>(
+fn push_row<T: Copy, const W: usize>(
     out: &mut String,
     row: &mut Vec<u8>,
-    cols: usize,
-    parts: impl IntoIterator<Item = &'a [T]>,
+    values: &[T],
     token: impl Fn(T) -> ([u8; W], usize),
 ) {
-    if row.len() < cols * W + 1 {
-        row.resize(cols * W + 1, 0);
+    if row.len() < values.len() * W + 1 {
+        row.resize(values.len() * W + 1, 0);
     }
     let mut end = 0;
-    for part in parts {
-        for &v in part {
-            let (bytes, len) = token(v);
-            row[end..end + W].copy_from_slice(&bytes);
-            end += len;
-        }
+    for &v in values {
+        let (bytes, len) = token(v);
+        row[end..end + W].copy_from_slice(&bytes);
+        end += len;
     }
     let end = end.max(1);
     row[end - 1] = b'\n';
@@ -375,9 +363,6 @@ pub fn load_compiled_vit(text: &str) -> Result<(CompiledVit, Precision), Artifac
 /// One tensor's stored values: fp32, or i8 bytes with their scale.
 enum Payload {
     F32(Matrix),
-    /// An fp32 `w_qkv`, read straight into its Q and KV column blocks
-    /// (see [`qkv_split`]).
-    F32Qkv(Matrix, Matrix),
     I8(QuantizedMatrix),
 }
 
@@ -385,7 +370,6 @@ impl Payload {
     fn shape(&self) -> (usize, usize) {
         match self {
             Payload::F32(m) => m.shape(),
-            Payload::F32Qkv(q, kv) => (q.rows(), q.cols() + kv.cols()),
             Payload::I8(q) => q.shape(),
         }
     }
@@ -395,19 +379,9 @@ impl Payload {
     fn into_matrix(self) -> Matrix {
         match self {
             Payload::F32(m) => m,
-            Payload::F32Qkv(q, kv) => Matrix::hcat(&[&q, &kv]),
             Payload::I8(q) => q.dequantize(),
         }
     }
-}
-
-/// The column where a tensor's payload is cut in two as it is read: the
-/// Q block of an fp32 `layerL.w_qkv`, whose Q and KV are separate sites.
-/// Cut after the read instead, a load held the tensor whole and in parts
-/// at once, and the parts' allocations left the heap with holes it could
-/// not reuse: 1.8 MB more resident after a DeiT-Tiny load.
-fn qkv_split(name: &str, cols: usize) -> Option<usize> {
-    (name.ends_with(".w_qkv") && cols.is_multiple_of(3)).then_some(cols / 3)
 }
 
 /// A well-formed text before its schema is checked: meta values and
@@ -499,15 +473,8 @@ fn parse(text: &str) -> Result<Parsed, ArtifactError> {
                 let header = (ln, name);
                 let payload = match kind {
                     "f32" => {
-                        let split = qkv_split(name, cols).unwrap_or(cols);
-                        let (data, rest) =
-                            read_rows(&mut lines, header, (rows, cols), split, decode_f32_row)?;
-                        let first = Matrix::from_vec(rows, split, data);
-                        if split < cols {
-                            Payload::F32Qkv(first, Matrix::from_vec(rows, cols - split, rest))
-                        } else {
-                            Payload::F32(first)
-                        }
+                        let data = read_rows(&mut lines, header, (rows, cols), decode_f32_row)?;
+                        Payload::F32(Matrix::from_vec(rows, cols, data))
                     }
                     "i8" => {
                         let scale_hex = parts
@@ -516,8 +483,7 @@ fn parse(text: &str) -> Result<Parsed, ArtifactError> {
                         let scale = hex8(scale_hex.as_bytes()).ok_or_else(|| {
                             parse_error(ln, format!("malformed scale bit pattern '{scale_hex}'"))
                         })?;
-                        let (data, _) =
-                            read_rows(&mut lines, header, (rows, cols), cols, decode_i8_row)?;
+                        let data = read_rows(&mut lines, header, (rows, cols), decode_i8_row)?;
                         let params = QuantParams { scale };
                         Payload::I8(QuantizedMatrix::from_raw(rows, cols, data, params))
                     }
@@ -630,23 +596,17 @@ fn hex8(token: &[u8]) -> Option<f32> {
 }
 
 /// Reads the `rows` payload lines of the tensor declared by `header`
-/// (line, name), `cols` values each, through `decode_row`: the first
-/// `split` values of each row into the first block, the rest into the
-/// second (empty when `split == cols`). `rows · cols` must not overflow;
-/// the pre-reservation is capped, so a corrupt header cannot make a huge
-/// allocation.
-fn read_rows<'a, T: Copy>(
+/// (line, name), `cols` values each, through `decode_row`. `rows · cols`
+/// must not overflow; the pre-reservation is capped, so a corrupt header
+/// cannot make a huge allocation.
+fn read_rows<'a, T>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
     (ln, name): (usize, &str),
     (rows, cols): (usize, usize),
-    split: usize,
     decode_row: impl Fn(&str, &mut Vec<T>) -> Result<(), String>,
-) -> Result<(Vec<T>, Vec<T>), ArtifactError> {
+) -> Result<Vec<T>, ArtifactError> {
     const MAX_PREALLOC: usize = 1 << 22;
-    let width = cols - split;
-    // A row is decoded whole before its second block moves out.
-    let mut data = Vec::with_capacity((rows * split + width).min(MAX_PREALLOC));
-    let mut rest = Vec::with_capacity((rows * width).min(MAX_PREALLOC));
+    let mut data = Vec::with_capacity((rows * cols).min(MAX_PREALLOC));
     for r in 0..rows {
         let (rln, row) = lines
             .next()
@@ -660,12 +620,8 @@ fn read_rows<'a, T: Copy>(
                 format!("row {r} has {count} values, expected {cols}"),
             ));
         }
-        if width > 0 {
-            rest.extend_from_slice(&data[before + split..]);
-            data.truncate(before + split);
-        }
     }
-    Ok((data, rest))
+    Ok(data)
 }
 
 /// Appends the values of one f32 row: [`hex8`] tokens between runs of
@@ -796,31 +752,6 @@ fn take_site(
     Ok(match take_payload(tensors, name, shape)? {
         Payload::I8(q) => SiteWeight::Int8(PackedGemmWeights::from_quantized(&q)),
         fp32 => SiteWeight::Fp32(fp32.into_matrix()),
-    })
-}
-
-/// A layer's Q and KV sites, the first `dim` columns of its one
-/// `dim × 3·dim` `w_qkv` tensor and the rest. An fp32 payload arrives
-/// already cut ([`qkv_split`]); an int8 payload's bytes are packed
-/// straight from their columns, so both sites keep the tensor's one
-/// scale, as [`take_site`] keeps it, and the fused bytes are freed on
-/// return, before the next layer's are packed.
-fn take_qkv(
-    tensors: &mut Tensors,
-    name: &str,
-    dim: usize,
-    three_dim: usize,
-) -> Result<(SiteWeight, SiteWeight), ArtifactError> {
-    let site = |q: &QuantizedMatrix, cols| {
-        SiteWeight::Int8(PackedGemmWeights::from_quantized_columns(q, cols))
-    };
-    Ok(match take_payload(tensors, name, (dim, three_dim))? {
-        Payload::F32Qkv(q, kv) => (SiteWeight::Fp32(q), SiteWeight::Fp32(kv)),
-        Payload::I8(q) => (site(&q, 0..dim), site(&q, dim..three_dim)),
-        Payload::F32(m) => (
-            SiteWeight::Fp32(m.submatrix(0, dim, 0, dim)),
-            SiteWeight::Fp32(m.submatrix(0, dim, dim, three_dim)),
-        ),
     })
 }
 
@@ -978,14 +909,10 @@ fn build(parsed: &mut Parsed) -> Result<CompiledVit, ArtifactError> {
                     )))
                 }
             };
-            let ln1_gamma = take_vec(tensors, &name("ln1_gamma"), dim)?;
-            let ln1_beta = take_vec(tensors, &name("ln1_beta"), dim)?;
-            let (w_q, w_kv) = take_qkv(tensors, &name("w_qkv"), dim, three_dim)?;
             Ok(CompiledLayer {
-                ln1_gamma,
-                ln1_beta,
-                w_q,
-                w_kv,
+                ln1_gamma: take_vec(tensors, &name("ln1_gamma"), dim)?,
+                ln1_beta: take_vec(tensors, &name("ln1_beta"), dim)?,
+                w_qkv: take_site(tensors, &name("w_qkv"), (dim, three_dim))?,
                 b_qkv: take_vec(tensors, &name("b_qkv"), three_dim)?,
                 w_out: take_site(tensors, &name("w_out"), (dim, dim))?,
                 b_out: take_vec(tensors, &name("b_out"), dim)?,

@@ -3,22 +3,22 @@
 //! [`CompiledVit`] is everything a serving process needs and nothing it
 //! does not: weights lifted out of the training-time
 //! [`vitcod_autograd::ParamStore`] into an inference-friendly layout
-//! (per layer a Q projection and a fused KV projection, LayerNorm
-//! parameters as plain vectors) plus one [`HeadPlan`] per attention head
-//! — either dense or a pre-built [`CscMatrix`] index, the same artifact
-//! the accelerator's sparser engine pre-loads. Compilation happens once;
-//! the artifact is immutable and shared by every worker of an
-//! [`crate::Engine`].
+//! (per layer one fused QKV projection, LayerNorm parameters as plain
+//! vectors) plus one [`HeadPlan`] per attention head — either dense or a
+//! pre-built [`CscMatrix`] index, the same artifact the accelerator's
+//! sparser engine pre-loads. Compilation happens once; the artifact is
+//! immutable and shared by every worker of an [`crate::Engine`].
 //!
-//! Each of a layer's five projection sites (Q, KV, attention output, both
+//! Each of a layer's four projection sites (QKV, attention output, both
 //! MLP matrices) holds **one** weight, a [`SiteWeight`] in the form its
 //! precision reads: the fp32 [`Matrix`] (4 B per weight) or the int8
 //! GEMM's packed panels (1 B per weight on disk, 2 B resident as `i16`
 //! multiply–accumulate pairs) — never both. An int8 artifact loads
 //! straight into panels and an int8 engine build turns each fp32 site
 //! into panels and frees the matrix, so an int8 model is the smaller one
-//! in memory as well as on disk. The Q and KV sites are the two column
-//! blocks of one `[Wq | Wk | Wv]` tensor and share its one int8 scale.
+//! in memory as well as on disk. Every site is one tensor with one int8
+//! scale; the forward reads Q and KV as two column windows of the QKV
+//! site.
 
 use std::borrow::Cow;
 
@@ -26,7 +26,7 @@ use vitcod_autograd::ParamStore;
 use vitcod_model::{Sample, ViTConfig, VisionTransformer};
 use vitcod_tensor::kernels::LANES;
 use vitcod_tensor::sparse::CscMatrix;
-use vitcod_tensor::{Matrix, PackedGemmWeights, QuantParams, QuantizedMatrix};
+use vitcod_tensor::{Matrix, PackedGemmWeights, QuantizedMatrix};
 
 use crate::Precision;
 
@@ -95,11 +95,11 @@ impl SiteWeight {
         }
     }
 
-    /// The site's int8 bytes: an fp32 site quantized with `params`, a
-    /// packed site's own bytes and scale.
-    pub(crate) fn quantized(&self, params: QuantParams) -> QuantizedMatrix {
+    /// The site's int8 bytes: an fp32 site quantized with its fitted
+    /// scale, a packed site's own bytes and scale.
+    pub(crate) fn quantized(&self) -> QuantizedMatrix {
         match self {
-            SiteWeight::Fp32(m) => QuantizedMatrix::quantize_with(m, params),
+            SiteWeight::Fp32(m) => QuantizedMatrix::quantize(m),
             SiteWeight::Int8(p) => p.to_quantized(),
         }
     }
@@ -114,48 +114,17 @@ impl SiteWeight {
     }
 
     /// The site in the form `precision` reads, if that is not the form
-    /// it holds. Fp32 → int8 quantizes with `params` and packs; int8 →
-    /// fp32 yields exactly the values the bytes stand for.
-    fn lowered(&self, precision: Precision, params: QuantParams) -> Option<SiteWeight> {
+    /// it holds. Fp32 → int8 quantizes and packs; int8 → fp32 yields
+    /// exactly the values the bytes stand for.
+    fn lowered(&self, precision: Precision) -> Option<SiteWeight> {
         Some(match (self, precision) {
             (SiteWeight::Fp32(_), Precision::Int8) => {
-                SiteWeight::Int8(PackedGemmWeights::from_quantized(&self.quantized(params)))
+                SiteWeight::Int8(PackedGemmWeights::from_quantized(&self.quantized()))
             }
             (SiteWeight::Int8(_), Precision::Fp32) => SiteWeight::Fp32(self.values().into_owned()),
             _ => return None,
         })
     }
-}
-
-/// The one per-tensor scale `sites` take when quantized together: the fit
-/// over every fp32 site's values, so each is quantized to the codes of
-/// the tensor the sites make side by side. A packed site keeps the scale
-/// it holds.
-pub(crate) fn shared_params<'a>(sites: impl IntoIterator<Item = &'a SiteWeight>) -> QuantParams {
-    let fp32: Vec<&Matrix> = sites
-        .into_iter()
-        .filter_map(|s| match s {
-            SiteWeight::Fp32(m) => Some(m),
-            SiteWeight::Int8(_) => None,
-        })
-        .collect();
-    QuantParams::fit_all(&fp32)
-}
-
-/// Puts `sites` in the form `precision` reads, one at a time, each old
-/// form freed before the next site is touched, and returns their weight
-/// scalars. Sites quantized here share one scale ([`shared_params`]).
-fn lower_sites(sites: &mut [&mut SiteWeight], precision: Precision) -> usize {
-    let params = shared_params(sites.iter().map(|s| &**s));
-    let mut scalars = 0;
-    for site in sites {
-        // The assignment frees the form the site held.
-        if let Some(lowered) = site.lowered(precision, params) {
-            **site = lowered;
-        }
-        scalars += site.len();
-    }
-    scalars
 }
 
 /// One transformer block's frozen weights in inference layout.
@@ -165,17 +134,14 @@ pub struct CompiledLayer {
     pub ln1_gamma: Vec<f32>,
     /// Pre-attention LayerNorm beta.
     pub ln1_beta: Vec<f32>,
-    /// Query projection, `dim × dim`: the `Wq` columns of `[Wq | Wk | Wv]`,
-    /// run over the query rows alone (one row in a last layer without a
-    /// sparse head).
-    pub w_q: SiteWeight,
-    /// Fused key and value projection, `dim × 2·dim` (`[Wk | Wv]`): one
-    /// GEMM over every token instead of two, with bit-identical columns.
-    /// Under int8 it shares `w_q`'s scale, the one fitted over
-    /// `[Wq | Wk | Wv]`.
-    pub w_kv: SiteWeight,
-    /// QKV bias, length `3·dim` (`[bq | bk | bv]`): `..dim` is `w_q`'s,
-    /// `dim..` is `w_kv`'s.
+    /// Fused QKV projection, `dim × 3·dim` (`[Wq | Wk | Wv]`), one
+    /// tensor with one int8 scale. The forward reads it as two column
+    /// windows: Q (`..dim`) over the query rows alone (one row in a last
+    /// layer without a sparse head), KV (`dim..`) over every token, each
+    /// column bit-identical to its own projection's.
+    pub w_qkv: SiteWeight,
+    /// QKV bias, length `3·dim` (`[bq | bk | bv]`), split where the
+    /// windows of `w_qkv` are.
     pub b_qkv: Vec<f32>,
     /// Attention output projection, `dim × dim`.
     pub w_out: SiteWeight,
@@ -251,8 +217,7 @@ impl CompiledVit {
                 CompiledLayer {
                     ln1_gamma: row_vec(store, b.ln1.gamma()),
                     ln1_beta: row_vec(store, b.ln1.beta()),
-                    w_q: SiteWeight::Fp32(wq.clone()),
-                    w_kv: SiteWeight::Fp32(Matrix::hcat(&[wk, wv])),
+                    w_qkv: SiteWeight::Fp32(Matrix::hcat(&[wq, wk, wv])),
                     b_qkv,
                     w_out: SiteWeight::Fp32(store.value(b.wo.weight()).clone()),
                     b_out: row_vec(store, b.wo.bias()),
@@ -377,7 +342,7 @@ impl CompiledVit {
     pub(crate) fn sites(&self) -> impl Iterator<Item = &SiteWeight> {
         self.layers
             .iter()
-            .flat_map(|l| [&l.w_q, &l.w_kv, &l.w_out, &l.w_fc1, &l.w_fc2])
+            .flat_map(|l| [&l.w_qkv, &l.w_out, &l.w_fc1, &l.w_fc2])
     }
 
     /// Puts the model in the form an engine of `precision` reads, in
@@ -387,10 +352,7 @@ impl CompiledVit {
     /// most one site is ever held twice. Under int8 the matrices the
     /// forward still reads as fp32 — patch embedding, positional
     /// embedding, classifier and the AE mixers — are round-tripped
-    /// through quantization: the values an int8 artifact carries. A
-    /// layer's Q and KV sites are quantized with the one scale of the
-    /// `[Wq | Wk | Wv]` they were cut from, as an int8 artifact stores
-    /// them: a scale fitted per site would change the bits.
+    /// through quantization: the values an int8 artifact carries.
     pub(crate) fn lower(&mut self, precision: Precision) -> usize {
         let round_trip = |w: &mut Matrix| {
             if precision == Precision::Int8 {
@@ -406,10 +368,13 @@ impl CompiledVit {
                 let mixers = [&mut ae.enc_q, &mut ae.dec_q, &mut ae.enc_k, &mut ae.dec_k];
                 scalars += mixers.map(round_trip).iter().sum::<usize>();
             }
-            scalars += lower_sites(&mut [&mut l.w_q, &mut l.w_kv], precision)
-                + lower_sites(&mut [&mut l.w_out], precision)
-                + lower_sites(&mut [&mut l.w_fc1], precision)
-                + lower_sites(&mut [&mut l.w_fc2], precision);
+            for site in [&mut l.w_qkv, &mut l.w_out, &mut l.w_fc1, &mut l.w_fc2] {
+                // The assignment frees the form the site held.
+                if let Some(lowered) = site.lowered(precision) {
+                    *site = lowered;
+                }
+                scalars += site.len();
+            }
         }
         scalars
     }
@@ -438,10 +403,11 @@ mod tests {
     use crate::{load_compiled_vit, save_compiled_vit, Engine};
 
     /// A depth-2 model at the reduced training shape whose every
-    /// `[Wq | Wk | Wv]` has its Q half (`zero_q`) or its KV half all zero:
-    /// a scale fitted per site would read 1.0 on the zero half and
+    /// `[Wq | Wk | Wv]` has its Q columns (`zero_q`) or its KV columns all
+    /// zero, with each layer's `[Wq | Wk | Wv]` from the parameter store:
+    /// a scale fitted per window would read 1.0 on the zero window and
     /// something else on the other, where the fused tensor has one.
-    fn half_zero_model(zero_q: bool) -> CompiledVit {
+    fn half_zero_model(zero_q: bool) -> (CompiledVit, Vec<Matrix>) {
         let cfg = ViTConfig::deit_tiny().reduced_for_training();
         let mut store = ParamStore::new();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -458,48 +424,33 @@ mod tests {
                 *m = Matrix::zeros(m.rows(), m.cols());
             }
         }
-        CompiledVit::from_parts(&vit, &store)
-    }
-
-    fn fp32(site: &SiteWeight) -> &Matrix {
-        match site {
-            SiteWeight::Fp32(m) => m,
-            SiteWeight::Int8(_) => panic!("an fp32 site was expected"),
-        }
-    }
-
-    fn int8(site: &SiteWeight) -> QuantizedMatrix {
-        match site {
-            SiteWeight::Int8(p) => p.to_quantized(),
-            SiteWeight::Fp32(_) => panic!("a packed site was expected"),
-        }
+        let fused = (0..cfg.depth)
+            .map(|l| {
+                let b = vit.block_modules(l);
+                Matrix::hcat(&[b.wq, b.wk, b.wv].map(|p| store.value(p.weight())))
+            })
+            .collect();
+        (CompiledVit::from_parts(&vit, &store), fused)
     }
 
     #[test]
     fn q_and_kv_sites_keep_the_scale_and_codes_of_the_fused_tensor() {
         for zero_q in [true, false] {
-            let model = half_zero_model(zero_q);
-            let dim = model.cfg.dim;
+            let (model, fused) = half_zero_model(zero_q);
             let engine = Engine::builder(model.clone())
                 .precision(Precision::Int8)
                 .build();
             let built = engine.compiled();
-            for (l, (before, after)) in model.layers.iter().zip(&built.layers).enumerate() {
-                let fused = QuantizedMatrix::quantize(&Matrix::hcat(&[
-                    fp32(&before.w_q),
-                    fp32(&before.w_kv),
-                ]));
-                for (site, cols) in [(&after.w_q, 0..dim), (&after.w_kv, dim..3 * dim)] {
-                    let q = int8(site);
-                    assert_eq!(q.params(), fused.params(), "zero_q {zero_q}, layer {l}");
-                    for r in 0..dim {
-                        assert_eq!(q.row_raw(r), &fused.row_raw(r)[cols.clone()]);
-                    }
-                }
+            for (l, (layer, fused)) in built.layers.iter().zip(&fused).enumerate() {
+                let SiteWeight::Int8(packed) = &layer.w_qkv else {
+                    panic!("layer {l}: a packed QKV site was expected");
+                };
+                let want = QuantizedMatrix::quantize(fused);
+                assert_eq!(packed.to_quantized(), want, "zero_q {zero_q}, layer {l}");
             }
 
             // The writer quantizes fp32 sites to the bytes the build packs,
-            // and the load cuts them back into the same two sites.
+            // and the load packs them back into the same site.
             let text = save_compiled_vit(built, Precision::Int8);
             assert!(save_compiled_vit(&model, Precision::Int8) == text);
             let (loaded, precision) = load_compiled_vit(&text).unwrap();
@@ -509,7 +460,7 @@ mod tests {
             assert!(reloaded.compiled() == built);
 
             // One byte per weight-matrix scalar, fewer resident bytes than
-            // fp32 — the int8 engine's contracts, unchanged by the cut.
+            // fp32 — the int8 engine's contracts.
             let scalars = model.num_weight_scalars();
             let vectors = model.weigh(|_| 0, 1)
                 - model.patch_w.len()

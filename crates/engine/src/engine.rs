@@ -7,7 +7,7 @@ use std::time::Instant;
 use vitcod_autograd::LAYERNORM_EPS;
 use vitcod_model::Sample;
 use vitcod_tensor::sparse;
-use vitcod_tensor::{argmax, gelu, int8_gemm, kernels, Matrix, QuantizedRows};
+use vitcod_tensor::{argmax, gelu, int8_gemm, int8_gemm_window, kernels, Matrix, QuantizedRows};
 
 use crate::compiled::{CompiledLayer, CompiledVit, HeadPlan, SiteWeight};
 use crate::profile::{
@@ -27,13 +27,14 @@ pub enum Precision {
     #[default]
     Fp32,
     /// 8-bit weights, 8-bit projection GEMMs and 8-bit attention
-    /// scores. The five projection sites of a layer — Q, fused KV,
+    /// scores. The four projection sites of a layer — fused QKV,
     /// attention output, both MLP matrices — are quantized per tensor,
     /// packed for the i8×i8→i32 GEMM ([`vitcod_tensor::int8_gemm`]) and
     /// held **only** packed (2 B per weight resident; the fp32 matrix
-    /// is freed at build or never made at load). Q and KV share one
-    /// scale, the one fitted over the `[Wq | Wk | Wv]` they were cut
-    /// from, so their codes are that tensor's. The matrices the
+    /// is freed at build or never made at load). Q and KV are two
+    /// column windows of the one packed `[Wq | Wk | Wv]`
+    /// ([`vitcod_tensor::int8_gemm_window`]), so they read its one
+    /// scale and its codes. The matrices the
     /// forward still reads as fp32 — patch embedding, positional
     /// embedding, classifier, AE mixers — are round-tripped through
     /// the same quantization at build time: the values an int8
@@ -122,7 +123,7 @@ impl EngineBuilder {
 /// A compile-once / serve-many inference engine.
 ///
 /// The engine owns an immutable [`CompiledVit`] and runs a tape-free
-/// forward: no gradient bookkeeping, fused KV projections, and sparse
+/// forward: no gradient bookkeeping, fused QKV weights, and sparse
 /// heads executed through the real SDDMM → sparse-softmax → SpMM
 /// dataflow over their pre-compiled CSC indexes (not dense `-inf`
 /// masking). [`Engine::infer_batch`] fans samples across worker
@@ -318,10 +319,11 @@ impl Engine {
         for (i, layer) in self.model.layers.iter().enumerate() {
             let (rows, q_rows) = query_rows(layer, i + 1 == depth, n);
             let normed = kernels::layernorm_rows(&x, &layer.ln1_gamma, &layer.ln1_beta, LN_EPS);
-            // Q over the query rows, then fused KV, one dim × 2·dim GEMM,
-            // over every token; each column accumulates in the same order
-            // as its own projection would, so the split and the fusion
-            // change layout, not numerics. The AE round trip feeds
+            // Q over the query rows, then KV, one dim × 2·dim GEMM, over
+            // every token: two column windows of the one QKV weight. Each
+            // column accumulates in the same order as its own projection
+            // would, so the windows and the fusion change layout, not
+            // numerics. The AE round trip feeds
             // directly into attention from the projections, so it is
             // charged to `qkv`; its heads × heads mixers are tiny and stay
             // fp32, like the paper's AE decoder.
@@ -395,25 +397,31 @@ fn project(x: &Matrix, w: &SiteWeight, bias: &[f32]) -> Matrix {
     }
 }
 
-/// A layer's `(Q, KV)` projections of `x`: Q over its first `q_rows`
-/// rows, KV over all of them. An int8 layer quantizes `x` once for both
-/// GEMMs; a Q cut to fewer rows quantizes those rows on their own, to the
-/// same codes, since every row has its own scale.
+/// A layer's `(Q, KV)` projections of `x`, the two column windows of its
+/// QKV site: Q over the first `q_rows` rows, KV over all of them. An int8
+/// layer quantizes `x` once for both GEMMs; a Q cut to fewer rows
+/// quantizes those rows on their own, to the same codes, since every row
+/// has its own scale.
 fn project_qkv(x: &Matrix, q_rows: usize, layer: &CompiledLayer) -> (Matrix, Matrix) {
-    let (b_q, b_kv) = layer.b_qkv.split_at(x.cols());
-    let cut = (q_rows < x.rows()).then(|| x.submatrix(0, q_rows, 0, x.cols()));
-    match (&layer.w_q, &layer.w_kv) {
-        (SiteWeight::Int8(w_q), SiteWeight::Int8(w_kv)) => {
+    let dim = x.cols();
+    let (q_cols, kv_cols) = (0..dim, dim..3 * dim);
+    let (b_q, b_kv) = layer.b_qkv.split_at(dim);
+    let cut = (q_rows < x.rows()).then(|| x.submatrix(0, q_rows, 0, dim));
+    match &layer.w_qkv {
+        SiteWeight::Int8(w) => {
             let x8 = QuantizedRows::quantize(x);
-            let q = match &cut {
-                Some(rows) => int8_gemm(&QuantizedRows::quantize(rows), w_q, b_q),
-                None => int8_gemm(&x8, w_q, b_q),
-            };
-            (q, int8_gemm(&x8, w_kv, b_kv))
+            let cut8 = cut.map(|rows| QuantizedRows::quantize(&rows));
+            (
+                int8_gemm_window(cut8.as_ref().unwrap_or(&x8), w, b_q, q_cols),
+                int8_gemm_window(&x8, w, b_kv, kv_cols),
+            )
         }
-        (w_q, w_kv) => (
-            project(cut.as_ref().unwrap_or(x), w_q, b_q),
-            project(x, w_kv, b_kv),
+        SiteWeight::Fp32(w) => (
+            kernels::add_bias(
+                &kernels::matmul_window(cut.as_ref().unwrap_or(x), w, q_cols),
+                b_q,
+            ),
+            kernels::add_bias(&kernels::matmul_window(x, w, kv_cols), b_kv),
         ),
     }
 }

@@ -8,9 +8,10 @@
 //! engine** that serves it.
 //!
 //! * [`CompiledVit`] — weights frozen out of a trained
-//!   [`vitcod_model::Trainer`] into inference layout (per layer a Q
-//!   projection and a fused KV projection, so the last layer can project
-//!   Q for the class token alone) plus one [`HeadPlan`] per attention
+//!   [`vitcod_model::Trainer`] into inference layout (per layer one fused
+//!   `[Wq | Wk | Wv]` projection, read as a Q window and a KV window so
+//!   the last layer can project Q for the class token alone) plus one
+//!   [`HeadPlan`] per attention
 //!   head: dense, or a pre-compiled CSC index for the accelerator's
 //!   sparse dataflow.
 //!   [`CompiledVit::from_parts`] is the one compile seam: after a

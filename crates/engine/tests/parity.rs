@@ -95,51 +95,67 @@ fn fp32_dense_logits_bit_identical_to_tape() {
     }
 }
 
-/// One token: the class token is every row, so the last layer projects Q
-/// over all `n` rows, as the others do. The dense fp32 engine still
-/// equals the tape bit for bit, and an int8 save → load keeps the
-/// logits' bits.
+/// Two shapes the reduced training model does not reach. One token: the
+/// class token is every row, so the last layer projects Q over all `n`
+/// rows, as the others do. 17 tokens at dim 12 (3 heads of 4) over two
+/// layers: the Q | KV boundary of `[Wq | Wk | Wv]` falls at column 12,
+/// inside an 8-lane int8 panel and a fp32 register panel, in a layer
+/// that projects Q over every row and in a last layer that projects it
+/// over one. In each, the dense fp32 engine equals the tape bit for bit,
+/// an int8 save → load keeps the logits' bits, and both precisions give
+/// the same bits at thread budgets 1 and 4.
 #[test]
 fn one_token_model_matches_the_tape_and_keeps_its_bits_through_int8_save_load() {
     let base = ViTConfig::deit_tiny().reduced_for_training();
-    let cfg = ViTConfig {
-        tokens: 1,
-        depth: 1,
-        stages: vec![StageConfig {
-            tokens: 1,
-            depth: 1,
-            ..base.stages[0]
-        }],
-        ..base
-    };
-    let mut store = ParamStore::new();
-    let vit = VisionTransformer::new(
-        &cfg,
-        IN_DIM,
-        CLASSES,
-        &mut store,
-        &mut ChaCha8Rng::seed_from_u64(16),
-    );
-    let compiled = CompiledVit::from_parts(&vit, &store);
-    let fp32 = Engine::builder(compiled.clone()).build();
-    let int8 = Engine::builder(compiled).precision(Precision::Int8).build();
-    let (loaded, precision) =
-        load_compiled_vit(&save_compiled_vit(int8.compiled(), Precision::Int8)).unwrap();
-    assert_eq!(precision, Precision::Int8);
-    let reloaded = Engine::builder(loaded).precision(precision).build();
-    for seed in 0..4 {
-        let tokens = random_tokens(&vit, 1600 + seed);
-        assert_eq!(tokens.shape(), (1, IN_DIM));
-        assert_eq!(
-            fp32.infer_one(&tokens).logits,
-            tape_logits(&vit, &store, &tokens),
-            "seed {seed}"
+    for (tokens, dim, heads, depth) in [(1, base.dim, base.heads, 1), (17, 12, 3, 2)] {
+        let cfg = ViTConfig {
+            tokens,
+            dim,
+            heads,
+            depth,
+            stages: vec![StageConfig {
+                tokens,
+                dim,
+                heads,
+                depth,
+            }],
+            ..base.clone()
+        };
+        let case = format!("{tokens} tokens, dim {dim}, {heads} heads, depth {depth}");
+        let mut store = ParamStore::new();
+        let vit = VisionTransformer::new(
+            &cfg,
+            IN_DIM,
+            CLASSES,
+            &mut store,
+            &mut ChaCha8Rng::seed_from_u64(16),
         );
-        assert_eq!(
-            logit_bits(&reloaded.infer_one(&tokens)),
-            logit_bits(&int8.infer_one(&tokens)),
-            "seed {seed}"
-        );
+        let compiled = CompiledVit::from_parts(&vit, &store);
+        let fp32 = Engine::builder(compiled.clone()).build();
+        let int8 = Engine::builder(compiled).precision(Precision::Int8).build();
+        let (loaded, precision) =
+            load_compiled_vit(&save_compiled_vit(int8.compiled(), Precision::Int8)).unwrap();
+        assert_eq!(precision, Precision::Int8);
+        let reloaded = Engine::builder(loaded).precision(precision).build();
+        for seed in 0..4 {
+            let tokens = random_tokens(&vit, 1600 + seed);
+            assert_eq!(
+                fp32.infer_one(&tokens).logits,
+                tape_logits(&vit, &store, &tokens),
+                "{case}, seed {seed}"
+            );
+            assert_eq!(
+                logit_bits(&reloaded.infer_one(&tokens)),
+                logit_bits(&int8.infer_one(&tokens)),
+                "{case}, seed {seed}"
+            );
+            for engine in [&fp32, &int8] {
+                let at = |budget| {
+                    kernels::with_thread_budget(budget, || logit_bits(&engine.infer_one(&tokens)))
+                };
+                assert_eq!(at(1), at(4), "{case}, {}, seed {seed}", engine.precision());
+            }
+        }
     }
 }
 

@@ -16,9 +16,10 @@
 //! vectors, 4 × 8 at 128 bits; fixed at compile time, see
 //! `VECTOR_BYTES`) is held in register accumulators across each
 //! `K_BLOCK`-step stretch of the reduction while one packed panel of `b`
-//! streams past a block of `a` rows. Calls with fewer than `MR` output
-//! rows (the classifier head) skip the packing and run a row-axpy; that
-//! choice depends on the shape alone. Plain safe Rust the compiler
+//! streams past a block of `a` rows. [`matmul_window`] runs the same GEMM
+//! over a window of `b`'s columns, read where they lie. Calls with fewer
+//! than `MR` output rows (the classifier head) skip the packing and run a
+//! row-axpy; that choice depends on the shape alone. Plain safe Rust the compiler
 //! autovectorizes — no intrinsics, no `unsafe`, no FMA.
 //!
 //! The textbook loops they are audited against live on as named test
@@ -382,14 +383,26 @@ pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(
 // GEMM flavours
 // ---------------------------------------------------------------------------
 
-/// Matrix product `a · b`.
+/// Matrix product `a · b`: [`matmul_window`] over every column of `b`.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    matmul_window(a, b, 0..b.cols())
+}
+
+/// Columns `cols` of the matrix product `a · b`, read from `b` where they
+/// lie: bit for bit those columns of [`matmul`]`(a, b)`, since each output
+/// is the same ascending-`k` chain whichever window holds it. This is how
+/// Q and KV are two windows over one `[Wq | Wk | Wv]`.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()` or `cols` reaches past `b.cols()`.
+pub fn matmul_window(a: &Matrix, b: &Matrix, cols: Range<usize>) -> Matrix {
     assert_inner("matmul", a.cols(), b.rows(), a, b);
-    fast_gemm(Operand::rows(a), Operand::cols(b))
+    fast_gemm(Operand::rows(a), Operand::cols(b, cols))
 }
 
 /// Matrix product with a transposed right-hand side, `a · bᵀ`. This is
@@ -412,7 +425,7 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
 /// Panics if `a.rows() != b.rows()`.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     assert_inner("matmul_tn", a.rows(), b.rows(), a, b);
-    fast_gemm(Operand::cols(a), Operand::cols(b))
+    fast_gemm(Operand::cols(a, 0..a.cols()), Operand::cols(b, 0..b.cols()))
 }
 
 fn assert_inner(op: &str, a_inner: usize, b_inner: usize, a: &Matrix, b: &Matrix) {
@@ -528,11 +541,24 @@ impl<'a> Operand<'a> {
         }
     }
 
-    /// The columns of `m` are the lanes: `b` in `a·b`, `a` in `aᵀ·b`.
-    fn cols(m: &'a Matrix) -> Self {
+    /// The columns `window` of `m` are the lanes: `b` in `a·b`, `a` in
+    /// `aᵀ·b`. The data starts at the window's first column, and a `k`
+    /// step still strides over a whole row of `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches past `m.cols()`.
+    fn cols(m: &'a Matrix, window: Range<usize>) -> Self {
+        assert!(
+            window.start <= window.end && window.end <= m.cols(),
+            "column window {window:?} out of bounds for {} columns",
+            m.cols()
+        );
         Operand {
-            data: m.as_slice(),
-            lanes: m.cols(),
+            // A matrix with no rows has no data to offset into; the GEMM
+            // reads none of it.
+            data: m.as_slice().get(window.start..).unwrap_or_default(),
+            lanes: window.len(),
             depth: m.rows(),
             lane_stride: 1,
             step_stride: m.cols(),

@@ -49,8 +49,8 @@ pub use init::{Initializer, SeedableRngExt};
 pub use matrix::Matrix;
 pub use ops::{gelu, gelu_grad, softmax_row};
 pub use quant::{
-    int8_gemm, int8_gemm_reference, PackedGemmWeights, QuantParams, QuantizedMatrix, QuantizedRows,
-    MAX_INT8_GEMM_K,
+    int8_gemm, int8_gemm_reference, int8_gemm_window, PackedGemmWeights, QuantParams,
+    QuantizedMatrix, QuantizedRows, MAX_INT8_GEMM_K,
 };
 pub use sparse::{CscMatrix, SparseScores};
 pub use stats::argmax;

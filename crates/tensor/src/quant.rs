@@ -20,10 +20,15 @@
 //! i8×i8→i32 register-tile GEMM over [`PackedGemmWeights`] (weights
 //! re-laid out at compile time into interleaved `k`-pair lane panels,
 //! the operand shape of the paired i16 multiply–accumulate instruction)
-//! with a fused dequantize-and-bias epilogue. Integer
+//! with a fused dequantize-and-bias epilogue. [`int8_gemm_window`] runs
+//! it over a column window of the packed weight: a layer's Q and KV are
+//! two windows over its one `[Wq | Wk | Wv]`, under that tensor's one
+//! scale, so one weight tensor is one scale everywhere. Integer
 //! accumulation is exact in any order, so it and its naive test oracle,
 //! [`int8_gemm_reference`], produce bit-identical results from identical
-//! operands.
+//! operands, window by window.
+
+use std::ops::Range;
 
 use crate::kernels::{self, F32_PER_VECTOR, LANES, MR, VECTOR_BYTES, VECTOR_REGISTERS};
 use crate::Matrix;
@@ -41,17 +46,7 @@ impl QuantParams {
     /// Returns a scale of `1.0` for an all-zero tensor so quantization
     /// stays invertible.
     pub fn fit(m: &Matrix) -> Self {
-        Self::fit_all(&[m])
-    }
-
-    /// [`QuantParams::fit`] over the values of every part at once: the
-    /// scale of the tensor the parts would make side by side, so parts
-    /// quantized with it hold that tensor's codes.
-    pub fn fit_all(parts: &[&Matrix]) -> Self {
-        let max = parts
-            .iter()
-            .flat_map(|m| m.as_slice())
-            .fold(0.0f32, |a, &v| a.max(v.abs()));
+        let max = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         Self {
             scale: if max == 0.0 { 1.0 } else { max / 127.0 },
         }
@@ -361,7 +356,6 @@ pub struct PackedGemmWeights {
     n: usize,
     /// `k.div_ceil(2)`: interleaved pair count per panel.
     kp: usize,
-    panels: usize,
     scale: f32,
     data: Vec<i16>,
 }
@@ -383,24 +377,7 @@ impl PackedGemmWeights {
     ///
     /// Panics if `k` exceeds [`MAX_INT8_GEMM_K`].
     pub fn from_quantized(w: &QuantizedMatrix) -> Self {
-        Self::from_quantized_columns(w, 0..w.cols)
-    }
-
-    /// Packs the column window `cols` of an already-quantized weight, its
-    /// bytes and scale verbatim: how one quantized tensor is cut into
-    /// sites that keep its one scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` exceeds [`MAX_INT8_GEMM_K`] or the window exceeds
-    /// the weight's columns.
-    pub fn from_quantized_columns(w: &QuantizedMatrix, cols: std::ops::Range<usize>) -> Self {
-        let k = w.rows;
-        assert!(
-            cols.start <= cols.end && cols.end <= w.cols,
-            "column window {cols:?} out of bounds"
-        );
-        let n = cols.len();
+        let (k, n) = (w.rows, w.cols);
         assert!(
             k <= MAX_INT8_GEMM_K,
             "k={k} could overflow i32 accumulation"
@@ -416,9 +393,9 @@ impl PackedGemmWeights {
                         continue;
                     }
                     let base = ((p * kp + pair) * LANES + l) * 2;
-                    data[base] = w.get_raw(2 * pair, cols.start + j) as i16;
+                    data[base] = w.get_raw(2 * pair, j) as i16;
                     if 2 * pair + 1 < k {
-                        data[base + 1] = w.get_raw(2 * pair + 1, cols.start + j) as i16;
+                        data[base + 1] = w.get_raw(2 * pair + 1, j) as i16;
                     }
                 }
             }
@@ -427,7 +404,6 @@ impl PackedGemmWeights {
             k,
             n,
             kp,
-            panels,
             scale: w.params().scale,
             data,
         }
@@ -470,7 +446,8 @@ impl PackedGemmWeights {
 /// Int8 projection GEMM: `dequant(a · w) + bias` with i8-precision
 /// operands, i32 accumulation and a fused epilogue
 /// `out[i][j] = acc · (a.scale(i) · w.scale()) + bias[j]`, run as the
-/// register-tile pair kernel, row-parallel across threads.
+/// register-tile pair kernel, row-parallel across threads:
+/// [`int8_gemm_window`] over every column of `w`.
 ///
 /// Bit-identical to [`int8_gemm_reference`] by construction: integer
 /// accumulation is order-exact and the epilogue expression is shared.
@@ -479,35 +456,64 @@ impl PackedGemmWeights {
 ///
 /// Panics if `a.cols() != w.k` or `bias.len() != w.n`.
 pub fn int8_gemm(a: &QuantizedRows, w: &PackedGemmWeights, bias: &[f32]) -> Matrix {
-    let (m, k, n) = int8_gemm_shape(a, w, bias);
+    int8_gemm_window(a, w, bias, 0..w.n)
+}
+
+/// Columns `cols` of the int8 projection GEMM, `bias` being the window's
+/// own (`bias[j]` is added to output column `j`, weight column
+/// `cols.start + j`). Only the weight panels that cover the window are
+/// walked and only the window's lanes are stored, so a window whose ends
+/// fall inside a [`LANES`] panel works, and the result is bit for bit
+/// those columns of [`int8_gemm`] under the same per-column bias. This is
+/// how Q and KV are two windows over one packed `[Wq | Wk | Wv]`.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != w.k`, `cols` reaches past `w.n`, or
+/// `bias.len() != cols.len()`.
+pub fn int8_gemm_window(
+    a: &QuantizedRows,
+    w: &PackedGemmWeights,
+    bias: &[f32],
+    cols: Range<usize>,
+) -> Matrix {
+    let (m, k, n) = int8_gemm_shape(a, w, bias, &cols);
     let mut out = Matrix::zeros(m, n);
     if m == 0 || n == 0 {
         return out;
     }
     kernels::for_each_row_chunk_weighted(out.as_mut_slice(), n, k * n, |first_row, chunk| {
-        int8_gemm_panels(a, w, bias, chunk, first_row)
+        int8_gemm_panels(a, w, bias, cols.clone(), chunk, first_row)
     });
     out
 }
 
-/// `(m, k, n)` of an int8 GEMM, after the checks it and its oracle share.
+/// `(m, k, n)` of an int8 GEMM over the column window `cols`, after the
+/// checks it and its oracle share.
 fn int8_gemm_shape(
     a: &QuantizedRows,
     w: &PackedGemmWeights,
     bias: &[f32],
+    cols: &Range<usize>,
 ) -> (usize, usize, usize) {
     let (m, k) = a.shape();
     assert_eq!(k, w.k, "int8_gemm inner dimensions differ");
-    assert_eq!(bias.len(), w.n, "bias length mismatch");
-    (m, k, w.n)
+    assert!(
+        cols.start <= cols.end && cols.end <= w.n,
+        "int8_gemm column window {cols:?} out of bounds for {} columns",
+        w.n
+    );
+    assert_eq!(bias.len(), cols.len(), "bias length mismatch");
+    (m, k, cols.len())
 }
 
 /// The test oracle of [`int8_gemm`]: per-element dot products read
 /// straight through the packed layout, on the calling thread. Nothing on
 /// a serving path calls it; the agreement suites and the kernel bench
-/// check the fast kernel against it. Same signature and panics.
+/// check the fast kernel, and each of its windows, against it. Same
+/// signature and panics.
 pub fn int8_gemm_reference(a: &QuantizedRows, w: &PackedGemmWeights, bias: &[f32]) -> Matrix {
-    let (m, k, n) = int8_gemm_shape(a, w, bias);
+    let (m, k, n) = int8_gemm_shape(a, w, bias, &(0..w.n));
     let mut out = Matrix::zeros(m, n);
     let chunk = out.as_mut_slice();
     for i in 0..m {
@@ -552,25 +558,28 @@ const _: () = assert!(LANES.is_multiple_of(PAIR_REP / 2));
 const _: () =
     assert!(MR * LANES / F32_PER_VECTOR + 4 * LANES / VECTOR_BYTES + 2 <= VECTOR_REGISTERS);
 
-/// Fast arm of [`int8_gemm`]. Per [`MR`]-row block, `k` is walked one
-/// [`PAIR_BLOCK`] of pairs at a time: the block's activation pairs are
-/// packed, every weight panel meets them in [`int8_tile`] (so each packed
-/// weight step is read once per `MR` rows), and each panel's block sum is
-/// added into an `MR × LANES` `i32` total per panel. After the last block
-/// the dequantize-and-bias epilogue runs once per panel. Rows past a
+/// Fast arm of [`int8_gemm_window`]. Per [`MR`]-row block, `k` is walked
+/// one [`PAIR_BLOCK`] of pairs at a time: the block's activation pairs are
+/// packed, every weight panel that covers the window `cols` meets them in
+/// [`int8_tile`] (so each packed weight step is read once per `MR` rows),
+/// and each panel's block sum is added into an `MR × LANES` `i32` total
+/// per panel. After the last block the dequantize-and-bias epilogue runs
+/// once per panel, over the panel's lanes inside the window. Rows past a
 /// ragged edge are packed as zeros and their totals dropped: there is one
 /// instantiation of the tile.
 fn int8_gemm_panels(
     a: &QuantizedRows,
     w: &PackedGemmWeights,
     bias: &[f32],
+    cols: Range<usize>,
     chunk: &mut [f32],
     first_row: usize,
 ) {
-    let (n, kp) = (w.n, w.kp);
+    let (n, kp) = (cols.len(), w.kp);
     let panel_len = kp * 2 * LANES;
+    let panels = cols.start / LANES..cols.end.div_ceil(LANES);
     let mut a_pack = vec![0i16; PAIR_BLOCK.min(kp) * MR * PAIR_REP];
-    let mut totals = vec![[[0i32; LANES]; MR]; w.panels];
+    let mut totals = vec![[[0i32; LANES]; MR]; panels.len()];
     for (bi, out_rows) in chunk.chunks_mut(MR * n).enumerate() {
         let row0 = first_row + bi * MR;
         let rows = out_rows.len() / n;
@@ -594,16 +603,20 @@ fn int8_gemm_panels(
                 }
             }
             let block = &*block;
-            for (p, total) in totals.iter_mut().enumerate() {
+            for (p, total) in panels.clone().zip(totals.iter_mut()) {
                 let w0 = p * panel_len + k0 * 2 * LANES;
                 int8_tile(block, &w.data[w0..w0 + pairs * 2 * LANES], total);
             }
         }
-        for ((p, bp), acc) in bias.chunks(LANES).enumerate().zip(&totals) {
-            let j0 = p * LANES;
+        for (p, acc) in panels.clone().zip(&totals) {
+            // The panel's weight columns inside the window, as lanes of the
+            // panel and as output columns.
+            let lanes = (p * LANES).max(cols.start)..((p + 1) * LANES).min(cols.end);
+            let (l0, j0) = (lanes.start - p * LANES, lanes.start - cols.start);
+            let bias = &bias[j0..j0 + lanes.len()];
             for (r, orow) in out_rows.chunks_exact_mut(n).enumerate() {
                 let factor = a.row_scale(row0 + r) * w.scale;
-                for ((o, &v), &b) in orow[j0..].iter_mut().zip(&acc[r]).zip(bp) {
+                for ((o, &v), &b) in orow[j0..].iter_mut().zip(&acc[r][l0..]).zip(bias) {
                     *o = v as f32 * factor + b;
                 }
             }

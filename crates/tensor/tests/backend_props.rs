@@ -5,7 +5,8 @@
 //! training step runs — the production GEMM must produce results
 //! identical to its named oracle in [`kernels::reference`] (both preserve
 //! the floating-point reduction order and skip no term, so agreement is
-//! exact, well inside the documented 1e-5 budget); and the row-wise
+//! exact, well inside the documented 1e-5 budget), and every column
+//! window of `matmul` must equal those columns of both; and the row-wise
 //! kernels must return the same bits whether one worker or four share
 //! their rows.
 // Agreement is a *bit-identical* contract (see ROADMAP): strict float
@@ -13,7 +14,9 @@
 #![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
-use vitcod_tensor::kernels::{self, matmul, matmul_nt, matmul_tn, reference};
+use std::ops::Range;
+
+use vitcod_tensor::kernels::{self, matmul, matmul_nt, matmul_tn, matmul_window, reference};
 use vitcod_tensor::{gelu, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -167,12 +170,30 @@ fn same_bits(a: &Matrix, b: &Matrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
+/// Column windows of an `n`-column product: the whole, an empty one, and
+/// windows whose ends fall inside a panel at either target width (8 wide
+/// at 128 bits, 16 at 256) and of the int8 GEMM's 8 lanes — the Q | KV
+/// boundary of a `[Wq | Wk | Wv]` at a third of the width among them.
+fn windows(n: usize) -> Vec<Range<usize>> {
+    let mut windows = vec![0..n, n / 2..n / 2, 0..n / 3, n / 3..n];
+    if n >= 5 {
+        windows.extend([1..n - 1, 3..n - 2]);
+    }
+    windows
+}
+
+/// The columns `cols` of `m`.
+fn columns(m: &Matrix, cols: Range<usize>) -> Matrix {
+    m.submatrix(0, m.rows(), cols.start, cols.end)
+}
+
 /// Every flavour at every tile edge: m around the 4-row tile and below it
 /// (the axpy path), n around the panel at either target width (8 wide at
 /// 128 bits, 16 at 256) and its double, k around a cache line, one
 /// past the GEMM's 128-step `k` block and at DeiT's widest, each empty
 /// once — on one worker and on four, where 197 rows split into chunks of
-/// 50, not a multiple of the tile height.
+/// 50, not a multiple of the tile height. Each of `matmul`'s [`windows`]
+/// equals those columns of the full product and of the oracle.
 #[test]
 fn gemms_match_their_oracles_at_every_tile_edge_on_non_finite_data() {
     for m in [0, 1, 3, 4, 5, 197] {
@@ -196,6 +217,17 @@ fn gemms_match_their_oracles_at_every_tile_edge_on_non_finite_data() {
                     });
                     for (flavour, (g, w)) in ["nn", "nt", "tn"].iter().zip(got.iter().zip(&want)) {
                         assert!(same_bits(g, w), "{flavour} ({m},{k},{n}) x{budget} threads");
+                    }
+                    for cols in windows(n) {
+                        let window = kernels::with_thread_budget(budget, || {
+                            matmul_window(&a, &b, cols.clone())
+                        });
+                        let case = format!("nn ({m},{k},{n}) window {cols:?} x{budget} threads");
+                        assert!(
+                            same_bits(&window, &columns(&got[0], cols.clone())),
+                            "{case}"
+                        );
+                        assert!(same_bits(&window, &columns(&want[0], cols)), "{case}");
                     }
                 }
             }
@@ -239,4 +271,13 @@ fn gemms_match_their_oracles_at_deit_tiny_shapes() {
         };
         assert!(same_bits(&got, &want), "{name} {flavour} ({m},{k},{n})");
     }
+}
+
+/// A window reaching past the last column is refused by name, never read
+/// from the next row.
+#[test]
+#[should_panic(expected = "column window 3..10 out of bounds for 9 columns")]
+fn matmul_window_past_the_last_column_panics() {
+    let (a, b) = (Matrix::zeros(4, 5), Matrix::zeros(5, 9));
+    matmul_window(&a, &b, 3..10);
 }

@@ -7,17 +7,20 @@
 //! overflow at the documented worst-case reduction depth, and a sweep of
 //! every tile edge of the GEMM, and of every projection shape a DeiT-Tiny
 //! runs, against its oracle [`int8_gemm_reference`], bit for bit, at the
-//! operand values that stress an accumulator most.
+//! operand values that stress an accumulator most, column window by
+//! column window ([`int8_gemm_window`]).
 // Agreement is a *bit-identical* contract (see ROADMAP): strict float
 // comparison is the assertion these suites exist to make.
 #![allow(clippy::float_cmp)]
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 use vitcod_tensor::kernels;
 use vitcod_tensor::sparse::{sddmm_k_stationary, sddmm_k_stationary_int8_rows, CscMatrix};
 use vitcod_tensor::{
-    int8_gemm, int8_gemm_reference, Initializer, Matrix, PackedGemmWeights, QuantParams,
-    QuantizedMatrix, QuantizedRows, MAX_INT8_GEMM_K,
+    int8_gemm, int8_gemm_reference, int8_gemm_window, Initializer, Matrix, PackedGemmWeights,
+    QuantParams, QuantizedMatrix, QuantizedRows, MAX_INT8_GEMM_K,
 };
 
 fn random(rows: usize, cols: usize, std: f32, seed: u64) -> Matrix {
@@ -241,6 +244,26 @@ fn filled_weights(k: usize, n: usize, col: impl Fn(usize) -> i8) -> QuantizedMat
     QuantizedMatrix::from_raw(k, n, data, QuantParams { scale: 0.013 })
 }
 
+/// Column windows of an `n`-column product: the whole, an empty one, and
+/// windows whose ends fall inside an 8-lane panel — the Q | KV boundary
+/// of a `[Wq | Wk | Wv]` at a third of the width among them.
+fn windows(n: usize) -> Vec<Range<usize>> {
+    let mut windows = vec![0..n, n / 2..n / 2, 0..n / 3, n / 3..n];
+    if n >= 5 {
+        windows.extend([1..n - 1, 3..n - 2]);
+    }
+    windows
+}
+
+/// Equal bit for bit.
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// [`int8_gemm`] ≡ [`int8_gemm_reference`] at every edge of the int8 tile:
 /// m around the 4-row block, n around one, two and four 8-wide panels, k
 /// around the pair (odd `k` is zero-padded), around the 256-pair block the
@@ -250,7 +273,9 @@ fn filled_weights(k: usize, n: usize, col: impl Fn(usize) -> i8) -> QuantizedMat
 /// operand sets: random; saturated ±127 with the sign set per row and per
 /// column, so every output is a full-magnitude sum of either sign; and raw
 /// −128 weights, the largest products there are. Those are the values at
-/// which an accumulator that was not exact would first differ.
+/// which an accumulator that was not exact would first differ. Each of
+/// [`int8_gemm_window`]'s [`windows`], under the window's bias, equals
+/// those columns of the full product and of the oracle.
 #[test]
 fn int8_gemm_matches_its_oracle_at_every_tile_edge_on_saturated_data() {
     let sign = |i: usize| [1i8, -1][i % 2];
@@ -280,13 +305,21 @@ fn int8_gemm_matches_its_oracle_at_every_tile_edge_on_saturated_data() {
                     for budget in [1, 4] {
                         let got =
                             kernels::with_thread_budget(budget, || int8_gemm(&a8, &w8, &bias));
-                        assert_eq!(got.shape(), want.shape());
-                        let same = got
-                            .as_slice()
-                            .iter()
-                            .zip(want.as_slice())
-                            .all(|(g, w)| g.to_bits() == w.to_bits());
-                        assert!(same, "{data} ({m},{k},{n}) x{budget} threads");
+                        assert!(
+                            same_bits(&got, &want),
+                            "{data} ({m},{k},{n}) x{budget} threads"
+                        );
+                        for cols in windows(n) {
+                            let window = kernels::with_thread_budget(budget, || {
+                                int8_gemm_window(&a8, &w8, &bias[cols.clone()], cols.clone())
+                            });
+                            let columns =
+                                |full: &Matrix| full.submatrix(0, m, cols.start, cols.end);
+                            let case =
+                                format!("{data} ({m},{k},{n}) window {cols:?} x{budget} threads");
+                            assert!(same_bits(&window, &columns(&got)), "{case}");
+                            assert!(same_bits(&window, &columns(&want)), "{case}");
+                        }
                     }
                 }
             }
@@ -318,4 +351,13 @@ fn int8_gemm_matches_its_oracle_at_deit_tiny_shapes() {
             "{name} ({m},{k},{n})"
         );
     }
+}
+
+/// A window reaching past the last weight column is refused by name.
+#[test]
+#[should_panic(expected = "int8_gemm column window 3..10 out of bounds for 9 columns")]
+fn int8_gemm_window_past_the_last_column_panics() {
+    let a8 = QuantizedRows::quantize(&random(4, 5, 1.0, 1));
+    let w8 = PackedGemmWeights::pack(&random(5, 9, 1.0, 2));
+    int8_gemm_window(&a8, &w8, &[0.0; 7], 3..10);
 }
