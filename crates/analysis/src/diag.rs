@@ -194,8 +194,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              except the condvar handoff where the guard itself is an argument; (b) cycles\n\
              in the inter-lock order graph (lock B acquired while holding A adds edge\n\
              A->B; any cycle is a potential deadlock). The analysis is intra-procedural:\n\
-             helpers that block internally (`next_batch`, `wait_until`) are listed\n\
-             explicitly. Run with --lock-graph to print the graph."
+             a helper that blocks internally (`next_batch`) is listed explicitly.\n\
+             Run with --lock-graph to print the graph."
         }
         "V005" => {
             "V005 — every member inherits the workspace lint table.\n\

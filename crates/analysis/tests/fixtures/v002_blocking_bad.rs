@@ -55,11 +55,11 @@ impl Queue {
         *side
     }
 
-    /// `wait_until` with some *other* lock's guard as its argument
-    /// still parks under this one. Flagged.
-    fn guard_across_foreign_wait_until(&self, cv: &Condvar, other: Guard) -> u32 {
+    /// A path-call `wait_timeout` with some *other* lock's guard as its
+    /// argument still parks under this one. Flagged.
+    fn guard_across_foreign_wait_timeout(&self, cv: &Condvar, other: Guard) -> u32 {
         let side = self.side.lock().unwrap_or_default_fixture();
-        let _other = wait_until(cv, other, None);
+        let _other = Condvar::wait_timeout(cv, other, Duration::from_millis(1));
         *side
     }
 

@@ -39,10 +39,10 @@ fn v002_flags_guards_across_blocking_calls() {
     let report = analyze_files(&[file]);
     assert_eq!(count(&report, "V002"), 6, "{:#?}", report.diagnostics);
     // recv under guard, sleep under guard, re-acquisition, serve's own
-    // parking helpers (listed by name: the pass does not look inside
-    // callees) — `next_batch`, and `wait_until` handed some other
-    // lock's guard — and the submitter's park on `space` with the
-    // assembler's guard left behind.
+    // parking helper `next_batch` (listed by name: the pass does not
+    // look inside callees), a path-call `Condvar::wait_timeout` handed
+    // some other lock's guard, and the submitter's park on `space` with
+    // the assembler's guard left behind.
     assert_eq!(lines(&report, "V002"), [16, 23, 29, 54, 62, 71]);
     // The nested acquisition contributes an order edge, not a finding.
     assert_eq!(report.lock_graph.edges.len(), 1);

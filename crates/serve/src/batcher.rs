@@ -1,21 +1,12 @@
 //! Late-binding batch assembly: one FIFO per model, closed into a batch
 //! only when a free worker takes it.
 //!
-//! Two moments that used to be one are kept apart here:
-//!
-//! * a model's queued requests become **eligible** when there are
-//!   [`BatchConfig::max_batch_size`] of them, or when the oldest has
-//!   waited [`BatchConfig::max_wait`] (zero by default: eligible on
-//!   arrival);
-//! * a batch is **closed** — its membership fixed — only at the instant
-//!   a free worker asks for one ([`BatchAssembler::take`]): the oldest
-//!   requests of the first eligible model, at most `max_batch_size`.
-//!
-//! Until it is taken, an eligible set keeps absorbing arrivals. So an
-//! idle server runs a lone request at once (nothing is held back hoping
-//! for companions), and a busy one fills its batches for free during
-//! the time they wait for a worker anyway. `max_wait` is only ever the
-//! time a partial batch is held back *while a worker is free*.
+//! Nothing is held back. A batch's membership is fixed at the instant a
+//! free worker asks for one ([`BatchAssembler::take`]): the oldest
+//! requests of the first non-empty model in the rotation, at most
+//! [`BatchConfig::max_batch_size`]. So an idle server runs a lone
+//! request at once, and a busy one fills its batches for free: until a
+//! worker comes back, a model's queue keeps absorbing arrivals.
 //!
 //! Three serving properties live here rather than in the threads:
 //!
@@ -24,10 +15,10 @@
 //!   slot past it: expired requests are pruned first thing in every
 //!   `take` and surfaced via [`BatchAssembler::take_expired`] so the
 //!   server can resolve their tickets as timed out.
-//! * **Round-robin fairness** — `take` serves the first eligible FIFO
-//!   in the rotation and moves it to the back, so a hot model with a
-//!   deep backlog cannot starve a light one: between two of the hot
-//!   model's batches every other model with eligible work gets a turn.
+//! * **Round-robin fairness** — `take` serves the first FIFO in the
+//!   rotation and moves it to the back, so a hot model with a deep
+//!   backlog cannot starve a light one: between two of the hot model's
+//!   batches every other model with queued work gets a turn.
 //! * **One engine per batch** — the FIFOs are keyed by model *and*
 //!   engine identity, so across a hot reload requests submitted against
 //!   the old and the new weights never share a batch.
@@ -39,7 +30,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vitcod_engine::Engine;
 use vitcod_tensor::Matrix;
@@ -49,21 +40,11 @@ use crate::ticket::Resolver;
 /// Serving-layer tuning knobs; see [`crate::Server::start`].
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Largest batch handed to an engine. A model with this many
-    /// requests queued is eligible at once, whatever `max_wait` says.
+    /// Largest batch handed to an engine. A free worker takes whatever
+    /// a model has queued, up to this many; batches grow by themselves
+    /// under load, because requests keep joining a queue until a worker
+    /// takes it.
     pub max_batch_size: usize,
-    /// Longest a partial batch is deliberately held back while a worker
-    /// is free, counted from the arrival of its oldest request. Zero —
-    /// the default — is work-conserving: a free worker takes whatever
-    /// is queued, and batches grow by themselves under load, because
-    /// requests keep joining a queue until a worker takes it. A
-    /// non-zero wait buys larger batches below saturation at the price
-    /// of that much latency on every request; it is worth setting only
-    /// for an engine that runs a batch of k faster than k batches of
-    /// one, which this one does not (at one compute thread
-    /// `Engine::infer_batch` is k forwards). A wait too long to
-    /// represent (`Duration::MAX`) means "size trigger only".
-    pub max_wait: Duration,
     /// The one bound on requests accepted and not yet taken by a
     /// worker; producers block (not drop) when it is reached.
     pub queue_capacity: usize,
@@ -76,7 +57,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch_size: 8,
-            max_wait: Duration::ZERO,
             queue_capacity: 64,
             workers: 2,
         }
@@ -140,22 +120,21 @@ struct Lane {
 /// The late-binding batch assembler; see the [module docs](self).
 pub(crate) struct BatchAssembler {
     max_batch: usize,
-    max_wait: Duration,
     /// Non-empty lanes in rotation order: [`BatchAssembler::take`]
-    /// serves the first eligible one and moves it to the back.
+    /// serves the first one and moves it to the back.
     lanes: VecDeque<Lane>,
     /// Requests pruned past their deadline, awaiting
     /// [`BatchAssembler::take_expired`].
     expired: Vec<Request>,
-    /// Set by [`BatchAssembler::flush_all`]: every lane is eligible.
+    /// Set by [`BatchAssembler::flush_all`]: the server refuses new
+    /// work, and [`BatchAssembler::drained`] can report.
     flushing: bool,
 }
 
 impl BatchAssembler {
-    pub fn new(max_batch: usize, max_wait: Duration) -> Self {
+    pub fn new(max_batch: usize) -> Self {
         Self {
             max_batch,
-            max_wait,
             lanes: VecDeque::new(),
             expired: Vec::new(),
             flushing: false,
@@ -185,28 +164,14 @@ impl BatchAssembler {
         }
     }
 
-    /// When `lane`'s oldest request has waited `max_wait`; `None` for a
-    /// wait too long to represent, which never comes due.
-    fn due(&self, lane: &Lane) -> Option<Instant> {
-        let oldest = lane.requests.front()?;
-        oldest.admitted.checked_add(self.max_wait)
-    }
-
-    fn eligible(&self, lane: &Lane, now: Instant) -> bool {
-        self.flushing
-            || lane.requests.len() >= self.max_batch
-            || self.due(lane).is_some_and(|due| due <= now)
-    }
-
-    /// Closes and returns the next batch, if a lane is eligible at
-    /// `now`: the oldest requests of the first eligible lane in the
-    /// rotation, at most `max_batch` of them, none past its deadline.
-    /// What the lane holds beyond that keeps its place in line for the
-    /// next take, behind every other lane.
+    /// Closes and returns the next batch: the oldest requests of the
+    /// first lane in the rotation, at most `max_batch` of them, none
+    /// past its deadline at `now`. What the lane holds beyond that
+    /// keeps its place in line for the next take, behind every other
+    /// lane. `None` means nothing is queued.
     pub fn take(&mut self, now: Instant) -> Option<Batch> {
         self.poll(now);
-        let idx = self.lanes.iter().position(|l| self.eligible(l, now))?;
-        let mut lane = self.lanes.remove(idx)?;
+        let mut lane = self.lanes.pop_front()?;
         let n = lane.requests.len().min(self.max_batch);
         let batch = Batch {
             model: lane.model.clone(),
@@ -219,25 +184,9 @@ impl BatchAssembler {
         Some(batch)
     }
 
-    /// Earliest moment a lane that is not eligible yet becomes so by
-    /// waiting alone — what a free worker sleeps toward after a `take`
-    /// that returned `None`.
-    pub fn next_due(&self) -> Option<Instant> {
-        self.lanes.iter().filter_map(|l| self.due(l)).min()
-    }
-
-    /// Earliest request expiry — the other moment a free worker sleeps
-    /// toward; `None` when no buffered request carries a deadline.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.lanes
-            .iter()
-            .flat_map(|l| l.requests.iter().filter_map(|r| r.deadline))
-            .min()
-    }
-
     /// Advances the clock: prunes every request whose deadline has
     /// passed out of its lane and into the expired list.
-    pub fn poll(&mut self, now: Instant) {
+    fn poll(&mut self, now: Instant) {
         for lane in &mut self.lanes {
             let mut i = 0;
             while let Some(r) = lane.requests.get(i) {
@@ -251,9 +200,9 @@ impl BatchAssembler {
         self.lanes.retain(|l| !l.requests.is_empty());
     }
 
-    /// Makes every lane eligible regardless of `max_wait`, from now on
-    /// (the shutdown path — accepted work is never dropped, though
-    /// requests already past their expiry still resolve as timed out).
+    /// Refuses new work from now on (the shutdown path): what is
+    /// buffered only drains — accepted work is never dropped, though
+    /// requests already past their expiry still resolve as timed out.
     pub fn flush_all(&mut self) {
         self.flushing = true;
     }
@@ -297,6 +246,7 @@ mod tests {
     use crate::ticket::{RequestError, Ticket, TicketInner};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::time::Duration;
     use vitcod_autograd::ParamStore;
     use vitcod_model::{ViTConfig, VisionTransformer};
 
@@ -354,13 +304,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_wait_hands_a_lone_request_to_the_first_worker_that_asks() {
+    fn a_lone_request_goes_to_the_first_worker_that_asks() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(8, Duration::ZERO);
+        let mut a = BatchAssembler::new(8);
         let now = Instant::now();
         assert!(a.take(now).is_none(), "nothing queued");
         a.offer(request("m", &engine, now), now);
-        let batch = a.take(now).expect("eligible on arrival, at the same now");
+        let batch = a.take(now).expect("taken on arrival, at the same now");
         assert_eq!(batch.requests.len(), 1);
         assert_eq!(batch.model, "m");
         assert_eq!(a.buffered(), 0);
@@ -368,61 +318,38 @@ mod tests {
     }
 
     #[test]
-    fn size_trigger_makes_a_lane_eligible_exactly_at_max_batch() {
+    fn a_take_closes_at_most_max_batch_requests() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(3, Duration::from_secs(60));
+        let mut a = BatchAssembler::new(3);
         let now = Instant::now();
         a.offer(request("m", &engine, now), now);
         a.offer(request("m", &engine, now), now);
-        assert!(a.take(now).is_none(), "below max_batch");
-        a.offer(request("m", &engine, now), now);
-        let batch = a.take(now).expect("full");
-        assert_eq!(batch.requests.len(), 3);
-        assert_eq!(batch.model, "m");
-        assert!(a.next_due().is_none(), "lane consumed");
+        assert_eq!(a.take(now).expect("partial").requests.len(), 2);
+        for _ in 0..4 {
+            a.offer(request("m", &engine, now), now);
+        }
+        assert_eq!(a.take(now).expect("full").requests.len(), 3);
+        assert_eq!(a.take(now).expect("the rest").requests.len(), 1);
+        assert!(a.take(now).is_none(), "lane consumed");
     }
 
-    /// (d): with a free worker asking all along, a non-zero `max_wait`
-    /// still holds a partial set back until exactly the oldest
-    /// request's wait.
+    /// A queue that no worker has taken yet keeps absorbing arrivals;
+    /// its membership is fixed by the take.
     #[test]
-    fn wait_belongs_to_oldest_request_and_releases_partial() {
+    fn a_queue_keeps_absorbing_until_a_worker_takes_it() {
         let engine = test_engine();
-        let wait = Duration::from_millis(50);
-        let mut a = BatchAssembler::new(8, wait);
-        let t0 = Instant::now();
-        a.offer(request("m", &engine, t0), t0);
-        // A later request must not push the release back.
-        let t1 = t0 + Duration::from_millis(30);
-        a.offer(request("m", &engine, t1), t1);
-        assert_eq!(a.next_due(), Some(t0 + wait));
-        assert!(a.take(t0 + Duration::from_millis(49)).is_none());
-        let due = a
-            .take(t0 + wait)
-            .expect("released at the oldest request's wait");
-        assert_eq!(due.requests.len(), 2, "partial batch released");
-        assert!(a.take(t0 + wait).is_none());
-    }
-
-    /// (b): a set that became eligible by timer and was not taken keeps
-    /// absorbing arrivals; its membership is fixed by the take.
-    #[test]
-    fn eligible_set_keeps_absorbing_until_a_worker_takes_it() {
-        let engine = test_engine();
-        let wait = Duration::from_millis(5);
-        let mut a = BatchAssembler::new(8, wait);
+        let mut a = BatchAssembler::new(8);
         let t0 = Instant::now();
         offer_numbered(&mut a, "m", &engine, t0, 3);
-        // Eligible from t0 + 5 ms on; every worker is busy, nobody asks.
+        // Every worker is busy, nobody asks.
         let t1 = t0 + Duration::from_millis(20);
-        a.poll(t1);
         for i in 3..7u32 {
             a.offer(
                 request("m", &engine, t0 + Duration::from_nanos(i.into())),
                 t1,
             );
         }
-        let batch = a.take(t1).expect("eligible since t0 + wait");
+        let batch = a.take(t1).expect("queued since t0");
         assert_eq!(
             arrival_numbers(&batch, t0),
             [0, 1, 2, 3, 4, 5, 6],
@@ -431,11 +358,11 @@ mod tests {
         assert!(a.take(t1).is_none());
     }
 
-    /// (c): a backlog is cut oldest-first into full batches and a rest.
+    /// A backlog is cut oldest-first into full batches and a rest.
     #[test]
     fn backlog_is_taken_in_arrival_order_full_batches_first() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(8, Duration::ZERO);
+        let mut a = BatchAssembler::new(8);
         let t0 = Instant::now();
         offer_numbered(&mut a, "m", &engine, t0, 2 * 8 + 3);
         assert_eq!(a.buffered(), 19);
@@ -446,68 +373,29 @@ mod tests {
         assert_eq!(taken, expected);
     }
 
-    /// The remainder of a lane cut at `max_batch` is not size-eligible:
-    /// with a non-zero wait it is held for its own oldest request.
-    #[test]
-    fn remainder_after_a_full_batch_waits_for_its_own_oldest_request() {
-        let engine = test_engine();
-        let wait = Duration::from_millis(50);
-        let mut a = BatchAssembler::new(4, wait);
-        let t0 = Instant::now();
-        offer_numbered(&mut a, "m", &engine, t0, 4);
-        let t1 = t0 + Duration::from_millis(10);
-        a.offer(request("m", &engine, t1), t1);
-        assert_eq!(a.take(t1).expect("size trigger").requests.len(), 4);
-        assert!(
-            a.take(t1).is_none(),
-            "one request left, a worker free: held"
-        );
-        assert_eq!(a.next_due(), Some(t1 + wait));
-        assert_eq!(a.take(t1 + wait).expect("its own wait").requests.len(), 1);
-    }
-
-    #[test]
-    fn unrepresentable_wait_means_size_trigger_only() {
-        let engine = test_engine();
-        let mut a = BatchAssembler::new(2, Duration::MAX);
-        let t0 = Instant::now();
-        a.offer(request("m", &engine, t0), t0);
-        assert_eq!(a.next_due(), None, "no timer, and no overflow panic");
-        assert!(a.take(t0 + Duration::from_secs(3600)).is_none());
-        a.offer(request("m", &engine, t0), t0);
-        assert_eq!(a.take(t0).expect("size trigger").requests.len(), 2);
-        // The shutdown flush still releases a partial set.
-        a.offer(request("m", &engine, t0), t0);
-        a.flush_all();
-        assert_eq!(a.take(t0).expect("flushed").requests.len(), 1);
-        assert!(a.drained());
-    }
-
     #[test]
     fn models_batch_independently() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(2, Duration::from_secs(60));
+        let mut a = BatchAssembler::new(2);
         let now = Instant::now();
         a.offer(request("a", &engine, now), now);
         a.offer(request("b", &engine, now), now);
         // Model a fills without model b's request counting toward it.
         a.offer(request("a", &engine, now), now);
         let full = a.take(now).expect("a full");
-        assert_eq!(full.model, "a");
-        assert!(a.take(now).is_none(), "b is neither full nor due");
-        assert!(!a.drained());
-        a.flush_all();
-        let rest = a.take(now).expect("b flushed");
-        assert_eq!(rest.model, "b");
-        assert_eq!(rest.requests.len(), 1);
+        assert_eq!((full.model.as_str(), full.requests.len()), ("a", 2));
+        let rest = a.take(now).expect("b");
+        assert_eq!((rest.model.as_str(), rest.requests.len()), ("b", 1));
         assert!(a.take(now).is_none());
+        assert!(!a.drained(), "empty, but not shutting down");
+        a.flush_all();
         assert!(a.drained());
     }
 
     #[test]
     fn takes_rotate_round_robin_across_models() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(2, Duration::from_secs(60));
+        let mut a = BatchAssembler::new(2);
         let now = Instant::now();
         // Hot model "a": three full batches. Light model "b": one.
         for _ in 0..6 {
@@ -520,69 +408,45 @@ mod tests {
         assert_eq!(order, ["a", "b", "a", "a"]);
     }
 
-    /// A lane that is first in line but not eligible yet does not block
-    /// the rotation, and keeps its place for when it is.
-    #[test]
-    fn rotation_skips_a_lane_that_is_not_eligible_yet() {
-        let engine = test_engine();
-        let wait = Duration::from_millis(50);
-        let mut a = BatchAssembler::new(2, wait);
-        let t0 = Instant::now();
-        a.offer(request("slow", &engine, t0), t0);
-        offer_numbered(&mut a, "hot", &engine, t0, 4);
-        assert_eq!(a.take(t0).expect("hot is full").model, "hot");
-        let order: Vec<String> =
-            std::iter::from_fn(|| a.take(t0 + wait).map(|b| b.model)).collect();
-        assert_eq!(order, ["slow", "hot"]);
-    }
-
     #[test]
     fn expired_requests_never_occupy_batch_slots() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(4, Duration::from_millis(100));
+        let mut a = BatchAssembler::new(4);
         let t0 = Instant::now();
-        // One short-deadline request, one without.
+        // Two short-deadline requests around one without.
         a.offer(deadlined("m", &engine, t0, Duration::from_millis(10)), t0);
         a.offer(request("m", &engine, t0), t0);
-        // A free worker sleeps toward the earlier of the two.
-        assert_eq!(a.next_deadline(), Some(t0 + Duration::from_millis(10)));
-        assert_eq!(a.next_due(), Some(t0 + Duration::from_millis(100)));
-        a.poll(t0 + Duration::from_millis(20));
-        let expired = a.take_expired();
-        assert_eq!(expired.len(), 1);
-        assert!(expired[0].deadline.is_some());
-        assert_eq!(a.next_deadline(), None);
-        assert!(
-            a.take(t0 + Duration::from_millis(20)).is_none(),
-            "the lane's wait is not over yet"
-        );
-        // The surviving request is still released on the lane's wait.
-        let batch = a.take(t0 + Duration::from_millis(100)).expect("due");
+        a.offer(deadlined("m", &engine, t0, Duration::from_millis(10)), t0);
+        let batch = a.take(t0 + Duration::from_millis(20)).expect("survivor");
         assert_eq!(batch.requests.len(), 1);
+        assert!(batch.requests[0].deadline.is_none());
+        let expired = a.take_expired();
+        assert_eq!(expired.len(), 2);
+        assert!(expired.iter().all(|r| r.deadline.is_some()));
+        assert_eq!(a.buffered(), 0);
     }
 
-    /// A take prunes by itself: a worker that asks after a deadline has
-    /// passed is not handed the expired request — and an expiry can
-    /// cost a lane its size trigger.
+    /// A take prunes before it closes a batch: a worker that asks after
+    /// a deadline has passed is not handed the expired request, and a
+    /// lane that held nothing else yields no batch at all.
     #[test]
-    fn take_prunes_before_it_judges_eligibility() {
+    fn take_prunes_before_it_closes_a_batch() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(2, Duration::from_secs(60));
+        let mut a = BatchAssembler::new(2);
         let t0 = Instant::now();
         a.offer(deadlined("m", &engine, t0, Duration::from_millis(5)), t0);
-        a.offer(request("m", &engine, t0), t0);
         assert!(
             a.take(t0 + Duration::from_millis(5)).is_none(),
-            "one live request is below max_batch"
+            "the only request expired"
         );
         assert_eq!(a.take_expired().len(), 1);
-        assert_eq!(a.buffered(), 1);
+        assert_eq!(a.buffered(), 0);
     }
 
     #[test]
     fn already_expired_offer_and_flush_all_prune() {
         let engine = test_engine();
-        let mut a = BatchAssembler::new(8, Duration::from_secs(60));
+        let mut a = BatchAssembler::new(8);
         let t0 = Instant::now();
         a.offer(deadlined("m", &engine, t0, Duration::ZERO), t0);
         assert_eq!(a.take_expired().len(), 1, "expired on arrival");
@@ -600,7 +464,7 @@ mod tests {
     fn reloaded_engines_never_share_a_batch() {
         let old = test_engine();
         let new = test_engine();
-        let mut a = BatchAssembler::new(8, Duration::ZERO);
+        let mut a = BatchAssembler::new(8);
         let now = Instant::now();
         a.offer(request("m", &old, now), now);
         a.offer(request("m", &new, now), now);
@@ -626,7 +490,7 @@ mod tests {
             ticket: Resolver(inner),
             ..request("m", &engine, now)
         };
-        let mut a = BatchAssembler::new(8, Duration::from_secs(60));
+        let mut a = BatchAssembler::new(8);
         a.offer(lost, now);
         drop(a);
         assert_eq!(

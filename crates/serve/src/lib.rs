@@ -10,14 +10,12 @@
 //! * [`Server`] — owns a **bounded late-binding batch assembler**
 //!   that submitting threads offer into themselves (at most
 //!   [`BatchConfig::queue_capacity`] requests accepted and not yet
-//!   taken; full ⇒ producers block: backpressure, not drops; a model's
-//!   queued requests are eligible once there are
-//!   [`BatchConfig::max_batch_size`] of them or the oldest has waited
-//!   [`BatchConfig::max_wait`] — zero by default — but a batch is
-//!   closed only when a free worker takes it, so an idle server never
-//!   holds a request back and a busy one fills its batches while they
-//!   wait for a worker anyway) and a worker pool — the only threads it
-//!   spawns — running those batches through shared engines;
+//!   taken; full ⇒ producers block: backpressure, not drops; a batch —
+//!   a model's oldest requests, at most [`BatchConfig::max_batch_size`]
+//!   — is closed only when a free worker takes it, so an idle server
+//!   never holds a request back and a busy one fills its batches while
+//!   they wait for a worker anyway) and a worker pool — the only
+//!   threads it spawns — running those batches through shared engines;
 //! * [`Client`] — clonable handles with a blocking
 //!   [`Client::classify`], a ticket-returning [`Client::submit`] (the
 //!   [`Ticket`] blocks in [`Ticket::wait`], or for a bounded time in

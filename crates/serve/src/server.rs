@@ -4,33 +4,30 @@
 //!  Client::submit ── offer (parks while queue_capacity are buffered) ──┐
 //!                                                                      ▼
 //!                                       per-model FIFOs (one mutex) ◀── take ── N workers
-//!                                       eligible: max_batch_size          │ expire · Engine::infer_batch
-//!                                       queued or oldest waited max_wait  ▼
+//!                                       oldest max_batch_size of the      │ expire · Engine::infer_batch
+//!                                       next model, round-robin           ▼
 //!                                                                tickets resolve, stats record
 //! ```
 //!
 //! Batches are **closed by the worker that runs them**, not by a timer:
-//! a free worker takes the oldest requests of the next eligible model
+//! a free worker takes the oldest requests of the next model in line
 //! ([`crate::batcher`] has the rules), up to
 //! [`BatchConfig::max_batch_size`], and until that instant the set
-//! keeps absorbing arrivals. With the default [`BatchConfig::max_wait`]
-//! of zero every queued request is eligible, so an idle server starts a
-//! lone request at once and a busy one fills its batches while they
-//! wait for a worker anyway; no batch is ever staged behind a busy
-//! worker, so there is no head-of-line queue for a light model to wait
-//! in — lanes are taken **round-robin across models**, and a hot
-//! model's backlog cannot starve a light one.
+//! keeps absorbing arrivals. An idle server starts a lone request at
+//! once and a busy one fills its batches while they wait for a worker
+//! anyway; no batch is ever staged behind a busy worker, so there is no
+//! head-of-line queue for a light model to wait in — models are taken
+//! **round-robin**, and a hot model's backlog cannot starve a light one.
 //!
 //! A request crosses two thread hand-offs: the submitting thread puts
 //! it into the assembler itself (parking while
 //! [`BatchConfig::queue_capacity`] requests are accepted and not yet
 //! taken, so a flooding producer meets backpressure), and the worker
-//! that ran it resolves its ticket. What needs a clock is done by the
-//! threads that have one: a free worker sleeps toward the earlier of
-//! the moment a held-back partial set comes due and the earliest
-//! request deadline, so on a server with a free worker a deadlined
-//! request resolves as timed out the moment it expires; while every
-//! worker is busy it is pruned by the next take.
+//! that ran it resolves its ticket. No serving thread sleeps toward a
+//! clock: a free worker parks until a submit or the shutdown wakes it,
+//! and since it takes whatever is queued, a request only waits while
+//! every worker is busy — a deadlined one that expires meanwhile is
+//! pruned by the next take.
 //!
 //! Workers share the registry's `Arc`'d engines — serving never copies
 //! weights — and the engine behind a model id can be hot-swapped at any
@@ -39,7 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -190,22 +187,18 @@ impl Shared {
             let expired = assembler.take_expired();
             let done = batch.is_some() || assembler.drained();
             if !done && expired.is_empty() {
-                // Nothing eligible: sleep toward the moment a held-back
-                // set comes due or a request expires, whichever is
-                // first.
-                let wake = assembler
-                    .next_due()
-                    .into_iter()
-                    .chain(assembler.next_deadline())
-                    .min();
-                assembler = wait_until(&self.work, assembler, wake);
+                // Nothing queued: park until a submit or the shutdown.
+                assembler = self
+                    .work
+                    .wait(assembler)
+                    .unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             let more = assembler.buffered() > 0;
             drop(assembler);
             if more {
-                // More may be eligible, or come due before this
-                // worker is back: pass the watch on.
+                // Another free worker can take the rest: pass the
+                // watch on.
                 self.work.notify_one();
             }
             // Up to a batch of slots came free: every parked submitter
@@ -220,25 +213,6 @@ impl Shared {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-}
-
-/// The condvar hand-off with an optional alarm: parks on `condvar`,
-/// releasing `guard` meanwhile, until notified or — if `until` is set —
-/// that instant passes.
-fn wait_until<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    until: Option<Instant>,
-) -> MutexGuard<'a, T> {
-    match until {
-        Some(at) => {
-            condvar
-                .wait_timeout(guard, at.saturating_duration_since(Instant::now()))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0
-        }
-        None => condvar.wait(guard).unwrap_or_else(PoisonError::into_inner),
     }
 }
 
@@ -281,7 +255,7 @@ impl Server {
         let config = config.validated();
         let shared = Arc::new(Shared {
             engines: RwLock::new(registry.into_engines()),
-            assembler: Mutex::new(BatchAssembler::new(config.max_batch_size, config.max_wait)),
+            assembler: Mutex::new(BatchAssembler::new(config.max_batch_size)),
             queue_capacity: config.queue_capacity,
             work: Condvar::new(),
             space: Condvar::new(),
@@ -340,8 +314,8 @@ impl Server {
             return;
         }
         // Accepted work is never dropped: from here on submitters are
-        // refused, every lane is eligible, and the workers take until
-        // nothing is left, then leave.
+        // refused, and the workers take until nothing is left, then
+        // leave.
         self.shared
             .assembler
             .lock()
@@ -401,11 +375,11 @@ impl Client {
     /// `timeout` elapses before the request reaches a batch slot it is
     /// expired — it stops occupying queue capacity and its ticket
     /// resolves as [`crate::RequestError::TimedOut`]. A request that made it
-    /// into a batch before the deadline is served normally. Expiry
-    /// runs on the workers' clocks: a free worker expires the request
-    /// the moment its deadline passes; while every worker is busy, the
-    /// next take does — the ticket then resolves at most one in-flight
-    /// batch late (bound the wait itself with [`Ticket::wait_timeout`]).
+    /// into a batch before the deadline is served normally. A free
+    /// worker takes a request at once, so one only waits while every
+    /// worker is busy, and the next take expires it — the ticket then
+    /// resolves at most one in-flight batch late (bound the wait itself
+    /// with [`Ticket::wait_timeout`]).
     ///
     /// # Errors
     ///
@@ -456,7 +430,10 @@ impl Client {
             if assembler.buffered() < shared.queue_capacity {
                 break;
             }
-            assembler = wait_until(&shared.space, assembler, None);
+            assembler = shared
+                .space
+                .wait(assembler)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         assembler.offer(request, Instant::now());
         drop(assembler);

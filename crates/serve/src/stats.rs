@@ -93,7 +93,7 @@ pub struct RequestTiming {
     pub queue_wait: Duration,
     /// Admission → compute start: the time in the model's queue until
     /// a free worker took the request's batch — waiting for a worker
-    /// under load, any deliberate `max_wait` hold, and the hand-off.
+    /// under load, and the hand-off.
     pub batch_assembly: Duration,
     /// Compute start → compute end (the engine's `infer_batch`).
     pub compute: Duration,

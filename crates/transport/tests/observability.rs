@@ -10,6 +10,7 @@
 
 use std::time::Duration;
 
+use hold::{register_slow, Hold};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
@@ -22,6 +23,9 @@ use vitcod_tensor::Initializer;
 use vitcod_transport::{
     api::tokens_json, HttpClient, HttpServer, Json, TransportConfig, TRACE_ID_HEADER,
 };
+
+#[path = "../../serve/tests/hold/mod.rs"]
+mod hold;
 
 const IN_DIM: usize = 8;
 const CLASSES: usize = 4;
@@ -75,7 +79,6 @@ fn metrics_exposition_parses_and_matches_stats() {
         registry,
         BatchConfig {
             max_batch_size: 4,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64,
             workers: 1,
         },
@@ -563,16 +566,15 @@ fn default_server_keeps_expired_and_forced_requests_once() {
     registry
         .register("m", Engine::builder(model.clone()).build())
         .unwrap();
-    // A lone request waits 10 s for a partner; a pair runs at once.
+    register_slow(&mut registry);
     let server = Server::start(
         registry,
         BatchConfig {
-            max_batch_size: 2,
-            max_wait: Duration::from_secs(10),
-            queue_capacity: 64,
             workers: 1,
+            ..BatchConfig::default()
         },
     );
+    let serve = server.client();
     let http = HttpServer::bind(
         "127.0.0.1:0",
         server,
@@ -596,12 +598,14 @@ fn default_server_keeps_expired_and_forced_requests_once() {
     .to_string();
     let lone = Json::Object(vec![
         ("tokens".into(), item(63)),
-        ("timeout_ms".into(), Json::Number(40.0)),
+        ("timeout_ms".into(), Json::Number(10.0)),
     ])
     .to_string();
 
     let resp = client.post("/v1/models/m/classify", &pair).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
+    // The lone request waits behind a busy worker past its deadline.
+    let _hold = Hold::start(&serve);
     let resp = client.post("/v1/models/m/classify", &lone).unwrap();
     assert_eq!(resp.status, 504, "{}", resp.body_str());
     let resp = client
@@ -708,18 +712,17 @@ fn burn_rate_alert_fires_on_expiries_and_resolves_on_recovery() {
     registry
         .register("m", Engine::builder(model.clone()).build())
         .unwrap();
-    // A lone request is held 50 ms for partners: one with a 1 ms
-    // `timeout_ms` expires inside the hold every time, one without a
-    // deadline runs when the hold ends.
+    register_slow(&mut registry);
+    // Each outage burst is sent while the only worker is held busy: a
+    // request with a 1 ms `timeout_ms` expires behind it every time.
     let server = Server::start(
         registry,
         BatchConfig {
-            max_batch_size: 64,
-            max_wait: Duration::from_millis(50),
-            queue_capacity: 64,
             workers: 1,
+            ..BatchConfig::default()
         },
     );
+    let serve = server.client();
     let http = HttpServer::bind(
         "127.0.0.1:0",
         server,
@@ -729,8 +732,8 @@ fn burn_rate_alert_fires_on_expiries_and_resolves_on_recovery() {
         },
     )
     .expect("bind loopback");
-    let mut client = HttpClient::connect(http.local_addr()).unwrap();
-    let scraper = Scraper::new(vec![http.local_addr().to_string()]);
+    let addr = http.local_addr();
+    let scraper = Scraper::new(vec![addr.to_string()]);
     // Windows in steps: the fast one spans two bursts, the slow one six.
     let mut tracker = SloTracker::new(SloConfig {
         name: "availability".into(),
@@ -758,9 +761,23 @@ fn burn_rate_alert_fires_on_expiries_and_resolves_on_recovery() {
     let mut t = 0.0;
     let mut step = |body: Option<(&str, u16)>, tracker: &mut SloTracker| {
         if let Some((body, status)) = body {
-            for _ in 0..BURST {
-                let resp = client.post("/v1/models/m/classify", body).unwrap();
-                assert_eq!(resp.status, status, "{}", resp.body_str());
+            let hold = (status == 504).then(|| Hold::start(&serve));
+            // The burst goes out at once, one connection a request: an
+            // expired request answers only after the transport's slack
+            // over its `timeout_ms`, and all of them must queue while
+            // the hold lasts.
+            std::thread::scope(|s| {
+                for _ in 0..BURST {
+                    s.spawn(|| {
+                        let mut conn = HttpClient::connect(addr).unwrap();
+                        let resp = conn.post("/v1/models/m/classify", body).unwrap();
+                        assert_eq!(resp.status, status, "{}", resp.body_str());
+                    });
+                }
+            });
+            // The worker's next take prunes and counts the expiries.
+            if let Some(hold) = hold {
+                hold.wait_out();
             }
         }
         t += 1.0;
@@ -772,8 +789,8 @@ fn burn_rate_alert_fires_on_expiries_and_resolves_on_recovery() {
         let exp = &scrape.exposition;
         tracker.observe(
             scrape.t_s,
-            exp.sum("vitcod_requests_total", &[]),
-            exp.sum("vitcod_timeouts_total", &[]),
+            exp.sum("vitcod_requests_total", &[("model", "m")]),
+            exp.sum("vitcod_timeouts_total", &[("model", "m")]),
         );
         tracker.eval(scrape.t_s);
     };
@@ -819,6 +836,7 @@ fn burn_rate_alert_fires_on_expiries_and_resolves_on_recovery() {
     );
 
     // A default server samples nothing, yet keeps every expiry's tree.
+    let mut client = HttpClient::connect(addr).unwrap();
     let drained = client.get("/v1/traces").unwrap().json().unwrap();
     let traces = drained.get("traces").unwrap().as_array().unwrap().to_vec();
     assert!(

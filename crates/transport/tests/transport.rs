@@ -8,15 +8,19 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use hold::{register_slow, Hold};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vitcod_autograd::ParamStore;
 use vitcod_engine::{save_compiled_vit, CompiledVit, Engine, Precision};
 use vitcod_model::{Sample, SparsityPlan, ViTConfig, VisionTransformer};
 use vitcod_obs::Exposition;
-use vitcod_serve::{BatchConfig, ModelRegistry, Server};
+use vitcod_serve::{BatchConfig, Client, ModelRegistry, Server};
 use vitcod_tensor::{Initializer, Matrix};
 use vitcod_transport::{api::tokens_json, http, HttpClient, HttpServer, Json, TransportConfig};
+
+#[path = "../../serve/tests/hold/mod.rs"]
+mod hold;
 
 const IN_DIM: usize = 8;
 const CLASSES: usize = 4;
@@ -97,16 +101,30 @@ impl Drop for TempDir {
 }
 
 fn start_http(registry: ModelRegistry, batch: BatchConfig) -> HttpServer {
-    start_http_with_root(registry, batch, None)
+    bind_http(Server::start(registry, batch), None)
 }
 
-/// Like [`start_http`], with wire reloads enabled under `root`.
-fn start_http_with_root(
-    registry: ModelRegistry,
-    batch: BatchConfig,
+/// A one-worker server over `registry` plus the hold's slow model,
+/// behind the transport, and an in-process client to hold it with.
+fn start_held_http(
+    mut registry: ModelRegistry,
     root: Option<std::path::PathBuf>,
-) -> HttpServer {
-    let server = Server::start(registry, batch);
+) -> (HttpServer, Client) {
+    register_slow(&mut registry);
+    let server = Server::start(
+        registry,
+        BatchConfig {
+            workers: 1,
+            ..BatchConfig::default()
+        },
+    );
+    let client = server.client();
+    (bind_http(server, root), client)
+}
+
+/// Puts `server` behind the transport, with wire reloads enabled under
+/// `root`.
+fn bind_http(server: Server, root: Option<std::path::PathBuf>) -> HttpServer {
     HttpServer::bind(
         "127.0.0.1:0",
         server,
@@ -211,9 +229,9 @@ fn loopback_predictions_are_bit_identical_to_direct_inference() {
     assert_eq!(final_stats.total_requests(), 6);
 }
 
-/// A wire-level `timeout_ms` is a real deadline: on a server whose
-/// batcher would otherwise hold the request for 10 s, the response is a
-/// prompt 504 and the expiry shows up in the stats.
+/// A wire-level `timeout_ms` is a real deadline: on a server whose only
+/// worker is busy past it, the response is a 504 and the expiry shows
+/// up in the stats.
 #[test]
 fn wire_timeout_resolves_504_and_counts_in_stats() {
     let model = tiny_model(5, false);
@@ -221,28 +239,18 @@ fn wire_timeout_resolves_504_and_counts_in_stats() {
     registry
         .register("m", Engine::builder(model.clone()).build())
         .unwrap();
-    let http = start_http(
-        registry,
-        BatchConfig {
-            max_batch_size: 64,
-            max_wait: Duration::from_secs(10),
-            queue_capacity: 64,
-            workers: 1,
-        },
-    );
+    let (http, serve) = start_held_http(registry, None);
     let mut client = HttpClient::connect(http.local_addr()).unwrap();
-    let t = Instant::now();
+    let hold = Hold::start(&serve);
     let resp = client
         .post(
             "/v1/models/m/classify",
-            &classify_body(&tokens_for(&model, 1), Some(40)),
+            &classify_body(&tokens_for(&model, 1), Some(10)),
         )
         .unwrap();
     assert_eq!(resp.status, 504, "{}", resp.body_str());
-    assert!(
-        t.elapsed() < Duration::from_secs(5),
-        "timeout must not wait for the 10s flush deadline"
-    );
+    // The worker's next take prunes the expired request and counts it.
+    hold.wait_out();
     let prom = scrape(&mut client);
     assert_eq!(
         prom.one("vitcod_timeouts_total", &[("model", "m")]),
@@ -309,7 +317,6 @@ fn round_robin_fairness_under_mixed_traffic() {
         registry,
         BatchConfig {
             max_batch_size: 4,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 512,
             workers: 1,
         },
@@ -412,19 +419,11 @@ fn reload_swaps_artifact_without_dropping_in_flight_requests() {
     std::fs::write(&v2_path, save_compiled_vit(&v2, Precision::Fp32)).unwrap();
 
     let registry = ModelRegistry::load_dir(&dir.0).unwrap();
-    let http = start_http_with_root(
-        registry,
-        BatchConfig {
-            // In-flight window: requests pend in the assembler for up
-            // to 1s unless 64 arrive.
-            max_batch_size: 64,
-            max_wait: Duration::from_secs(1),
-            queue_capacity: 64,
-            workers: 1,
-        },
-        Some(dir.0.clone()),
-    );
+    let (http, serve) = start_held_http(registry, Some(dir.0.clone()));
     let addr = http.local_addr();
+    // In-flight window: requests pend in the assembler while the only
+    // worker is busy.
+    let _hold = Hold::start(&serve);
 
     let in_flight: Vec<Matrix> = (0..4).map(|i| tokens_for(&v1, 500 + i)).collect();
     let direct_v1 = Engine::builder(v1.clone()).build().infer_batch(
@@ -448,8 +447,14 @@ fn reload_swaps_artifact_without_dropping_in_flight_requests() {
     conn1.write_all(head.as_bytes()).unwrap();
     conn1.write_all(body.as_bytes()).unwrap();
     conn1.flush().unwrap();
-    // Generous delivery margin, well inside the 1s flush deadline.
-    std::thread::sleep(Duration::from_millis(150));
+    // Until the batch's four requests are queued behind the hold (or,
+    // on a box too slow for it, served: then the assert says so).
+    let delivered =
+        || serve.queued_requests() as u64 + serve.stats().model("m").map_or(0, |m| m.requests);
+    while delivered() < 4 {
+        std::thread::yield_now();
+    }
+    assert_eq!(serve.queued_requests(), 4, "still pending at the swap");
 
     // Swap the artifact mid-flight.
     let mut conn2 = HttpClient::connect(addr).unwrap();
@@ -510,7 +515,6 @@ fn shutdown_completes_wire_requests_then_refuses_connections() {
         registry,
         BatchConfig {
             max_batch_size: 8,
-            max_wait: Duration::from_millis(20),
             queue_capacity: 64,
             workers: 2,
         },
@@ -638,7 +642,10 @@ fn api_errors_map_to_clean_statuses() {
         .register("m", Engine::builder(model.clone()).build())
         .unwrap();
     let root = TempDir::new("apierrors");
-    let http = start_http_with_root(registry, BatchConfig::default(), Some(root.0.clone()));
+    let http = bind_http(
+        Server::start(registry, BatchConfig::default()),
+        Some(root.0.clone()),
+    );
     let mut client = HttpClient::connect(http.local_addr()).unwrap();
 
     // Unknown model → 404.
